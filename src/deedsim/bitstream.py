@@ -34,6 +34,9 @@ __all__ = [
     "sparse_payload_bits",
 ]
 
+# bytes.translate table from ASCII '0' / '1' to bit values 0 / 1.
+_ASCII_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
 
 class BitStream:
     """Append-only ordered sequence of bits.
@@ -47,16 +50,18 @@ class BitStream:
 
     def __init__(self, bits: Iterable[int] = ()) -> None:
         self._buf = bytearray(bits)
-        if any(b not in (0, 1) for b in self._buf):
+        # Deleting every 0 and 1 byte leaves exactly the invalid ones.
+        if self._buf.translate(None, b"\x00\x01"):
             raise InvalidInputError("bits must be 0 or 1")
 
     @classmethod
     def from_string(cls, text: str) -> "BitStream":
         """Build from a string like ``\"00101\"``."""
-        s = cls()
-        s._buf = bytearray(int(ch) for ch in text)
-        if any(b not in (0, 1) for b in s._buf):
+        raw = text.encode("ascii", "replace")
+        if raw.translate(None, b"01"):
             raise InvalidInputError("bit string may contain only '0' and '1'")
+        s = cls()
+        s._buf = bytearray(raw.translate(_ASCII_TO_BIT))
         return s
 
     def append(self, bit: int) -> None:
@@ -99,21 +104,17 @@ class BitStream:
 
     def to_bytes(self) -> bytes:
         """Pack MSB-first; final byte zero-padded on the right."""
-        out = bytearray((len(self._buf) + 7) // 8)
-        for i, bit in enumerate(self._buf):
-            if bit:
-                out[i >> 3] |= 0x80 >> (i & 7)
-        return bytes(out)
+        return np.packbits(np.frombuffer(self._buf, dtype=np.uint8)).tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes, nbits: int) -> "BitStream":
         """Inverse of ``to_bytes``; ``nbits`` is the unpadded length."""
+        if nbits < 0:
+            raise CorruptStreamError(f"negative declared bit length {nbits}")
         if nbits > 8 * len(data):
             raise CorruptStreamError("declared bit length exceeds data")
         s = cls()
-        s._buf = bytearray(
-            (data[i >> 3] >> (7 - (i & 7))) & 1 for i in range(nbits)
-        )
+        s._buf = bytearray(np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits))
         return s
 
 
@@ -134,6 +135,18 @@ class SparseIntVector:
             raise InvalidInputError("dim must be positive")
         if len(self.positions) != len(self.values):
             raise InvalidInputError("positions and values must align")
+        if not len(self.positions):
+            return
+        # Integers beyond int64 give object arrays, which compare exactly.
+        arr = np.array(self.positions)
+        if (
+            arr[0] > 0
+            and arr[-1] <= self.dim
+            and (arr[1:] > arr[:-1]).all()
+            and 0 not in self.values
+        ):
+            return
+        # Invalid: name the first bad entry, checked in the documented order.
         prev = 0
         for pos, val in zip(self.positions, self.values):
             if pos <= prev:
@@ -151,17 +164,16 @@ class SparseIntVector:
     @classmethod
     def from_dense(cls, arr: Sequence[int] | np.ndarray) -> "SparseIntVector":
         arr = np.asarray(arr)
-        (idx,) = np.nonzero(arr)
+        idx = np.flatnonzero(arr)
         return cls(
             dim=len(arr),
-            positions=tuple(int(i) + 1 for i in idx),
-            values=tuple(int(arr[i]) for i in idx),
+            positions=tuple((idx + 1).tolist()),
+            values=tuple(map(int, arr[idx].tolist())),
         )
 
     def to_dense(self, dtype=np.int64) -> np.ndarray:
         out = np.zeros(self.dim, dtype=dtype)
-        for pos, val in zip(self.positions, self.values):
-            out[pos - 1] = val
+        out[np.array(self.positions, dtype=np.intp) - 1] = self.values
         return out
 
 
@@ -251,16 +263,16 @@ def decode_sparse(stream: BitStream, dim: int) -> SparseIntVector:
 
 
 def _floor_log2(n: np.ndarray) -> np.ndarray:
-    """Exact floor(log2) for positive int64 arrays."""
+    """Exact floor(log2) for positive int64 arrays, as an integer array."""
     n = np.asarray(n, dtype=np.int64)
-    small = n < (1 << 52)  # exactly representable in float64
+    # frexp is exact on integers below 2**52: n = m * 2**e with
+    # 0.5 <= m < 1, so floor(log2 n) = e - 1.
+    if n.max(initial=0) < (1 << 52):
+        return np.frexp(n.astype(np.float64))[1] - 1
+    small = n < (1 << 52)
     out = np.empty(n.shape, dtype=np.int64)
-    if small.any():
-        # frexp is exact: n = m * 2**e with 0.5 <= m < 1, so floor(log2 n) = e - 1
-        _, e = np.frexp(n[small].astype(np.float64))
-        out[small] = e.astype(np.int64) - 1
-    if (~small).any():
-        out[~small] = [int(x).bit_length() - 1 for x in n[~small]]
+    out[small] = np.frexp(n[small].astype(np.float64))[1] - 1
+    out[~small] = [int(x).bit_length() - 1 for x in n[~small]]
     return out
 
 
@@ -268,14 +280,17 @@ def sparse_payload_bits(positions: np.ndarray, values: np.ndarray) -> int:
     """Length in bits of ``encode_sparse`` without building the stream.
 
     ``positions`` are 1-based and strictly increasing, ``values`` nonzero.
+    Each entry costs Elias(gap) + 1 sign bit + Elias(|value|), and an
+    Elias code of n takes 2 floor(log2 n) + 1 bits.
     """
     positions = np.asarray(positions, dtype=np.int64)
     values = np.asarray(values, dtype=np.int64)
     nnz = len(positions)
-    total = elias_length(nnz + 1)
-    if nnz:
-        gaps = np.diff(positions, prepend=np.int64(0))
-        total += int(np.sum(2 * _floor_log2(gaps) + 1))
-        total += nnz  # sign bits
-        total += int(np.sum(2 * _floor_log2(np.abs(values)) + 1))
-    return total
+    if not nnz:
+        return elias_length(1)
+    # Gaps and magnitudes share one buffer so floor(log2) runs once.
+    buf = np.empty(2 * nnz, dtype=np.int64)
+    buf[0] = positions[0]
+    np.subtract(positions[1:], positions[:-1], out=buf[1:nnz])
+    np.abs(values, out=buf[nnz:])
+    return elias_length(nnz + 1) + 3 * nnz + 2 * int(_floor_log2(buf).sum())

@@ -42,8 +42,9 @@ __all__ = [
 
 DEFAULT_FLOAT_BITS = 32
 
-# Scaled coordinates beyond this cannot be held in a signed 64-bit grid.
-_GRID_LIMIT = 2.0**63 - 2.0
+# Scaled magnitudes must stay strictly below this to fit a signed 64-bit
+# grid: 2**63 itself would wrap to -2**63 in the int64 cast.
+_GRID_LIMIT = 2.0**63
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ def quantize(
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1 or len(w) != spec.dim:
         raise InvalidInputError(f"expected a vector of dim {spec.dim}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise InvalidInputError("input coordinates must be finite")
 
     if spec.lossless:
@@ -135,7 +136,7 @@ def quantize(
 
     step = spec.grid_step
     scaled = w / step
-    if np.any(np.abs(scaled) > _GRID_LIMIT):
+    if np.abs(scaled).max() >= _GRID_LIMIT:
         raise InvalidInputError("scaled magnitude overflows the 64-bit grid")
 
     lo = np.floor(scaled)
@@ -152,11 +153,11 @@ def quantize(
 
     grid_dense = (lo + up).astype(np.int64)
     decoded = grid_dense * step
-    grid = SparseIntVector.from_dense(grid_dense)
-    bits = sparse_payload_bits(
-        np.asarray(grid.positions, dtype=np.int64),
-        np.asarray(grid.values, dtype=np.int64),
-    )
+    idx = np.flatnonzero(grid_dense)
+    positions = idx + 1
+    values = grid_dense[idx]
+    grid = SparseIntVector(spec.dim, tuple(positions.tolist()), tuple(values.tolist()))
+    bits = sparse_payload_bits(positions, values)
     return QuantizedMessage(spec=spec, grid=grid, decoded=decoded, bits=bits)
 
 

@@ -86,13 +86,56 @@ def test_sparse_corrupt_streams():
         decode_sparse(BitStream.from_string("11"), 4)
 
 
-def test_sparse_invariants_rejected():
-    with pytest.raises(InvalidInputError):
-        SparseIntVector(dim=4, positions=(2, 2), values=(1, 1))
-    with pytest.raises(InvalidInputError):
-        SparseIntVector(dim=4, positions=(5,), values=(1,))
-    with pytest.raises(InvalidInputError):
-        SparseIntVector(dim=4, positions=(1,), values=(0,))
+@pytest.mark.parametrize(
+    "dim, positions, values, message",
+    [
+        (4, (2, 2), (1, 1), "positions must be strictly increasing"),
+        (4, (3, 2), (1, 1), "positions must be strictly increasing"),
+        (4, (5,), (1,), "position 5 exceeds dim 4"),
+        (4, (1,), (0,), "values must be nonzero"),
+        (4, (0,), (1,), "positions must be strictly increasing"),
+        (4, (-1, 2), (1, 1), "positions must be strictly increasing"),
+        (4, (1, 2), (1,), "positions and values must align"),
+        (4, (1,), (1, 2), "positions and values must align"),
+        (0, (), (), "dim must be positive"),
+        (-3, (1,), (1,), "dim must be positive"),
+        # The first offending entry decides the message, in check order.
+        (4, (1, 9, 9), (0, 1, 1), "values must be nonzero"),
+        (4, (2, 5, 5), (1, 1, 0), "position 5 exceeds dim 4"),
+        (4, (2**70,), (1,), f"position {2**70} exceeds dim 4"),
+    ],
+)
+def test_sparse_invariants_rejected(dim, positions, values, message):
+    with pytest.raises(InvalidInputError) as info:
+        SparseIntVector(dim=dim, positions=positions, values=values)
+    assert str(info.value) == message
+
+
+def test_sparse_accepts_values_beyond_int64():
+    v = SparseIntVector(dim=3, positions=(1, 3), values=(2**70, -(2**64)))
+    assert decode_sparse(encode_sparse(v), 3) == v
+
+
+def test_from_dense_matches_elementwise_reference():
+    for arr in ([0, 3, 0, -7], np.array([0.0, 2.5, -1.9]), np.zeros(5, dtype=np.int64)):
+        arr = np.asarray(arr)
+        idx = [i for i in range(len(arr)) if arr[i] != 0]
+        v = SparseIntVector.from_dense(arr)
+        assert v.positions == tuple(i + 1 for i in idx)
+        assert v.values == tuple(int(arr[i]) for i in idx)
+        assert all(type(x) is int for x in v.positions + v.values)
+
+
+def test_to_dense_float_matches_elementwise_assignment():
+    values = (2**53 + 1, -(2**53 + 3), 2**62 - 1, -(2**63) + 1, 2**53 - 1, 7)
+    v = SparseIntVector(dim=9, positions=(1, 2, 4, 5, 8, 9), values=values)
+    for dtype in (np.float64, np.int64):
+        expected = np.zeros(9, dtype=dtype)
+        for pos, val in zip(v.positions, v.values):
+            expected[pos - 1] = val
+        got = v.to_dense(dtype=dtype)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
 
 def _random_sparse(rng, dim_max=10_000):
@@ -137,6 +180,31 @@ def test_payload_bits_huge_values():
     assert sparse_payload_bits(np.array(v.positions), np.array(v.values)) == len(
         encode_sparse(v)
     )
+
+
+# Magnitudes at the edge of float64's exact-integer range, where frexp
+# stops being exact and floor(log2) needs the integer fallback.
+_FLOAT_EDGE = [
+    base + off for base in (2**52, 2**53) for off in (-1, 0, 1)
+] + [2**62, 2**63 - 1]
+
+
+@pytest.mark.parametrize("big", _FLOAT_EDGE)
+def test_payload_bits_at_float_exactness_edge(big):
+    cases = [
+        SparseIntVector(dim=1, positions=(1,), values=(big,)),
+        SparseIntVector(dim=1, positions=(1,), values=(-big,)),
+        # A gap of ``big``: the only entry sits at position ``big``.
+        SparseIntVector(dim=big, positions=(big,), values=(3,)),
+        SparseIntVector(dim=big, positions=(2, big), values=(1, -5)),
+        # Small and large magnitudes mixed in one vector.
+        SparseIntVector(dim=6, positions=(1, 2, 4, 6), values=(1, big, -3, -big)),
+    ]
+    for v in cases:
+        got = sparse_payload_bits(
+            np.array(v.positions, dtype=np.int64), np.array(v.values, dtype=np.int64)
+        )
+        assert got == len(encode_sparse(v))
 
 
 def test_encoded_length_monotone_in_nnz():
@@ -198,3 +266,44 @@ def test_byte_serialization_roundtrip_random():
 def test_from_bytes_rejects_overlong_declaration():
     with pytest.raises(CorruptStreamError):
         BitStream.from_bytes(b"\x00", 9)
+    with pytest.raises(CorruptStreamError):
+        BitStream.from_bytes(b"\x00", -1)
+
+
+def _pack_reference(bits):
+    out = bytearray((len(bits) + 7) // 8)
+    for i, bit in enumerate(bits):
+        if bit:
+            out[i >> 3] |= 0x80 >> (i & 7)
+    return bytes(out)
+
+
+def _unpack_reference(data, nbits):
+    return [(data[i >> 3] >> (7 - (i & 7))) & 1 for i in range(nbits)]
+
+
+def test_byte_packing_matches_per_bit_reference():
+    rng = np.random.default_rng(12)
+    for nbits in range(71):
+        for _ in range(3):
+            bits = rng.integers(0, 2, size=nbits).tolist()
+            data = BitStream(bits).to_bytes()
+            assert data == _pack_reference(bits)
+            assert list(BitStream.from_bytes(data, nbits)) == bits
+            # A buffer longer than the declared length: the rest is ignored.
+            padded = data + bytes(rng.integers(0, 256, size=2).tolist())
+            for short in {0, nbits // 2, nbits}:
+                assert list(BitStream.from_bytes(padded, short)) == _unpack_reference(
+                    padded, short
+                )
+
+
+def test_bit_constructors_validate():
+    assert BitStream.from_string("0110").to01() == "0110"
+    assert list(BitStream([1, 0, 1])) == [1, 0, 1]
+    for text in ("012", "01a", "0 1", "\u0661"):
+        with pytest.raises(InvalidInputError):
+            BitStream.from_string(text)
+    for bits in ([0, 2], [255], [1, 1, 0, 3]):
+        with pytest.raises(InvalidInputError):
+            BitStream(bits)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from deedsim.bitstream import BitStream, decode_sparse, elias_decode
+from deedsim.bitstream import BitStream, decode_sparse, elias_decode, encode_sparse
 from deedsim.errors import InvalidInputError
 from deedsim.quantizer import (
     QuantSpec,
@@ -135,22 +135,64 @@ def test_invalid_inputs():
         quantize(np.array([1e19]), QuantSpec(1e-3, 1), rng)
 
 
-def test_message_serialization_decodes_by_hand():
-    rng = np.random.default_rng(13)
-    w = rng.standard_normal(8)
-    msg = quantize(w, QuantSpec(0.25, 8), rng)
+def _decode_wire(msg):
+    """Unpack ``msg.to_bytes()`` by hand: (dim, grid step, payload grid)."""
     data, nbits = msg.to_bytes()
     stream = BitStream.from_bytes(data, nbits)
     dim, cur = elias_decode(stream, 0)
-    assert dim == 8
     step_bits = 0
     for i in range(64):
         step_bits = (step_bits << 1) | stream[cur + i]
     cur += 64
     (step,) = np.frombuffer(np.uint64(step_bits).tobytes(), dtype=np.float64)
-    assert step == msg.spec.grid_step
     rest = BitStream(stream[i] for i in range(cur, len(stream)))
-    assert decode_sparse(rest, dim) == msg.grid
+    assert len(rest) == msg.bits
+    return dim, step, decode_sparse(rest, dim)
+
+
+def test_message_serialization_decodes_by_hand():
+    rng = np.random.default_rng(13)
+    w = rng.standard_normal(8)
+    msg = quantize(w, QuantSpec(0.25, 8), rng)
+    dim, step, grid = _decode_wire(msg)
+    assert dim == 8
+    assert step == msg.spec.grid_step
+    assert grid == msg.grid
+
+
+@pytest.mark.parametrize("d", [1, 20, 100, 10_000])
+def test_bits_and_wire_round_trip_across_dims(d):
+    rng = np.random.default_rng(d)
+    for ratio in (0.4, 1.5, 40.0):
+        w = rng.standard_normal(d)
+        spec = QuantSpec(float(np.linalg.norm(w)) / ratio, d)
+        msg = quantize(w, spec, rng)
+        assert msg.bits == len(encode_sparse(msg.grid))
+        dim, step, grid = _decode_wire(msg)
+        assert (dim, step, grid) == (d, spec.grid_step, msg.grid)
+        assert np.array_equal(grid.to_dense() * step, msg.decoded)
+
+
+def test_grid_limit_rejects_two_to_the_63():
+    # 2**63 does not fit a signed 64-bit grid; accepting it would wrap to
+    # -2**63 and flip the decoded sign.
+    rng = np.random.default_rng(0)
+    for w in (2.0**63, -(2.0**63), 2.0**64):
+        with pytest.raises(InvalidInputError):
+            quantize(np.array([w]), QuantSpec(1.0, 1), rng)
+    with pytest.raises(InvalidInputError):
+        quantize(np.array([1.0, -(2.0**63)]), QuantSpec(math.sqrt(2.0), 2), rng)
+
+
+def test_grid_limit_accepts_largest_float_below():
+    top = float(np.nextafter(2.0**63, 0.0))
+    for w in (top, -top):
+        msg = quantize(np.array([w]), QuantSpec(1.0, 1), np.random.default_rng(0))
+        assert msg.grid.values == (int(w),)
+        assert msg.decoded[0] == w
+        assert dequantize(msg)[0] == w
+        assert msg.bits == len(encode_sparse(msg.grid))
+        assert _decode_wire(msg) == (1, 1.0, msg.grid)
 
 
 def test_bits_lower_bound_worked_values():

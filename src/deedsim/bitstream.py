@@ -286,6 +286,8 @@ def sparse_payload_bits(positions: np.ndarray, values: np.ndarray) -> int:
     positions = np.asarray(positions, dtype=np.int64)
     values = np.asarray(values, dtype=np.int64)
     nnz = len(positions)
+    if len(values) != nnz:
+        raise InvalidInputError("positions and values must align")
     if not nnz:
         return elias_length(1)
     # Gaps and magnitudes share one buffer so floor(log2) runs once.

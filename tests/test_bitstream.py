@@ -182,6 +182,13 @@ def test_payload_bits_huge_values():
     )
 
 
+def test_payload_bits_rejects_misaligned_arrays():
+    with pytest.raises(InvalidInputError):
+        sparse_payload_bits(np.array([1, 2]), np.array([5]))
+    with pytest.raises(InvalidInputError):
+        sparse_payload_bits(np.array([], dtype=np.int64), np.array([5]))
+
+
 # Magnitudes at the edge of float64's exact-integer range, where frexp
 # stops being exact and floor(log2) needs the integer fallback.
 _FLOAT_EDGE = [

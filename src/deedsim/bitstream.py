@@ -269,11 +269,7 @@ def _floor_log2(n: np.ndarray) -> np.ndarray:
     # 0.5 <= m < 1, so floor(log2 n) = e - 1.
     if n.max(initial=0) < (1 << 52):
         return np.frexp(n.astype(np.float64))[1] - 1
-    small = n < (1 << 52)
-    out = np.empty(n.shape, dtype=np.int64)
-    out[small] = np.frexp(n[small].astype(np.float64))[1] - 1
-    out[~small] = [int(x).bit_length() - 1 for x in n[~small]]
-    return out
+    return np.array([x.bit_length() - 1 for x in n.tolist()], dtype=np.int64)
 
 
 def sparse_payload_bits(positions: np.ndarray, values: np.ndarray) -> int:

@@ -86,29 +86,29 @@ def test_sparse_corrupt_streams():
         decode_sparse(BitStream.from_string("11"), 4)
 
 
-@pytest.mark.parametrize(
-    "dim, positions, values, message",
-    [
-        (4, (2, 2), (1, 1), "positions must be strictly increasing"),
-        (4, (3, 2), (1, 1), "positions must be strictly increasing"),
-        (4, (5,), (1,), "position 5 exceeds dim 4"),
-        (4, (1,), (0,), "values must be nonzero"),
-        (4, (0,), (1,), "positions must be strictly increasing"),
-        (4, (-1, 2), (1, 1), "positions must be strictly increasing"),
-        (4, (1, 2), (1,), "positions and values must align"),
-        (4, (1,), (1, 2), "positions and values must align"),
-        (0, (), (), "dim must be positive"),
-        (-3, (1,), (1,), "dim must be positive"),
-        # The first offending entry decides the message, in check order.
-        (4, (1, 9, 9), (0, 1, 1), "values must be nonzero"),
-        (4, (2, 5, 5), (1, 1, 0), "position 5 exceeds dim 4"),
-        (4, (2**70,), (1,), f"position {2**70} exceeds dim 4"),
-    ],
-)
-def test_sparse_invariants_rejected(dim, positions, values, message):
-    with pytest.raises(InvalidInputError) as info:
-        SparseIntVector(dim=dim, positions=positions, values=values)
-    assert str(info.value) == message
+_INVALID_SPARSE = [
+    (4, (2, 2), (1, 1), "positions must be strictly increasing"),
+    (4, (3, 2), (1, 1), "positions must be strictly increasing"),
+    (4, (5,), (1,), "position 5 exceeds dim 4"),
+    (4, (1,), (0,), "values must be nonzero"),
+    (4, (0,), (1,), "positions must be strictly increasing"),
+    (4, (-1, 2), (1, 1), "positions must be strictly increasing"),
+    (4, (1, 2), (1,), "positions and values must align"),
+    (4, (1,), (1, 2), "positions and values must align"),
+    (0, (), (), "dim must be positive"),
+    (-3, (1,), (1,), "dim must be positive"),
+    # The first offending entry decides the message, in check order.
+    (4, (1, 9, 9), (0, 1, 1), "values must be nonzero"),
+    (4, (2, 5, 5), (1, 1, 0), "position 5 exceeds dim 4"),
+    (4, (2**70,), (1,), f"position {2**70} exceeds dim 4"),
+]
+
+
+def test_sparse_invariants_rejected():
+    for dim, positions, values, message in _INVALID_SPARSE:
+        with pytest.raises(InvalidInputError) as info:
+            SparseIntVector(dim=dim, positions=positions, values=values)
+        assert str(info.value) == message
 
 
 def test_sparse_accepts_values_beyond_int64():

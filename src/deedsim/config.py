@@ -4,9 +4,12 @@ A config is a YAML mapping with blocks ``algorithm``, ``problem``,
 ``quant``, ``fed``, ``run`` and ``output``.  Parsing is strict: unknown
 keys are rejected, every violated precondition is reported (all of them,
 not just the first), and the named inequality appears verbatim in the
-message.  Validation constructs the problem, so algorithm preconditions
-that depend on problem constants (contraction factors, stepsize caps,
-schedule feasibility) are checked at parse time.
+message.  Validation constructs the problem and then applies the
+engines' own precondition checks (``engine.param_violations``,
+``margin_violations`` and ``fed_violations``), so preconditions that
+depend on problem constants (contraction factors, stepsize caps,
+schedule feasibility) are checked at parse time, by the same code and
+with the same messages as at run time.
 
 Schema (defaults in parentheses):
 
@@ -18,15 +21,15 @@ Schema (defaults in parentheses):
       noise_scale: float (0.0)               l_spread: float (1.0)
       weights: [floats] (uniform)
     quant:                # required for deed-* and const-quant-gd
-      s: float            c_prime: float     float_bits: int (32)
-      fixed_eps: float    rho: float         rho_sample_budget: int (200)
+      s: float            c_prime: float     float_bits: int >= 1 (32)
+      fixed_eps: float    rho: float
     fed:                  # required for deed-fed
       local_steps*: int   beta*: float       gamma*: float
       participation: full | with-replacement | without-replacement (full)
-      k_participants: int trajectory_radius: float
+      k_participants: int trajectory_radius: float > 0 (2 |w0 - w*|)
     run:
-      iterations: int     # frequent algorithms
-      rounds: int         # deed-fed
+      iterations: int >= 0  # frequent algorithms
+      rounds: int >= 0      # deed-fed
       mc_runs: int (1)    master_seed: int (0)
       counting_mode: star-full | fully-connected | x2 (star-full)
       stepsize_mode: theory | experiment (theory)
@@ -38,13 +41,13 @@ Schema (defaults in parentheses):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
 
-from .engine import COUNTING_MODES, PARTICIPATION_SCHEMES
+from . import engine
+from .engine import COUNTING_MODES
 from .errors import ConfigError, DeedsimError
 from .problems import QuadraticProblem, estimate_rho, make_linreg
 
@@ -81,7 +84,6 @@ _SCHEMA = {
         "float_bits": (int, 32),
         "fixed_eps": ((int, float), None),
         "rho": ((int, float), None),
-        "rho_sample_budget": (int, 200),
     },
     "fed": {
         "local_steps": (int, None),
@@ -237,17 +239,14 @@ def parse_config(text: str) -> RunConfig:
                     f"requires c < c' < 1 (c_prime = {qt['c_prime']!r} is outside (0, 1))"
                 )
 
+    if qt["float_bits"] is None or qt["float_bits"] < 1:
+        violations.append(f"requires float_bits >= 1 (float_bits = {qt['float_bits']!r})")
+
     fd = blocks["fed"]
     if algorithm == "deed-fed":
         for key in ("local_steps", "beta", "gamma"):
             if fd.get(key) is None:
                 violations.append(f"fed.{key} is required for deed-fed")
-        if fd["participation"] not in PARTICIPATION_SCHEMES:
-            violations.append(
-                f"fed.participation must be one of {', '.join(PARTICIPATION_SCHEMES)}"
-            )
-        elif fd["participation"] != "full" and fd.get("k_participants") is None:
-            violations.append("fed.k_participants is required for partial participation")
 
     if violations:
         raise ConfigError(violations)
@@ -274,80 +273,39 @@ def parse_config(text: str) -> RunConfig:
     if rn["w0"] is not None and len(rn["w0"]) != problem.d:
         violations.append(f"run.w0 must have length d = {problem.d}")
 
+    T = rn["rounds"] if algorithm == "deed-fed" else rn["iterations"]
     eta = rho = None
-    if algorithm in ("deed-gd", "gd", "const-quant-gd"):
-        eta = _resolve_eta(rn, problem, violations)
-        if algorithm == "deed-gd" and eta is not None:
-            c = 1.0 - eta * problem.mu
-            if not qt["c_prime"] < 1.0:
-                violations.append(f"requires c < c' < 1 (c_prime = {qt['c_prime']!r})")
-            elif not c < qt["c_prime"]:
-                msg = (
-                    f"requires c < c' < 1 (c = 1 - eta*mu = {c!r}, "
-                    f"c_prime = {qt['c_prime']!r})"
-                )
-                if rn["stepsize_mode"] == "theory":
-                    violations.append(msg)
-                else:
-                    warnings.append(msg + " -- envelope assertions disabled")
-    elif algorithm in ("a-deed-gd", "agd"):
-        if rn["eta"] is not None:
-            violations.append(f"{algorithm} fixes eta = 1/L; run.eta is not accepted")
-        if algorithm == "a-deed-gd":
-            c = math.sqrt(1.0 - math.sqrt(problem.mu / problem.L))
-            if not qt["c_prime"] < 1.0:
-                violations.append(f"requires c < c' < 1 (c_prime = {qt['c_prime']!r})")
-            elif not c < qt["c_prime"]:
-                msg = (
-                    f"requires c < c' < 1 (c = sqrt(1 - sqrt(mu/L)) = {c!r}, "
-                    f"c_prime = {qt['c_prime']!r})"
-                )
-                if rn["stepsize_mode"] == "theory":
-                    violations.append(msg)
-                else:
-                    warnings.append(msg + " -- envelope assertions disabled")
+    if algorithm == "deed-fed":
+        violations.extend(
+            engine.fed_violations(
+                problem, fd["local_steps"], fd["beta"], fd["gamma"], qt["s"], T,
+                fd["participation"], fd["k_participants"], fd["trajectory_radius"],
+            )
+        )
     elif algorithm == "deed-sgd":
         if not problem.interpolating:
             violations.append("deed-sgd requires problem.interpolating = true")
         else:
-            rho = qt["rho"] if qt["rho"] is not None else estimate_rho(
-                problem, qt["rho_sample_budget"]
-            )
+            rho = qt["rho"] if qt["rho"] is not None else estimate_rho(problem)
             eta = 1.0 / (rho * problem.L)
-            c = 1.0 - problem.mu / (rho * problem.L)
-            if not c < qt["c_prime"] < 1.0:
-                violations.append(
-                    f"requires c < c' < 1 (c = 1 - mu/(rho L) = {c!r}, "
-                    f"c_prime = {qt['c_prime']!r})"
-                )
-    elif algorithm == "deed-fed":
-        beta, gamma, E = fd["beta"], fd["gamma"], fd["local_steps"]
-        if not beta * problem.mu > 1.0:
-            violations.append(
-                f"requires beta > 1/mu (beta = {beta!r}, 1/mu = {1.0 / problem.mu!r})"
+            violations.extend(
+                engine.margin_violations(algorithm, problem, qt["c_prime"], rho=rho)
             )
-        if not gamma > 1.0:
-            violations.append(f"requires gamma > 1 (gamma = {gamma!r})")
+        violations.extend(engine.param_violations(problem, T))
+    else:
+        if algorithm in ("a-deed-gd", "agd"):
+            if rn["eta"] is not None:
+                violations.append(f"{algorithm} fixes eta = 1/L; run.eta is not accepted")
         else:
-            eta0 = beta / gamma
-            cap = 1.0 / (4.0 * problem.L)
-            if not eta0 <= cap * (1.0 + 1e-12):
-                violations.append(
-                    f"requires eta_0 <= 1/(4L) (eta_0 = {eta0!r}, 1/(4L) = {cap!r})"
-                )
-            T_total = (rn["rounds"] or 0) * E
-            for t in range(T_total + 1):
-                if beta / (t + gamma) > 2.0 * beta / (t + E + gamma) * (1.0 + 1e-12):
-                    violations.append(
-                        f"requires eta_t <= 2*eta_(t+E) (violated at t = {t})"
-                    )
-                    break
-        if fd["participation"] == "without-replacement" and fd["k_participants"]:
-            if not 1 <= fd["k_participants"] <= problem.N:
-                violations.append(
-                    "requires 1 <= K <= N without replacement "
-                    f"(K = {fd['k_participants']!r}, N = {problem.N})"
-                )
+            eta = _resolve_eta(rn, problem)
+        found = engine.param_violations(problem, T, eta=eta)
+        violations.extend(found)
+        if algorithm in ("deed-gd", "a-deed-gd") and not found:
+            margin = engine.margin_violations(algorithm, problem, qt["c_prime"], eta=eta)
+            if rn["stepsize_mode"] == "theory":
+                violations.extend(margin)
+            else:
+                warnings.extend(m + " -- envelope assertions disabled" for m in margin)
 
     if violations:
         raise ConfigError(violations)
@@ -366,20 +324,12 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
-def _resolve_eta(rn: dict, problem: QuadraticProblem, violations: list[str]) -> float:
+def _resolve_eta(rn: dict, problem: QuadraticProblem) -> float:
     if rn["eta"] is not None:
-        eta = float(rn["eta"])
-    elif rn["stepsize_mode"] == "experiment":
-        eta = float(np.min(1.0 / problem.L_i))
-    else:
-        eta = 2.0 / (problem.L + problem.mu)
-    cap = 2.0 / (problem.L + problem.mu)
-    if not 0.0 < eta <= cap * (1.0 + 1e-12):
-        violations.append(
-            f"requires 0 < eta <= 2/(L+mu) (eta = {eta!r}, 2/(L+mu) = {cap!r})"
-        )
-        return None
-    return eta
+        return float(rn["eta"])
+    if rn["stepsize_mode"] == "experiment":
+        return float(np.min(1.0 / problem.L_i))
+    return 2.0 / (problem.L + problem.mu)
 
 
 def parse_config_file(path: str) -> RunConfig:

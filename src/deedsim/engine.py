@@ -32,7 +32,7 @@ quantized payloads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,6 +59,12 @@ __all__ = [
     "run_exact_gd",
     "run_exact_agd",
     "run_const_error_gd",
+    "check_envelope",
+    "contraction_envelope",
+    "contraction_factor",
+    "fed_violations",
+    "margin_violations",
+    "param_violations",
     "COUNTING_MODES",
     "PARTICIPATION_SCHEMES",
 ]
@@ -88,7 +94,6 @@ class CenterState:
 
     s_replicas: list[np.ndarray]
     v_prev: np.ndarray
-    s_prev: np.ndarray = field(default=None)  # running aggregate (infrequent mode)
 
 
 def _weighted_sum(arrays: list[np.ndarray], coefs: np.ndarray) -> np.ndarray:
@@ -159,25 +164,103 @@ def _assert_budget(v_k, gbar, budget, round_index):
         raise BoundViolationError("aggregate error budget", round_index, err, allowed)
 
 
-def _validate_frequent(problem, eta, c_prime, s):
-    violations = []
-    limit = 2.0 / (problem.L + problem.mu)
-    if not 0.0 < eta <= limit * (1.0 + 1e-12):
-        violations.append(
-            f"requires 0 < eta <= 2/(L+mu) (eta = {eta!r}, 2/(L+mu) = {limit!r})"
-        )
-    if not 0.0 < c_prime < 1.0:
-        violations.append(f"requires c < c' < 1 (c_prime = {c_prime!r})")
-    if s < 0.0:
-        violations.append(f"requires s >= 0 (s = {s!r})")
+def _require(violations: list[str]) -> None:
     if violations:
         raise ConfigError(violations)
 
 
-def _budget_col(total_budgets: list[float], T: int) -> np.ndarray:
-    out = np.zeros(T + 1)
-    out[: len(total_budgets)] = total_budgets
-    return out
+def param_violations(problem, T, *, eta=None, c_prime=None, s=None) -> list[str]:
+    """Horizon, stepsize, margin-range and budget-scale preconditions
+    shared by the engines; a check whose argument is None is skipped."""
+    violations = []
+    if T < 0:
+        violations.append(f"requires T >= 0 (T = {T!r})")
+    if eta is not None:
+        limit = 2.0 / (problem.L + problem.mu)
+        if not 0.0 < eta <= limit * (1.0 + 1e-12):
+            violations.append(
+                f"requires 0 < eta <= 2/(L+mu) (eta = {eta!r}, 2/(L+mu) = {limit!r})"
+            )
+    if c_prime is not None and not 0.0 < c_prime < 1.0:
+        violations.append(f"requires c < c' < 1 (c_prime = {c_prime!r})")
+    if s is not None and s < 0.0:
+        violations.append(f"requires s >= 0 (s = {s!r})")
+    return violations
+
+
+def contraction_factor(algorithm, problem, *, eta=None, rho=None) -> float:
+    """Contraction factor c of the unquantized method behind ``deed-gd``
+    (stepsize ``eta``), ``a-deed-gd`` or ``deed-sgd`` (growth constant ``rho``)."""
+    if algorithm == "deed-gd":
+        return 1.0 - eta * problem.mu
+    if algorithm == "a-deed-gd":
+        return math.sqrt(1.0 - math.sqrt(problem.mu / problem.L))
+    return 1.0 - problem.mu / (rho * problem.L)
+
+
+_C_FORMULA = {
+    "deed-gd": "1 - eta*mu",
+    "a-deed-gd": "sqrt(1 - sqrt(mu/L))",
+    "deed-sgd": "1 - mu/(rho L)",
+}
+
+
+def margin_violations(algorithm, problem, c_prime, *, eta=None, rho=None) -> list[str]:
+    """The contraction margin ``c < c' < 1`` that the envelope of
+    ``algorithm`` needs (``a-deed-gd`` also needs ``c > 0``: c = 0 only
+    for kappa = 1, where the momentum envelope degenerates)."""
+    c = contraction_factor(algorithm, problem, eta=eta, rho=rho)
+    momentum = algorithm == "a-deed-gd"
+    if c < c_prime < 1.0 and (c > 0.0 or not momentum):
+        return []
+    return [
+        f"requires {'0 < ' if momentum else ''}c < c' < 1 "
+        f"(c = {_C_FORMULA[algorithm]} = {c!r}, c_prime = {c_prime!r})"
+    ]
+
+
+def contraction_envelope(algorithm, problem, c_prime, s, T, w0=None, *, eta=None, rho=None):
+    """Envelope of a ``deed-gd`` or ``a-deed-gd`` run's distance, or of a
+    ``deed-sgd`` run's mean squared distance, for a met margin.  The
+    momentum envelope's constants are in ``extras["accel_constants"]``."""
+    c = contraction_factor(algorithm, problem, eta=eta, rho=rho)
+    w0 = np.zeros(problem.d) if w0 is None else np.asarray(w0, dtype=np.float64)
+    D0 = float(np.linalg.norm(w0 - problem.w_star))
+    if algorithm == "deed-gd":
+        return deterministic_bound(c, c_prime, eta, s, D0, T)
+    if algorithm == "deed-sgd":
+        return sgd_squared_bound(c, c_prime, 1.0 / (rho * problem.L), s, D0, T)
+    Delta = problem.f_gap(w0) + 0.5 * problem.mu * D0**2
+    consts = AcceleratedConstants.from_run_params(
+        problem.L, problem.mu, c, c_prime, s, Delta
+    )
+    series = accelerated_bound(consts, problem.mu, c, c_prime, T)
+    series.extras["accel_constants"] = consts
+    return series
+
+
+def check_envelope(traces, series, kind, squared, rows=None) -> None:
+    """Verify finished traces against an envelope.
+
+    ``squared=False`` checks the one trace's distance row by row;
+    ``squared=True`` checks the across-run mean squared distance plus
+    three standard errors (none for a single run).  ``rows`` restricts
+    the check (deed-fed: sync rows only).  Raises ``BoundViolationError``
+    at the first offending row, carrying ``traces``.
+    """
+    if squared:
+        sq = np.stack([tr.dist**2 for tr in traces])
+        observed = sq.mean(axis=0)
+        se = sq.std(axis=0, ddof=1) / math.sqrt(len(traces)) if len(traces) > 1 else 0.0
+    else:
+        (trace,) = traces
+        observed, se = trace.dist, 0.0
+    allowed = series.bound * (1.0 + _REL_SLACK) + 3.0 * se + _ABS_DUST
+    rows = np.arange(len(observed)) if rows is None else rows
+    bad = rows[observed[rows] > allowed[rows]]
+    if len(bad):
+        t = int(bad[0])
+        raise BoundViolationError(kind, t, observed[t], allowed[t], traces=traces)
 
 
 def _init_states(problem, w0):
@@ -201,7 +284,6 @@ def _frequent_run(
     algorithm: str,
     eta: float,
     tau: float,
-    stage_budgets,  # callable round -> per-stage max error
     grad_source,  # callable (round, query_point) -> list of per-node gradients
     T: int,
     seed: int,
@@ -209,10 +291,10 @@ def _frequent_run(
     counting_mode: str,
     float_bits: int,
     w0,
-    envelope,  # None or callable t -> allowed distance
     budget_total,  # callable round -> total v-vs-mean budget
 ) -> RunTrace:
-    """Shared loop for the frequent-communication engines."""
+    """Shared loop for the frequent-communication engines; each of the
+    two encoding stages of a round gets half the round's total budget."""
     n = problem.N
     coefs = np.full(n, 1.0 / n)
     w0, workers, center = _init_states(problem, w0)
@@ -233,21 +315,16 @@ def _frequent_run(
         x = workers[0].w
         dist[t] = np.linalg.norm(x - problem.w_star)
         fgap[t] = problem.f_gap(x)
-        if envelope is not None:
-            allowed = envelope(t) * (1.0 + _REL_SLACK) + _ABS_DUST
-            if dist[t] > allowed:
-                raise BoundViolationError(f"{algorithm} envelope", t, dist[t], allowed)
 
     record(0)
     for k in range(T):
         query = y if tau is not None else workers[0].w
         grads = grad_source(k, query)
-        stage = stage_budgets(k)
+        total = budget_total(k)
         v_k, up, down_payload, frac, mbits = _exchange(
-            workers, center, grads, stage, seed, run_index, k, float_bits, coefs
+            workers, center, grads, total / 2.0, seed, run_index, k, float_bits, coefs
         )
         gbar = _weighted_sum(grads, coefs)
-        total = budget_total(k)
         _assert_budget(v_k, gbar, total, k)
         vg_err[k] = np.linalg.norm(v_k - gbar)
 
@@ -309,26 +386,18 @@ def run_deed_gd(
     same budget, so the broadcast direction is within ``s c'^{k+1}`` of
     the true mean gradient (asserted).  With the default ``eta`` of
     ``2/(L + mu)`` and ``c = 1 - eta mu < c' < 1`` the distance envelope
-    ``xi c'^t`` is asserted row by row.  ``assert_envelope=None`` enables
-    the check exactly when ``c' > c``; with ``s = 0`` the run coincides
-    bit-for-bit with ``run_exact_gd``.
+    ``xi c'^t`` is checked row by row once the run has finished
+    (``check_envelope``).  ``assert_envelope=None`` enables the check
+    exactly when ``c' > c``; with ``s = 0`` the run coincides bit-for-bit
+    with ``run_exact_gd``.
     """
     if eta is None:
         eta = 2.0 / (problem.L + problem.mu)
-    _validate_frequent(problem, eta, c_prime, s)
-    c = 1.0 - eta * problem.mu
-    if assert_envelope is True and not c < c_prime:
-        raise ConfigError(
-            [f"requires c < c' < 1 (c = 1 - eta*mu = {c!r}, c_prime = {c_prime!r})"]
-        )
-    check = c < c_prime if assert_envelope is None else assert_envelope
-
-    w0v = np.zeros(problem.d) if w0 is None else np.asarray(w0, dtype=np.float64)
-    envelope = None
+    _require(param_violations(problem, T, eta=eta, c_prime=c_prime, s=s))
+    margin = margin_violations("deed-gd", problem, c_prime, eta=eta)
+    check = not margin if assert_envelope is None else assert_envelope
     if check:
-        D0 = float(np.linalg.norm(w0v - problem.w_star))
-        series = deterministic_bound(c, c_prime, eta, s, D0, T)
-        envelope = lambda t: series.bound[t]
+        _require(margin)
 
     grads = lambda k, q: [problem.full_grad(i, q) for i in range(problem.N)]
     trace = _frequent_run(
@@ -336,7 +405,6 @@ def run_deed_gd(
         algorithm="deed-gd",
         eta=eta,
         tau=None,
-        stage_budgets=lambda k: s * c_prime ** (k + 1) / 2.0,
         grad_source=grads,
         T=T,
         seed=seed,
@@ -344,10 +412,13 @@ def run_deed_gd(
         counting_mode=counting_mode,
         float_bits=float_bits,
         w0=w0,
-        envelope=envelope,
         budget_total=lambda k: s * c_prime ** (k + 1),
     )
+    c = contraction_factor("deed-gd", problem, eta=eta)
     trace.extras.update({"c": c, "c_prime": c_prime, "s": s, "envelope_checked": check})
+    if check:
+        series = contraction_envelope("deed-gd", problem, c_prime, s, T, w0, eta=eta)
+        check_envelope([trace], series, "deed-gd envelope", squared=False)
     return trace
 
 
@@ -368,46 +439,25 @@ def run_adeed_gd(
 
     Uses ``eta = 1/L`` and ``tau = (sqrt(L) - sqrt(mu))/(sqrt(L) +
     sqrt(mu))``; the double encoding is identical to ``run_deed_gd``.
-    With ``c = sqrt(1 - sqrt(mu/L)) < c' < 1`` the momentum envelope
-    ``sqrt(2/mu) sqrt(c^{2k} Delta + c'^{2k} C)`` is asserted row by row
-    (``assert_envelope=None`` enables it exactly when ``c' > c``).
+    With ``0 < c = sqrt(1 - sqrt(mu/L)) < c' < 1`` the momentum envelope
+    ``sqrt(2/mu) sqrt(c^{2k} Delta + c'^{2k} C)`` is checked row by row
+    once the run has finished (``assert_envelope=None`` enables it exactly
+    when that margin holds).
     """
     L, mu = problem.L, problem.mu
-    eta = 1.0 / L
     tau = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
-    c = math.sqrt(1.0 - math.sqrt(mu / L))
-    if not 0.0 < c_prime < 1.0:
-        raise ConfigError([f"requires c < c' < 1 (c_prime = {c_prime!r})"])
-    if s < 0.0:
-        raise ConfigError([f"requires s >= 0 (s = {s!r})"])
-    if assert_envelope is True and not 0.0 < c < c_prime:
-        raise ConfigError(
-            [
-                "requires 0 < c < c' < 1 "
-                f"(c = sqrt(1 - sqrt(mu/L)) = {c!r}, c_prime = {c_prime!r})"
-            ]
-        )
-    # c = 0 only for kappa = 1, where the momentum envelope degenerates.
-    check = (0.0 < c < c_prime) if assert_envelope is None else assert_envelope
-
-    w0v = np.zeros(problem.d) if w0 is None else np.asarray(w0, dtype=np.float64)
-    envelope = None
-    consts = None
+    _require(param_violations(problem, T, c_prime=c_prime, s=s))
+    margin = margin_violations("a-deed-gd", problem, c_prime)
+    check = not margin if assert_envelope is None else assert_envelope
     if check:
-        Delta = problem.f_gap(w0v) + 0.5 * mu * float(
-            np.linalg.norm(w0v - problem.w_star) ** 2
-        )
-        consts = AcceleratedConstants.from_run_params(L, mu, c, c_prime, s, Delta)
-        series = accelerated_bound(consts, mu, c, c_prime, T)
-        envelope = lambda t: series.bound[t]
+        _require(margin)
 
     grads = lambda k, q: [problem.full_grad(i, q) for i in range(problem.N)]
     trace = _frequent_run(
         problem,
         algorithm="a-deed-gd",
-        eta=eta,
+        eta=1.0 / L,
         tau=tau,
-        stage_budgets=lambda k: s * c_prime ** (k + 1) / 2.0,
         grad_source=grads,
         T=T,
         seed=seed,
@@ -415,19 +465,21 @@ def run_adeed_gd(
         counting_mode=counting_mode,
         float_bits=float_bits,
         w0=w0,
-        envelope=envelope,
         budget_total=lambda k: s * c_prime ** (k + 1),
     )
+    series = contraction_envelope("a-deed-gd", problem, c_prime, s, T, w0) if check else None
     trace.extras.update(
         {
-            "c": c,
+            "c": contraction_factor("a-deed-gd", problem),
             "c_prime": c_prime,
             "s": s,
             "tau": tau,
             "envelope_checked": check,
-            "accel_constants": consts,
+            "accel_constants": series.extras["accel_constants"] if check else None,
         }
     )
+    if check:
+        check_envelope([trace], series, "a-deed-gd envelope", squared=False)
     return trace
 
 
@@ -449,14 +501,13 @@ def run_exact_gd(
     """
     if eta is None:
         eta = 2.0 / (problem.L + problem.mu)
-    _validate_frequent(problem, eta, 0.5, 0.0)
+    _require(param_violations(problem, T, eta=eta))
     grads = lambda k, q: [problem.full_grad(i, q) for i in range(problem.N)]
     trace = _frequent_run(
         problem,
         algorithm="gd",
         eta=eta,
         tau=None,
-        stage_budgets=lambda k: 0.0,
         grad_source=grads,
         T=T,
         seed=seed,
@@ -464,7 +515,6 @@ def run_exact_gd(
         counting_mode=counting_mode,
         float_bits=float_bits,
         w0=w0,
-        envelope=None,
         budget_total=lambda k: 0.0,
     )
     _apply_baseline_counting(trace, problem.N, counting_mode)
@@ -482,6 +532,7 @@ def run_exact_agd(
     run_index: int = 0,
 ) -> RunTrace:
     """Lossless momentum baseline (eta = 1/L, standard strongly-convex tau)."""
+    _require(param_violations(problem, T))
     L, mu = problem.L, problem.mu
     tau = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
     grads = lambda k, q: [problem.full_grad(i, q) for i in range(problem.N)]
@@ -490,7 +541,6 @@ def run_exact_agd(
         algorithm="agd",
         eta=1.0 / L,
         tau=tau,
-        stage_budgets=lambda k: 0.0,
         grad_source=grads,
         T=T,
         seed=seed,
@@ -498,7 +548,6 @@ def run_exact_agd(
         counting_mode=counting_mode,
         float_bits=float_bits,
         w0=w0,
-        envelope=None,
         budget_total=lambda k: 0.0,
     )
     _apply_baseline_counting(trace, problem.N, counting_mode)
@@ -541,7 +590,7 @@ def run_const_error_gd(
         eta = 2.0 / (problem.L + problem.mu)
     if fixed_eps <= 0.0:
         raise ConfigError([f"requires fixed_eps > 0 (fixed_eps = {fixed_eps!r})"])
-    _validate_frequent(problem, eta, 0.5, fixed_eps)
+    _require(param_violations(problem, T, eta=eta))
     n, d = problem.N, problem.d
     w0v, workers, center = _init_states(problem, w0)
     w = w0v.copy()
@@ -615,16 +664,11 @@ def run_deed_sgd(
     if rho is None:
         rho = estimate_rho(problem)
     eta = 1.0 / (rho * problem.L)
-    c = 1.0 - problem.mu / (rho * problem.L)
-    violations = []
-    if not c < c_prime < 1.0:
-        violations.append(
-            f"requires c < c' < 1 (c = 1 - mu/(rho L) = {c!r}, c_prime = {c_prime!r})"
-        )
-    if s < 0.0:
-        violations.append(f"requires s >= 0 (s = {s!r})")
-    if violations:
-        raise ConfigError(violations)
+    c = contraction_factor("deed-sgd", problem, rho=rho)
+    _require(
+        margin_violations("deed-sgd", problem, c_prime, rho=rho)
+        + param_violations(problem, T, s=s)
+    )
 
     def grad_source_for(run_index):
         def grads(k, q):
@@ -642,7 +686,6 @@ def run_deed_sgd(
             algorithm="deed-sgd",
             eta=eta,
             tau=None,
-            stage_budgets=lambda k: math.sqrt(s * c_prime ** (k + 1)) / 2.0,
             grad_source=grad_source_for(r),
             T=T,
             seed=seed,
@@ -650,29 +693,38 @@ def run_deed_sgd(
             counting_mode=counting_mode,
             float_bits=float_bits,
             w0=w0,
-            envelope=None,
             budget_total=lambda k: math.sqrt(s * c_prime ** (k + 1)),
         )
         trace.extras.update({"c": c, "c_prime": c_prime, "s": s, "rho": rho})
         traces.append(trace)
 
     if assert_envelope:
-        w0v = np.zeros(problem.d) if w0 is None else np.asarray(w0, dtype=np.float64)
-        D0 = float(np.linalg.norm(w0v - problem.w_star))
-        series = sgd_squared_bound(c, c_prime, eta, s, D0, T)
-        sq = np.stack([tr.dist**2 for tr in traces])
-        mean = sq.mean(axis=0)
-        se = sq.std(axis=0, ddof=1) / math.sqrt(mc_runs) if mc_runs > 1 else np.zeros(T + 1)
-        allowed = series.bound * (1.0 + _REL_SLACK) + 3.0 * se + _ABS_DUST
-        bad = np.nonzero(mean > allowed)[0]
-        if len(bad):
-            t = int(bad[0])
-            raise BoundViolationError("stochastic envelope", t, mean[t], allowed[t])
+        series = contraction_envelope("deed-sgd", problem, c_prime, s, T, w0, rho=rho)
+        check_envelope(traces, series, "stochastic envelope", squared=True)
     return traces
 
 
-def _validate_fed_schedule(problem, E, beta, gamma, T_total):
-    violations = []
+def fed_violations(
+    problem, E, beta, gamma, s, T_rounds, participation, K, trajectory_radius
+) -> list[str]:
+    """Every precondition of ``run_deed_fed``: horizon, budget scale,
+    participation and ``K``, certification radius, and stepsize schedule."""
+    violations = param_violations(problem, T_rounds, s=s)
+    if participation not in PARTICIPATION_SCHEMES:
+        violations.append(f"unknown participation scheme {participation!r}")
+    elif participation != "full":
+        if K is None:
+            violations.append("K is required for partial participation")
+        elif participation == "without-replacement" and not 1 <= K <= problem.N:
+            violations.append(
+                f"requires 1 <= K <= N without replacement (K = {K!r}, N = {problem.N})"
+            )
+        elif participation == "with-replacement" and K < 1:
+            violations.append(f"requires K >= 1 (K = {K!r})")
+    if trajectory_radius is not None and not trajectory_radius > 0:
+        violations.append(
+            f"requires trajectory_radius > 0 (trajectory_radius = {trajectory_radius!r})"
+        )
     if E < 1:
         violations.append(f"requires E >= 1 (E = {E!r})")
     if not beta * problem.mu > 1.0:
@@ -688,14 +740,13 @@ def _validate_fed_schedule(problem, E, beta, gamma, T_total):
                 f"requires eta_0 <= 1/(4L) (eta_0 = {eta0!r}, 1/(4L) = {1.0 / (4 * problem.L)!r})"
             )
         # eta_t <= 2 eta_{t+E}, scanned over the horizon.
-        for t in range(T_total + 1):
+        for t in range(T_rounds * E + 1):
             if beta / (t + gamma) > 2.0 * beta / (t + E + gamma) * (1.0 + 1e-12):
                 violations.append(
                     f"requires eta_t <= 2*eta_(t+E) (violated at t = {t})"
                 )
                 break
-    if violations:
-        raise ConfigError(violations)
+    return violations
 
 
 def run_deed_fed(
@@ -732,39 +783,22 @@ def run_deed_fed(
     variance/second-moment constants certified on the ball of radius
     ``trajectory_radius`` (default ``2 |w0 - w*|``) around the optimum.
     """
-    if participation not in PARTICIPATION_SCHEMES:
-        raise ConfigError([f"unknown participation scheme {participation!r}"])
-    if participation != "full":
-        if K is None:
-            raise ConfigError(["K is required for partial participation"])
-        if participation == "without-replacement" and not 1 <= K <= problem.N:
-            raise ConfigError(
-                [f"requires 1 <= K <= N without replacement (K = {K!r}, N = {problem.N})"]
-            )
-        if participation == "with-replacement" and K < 1:
-            raise ConfigError([f"requires K >= 1 (K = {K!r})"])
+    _require(
+        fed_violations(
+            problem, E, beta, gamma, s, T_rounds, participation, K, trajectory_radius
+        )
+    )
     T_total = T_rounds * E
-    _validate_fed_schedule(problem, E, beta, gamma, T_total)
-    if s < 0.0:
-        raise ConfigError([f"requires s >= 0 (s = {s!r})"])
 
-    n, d, p = problem.N, problem.d, problem.weights
-    w0v = np.zeros(d) if w0 is None else np.asarray(w0, dtype=np.float64)
+    n, p = problem.N, problem.weights
+    w0v = np.zeros(problem.d) if w0 is None else np.asarray(w0, dtype=np.float64)
     D0 = float(np.linalg.norm(w0v - problem.w_star))
     radius = 2.0 * D0 if trajectory_radius is None else trajectory_radius
 
     eta_at = lambda t: beta / (t + gamma)
     traces = []
     for r in range(mc_runs):
-        workers = [
-            WorkerState(i=i, s_prev=np.zeros(d), v_prev=np.zeros(d), w=w0v.copy())
-            for i in range(n)
-        ]
-        center = CenterState(
-            s_replicas=[np.zeros(d) for _ in range(n)],
-            v_prev=np.zeros(d),
-            s_prev=np.zeros(d),
-        )
+        _, workers, center = _init_states(problem, w0)
         dist = np.empty(T_total + 1)
         fgap = np.empty(T_total + 1)
         bits_up = np.zeros(T_total + 1, dtype=np.int64)
@@ -823,22 +857,13 @@ def run_deed_fed(
             problem, E, K if K is not None else n, participation, radius
         )
         series = fed_bound(fed, beta, gamma, problem.mu, s, D0, T_total)
-        sq = np.stack([tr.dist**2 for tr in traces])
-        mean = sq.mean(axis=0)
-        se = (
-            sq.std(axis=0, ddof=1) / math.sqrt(mc_runs)
-            if mc_runs > 1
-            else np.zeros(T_total + 1)
-        )
-        sync_rows = np.arange(E, T_total + 1, E)
-        allowed = series.bound * (1.0 + _REL_SLACK) + 3.0 * se + _ABS_DUST
-        bad = sync_rows[mean[sync_rows] > allowed[sync_rows]]
-        if len(bad):
-            t = int(bad[0])
-            raise BoundViolationError("federated envelope", t, mean[t], allowed[t])
         for tr in traces:
             tr.extras["fed_constants"] = fed
             tr.extras["v"] = series.extras["v"]
+        check_envelope(
+            traces, series, "federated envelope", squared=True,
+            rows=np.arange(E, T_total + 1, E),
+        )
     return traces
 
 
@@ -885,7 +910,6 @@ def _fed_sync(
         [center.s_replicas[i] for i in participants],
         np.array([coef_of[i] for i in participants]),
     )
-    center.s_prev = s_k
 
     down_diff = s_k - center.v_prev
     umsg = quantize(down_diff, spec, stream(seed, run_index, k, 0, DOWNLINK), float_bits)

@@ -31,13 +31,18 @@ class ConfigError(DeedsimError, ValueError):
 
 
 class BoundViolationError(DeedsimError, AssertionError):
-    """A run broke a convergence envelope or error-budget guarantee."""
+    """A run broke a convergence envelope or error-budget guarantee.
 
-    def __init__(self, kind, t, observed, allowed):
+    An envelope violation is found after the simulation has finished and
+    carries its ``traces``; a violation raised mid-run carries ``None``.
+    """
+
+    def __init__(self, kind, t, observed, allowed, traces=None):
         self.kind = kind
         self.t = t
         self.observed = observed
         self.allowed = allowed
+        self.traces = traces
         super().__init__(
             f"{kind} violated at t={t}: observed {observed!r} > allowed {allowed!r}"
         )

@@ -14,16 +14,7 @@ from . import engine
 from .config import RunConfig
 from .errors import BoundViolationError, ConfigError
 from .problems import estimate_fed_constants
-from .theory import (
-    AcceleratedConstants,
-    BoundSeries,
-    RecursionSpec,
-    accelerated_bound,
-    deterministic_bound,
-    fed_bound,
-    recursion_bound,
-    sgd_squared_bound,
-)
+from .theory import BoundSeries, RecursionSpec, fed_bound, recursion_bound
 from .trace import RunTrace
 
 __all__ = ["RunResult", "execute", "compute_bound", "cmd_run", "cmd_compare"]
@@ -73,103 +64,56 @@ class RunResult:
 
 
 def execute(cfg: RunConfig) -> RunResult:
-    """Run the configured algorithm; envelope violations are captured,
-    not raised, so the caller can report the offending row."""
+    """Run the configured algorithm once; an envelope violation is
+    captured, not raised, so the caller can report the offending row
+    next to the simulated traces."""
     algo, rn, qt, fd = cfg.algorithm, cfg.run, cfg.quant, cfg.fed
-    seed = rn["master_seed"]
-    mode = rn["counting_mode"]
+    seed, mode, T = rn["master_seed"], rn["counting_mode"], cfg.T
     w0 = np.asarray(rn["w0"], dtype=float) if rn["w0"] is not None else None
     fb = qt["float_bits"]
     violation = None
     try:
         if algo == "deed-gd":
-            traces = [
-                engine.run_deed_gd(
-                    cfg.problem, cfg.eta, qt["c_prime"], qt["s"], rn["iterations"],
-                    seed, mode, float_bits=fb, w0=w0,
-                )
-            ]
+            out = engine.run_deed_gd(
+                cfg.problem, cfg.eta, qt["c_prime"], qt["s"], T, seed, mode,
+                float_bits=fb, w0=w0,
+            )
         elif algo == "a-deed-gd":
-            traces = [
-                engine.run_adeed_gd(
-                    cfg.problem, qt["c_prime"], qt["s"], rn["iterations"],
-                    seed, mode, float_bits=fb, w0=w0,
-                )
-            ]
+            out = engine.run_adeed_gd(
+                cfg.problem, qt["c_prime"], qt["s"], T, seed, mode, float_bits=fb, w0=w0
+            )
         elif algo == "gd":
-            traces = [
-                engine.run_exact_gd(
-                    cfg.problem, cfg.eta, rn["iterations"], mode,
-                    float_bits=fb, w0=w0, seed=seed,
-                )
-            ]
+            out = engine.run_exact_gd(
+                cfg.problem, cfg.eta, T, mode, float_bits=fb, w0=w0, seed=seed
+            )
         elif algo == "agd":
-            traces = [
-                engine.run_exact_agd(
-                    cfg.problem, rn["iterations"], mode, float_bits=fb, w0=w0, seed=seed
-                )
-            ]
+            out = engine.run_exact_agd(cfg.problem, T, mode, float_bits=fb, w0=w0, seed=seed)
         elif algo == "const-quant-gd":
-            traces = [
-                engine.run_const_error_gd(
-                    cfg.problem, cfg.eta, rn["iterations"], qt["fixed_eps"], mode,
-                    seed, float_bits=fb, w0=w0,
-                )
-            ]
+            out = engine.run_const_error_gd(
+                cfg.problem, cfg.eta, T, qt["fixed_eps"], mode, seed, float_bits=fb, w0=w0
+            )
         elif algo == "deed-sgd":
-            traces = engine.run_deed_sgd(
-                cfg.problem, qt["c_prime"], qt["s"], rn["iterations"], seed, mode,
-                rn["mc_runs"], rho=cfg.rho, float_bits=fb, w0=w0,
+            out = engine.run_deed_sgd(
+                cfg.problem, qt["c_prime"], qt["s"], T, seed, mode, rn["mc_runs"],
+                rho=cfg.rho, float_bits=fb, w0=w0,
             )
         elif algo == "deed-fed":
-            traces = engine.run_deed_fed(
-                cfg.problem, fd["local_steps"], fd["beta"], fd["gamma"], qt["s"],
-                rn["rounds"], fd["participation"], fd["k_participants"], seed, mode,
-                rn["mc_runs"], trajectory_radius=fd["trajectory_radius"],
-                float_bits=fb, w0=w0,
+            out = engine.run_deed_fed(
+                cfg.problem, fd["local_steps"], fd["beta"], fd["gamma"], qt["s"], T,
+                fd["participation"], fd["k_participants"], seed, mode, rn["mc_runs"],
+                trajectory_radius=fd["trajectory_radius"], float_bits=fb, w0=w0,
             )
         else:  # pragma: no cover - config layer rejects unknown tags
             raise ConfigError([f"unknown algorithm {algo!r}"])
     except BoundViolationError as exc:
-        # Re-run without assertions to deliver the offending trace.
-        violation = exc
-        traces = _rerun_unchecked(cfg)
+        # An envelope violation arrives with the finished traces; a
+        # violation raised mid-run (budget, replication) carries none.
+        if exc.traces is None:
+            raise
+        violation, out = exc, exc.traces
+    traces = out if isinstance(out, list) else [out]
 
     return RunResult(config=cfg, traces=traces, bound=compute_bound(cfg), violation=violation)
-
-
-def _rerun_unchecked(cfg: RunConfig) -> list[RunTrace]:
-    algo, rn, qt, fd = cfg.algorithm, cfg.run, cfg.quant, cfg.fed
-    seed, mode = rn["master_seed"], rn["counting_mode"]
-    w0 = np.asarray(rn["w0"], dtype=float) if rn["w0"] is not None else None
-    fb = qt["float_bits"]
-    if algo == "deed-gd":
-        return [
-            engine.run_deed_gd(
-                cfg.problem, cfg.eta, qt["c_prime"], qt["s"], rn["iterations"],
-                seed, mode, float_bits=fb, w0=w0, assert_envelope=False,
-            )
-        ]
-    if algo == "a-deed-gd":
-        return [
-            engine.run_adeed_gd(
-                cfg.problem, qt["c_prime"], qt["s"], rn["iterations"], seed, mode,
-                float_bits=fb, w0=w0, assert_envelope=False,
-            )
-        ]
-    if algo == "deed-sgd":
-        return engine.run_deed_sgd(
-            cfg.problem, qt["c_prime"], qt["s"], rn["iterations"], seed, mode,
-            rn["mc_runs"], rho=cfg.rho, float_bits=fb, w0=w0, assert_envelope=False,
-        )
-    if algo == "deed-fed":
-        return engine.run_deed_fed(
-            cfg.problem, fd["local_steps"], fd["beta"], fd["gamma"], qt["s"],
-            rn["rounds"], fd["participation"], fd["k_participants"], seed, mode,
-            rn["mc_runs"], trajectory_radius=fd["trajectory_radius"],
-            float_bits=fb, w0=w0, assert_envelope=False,
-        )
-    raise AssertionError(f"unexpected violation for {algo}")  # pragma: no cover
 
 
 def compute_bound(cfg: RunConfig) -> BoundSeries | None:
@@ -182,53 +126,37 @@ def compute_bound(cfg: RunConfig) -> BoundSeries | None:
         else np.zeros(problem.d)
     )
     D0 = float(np.linalg.norm(w0 - problem.w_star))
-    if cfg.algorithm == "deed-gd":
-        c = 1.0 - cfg.eta * problem.mu
-        if not c < qt["c_prime"]:
+    if cfg.algorithm in ("deed-gd", "a-deed-gd", "deed-sgd"):
+        args = (cfg.algorithm, problem, qt["c_prime"])
+        if engine.margin_violations(*args, eta=cfg.eta, rho=cfg.rho):
             return None
-        return deterministic_bound(c, qt["c_prime"], cfg.eta, qt["s"], D0, rn["iterations"])
-    if cfg.algorithm == "a-deed-gd":
-        c = math.sqrt(1.0 - math.sqrt(problem.mu / problem.L))
-        if not 0.0 < c < qt["c_prime"]:
-            return None
-        Delta = problem.f_gap(w0) + 0.5 * problem.mu * D0**2
-        consts = AcceleratedConstants.from_run_params(
-            problem.L, problem.mu, c, qt["c_prime"], qt["s"], Delta
+        return engine.contraction_envelope(
+            *args, qt["s"], rn["iterations"], w0, eta=cfg.eta, rho=cfg.rho
         )
-        return accelerated_bound(consts, problem.mu, c, qt["c_prime"], rn["iterations"])
-    if cfg.algorithm == "deed-sgd":
-        c = 1.0 - problem.mu / (cfg.rho * problem.L)
-        return sgd_squared_bound(c, qt["c_prime"], cfg.eta, qt["s"], D0, rn["iterations"])
     if cfg.algorithm == "deed-fed":
         fd = cfg.fed
-        radius = fd["trajectory_radius"] or 2.0 * D0
+        K = fd["k_participants"]
         fed = estimate_fed_constants(
             problem,
             fd["local_steps"],
-            fd["k_participants"] or problem.N,
+            problem.N if K is None else K,
             fd["participation"],
-            radius,
+            2.0 * D0 if fd["trajectory_radius"] is None else fd["trajectory_radius"],
         )
         return fed_bound(
             fed, fd["beta"], fd["gamma"], problem.mu, qt["s"], D0,
             rn["rounds"] * fd["local_steps"],
         )
-    if cfg.algorithm in ("gd", "agd"):
-        # Noiseless contraction envelope on the squared distance.
-        if cfg.algorithm == "gd":
-            c = 1.0 - cfg.eta * problem.mu
-        else:
-            c = math.sqrt(1.0 - math.sqrt(problem.mu / problem.L))
-            if c == 0.0:
-                return None
-        T = rn["iterations"]
-        return recursion_bound(RecursionSpec(np.full(T, c), np.zeros(T), D0), T)
-    if cfg.algorithm == "const-quant-gd":
-        c = 1.0 - cfg.eta * problem.mu
-        T = rn["iterations"]
-        alpha = cfg.eta * qt["fixed_eps"]
-        return recursion_bound(RecursionSpec(np.full(T, c), np.full(T, alpha), D0), T)
-    return None
+    # Contraction envelope on the squared distance of the exact baselines
+    # (noiseless) and of the fixed-budget run (noise eta * fixed_eps).
+    c = engine.contraction_factor(
+        "a-deed-gd" if cfg.algorithm == "agd" else "deed-gd", problem, eta=cfg.eta
+    )
+    if cfg.algorithm == "agd" and c == 0.0:
+        return None
+    T = rn["iterations"]
+    alpha = cfg.eta * qt["fixed_eps"] if cfg.algorithm == "const-quant-gd" else 0.0
+    return recursion_bound(RecursionSpec(np.full(T, c), np.full(T, alpha), D0), T)
 
 
 def cmd_run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:

@@ -342,20 +342,16 @@ def _row_moment_matrices(problem: QuadraticProblem, i: int):
     return W, q, c0
 
 
-def estimate_rho(
-    problem: QuadraticProblem, sample_budget: int = 200, rng=None
-) -> float:
+def estimate_rho(problem: QuadraticProblem) -> float:
     """Certified growth constant for single-row stochastic gradients.
 
-    Returns 1.05 times the largest observed ratio of the mean stochastic
-    second moment to ``2 L (f - f*)`` over sampled directions plus the
-    exact worst-case direction, so the growth inequality holds everywhere
-    with margin.  Requires an interpolating problem.
+    Returns 1.05 times the exact supremum over directions of the ratio of
+    the mean stochastic second moment to ``2 L (f - f*)``, so the growth
+    inequality holds everywhere with margin.  Requires an interpolating
+    problem.
     """
     if not problem.interpolating:
         raise InvalidInputError("growth certification requires interpolation")
-    if rng is None:
-        rng = np.random.default_rng(0)
     W = np.zeros((problem.d, problem.d))
     for i in range(problem.N):
         Wi, _, _ = _row_moment_matrices(problem, i)
@@ -364,16 +360,9 @@ def estimate_rho(
     # Exact supremum of (x' W x) / (L x' H x): top generalized eigenvalue.
     vals, vecs = scipy.linalg.eigh(W, problem.L * H)
     top = float(vals[-1])
-    candidates = [vecs[:, -1]]
-    candidates.extend(rng.standard_normal(problem.d) for _ in range(sample_budget))
-    best = 0.0
-    for x in candidates:
-        num = float(x @ W @ x)
-        den = problem.L * float(x @ H @ x)
-        best = max(best, num / den)
-    # The sampled maximum can only fall short of the exact one by rounding.
-    best = max(best, top)
-    return 1.05 * best
+    x = vecs[:, -1]
+    # The eigenvector's ratio can only differ from the eigenvalue by rounding.
+    return 1.05 * max(float(x @ W @ x) / (problem.L * float(x @ H @ x)), top)
 
 
 def _max_quadratic_on_ball(

@@ -130,6 +130,8 @@ def quantize(
         raise InvalidInputError("input coordinates must be finite")
 
     if spec.lossless:
+        if float_bits < 1:
+            raise InvalidInputError(f"float_bits must be >= 1 (float_bits = {float_bits!r})")
         return QuantizedMessage(
             spec=spec, grid=None, decoded=w.copy(), bits=float_bits * spec.dim
         )

@@ -58,6 +58,16 @@ def test_experiment_mode_relaxes_margin_with_warning():
     assert any("c < c' < 1" in w for w in cfg.warnings)
 
 
+def test_momentum_margin_needs_positive_contraction():
+    # kappa = 1 gives c = 0, where the momentum envelope degenerates: the
+    # engine skips it, so theory mode rejects and experiment mode warns.
+    text = SCALAR_CFG.replace("deed-gd", "a-deed-gd").replace("eta: 1.0, ", "")
+    with pytest.raises(ConfigError, match=r"requires 0 < c < c' < 1 \(c = .* = 0\.0"):
+        parse_config(text)
+    cfg = parse_config(text.replace("w0:", "stepsize_mode: experiment, w0:"))
+    assert cfg.warnings and cfg.warnings[0].startswith("requires 0 < c < c' < 1")
+
+
 def test_fed_beta_violation_named():
     text = FED_CFG.replace("BETA", "0.01").replace("GAMMA", "50")
     with pytest.raises(ConfigError) as err:
@@ -70,6 +80,92 @@ def test_fed_valid_config():
     text = FED_CFG.replace("BETA", "1000.0").replace("GAMMA", "100000.0")
     cfg = parse_config(text)
     assert cfg.algorithm == "deed-fed"
+
+
+FED_VALID = FED_CFG.replace("BETA", "1000.0").replace("GAMMA", "100000.0")
+FED_BLOCK = {"local_steps": 3, "beta": 1000.0, "gamma": 100000.0}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"participation": scheme, "k_participants": k}
+        for scheme in ("with-replacement", "without-replacement")
+        for k in (0, -3)
+    ]
+    + [
+        {"participation": "without-replacement", "k_participants": 5},  # N = 4
+        {"trajectory_radius": 0},
+        {"trajectory_radius": -1},
+        {"local_steps": 0},
+    ],
+    ids=repr,
+)
+def test_fed_preconditions_rejected_at_parse(override):
+    # A parsed config meets every engine precondition: parse_config rejects
+    # these with the message the engine gives for the same arguments.
+    import yaml
+
+    from deedsim.engine import run_deed_fed
+
+    fed = {**FED_BLOCK, **override}
+    text = FED_VALID.replace(
+        "fed: {local_steps: 3, beta: 1000.0, gamma: 100000.0}",
+        "fed: " + yaml.safe_dump(fed, default_flow_style=True).strip(),
+    )
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(text)
+    fed = {"participation": "full", "k_participants": None, "trajectory_radius": None, **fed}
+    with pytest.raises(ConfigError) as ran:
+        run_deed_fed(
+            parse_config(FED_VALID).problem, fed["local_steps"], fed["beta"],
+            fed["gamma"], 1.0, 8, fed["participation"], fed["k_participants"],
+            mc_runs=2, trajectory_radius=fed["trajectory_radius"],
+        )
+    assert parsed.value.violations == ran.value.violations
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        MINIMAL.replace("iterations: 50", "iterations: -1"),
+        MINIMAL.replace("deed-gd", "gd").replace("iterations: 50", "iterations: -1"),
+        FED_VALID.replace("rounds: 8", "rounds: -1"),
+    ],
+    ids=["deed-gd", "gd", "deed-fed"],
+)
+def test_negative_horizon_rejected(text):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.violations == ["requires T >= 0 (T = -1)"]
+
+
+def test_zero_horizon_runs_one_row(tmp_path):
+    result = cmd_run(
+        parse_config(MINIMAL.replace("iterations: 50", "iterations: 0")), str(tmp_path)
+    )
+    assert result.ok
+    assert len(result.traces[0].t) == 1
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        MINIMAL.replace("deed-gd", "gd").replace(
+            "quant: {s: 0.1, c_prime: 0.9}", "quant: {float_bits: -5}"
+        ),
+        MINIMAL.replace("s: 0.1", "s: 0, float_bits: -7"),
+        MINIMAL.replace("s: 0.1", "s: 0.1, float_bits: 0"),
+    ],
+    ids=["gd", "deed-gd-lossless", "deed-gd"],
+)
+def test_nonpositive_float_bits_rejected(text):
+    # A non-positive float width would price lossless messages at zero or
+    # negative bits.
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert any(v.startswith("requires float_bits >= 1") for v in err.value.violations)
 
 
 def test_unknown_keys_rejected():
@@ -172,46 +268,71 @@ run: {iterations: 300}
     assert summary["bits_to_accuracy"]["1e-08"] == "unreached"
 
 
+def _trip_envelope_at_20(monkeypatch):
+    """Shrink the deed-gd envelope from row 20 on, so the real check trips
+    there, and count engine calls."""
+    import deedsim.engine as eng
+
+    real_bound, real_run = eng.deterministic_bound, eng.run_deed_gd
+    calls = []
+
+    def shrunk(*args, **kwargs):
+        series = real_bound(*args, **kwargs)
+        series.bound[20:] *= 1e-9
+        return series
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(eng, "deterministic_bound", shrunk)
+    monkeypatch.setattr(eng, "run_deed_gd", counted)
+    return calls
+
+
 def test_cmd_run_reports_violation(tmp_path, monkeypatch):
-    # Envelope violations surface as a nonzero status with the offending
-    # row, and the trace is still delivered (re-run without assertions).
-    import deedsim.harness as hz
-    from deedsim.errors import BoundViolationError
-
-    real = hz.engine.run_deed_gd
-
-    def tripping(*args, **kwargs):
-        if kwargs.get("assert_envelope") is False:
-            return real(*args, **kwargs)
-        raise BoundViolationError("test envelope", 7, 1.0, 0.5)
-
-    monkeypatch.setattr(hz.engine, "run_deed_gd", tripping)
-    cfg = parse_config(MINIMAL)
-    result = hz.cmd_run(cfg, out_dir=str(tmp_path))
+    # An envelope violation surfaces with the offending row, and the trace
+    # simulated by the one engine call is delivered unchanged.
+    cmd_run(parse_config(MINIMAL), out_dir=str(tmp_path / "clean"))
+    calls = _trip_envelope_at_20(monkeypatch)
+    result = cmd_run(parse_config(MINIMAL), out_dir=str(tmp_path / "tripped"))
     assert not result.ok
+    assert len(calls) == 1
     summary = result.summary()
     assert summary["bounds_ok"] is False
-    assert summary["violation"]["t"] == 7
-    assert (tmp_path / "trace.csv").exists()
+    assert summary["violation"]["kind"] == "deed-gd envelope"
+    assert summary["violation"]["t"] == 20
+    assert (tmp_path / "tripped" / "trace.csv").read_bytes() == (
+        tmp_path / "clean" / "trace.csv"
+    ).read_bytes()
 
 
 def test_cli_exit_code_on_violation(tmp_path, monkeypatch, capsys):
-    import deedsim.harness as hz
-    from deedsim.errors import BoundViolationError
-
-    real = hz.engine.run_deed_gd
-
-    def tripping(*args, **kwargs):
-        if kwargs.get("assert_envelope") is False:
-            return real(*args, **kwargs)
-        raise BoundViolationError("test envelope", 7, 1.0, 0.5)
-
-    monkeypatch.setattr(hz.engine, "run_deed_gd", tripping)
+    calls = _trip_envelope_at_20(monkeypatch)
     path = tmp_path / "cfg.yaml"
     path.write_text(MINIMAL)
     rc = main(["run", str(path), "--out", str(tmp_path / "out")])
     assert rc == 1
-    capsys.readouterr()
+    assert len(calls) == 1
+    assert "BOUND VIOLATION: deed-gd envelope at t=20" in capsys.readouterr().err
+
+
+def test_midrun_violation_propagates(tmp_path, monkeypatch):
+    # A budget violation raised during the simulation carries no traces,
+    # so there is nothing to deliver: it propagates from the one run.
+    import deedsim.engine as eng
+    from deedsim.errors import BoundViolationError
+
+    calls = _trip_envelope_at_20(monkeypatch)
+
+    def broken(v_k, gbar, budget, round_index):
+        raise BoundViolationError("aggregate error budget", round_index, 1.0, 0.5)
+
+    monkeypatch.setattr(eng, "_assert_budget", broken)
+    with pytest.raises(BoundViolationError, match="aggregate error budget") as err:
+        cmd_run(parse_config(MINIMAL), out_dir=str(tmp_path))
+    assert err.value.traces is None
+    assert len(calls) == 1
 
 
 def test_compare_requires_matching_problems():

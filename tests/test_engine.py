@@ -282,6 +282,22 @@ def test_fed_schedule_validation(fed_problem):
         run_deed_fed(fed_problem, 4, beta, gamma, 1.0, 4, "sometimes", K=2)
 
 
+def test_negative_horizon_named(small_problem, interp_problem, fed_problem):
+    beta, gamma = _fed_params(fed_problem)
+    runs = [
+        lambda: run_deed_gd(small_problem, None, 0.9, 0.1, -1),
+        lambda: run_adeed_gd(small_problem, 0.97, 0.1, -1),
+        lambda: run_exact_gd(small_problem, None, -1),
+        lambda: run_exact_agd(small_problem, -1),
+        lambda: run_const_error_gd(small_problem, None, -1, 1.0),
+        lambda: run_deed_sgd(interp_problem, 0.999, 1.0, -1),
+        lambda: run_deed_fed(fed_problem, 4, beta, gamma, 1.0, -1, "full"),
+    ]
+    for run in runs:
+        with pytest.raises(ConfigError, match=r"requires T >= 0 \(T = -1\)"):
+            run()
+
+
 def test_fed_eta_schedule_scan():
     # E > gamma violates eta_t <= 2 eta_(t+E) at t = 0.
     p = make_linreg(seed=4, d=4, N=2, target_kappa=2.0, rows_per_node=6,

@@ -169,9 +169,16 @@ def test_rho_scalar_single_row():
 def test_rho_certificate_and_monotonicity():
     p = make_linreg(seed=19, d=12, N=4, target_kappa=6.0, rows_per_node=15,
                     interpolating=True)
-    rho_small = estimate_rho(p, sample_budget=10, rng=np.random.default_rng(0))
-    rho_big = estimate_rho(p, sample_budget=200, rng=np.random.default_rng(0))
-    assert rho_big >= rho_small >= 1.0
+    rho = estimate_rho(p)
+    # rho is 1.05 times the top eigenvalue of (L H)^-1 W, W being the
+    # weighted mean over nodes of E_row[|a|^2 a a^T].
+    W = sum(
+        w * (A * np.einsum("ij,ij->i", A, A)[:, None]).T @ A / A.shape[0]
+        for w, A in zip(p.weights, p.A)
+    )
+    top = np.linalg.eigvals(np.linalg.solve(p.L * p.hessian(), W)).real.max()
+    assert rho == pytest.approx(1.05 * top, rel=1e-9)
+    assert rho >= 1.0
 
     # Certificate: the growth inequality holds on fresh points.
     rng = np.random.default_rng(99)
@@ -183,7 +190,7 @@ def test_rho_certificate_and_monotonicity():
             r = Ai @ w - bi
             sq = np.einsum("ij,ij->i", Ai, Ai)
             second += p.weights[i] * float(sq @ r**2) / Ai.shape[0]
-        assert second <= rho_big * 2.0 * p.L * p.f_gap(w) * (1 + 1e-9) + 1e-12
+        assert second <= rho * 2.0 * p.L * p.f_gap(w) * (1 + 1e-9) + 1e-12
 
 
 def test_rho_requires_interpolation():

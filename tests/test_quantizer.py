@@ -122,6 +122,13 @@ def test_passthrough_mode():
     assert msg64.bits == 64 * 12
 
 
+@pytest.mark.parametrize("float_bits", [0, -5])
+def test_passthrough_rejects_nonpositive_float_bits(float_bits):
+    # A non-positive width would charge a zero or negative bit count.
+    with pytest.raises(InvalidInputError, match="float_bits must be >= 1"):
+        quantize(np.ones(3), QuantSpec(0.0, 3), np.random.default_rng(0), float_bits)
+
+
 def test_invalid_inputs():
     rng = np.random.default_rng(0)
     with pytest.raises(InvalidInputError):

@@ -16,6 +16,7 @@ and streams are plain concatenations of codes with no padding.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -34,8 +35,9 @@ __all__ = [
     "sparse_payload_bits",
 ]
 
-# bytes.translate table from ASCII '0' / '1' to bit values 0 / 1.
+# bytes.translate tables between ASCII '0' / '1' and bit values 0 / 1.
 _ASCII_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+_BIT_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class BitStream:
@@ -68,9 +70,15 @@ class BitStream:
         self._buf.append(bit)
 
     def extend_uint(self, value: int, width: int) -> None:
-        """Append ``value`` as ``width`` bits, most significant first."""
-        for shift in range(width - 1, -1, -1):
-            self._buf.append((value >> shift) & 1)
+        """Append ``value`` as ``width`` bits, most significant first.
+
+        Only the low ``width`` bits are kept, so a negative value is
+        written in two's complement.
+        """
+        if width > 0:
+            value = operator.index(value) & ((1 << width) - 1)
+            digits = bin(value | (1 << width))[3:]  # strip "0b1"
+            self._buf += digits.encode("ascii").translate(_ASCII_TO_BIT)
 
     def extend(self, other: "BitStream") -> None:
         self._buf.extend(other._buf)
@@ -196,75 +204,231 @@ def elias_encode(n: int) -> BitStream:
     return out
 
 
+def _elias_end(buf: bytearray, cursor: int) -> int:
+    """End (exclusive) of the Elias gamma code that starts at ``cursor``.
+
+    The code of n is floor(log2 n) zeros, then floor(log2 n) + 1 digits
+    of n, so its end lies as far past its leading 1 as that 1 lies past
+    ``cursor``, plus one.
+    """
+    one = buf.find(1, cursor)
+    if one < 0:
+        raise CorruptStreamError("truncated Elias code (no leading 1)")
+    end = 2 * one - cursor + 1
+    if end > len(buf):
+        raise CorruptStreamError("truncated Elias code (payload cut short)")
+    return end
+
+
 def elias_decode(stream: BitStream, cursor: int = 0) -> tuple[int, int]:
     """Decode one Elias gamma code starting at ``cursor``.
 
     Returns ``(n, new_cursor)``; raises ``CorruptStreamError`` on a
     truncated code.
     """
-    total = len(stream)
-    zeros = 0
-    while True:
-        if cursor >= total:
-            raise CorruptStreamError("truncated Elias code (no leading 1)")
-        if stream[cursor]:
-            break
-        zeros += 1
-        cursor += 1
-    if cursor + zeros >= total:
-        raise CorruptStreamError("truncated Elias code (payload cut short)")
-    n = 1
-    cursor += 1
-    for _ in range(zeros):
-        n = (n << 1) | stream[cursor]
-        cursor += 1
-    return n, cursor
+    buf = stream._buf
+    end = _elias_end(buf, cursor)
+    digits = buf[(end + cursor - 1) // 2 : end]
+    return int(digits.translate(_BIT_TO_ASCII), 2), end
 
 
 def encode_sparse(v: SparseIntVector) -> BitStream:
-    """Encode a sparse integer vector; see the module docstring for layout."""
-    out = elias_encode(v.nnz + 1)
-    prev = 0
-    for pos, val in zip(v.positions, v.values):
-        out.extend(elias_encode(pos - prev))
-        out.append(0 if val > 0 else 1)
-        out.extend(elias_encode(abs(val)))
-        prev = pos
-    return out
+    """Encode a sparse integer vector; see the module docstring for layout.
+
+    Every field of the stream (each Elias code and each sign bit) is an
+    unsigned integer written in a fixed width: an Elias code of n is n in
+    2 floor(log2 n) + 1 bits.  The widths and their running sum place
+    every field, and digit j of all fields is written in one numpy pass.
+    """
+    nnz = v.nnz
+    try:
+        positions = np.array(v.positions, dtype=np.int64)
+        values = np.array(v.values, dtype=np.int64)
+        dtype = np.uint64  # holds |-2**63|
+    except OverflowError:  # exact Python ints beyond int64
+        positions = np.array(v.positions, dtype=object)
+        values = np.array(v.values, dtype=object)
+        dtype = object
+    # Stream order: nnz + 1, then gap, sign and |value| of each entry.
+    fields = np.empty(3 * nnz + 1, dtype=dtype)
+    fields[0] = nnz + 1
+    fields[1:2] = positions[:1]
+    fields[4::3] = np.diff(positions)
+    fields[2::3] = values < 0
+    fields[3::3] = np.abs(values)
+    del positions, values
+    digits = _floor_log2(fields)
+    digits += 1
+    digits[2::3] = 1  # a sign bit is one digit, also when it is 0
+    # Digit j (from the least significant) of a field ending before
+    # position e sits at e - 1 - j; the leading zeros stay as allocated.
+    last = np.cumsum(2 * digits - 1)
+    last -= 1
+    out = bytearray(int(last[-1]) + 1)
+    # Longest fields first: those with more than j digits are a prefix,
+    # of length ``longer[j]``.
+    order = np.argsort(-digits)
+    longer = np.cumsum(np.bincount(digits)[::-1])[-2::-1].tolist()
+    del digits
+    fields = fields[order]
+    last = last[order]
+    del order
+    bits = np.frombuffer(out, dtype=np.uint8)
+    for n in longer:
+        bits[last[:n]] = fields[:n] & 1
+        fields[:n] >>= 1
+        last[:n] -= 1
+    del bits  # release the buffer so that the stream can grow
+    stream = BitStream()
+    stream._buf = out
+    return stream
+
+
+# Digits read per numpy pass: a run of 57 bits that starts at any bit of
+# a byte lies inside the 64-bit word that starts at that byte.
+_CHUNK = 57
+
+
+def _read_codes(buf: bytearray, ones: np.ndarray, ends: np.ndarray, dtype) -> np.ndarray:
+    """Values of the binary numbers ``buf[ones[i]:ends[i]]``, as ``dtype``.
+
+    The bits are packed once; each pass reads the lowest 57 digits not
+    yet read of every number from the unaligned big-endian 64-bit word
+    that starts at their first byte, so numbers below 2**57 take one.
+    """
+    nbytes = (len(buf) + 7) // 8
+    packed = np.zeros(nbytes + 7, dtype=np.uint8)
+    packed[:nbytes] = np.packbits(np.frombuffer(buf, dtype=np.uint8))
+    words = np.ndarray((nbytes,), dtype=">i8", buffer=packed, strides=(1,))
+    values = np.zeros(len(ones), dtype=dtype)
+    pick = slice(None)
+    done = 0
+    while True:
+        hi = ends[pick] - done
+        # The digits read, at most 57, start in byte ``at`` and end
+        # 64 + 8 at - hi bits before the 64-bit word from that byte does.
+        at = hi - _CHUNK
+        np.maximum(at, ones[pick], out=at)
+        at >>= 3
+        chunk = words[at]
+        at <<= 3
+        at += 64
+        at -= hi
+        chunk >>= at
+        del at
+        hi -= ones[pick]
+        np.minimum(hi, _CHUNK, out=hi)
+        np.left_shift(1, hi, out=hi)
+        hi -= 1
+        chunk &= hi  # also clears the sign-extended bits
+        del hi
+        chunk = chunk.astype(dtype)
+        chunk <<= done
+        values[pick] |= chunk
+        del chunk
+        done += _CHUNK
+        pick = np.flatnonzero(ends - ones > done)
+        if not len(pick):
+            return values
+
+
+def _code_ends(buf: bytearray) -> np.ndarray:
+    """``ends[p]``: the end (exclusive) of the Elias gamma code that would
+    start at bit p, for every p at once; ``len(buf) + 1`` where the stream
+    cuts that code short.  Three extra entries past the stream hold
+    ``len(buf) + 1`` too, so that ``ends[ends[p] + 1]`` is always defined.
+    """
+    total = len(buf)
+    # Intermediate values reach 4 total + 7.
+    ends = np.empty(total + 3, dtype=np.int32 if total < 2**29 else np.int64)
+    # The next 1 at or after p: a running minimum, from the end, of q for
+    # a 1 at q and q + total for a 0 (total or more means no 1 is left).
+    np.multiply(np.frombuffer(buf, dtype=np.uint8) == 0, total, out=ends[:total])
+    ends[:total] += np.arange(total, dtype=ends.dtype)
+    ends[total:] = total
+    np.minimum.accumulate(ends[::-1], out=ends[::-1])
+    # A code ends as far past its leading 1 as that 1 lies past p, plus one.
+    ends *= 2
+    ends -= np.arange(total + 3, dtype=ends.dtype)
+    ends += 1
+    np.minimum(ends, total + 1, out=ends)
+    ends[total:] = total + 1
+    return ends
 
 
 def decode_sparse(stream: BitStream, dim: int) -> SparseIntVector:
     """Exact inverse of ``encode_sparse``.
 
     The stream must contain exactly one encoded vector; trailing bits and
-    positions beyond ``dim`` raise ``CorruptStreamError``.
+    positions beyond ``dim`` raise ``CorruptStreamError``.  Errors are
+    raised in stream order: an entry's position is checked once its
+    magnitude is read, before any later entry.
     """
+    buf = stream._buf
+    total = len(buf)
     header, cursor = elias_decode(stream, 0)
     nnz = header - 1
-    positions = []
-    values = []
-    prev = 0
+    # Walk one entry per step: past Elias(gap), its sign bit and
+    # Elias(|value|), marking where each entry ends.  An entry the stream
+    # cuts short ends the walk and is diagnosed below.  Arrays are dropped
+    # as soon as they are spent, which keeps the peak memory of a call
+    # near that of the vector it returns.
+    ends = _code_ends(buf)
+    step = memoryview(ends)
+    marks = bytearray(total + 1)
+    p = cursor
     for _ in range(nnz):
-        gap, cursor = elias_decode(stream, cursor)
-        if cursor >= len(stream):
+        p = step[step[p] + 1]
+        if p > total:
+            break
+        marks[p] = 1
+    del step
+    bounds = np.concatenate(([cursor], np.flatnonzero(marks)))
+    del marks
+    complete = len(bounds) - 1
+    signs_at = ends[bounds[:-1]].astype(np.int64)  # where Elias(gap) ends
+    del ends
+    signs = np.frombuffer(buf, dtype=np.uint8)[signs_at].astype(bool)
+    # Gap codes, then magnitude codes; an Elias code from start to end
+    # has its leading 1 halfway, at (start + end - 1) / 2.
+    starts = np.concatenate((bounds[:-1], signs_at + 1))
+    code_ends = np.concatenate((signs_at, bounds[1:]))
+    del signs_at
+    cursor = int(bounds[-1])
+    del bounds
+    ones = starts + code_ends
+    del starts
+    ones -= 1
+    ones >>= 1
+    wide = (code_ends - ones).max(initial=0) > 63 or dim >= 2**63
+    codes = _read_codes(buf, ones, code_ends, object if wide else np.int64)
+    del ones, code_ends
+    gaps, mags = codes[:complete], codes[complete:]
+    positions = np.cumsum(gaps)
+    # With int64, a sum that wraps past 2**63 turns negative.
+    bad = np.flatnonzero((positions > dim) | (positions < 1))
+    if len(bad):
+        i = int(bad[0])
+        pos = int(gaps[0]) if i == 0 else int(positions[i - 1]) + int(gaps[i])
+        raise CorruptStreamError(f"position {pos} overflows dim {dim}")
+    if complete < nnz:
+        end = _elias_end(buf, cursor)
+        if end >= total:
             raise CorruptStreamError("truncated entry (missing sign bit)")
-        sign = -1 if stream[cursor] else 1
-        cursor += 1
-        mag, cursor = elias_decode(stream, cursor)
-        pos = prev + gap
-        if pos > dim:
-            raise CorruptStreamError(f"position {pos} overflows dim {dim}")
-        positions.append(pos)
-        values.append(sign * mag)
-        prev = pos
-    if cursor != len(stream):
-        raise CorruptStreamError(f"{len(stream) - cursor} trailing bits")
-    return SparseIntVector(dim=dim, positions=tuple(positions), values=tuple(values))
+        _elias_end(buf, end + 1)
+    if cursor != total:
+        raise CorruptStreamError(f"{total - cursor} trailing bits")
+    values = np.where(signs, -mags, mags)
+    del codes, gaps, mags, signs
+    return SparseIntVector(
+        dim=dim, positions=tuple(positions.tolist()), values=tuple(values.tolist())
+    )
 
 
 def _floor_log2(n: np.ndarray) -> np.ndarray:
-    """Exact floor(log2) for positive int64 arrays, as an integer array."""
-    n = np.asarray(n, dtype=np.int64)
+    """Exact floor(log2) for arrays of positive integers (int64, uint64 or
+    Python ints), as an integer array; 0 gives -1."""
+    n = np.asarray(n)
     # frexp is exact on integers below 2**52: n = m * 2**e with
     # 0.5 <= m < 1, so floor(log2 n) = e - 1.
     if n.max(initial=0) < (1 << 52):

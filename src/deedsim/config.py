@@ -270,8 +270,10 @@ def parse_config(text: str) -> RunConfig:
     except DeedsimError as exc:
         raise ConfigError([f"problem construction failed: {exc}"]) from None
 
-    if rn["w0"] is not None and len(rn["w0"]) != problem.d:
+    w0 = rn["w0"]
+    if w0 is not None and len(w0) != problem.d:
         violations.append(f"run.w0 must have length d = {problem.d}")
+        w0 = None
 
     T = rn["rounds"] if algorithm == "deed-fed" else rn["iterations"]
     eta = rho = None
@@ -279,7 +281,7 @@ def parse_config(text: str) -> RunConfig:
         violations.extend(
             engine.fed_violations(
                 problem, fd["local_steps"], fd["beta"], fd["gamma"], qt["s"], T,
-                fd["participation"], fd["k_participants"], fd["trajectory_radius"],
+                fd["participation"], fd["k_participants"], fd["trajectory_radius"], w0,
             )
         )
     elif algorithm == "deed-sgd":

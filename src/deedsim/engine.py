@@ -704,11 +704,21 @@ def run_deed_sgd(
     return traces
 
 
+def fed_radius(problem, w0, trajectory_radius) -> float:
+    """The radius ``run_deed_fed`` certifies its constants on:
+    ``trajectory_radius``, by default ``2 |w0 - w*|`` (``w0 = 0`` if None)."""
+    if trajectory_radius is not None:
+        return trajectory_radius
+    w0 = np.zeros(problem.d) if w0 is None else np.asarray(w0, dtype=np.float64)
+    return 2.0 * float(np.linalg.norm(w0 - problem.w_star))
+
+
 def fed_violations(
-    problem, E, beta, gamma, s, T_rounds, participation, K, trajectory_radius
+    problem, E, beta, gamma, s, T_rounds, participation, K, trajectory_radius, w0=None
 ) -> list[str]:
     """Every precondition of ``run_deed_fed``: horizon, budget scale,
-    participation and ``K``, certification radius, and stepsize schedule."""
+    participation and ``K``, certification radius (by default
+    ``2 |w0 - w*|``), and stepsize schedule."""
     violations = param_violations(problem, T_rounds, s=s)
     if participation not in PARTICIPATION_SCHEMES:
         violations.append(f"unknown participation scheme {participation!r}")
@@ -721,9 +731,11 @@ def fed_violations(
             )
         elif participation == "with-replacement" and K < 1:
             violations.append(f"requires K >= 1 (K = {K!r})")
-    if trajectory_radius is not None and not trajectory_radius > 0:
+    radius = fed_radius(problem, w0, trajectory_radius)
+    if not radius > 0:
+        default = ", the default 2 |w0 - w*|" if trajectory_radius is None else ""
         violations.append(
-            f"requires trajectory_radius > 0 (trajectory_radius = {trajectory_radius!r})"
+            f"requires trajectory_radius > 0 (trajectory_radius = {radius!r}{default})"
         )
     if E < 1:
         violations.append(f"requires E >= 1 (E = {E!r})")
@@ -785,7 +797,7 @@ def run_deed_fed(
     """
     _require(
         fed_violations(
-            problem, E, beta, gamma, s, T_rounds, participation, K, trajectory_radius
+            problem, E, beta, gamma, s, T_rounds, participation, K, trajectory_radius, w0
         )
     )
     T_total = T_rounds * E
@@ -793,7 +805,7 @@ def run_deed_fed(
     n, p = problem.N, problem.weights
     w0v = np.zeros(problem.d) if w0 is None else np.asarray(w0, dtype=np.float64)
     D0 = float(np.linalg.norm(w0v - problem.w_star))
-    radius = 2.0 * D0 if trajectory_radius is None else trajectory_radius
+    radius = fed_radius(problem, w0, trajectory_radius)
 
     eta_at = lambda t: beta / (t + gamma)
     traces = []

@@ -57,8 +57,8 @@ class RunResult:
             out["violation"] = {
                 "kind": self.violation.kind,
                 "t": self.violation.t,
-                "observed": repr(self.violation.observed),
-                "allowed": repr(self.violation.allowed),
+                "observed": float(self.violation.observed),
+                "allowed": float(self.violation.allowed),
             }
         return out
 
@@ -141,7 +141,7 @@ def compute_bound(cfg: RunConfig) -> BoundSeries | None:
             fd["local_steps"],
             problem.N if K is None else K,
             fd["participation"],
-            2.0 * D0 if fd["trajectory_radius"] is None else fd["trajectory_radius"],
+            engine.fed_radius(problem, w0, fd["trajectory_radius"]),
         )
         return fed_bound(
             fed, fd["beta"], fd["gamma"], problem.mu, qt["s"], D0,

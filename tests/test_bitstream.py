@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from deedsim.bitstream import (
     sparse_payload_bits,
 )
 from deedsim.errors import CorruptStreamError, InvalidInputError
+
+import elias_reference as ref
 
 
 def test_elias_worked_examples():
@@ -314,3 +318,148 @@ def test_bit_constructors_validate():
     for bits in ([0, 2], [255], [1, 1, 0, 3]):
         with pytest.raises(InvalidInputError):
             BitStream(bits)
+
+
+def test_extend_uint_matches_per_bit_loop():
+    values = [0, 1, 5, 2**31 - 1, 2**64 - 1, 2**70 + 12345, -1, -2, -(2**40) - 7, -(2**80)]
+    for width in range(71):
+        for value in values + [2**width - 1, 2**width, -(2**width)]:
+            got = BitStream()
+            got.extend_uint(value, width)
+            want = []
+            ref.extend_uint(want, value, width)
+            assert list(got) == want, (value, width)
+    got = BitStream.from_string("10")
+    got.extend_uint(np.uint64(2**63 + 1), 64)  # numpy integers are accepted
+    assert got.to01() == "10" + "1" + "0" * 62 + "1"
+    for width in (0, -3):
+        got.extend_uint(-1, width)
+    assert len(got) == 66
+
+
+# Gaps and magnitudes at the edges of float64's exact integers, of int64
+# and beyond it, where the codec must stay exact.
+_EDGE_INTS = [1, 2, 3] + [
+    base + off for base in (2**52, 2**53) for off in (-1, 0, 1)
+] + [2**62, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**70 + 3]
+
+
+def _entries(data, nnz):
+    pick = st.one_of(st.integers(1, 300), st.sampled_from(_EDGE_INTS))
+    gaps = data.draw(st.lists(pick, min_size=nnz, max_size=nnz))
+    mags = data.draw(st.lists(pick, min_size=nnz, max_size=nnz))
+    signs = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=nnz, max_size=nnz))
+    positions = tuple(int(p) for p in np.cumsum(np.array(gaps, dtype=object)))
+    values = tuple(s * m for s, m in zip(signs, mags))
+    return positions, values
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_sparse_codec_matches_reference(data):
+    nnz = data.draw(st.integers(0, 12))
+    positions, values = _entries(data, nnz)
+    dim = (positions[-1] if nnz else 1) + data.draw(st.integers(0, 3))
+    v = SparseIntVector(dim=dim, positions=positions, values=values)
+    enc = encode_sparse(v)
+    assert enc == ref.encode_sparse(v)
+    gaps = [b - a for a, b in zip((0,) + positions, positions)]
+    codes = [nnz + 1] + gaps + [abs(x) for x in values]
+    assert len(enc) == sum(map(elias_length, codes)) + nnz
+    assert decode_sparse(enc, dim) == v == ref.decode_sparse(enc, dim)
+
+
+def _same_outcome(stream, dim):
+    """decode_sparse and the reference agree: the same vector, or a
+    CorruptStreamError with the same message."""
+    try:
+        want = ref.decode_sparse(stream, dim)
+    except CorruptStreamError as exc:
+        with pytest.raises(CorruptStreamError) as info:
+            decode_sparse(stream, dim)
+        assert str(info.value) == str(exc)
+        return None
+    got = decode_sparse(stream, dim)
+    assert got == want
+    return got
+
+
+_FAULT_VECTORS = [
+    SparseIntVector(dim=1, positions=(), values=()),
+    SparseIntVector(dim=4, positions=(2, 4), values=(3, -1)),
+    SparseIntVector(dim=12, positions=(2, 4, 11), values=(3, -1, 40)),
+    SparseIntVector(dim=9, positions=(1, 2, 3, 9), values=(-1, 1, -2, 7)),
+    SparseIntVector(dim=70, positions=(5, 70), values=(2**40 + 1, -6)),
+]
+
+
+@pytest.mark.parametrize("v", _FAULT_VECTORS, ids=lambda v: f"nnz{v.nnz}-dim{v.dim}")
+def test_sparse_decode_faults_match_reference(v):
+    # Every truncation, 1-8 trailing bits and every single-bit flip, also
+    # decoded into a smaller dim, where an early entry overflows before a
+    # later one is found cut short.
+    bits = list(encode_sparse(v))
+    rng = np.random.default_rng(v.dim)
+    dims = (max(1, v.dim // 2), v.dim, 2 * v.dim + 100)
+    for cut in range(len(bits)):
+        for dim in dims:
+            _same_outcome(BitStream(bits[:cut]), dim)
+    for extra in range(1, 9):
+        for tail in ([0] * extra, [1] * extra, rng.integers(0, 2, extra).tolist()):
+            for dim in dims:
+                _same_outcome(BitStream(bits + tail), dim)
+    for i in range(len(bits)):
+        flipped = bits.copy()
+        flipped[i] ^= 1
+        for dim in dims:
+            got = _same_outcome(BitStream(flipped), dim)
+            assert got is None or (got.positions, got.values) != (v.positions, v.values)
+
+
+def test_sparse_decode_wide_codes_and_dims():
+    for v in (
+        SparseIntVector(dim=2**70, positions=(3, 2**70), values=(-(2**63), 2**64 + 1)),
+        SparseIntVector(dim=2**63, positions=(2**63,), values=(1,)),
+        SparseIntVector(dim=2**64 + 5, positions=(2**62, 2**64 + 1), values=(5, -5)),
+    ):
+        enc = encode_sparse(v)
+        assert enc == ref.encode_sparse(v)
+        assert decode_sparse(enc, v.dim) == v
+        for dim in (v.dim - 1, v.positions[-1] - 1, 2**63 - 1):
+            _same_outcome(enc, dim)
+    # Gaps that wrap an int64 running sum must still overflow by their exact sum.
+    v = SparseIntVector(dim=3 * 2**62, positions=(2**62, 2**63, 3 * 2**62), values=(1, 1, 1))
+    _same_outcome(encode_sparse(v), 2**63 - 1)
+
+
+def test_elias_decode_matches_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        bits = rng.integers(0, 2, int(rng.integers(0, 40))).tolist()
+        for cursor in range(len(bits) + 1):
+            try:
+                want = ref.elias_decode(bits, cursor)
+            except CorruptStreamError as exc:
+                with pytest.raises(CorruptStreamError, match=re.escape(str(exc))):
+                    elias_decode(BitStream(bits), cursor)
+                continue
+            assert elias_decode(BitStream(bits), cursor) == want
+
+
+def test_sparse_codec_demo_runs():
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [sys.executable, os.path.join(root, "demos", "01_sparse_codec.py")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "roundtrip ok: True" in done.stdout
+    assert "unpacked ok: True" in done.stdout

@@ -125,6 +125,28 @@ def test_fed_preconditions_rejected_at_parse(override):
     assert parsed.value.violations == ran.value.violations
 
 
+def test_fed_default_radius_zero_rejected_at_parse():
+    # Starting at the optimum makes the default radius 2 |w0 - w*| zero;
+    # certification needs a positive one, so the config fails at parse
+    # time with the engine's message instead of after every round.
+    from deedsim.engine import run_deed_fed
+
+    problem = parse_config(FED_VALID).problem
+    w_star = "[" + ", ".join(repr(float(x)) for x in problem.w_star) + "]"
+    text = FED_VALID.replace("run: {", f"run: {{w0: {w_star}, ")
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(text)
+    assert parsed.value.violations == [
+        "requires trajectory_radius > 0 (trajectory_radius = 0.0, the default 2 |w0 - w*|)"
+    ]
+    with pytest.raises(ConfigError) as ran:
+        run_deed_fed(problem, 3, 1000.0, 100000.0, 1.0, 8, mc_runs=2, w0=problem.w_star)
+    assert ran.value.violations == parsed.value.violations
+    # An explicit radius, or any other start, still parses.
+    parse_config(text.replace("gamma: 100000.0}", "gamma: 100000.0, trajectory_radius: 1.0}"))
+    parse_config(FED_VALID.replace("run: {", "run: {w0: [0.5, 0, 0, 0, 0, 0], "))
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -305,6 +327,12 @@ def test_cmd_run_reports_violation(tmp_path, monkeypatch):
     assert (tmp_path / "tripped" / "trace.csv").read_bytes() == (
         tmp_path / "clean" / "trace.csv"
     ).read_bytes()
+    # The offending values are JSON numbers, not reprs of numpy scalars.
+    written = json.loads((tmp_path / "tripped" / "summary.json").read_text())
+    for violation in (summary["violation"], written["violation"]):
+        assert type(violation["observed"]) is float
+        assert type(violation["allowed"]) is float
+        assert violation["observed"] > violation["allowed"] > 0
 
 
 def test_cli_exit_code_on_violation(tmp_path, monkeypatch, capsys):

@@ -4,10 +4,13 @@ One center and N workers exchange quantized messages over a simulated
 star topology.  Workers encode the difference between their current
 payload (gradient, stochastic gradient or local weights) and a local
 accumulator; the center aggregates, encodes the difference to its own
-broadcast accumulator, and broadcasts.  Every replica of the broadcast
-accumulator is required to stay bit-identical across nodes, and the
-center's aggregate is required to equal the fixed-order weighted sum of
-the worker accumulators bit-exactly; both are asserted every round.
+broadcast accumulator, and broadcasts.  Sender and receivers apply the
+same decoded message to the same accumulator, so the replicas are
+bit-identical by construction and each quantity is held once: one
+iterate (or one row of local weights per node), one broadcast, and the
+worker accumulators as one ``(N, d)`` array.  Every round asserts the
+aggregate error chain: the broadcast lies within the round's total
+budget of the exact aggregate.
 
 Engines:
 
@@ -32,7 +35,6 @@ quantized payloads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +52,6 @@ from .theory import (
 from .trace import RunTrace
 
 __all__ = [
-    "WorkerState",
-    "CenterState",
     "run_deed_gd",
     "run_adeed_gd",
     "run_deed_sgd",
@@ -77,91 +77,68 @@ _REL_SLACK = 1e-9
 _ABS_DUST = 1e-12
 
 
-@dataclass
-class WorkerState:
-    """Per-node state: accumulators, broadcast replica and iterate."""
-
-    i: int
-    s_prev: np.ndarray
-    v_prev: np.ndarray
-    w: np.ndarray
-    x_prev: np.ndarray | None = None  # momentum memory (lookahead engines)
-
-
-@dataclass
-class CenterState:
-    """Center state: reconstructed worker accumulators and broadcast memory."""
-
-    s_replicas: list[np.ndarray]
-    v_prev: np.ndarray
-
-
-def _weighted_sum(arrays: list[np.ndarray], coefs: np.ndarray) -> np.ndarray:
-    """Fixed-order (ascending node id) sequential weighted sum."""
+def _weighted_sum(arrays, coefs: np.ndarray) -> np.ndarray:
+    """Fixed-order (ascending node id) sequential weighted sum of the
+    rows of ``arrays``; kept as a loop, since a BLAS product rounds
+    differently."""
     out = coefs[0] * arrays[0]
     for i in range(1, len(arrays)):
         out = out + coefs[i] * arrays[i]
     return out
 
 
-def _check_replication(workers: list[WorkerState], center: CenterState) -> None:
-    for wk in workers:
-        if not np.array_equal(wk.v_prev, center.v_prev):
-            raise BoundViolationError("broadcast replication", wk.i, "mismatch", "bit-equal")
+def _initial_point(problem, w0) -> np.ndarray:
+    """``w0`` as a float vector of dimension d; zeros if None."""
+    w0 = np.zeros(problem.d) if w0 is None else np.asarray(w0, dtype=np.float64)
+    if w0.shape != (problem.d,):
+        raise InvalidInputError(f"w0 must have dim {problem.d} (got shape {w0.shape})")
+    return w0
 
 
-def _exchange(
-    workers: list[WorkerState],
-    center: CenterState,
-    payloads: list[np.ndarray],
-    stage_budget: float,
-    seed: int,
-    run_index: int,
-    round_index: int,
-    float_bits: int,
-    agg_coefs: np.ndarray,
-):
-    """One difference-encoded uplink/aggregate/downlink exchange.
+def _uplink(S, i, target, spec, seed, run_index, round_index, float_bits):
+    """Node ``i`` encodes ``target - S[i]``; sender and center apply the
+    decoded message to the one accumulator row ``S[i]``.  Returns
+    (encoded difference, message)."""
+    diff = target - S[i]
+    msg = quantize(diff, spec, stream(seed, run_index, round_index, i, UPLINK), float_bits)
+    S[i] += msg.decoded
+    return diff, msg
 
-    Returns (v_k, up_bits, down_payload_bits, max fraction, max message bits).
+
+def _exchange(S, v, payloads, stage_budget, seed, run_index, round_index, float_bits, coefs):
+    """One difference-encoded uplink/aggregate/downlink exchange; updates
+    the accumulators ``S`` and the broadcast ``v`` in place.
+
+    Returns (up_bits, down_payload_bits, max fraction, max message bits).
     """
-    d = len(center.v_prev)
-    spec = QuantSpec(max_error=stage_budget, dim=d)
+    spec = QuantSpec(max_error=stage_budget, dim=len(v))
     up_bits = 0
     max_bits = 0
     max_fraction = 0.0
-    for wk, target in zip(workers, payloads):
-        diff = target - wk.s_prev
-        rng = stream(seed, run_index, round_index, wk.i, UPLINK)
-        msg = quantize(diff, spec, rng, float_bits)
-        wk.s_prev = wk.s_prev + msg.decoded
-        center.s_replicas[wk.i] = center.s_replicas[wk.i] + msg.decoded
-        if not np.array_equal(wk.s_prev, center.s_replicas[wk.i]):
-            raise BoundViolationError("accumulator replication", round_index, wk.i, "bit-equal")
+    for i, target in enumerate(payloads):
+        diff, msg = _uplink(S, i, target, spec, seed, run_index, round_index, float_bits)
         up_bits += msg.bits
         max_bits = max(max_bits, msg.bits)
         if stage_budget > 0.0:
             max_fraction = max(max_fraction, float(np.linalg.norm(diff)) / stage_budget)
 
-    s_k = _weighted_sum(center.s_replicas, agg_coefs)
-    down_diff = s_k - center.v_prev
+    down_diff = _weighted_sum(S, coefs) - v
     rng = stream(seed, run_index, round_index, 0, DOWNLINK)
     umsg = quantize(down_diff, spec, rng, float_bits)
-    center.v_prev = center.v_prev + umsg.decoded
-    for wk in workers:
-        wk.v_prev = wk.v_prev + umsg.decoded
-    _check_replication(workers, center)
+    v += umsg.decoded
     if stage_budget > 0.0:
         max_fraction = max(max_fraction, float(np.linalg.norm(down_diff)) / stage_budget)
     max_bits = max(max_bits, umsg.bits)
-    return center.v_prev, up_bits, umsg.bits, max_fraction, max_bits
+    return up_bits, umsg.bits, max_fraction, max_bits
 
 
-def _assert_budget(v_k, gbar, budget, round_index):
+def _assert_budget(v_k, gbar, budget, round_index) -> float:
+    """Raise unless ``|v_k - gbar| <= budget`` (up to float dust); returns the error."""
     err = float(np.linalg.norm(v_k - gbar))
     allowed = budget * (1.0 + _REL_SLACK) + _ABS_DUST * (1.0 + float(np.linalg.norm(gbar)))
     if err > allowed:
         raise BoundViolationError("aggregate error budget", round_index, err, allowed)
+    return err
 
 
 def _require(violations: list[str]) -> None:
@@ -224,7 +201,7 @@ def contraction_envelope(algorithm, problem, c_prime, s, T, w0=None, *, eta=None
     ``deed-sgd`` run's mean squared distance, for a met margin.  The
     momentum envelope's constants are in ``extras["accel_constants"]``."""
     c = contraction_factor(algorithm, problem, eta=eta, rho=rho)
-    w0 = np.zeros(problem.d) if w0 is None else np.asarray(w0, dtype=np.float64)
+    w0 = _initial_point(problem, w0)
     D0 = float(np.linalg.norm(w0 - problem.w_star))
     if algorithm == "deed-gd":
         return deterministic_bound(c, c_prime, eta, s, D0, T)
@@ -246,7 +223,8 @@ def check_envelope(traces, series, kind, squared, rows=None) -> None:
     ``squared=True`` checks the across-run mean squared distance plus
     three standard errors (none for a single run).  ``rows`` restricts
     the check (deed-fed: sync rows only).  Raises ``BoundViolationError``
-    at the first offending row, carrying ``traces``.
+    at the first offending row, carrying ``traces``; otherwise returns
+    the smallest slack (allowed minus observed) over the checked rows.
     """
     if squared:
         sq = np.stack([tr.dist**2 for tr in traces])
@@ -261,21 +239,12 @@ def check_envelope(traces, series, kind, squared, rows=None) -> None:
     if len(bad):
         t = int(bad[0])
         raise BoundViolationError(kind, t, observed[t], allowed[t], traces=traces)
+    return float(np.min(allowed[rows] - observed[rows]))
 
 
-def _init_states(problem, w0):
-    d = problem.d
-    w0 = np.zeros(d) if w0 is None else np.asarray(w0, dtype=np.float64)
-    if w0.shape != (d,):
-        raise InvalidInputError(f"w0 must have dim {d}")
-    workers = [
-        WorkerState(i=i, s_prev=np.zeros(d), v_prev=np.zeros(d), w=w0.copy())
-        for i in range(problem.N)
-    ]
-    center = CenterState(
-        s_replicas=[np.zeros(d) for _ in range(problem.N)], v_prev=np.zeros(d)
-    )
-    return w0, workers, center
+def _full_grads(problem):
+    """Grad source of the full-gradient engines: every node's gradient."""
+    return lambda k, q: [problem.full_grad(i, q) for i in range(problem.N)]
 
 
 def _frequent_run(
@@ -292,15 +261,22 @@ def _frequent_run(
     float_bits: int,
     w0,
     budget_total,  # callable round -> total v-vs-mean budget
+    differential: bool = True,
 ) -> RunTrace:
     """Shared loop for the frequent-communication engines; each of the
-    two encoding stages of a round gets half the round's total budget."""
+    two encoding stages of a round gets half the round's total budget.
+
+    Every node applies the same decoded messages, so the iterate, the
+    momentum memory and the broadcast ``v`` are held once, and the
+    per-node accumulators as one ``(N, d)`` array ``S``.
+    ``differential=False`` clears ``S`` and ``v`` at the start of every
+    round, so raw payloads rather than differences are encoded.
+    """
     n = problem.N
     coefs = np.full(n, 1.0 / n)
-    w0, workers, center = _init_states(problem, w0)
-    for wk in workers:
-        wk.x_prev = wk.w.copy()
-    y = w0.copy()  # lookahead point; equals w for the non-momentum engines
+    w = y = _initial_point(problem, w0)  # y: lookahead point
+    S = np.zeros((n, problem.d))
+    v = np.zeros(problem.d)
 
     dist = np.empty(T + 1)
     fgap = np.empty(T + 1)
@@ -311,38 +287,34 @@ def _frequent_run(
     max_msg_bits = np.zeros(T + 1, dtype=np.int64)
     vg_err = np.full(T + 1, np.nan)
 
-    def record(t: int) -> None:
-        x = workers[0].w
+    def record(t: int, x: np.ndarray) -> None:
         dist[t] = np.linalg.norm(x - problem.w_star)
         fgap[t] = problem.f_gap(x)
 
-    record(0)
+    record(0, w)
     for k in range(T):
-        query = y if tau is not None else workers[0].w
-        grads = grad_source(k, query)
+        if not differential:
+            S.fill(0.0)
+            v.fill(0.0)
+        grads = grad_source(k, w if tau is None else y)
         total = budget_total(k)
-        v_k, up, down_payload, frac, mbits = _exchange(
-            workers, center, grads, total / 2.0, seed, run_index, k, float_bits, coefs
+        up, down_payload, frac, mbits = _exchange(
+            S, v, grads, total / 2.0, seed, run_index, k, float_bits, coefs
         )
-        gbar = _weighted_sum(grads, coefs)
-        _assert_budget(v_k, gbar, total, k)
-        vg_err[k] = np.linalg.norm(v_k - gbar)
+        vg_err[k] = _assert_budget(v, _weighted_sum(grads, coefs), total, k)
 
         if tau is None:
-            for wk in workers:
-                wk.w = wk.w - eta * wk.v_prev
+            w = w - eta * v
         else:
-            for wk in workers:
-                x_next = y - eta * wk.v_prev
-                wk.x_prev, wk.w = wk.w, x_next
-            y = workers[0].w + tau * (workers[0].w - workers[0].x_prev)
+            x_prev, w = w, y - eta * v
+            y = w + tau * (w - x_prev)
 
         bits_up[k] = up
         bits_down[k] = n * down_payload  # broadcast charged per receiving link
         budgets[k] = total
         fractions[k] = frac
         max_msg_bits[k] = mbits
-        record(k + 1)
+        record(k + 1, w)
 
     return RunTrace(
         algorithm=algorithm,
@@ -399,13 +371,12 @@ def run_deed_gd(
     if check:
         _require(margin)
 
-    grads = lambda k, q: [problem.full_grad(i, q) for i in range(problem.N)]
     trace = _frequent_run(
         problem,
         algorithm="deed-gd",
         eta=eta,
         tau=None,
-        grad_source=grads,
+        grad_source=_full_grads(problem),
         T=T,
         seed=seed,
         run_index=run_index,
@@ -452,13 +423,12 @@ def run_adeed_gd(
     if check:
         _require(margin)
 
-    grads = lambda k, q: [problem.full_grad(i, q) for i in range(problem.N)]
     trace = _frequent_run(
         problem,
         algorithm="a-deed-gd",
         eta=1.0 / L,
         tau=tau,
-        grad_source=grads,
+        grad_source=_full_grads(problem),
         T=T,
         seed=seed,
         run_index=run_index,
@@ -502,13 +472,12 @@ def run_exact_gd(
     if eta is None:
         eta = 2.0 / (problem.L + problem.mu)
     _require(param_violations(problem, T, eta=eta))
-    grads = lambda k, q: [problem.full_grad(i, q) for i in range(problem.N)]
     trace = _frequent_run(
         problem,
         algorithm="gd",
         eta=eta,
         tau=None,
-        grad_source=grads,
+        grad_source=_full_grads(problem),
         T=T,
         seed=seed,
         run_index=run_index,
@@ -535,13 +504,12 @@ def run_exact_agd(
     _require(param_violations(problem, T))
     L, mu = problem.L, problem.mu
     tau = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
-    grads = lambda k, q: [problem.full_grad(i, q) for i in range(problem.N)]
     trace = _frequent_run(
         problem,
         algorithm="agd",
         eta=1.0 / L,
         tau=tau,
-        grad_source=grads,
+        grad_source=_full_grads(problem),
         T=T,
         seed=seed,
         run_index=run_index,
@@ -583,7 +551,8 @@ def run_const_error_gd(
     """Double-encoded gradient descent at a *fixed* absolute budget.
 
     Raw gradients (not differences) are quantized with per-stage error
-    ``fixed_eps / 2`` every round, so the iterates plateau at a level
+    ``fixed_eps / 2`` every round, so the broadcast is within ``fixed_eps``
+    of the mean gradient (asserted) and the iterates plateau at a level
     proportional to ``eta * fixed_eps`` instead of converging.
     """
     if eta is None:
@@ -591,49 +560,24 @@ def run_const_error_gd(
     if fixed_eps <= 0.0:
         raise ConfigError([f"requires fixed_eps > 0 (fixed_eps = {fixed_eps!r})"])
     _require(param_violations(problem, T, eta=eta))
-    n, d = problem.N, problem.d
-    w0v, workers, center = _init_states(problem, w0)
-    w = w0v.copy()
-    spec = QuantSpec(max_error=fixed_eps / 2.0, dim=d)
-
-    dist = np.empty(T + 1)
-    fgap = np.empty(T + 1)
-    bits_up = np.zeros(T + 1, dtype=np.int64)
-    bits_down = np.zeros(T + 1, dtype=np.int64)
-    dist[0] = np.linalg.norm(w - problem.w_star)
-    fgap[0] = problem.f_gap(w)
-    for k in range(T):
-        decoded = []
-        up = 0
-        for i in range(n):
-            g = problem.full_grad(i, w)
-            msg = quantize(g, spec, stream(seed, run_index, k, i, UPLINK), float_bits)
-            decoded.append(msg.decoded)
-            up += msg.bits
-        mean = _weighted_sum(decoded, np.full(n, 1.0 / n))
-        umsg = quantize(mean, spec, stream(seed, run_index, k, 0, DOWNLINK), float_bits)
-        w = w - eta * umsg.decoded
-        bits_up[k] = up
-        bits_down[k] = n * umsg.bits
-        dist[k + 1] = np.linalg.norm(w - problem.w_star)
-        fgap[k + 1] = problem.f_gap(w)
-
-    return RunTrace(
+    trace = _frequent_run(
+        problem,
         algorithm="const-quant-gd",
-        t=np.arange(T + 1),
-        dist=dist,
-        fgap=fgap,
-        bits_up=bits_up,
-        bits_down=bits_down,
-        budget=np.full(T + 1, fixed_eps),
-        extras={
-            "counting_mode": counting_mode,
-            "eta": eta,
-            "fixed_eps": fixed_eps,
-            "seed": seed,
-            "c": 1.0 - eta * problem.mu,
-        },
+        eta=eta,
+        tau=None,
+        grad_source=_full_grads(problem),
+        T=T,
+        seed=seed,
+        run_index=run_index,
+        counting_mode=counting_mode,
+        float_bits=float_bits,
+        w0=w0,
+        budget_total=lambda k: fixed_eps,
+        differential=False,
     )
+    trace.budget[-1] = fixed_eps
+    trace.extras.update({"fixed_eps": fixed_eps, "c": 1.0 - eta * problem.mu})
+    return trace
 
 
 def run_deed_sgd(
@@ -709,8 +653,7 @@ def fed_radius(problem, w0, trajectory_radius) -> float:
     ``trajectory_radius``, by default ``2 |w0 - w*|`` (``w0 = 0`` if None)."""
     if trajectory_radius is not None:
         return trajectory_radius
-    w0 = np.zeros(problem.d) if w0 is None else np.asarray(w0, dtype=np.float64)
-    return 2.0 * float(np.linalg.norm(w0 - problem.w_star))
+    return 2.0 * float(np.linalg.norm(_initial_point(problem, w0) - problem.w_star))
 
 
 def fed_violations(
@@ -786,8 +729,10 @@ def run_deed_fed(
     accumulator with per-stage error ``s eta_k / 2``; the center
     aggregates per the participation scheme and double-encodes the
     broadcast, after which every node restarts from the decoded average.
-    Trace rows are per iteration; bits and budgets sit on the sync rows
-    and record the communication that *produced* that row's iterate.
+    The broadcast's distance to the participants' weighted weights is
+    asserted every sync and recorded in ``extras["vg_err"]``.  Trace rows
+    are per iteration; bits and budgets sit on the sync rows and record
+    the communication that *produced* that row's iterate.
 
     With ``assert_envelope`` the across-run mean squared distance of the
     weighted average iterate is checked against ``v / (gamma + t)`` plus
@@ -795,48 +740,45 @@ def run_deed_fed(
     variance/second-moment constants certified on the ball of radius
     ``trajectory_radius`` (default ``2 |w0 - w*|``) around the optimum.
     """
+    w0 = _initial_point(problem, w0)
     _require(
         fed_violations(
             problem, E, beta, gamma, s, T_rounds, participation, K, trajectory_radius, w0
         )
     )
     T_total = T_rounds * E
-
     n, p = problem.N, problem.weights
-    w0v = np.zeros(problem.d) if w0 is None else np.asarray(w0, dtype=np.float64)
-    D0 = float(np.linalg.norm(w0v - problem.w_star))
-    radius = fed_radius(problem, w0, trajectory_radius)
 
     eta_at = lambda t: beta / (t + gamma)
     traces = []
     for r in range(mc_runs):
-        _, workers, center = _init_states(problem, w0)
+        W = np.tile(w0, (n, 1))  # local weights, one row per node
+        S = np.zeros((n, problem.d))
+        v = np.zeros(problem.d)
         dist = np.empty(T_total + 1)
         fgap = np.empty(T_total + 1)
         bits_up = np.zeros(T_total + 1, dtype=np.int64)
         bits_down = np.zeros(T_total + 1, dtype=np.int64)
         budgets = np.zeros(T_total + 1)
+        vg_err = np.full(T_total + 1, np.nan)
 
         def record(t):
-            wbar = _weighted_sum([wk.w for wk in workers], p)
+            wbar = _weighted_sum(W, p)
             dist[t] = np.linalg.norm(wbar - problem.w_star)
             fgap[t] = problem.f_gap(wbar)
 
         record(0)
         for t in range(T_total):
             eta_t = eta_at(t)
-            for wk in workers:
-                g = problem.stochastic_grad(
-                    wk.i, wk.w, stream(seed, r, t, wk.i, ROW_SAMPLE)
-                )
-                wk.w = wk.w - eta_t * g
+            for i in range(n):
+                g = problem.stochastic_grad(i, W[i], stream(seed, r, t, i, ROW_SAMPLE))
+                W[i] -= eta_t * g
             k = t + 1
             if k % E == 0:
-                up, down = _fed_sync(
-                    problem, workers, center, k, eta_at(k), s, participation, K,
+                bits_up[k], down, vg_err[k] = _fed_sync(
+                    problem, W, S, v, k, eta_at(k), s, participation, K,
                     seed, r, float_bits,
                 )
-                bits_up[k] = up
                 bits_down[k] = n * down
                 budgets[k] = s * eta_at(k)
             record(t + 1)
@@ -860,14 +802,17 @@ def run_deed_fed(
                 "seed": seed,
                 "run_index": r,
                 "bits_timing": "arriving",
+                "vg_err": vg_err,
             },
         )
         traces.append(trace)
 
     if assert_envelope:
+        radius = fed_radius(problem, w0, trajectory_radius)
         fed = estimate_fed_constants(
             problem, E, K if K is not None else n, participation, radius
         )
+        D0 = float(np.linalg.norm(w0 - problem.w_star))
         series = fed_bound(fed, beta, gamma, problem.mu, s, D0, T_total)
         for tr in traces:
             tr.extras["fed_constants"] = fed
@@ -880,54 +825,44 @@ def run_deed_fed(
 
 
 def _fed_sync(
-    problem, workers, center, k, eta_k, s, participation, K, seed, run_index, float_bits
+    problem, W, S, v, k, eta_k, s, participation, K, seed, run_index, float_bits
 ):
-    """One weight-difference sync; returns (uplink bits, broadcast payload bits)."""
-    n, d, p = problem.N, problem.d, problem.weights
+    """One weight-difference sync.  Updates ``S`` and ``v`` in place and
+    restarts every node from the broadcast; asserts that the broadcast
+    lies within ``(s eta_k / 2)(1 + sum_i c_i)`` of the participants'
+    weighted weights ``sum_i c_i W[i]`` (``s eta_k`` when the coefficients
+    sum to 1).  Returns (uplink bits, broadcast payload bits, that error).
+    """
+    n, p = problem.N, problem.weights
     stage = s * eta_k / 2.0
-    spec = QuantSpec(max_error=stage, dim=d)
+    spec = QuantSpec(max_error=stage, dim=problem.d)
 
     if participation == "full":
-        participants = list(range(n))
-        coef_of = {i: p[i] for i in participants}
+        participants, coefs = list(range(n)), p
     else:
         rng = stream(seed, run_index, k, 0, PARTICIPATION)
         if participation == "with-replacement":
-            draws = rng.choice(n, size=K, replace=True, p=p)
-            counts = np.bincount(draws, minlength=n)
-            participants = sorted(np.nonzero(counts)[0].tolist())
-            coef_of = {i: counts[i] / K for i in participants}
+            counts = np.bincount(rng.choice(n, size=K, replace=True, p=p), minlength=n)
+            participants = np.flatnonzero(counts).tolist()
+            coefs = counts[participants] / K
         else:
-            draws = rng.choice(n, size=K, replace=False)
-            participants = sorted(int(i) for i in draws)
-            coef_of = {i: (n / K) * p[i] for i in participants}
+            participants = sorted(rng.choice(n, size=K, replace=False).tolist())
+            coefs = (n / K) * p[participants]
 
     up = 0
     for i in participants:
-        wk = workers[i]
-        diff = wk.w - wk.s_prev
-        msg = quantize(diff, spec, stream(seed, run_index, k, i, UPLINK), float_bits)
-        wk.s_prev = wk.s_prev + msg.decoded
-        center.s_replicas[i] = center.s_replicas[i] + msg.decoded
-        if not np.array_equal(wk.s_prev, center.s_replicas[i]):
-            raise BoundViolationError("accumulator replication", k, i, "bit-equal")
-        up += msg.bits
+        up += _uplink(S, i, W[i], spec, seed, run_index, k, float_bits)[1].bits
 
-    # The replica of a participating worker now estimates that worker's
-    # current weights to within the uplink budget; the center aggregates
-    # the participants' estimates per the scheme's weighting (for K = N
-    # without replacement the coefficients equal the full-participation
-    # ones float-for-float, so the schemes coincide bitwise).
-    s_k = _weighted_sum(
-        [center.s_replicas[i] for i in participants],
-        np.array([coef_of[i] for i in participants]),
+    # Row i of S now estimates participant i's weights to within the
+    # uplink budget; the center aggregates the participants' estimates
+    # per the scheme's weighting (for K = N without replacement the
+    # coefficients equal the full-participation ones float-for-float, so
+    # the schemes coincide bitwise).
+    s_k = _weighted_sum(S[participants], coefs)
+    umsg = quantize(s_k - v, spec, stream(seed, run_index, k, 0, DOWNLINK), float_bits)
+    v += umsg.decoded
+    err = _assert_budget(
+        v, _weighted_sum(W[participants], coefs), stage * (1.0 + float(np.sum(coefs))), k
     )
-
-    down_diff = s_k - center.v_prev
-    umsg = quantize(down_diff, spec, stream(seed, run_index, k, 0, DOWNLINK), float_bits)
-    center.v_prev = center.v_prev + umsg.decoded
-    for wk in workers:
-        wk.v_prev = wk.v_prev + umsg.decoded
-        wk.w = wk.v_prev.copy()
-    _check_replication(workers, center)
-    return up, umsg.bits
+    W[:] = v
+    return up, umsg.bits, err

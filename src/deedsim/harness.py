@@ -69,7 +69,7 @@ def execute(cfg: RunConfig) -> RunResult:
     next to the simulated traces."""
     algo, rn, qt, fd = cfg.algorithm, cfg.run, cfg.quant, cfg.fed
     seed, mode, T = rn["master_seed"], rn["counting_mode"], cfg.T
-    w0 = np.asarray(rn["w0"], dtype=float) if rn["w0"] is not None else None
+    w0 = rn["w0"]
     fb = qt["float_bits"]
     violation = None
     try:
@@ -107,7 +107,7 @@ def execute(cfg: RunConfig) -> RunResult:
             raise ConfigError([f"unknown algorithm {algo!r}"])
     except BoundViolationError as exc:
         # An envelope violation arrives with the finished traces; a
-        # violation raised mid-run (budget, replication) carries none.
+        # violation raised mid-run (the aggregate error budget) carries none.
         if exc.traces is None:
             raise
         violation, out = exc, exc.traces
@@ -120,11 +120,7 @@ def compute_bound(cfg: RunConfig) -> BoundSeries | None:
     """The theoretical envelope matching a config, or None when the
     configuration sits outside the envelope's validity region."""
     problem, qt, rn = cfg.problem, cfg.quant, cfg.run
-    w0 = (
-        np.asarray(rn["w0"], dtype=float)
-        if rn["w0"] is not None
-        else np.zeros(problem.d)
-    )
+    w0 = engine._initial_point(problem, rn["w0"])
     D0 = float(np.linalg.norm(w0 - problem.w_star))
     if cfg.algorithm in ("deed-gd", "a-deed-gd", "deed-sgd"):
         args = (cfg.algorithm, problem, qt["c_prime"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from deedsim.engine import (
     run_exact_agd,
     run_exact_gd,
 )
-from deedsim.errors import ConfigError, InvalidInputError
+from deedsim.errors import BoundViolationError, ConfigError, InvalidInputError
 from deedsim.problems import estimate_rho, from_node_data, make_linreg
 from deedsim.theory import RecursionSpec, recursion_bound
 
@@ -337,3 +338,57 @@ def test_bits_to_accuracy_sync_timed(fed_problem):
     thr = float(tr.fgap[-1] * 2.0)
     t_star = int(np.nonzero(tr.fgap <= thr)[0][0])
     assert tr.bits_to_accuracy(thr) == int(tr.cum_bits[t_star])
+
+
+def test_fed_records_aggregate_error_on_sync_rows(fed_problem):
+    # |v - sum_i c_i w_i| is asserted at every sync and recorded there; with
+    # coefficients summing to 1 it sits within the round's budget s*eta_k.
+    beta, gamma = _fed_params(fed_problem)
+    for participation, K in (("full", None), ("with-replacement", 3)):
+        tr = run_deed_fed(fed_problem, beta=beta, gamma=gamma,
+                          participation=participation, K=K, **FED_ARGS)[0]
+        syncs = np.arange(4, 12 * 4 + 1, 4)
+        others = np.setdiff1d(np.arange(12 * 4 + 1), syncs)
+        vg = tr.extras["vg_err"]
+        assert np.all(vg[syncs] <= tr.budget[syncs]), participation
+        assert np.all(np.isnan(vg[others])), participation
+
+
+def _shifted_quantize(monkeypatch):
+    # A faulty codec: every decoded message lands 3 budgets off target.
+    from deedsim import engine
+
+    real = engine.quantize
+
+    def shifted(w, spec, *args):
+        msg = real(w, spec, *args)
+        decoded = msg.decoded.copy()
+        decoded[0] += 3.0 * spec.max_error
+        return dataclasses.replace(msg, decoded=decoded)
+
+    monkeypatch.setattr(engine, "quantize", shifted)
+
+
+def test_fed_faulty_codec_breaks_budget_chain(monkeypatch, fed_problem):
+    beta, gamma = _fed_params(fed_problem)
+    _shifted_quantize(monkeypatch)
+    with pytest.raises(BoundViolationError) as err:
+        run_deed_fed(fed_problem, beta=beta, gamma=gamma, participation="full",
+                     K=None, **FED_ARGS)
+    assert err.value.kind == "aggregate error budget"
+    assert err.value.t == FED_ARGS["E"]
+
+
+def test_const_error_faulty_codec_breaks_budget_chain(monkeypatch, small_problem):
+    _shifted_quantize(monkeypatch)
+    with pytest.raises(BoundViolationError) as err:
+        run_const_error_gd(small_problem, None, 20, fixed_eps=0.5, seed=6)
+    assert err.value.kind == "aggregate error budget"
+    assert err.value.t == 0
+
+
+def test_fed_w0_dimension_named(fed_problem):
+    beta, gamma = _fed_params(fed_problem)
+    with pytest.raises(InvalidInputError, match="w0 must have dim 8"):
+        run_deed_fed(fed_problem, beta=beta, gamma=gamma, participation="full",
+                     K=None, w0=np.ones(3), **FED_ARGS)

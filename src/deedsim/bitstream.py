@@ -165,6 +165,18 @@ class SparseIntVector:
                 raise InvalidInputError("values must be nonzero")
             prev = pos
 
+    @classmethod
+    def _unchecked(
+        cls, dim: int, positions: tuple[int, ...], values: tuple[int, ...]
+    ) -> "SparseIntVector":
+        """Build without ``__post_init__``'s checks, for producers that
+        guarantee them (the decoder and the quantizer)."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "values", values)
+        return self
+
     @property
     def nnz(self) -> int:
         return len(self.positions)
@@ -418,11 +430,13 @@ def decode_sparse(stream: BitStream, dim: int) -> SparseIntVector:
         _elias_end(buf, end + 1)
     if cursor != total:
         raise CorruptStreamError(f"{total - cursor} trailing bits")
+    if dim < 1:
+        raise InvalidInputError("dim must be positive")
+    # Gaps and magnitudes are Elias codes, so at least 1: positions rise
+    # strictly and values are nonzero, as the vector requires.
     values = np.where(signs, -mags, mags)
     del codes, gaps, mags, signs
-    return SparseIntVector(
-        dim=dim, positions=tuple(positions.tolist()), values=tuple(values.tolist())
-    )
+    return SparseIntVector._unchecked(dim, tuple(positions.tolist()), tuple(values.tolist()))
 
 
 def _floor_log2(n: np.ndarray) -> np.ndarray:

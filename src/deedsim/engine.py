@@ -120,14 +120,14 @@ def _exchange(S, v, payloads, stage_budget, seed, run_index, round_index, float_
         up_bits += msg.bits
         max_bits = max(max_bits, msg.bits)
         if stage_budget > 0.0:
-            max_fraction = max(max_fraction, float(np.linalg.norm(diff)) / stage_budget)
+            max_fraction = max(max_fraction, math.sqrt(diff.dot(diff)) / stage_budget)
 
     down_diff = _weighted_sum(S, coefs) - v
     rng = stream(seed, run_index, round_index, 0, DOWNLINK)
     umsg = quantize(down_diff, spec, rng, float_bits)
     v += umsg.decoded
     if stage_budget > 0.0:
-        max_fraction = max(max_fraction, float(np.linalg.norm(down_diff)) / stage_budget)
+        max_fraction = max(max_fraction, math.sqrt(down_diff.dot(down_diff)) / stage_budget)
     max_bits = max(max_bits, umsg.bits)
     return up_bits, umsg.bits, max_fraction, max_bits
 

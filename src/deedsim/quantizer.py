@@ -25,8 +25,9 @@ from .bitstream import (
     BitStream,
     SparseIntVector,
     elias_encode,
+    elias_length,
     encode_sparse,
-    sparse_payload_bits,
+    sparse_payload_bits,  # noqa: F401 -- quantize's bit count, inlined; perfbench traces this name
 )
 from .errors import InvalidInputError
 
@@ -126,10 +127,10 @@ def quantize(
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1 or len(w) != spec.dim:
         raise InvalidInputError(f"expected a vector of dim {spec.dim}")
-    if not np.isfinite(w).all():
-        raise InvalidInputError("input coordinates must be finite")
 
     if spec.lossless:
+        if not np.isfinite(w).all():
+            raise InvalidInputError("input coordinates must be finite")
         if float_bits < 1:
             raise InvalidInputError(f"float_bits must be >= 1 (float_bits = {float_bits!r})")
         return QuantizedMessage(
@@ -138,28 +139,42 @@ def quantize(
 
     step = spec.grid_step
     scaled = w / step
-    if np.abs(scaled).max() >= _GRID_LIMIT:
+    # One guard for both faults: a NaN fails every comparison.
+    if not np.abs(scaled).max() < _GRID_LIMIT:
+        if not np.isfinite(w).all():
+            raise InvalidInputError("input coordinates must be finite")
         raise InvalidInputError("scaled magnitude overflows the 64-bit grid")
 
     lo = np.floor(scaled)
-    frac = scaled - lo
-    # A coordinate is on-grid when some candidate decodes back to it exactly.
-    snap_lo = lo * step == w
-    snap_hi = (lo + 1.0) * step == w
-    randomized = (frac != 0.0) & ~snap_lo & ~snap_hi
-
-    up = snap_hi.copy()
-    if randomized.any():
-        draws = rng.random(int(randomized.sum()))
-        up[randomized] = draws < frac[randomized]
+    frac = np.subtract(scaled, lo, out=scaled)
+    # A coordinate is on-grid when some candidate decodes back to it
+    # exactly; the upper candidate wins when both do.  The rest with a
+    # fractional part take one draw each (on booleans, a > b is a & ~b).
+    up = (lo + 1.0) * step == w
+    randomized = np.logical_and(frac, lo * step != w)
+    np.greater(randomized, up, out=randomized)
+    n = np.count_nonzero(randomized)
+    if n:
+        up[randomized] = rng.random(n) < frac[randomized]
 
     grid_dense = (lo + up).astype(np.int64)
     decoded = grid_dense * step
-    idx = np.flatnonzero(grid_dense)
+    (idx,) = grid_dense.nonzero()
     positions = idx + 1
     values = grid_dense[idx]
-    grid = SparseIntVector(spec.dim, tuple(positions.tolist()), tuple(values.tolist()))
-    bits = sparse_payload_bits(positions, values)
+    # Payload bits, as ``sparse_payload_bits`` counts them: per entry
+    # Elias(gap) + sign + Elias(|value|), where an Elias code of n takes
+    # 2 floor(log2 n) + 1 bits.  Gaps and magnitudes share one buffer, and
+    # frexp gives n = m 2**e with 0.5 <= m < 1, so floor(log2 n) = e - 1.
+    # It is exact here: every magnitude came from a float.
+    nnz = len(idx)
+    buf = np.concatenate((positions, values))
+    buf[1:nnz] -= positions[:-1]
+    np.abs(buf, out=buf)
+    bits = elias_length(nnz + 1) - nnz + 2 * int(np.frexp(buf)[1].sum())
+    grid = SparseIntVector._unchecked(
+        spec.dim, tuple(positions.tolist()), tuple(values.tolist())
+    )
     return QuantizedMessage(spec=spec, grid=grid, decoded=decoded, bits=bits)
 
 

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from deedsim.bitstream import BitStream, decode_sparse, elias_decode, encode_sparse
+import quantize_reference as ref
+from deedsim.bitstream import BitStream, SparseIntVector, decode_sparse, elias_decode, encode_sparse
 from deedsim.errors import InvalidInputError
 from deedsim.quantizer import (
     QuantSpec,
@@ -238,3 +241,125 @@ def test_encoded_size_within_engineering_envelope():
         rel = float(rng.uniform(0.1, 1.0))
         msg = quantize(w, QuantSpec(rel, d), rng)
         assert msg.bits <= 4 * bits_upper_bound(d, rel)
+
+
+# -- the fast path against the frozen reference (tests/quantize_reference.py) --
+
+
+def _outcome(fn, w, spec, seed, float_bits):
+    """(message or error text, the generator's next draw afterwards)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    try:
+        out = fn(w, spec, rng, float_bits)
+    except InvalidInputError as err:
+        out = str(err)
+    return out, rng.random()
+
+
+def assert_matches_reference(w, spec, seed=0, float_bits=32):
+    got, got_next = _outcome(quantize, w, spec, seed, float_bits)
+    want, want_next = _outcome(ref.quantize, w, spec, seed, float_bits)
+    # The next draw agrees only if both consumed the same number of draws.
+    assert got_next == want_next
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert got.bits == want.bits
+    assert got.decoded.dtype == want.decoded.dtype
+    assert got.decoded.tobytes() == want.decoded.tobytes()
+    if want.grid is None:
+        assert got.grid is None
+        return
+    assert got.grid == want.grid
+    # The unchecked grid is one the checked constructor accepts.
+    assert SparseIntVector(got.grid.dim, got.grid.positions, got.grid.values) == want.grid
+    assert all(type(x) is int for x in got.grid.positions + got.grid.values)
+
+
+def _on_grid_cases(rng, d, step):
+    """On-grid vectors, their nextafter neighbours and mixtures of both."""
+    k = np.round(rng.normal(size=d) * 30)
+    on = k * step
+    yield on
+    yield np.nextafter(on, np.inf)
+    yield np.nextafter(on, -np.inf)
+    mixed = on.copy()
+    pick = rng.random(d) < 0.5
+    mixed[pick] = np.nextafter(on[pick], np.where(rng.random(int(pick.sum())) < 0.5, 1.0, -1.0) * np.inf)
+    yield mixed
+
+
+@pytest.mark.parametrize("d", [1, 2, 20, 100, 10_000])
+def test_quantize_matches_reference(d):
+    rng = np.random.default_rng(d)
+    repeats = 3 if d == 10_000 else 40
+    for rep in range(repeats):
+        max_error = float(rng.choice([1e-6, 0.05, 0.5, 3.0, math.sqrt(d)]))
+        spec = QuantSpec(max_error, d)
+        # |w| / budget over the range the runs send, and far beyond it.
+        for ratio in (0.4, 1.2, 27.0, 255.0, 1e6):
+            w = rng.normal(size=d)
+            w *= ratio * max_error / max(np.linalg.norm(w), 1e-300)
+            assert_matches_reference(w, spec, seed=rep)
+        for w in _on_grid_cases(rng, d, spec.grid_step):
+            assert_matches_reference(w, spec, seed=rep)
+        assert_matches_reference(np.zeros(d), spec, seed=rep)
+        assert_matches_reference(-np.zeros(d), spec, seed=rep)
+        assert_matches_reference(rng.normal(size=d), QuantSpec(0.0, d), seed=rep, float_bits=rep % 40)
+
+
+@pytest.mark.parametrize("d", [1, 2, 20, 100, 10_000])
+def test_quantize_grid_limit_matches_reference(d):
+    # max_error = sqrt(d) makes the grid step exactly 1, so w is |scaled|.
+    spec = QuantSpec(math.sqrt(d), d)
+    assert spec.grid_step == 1.0
+    top = float(np.nextafter(2.0**63, 0.0))
+    rng = np.random.default_rng(7)
+    for edge in (top, -top, 2.0**63, -(2.0**63), float(np.nextafter(2.0**63, np.inf))):
+        w = rng.normal(size=d)
+        w[rng.integers(d)] = edge
+        assert_matches_reference(w, spec)
+        assert_matches_reference(np.full(d, edge), spec)
+
+
+@pytest.mark.parametrize("d", [1, 2, 20, 100, 10_000])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_nonfinite_messages_match_reference(d, bad):
+    rng = np.random.default_rng(3)
+    for max_error in (0.5, 0.0):
+        spec = QuantSpec(max_error, d)
+        for float_bits in (32, 0):
+            w = rng.normal(size=d)
+            w[-1] = bad
+            assert_matches_reference(w, spec, float_bits=float_bits)
+            # A coordinate that overflows the grid does not change the message.
+            w[0] = 2.0**70
+            assert_matches_reference(w, spec, float_bits=float_bits)
+    with pytest.raises(InvalidInputError, match="^input coordinates must be finite$"):
+        quantize(np.full(d, bad), QuantSpec(0.5, d), np.random.default_rng(0))
+    big = np.full(d, 2.0**70)
+    with pytest.raises(InvalidInputError, match="^scaled magnitude overflows the 64-bit grid$"):
+        quantize(big, QuantSpec(0.5, d), np.random.default_rng(0))
+    assert_matches_reference(big, QuantSpec(0.5, d))
+
+
+def test_quantize_shape_errors_match_reference():
+    for w, spec in ((np.zeros(3), QuantSpec(0.5, 4)), (np.zeros((2, 2)), QuantSpec(0.5, 4)),
+                    (np.array([np.nan, 1.0]), QuantSpec(0.5, 3))):
+        assert_matches_reference(w, spec)
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@given(
+    st.integers(min_value=1, max_value=20).flatmap(lambda d: st.lists(any_float, min_size=d, max_size=d)),
+    st.sampled_from([0.0, 1e-300, 1e-9, 0.3, 1.0, 7.5, 1e12]),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=500, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_quantize_matches_reference_on_any_floats(coords, max_error, seed):
+    w = np.array(coords, dtype=np.float64)
+    assert_matches_reference(w, QuantSpec(max_error, len(w)), seed=seed)

@@ -59,8 +59,8 @@ def _cmd_bound(args) -> int:
     series = compute_bound(cfg)
     if series is None:
         print(
-            "no envelope applies to this configuration "
-            "(contraction margin c < c' not satisfied, or exact baseline)",
+            "no envelope applies to this configuration (contraction margin "
+            "c < c' < 1 not met, or agd at kappa = 1, where it degenerates)",
             file=sys.stderr,
         )
         return 1

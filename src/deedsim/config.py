@@ -2,16 +2,16 @@
 
 A config is a YAML mapping with blocks ``algorithm``, ``problem``,
 ``quant``, ``fed``, ``run`` and ``output``.  Parsing is strict: unknown
-keys are rejected, every violated precondition is reported (all of them,
-not just the first), and the named inequality appears verbatim in the
-message.  Validation constructs the problem and then applies the
-engines' own precondition checks (``engine.param_violations``,
-``margin_violations`` and ``fed_violations``), so preconditions that
-depend on problem constants (contraction factors, stepsize caps,
-schedule feasibility) are checked at parse time, by the same code and
-with the same messages as at run time.
+keys are rejected, every violation is reported (first all those of the
+config's shape, then all those of its values), and the named inequality
+appears verbatim in the message.  Value checks run on the constructed
+problem and are the engines' own (``engine.param_violations``,
+``margin_violations`` and ``fed_violations``): the same code and
+messages at parse time as at run time.  Each algorithm's horizon key,
+required ``quant`` and ``fed`` keys, stepsize rule and engine call are
+in its ``ALGORITHMS`` entry.
 
-Schema (defaults in parentheses):
+Schema (defaults in parentheses, * required):
 
     algorithm: deed-gd | a-deed-gd | deed-sgd | deed-fed | gd | agd | const-quant-gd
     problem:
@@ -20,20 +20,20 @@ Schema (defaults in parentheses):
       interpolating: bool (false)            w_star_scale: float (1.0)
       noise_scale: float (0.0)               l_spread: float (1.0)
       weights: [floats] (uniform)
-    quant:                # required for deed-* and const-quant-gd
+    quant:
       s: float            c_prime: float     float_bits: int >= 1 (32)
       fixed_eps: float    rho: float
-    fed:                  # required for deed-fed
-      local_steps*: int   beta*: float       gamma*: float
+    fed:
+      local_steps: int    beta: float        gamma: float
       participation: full | with-replacement | without-replacement (full)
       k_participants: int trajectory_radius: float > 0 (2 |w0 - w*|)
     run:
-      iterations: int >= 0  # frequent algorithms
-      rounds: int >= 0      # deed-fed
+      iterations: int >= 0  # horizon keys
+      rounds: int >= 0
       mc_runs: int (1)    master_seed: int (0)
       counting_mode: star-full | fully-connected | x2 (star-full)
       stepsize_mode: theory | experiment (theory)
-      eta: float          # explicit override
+      eta: float          # explicit override, where the stepsize rule is "config"
       w0: [floats]
     output:
       dir: str
@@ -42,6 +42,7 @@ Schema (defaults in parentheses):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import yaml
@@ -51,19 +52,49 @@ from .engine import COUNTING_MODES
 from .errors import ConfigError, DeedsimError
 from .problems import QuadraticProblem, estimate_rho, make_linreg
 
-__all__ = ["RunConfig", "parse_config", "parse_config_file", "ALGORITHMS"]
+__all__ = ["Algorithm", "RunConfig", "parse_config", "parse_config_file", "ALGORITHMS"]
 
-ALGORITHMS = (
-    "deed-gd",
-    "a-deed-gd",
-    "deed-sgd",
-    "deed-fed",
-    "gd",
-    "agd",
-    "const-quant-gd",
-)
 
-_QUANTIZED = ("deed-gd", "a-deed-gd", "deed-sgd", "deed-fed", "const-quant-gd")
+@dataclass(frozen=True)
+class Algorithm:
+    """One algorithm: what its config needs and how it runs.
+
+    ``stepsize`` is ``"config"`` (``run.eta``, else ``stepsize_mode``) or
+    the rule the engine fixes, which rejects ``run.eta``.  Required fed
+    keys give the federated envelope, a ``c_prime`` the contraction
+    envelope, and otherwise ``harness.compute_bound`` uses the recursion
+    of the unquantized method.  ``run(cfg, **common)`` calls the engine.
+    """
+
+    horizon: str  # run key holding T
+    quant: tuple[str, ...]  # required quant keys
+    run: Callable
+    fed: tuple[str, ...] = ()  # required fed keys
+    stepsize: str = "config"
+
+
+_CODED = ("s", "c_prime")
+
+ALGORITHMS = {
+    "deed-gd": Algorithm("iterations", _CODED, lambda c, **kw: engine.run_deed_gd(
+        c.problem, c.eta, c.quant["c_prime"], c.quant["s"], c.T, **kw)),
+    "a-deed-gd": Algorithm("iterations", _CODED, lambda c, **kw: engine.run_adeed_gd(
+        c.problem, c.quant["c_prime"], c.quant["s"], c.T, **kw), stepsize="1/L"),
+    "deed-sgd": Algorithm("iterations", _CODED, lambda c, **kw: engine.run_deed_sgd(
+        c.problem, c.quant["c_prime"], c.quant["s"], c.T, mc_runs=c.run["mc_runs"],
+        rho=c.rho, **kw), stepsize="1/(rho L)"),
+    "deed-fed": Algorithm("rounds", ("s",), lambda c, **kw: engine.run_deed_fed(
+        c.problem, c.fed["local_steps"], c.fed["beta"], c.fed["gamma"], c.quant["s"], c.T,
+        c.fed["participation"], c.fed["k_participants"], mc_runs=c.run["mc_runs"],
+        trajectory_radius=c.fed["trajectory_radius"], **kw),
+        fed=("local_steps", "beta", "gamma"), stepsize="beta/(t+gamma)"),
+    "gd": Algorithm("iterations", (), lambda c, **kw: engine.run_exact_gd(
+        c.problem, c.eta, c.T, **kw)),
+    "agd": Algorithm("iterations", (), lambda c, **kw: engine.run_exact_agd(
+        c.problem, c.T, **kw), stepsize="1/L"),
+    "const-quant-gd": Algorithm("iterations", ("fixed_eps",), lambda c, **kw: (
+        engine.run_const_error_gd(c.problem, c.eta, c.T, c.quant["fixed_eps"], **kw))),
+}
 
 _SCHEMA = {
     "problem": {
@@ -123,8 +154,12 @@ class RunConfig:
     warnings: list[str] = field(default_factory=list)
 
     @property
+    def spec(self) -> Algorithm:
+        return ALGORITHMS[self.algorithm]
+
+    @property
     def T(self) -> int:
-        return self.run["rounds"] if self.algorithm == "deed-fed" else self.run["iterations"]
+        return self.run[self.spec.horizon]
 
 
 def _check_block(name: str, raw: dict, violations: list[str]) -> dict:
@@ -135,21 +170,14 @@ def _check_block(name: str, raw: dict, violations: list[str]) -> dict:
             violations.append(f"unknown key {name}.{key}")
             continue
         expected, _ = schema[key]
+        # bool is an int subclass; keep booleans out of non-boolean fields
+        if isinstance(value, bool) and expected is not bool:
+            violations.append(f"{name}.{key} must not be a boolean")
+            continue
         if value is not None and not isinstance(value, expected):
-            # bool is an int subclass; keep booleans out of numeric fields
-            if isinstance(value, bool) and expected is not bool and not (
-                isinstance(expected, tuple) and bool in expected
-            ):
-                violations.append(f"{name}.{key} must not be a boolean")
-                continue
             violations.append(
                 f"{name}.{key} has type {type(value).__name__}, expected {expected}"
             )
-            continue
-        if isinstance(value, bool) and not (
-            expected is bool or (isinstance(expected, tuple) and bool in expected)
-        ):
-            violations.append(f"{name}.{key} must not be a boolean")
             continue
         out[key] = value
     for key, (_, default) in schema.items():
@@ -181,7 +209,8 @@ def parse_config(text: str) -> RunConfig:
             violations.append(f"unknown key {key}")
 
     algorithm = data.get("algorithm")
-    if algorithm not in ALGORITHMS:
+    spec = ALGORITHMS.get(algorithm) if isinstance(algorithm, str) else None
+    if spec is None:
         violations.append(
             f"algorithm must be one of {', '.join(ALGORITHMS)} (got {algorithm!r})"
         )
@@ -196,57 +225,15 @@ def parse_config(text: str) -> RunConfig:
             raw = {}
         blocks[name] = _check_block(name, raw, violations)
 
-    pb = blocks["problem"]
+    pb, qt, fd, rn = (blocks[name] for name in ("problem", "quant", "fed", "run"))
     for key in ("seed", "d", "n_nodes", "kappa", "rows_per_node"):
         if pb.get(key) is None:
             violations.append(f"problem.{key} is required")
-
-    rn = blocks["run"]
-    if rn["counting_mode"] not in COUNTING_MODES:
-        violations.append(
-            f"run.counting_mode must be one of {', '.join(COUNTING_MODES)}"
-        )
-    if rn["stepsize_mode"] not in ("theory", "experiment"):
-        violations.append("run.stepsize_mode must be 'theory' or 'experiment'")
-    if rn["mc_runs"] is not None and rn["mc_runs"] < 1:
-        violations.append("run.mc_runs must be >= 1")
-
-    if algorithm == "deed-fed":
-        if rn.get("rounds") is None:
-            violations.append("run.rounds is required for deed-fed")
-    elif algorithm in ALGORITHMS:
-        if rn.get("iterations") is None:
-            violations.append("run.iterations is required")
-
-    qt = blocks["quant"]
-    if algorithm in _QUANTIZED:
-        if algorithm == "const-quant-gd":
-            if qt.get("fixed_eps") is None:
-                violations.append("quant.fixed_eps is required for const-quant-gd")
-            elif qt["fixed_eps"] <= 0:
-                violations.append(
-                    f"requires fixed_eps > 0 (fixed_eps = {qt['fixed_eps']!r})"
-                )
-        else:
-            if qt.get("s") is None:
-                violations.append("quant.s is required")
-            elif qt["s"] < 0:
-                violations.append(f"requires s >= 0 (s = {qt['s']!r})")
-            if qt.get("c_prime") is None:
-                violations.append("quant.c_prime is required")
-            elif not 0.0 < qt["c_prime"] < 1.0:
-                violations.append(
-                    f"requires c < c' < 1 (c_prime = {qt['c_prime']!r} is outside (0, 1))"
-                )
-
-    if qt["float_bits"] is None or qt["float_bits"] < 1:
-        violations.append(f"requires float_bits >= 1 (float_bits = {qt['float_bits']!r})")
-
-    fd = blocks["fed"]
-    if algorithm == "deed-fed":
-        for key in ("local_steps", "beta", "gamma"):
-            if fd.get(key) is None:
-                violations.append(f"fed.{key} is required for deed-fed")
+    if spec is not None:
+        for block, keys in (("run", (spec.horizon,)), ("quant", spec.quant), ("fed", spec.fed)):
+            for key in keys:
+                if blocks[block][key] is None:
+                    violations.append(f"{block}.{key} is required for {algorithm}")
 
     if violations:
         raise ConfigError(violations)
@@ -270,44 +257,52 @@ def parse_config(text: str) -> RunConfig:
     except DeedsimError as exc:
         raise ConfigError([f"problem construction failed: {exc}"]) from None
 
+    if rn["counting_mode"] not in COUNTING_MODES:
+        violations.append(
+            f"run.counting_mode must be one of {', '.join(COUNTING_MODES)}"
+        )
+    if rn["stepsize_mode"] not in ("theory", "experiment"):
+        violations.append("run.stepsize_mode must be 'theory' or 'experiment'")
+    if rn["mc_runs"] is not None and rn["mc_runs"] < 1:
+        violations.append("run.mc_runs must be >= 1")
+    if qt["float_bits"] is None or qt["float_bits"] < 1:
+        violations.append(f"requires float_bits >= 1 (float_bits = {qt['float_bits']!r})")
     w0 = rn["w0"]
     if w0 is not None and len(w0) != problem.d:
         violations.append(f"run.w0 must have length d = {problem.d}")
         w0 = None
 
-    T = rn["rounds"] if algorithm == "deed-fed" else rn["iterations"]
+    T = rn[spec.horizon]
     eta = rho = None
-    if algorithm == "deed-fed":
-        violations.extend(
-            engine.fed_violations(
-                problem, fd["local_steps"], fd["beta"], fd["gamma"], qt["s"], T,
-                fd["participation"], fd["k_participants"], fd["trajectory_radius"], w0,
-            )
+    found = []  # the algorithm's own preconditions
+    if spec.stepsize == "config":
+        eta = _resolve_eta(rn, problem)
+    elif rn["eta"] is not None:
+        found.append(f"{algorithm} fixes eta = {spec.stepsize}; run.eta is not accepted")
+    if spec.fed:
+        found += engine.fed_violations(
+            problem, fd["local_steps"], fd["beta"], fd["gamma"], qt["s"], T,
+            fd["participation"], fd["k_participants"], fd["trajectory_radius"], w0,
         )
-    elif algorithm == "deed-sgd":
-        if not problem.interpolating:
-            violations.append("deed-sgd requires problem.interpolating = true")
-        else:
+    else:
+        found += engine.param_violations(
+            problem, T, eta=eta, **{key: qt[key] for key in spec.quant}
+        )
+    if spec.stepsize == "1/(rho L)":
+        if problem.interpolating:
             rho = qt["rho"] if qt["rho"] is not None else estimate_rho(problem)
             eta = 1.0 / (rho * problem.L)
-            violations.extend(
-                engine.margin_violations(algorithm, problem, qt["c_prime"], rho=rho)
-            )
-        violations.extend(engine.param_violations(problem, T))
-    else:
-        if algorithm in ("a-deed-gd", "agd"):
-            if rn["eta"] is not None:
-                violations.append(f"{algorithm} fixes eta = 1/L; run.eta is not accepted")
         else:
-            eta = _resolve_eta(rn, problem)
-        found = engine.param_violations(problem, T, eta=eta)
-        violations.extend(found)
-        if algorithm in ("deed-gd", "a-deed-gd") and not found:
-            margin = engine.margin_violations(algorithm, problem, qt["c_prime"], eta=eta)
-            if rn["stepsize_mode"] == "theory":
-                violations.extend(margin)
-            else:
-                warnings.extend(m + " -- envelope assertions disabled" for m in margin)
+            found.append(f"{algorithm} requires problem.interpolating = true")
+    if "c_prime" in spec.quant and not found:
+        margin = engine.margin_violations(algorithm, problem, qt["c_prime"], eta=eta, rho=rho)
+        # Experiment mode relaxes the margin where the engine then skips
+        # its envelope; the stochastic engine always needs the margin.
+        if rn["stepsize_mode"] == "experiment" and spec.stepsize != "1/(rho L)":
+            warnings.extend(m + " -- envelope assertions disabled" for m in margin)
+        else:
+            found += margin
+    violations += found
 
     if violations:
         raise ConfigError(violations)

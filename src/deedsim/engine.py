@@ -146,9 +146,10 @@ def _require(violations: list[str]) -> None:
         raise ConfigError(violations)
 
 
-def param_violations(problem, T, *, eta=None, c_prime=None, s=None) -> list[str]:
-    """Horizon, stepsize, margin-range and budget-scale preconditions
-    shared by the engines; a check whose argument is None is skipped."""
+def param_violations(problem, T, *, eta=None, c_prime=None, s=None, fixed_eps=None) -> list[str]:
+    """Horizon, stepsize, margin-range, budget-scale and fixed-budget
+    preconditions shared by the engines; a check whose argument is None
+    is skipped."""
     violations = []
     if T < 0:
         violations.append(f"requires T >= 0 (T = {T!r})")
@@ -162,6 +163,8 @@ def param_violations(problem, T, *, eta=None, c_prime=None, s=None) -> list[str]
         violations.append(f"requires c < c' < 1 (c_prime = {c_prime!r})")
     if s is not None and s < 0.0:
         violations.append(f"requires s >= 0 (s = {s!r})")
+    if fixed_eps is not None and not fixed_eps > 0.0:
+        violations.append(f"requires fixed_eps > 0 (fixed_eps = {fixed_eps!r})")
     return violations
 
 
@@ -557,9 +560,7 @@ def run_const_error_gd(
     """
     if eta is None:
         eta = 2.0 / (problem.L + problem.mu)
-    if fixed_eps <= 0.0:
-        raise ConfigError([f"requires fixed_eps > 0 (fixed_eps = {fixed_eps!r})"])
-    _require(param_violations(problem, T, eta=eta))
+    _require(param_violations(problem, T, eta=eta, fixed_eps=fixed_eps))
     trace = _frequent_run(
         problem,
         algorithm="const-quant-gd",

@@ -67,44 +67,13 @@ def execute(cfg: RunConfig) -> RunResult:
     """Run the configured algorithm once; an envelope violation is
     captured, not raised, so the caller can report the offending row
     next to the simulated traces."""
-    algo, rn, qt, fd = cfg.algorithm, cfg.run, cfg.quant, cfg.fed
-    seed, mode, T = rn["master_seed"], rn["counting_mode"], cfg.T
-    w0 = rn["w0"]
-    fb = qt["float_bits"]
+    rn = cfg.run
     violation = None
     try:
-        if algo == "deed-gd":
-            out = engine.run_deed_gd(
-                cfg.problem, cfg.eta, qt["c_prime"], qt["s"], T, seed, mode,
-                float_bits=fb, w0=w0,
-            )
-        elif algo == "a-deed-gd":
-            out = engine.run_adeed_gd(
-                cfg.problem, qt["c_prime"], qt["s"], T, seed, mode, float_bits=fb, w0=w0
-            )
-        elif algo == "gd":
-            out = engine.run_exact_gd(
-                cfg.problem, cfg.eta, T, mode, float_bits=fb, w0=w0, seed=seed
-            )
-        elif algo == "agd":
-            out = engine.run_exact_agd(cfg.problem, T, mode, float_bits=fb, w0=w0, seed=seed)
-        elif algo == "const-quant-gd":
-            out = engine.run_const_error_gd(
-                cfg.problem, cfg.eta, T, qt["fixed_eps"], mode, seed, float_bits=fb, w0=w0
-            )
-        elif algo == "deed-sgd":
-            out = engine.run_deed_sgd(
-                cfg.problem, qt["c_prime"], qt["s"], T, seed, mode, rn["mc_runs"],
-                rho=cfg.rho, float_bits=fb, w0=w0,
-            )
-        elif algo == "deed-fed":
-            out = engine.run_deed_fed(
-                cfg.problem, fd["local_steps"], fd["beta"], fd["gamma"], qt["s"], T,
-                fd["participation"], fd["k_participants"], seed, mode, rn["mc_runs"],
-                trajectory_radius=fd["trajectory_radius"], float_bits=fb, w0=w0,
-            )
-        else:  # pragma: no cover - config layer rejects unknown tags
-            raise ConfigError([f"unknown algorithm {algo!r}"])
+        out = cfg.spec.run(
+            cfg, seed=rn["master_seed"], counting_mode=rn["counting_mode"],
+            float_bits=cfg.quant["float_bits"], w0=rn["w0"],
+        )
     except BoundViolationError as exc:
         # An envelope violation arrives with the finished traces; a
         # violation raised mid-run (the aggregate error budget) carries none.
@@ -117,41 +86,34 @@ def execute(cfg: RunConfig) -> RunResult:
 
 
 def compute_bound(cfg: RunConfig) -> BoundSeries | None:
-    """The theoretical envelope matching a config, or None when the
-    configuration sits outside the envelope's validity region."""
-    problem, qt, rn = cfg.problem, cfg.quant, cfg.run
-    w0 = engine._initial_point(problem, rn["w0"])
+    """The theoretical envelope matching a config (see ``config.Algorithm``),
+    or None when the contraction margin fails, or for ``agd`` at kappa = 1,
+    where the momentum envelope degenerates."""
+    problem, qt, spec, T = cfg.problem, cfg.quant, cfg.spec, cfg.T
+    w0 = engine._initial_point(problem, cfg.run["w0"])
     D0 = float(np.linalg.norm(w0 - problem.w_star))
-    if cfg.algorithm in ("deed-gd", "a-deed-gd", "deed-sgd"):
+    if spec.fed:
+        fd = cfg.fed
+        K = fd["k_participants"]
+        radius = engine.fed_radius(problem, w0, fd["trajectory_radius"])
+        fed = estimate_fed_constants(
+            problem, fd["local_steps"], problem.N if K is None else K, fd["participation"], radius
+        )
+        return fed_bound(
+            fed, fd["beta"], fd["gamma"], problem.mu, qt["s"], D0, T * fd["local_steps"]
+        )
+    if "c_prime" in spec.quant:
         args = (cfg.algorithm, problem, qt["c_prime"])
         if engine.margin_violations(*args, eta=cfg.eta, rho=cfg.rho):
             return None
-        return engine.contraction_envelope(
-            *args, qt["s"], rn["iterations"], w0, eta=cfg.eta, rho=cfg.rho
-        )
-    if cfg.algorithm == "deed-fed":
-        fd = cfg.fed
-        K = fd["k_participants"]
-        fed = estimate_fed_constants(
-            problem,
-            fd["local_steps"],
-            problem.N if K is None else K,
-            fd["participation"],
-            engine.fed_radius(problem, w0, fd["trajectory_radius"]),
-        )
-        return fed_bound(
-            fed, fd["beta"], fd["gamma"], problem.mu, qt["s"], D0,
-            rn["rounds"] * fd["local_steps"],
-        )
+        return engine.contraction_envelope(*args, qt["s"], T, w0, eta=cfg.eta, rho=cfg.rho)
     # Contraction envelope on the squared distance of the exact baselines
     # (noiseless) and of the fixed-budget run (noise eta * fixed_eps).
-    c = engine.contraction_factor(
-        "a-deed-gd" if cfg.algorithm == "agd" else "deed-gd", problem, eta=cfg.eta
-    )
-    if cfg.algorithm == "agd" and c == 0.0:
+    momentum = spec.stepsize == "1/L"
+    c = engine.contraction_factor("a-deed-gd" if momentum else "deed-gd", problem, eta=cfg.eta)
+    if momentum and c == 0.0:
         return None
-    T = rn["iterations"]
-    alpha = cfg.eta * qt["fixed_eps"] if cfg.algorithm == "const-quant-gd" else 0.0
+    alpha = cfg.eta * qt["fixed_eps"] if "fixed_eps" in spec.quant else 0.0
     return recursion_bound(RecursionSpec(np.full(T, c), np.full(T, alpha), D0), T)
 
 

@@ -60,6 +60,11 @@ class QuantSpec:
             raise InvalidInputError("dim must be positive")
         if not (self.max_error >= 0.0) or not math.isfinite(self.max_error):
             raise InvalidInputError("max_error must be finite and >= 0")
+        if self.max_error > 0.0 and self.grid_step == 0.0:
+            raise InvalidInputError(
+                f"max_error = {self.max_error!r} is too small: its grid step "
+                "max_error / sqrt(dim) underflows to 0"
+            )
 
     @property
     def grid_step(self) -> float:

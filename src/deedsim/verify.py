@@ -238,7 +238,9 @@ def _c4_gd_envelope(cache: _Cache) -> tuple[bool, str]:
     c = big.extras["c"]
     D0 = float(np.linalg.norm(prob.w_star))
     series = deterministic_bound(c, 0.97, eta, 50.0, D0, len(big.t) - 1)
-    if not np.all(big.dist <= series.bound * (1 + 1e-9) + 1e-12):
+    try:
+        engine.check_envelope([big], series, "d=100 envelope", squared=False)
+    except BoundViolationError:
         return False, "d=100 trace exceeds its envelope"
     return True, "; ".join(msgs)
 

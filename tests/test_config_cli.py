@@ -86,6 +86,38 @@ FED_VALID = FED_CFG.replace("BETA", "1000.0").replace("GAMMA", "100000.0")
 FED_BLOCK = {"local_steps": 3, "beta": 1000.0, "gamma": 100000.0}
 
 
+def test_fed_needs_no_c_prime(tmp_path):
+    # deed-fed never reads quant.c_prime: without it the config parses and
+    # writes the same bytes.
+    text = FED_VALID.replace("quant: {s: 1.0, c_prime: 0.9}", "quant: {s: 1.0}")
+    assert "c_prime" not in text
+    cmd_run(parse_config(FED_VALID), str(tmp_path / "with"))
+    cmd_run(parse_config(text), str(tmp_path / "without"))
+    names = sorted(os.listdir(tmp_path / "with"))
+    assert "bound.csv" in names and names == sorted(os.listdir(tmp_path / "without"))
+    for name in names:
+        assert (tmp_path / "with" / name).read_bytes() == (
+            tmp_path / "without" / name
+        ).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "text, rule",
+    [
+        (MINIMAL.replace("deed-gd", "a-deed-gd"), "1/L"),
+        (MINIMAL.replace("deed-gd", "agd").replace("quant: {s: 0.1, c_prime: 0.9}", ""), "1/L"),
+        (SGD_CFG, "1/(rho L)"),
+        (FED_VALID, "beta/(t+gamma)"),
+    ],
+    ids=["a-deed-gd", "agd", "deed-sgd", "deed-fed"],
+)
+def test_eta_rejected_where_the_engine_sets_the_stepsize(text, rule):
+    algorithm = parse_config(text).algorithm
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.replace("run: {", "run: {eta: 5.0, "))
+    assert err.value.violations == [f"{algorithm} fixes eta = {rule}; run.eta is not accepted"]
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -448,3 +480,13 @@ def test_cli_compare(tmp_path, capsys):
     assert rc == 0
     table = json.loads(capsys.readouterr().out)
     assert [r["algorithm"] for r in table["rows"]] == ["deed-gd", "gd"]
+
+
+def test_cli_bound_without_envelope(tmp_path, capsys):
+    # agd at kappa = 1 has c = 0, where the momentum envelope degenerates.
+    text = SCALAR_CFG.replace("deed-gd", "agd").replace("eta: 1.0, ", "")
+    path = tmp_path / "agd.yaml"
+    path.write_text(text.replace("quant: {s: 1.0, c_prime: 0.5}\n", ""))
+    assert main(["bound", str(path), "--out", str(tmp_path)]) == 1
+    assert "agd at kappa = 1" in capsys.readouterr().err
+    assert not (tmp_path / "bound.csv").exists()

@@ -6,13 +6,16 @@ byte-identical for a fixed config; a change that alters them on purpose
 declares a determinism-contract change and re-records these hashes.
 """
 
+import dataclasses
 import glob
 import hashlib
 import os
 
+import numpy as np
 import pytest
 import yaml
 
+from deedsim import harness
 from deedsim.config import parse_config
 from deedsim.harness import cmd_run
 
@@ -22,6 +25,11 @@ CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 CAPS = {"iterations": 100, "rounds": 12, "mc_runs": 4}
 
 GOLDEN = {
+    "agd_baseline.yaml": {
+        "bound.csv": "66efd442a37c289c03361207641a7fea781f00d487c4e3d0ae5327227232bd72",
+        "summary.json": "bb3bda360a5b05432290f5d79a810ff2f085278064491d101d7e38450fc58827",
+        "trace.csv": "cf2b342957361deac3aa28cf0891ba46c612137d997452dc354b7395c56db1dc",
+    },
     "a_deed_gd.yaml": {
         "bound.csv": "e4e4818468863e081dd1ed98b460ee67432190e722d0b8ea34efb89797e3f690",
         "summary.json": "8d14e0dd9897e46f55f8511af398a45787240def3c7c128391a7052e0f1fa01e",
@@ -93,3 +101,26 @@ def test_every_config_has_a_golden_entry():
 def test_golden_output_hashes(name, tmp_path):
     cfg = _capped_config(os.path.join(CONFIG_DIR, name))
     assert _output_hashes(cfg, tmp_path) == GOLDEN[name]
+
+
+def test_deed_fed_bound_matches_engine_certificate(monkeypatch):
+    # deed-fed certifies its constants twice, in the engine and in
+    # compute_bound; the bound.csv is only the engine's envelope while the
+    # two certificates agree exactly.
+    certified = []
+    real = harness.estimate_fed_constants
+
+    def spy(*args, **kwargs):
+        certified.append(real(*args, **kwargs))
+        return certified[-1]
+
+    monkeypatch.setattr(harness, "estimate_fed_constants", spy)
+    result = harness.execute(_capped_config(os.path.join(CONFIG_DIR, "deed_fed.yaml")))
+    (bound_constants,) = certified
+    for trace in result.traces:
+        assert trace.extras["v"] == result.bound.extras["v"]
+        engine_constants = trace.extras["fed_constants"]
+        for f in dataclasses.fields(bound_constants):
+            np.testing.assert_array_equal(
+                getattr(engine_constants, f.name), getattr(bound_constants, f.name)
+            )

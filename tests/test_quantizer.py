@@ -145,6 +145,16 @@ def test_invalid_inputs():
         quantize(np.array([1e19]), QuantSpec(1e-3, 1), rng)
 
 
+@pytest.mark.parametrize("max_error, dim", [(5e-324, 4), (1e-322, 10**6)])
+def test_spec_rejects_budget_whose_grid_step_underflows(max_error, dim):
+    # A positive budget with a zero grid step has no grid to quantize on;
+    # quantize would blame a 64-bit overflow instead.
+    with pytest.raises(InvalidInputError, match=r"^max_error = .* underflows to 0$"):
+        QuantSpec(max_error, dim)
+    assert QuantSpec(max_error, 2).grid_step > 0.0
+    assert QuantSpec(0.0, dim).lossless
+
+
 def _decode_wire(msg):
     """Unpack ``msg.to_bytes()`` by hand: (dim, grid step, payload grid)."""
     data, nbits = msg.to_bytes()

@@ -11,7 +11,8 @@ messages at parse time as at run time.  Each algorithm's horizon key,
 required ``quant`` and ``fed`` keys, stepsize rule and engine call are
 in its ``ALGORITHMS`` entry.
 
-Schema (defaults in parentheses, * required):
+Schema (defaults in parentheses, * required; a key with a default may be
+omitted but not set to null):
 
     algorithm: deed-gd | a-deed-gd | deed-sgd | deed-fed | gd | agd | const-quant-gd
     problem:
@@ -30,7 +31,7 @@ Schema (defaults in parentheses, * required):
     run:
       iterations: int >= 0  # horizon keys
       rounds: int >= 0
-      mc_runs: int (1)    master_seed: int (0)
+      mc_runs: int >= 1 (1)                  master_seed: int >= 0 (0)
       counting_mode: star-full | fully-connected | x2 (star-full)
       stepsize_mode: theory | experiment (theory)
       eta: float          # explicit override, where the stepsize rule is "config"
@@ -45,7 +46,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import yaml
 
 from . import engine
 from .engine import COUNTING_MODES
@@ -169,10 +169,14 @@ def _check_block(name: str, raw: dict, violations: list[str]) -> dict:
         if key not in schema:
             violations.append(f"unknown key {name}.{key}")
             continue
-        expected, _ = schema[key]
+        expected, default = schema[key]
         # bool is an int subclass; keep booleans out of non-boolean fields
         if isinstance(value, bool) and expected is not bool:
             violations.append(f"{name}.{key} must not be a boolean")
+            continue
+        # An explicit null would override the default with a value no engine takes.
+        if value is None and default is not None:
+            violations.append(f"{name}.{key} must not be null")
             continue
         if value is not None and not isinstance(value, expected):
             violations.append(
@@ -193,6 +197,8 @@ def parse_config(text: str) -> RunConfig:
     stepsize mode) or to carry explicit warnings (experiment mode relaxes
     the contraction-margin inequality, whose envelope is then skipped).
     """
+    import yaml  # here, not at module level: ``import deedsim`` stays light
+
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -263,9 +269,11 @@ def parse_config(text: str) -> RunConfig:
         )
     if rn["stepsize_mode"] not in ("theory", "experiment"):
         violations.append("run.stepsize_mode must be 'theory' or 'experiment'")
-    if rn["mc_runs"] is not None and rn["mc_runs"] < 1:
+    if rn["mc_runs"] < 1:
         violations.append("run.mc_runs must be >= 1")
-    if qt["float_bits"] is None or qt["float_bits"] < 1:
+    if rn["master_seed"] < 0:
+        violations.append(f"run.master_seed must be >= 0 (master_seed = {rn['master_seed']})")
+    if qt["float_bits"] < 1:
         violations.append(f"requires float_bits >= 1 (float_bits = {qt['float_bits']!r})")
     w0 = rn["w0"]
     if w0 is not None and len(w0) != problem.d:

@@ -10,6 +10,10 @@ Constructed problems expose exact smoothness / strong-convexity
 constants, the exact optimum, per-row stochastic gradient oracles, a
 certified growth constant for the interpolation regime, and certified
 second-moment bounds for local-SGD analyses.
+
+scipy is imported inside the three solvers that call it
+(``solve_optimum``, ``estimate_rho`` and the trust-region step of
+``estimate_fed_constants``), so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import InvalidInputError, RankDeficiencyError
 
@@ -311,6 +313,8 @@ def solve_optimum(problem: QuadraticProblem) -> tuple[np.ndarray, float]:
     rhs = np.zeros(problem.d)
     for i in range(problem.N):
         rhs += problem.weights[i] * (problem.A[i].T @ problem.b[i]) / problem.A[i].shape[0]
+    import scipy.linalg
+
     try:
         c, low = scipy.linalg.cho_factor(H)
         w_star = scipy.linalg.cho_solve((c, low), rhs)
@@ -357,6 +361,8 @@ def estimate_rho(problem: QuadraticProblem) -> float:
         Wi, _, _ = _row_moment_matrices(problem, i)
         W += problem.weights[i] * Wi
     H = problem.hessian()
+    import scipy.linalg
+
     # Exact supremum of (x' W x) / (L x' H x): top generalized eigenvalue.
     vals, vecs = scipy.linalg.eigh(W, problem.L * H)
     top = float(vals[-1])
@@ -399,6 +405,8 @@ def _max_quadratic_on_ball(
         x0[-1] += math.sqrt(max(0.0, extra))
         x = vecs @ x0
     else:
+        import scipy.optimize
+
         hi = lam_max + gap
         while norm_at(hi) > radius:
             hi = lam_max + 2 * (hi - lam_max)

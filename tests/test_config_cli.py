@@ -222,6 +222,25 @@ def test_nonpositive_float_bits_rejected(text):
     assert any(v.startswith("requires float_bits >= 1") for v in err.value.violations)
 
 
+@pytest.mark.parametrize(
+    ("old", "new", "message"),
+    [
+        ("mc_runs: 3", "mc_runs: null", "run.mc_runs must not be null"),
+        ("master_seed: 5", "master_seed: null", "run.master_seed must not be null"),
+        ("master_seed: 5", "master_seed: -1", "run.master_seed must be >= 0 (master_seed = -1)"),
+        ("interpolating: true", "interpolating: true, l_spread: null",
+         "problem.l_spread must not be null"),
+    ],
+    ids=["mc_runs-null", "master_seed-null", "master_seed-negative", "l_spread-null"],
+)
+def test_null_or_negative_defaulted_keys_rejected(old, new, message):
+    # Each used to parse and then fail inside the engine with a bare
+    # TypeError or ValueError.
+    with pytest.raises(ConfigError) as err:
+        parse_config(SGD_CFG.replace(old, new))
+    assert err.value.violations == [message]
+
+
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL + "\nturbo: true\n")

@@ -84,7 +84,7 @@ def _hashed(word: int, h: int) -> tuple[tuple, int]:
 def _absorb(pool: tuple, h: int, word: int) -> tuple[tuple, int]:
     """Mix one entropy word into every pool word: ``pool[i] =
     mix(pool[i], hashmix(word))``.  Returns the pool and the running hash
-    constant.  ``_mix`` is written out: this runs on every stream."""
+    constant.  ``_mix`` is written out: this runs twice per stream."""
     (v0, v1, v2, v3), h = _hashed(word, h)
     x0, x1, x2, x3 = pool
     x0 = (_MIX_L * x0 - _MIX_R * v0) & _MASK32
@@ -132,7 +132,7 @@ def _readout_constants() -> tuple:
     return tuple(out)
 
 
-(_XOR0, _MUL0), (_XOR1, _MUL1), (_XOR2, _MUL2), (_XOR3, _MUL3) = _readout_constants()
+_READOUT = _readout_constants()
 
 
 class _Key(ISeedSequence):
@@ -153,19 +153,15 @@ def philox_key(master_seed: int, *labels: int) -> np.ndarray:
     .generate_state(2, np.uint64)``: the Philox key of a stream."""
     seed = int(master_seed)
     labels = tuple(map(int, labels))
-    # Runs share their (seed, run, round, node) prefix between the streams
-    # of a node in a round; only the last label (purpose) is mixed per call.
-    pool, h = _pool(seed, labels[:-1])
-    for label in labels[-1:]:
+    # Runs share their (seed, run, round) prefix across every message of a
+    # round; only the last two labels (node, purpose) are mixed per call.
+    pool, h = _pool(seed, labels[:-2])
+    for label in labels[-2:]:
         for word in _words(label):
             pool, h = _absorb(pool, h, word)
-    x0, x1, x2, x3 = pool
-    x0 = (x0 ^ _XOR0) * _MUL0 & _MASK32
-    x1 = (x1 ^ _XOR1) * _MUL1 & _MASK32
-    x2 = (x2 ^ _XOR2) * _MUL2 & _MASK32
-    x3 = (x3 ^ _XOR3) * _MUL3 & _MASK32
+    s0, s1, s2, s3 = [(x ^ c) * m & _MASK32 for x, (c, m) in zip(pool, _READOUT)]
     return np.array(
-        [x0 ^ x0 >> 16 | (x1 ^ x1 >> 16) << 32, x2 ^ x2 >> 16 | (x3 ^ x3 >> 16) << 32],
+        [s0 ^ s0 >> 16 | (s1 ^ s1 >> 16) << 32, s2 ^ s2 >> 16 | (s3 ^ s3 >> 16) << 32],
         dtype=np.uint64,
     )
 

@@ -230,12 +230,14 @@ def test_nonpositive_float_bits_rejected(text):
         ("master_seed: 5", "master_seed: -1", "run.master_seed must be >= 0 (master_seed = -1)"),
         ("interpolating: true", "interpolating: true, l_spread: null",
          "problem.l_spread must not be null"),
+        ("interpolating: true", "interpolating: null", "problem.interpolating must not be null"),
     ],
-    ids=["mc_runs-null", "master_seed-null", "master_seed-negative", "l_spread-null"],
+    ids=["mc_runs-null", "master_seed-null", "master_seed-negative", "l_spread-null",
+         "interpolating-null"],
 )
 def test_null_or_negative_defaulted_keys_rejected(old, new, message):
-    # Each used to parse and then fail inside the engine with a bare
-    # TypeError or ValueError.
+    # The first four used to raise a bare TypeError or ValueError, not a
+    # ConfigError; a null interpolating flag used to parse and run as false.
     with pytest.raises(ConfigError) as err:
         parse_config(SGD_CFG.replace(old, new))
     assert err.value.violations == [message]

@@ -27,7 +27,7 @@ omitted but not set to null):
     fed:
       local_steps: int    beta: float        gamma: float
       participation: full | with-replacement | without-replacement (full)
-      k_participants: int trajectory_radius: float > 0 (2 |w0 - w*|)
+      k_participants: int trajectory_radius: float, 0 < r < inf (2 |w0 - w*|)
     run:
       iterations: int >= 0  # horizon keys
       rounds: int >= 0

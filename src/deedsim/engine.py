@@ -676,10 +676,14 @@ def fed_violations(
         elif participation == "with-replacement" and K < 1:
             violations.append(f"requires K >= 1 (K = {K!r})")
     radius = fed_radius(problem, w0, trajectory_radius)
+    default = ", the default 2 |w0 - w*|" if trajectory_radius is None else ""
     if not radius > 0:
-        default = ", the default 2 |w0 - w*|" if trajectory_radius is None else ""
         violations.append(
             f"requires trajectory_radius > 0 (trajectory_radius = {radius!r}{default})"
+        )
+    elif radius == math.inf:
+        violations.append(
+            f"requires trajectory_radius < inf (trajectory_radius = {radius!r}{default})"
         )
     if E < 1:
         violations.append(f"requires E >= 1 (E = {E!r})")

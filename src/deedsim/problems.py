@@ -11,9 +11,10 @@ constants, the exact optimum, per-row stochastic gradient oracles, a
 certified growth constant for the interpolation regime, and certified
 second-moment bounds for local-SGD analyses.
 
-scipy is imported inside the three solvers that call it
-(``solve_optimum``, ``estimate_rho`` and the trust-region step of
-``estimate_fed_constants``), so importing the package does not load it.
+scipy is imported inside the two solvers that call it (``solve_optimum``
+and ``estimate_rho``, both ``scipy.linalg``), so importing the package does
+not load it.  The trust-region root of ``estimate_fed_constants`` comes
+from ``_brentq``, a bit-exact port of scipy's ``brentq``.
 """
 
 from __future__ import annotations
@@ -371,6 +372,76 @@ def estimate_rho(problem: QuadraticProblem) -> float:
     return 1.05 * max(float(x @ W @ x) / (problem.L * float(x @ H @ x)), top)
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of ``f`` in the sign-changing bracket ``[xa, xb]`` by Brent's method.
+
+    A line-for-line port of scipy's ``brentq.c`` (Brent, *Algorithms for
+    Minimization without Derivatives*, 1973): the same float operations in
+    the same order, so it returns the bits ``scipy.optimize.brentq`` does
+    (``tests/test_problems.py`` checks this against scipy).  A NaN value
+    or a bracket whose ends have the same sign raises ``InvalidInputError``;
+    ``maxiter`` iterations without convergence raise ``RuntimeError``.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise InvalidInputError(f"f({x!r}) is NaN; the root finder cannot continue")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise InvalidInputError(
+            f"f(a) and f(b) must have different signs (f({xpre!r}) = {fpre!r}, "
+            f"f({xcur!r}) = {fcur!r})"
+        )
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"brentq did not converge after {maxiter} iterations (x = {xcur!r})")
+
+
 def _max_quadratic_on_ball(
     M: np.ndarray, q: np.ndarray, c0: float, radius: float
 ) -> float:
@@ -378,8 +449,16 @@ def _max_quadratic_on_ball(
 
     Solved by eigendecomposition plus the secular equation of the
     trust-region stationarity condition ``(lam I - M) x = q`` with
-    ``lam >= lam_max(M)``, including the hard case.
+    ``lam >= lam_max(M)``, including the hard case.  A NaN objective
+    raises ``InvalidInputError`` rather than dropping out of the maximum.
     """
+
+    def objective(x: np.ndarray) -> float:
+        value = float(x @ M @ x + 2 * q @ x) + c0
+        if math.isnan(value):
+            raise InvalidInputError(f"the objective is NaN on the ball of radius {radius!r}")
+        return value
+
     vals, vecs = np.linalg.eigh(M)
     qt = vecs.T @ q
     lam_max = float(vals[-1])
@@ -389,7 +468,7 @@ def _max_quadratic_on_ball(
     if lam_max < 0:
         x = vecs @ (qt / -vals)
         if np.linalg.norm(x) <= radius:
-            best = max(best, float(x @ M @ x + 2 * q @ x) + c0)
+            best = max(best, objective(x))
 
     def norm_at(lam: float) -> float:
         return float(np.sqrt(np.sum((qt / (lam - vals)) ** 2)))
@@ -405,17 +484,12 @@ def _max_quadratic_on_ball(
         x0[-1] += math.sqrt(max(0.0, extra))
         x = vecs @ x0
     else:
-        import scipy.optimize
-
         hi = lam_max + gap
         while norm_at(hi) > radius:
             hi = lam_max + 2 * (hi - lam_max)
-        lam = scipy.optimize.brentq(
-            lambda t: norm_at(t) - radius, lam_max + gap, hi, xtol=1e-14, rtol=1e-14
-        )
+        lam = _brentq(lambda t: norm_at(t) - radius, lam_max + gap, hi, xtol=1e-14, rtol=1e-14)
         x = vecs @ (qt / (lam - vals))
-    best = max(best, float(x @ M @ x + 2 * q @ x) + c0)
-    return best
+    return max(best, objective(x))
 
 
 def estimate_fed_constants(
@@ -433,8 +507,10 @@ def estimate_fed_constants(
     ``full``, ``with-replacement`` (K draws by node weight, averaged by
     1/K) or ``without-replacement`` (K uniform draws, reweighted N/K).
     """
-    if trajectory_radius <= 0:
-        raise InvalidInputError("trajectory_radius must be positive")
+    if not 0 < trajectory_radius < math.inf:
+        raise InvalidInputError(
+            f"requires 0 < trajectory_radius < inf (trajectory_radius = {trajectory_radius!r})"
+        )
     if E < 1:
         raise InvalidInputError("E must be >= 1")
     N, R = problem.N, trajectory_radius

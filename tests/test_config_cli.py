@@ -157,6 +157,17 @@ def test_fed_preconditions_rejected_at_parse(override):
     assert parsed.value.violations == ran.value.violations
 
 
+def test_fed_infinite_radius_rejected_at_parse():
+    # On an infinite ball the certificate's objective is NaN; before this
+    # check max() dropped it, so G_sq and sigma_sq came out finite and wrong
+    # and the run reported its bounds as met.
+    text = FED_VALID.replace("fed: {", "fed: {trajectory_radius: .inf, ")
+    assert ".inf" in text
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(text)
+    assert parsed.value.violations == ["requires trajectory_radius < inf (trajectory_radius = inf)"]
+
+
 def test_fed_default_radius_zero_rejected_at_parse():
     # Starting at the optimum makes the default radius 2 |w0 - w*| zero;
     # certification needs a positive one, so the config fails at parse

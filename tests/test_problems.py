@@ -1,10 +1,15 @@
 import io
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deedsim.errors import InvalidInputError, RankDeficiencyError
 from deedsim.problems import (
+    _brentq,
     _max_quadratic_on_ball,
     estimate_fed_constants,
     estimate_rho,
@@ -217,6 +222,118 @@ def test_max_quadratic_on_ball_against_brute_force():
             best = max(best, float(x @ M @ x + 2 * q @ x) + c0)
         assert exact >= best - 1e-9 * max(1.0, abs(best))
         assert exact <= best + 0.35 * max(1.0, abs(best))  # sampling comes close
+
+
+def assert_brentq_matches_scipy(f, a, b, xtol=1e-14, rtol=1e-14, maxiter=100):
+    """``_brentq`` returns scipy's root bit for bit, or fails where scipy does."""
+    from scipy.optimize import brentq
+
+    try:
+        want = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    except RuntimeError:  # no convergence within maxiter
+        with pytest.raises(RuntimeError):
+            _brentq(f, a, b, xtol, rtol, maxiter)
+        return
+    except ValueError:  # same-sign bracket or a NaN value
+        with pytest.raises(InvalidInputError):
+            _brentq(f, a, b, xtol, rtol, maxiter)
+        return
+    got = _brentq(f, a, b, xtol, rtol, maxiter)
+    assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 7),
+    q_exp=st.floats(-8.0, 2.0),
+    top_exp=st.floats(-12.0, 0.0),
+    fill=st.floats(1e-6, 1.0 - 1e-12),
+)
+def test_brentq_matches_scipy_on_secular_equations(seed, d, q_exp, top_exp, fill):
+    # The secular equation and bracket of _max_quadratic_on_ball.  A small
+    # component of q on the top eigenvector and a radius just under the
+    # hard-case threshold put the root close to lam_max.
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((d, d))
+    vals = np.linalg.eigvalsh((M + M.T) / 2)
+    qt = rng.standard_normal(d) * 10.0**q_exp
+    qt[-1] *= 10.0**top_exp
+    lam_max = float(vals[-1])
+
+    def norm_at(lam):
+        return float(np.sqrt(np.sum((qt / (lam - vals)) ** 2)))
+
+    gap = max(1e-14, 1e-12 * max(1.0, abs(lam_max)))
+    radius = fill * norm_at(lam_max + gap)
+    hi = lam_max + gap
+    while norm_at(hi) > radius:
+        hi = lam_max + 2 * (hi - lam_max)
+    assert_brentq_matches_scipy(lambda t: norm_at(t) - radius, lam_max + gap, hi)
+
+
+FAMILIES = {
+    "cubic": lambda r, c: lambda x: (x - r) * (1.0 + c * x * x),
+    "triple root": lambda r, c: lambda x: c * (x - r) ** 3,
+    "tanh": lambda r, c: lambda x: math.tanh(c * (x - r)),
+    "exp": lambda r, c: lambda x: math.exp(c * x / 10.0) - math.exp(c * r / 10.0),
+    # Shifted: the bracket may not change sign.
+    "atan": lambda r, c: lambda x: math.atan(c * (x - r)) + 0.3,
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    family=st.sampled_from(sorted(FAMILIES)),
+    root=st.floats(-10.0, 10.0),
+    c=st.floats(1e-2, 10.0),
+    below=st.floats(1e-6, 20.0),
+    above=st.floats(1e-6, 20.0),
+    swap=st.booleans(),
+    tol=st.sampled_from([(1e-14, 1e-14), (2e-12, 4 * np.finfo(float).eps), (1e-6, 1e-10)]),
+)
+def test_brentq_matches_scipy_on_generic_brackets(family, root, c, below, above, swap, tol):
+    a, b = root - below, root + above
+    if swap:
+        a, b = b, a
+    assert_brentq_matches_scipy(FAMILIES[family](root, c), a, b, *tol)
+
+
+def test_brentq_edge_cases():
+    # A zero at either end is returned before any iteration; a at both.
+    for f, a, b, root in [
+        (lambda x: x - 1.0, 1.0, 3.0, 1.0),
+        (lambda x: x - 1.0, -2.0, 1.0, 1.0),
+        (lambda x: (x - 1.0) * (x - 2.0), 1.0, 2.0, 1.0),
+        (lambda x: (x - 1.0) * (x - 2.0), 2.0, 1.0, 2.0),
+    ]:
+        assert _brentq(f, a, b, 1e-14, 1e-14) == root
+        assert_brentq_matches_scipy(f, a, b)
+    # A same-sign bracket, NaN at an end, NaN at the first interior step,
+    # and an iteration limit that runs out.
+    for f, a, b, maxiter, error, match in [
+        (lambda x: x * x + 1.0, -1.0, 1.0, 100, InvalidInputError, "different signs"),
+        (lambda x: math.nan if x > 0.9 else x - 0.5, 0.0, 1.0, 100, InvalidInputError, "NaN"),
+        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 100, InvalidInputError,
+         "NaN"),
+        (lambda x: x**3 - 2.0, 0.0, 2.0, 2, RuntimeError, "did not converge after 2 iterations"),
+    ]:
+        with pytest.raises(error, match=match):
+            _brentq(f, a, b, 1e-14, 1e-14, maxiter)
+        assert_brentq_matches_scipy(f, a, b, maxiter=maxiter)
+
+
+def test_fed_certificate_rejects_unbounded_radius():
+    p = make_linreg(seed=2, d=4, N=3, target_kappa=3.0, rows_per_node=6,
+                    interpolating=False, noise_scale=1.0)
+    for radius in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(InvalidInputError, match="requires 0 < trajectory_radius < inf"):
+            estimate_fed_constants(p, E=2, K=3, participation="full",
+                                   trajectory_radius=radius)
+    # On an infinite ball the objective is NaN; max() must not drop it.
+    M = np.array([[1.0, 0.5], [0.5, -2.0]])
+    with np.errstate(invalid="ignore"), pytest.raises(InvalidInputError, match="objective is NaN"):
+        _max_quadratic_on_ball(M, np.array([0.3, -0.2]), 1.0, math.inf)
 
 
 def test_fed_constants_homogeneous_gamma_zero():

@@ -84,20 +84,23 @@ def cold_cli(tree: str, config: str, out: str) -> dict:
     RSS of that process, and a digest of the files it wrote."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     cmd = [sys.executable, "-m", "deedsim.cli", "run", config, "--out", out]
-    start = time.perf_counter()
-    child = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                             stderr=subprocess.PIPE)
-    _, status, usage = os.wait4(child.pid, 0)
-    wall = time.perf_counter() - start
-    stderr = child.stderr.read().decode(errors="replace")
-    child.stderr.close()
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        child = subprocess.Popen(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        # wait4 gives this child's own rusage, so its peak RSS is not mixed
+        # with earlier children's.
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        stderr = err.read().decode(errors="replace")
     digest = hashlib.sha256()
     for name in sorted(os.listdir(out)) if os.path.isdir(out) else ():
         with open(os.path.join(out, name), "rb") as fh:
             digest.update(name.encode() + b"\0" + fh.read())
     shutil.rmtree(out, ignore_errors=True)
     record = {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024.0,
-              "exit_code": os.waitstatus_to_exitcode(status), "digest": digest.hexdigest()}
+              "exit_code": child.returncode, "digest": digest.hexdigest()}
     if record["exit_code"] != 0:
         record["stderr"] = stderr[-2000:]
     return record
@@ -165,20 +168,17 @@ def main(argv=None) -> int:
     parser.add_argument("--cold-cli", metavar="CONFIG",
                         help="time `deedsim run CONFIG` instead of perfbench")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write or merge into")
-    parser.add_argument("--workdir", help="scratch directory (default: a new temporary one)")
     args = parser.parse_args(argv)
     workloads = [w for w in args.workloads.split(",") if w]
     seeds = [int(s) for s in args.seeds.split(",")]
     if args.pairs < 1 or not (workloads or args.cold_cli):
         parser.error("give --workloads or --cold-cli, and --pairs >= 1")
 
-    scratch = args.workdir or tempfile.mkdtemp(prefix="bench_pairs_")
-    os.makedirs(scratch, exist_ok=True)
+    scratch = tempfile.mkdtemp(prefix="bench_pairs_")
     trees, shas = {}, {}
     try:
         for side, ref in zip(SIDES, (args.parent, args.change)):
             trees[side] = os.path.join(scratch, side)
-            shutil.rmtree(trees[side], ignore_errors=True)
             shas[side] = extract(ref, trees[side])
         better = directions(trees["change"])
 
@@ -187,13 +187,14 @@ def main(argv=None) -> int:
                 doc = json.load(fh)
         else:
             doc = {}
-        doc["what"] = (f"tools/bench_pairs.py, parent ({shas['parent'][:7]}) against this change, "
-                       "same machine, alternating which side runs first on each pair")
+        doc["what"] = (f"tools/bench_pairs.py, parent ({shas['parent'][:7]}) against change "
+                       f"({shas['change'][:7]}), same machine, alternating which side runs first "
+                       "on each pair")
         doc["command"] = ("python3 perfbench/run.py --workload <w> --seed <s> "
                           f"--seconds {args.seconds:g} --trace <0|1>")
         doc["machine"] = {**doc.get("machine", {}), **machine()}
 
-        first = 0
+        turn = 0
         rows = []
         if args.cold_cli:
             rows.append(("cold_cli", args.cold_cli, None, None))
@@ -204,8 +205,8 @@ def main(argv=None) -> int:
         for section, name, workload, seed in rows:
             pairs = []
             for i in range(args.pairs):
-                order = SIDES if first % 2 == 0 else SIDES[::-1]
-                first += 1
+                order = SIDES if turn % 2 == 0 else SIDES[::-1]
+                turn += 1
                 pair = {"first": order[0]}
                 for side in order:
                     if workload is None:
@@ -227,8 +228,7 @@ def main(argv=None) -> int:
                 json.dump(doc, fh, indent=1)
                 fh.write("\n")
     finally:
-        if not args.workdir:
-            shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
     return 0
 
 

@@ -144,16 +144,10 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
 
 def machine() -> dict:
     import numpy as np
+    import scipy
 
-    info = {"cores": os.cpu_count(), "python": platform.python_version(),
-            "numpy": np.__version__}
-    try:
-        import scipy
-
-        info["scipy"] = scipy.__version__
-    except ImportError:
-        pass
-    return info
+    return {"cores": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 def main(argv=None) -> int:

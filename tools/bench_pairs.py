@@ -13,17 +13,28 @@ The committed files of ``--parent`` and ``--change`` (default ``HEAD``) are
 extracted with ``git archive`` into a scratch directory, so each side runs
 from its own source, as the benchmark itself does.  Each pair runs
 ``perfbench/run.py`` once on each side, alternating which side goes first
-from pair to pair.  ``--cold-cli`` instead times ``deedsim run CONFIG`` in
+from pair to pair, for the ``run_seconds`` that BENCHMARK.json fixes (both
+sides must fix the same).  ``--cold-cli`` instead times ``deedsim run CONFIG`` in
 a fresh interpreter per run (wall seconds and peak RSS of that process)
 and checks that both sides write the same output files.
 
 Results merge into ``--out`` when it exists: a new row replaces the row
 of the same name (``"<workload> seed <s>"`` under ``untraced`` or
 ``traced``, the config path under ``cold_cli``), other rows are kept.
-Each row holds its pairs and a per-metric summary: the medians and
-quartiles of both sides, in how many pairs the change was better and
-worse (by the metric's direction in BENCHMARK.json), and whether the
-medians differ by more than the parent's quartile distance.
+Each row names the two commits and the command it ran, and holds its
+pairs and a per-metric summary: the medians and quartiles of both sides,
+in how many pairs the change was better and worse (by the metric's
+direction in BENCHMARK.json), whether the medians differ by more than the
+parent's quartile distance, and a ``reading``:
+
+- ``gain``: at least 10 pairs, the change better in 9 of 10 of them, and
+  the medians further apart than the parent's quartile distance;
+- ``unresolved``: the parent's quartile distance is wider than the
+  metric's bound and not every change run beats every parent run;
+- ``worse beyond bound`` / ``within bound``: the change's median against
+  the parent's, by the metric's bound;
+- ``no bound``: a metric BENCHMARK.json gives no bound (per-layer
+  metrics, cold-CLI wall seconds) and that is not a gain.
 """
 
 from __future__ import annotations
@@ -57,10 +68,14 @@ def extract(ref: str, dest: str) -> str:
     return sha
 
 
+def perfbench_cmd(workload: str, seed: int, seconds: float, trace: int) -> list[str]:
+    return ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", f"{seconds:g}", "--trace", str(trace)]
+
+
 def perfbench(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """One ``perfbench/run.py`` run: its metrics, verdict and output digest."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+    cmd = [sys.executable] + perfbench_cmd(workload, seed, seconds, trace)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -106,12 +121,17 @@ def cold_cli(tree: str, config: str, out: str) -> dict:
     return record
 
 
-def directions(tree: str) -> dict[str, str]:
+def benchmark_spec(tree: str) -> dict:
     with open(os.path.join(tree, "BENCHMARK.json")) as fh:
-        spec = json.load(fh)
-    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
-    better.update(wall_s="lower", peak_rss_mb="lower")
-    return better
+        return json.load(fh)
+
+
+def metric_rules(spec: dict) -> dict[str, tuple[str, float | None]]:
+    """Each metric's direction and, for end-to-end metrics, its bound."""
+    rules = {m["name"]: (m["better"], None) for m in spec["per_layer"]}
+    rules.update((m["name"], (m["better"], m["bound"])) for m in spec["end_to_end"])
+    rules.setdefault("wall_s", ("lower", None))
+    return rules
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -121,23 +141,43 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: medians, quartiles and pairwise wins of the change."""
+def reading(parent: list[float], change: list[float], sign: float, bound: float | None) -> str:
+    """The summary's verdict on one metric (see the module docstring)."""
+    pq1, pmed, pq3 = quartiles(parent)
+    gap = sign * (statistics.median(change) - pmed)
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    if len(parent) >= 10 and wins >= 0.9 * len(parent) and gap > pq3 - pq1:
+        return "gain"
+    if bound is None:
+        return "no bound"
+    all_better = min(sign * c for c in change) > max(sign * p for p in parent)
+    if pq3 - pq1 > bound * abs(pmed) and not all_better:
+        return "unresolved"
+    return "worse beyond bound" if -gap > bound * abs(pmed) else "within bound"
+
+
+def summarize(pairs: list[dict], rules: dict[str, tuple[str, float | None]]) -> dict:
+    """Per metric: medians, quartiles, pairwise wins of the change and a reading."""
     names = [k for k, v in pairs[0]["parent"].items()
-             if k in better and isinstance(v, (int, float)) and not isinstance(v, bool)]
+             if k in rules and isinstance(v, (int, float)) and not isinstance(v, bool)]
     summary = {}
     for name in names:
         got = [p for p in pairs if name in p["parent"] and name in p["change"]]
-        sign = 1.0 if better[name] == "higher" else -1.0
-        gains = [sign * (p["change"][name] - p["parent"][name]) for p in got]
-        pq1, pmed, pq3 = quartiles([p["parent"][name] for p in got])
-        cq1, cmed, cq3 = quartiles([p["change"][name] for p in got])
+        better, bound = rules[name]
+        sign = 1.0 if better == "higher" else -1.0
+        parent = [p["parent"][name] for p in got]
+        change = [p["change"][name] for p in got]
+        gains = [sign * (c - p) for p, c in zip(parent, change)]
+        pq1, pmed, pq3 = quartiles(parent)
+        cq1, cmed, cq3 = quartiles(change)
         summary[name] = {
             "parent_median": pmed, "parent_q1": pq1, "parent_q3": pq3,
             "change_median": cmed, "change_q1": cq1, "change_q3": cq3,
             "change_better_in": f"{sum(g > 0 for g in gains)}/{len(got)}",
             "change_worse_in": f"{sum(g < 0 for g in gains)}/{len(got)}",
             "median_gap_exceeds_parent_iqr": abs(cmed - pmed) > pq3 - pq1,
+            "bound": bound,
+            "reading": reading(parent, change, sign, bound),
         }
     return summary
 
@@ -157,7 +197,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", default="", help="comma-separated perfbench workloads")
     parser.add_argument("--seeds", default="1", help="comma-separated seeds")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=12.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--cold-cli", metavar="CONFIG",
                         help="time `deedsim run CONFIG` instead of perfbench")
@@ -174,19 +213,23 @@ def main(argv=None) -> int:
         for side, ref in zip(SIDES, (args.parent, args.change)):
             trees[side] = os.path.join(scratch, side)
             shas[side] = extract(ref, trees[side])
-        better = directions(trees["change"])
+        spec = benchmark_spec(trees["change"])
+        seconds = spec["run_seconds"]
+        if benchmark_spec(trees["parent"])["run_seconds"] != seconds:
+            raise SystemExit("the two sides' BENCHMARK.json fix different run_seconds")
+        rules = metric_rules(spec)
 
         if os.path.exists(args.out):
             with open(args.out) as fh:
                 doc = json.load(fh)
         else:
             doc = {}
-        doc["what"] = (f"tools/bench_pairs.py, parent ({shas['parent'][:7]}) against change "
-                       f"({shas['change'][:7]}), same machine, alternating which side runs first "
-                       "on each pair")
-        doc["command"] = ("python3 perfbench/run.py --workload <w> --seed <s> "
-                          f"--seconds {args.seconds:g} --trace <0|1>")
-        doc["machine"] = {**doc.get("machine", {}), **machine()}
+        doc["what"] = ("tools/bench_pairs.py: parent against change on one machine, alternating "
+                       "which side runs first on each pair; each row names its commits and "
+                       "command. run_s and setup_s are perfbench's calibrated reference seconds; "
+                       "cold_cli wall_s is wall seconds and peak_rss_mb the peak RSS of the "
+                       "`deedsim run` process")
+        doc["machine"] = machine()
 
         turn = 0
         rows = []
@@ -207,14 +250,19 @@ def main(argv=None) -> int:
                         out = os.path.join(scratch, "out_" + side)
                         pair[side] = cold_cli(trees[side], name, out)
                     else:
-                        pair[side] = perfbench(trees[side], workload, seed, args.seconds,
+                        pair[side] = perfbench(trees[side], workload, seed, seconds,
                                                args.trace)
                 pairs.append(pair)
                 print(f"{section} {name} pair {i + 1}/{args.pairs}: "
                       + json.dumps({s: pair[s] for s in SIDES}), file=sys.stderr)
-            row = {"pairs": pairs, "summary": summarize(pairs, better)}
+            row = {"parent": shas["parent"], "change": shas["change"]}
             if workload is None:
                 row["command"] = f"python3 -m deedsim.cli run {name} --out <dir>, fresh interpreter"
+            else:
+                row["command"] = " ".join(["python3"] + perfbench_cmd(workload, seed, seconds,
+                                                                      args.trace))
+            row.update(pairs=pairs, summary=summarize(pairs, rules))
+            if workload is None:
                 row["outputs_identical"] = all(
                     p["parent"]["digest"] == p["change"]["digest"] for p in pairs)
             doc.setdefault(section, {})[name] = row

@@ -71,9 +71,67 @@ GOLDEN = {
 }
 
 
-def _capped_config(path):
+# Shipped configs with overridden keys, for engine paths that no shipped
+# file runs: the other participation schemes, the other counting modes of
+# a lossless baseline and the experiment stepsize.  Built in memory, so
+# ``configs/`` keeps one file per shipped example.
+VARIANTS = {
+    "deed_fed.yaml+full": ("deed_fed.yaml", {"fed": {"participation": "full"}}),
+    "deed_fed.yaml+with-replacement": (
+        "deed_fed.yaml",
+        {"fed": {"participation": "with-replacement", "k_participants": 4}},
+    ),
+    "gd_baseline.yaml+x2": ("gd_baseline.yaml", {"run": {"counting_mode": "x2"}}),
+    "gd_baseline.yaml+fully-connected": (
+        "gd_baseline.yaml",
+        {"run": {"counting_mode": "fully-connected"}},
+    ),
+    "deed_gd.yaml+experiment": ("deed_gd.yaml", {"run": {"stepsize_mode": "experiment"}}),
+}
+
+VARIANT_GOLDEN = {
+    "deed_fed.yaml+full": {
+        "bound.csv": "f8a16bf65a0a1158bda4a496b148a59922bc2c3fce68c97b5eda2edb2ea64650",
+        "mean_squared.csv": "4ff5de448ecc6ef44e426f87002ad584804a496b195d38718a5bc3749342131c",
+        "summary.json": "a76a4c01b0564dc06c4e8cffdb00466b11398a1682398d7e16358c1a0922dccb",
+        "trace_run000.csv": "4c83d6a6f6a055a7e3f3cae9a42e0da871a8dccc6ce9dd87a39f3d3930ec36ef",
+        "trace_run001.csv": "0d627f7e2ab5e258e88f5037ffd4ff51c0a9651ab069903762d1437586827785",
+        "trace_run002.csv": "40f1478e53d1f9f20dec06a87266d3baf1ce88c8d334369c39454fec6606572e",
+        "trace_run003.csv": "6ad8d860ac992d9443f165a51dad2d11eb7a74d6083c53d577c046c2bee0229e",
+    },
+    "deed_fed.yaml+with-replacement": {
+        "bound.csv": "98725ec5752c78efdffb05e588e8375fc4a1529e5909c837cd8d768ff38ad688",
+        "mean_squared.csv": "d5bb34a68e0b7c2b21cbfe7d99fbf58496b1d8cfe2ffe58d85bd7c7d652d4b0b",
+        "summary.json": "254a14a8d22799d7971c618dedb0d3cf1211f33395e02d3f6b08123107923d86",
+        "trace_run000.csv": "46ccb73b78731d86117f1802b6489e2197454efe857c9e26353c40de46741139",
+        "trace_run001.csv": "f7ea597878e646489d3b6578488b31d918ff13031d357aef265c329dd14d18a9",
+        "trace_run002.csv": "87e624ef4cd69e17df602bf6f0d9271b6be057f6e81b396d6a09d4770c4bcbef",
+        "trace_run003.csv": "2e77a2991d113153b25ac9f0cd13f663f6052e5f80e73b3ba616e567c43f730a",
+    },
+    "deed_gd.yaml+experiment": {
+        "summary.json": "ada0d42e8950d30d21937f86b34d60046e5d3300676662eb3ecafd9ea099109f",
+        "trace.csv": "0c6b75a572782e976655498d6022437dfd747977fbab27f66bc9e0bff95ec9fe",
+    },
+    "gd_baseline.yaml+fully-connected": {
+        "bound.csv": "7ff2bc57a736c5954e673c699264e69b0df8bb2f1c2229c87f816d5b33278a02",
+        "summary.json": "5576e9f37a78dcbdc685cdbb3b14227f98a54b6c01405b63f10165a721a2118d",
+        "trace.csv": "4b11e73a575ecd44386e3f034761c27f988d502c6c14ade07ef4927f940dd1d3",
+    },
+    # x2 charges the downlink equal to the uplink, N float_bits d, which
+    # a lossless star-full broadcast already costs: same bytes as star-full.
+    "gd_baseline.yaml+x2": {
+        "bound.csv": "7ff2bc57a736c5954e673c699264e69b0df8bb2f1c2229c87f816d5b33278a02",
+        "summary.json": "f8505fe54ad212aaf68b152aa9f4666b25a84c287a968a8683f956c4845b2e41",
+        "trace.csv": "3925a6947df5ac4587c3242ef007841bcd4f1ac7c092f539f31c0cad45fdd013",
+    },
+}
+
+
+def _capped_config(path, overrides=None):
     with open(path) as fh:
         data = yaml.safe_load(fh)
+    for block, keys in (overrides or {}).items():
+        data.setdefault(block, {}).update(keys)
     run = data.setdefault("run", {})
     for key, cap in CAPS.items():
         if key in run:
@@ -101,6 +159,13 @@ def test_every_config_has_a_golden_entry():
 def test_golden_output_hashes(name, tmp_path):
     cfg = _capped_config(os.path.join(CONFIG_DIR, name))
     assert _output_hashes(cfg, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_golden_variant_hashes(name, tmp_path):
+    base, overrides = VARIANTS[name]
+    cfg = _capped_config(os.path.join(CONFIG_DIR, base), overrides)
+    assert _output_hashes(cfg, tmp_path) == VARIANT_GOLDEN[name]
 
 
 def test_deed_fed_bound_matches_engine_certificate(monkeypatch):

@@ -8,9 +8,13 @@ broadcast accumulator, and broadcasts.  Sender and receivers apply the
 same decoded message to the same accumulator, so the replicas are
 bit-identical by construction and each quantity is held once: one
 iterate (or one row of local weights per node), one broadcast, and the
-worker accumulators as one ``(N, d)`` array.  Every round asserts the
-aggregate error chain: the broadcast lies within the round's total
-budget of the exact aggregate.
+worker accumulators as one ``(N, d)`` array.  Every engine sends its
+messages through one ``_exchange``: the uplinks of the round's
+participants, the center's weighted aggregate, the downlink, and the
+aggregate error chain assert (the broadcast lies within the round's
+total budget of the exact aggregate).  ``_book`` records each exchange's
+bits, budget, largest error fraction, largest message and aggregate
+error on its trace row.
 
 Engines:
 
@@ -77,13 +81,13 @@ _REL_SLACK = 1e-9
 _ABS_DUST = 1e-12
 
 
-def _weighted_sum(arrays, coefs: np.ndarray) -> np.ndarray:
-    """Fixed-order (ascending node id) sequential weighted sum of the
-    rows of ``arrays``; kept as a loop, since a BLAS product rounds
-    differently."""
-    out = coefs[0] * arrays[0]
-    for i in range(1, len(arrays)):
-        out = out + coefs[i] * arrays[i]
+def _weighted_sum(arrays, rows, coefs: np.ndarray) -> np.ndarray:
+    """Sequential sum of ``coefs[j] * arrays[rows[j]]`` in the order of
+    ``rows`` (ascending node ids); kept as a loop, since a BLAS product
+    rounds differently."""
+    out = coefs[0] * arrays[rows[0]]
+    for j in range(1, len(rows)):
+        out = out + coefs[j] * arrays[rows[j]]
     return out
 
 
@@ -95,41 +99,82 @@ def _initial_point(problem, w0) -> np.ndarray:
     return w0
 
 
-def _uplink(S, i, target, spec, seed, run_index, round_index, float_bits):
-    """Node ``i`` encodes ``target - S[i]``; sender and center apply the
-    decoded message to the one accumulator row ``S[i]``.  Returns
-    (encoded difference, message)."""
-    diff = target - S[i]
-    msg = quantize(diff, spec, stream(seed, run_index, round_index, i, UPLINK), float_bits)
-    S[i] += msg.decoded
-    return diff, msg
+def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_bits):
+    """One difference-encoded uplink/aggregate/downlink exchange, the one
+    message path of every engine; updates ``S`` and ``v`` in place.
 
+    Node ``i`` of ``participants`` encodes ``payloads[i] - S[i]`` at
+    maximal error ``stage``, and sender and center apply the decoded
+    message to the one accumulator row ``S[i]``.  The center encodes the
+    ``coefs``-weighted sum of those rows against the broadcast ``v`` at
+    the same error, and every node applies it to ``v``.  Asserts that
+    ``v`` lies within ``budget`` of the weighted payloads.  ``labels`` is
+    the exchange's ``(seed, run, round)`` stream prefix.
 
-def _exchange(S, v, payloads, stage_budget, seed, run_index, round_index, float_bits, coefs):
-    """One difference-encoded uplink/aggregate/downlink exchange; updates
-    the accumulators ``S`` and the broadcast ``v`` in place.
-
-    Returns (up_bits, down_payload_bits, max fraction, max message bits).
+    Returns (up_bits, down_payload_bits, max fraction, max message bits,
+    aggregate error).
     """
-    spec = QuantSpec(max_error=stage_budget, dim=len(v))
+    seed, run_index, round_index = labels
+    spec = QuantSpec(max_error=stage, dim=len(v))
     up_bits = 0
     max_bits = 0
     max_fraction = 0.0
-    for i, target in enumerate(payloads):
-        diff, msg = _uplink(S, i, target, spec, seed, run_index, round_index, float_bits)
+    for i in participants:
+        diff = payloads[i] - S[i]
+        msg = quantize(diff, spec, stream(seed, run_index, round_index, i, UPLINK), float_bits)
+        S[i] += msg.decoded
         up_bits += msg.bits
         max_bits = max(max_bits, msg.bits)
-        if stage_budget > 0.0:
-            max_fraction = max(max_fraction, math.sqrt(diff.dot(diff)) / stage_budget)
+        if stage > 0.0:
+            max_fraction = max(max_fraction, math.sqrt(diff.dot(diff)) / stage)
 
-    down_diff = _weighted_sum(S, coefs) - v
+    down_diff = _weighted_sum(S, participants, coefs) - v
     rng = stream(seed, run_index, round_index, 0, DOWNLINK)
     umsg = quantize(down_diff, spec, rng, float_bits)
     v += umsg.decoded
-    if stage_budget > 0.0:
-        max_fraction = max(max_fraction, math.sqrt(down_diff.dot(down_diff)) / stage_budget)
+    if stage > 0.0:
+        max_fraction = max(max_fraction, math.sqrt(down_diff.dot(down_diff)) / stage)
     max_bits = max(max_bits, umsg.bits)
-    return up_bits, umsg.bits, max_fraction, max_bits
+    err = _assert_budget(v, _weighted_sum(payloads, participants, coefs), budget, round_index)
+    return up_bits, umsg.bits, max_fraction, max_bits, err
+
+
+def _new_trace(algorithm: str, T: int, extras: dict) -> RunTrace:
+    """A trace of ``T + 1`` rows with nothing booked: no bits or budget,
+    NaN error fractions and aggregate errors, zero message bits."""
+    return RunTrace(
+        algorithm=algorithm,
+        t=np.arange(T + 1),
+        dist=np.empty(T + 1),
+        fgap=np.empty(T + 1),
+        bits_up=np.zeros(T + 1, dtype=np.int64),
+        bits_down=np.zeros(T + 1, dtype=np.int64),
+        budget=np.zeros(T + 1),
+        extras={
+            **extras,
+            "fractions": np.full(T + 1, np.nan),
+            "max_msg_bits": np.zeros(T + 1, dtype=np.int64),
+            "vg_err": np.full(T + 1, np.nan),
+        },
+    )
+
+
+def _book(trace: RunTrace, row: int, total: float, n: int, exchange) -> None:
+    """Book an ``_exchange`` result and its total budget on ``row``; the
+    broadcast is charged once per receiving link."""
+    up, down_payload, frac, mbits, err = exchange
+    trace.bits_up[row] = up
+    trace.bits_down[row] = n * down_payload
+    trace.budget[row] = total
+    trace.extras["fractions"][row] = frac
+    trace.extras["max_msg_bits"][row] = mbits
+    trace.extras["vg_err"][row] = err
+
+
+def _record(trace: RunTrace, t: int, problem, x: np.ndarray) -> None:
+    """Row ``t``'s distance to the optimum and loss gap at ``x``."""
+    trace.dist[t] = np.linalg.norm(x - problem.w_star)
+    trace.fgap[t] = problem.f_gap(x)
 
 
 def _assert_budget(v_k, gbar, budget, round_index) -> float:
@@ -245,9 +290,11 @@ def check_envelope(traces, series, kind, squared, rows=None) -> None:
     return float(np.min(allowed[rows] - observed[rows]))
 
 
-def _full_grads(problem):
-    """Grad source of the full-gradient engines: every node's gradient."""
-    return lambda k, q: [problem.full_grad(i, q) for i in range(problem.N)]
+def _momentum(problem) -> float:
+    """Momentum ``tau = (sqrt(L) - sqrt(mu))/(sqrt(L) + sqrt(mu))`` of the
+    ``eta = 1/L`` momentum runs."""
+    L, mu = problem.L, problem.mu
+    return (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
 
 
 def _frequent_run(
@@ -255,8 +302,7 @@ def _frequent_run(
     *,
     algorithm: str,
     eta: float,
-    tau: float,
-    grad_source,  # callable (round, query_point) -> list of per-node gradients
+    tau: float | None,
     T: int,
     seed: int,
     run_index: int,
@@ -264,6 +310,7 @@ def _frequent_run(
     float_bits: int,
     w0,
     budget_total,  # callable round -> total v-vs-mean budget
+    grad_source=None,  # callable (round, query_point) -> per-node gradients; full if None
     differential: bool = True,
 ) -> RunTrace:
     """Shared loop for the frequent-communication engines; each of the
@@ -276,68 +323,76 @@ def _frequent_run(
     round, so raw payloads rather than differences are encoded.
     """
     n = problem.N
+    nodes = range(n)
+    if grad_source is None:
+        grad_source = lambda k, q: [problem.full_grad(i, q) for i in nodes]
     coefs = np.full(n, 1.0 / n)
     w = y = _initial_point(problem, w0)  # y: lookahead point
     S = np.zeros((n, problem.d))
     v = np.zeros(problem.d)
+    trace = _new_trace(
+        algorithm,
+        T,
+        {
+            "counting_mode": counting_mode,
+            "float_bits": float_bits,
+            "eta": eta,
+            "seed": seed,
+            "run_index": run_index,
+        },
+    )
 
-    dist = np.empty(T + 1)
-    fgap = np.empty(T + 1)
-    bits_up = np.zeros(T + 1, dtype=np.int64)
-    bits_down = np.zeros(T + 1, dtype=np.int64)
-    budgets = np.zeros(T + 1)
-    fractions = np.full(T + 1, np.nan)
-    max_msg_bits = np.zeros(T + 1, dtype=np.int64)
-    vg_err = np.full(T + 1, np.nan)
-
-    def record(t: int, x: np.ndarray) -> None:
-        dist[t] = np.linalg.norm(x - problem.w_star)
-        fgap[t] = problem.f_gap(x)
-
-    record(0, w)
+    _record(trace, 0, problem, w)
     for k in range(T):
         if not differential:
             S.fill(0.0)
             v.fill(0.0)
         grads = grad_source(k, w if tau is None else y)
         total = budget_total(k)
-        up, down_payload, frac, mbits = _exchange(
-            S, v, grads, total / 2.0, seed, run_index, k, float_bits, coefs
+        exchange = _exchange(
+            S, v, grads, nodes, coefs, total / 2.0, total, (seed, run_index, k), float_bits
         )
-        vg_err[k] = _assert_budget(v, _weighted_sum(grads, coefs), total, k)
+        _book(trace, k, total, n, exchange)
 
         if tau is None:
             w = w - eta * v
         else:
             x_prev, w = w, y - eta * v
             y = w + tau * (w - x_prev)
+        _record(trace, k + 1, problem, w)
+    return trace
 
-        bits_up[k] = up
-        bits_down[k] = n * down_payload  # broadcast charged per receiving link
-        budgets[k] = total
-        fractions[k] = frac
-        max_msg_bits[k] = mbits
-        record(k + 1, w)
 
-    return RunTrace(
-        algorithm=algorithm,
-        t=np.arange(T + 1),
-        dist=dist,
-        fgap=fgap,
-        bits_up=bits_up,
-        bits_down=bits_down,
-        budget=budgets,
-        extras={
-            "counting_mode": counting_mode,
-            "float_bits": float_bits,
-            "eta": eta,
-            "seed": seed,
-            "run_index": run_index,
-            "fractions": fractions,
-            "max_msg_bits": max_msg_bits,
-            "vg_err": vg_err,
-        },
+def _contraction_run(algorithm, problem, eta, tau, c_prime, s, T, assert_envelope, **run):
+    """Body of ``run_deed_gd`` (``tau`` None) and ``run_adeed_gd``:
+    preconditions, the margin, the run at budget ``s c'^{k+1}``, and the
+    row-by-row envelope check (by default exactly when the margin holds)."""
+    _require(param_violations(problem, T, eta=eta, c_prime=c_prime, s=s))
+    margin = margin_violations(algorithm, problem, c_prime, eta=eta)
+    check = not margin if assert_envelope is None else assert_envelope
+    if check:
+        _require(margin)
+
+    trace = _frequent_run(
+        problem, algorithm=algorithm, eta=eta, tau=tau, T=T,
+        budget_total=lambda k: s * c_prime ** (k + 1), **run,
     )
+    series = None
+    if check:
+        series = contraction_envelope(algorithm, problem, c_prime, s, T, run["w0"], eta=eta)
+    trace.extras.update(
+        {
+            "c": contraction_factor(algorithm, problem, eta=eta),
+            "c_prime": c_prime,
+            "s": s,
+            "tau": tau,
+            "envelope_checked": check,
+            "accel_constants": series.extras.get("accel_constants") if check else None,
+        }
+    )
+    if check:
+        check_envelope([trace], series, f"{algorithm} envelope", squared=False)
+    return trace
 
 
 def run_deed_gd(
@@ -368,32 +423,10 @@ def run_deed_gd(
     """
     if eta is None:
         eta = 2.0 / (problem.L + problem.mu)
-    _require(param_violations(problem, T, eta=eta, c_prime=c_prime, s=s))
-    margin = margin_violations("deed-gd", problem, c_prime, eta=eta)
-    check = not margin if assert_envelope is None else assert_envelope
-    if check:
-        _require(margin)
-
-    trace = _frequent_run(
-        problem,
-        algorithm="deed-gd",
-        eta=eta,
-        tau=None,
-        grad_source=_full_grads(problem),
-        T=T,
-        seed=seed,
-        run_index=run_index,
-        counting_mode=counting_mode,
-        float_bits=float_bits,
-        w0=w0,
-        budget_total=lambda k: s * c_prime ** (k + 1),
+    return _contraction_run(
+        "deed-gd", problem, eta, None, c_prime, s, T, assert_envelope, seed=seed,
+        run_index=run_index, counting_mode=counting_mode, float_bits=float_bits, w0=w0,
     )
-    c = contraction_factor("deed-gd", problem, eta=eta)
-    trace.extras.update({"c": c, "c_prime": c_prime, "s": s, "envelope_checked": check})
-    if check:
-        series = contraction_envelope("deed-gd", problem, c_prime, s, T, w0, eta=eta)
-        check_envelope([trace], series, "deed-gd envelope", squared=False)
-    return trace
 
 
 def run_adeed_gd(
@@ -418,42 +451,11 @@ def run_adeed_gd(
     once the run has finished (``assert_envelope=None`` enables it exactly
     when that margin holds).
     """
-    L, mu = problem.L, problem.mu
-    tau = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
-    _require(param_violations(problem, T, c_prime=c_prime, s=s))
-    margin = margin_violations("a-deed-gd", problem, c_prime)
-    check = not margin if assert_envelope is None else assert_envelope
-    if check:
-        _require(margin)
-
-    trace = _frequent_run(
-        problem,
-        algorithm="a-deed-gd",
-        eta=1.0 / L,
-        tau=tau,
-        grad_source=_full_grads(problem),
-        T=T,
-        seed=seed,
-        run_index=run_index,
-        counting_mode=counting_mode,
-        float_bits=float_bits,
-        w0=w0,
-        budget_total=lambda k: s * c_prime ** (k + 1),
+    return _contraction_run(
+        "a-deed-gd", problem, 1.0 / problem.L, _momentum(problem), c_prime, s, T,
+        assert_envelope, seed=seed, run_index=run_index, counting_mode=counting_mode,
+        float_bits=float_bits, w0=w0,
     )
-    series = contraction_envelope("a-deed-gd", problem, c_prime, s, T, w0) if check else None
-    trace.extras.update(
-        {
-            "c": contraction_factor("a-deed-gd", problem),
-            "c_prime": c_prime,
-            "s": s,
-            "tau": tau,
-            "envelope_checked": check,
-            "accel_constants": series.extras["accel_constants"] if check else None,
-        }
-    )
-    if check:
-        check_envelope([trace], series, "a-deed-gd envelope", squared=False)
-    return trace
 
 
 def run_exact_gd(
@@ -474,23 +476,10 @@ def run_exact_gd(
     """
     if eta is None:
         eta = 2.0 / (problem.L + problem.mu)
-    _require(param_violations(problem, T, eta=eta))
-    trace = _frequent_run(
-        problem,
-        algorithm="gd",
-        eta=eta,
-        tau=None,
-        grad_source=_full_grads(problem),
-        T=T,
-        seed=seed,
-        run_index=run_index,
-        counting_mode=counting_mode,
-        float_bits=float_bits,
-        w0=w0,
-        budget_total=lambda k: 0.0,
+    return _lossless_run(
+        "gd", problem, eta, None, T, counting_mode, seed=seed, run_index=run_index,
+        float_bits=float_bits, w0=w0,
     )
-    _apply_baseline_counting(trace, problem.N, counting_mode)
-    return trace
 
 
 def run_exact_agd(
@@ -504,29 +493,21 @@ def run_exact_agd(
     run_index: int = 0,
 ) -> RunTrace:
     """Lossless momentum baseline (eta = 1/L, standard strongly-convex tau)."""
-    _require(param_violations(problem, T))
-    L, mu = problem.L, problem.mu
-    tau = (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
-    trace = _frequent_run(
-        problem,
-        algorithm="agd",
-        eta=1.0 / L,
-        tau=tau,
-        grad_source=_full_grads(problem),
-        T=T,
-        seed=seed,
-        run_index=run_index,
-        counting_mode=counting_mode,
-        float_bits=float_bits,
-        w0=w0,
-        budget_total=lambda k: 0.0,
+    return _lossless_run(
+        "agd", problem, 1.0 / problem.L, _momentum(problem), T, counting_mode, seed=seed,
+        run_index=run_index, float_bits=float_bits, w0=w0,
     )
-    _apply_baseline_counting(trace, problem.N, counting_mode)
-    return trace
 
 
-def _apply_baseline_counting(trace: RunTrace, n: int, counting_mode: str) -> None:
-    """Re-price a lossless baseline's ledger under the counting convention."""
+def _lossless_run(algorithm, problem, eta, tau, T, counting_mode, **run):
+    """Body of ``run_exact_gd`` (``tau`` None) and ``run_exact_agd``: the
+    shared loop at zero budget, its ledger re-priced under the counting
+    convention."""
+    _require(param_violations(problem, T, eta=eta))
+    trace = _frequent_run(
+        problem, algorithm=algorithm, eta=eta, tau=tau, T=T, counting_mode=counting_mode,
+        budget_total=lambda k: 0.0, **run,
+    )
     if counting_mode not in COUNTING_MODES:
         raise ConfigError([f"unknown counting_mode {counting_mode!r}"])
     rounds = trace.bits_up > 0
@@ -535,8 +516,9 @@ def _apply_baseline_counting(trace: RunTrace, n: int, counting_mode: str) -> Non
     elif counting_mode == "x2":
         trace.bits_down[rounds] = trace.bits_up[rounds]
     else:  # fully-connected: peers broadcast to N-1 others, no center
-        trace.bits_up[rounds] = trace.bits_up[rounds] * (n - 1)
+        trace.bits_up[rounds] = trace.bits_up[rounds] * (problem.N - 1)
         trace.bits_down[rounds] = 0
+    return trace
 
 
 def run_const_error_gd(
@@ -566,7 +548,6 @@ def run_const_error_gd(
         algorithm="const-quant-gd",
         eta=eta,
         tau=None,
-        grad_source=_full_grads(problem),
         T=T,
         seed=seed,
         run_index=run_index,
@@ -685,6 +666,10 @@ def fed_violations(
         violations.append(
             f"requires trajectory_radius < inf (trajectory_radius = {radius!r}{default})"
         )
+    elif not float(radius) * float(radius) < math.inf:  # the certificate squares it
+        violations.append(
+            f"requires trajectory_radius**2 < inf (trajectory_radius = {radius!r}{default})"
+        )
     if E < 1:
         violations.append(f"requires E >= 1 (E = {E!r})")
     if not beta * problem.mu > 1.0:
@@ -735,9 +720,11 @@ def run_deed_fed(
     aggregates per the participation scheme and double-encodes the
     broadcast, after which every node restarts from the decoded average.
     The broadcast's distance to the participants' weighted weights is
-    asserted every sync and recorded in ``extras["vg_err"]``.  Trace rows
-    are per iteration; bits and budgets sit on the sync rows and record
-    the communication that *produced* that row's iterate.
+    asserted every sync and recorded in ``extras["vg_err"]``, beside the
+    sync's largest error fraction and message (``fractions``,
+    ``max_msg_bits``).  Trace rows are per iteration; bits, budgets and
+    these diagnostics sit on the sync rows and record the communication
+    that *produced* that row's iterate.
 
     With ``assert_envelope`` the across-run mean squared distance of the
     weighted average iterate is checked against ``v / (gamma + t)`` plus
@@ -753,6 +740,7 @@ def run_deed_fed(
     )
     T_total = T_rounds * E
     n, p = problem.N, problem.weights
+    nodes = range(n)
 
     eta_at = lambda t: beta / (t + gamma)
     traces = []
@@ -760,43 +748,10 @@ def run_deed_fed(
         W = np.tile(w0, (n, 1))  # local weights, one row per node
         S = np.zeros((n, problem.d))
         v = np.zeros(problem.d)
-        dist = np.empty(T_total + 1)
-        fgap = np.empty(T_total + 1)
-        bits_up = np.zeros(T_total + 1, dtype=np.int64)
-        bits_down = np.zeros(T_total + 1, dtype=np.int64)
-        budgets = np.zeros(T_total + 1)
-        vg_err = np.full(T_total + 1, np.nan)
-
-        def record(t):
-            wbar = _weighted_sum(W, p)
-            dist[t] = np.linalg.norm(wbar - problem.w_star)
-            fgap[t] = problem.f_gap(wbar)
-
-        record(0)
-        for t in range(T_total):
-            eta_t = eta_at(t)
-            for i in range(n):
-                g = problem.stochastic_grad(i, W[i], stream(seed, r, t, i, ROW_SAMPLE))
-                W[i] -= eta_t * g
-            k = t + 1
-            if k % E == 0:
-                bits_up[k], down, vg_err[k] = _fed_sync(
-                    problem, W, S, v, k, eta_at(k), s, participation, K,
-                    seed, r, float_bits,
-                )
-                bits_down[k] = n * down
-                budgets[k] = s * eta_at(k)
-            record(t + 1)
-
-        trace = RunTrace(
-            algorithm="deed-fed",
-            t=np.arange(T_total + 1),
-            dist=dist,
-            fgap=fgap,
-            bits_up=bits_up,
-            bits_down=bits_down,
-            budget=budgets,
-            extras={
+        trace = _new_trace(
+            "deed-fed",
+            T_total,
+            {
                 "counting_mode": counting_mode,
                 "E": E,
                 "beta": beta,
@@ -807,9 +762,30 @@ def run_deed_fed(
                 "seed": seed,
                 "run_index": r,
                 "bits_timing": "arriving",
-                "vg_err": vg_err,
             },
         )
+
+        _record(trace, 0, problem, _weighted_sum(W, nodes, p))
+        for t in range(T_total):
+            eta_t = eta_at(t)
+            for i in range(n):
+                g = problem.stochastic_grad(i, W[i], stream(seed, r, t, i, ROW_SAMPLE))
+                W[i] -= eta_t * g
+            k = t + 1
+            if k % E == 0:
+                # The broadcast lies within (s eta_k / 2)(1 + sum_i c_i) of
+                # sum_i c_i W[i]; every node restarts from it.
+                labels = (seed, r, k)
+                participants, coefs = _participants(participation, K, p, labels)
+                total = s * eta_at(k)
+                stage = total / 2.0
+                budget = stage * (1.0 + float(np.sum(coefs)))
+                exchange = _exchange(
+                    S, v, W, participants, coefs, stage, budget, labels, float_bits
+                )
+                _book(trace, k, total, n, exchange)
+                W[:] = v
+            _record(trace, k, problem, _weighted_sum(W, nodes, p))
         traces.append(trace)
 
     if assert_envelope:
@@ -829,45 +805,23 @@ def run_deed_fed(
     return traces
 
 
-def _fed_sync(
-    problem, W, S, v, k, eta_k, s, participation, K, seed, run_index, float_bits
-):
-    """One weight-difference sync.  Updates ``S`` and ``v`` in place and
-    restarts every node from the broadcast; asserts that the broadcast
-    lies within ``(s eta_k / 2)(1 + sum_i c_i)`` of the participants'
-    weighted weights ``sum_i c_i W[i]`` (``s eta_k`` when the coefficients
-    sum to 1).  Returns (uplink bits, broadcast payload bits, that error).
+def _participants(participation, K, p, labels):
+    """Node ids (ascending) and aggregation coefficients of one sync under
+    ``participation`` with node weights ``p``; partial schemes draw from
+    the sync's participation stream (``labels``: seed, run, round).
+
+    The center aggregates the participants' accumulator rows with these
+    coefficients.  For K = N without replacement they equal the
+    full-participation ones float-for-float, so the schemes coincide
+    bitwise.
     """
-    n, p = problem.N, problem.weights
-    stage = s * eta_k / 2.0
-    spec = QuantSpec(max_error=stage, dim=problem.d)
-
+    n = len(p)
     if participation == "full":
-        participants, coefs = list(range(n)), p
-    else:
-        rng = stream(seed, run_index, k, 0, PARTICIPATION)
-        if participation == "with-replacement":
-            counts = np.bincount(rng.choice(n, size=K, replace=True, p=p), minlength=n)
-            participants = np.flatnonzero(counts).tolist()
-            coefs = counts[participants] / K
-        else:
-            participants = sorted(rng.choice(n, size=K, replace=False).tolist())
-            coefs = (n / K) * p[participants]
-
-    up = 0
-    for i in participants:
-        up += _uplink(S, i, W[i], spec, seed, run_index, k, float_bits)[1].bits
-
-    # Row i of S now estimates participant i's weights to within the
-    # uplink budget; the center aggregates the participants' estimates
-    # per the scheme's weighting (for K = N without replacement the
-    # coefficients equal the full-participation ones float-for-float, so
-    # the schemes coincide bitwise).
-    s_k = _weighted_sum(S[participants], coefs)
-    umsg = quantize(s_k - v, spec, stream(seed, run_index, k, 0, DOWNLINK), float_bits)
-    v += umsg.decoded
-    err = _assert_budget(
-        v, _weighted_sum(W[participants], coefs), stage * (1.0 + float(np.sum(coefs))), k
-    )
-    W[:] = v
-    return up, umsg.bits, err
+        return range(n), p
+    rng = stream(*labels, 0, PARTICIPATION)
+    if participation == "with-replacement":
+        counts = np.bincount(rng.choice(n, size=K, replace=True, p=p), minlength=n)
+        participants = np.flatnonzero(counts).tolist()
+        return participants, counts[participants] / K
+    participants = sorted(rng.choice(n, size=K, replace=False).tolist())
+    return participants, (n / K) * p[participants]

@@ -118,10 +118,6 @@ class QuadraticProblem:
         a = Ai[r]
         return a * (a @ w - self.b[i][r])
 
-    def node_strong_convexity(self, i: int) -> float:
-        """Smallest eigenvalue of node ``i``'s Hessian (0 if rank-deficient)."""
-        return float(np.linalg.eigvalsh(self.node_hessian(i))[0])
-
 
 @dataclass(frozen=True)
 class FedConstants:
@@ -510,6 +506,10 @@ def estimate_fed_constants(
     if not 0 < trajectory_radius < math.inf:
         raise InvalidInputError(
             f"requires 0 < trajectory_radius < inf (trajectory_radius = {trajectory_radius!r})"
+        )
+    if not float(trajectory_radius) * float(trajectory_radius) < math.inf:
+        raise InvalidInputError(
+            f"requires trajectory_radius**2 < inf (trajectory_radius = {trajectory_radius!r})"
         )
     if E < 1:
         raise InvalidInputError("E must be >= 1")

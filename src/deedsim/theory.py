@@ -37,7 +37,6 @@ __all__ = [
     "sgd_squared_bound",
     "xi_constant",
     "zeta_bits",
-    "per_message_bit_bound",
     "accelerated_bound",
     "accelerated_xi",
     "fed_bound",
@@ -162,11 +161,6 @@ def zeta_bits(
     return (2.0 * L**2 * eta * xi / s + 2.0 * L * eta * c_prime + 3.0 * c_prime) / (
         c_prime**2
     )
-
-
-def per_message_bit_bound(dim: int, zeta: float) -> float:
-    """Per-message cost implied by an error fraction: (1.05 + log2(zeta+2)) d."""
-    return (1.05 + math.log2(zeta + 2.0)) * dim
 
 
 @dataclass(frozen=True)

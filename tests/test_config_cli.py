@@ -168,6 +168,24 @@ def test_fed_infinite_radius_rejected_at_parse():
     assert parsed.value.violations == ["requires trajectory_radius < inf (trajectory_radius = inf)"]
 
 
+def test_fed_radius_with_overflowing_square_rejected_at_parse():
+    # The certificate squares the radius; above about 1.34e154 that
+    # overflowed into a bare OverflowError mid-certificate.
+    from deedsim.engine import run_deed_fed
+
+    text = FED_VALID.replace("fed: {", "fed: {trajectory_radius: 1.0e+160, ")
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(text)
+    assert parsed.value.violations == [
+        "requires trajectory_radius**2 < inf (trajectory_radius = 1e+160)"
+    ]
+    with pytest.raises(ConfigError) as ran:
+        run_deed_fed(parse_config(FED_VALID).problem, 3, 1000.0, 100000.0, 1.0, 8,
+                     mc_runs=2, trajectory_radius=1e160)
+    assert ran.value.violations == parsed.value.violations
+    parse_config(FED_VALID.replace("fed: {", "fed: {trajectory_radius: 1.0e+100, "))
+
+
 def test_fed_default_radius_zero_rejected_at_parse():
     # Starting at the optimum makes the default radius 2 |w0 - w*| zero;
     # certification needs a positive one, so the config fails at parse

@@ -354,6 +354,48 @@ def test_fed_records_aggregate_error_on_sync_rows(fed_problem):
         assert np.all(np.isnan(vg[others])), participation
 
 
+@pytest.mark.parametrize(
+    "participation, K", [("full", None), ("with-replacement", 3), ("without-replacement", 3)]
+)
+def test_fed_sync_rows_carry_message_diagnostics(monkeypatch, fed_problem, participation, K):
+    # A sync row records the largest |w| / budget and the largest payload
+    # over that sync's uplinks and downlink; other rows send nothing.
+    from deedsim import engine
+
+    real = engine.quantize
+    sent = []  # (spec, |w| / max_error, bits) per message, in send order
+
+    def spy(w, spec, *args):
+        msg = real(w, spec, *args)
+        sent.append((spec, math.sqrt(w.dot(w)) / spec.max_error, msg.bits))
+        return msg
+
+    monkeypatch.setattr(engine, "quantize", spy)
+    beta, gamma = _fed_params(fed_problem)
+    args = {**FED_ARGS, "mc_runs": 1}
+    (tr,) = run_deed_fed(fed_problem, beta=beta, gamma=gamma,
+                         participation=participation, K=K, **args)
+    # The messages of one sync share its QuantSpec.
+    syncs = []
+    for spec, frac, bits in sent:
+        if not syncs or syncs[-1][0] is not spec:
+            syncs.append((spec, []))
+        syncs[-1][1].append((frac, bits))
+    T = args["T_rounds"] * args["E"]
+    rows = np.arange(args["E"], T + 1, args["E"])
+    assert len(syncs) == len(rows)
+    fractions, max_bits = tr.extras["fractions"], tr.extras["max_msg_bits"]
+    for row, (spec, msgs) in zip(rows, syncs):
+        if participation != "with-replacement":
+            assert len(msgs) == (K or fed_problem.N) + 1  # uplinks and the broadcast
+        assert spec.max_error == tr.budget[row] / 2
+        assert fractions[row] == pytest.approx(max(f for f, _ in msgs), rel=1e-12)
+        assert max_bits[row] == max(b for _, b in msgs)
+    others = np.setdiff1d(np.arange(T + 1), rows)
+    assert np.all(np.isnan(fractions[others]))
+    assert np.all(max_bits[others] == 0)
+
+
 def _shifted_quantize(monkeypatch):
     # A faulty codec: every decoded message lands 3 budgets off target.
     from deedsim import engine

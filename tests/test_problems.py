@@ -336,6 +336,15 @@ def test_fed_certificate_rejects_unbounded_radius():
         _max_quadratic_on_ball(M, np.array([0.3, -0.2]), 1.0, math.inf)
 
 
+def test_fed_certificate_rejects_radius_with_overflowing_square():
+    p = make_linreg(seed=2, d=4, N=3, target_kappa=3.0, rows_per_node=6,
+                    interpolating=False, noise_scale=1.0)
+    with pytest.raises(InvalidInputError, match=r"requires trajectory_radius\*\*2 < inf"):
+        estimate_fed_constants(p, 2, 3, "full", 1e160)
+    fed = estimate_fed_constants(p, 2, 3, "full", 1e100)
+    assert math.isfinite(fed.G_sq) and np.all(np.isfinite(fed.sigma_sq))
+
+
 def test_fed_constants_homogeneous_gamma_zero():
     A = np.random.default_rng(0).standard_normal((8, 4))
     b = np.random.default_rng(1).standard_normal(8)

@@ -43,7 +43,7 @@ import math
 import numpy as np
 
 from .errors import BoundViolationError, ConfigError, InvalidInputError
-from .problems import QuadraticProblem, estimate_fed_constants, estimate_rho
+from .problems import _MAX_RADIUS, QuadraticProblem, estimate_fed_constants, estimate_rho
 from .quantizer import DEFAULT_FLOAT_BITS, QuantSpec, quantize
 from .seeding import DOWNLINK, PARTICIPATION, ROW_SAMPLE, UPLINK, stream
 from .theory import (
@@ -310,7 +310,7 @@ def _frequent_run(
     float_bits: int,
     w0,
     budget_total,  # callable round -> total v-vs-mean budget
-    grad_source=None,  # callable (round, query_point) -> per-node gradients; full if None
+    grad_source=None,  # callable (run, round, query_point) -> per-node gradients; full if None
     differential: bool = True,
 ) -> RunTrace:
     """Shared loop for the frequent-communication engines; each of the
@@ -325,7 +325,7 @@ def _frequent_run(
     n = problem.N
     nodes = range(n)
     if grad_source is None:
-        grad_source = lambda k, q: [problem.full_grad(i, q) for i in nodes]
+        grad_source = lambda r, k, q: [problem.full_grad(i, q) for i in nodes]
     coefs = np.full(n, 1.0 / n)
     w = y = _initial_point(problem, w0)  # y: lookahead point
     S = np.zeros((n, problem.d))
@@ -347,7 +347,7 @@ def _frequent_run(
         if not differential:
             S.fill(0.0)
             v.fill(0.0)
-        grads = grad_source(k, w if tau is None else y)
+        grads = grad_source(run_index, k, w if tau is None else y)
         total = budget_total(k)
         exchange = _exchange(
             S, v, grads, nodes, coefs, total / 2.0, total, (seed, run_index, k), float_bits
@@ -596,14 +596,11 @@ def run_deed_sgd(
         + param_violations(problem, T, s=s)
     )
 
-    def grad_source_for(run_index):
-        def grads(k, q):
-            return [
-                problem.stochastic_grad(i, q, stream(seed, run_index, k, i, ROW_SAMPLE))
-                for i in range(problem.N)
-            ]
-
-        return grads
+    def row_grads(r, k, q):
+        return [
+            problem.stochastic_grad(i, q, stream(seed, r, k, i, ROW_SAMPLE))
+            for i in range(problem.N)
+        ]
 
     traces = []
     for r in range(mc_runs):
@@ -612,7 +609,7 @@ def run_deed_sgd(
             algorithm="deed-sgd",
             eta=eta,
             tau=None,
-            grad_source=grad_source_for(r),
+            grad_source=row_grads,
             T=T,
             seed=seed,
             run_index=r,
@@ -666,7 +663,7 @@ def fed_violations(
         violations.append(
             f"requires trajectory_radius < inf (trajectory_radius = {radius!r}{default})"
         )
-    elif not float(radius) * float(radius) < math.inf:  # the certificate squares it
+    elif not radius <= _MAX_RADIUS:  # the certificate squares it
         violations.append(
             f"requires trajectory_radius**2 < inf (trajectory_radius = {radius!r}{default})"
         )

@@ -22,6 +22,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,9 @@ __all__ = [
 ]
 
 _OPT_RESIDUAL_RTOL = 1e-10
+# The largest certification radius whose square is a finite float; an
+# int or float comparison against it is exact, so it never overflows.
+_MAX_RADIUS = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -507,7 +511,7 @@ def estimate_fed_constants(
         raise InvalidInputError(
             f"requires 0 < trajectory_radius < inf (trajectory_radius = {trajectory_radius!r})"
         )
-    if not float(trajectory_radius) * float(trajectory_radius) < math.inf:
+    if not trajectory_radius <= _MAX_RADIUS:
         raise InvalidInputError(
             f"requires trajectory_radius**2 < inf (trajectory_radius = {trajectory_radius!r})"
         )

@@ -168,20 +168,24 @@ def test_fed_infinite_radius_rejected_at_parse():
     assert parsed.value.violations == ["requires trajectory_radius < inf (trajectory_radius = inf)"]
 
 
-def test_fed_radius_with_overflowing_square_rejected_at_parse():
-    # The certificate squares the radius; above about 1.34e154 that
-    # overflowed into a bare OverflowError mid-certificate.
+@pytest.mark.parametrize(
+    "literal, radius", [("1.0e+160", 1e160), ("1" + "0" * 400, 10**400)], ids=["1e160", "10**400"]
+)
+def test_fed_radius_with_overflowing_square_rejected_at_parse(literal, radius):
+    # The certificate squares the radius; above about 1.34e154 that raised
+    # a bare OverflowError, mid-certificate for a float and at parse time
+    # for an int too large for a float.
     from deedsim.engine import run_deed_fed
 
-    text = FED_VALID.replace("fed: {", "fed: {trajectory_radius: 1.0e+160, ")
+    text = FED_VALID.replace("fed: {", f"fed: {{trajectory_radius: {literal}, ")
     with pytest.raises(ConfigError) as parsed:
         parse_config(text)
     assert parsed.value.violations == [
-        "requires trajectory_radius**2 < inf (trajectory_radius = 1e+160)"
+        f"requires trajectory_radius**2 < inf (trajectory_radius = {radius!r})"
     ]
     with pytest.raises(ConfigError) as ran:
         run_deed_fed(parse_config(FED_VALID).problem, 3, 1000.0, 100000.0, 1.0, 8,
-                     mc_runs=2, trajectory_radius=1e160)
+                     mc_runs=2, trajectory_radius=radius)
     assert ran.value.violations == parsed.value.violations
     parse_config(FED_VALID.replace("fed: {", "fed: {trajectory_radius: 1.0e+100, "))
 

@@ -339,8 +339,9 @@ def test_fed_certificate_rejects_unbounded_radius():
 def test_fed_certificate_rejects_radius_with_overflowing_square():
     p = make_linreg(seed=2, d=4, N=3, target_kappa=3.0, rows_per_node=6,
                     interpolating=False, noise_scale=1.0)
-    with pytest.raises(InvalidInputError, match=r"requires trajectory_radius\*\*2 < inf"):
-        estimate_fed_constants(p, 2, 3, "full", 1e160)
+    for radius in (1e160, 10**400):
+        with pytest.raises(InvalidInputError, match=r"requires trajectory_radius\*\*2 < inf"):
+            estimate_fed_constants(p, 2, 3, "full", radius)
     fed = estimate_fed_constants(p, 2, 3, "full", 1e100)
     assert math.isfinite(fed.G_sq) and np.all(np.isfinite(fed.sigma_sq))
 

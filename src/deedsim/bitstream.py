@@ -12,12 +12,18 @@ sparse signed-integer vectors:
 Positions are 1-based; gaps are therefore always >= 1 and every Elias
 argument is positive.  Bits are most-significant-first within each code
 and streams are plain concatenations of codes with no padding.
+
+A ``SparseIntVector`` stores its positions and values as read-only numpy
+arrays (int64, or object arrays of Python ints where an entry does not
+fit in int64).  ``encode_sparse`` reads those arrays, ``decode_sparse``
+returns its vector in them, and ``to_dense`` scatters them; the tuple
+views ``positions`` and ``values`` are built only when read.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -126,60 +132,131 @@ class BitStream:
         return s
 
 
-@dataclass(frozen=True)
+def _int_array(seq) -> np.ndarray:
+    """A new int64 array of the integers in ``seq``, or an object array of
+    Python ints when one of them does not fit in int64."""
+    arr = np.asarray(seq)
+    kind = arr.dtype.kind
+    if arr.ndim == 1 and (kind in "ib" or (kind == "u" and not (arr >> 63).any())):
+        return arr.astype(np.int64)
+    # Mixed or wide integers, which numpy may have turned into floats.
+    try:
+        ints = [operator.index(x) for x in seq]
+    except TypeError:
+        raise InvalidInputError("positions and values must be integers") from None
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError:
+        return np.array(ints, dtype=object)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as stored: int64 if every entry fits, made read-only."""
+    if arr.dtype == object:
+        try:
+            arr = arr.astype(np.int64)
+        except OverflowError:
+            pass
+    arr.flags.writeable = False
+    return arr
+
+
 class SparseIntVector:
     """Nonzero entries of an integer vector, as (1-based position, value).
 
     Positions are strictly increasing and bounded by ``dim``; values are
-    nonzero.
+    nonzero.  Both are stored as read-only numpy arrays,
+    ``position_array`` and ``value_array``: int64, or an object array of
+    Python ints when an entry does not fit in int64.  ``positions`` and
+    ``values`` are tuples of Python ints, built from the arrays on first
+    access and cached.  Instances are immutable; equality and hashing
+    are by ``(dim, positions, values)``.
     """
 
-    dim: int
-    positions: tuple[int, ...]
-    values: tuple[int, ...]
+    __slots__ = ("dim", "position_array", "value_array", "_positions", "_values")
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    def __init__(self, dim: int, positions: Sequence[int], values: Sequence[int]) -> None:
+        if dim < 1:
             raise InvalidInputError("dim must be positive")
-        if len(self.positions) != len(self.values):
+        if len(positions) != len(values):
             raise InvalidInputError("positions and values must align")
-        if not len(self.positions):
-            return
-        # Integers beyond int64 give object arrays, which compare exactly.
-        arr = np.array(self.positions)
-        if (
-            arr[0] > 0
-            and arr[-1] <= self.dim
-            and (arr[1:] > arr[:-1]).all()
-            and 0 not in self.values
+        pos = _int_array(positions)
+        val = _int_array(values)
+        if len(pos) and not (
+            pos[0] > 0 and int(pos[-1]) <= dim and (pos[1:] > pos[:-1]).all() and val.all()
         ):
-            return
-        # Invalid: name the first bad entry, checked in the documented order.
-        prev = 0
-        for pos, val in zip(self.positions, self.values):
-            if pos <= prev:
-                raise InvalidInputError("positions must be strictly increasing")
-            if pos > self.dim:
-                raise InvalidInputError(f"position {pos} exceeds dim {self.dim}")
-            if val == 0:
-                raise InvalidInputError("values must be nonzero")
-            prev = pos
+            # Invalid: name the first bad entry, checked in the documented order.
+            prev = 0
+            for p, v in zip(pos.tolist(), val.tolist()):
+                if p <= prev:
+                    raise InvalidInputError("positions must be strictly increasing")
+                if p > dim:
+                    raise InvalidInputError(f"position {p} exceeds dim {dim}")
+                if v == 0:
+                    raise InvalidInputError("values must be nonzero")
+                prev = p
+        self._set(dim, _frozen(pos), _frozen(val))
+
+    def _set(self, dim, position_array: np.ndarray, value_array: np.ndarray) -> None:
+        setattr_ = object.__setattr__  # the class's own __setattr__ refuses
+        setattr_(self, "dim", dim)
+        setattr_(self, "position_array", position_array)
+        setattr_(self, "value_array", value_array)
+        setattr_(self, "_positions", None)  # tuple views, built when read
+        setattr_(self, "_values", None)
 
     @classmethod
     def _unchecked(
-        cls, dim: int, positions: tuple[int, ...], values: tuple[int, ...]
+        cls, dim: int, positions: np.ndarray, values: np.ndarray
     ) -> "SparseIntVector":
-        """Build without ``__post_init__``'s checks, for producers that
-        guarantee them (the decoder and the quantizer)."""
+        """Adopt integer arrays without the constructor's checks, for
+        producers that guarantee them (the decoder and the quantizer)."""
         self = object.__new__(cls)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "values", values)
+        self._set(dim, _frozen(positions), _frozen(values))
         return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return SparseIntVector._unchecked, (self.dim, self.position_array, self.value_array)
+
+    @property
+    def positions(self) -> tuple[int, ...]:
+        if self._positions is None:
+            object.__setattr__(self, "_positions", tuple(self.position_array.tolist()))
+        return self._positions
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        if self._values is None:
+            object.__setattr__(self, "_values", tuple(self.value_array.tolist()))
+        return self._values
 
     @property
     def nnz(self) -> int:
-        return len(self.positions)
+        return len(self.position_array)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.dim == other.dim
+            and np.array_equal(self.position_array, other.position_array)
+            and np.array_equal(self.value_array, other.value_array)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.positions, self.values))
+
+    def __repr__(self) -> str:
+        return (
+            f"SparseIntVector(dim={self.dim!r}, positions={self.positions!r}, "
+            f"values={self.values!r})"
+        )
 
     @classmethod
     def from_dense(cls, arr: Sequence[int] | np.ndarray) -> "SparseIntVector":
@@ -187,13 +264,13 @@ class SparseIntVector:
         idx = np.flatnonzero(arr)
         return cls(
             dim=len(arr),
-            positions=tuple((idx + 1).tolist()),
+            positions=idx + 1,
             values=tuple(map(int, arr[idx].tolist())),
         )
 
     def to_dense(self, dtype=np.int64) -> np.ndarray:
         out = np.zeros(self.dim, dtype=dtype)
-        out[np.array(self.positions, dtype=np.intp) - 1] = self.values
+        out[self.position_array - 1] = self.value_array
         return out
 
 
@@ -253,14 +330,14 @@ def encode_sparse(v: SparseIntVector) -> BitStream:
     every field, and digit j of all fields is written in one numpy pass.
     """
     nnz = v.nnz
-    try:
-        positions = np.array(v.positions, dtype=np.int64)
-        values = np.array(v.values, dtype=np.int64)
-        dtype = np.uint64  # holds |-2**63|
-    except OverflowError:  # exact Python ints beyond int64
-        positions = np.array(v.positions, dtype=object)
-        values = np.array(v.values, dtype=object)
+    positions, values = v.position_array, v.value_array
+    if positions.dtype == object or values.dtype == object:
+        # Exact Python ints beyond int64.
+        positions = positions.astype(object)
+        values = values.astype(object)
         dtype = object
+    else:
+        dtype = np.uint64  # holds |-2**63|
     # Stream order: nnz + 1, then gap, sign and |value| of each entry.
     fields = np.empty(3 * nnz + 1, dtype=dtype)
     fields[0] = nnz + 1
@@ -436,7 +513,7 @@ def decode_sparse(stream: BitStream, dim: int) -> SparseIntVector:
     # strictly and values are nonzero, as the vector requires.
     values = np.where(signs, -mags, mags)
     del codes, gaps, mags, signs
-    return SparseIntVector._unchecked(dim, tuple(positions.tolist()), tuple(values.tolist()))
+    return SparseIntVector._unchecked(dim, positions, values)
 
 
 def _floor_log2(n: np.ndarray) -> np.ndarray:

@@ -27,7 +27,8 @@ omitted but not set to null):
     fed:
       local_steps: int    beta: float        gamma: float
       participation: full | with-replacement | without-replacement (full)
-      k_participants: int trajectory_radius: float, 0 < r < inf (2 |w0 - w*|)
+      k_participants: int, partial participation only
+      trajectory_radius: float, 0 < r < inf (2 |w0 - w*|)
     run:
       iterations: int >= 0  # horizon keys
       rounds: int >= 0
@@ -288,6 +289,11 @@ def parse_config(text: str) -> RunConfig:
     elif rn["eta"] is not None:
         found.append(f"{algorithm} fixes eta = {spec.stepsize}; run.eta is not accepted")
     if spec.fed:
+        if fd["participation"] == "full" and fd["k_participants"] is not None:
+            found.append(
+                f"{algorithm} with fed.participation = full uses every node; "
+                "fed.k_participants is not accepted"
+            )
         found += engine.fed_violations(
             problem, fd["local_steps"], fd["beta"], fd["gamma"], qt["s"], T,
             fd["participation"], fd["k_participants"], fd["trajectory_radius"], w0,

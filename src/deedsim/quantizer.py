@@ -3,9 +3,11 @@
 A vector ``w`` in R^d is scaled onto an integer grid of step
 ``max_error / sqrt(d)``, each coordinate is rounded to floor or ceil
 unbiasedly (stochastic rounding), and the integer grid point is shipped
-as a sparse Elias-coded payload.  The decoded vector is always within
-Euclidean distance ``max_error`` of the input, and its expectation over
-the rounding dither equals the input.
+as a sparse Elias-coded payload.  The grid point is a ``SparseIntVector``
+that adopts the arrays of its nonzero positions and values; no tuple is
+built.  The decoded vector is always within Euclidean distance
+``max_error`` of the input, and its expectation over the rounding dither
+equals the input.
 
 Setting ``max_error = 0`` selects lossless pass-through: the vector is
 transmitted verbatim and charged ``float_bits * dim`` bits, which gives
@@ -177,9 +179,7 @@ def quantize(
     buf[1:nnz] -= positions[:-1]
     np.abs(buf, out=buf)
     bits = elias_length(nnz + 1) - nnz + 2 * int(np.frexp(buf)[1].sum())
-    grid = SparseIntVector._unchecked(
-        spec.dim, tuple(positions.tolist()), tuple(values.tolist())
-    )
+    grid = SparseIntVector._unchecked(spec.dim, positions, values)
     return QuantizedMessage(spec=spec, grid=grid, decoded=decoded, bits=bits)
 
 

@@ -422,10 +422,11 @@ def _c10_fed(cache: _Cache) -> tuple[bool, str]:
         if gapmin < 0:
             return False, f"{participation}: envelope broken (margin {gapmin:.3e})"
         margins.append(f"{participation}: C={fed.C:.3e}, min margin {gapmin:.3e}")
-        if participation == "full" and fed.C != 0.0:
-            return False, "full participation must have C = 0"
+        if participation == "full":
+            if fed.C != 0.0:
+                return False, "full participation must have C = 0"
+            full = traces
 
-    full = engine.run_deed_fed(prob, participation="full", K=None, **common)
     all_k = engine.run_deed_fed(
         prob, participation="without-replacement", K=prob.N, **common
     )

@@ -463,3 +463,108 @@ def test_sparse_codec_demo_runs():
     assert done.returncode == 0, done.stderr
     assert "roundtrip ok: True" in done.stdout
     assert "unpacked ok: True" in done.stdout
+
+
+# The vector stores read-only int64 arrays, or object arrays of Python
+# ints where an entry does not fit in int64; ``positions`` and ``values``
+# are tuple views of them.
+def _assert_array_backed(v):
+    for arr, view in ((v.position_array, v.positions), (v.value_array, v.values)):
+        assert type(view) is tuple and all(type(x) is int for x in view)
+        assert view == tuple(arr.tolist())
+        assert arr.ndim == 1 and not arr.flags.writeable
+        wide = any(not -(2**63) <= x < 2**63 for x in view)
+        assert arr.dtype == (object if wide else np.int64)
+        if len(arr):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+    assert v.nnz == len(v.positions) == len(v.values)
+
+
+@given(
+    d=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    scale_exp=st.floats(-3.0, 3.0),
+    budget_exp=st.floats(-3.0, 1.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_quantize_and_decode_store_read_only_arrays(d, seed, scale_exp, budget_exp):
+    from deedsim.quantizer import QuantSpec, quantize
+
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(d) * 10.0**scale_exp
+    msg = quantize(w, QuantSpec(10.0**budget_exp, d), rng)
+    _assert_array_backed(msg.grid)
+    enc = encode_sparse(msg.grid)
+    assert enc == ref.encode_sparse(msg.grid)
+    got = decode_sparse(enc, d)
+    _assert_array_backed(got)
+    assert got == msg.grid == ref.decode_sparse(enc, d)
+    assert (got.positions, got.values) == (msg.grid.positions, msg.grid.values)
+    assert got.to_dense().tobytes() == msg.grid.to_dense().tobytes()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_array_backed_and_tuple_built_vectors_agree(data):
+    nnz = data.draw(st.integers(0, 8))
+    positions, values = _entries(data, nnz)
+    floor = positions[-1] if nnz else 1
+    dim = floor + data.draw(st.one_of(st.integers(0, 3), st.sampled_from([2**63, 2**64])))
+    built = SparseIntVector(dim=dim, positions=positions, values=values)
+    _assert_array_backed(built)
+    # Decoded (wide codes or dim >= 2**63 decode through object arrays)
+    # and adopted from object arrays: equal, and hashed as the tuples are.
+    enc = encode_sparse(built)
+    assert enc == ref.encode_sparse(built)
+    decoded = decode_sparse(enc, dim)
+    adopted = SparseIntVector._unchecked(
+        dim, np.array(positions, dtype=object), np.array(values, dtype=object)
+    )
+    for v in (decoded, adopted):
+        _assert_array_backed(v)
+        assert v == built and built == v and not v != built
+        assert hash(v) == hash(built) == hash((dim, positions, values))
+        assert encode_sparse(v) == enc
+    assert ref.decode_sparse(enc, dim) == decoded
+    assert SparseIntVector(dim + 1, positions, values) != built
+    if nnz:
+        flipped = (-values[0],) + values[1:]
+        assert SparseIntVector(dim, positions, flipped) != built
+
+
+def test_sparse_vector_takes_integer_sequences_of_any_form():
+    want = SparseIntVector(dim=2**64, positions=(1, 2**63), values=(-1, 2**63))
+    for positions, values in (
+        ([1, 2**63], [-1, 2**63]),
+        (np.array([1, 2**63], dtype=np.uint64), np.array([-1, 2**63], dtype=object)),
+        ((np.int64(1), 2**63), (np.int64(-1), np.uint64(2**63))),
+    ):
+        assert SparseIntVector(2**64, positions, values) == want
+    source = np.array([2, 5])
+    v = SparseIntVector(dim=5, positions=source, values=np.array([1, -1], dtype=np.int8))
+    source[0] = 9  # the vector keeps its own copy
+    assert v.positions == (2, 5) and v.value_array.dtype == np.int64
+    for bad in ((1.0, 2.0), np.array([1.5]), ("1",), ((1,),)):
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            SparseIntVector(dim=4, positions=(1,) * len(bad), values=bad)
+        with pytest.raises(InvalidInputError, match="must be integers"):
+            SparseIntVector(dim=4, positions=bad, values=(1,) * len(bad))
+
+
+def test_sparse_vector_is_immutable_and_pickles():
+    import dataclasses
+    import pickle
+
+    v = SparseIntVector(dim=2**70, positions=(3, 2**70), values=(-(2**63), 2**64 + 1))
+    for name in ("dim", "positions", "position_array", "values"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del v.dim
+    assert repr(v) == (
+        f"SparseIntVector(dim={2**70}, positions=(3, {2**70}), values=({-(2**63)}, {2**64 + 1}))"
+    )
+    back = pickle.loads(pickle.dumps(v))
+    assert back == v and hash(back) == hash(v)
+    _assert_array_backed(back)

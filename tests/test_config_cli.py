@@ -157,6 +157,21 @@ def test_fed_preconditions_rejected_at_parse(override):
     assert parsed.value.violations == ran.value.violations
 
 
+def test_fed_k_participants_rejected_under_full_participation():
+    # Full participation uses every node, so a sample size would be ignored.
+    full = FED_VALID.replace("fed: {", "fed: {participation: full, ")
+    with pytest.raises(ConfigError) as err:
+        parse_config(full.replace("fed: {", "fed: {k_participants: 2, "))
+    assert err.value.violations == [
+        "deed-fed with fed.participation = full uses every node; "
+        "fed.k_participants is not accepted"
+    ]
+    assert parse_config(full).fed["k_participants"] is None
+    for scheme in ("with-replacement", "without-replacement"):
+        partial = FED_VALID.replace("fed: {", f"fed: {{participation: {scheme}, k_participants: 2, ")
+        assert parse_config(partial).fed["k_participants"] == 2
+
+
 def test_fed_infinite_radius_rejected_at_parse():
     # On an infinite ball the certificate's objective is NaN; before this
     # check max() dropped it, so G_sq and sigma_sq came out finite and wrong

@@ -76,7 +76,11 @@ GOLDEN = {
 # a lossless baseline and the experiment stepsize.  Built in memory, so
 # ``configs/`` keeps one file per shipped example.
 VARIANTS = {
-    "deed_fed.yaml+full": ("deed_fed.yaml", {"fed": {"participation": "full"}}),
+    # Null drops the shipped k_participants, which full participation rejects.
+    "deed_fed.yaml+full": (
+        "deed_fed.yaml",
+        {"fed": {"participation": "full", "k_participants": None}},
+    ),
     "deed_fed.yaml+with-replacement": (
         "deed_fed.yaml",
         {"fed": {"participation": "with-replacement", "k_participants": 4}},

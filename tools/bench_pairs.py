@@ -182,12 +182,26 @@ def summarize(pairs: list[dict], rules: dict[str, tuple[str, float | None]]) -> 
     return summary
 
 
+def blas_build(config: dict) -> str:
+    """The BLAS a numpy or scipy build links, from its ``__config__.CONFIG``."""
+    blas = config["Build Dependencies"]["blas"]
+    return blas.get("openblas configuration") or f"{blas['name']} {blas.get('version', '')}".strip()
+
+
 def machine() -> dict:
+    """What the timings and golden digests depend on besides the source:
+    cores, versions, BLAS builds and threading environment, and the SIMD
+    extensions numpy was built for and found."""
     import numpy as np
     import scipy
 
     return {"cores": os.cpu_count(), "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__}
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy_blas": blas_build(np.__config__.CONFIG),
+            "scipy_blas": blas_build(scipy.__config__.CONFIG),
+            "numpy_simd": np.__config__.CONFIG["SIMD Extensions"],
+            "thread_env": {k: v for k, v in sorted(os.environ.items())
+                           if k.startswith("OPENBLAS_") or k == "OMP_NUM_THREADS"}}
 
 
 def main(argv=None) -> int:

@@ -152,12 +152,12 @@ def _int_array(seq) -> np.ndarray:
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """``arr`` as stored: int64 if every entry fits, made read-only."""
-    if arr.dtype == object:
+    if arr.dtype.hasobject:
         try:
             arr = arr.astype(np.int64)
         except OverflowError:
             pass
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -195,15 +195,14 @@ class SparseIntVector:
                 if v == 0:
                     raise InvalidInputError("values must be nonzero")
                 prev = p
-        self._set(dim, _frozen(pos), _frozen(val))
+        self._set(dim, pos, val)
 
-    def _set(self, dim, position_array: np.ndarray, value_array: np.ndarray) -> None:
+    def _set(self, dim, positions: np.ndarray, values: np.ndarray) -> None:
+        # The tuple views ``_positions`` and ``_values`` stay unset until read.
         setattr_ = object.__setattr__  # the class's own __setattr__ refuses
         setattr_(self, "dim", dim)
-        setattr_(self, "position_array", position_array)
-        setattr_(self, "value_array", value_array)
-        setattr_(self, "_positions", None)  # tuple views, built when read
-        setattr_(self, "_values", None)
+        setattr_(self, "position_array", _frozen(positions))
+        setattr_(self, "value_array", _frozen(values))
 
     @classmethod
     def _unchecked(
@@ -212,7 +211,7 @@ class SparseIntVector:
         """Adopt integer arrays without the constructor's checks, for
         producers that guarantee them (the decoder and the quantizer)."""
         self = object.__new__(cls)
-        self._set(dim, _frozen(positions), _frozen(values))
+        self._set(dim, positions, values)
         return self
 
     def __setattr__(self, name, value):
@@ -226,15 +225,19 @@ class SparseIntVector:
 
     @property
     def positions(self) -> tuple[int, ...]:
-        if self._positions is None:
+        try:
+            return self._positions
+        except AttributeError:
             object.__setattr__(self, "_positions", tuple(self.position_array.tolist()))
-        return self._positions
+            return self._positions
 
     @property
     def values(self) -> tuple[int, ...]:
-        if self._values is None:
+        try:
+            return self._values
+        except AttributeError:
             object.__setattr__(self, "_values", tuple(self.value_array.tolist()))
-        return self._values
+            return self._values
 
     @property
     def nnz(self) -> int:

@@ -209,7 +209,9 @@ class SparseIntVector:
         cls, dim: int, positions: np.ndarray, values: np.ndarray
     ) -> "SparseIntVector":
         """Adopt integer arrays without the constructor's checks, for
-        producers that guarantee them (the decoder and the quantizer)."""
+        producers that guarantee them (the decoder and the quantizer).
+        The arrays are made read-only in place, so they must be the
+        producer's own."""
         self = object.__new__(cls)
         self._set(dim, positions, values)
         return self

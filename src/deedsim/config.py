@@ -221,6 +221,8 @@ def parse_config(text: str) -> RunConfig:
         violations.append(
             f"algorithm must be one of {', '.join(ALGORITHMS)} (got {algorithm!r})"
         )
+    elif "fed" in data and not spec.fed:
+        violations.append(f"{algorithm} reads no fed block; only deed-fed takes one")
 
     blocks = {}
     for name in ("problem", "quant", "fed", "run", "output"):
@@ -289,11 +291,6 @@ def parse_config(text: str) -> RunConfig:
     elif rn["eta"] is not None:
         found.append(f"{algorithm} fixes eta = {spec.stepsize}; run.eta is not accepted")
     if spec.fed:
-        if fd["participation"] == "full" and fd["k_participants"] is not None:
-            found.append(
-                f"{algorithm} with fed.participation = full uses every node; "
-                "fed.k_participants is not accepted"
-            )
         found += engine.fed_violations(
             problem, fd["local_steps"], fd["beta"], fd["gamma"], qt["s"], T,
             fd["participation"], fd["k_participants"], fd["trajectory_radius"], w0,

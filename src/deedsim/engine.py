@@ -81,14 +81,23 @@ _REL_SLACK = 1e-9
 _ABS_DUST = 1e-12
 
 
-def _weighted_sum(arrays, rows, coefs: np.ndarray) -> np.ndarray:
-    """Sequential sum of ``coefs[j] * arrays[rows[j]]`` in the order of
-    ``rows`` (ascending node ids); kept as a loop, since a BLAS product
-    rounds differently."""
-    out = coefs[0] * arrays[rows[0]]
-    for j in range(1, len(rows)):
-        out = out + coefs[j] * arrays[rows[j]]
-    return out
+def _weighted_sum(arrays: np.ndarray, rows, coefs: np.ndarray) -> np.ndarray:
+    """``sum_j coefs[j] * arrays[rows[j]]`` over the rows of an ``(N, d)``
+    array, added in the order of ``rows`` (ascending node ids).
+
+    One broadcast product and a running sum down axis 0, which adds row
+    after row by definition; a BLAS product or ``sum``'s pairwise
+    summation would round differently.
+    """
+    if isinstance(rows, range):  # a view, not a gather
+        rows = slice(rows.start, rows.stop, rows.step)
+    return np.add.accumulate(coefs[:, None] * arrays[rows], axis=0)[-1]
+
+
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float vector, as ``np.linalg.norm`` computes
+    it (``sqrt(x.dot(x))``) without its dispatch."""
+    return math.sqrt(x.dot(x))
 
 
 def _initial_point(problem, w0) -> np.ndarray:
@@ -126,14 +135,14 @@ def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_
         up_bits += msg.bits
         max_bits = max(max_bits, msg.bits)
         if stage > 0.0:
-            max_fraction = max(max_fraction, math.sqrt(diff.dot(diff)) / stage)
+            max_fraction = max(max_fraction, _norm(diff) / stage)
 
     down_diff = _weighted_sum(S, participants, coefs) - v
     rng = stream(seed, run_index, round_index, 0, DOWNLINK)
     umsg = quantize(down_diff, spec, rng, float_bits)
     v += umsg.decoded
     if stage > 0.0:
-        max_fraction = max(max_fraction, math.sqrt(down_diff.dot(down_diff)) / stage)
+        max_fraction = max(max_fraction, _norm(down_diff) / stage)
     max_bits = max(max_bits, umsg.bits)
     err = _assert_budget(v, _weighted_sum(payloads, participants, coefs), budget, round_index)
     return up_bits, umsg.bits, max_fraction, max_bits, err
@@ -173,14 +182,14 @@ def _book(trace: RunTrace, row: int, total: float, n: int, exchange) -> None:
 
 def _record(trace: RunTrace, t: int, problem, x: np.ndarray) -> None:
     """Row ``t``'s distance to the optimum and loss gap at ``x``."""
-    trace.dist[t] = np.linalg.norm(x - problem.w_star)
+    trace.dist[t] = _norm(x - problem.w_star)
     trace.fgap[t] = problem.f_gap(x)
 
 
 def _assert_budget(v_k, gbar, budget, round_index) -> float:
     """Raise unless ``|v_k - gbar| <= budget`` (up to float dust); returns the error."""
-    err = float(np.linalg.norm(v_k - gbar))
-    allowed = budget * (1.0 + _REL_SLACK) + _ABS_DUST * (1.0 + float(np.linalg.norm(gbar)))
+    err = _norm(v_k - gbar)
+    allowed = budget * (1.0 + _REL_SLACK) + _ABS_DUST * (1.0 + _norm(gbar))
     if err > allowed:
         raise BoundViolationError("aggregate error budget", round_index, err, allowed)
     return err
@@ -347,7 +356,7 @@ def _frequent_run(
         if not differential:
             S.fill(0.0)
             v.fill(0.0)
-        grads = grad_source(run_index, k, w if tau is None else y)
+        grads = np.array(grad_source(run_index, k, w if tau is None else y))
         total = budget_total(k)
         exchange = _exchange(
             S, v, grads, nodes, coefs, total / 2.0, total, (seed, run_index, k), float_bits
@@ -644,7 +653,12 @@ def fed_violations(
     violations = param_violations(problem, T_rounds, s=s)
     if participation not in PARTICIPATION_SCHEMES:
         violations.append(f"unknown participation scheme {participation!r}")
-    elif participation != "full":
+    elif participation == "full":
+        if K is not None:
+            violations.append(
+                f"full participation uses every node; K is not accepted (K = {K!r})"
+            )
+    else:
         if K is None:
             violations.append("K is required for partial participation")
         elif participation == "without-replacement" and not 1 <= K <= problem.N:
@@ -764,10 +778,13 @@ def run_deed_fed(
 
         _record(trace, 0, problem, _weighted_sum(W, nodes, p))
         for t in range(T_total):
-            eta_t = eta_at(t)
-            for i in range(n):
-                g = problem.stochastic_grad(i, W[i], stream(seed, r, t, i, ROW_SAMPLE))
-                W[i] -= eta_t * g
+            # Node i's gradient reads only row i, so one update of all rows
+            # after every gradient takes the same floats as one per node.
+            G = np.array([
+                problem.stochastic_grad(i, W[i], stream(seed, r, t, i, ROW_SAMPLE))
+                for i in nodes
+            ])
+            W -= eta_at(t) * G
             k = t + 1
             if k % E == 0:
                 # The broadcast lies within (s eta_k / 2)(1 + sum_i c_i) of

@@ -164,21 +164,24 @@ def quantize(
     if n:
         up[randomized] = rng.random(n) < frac[randomized]
 
-    grid_dense = (lo + up).astype(np.int64)
-    decoded = grid_dense * step
+    # The grid point lo + up in place of lo.  Every grid value is an
+    # integer-valued float, so the int64 grid is exact and the decoded
+    # value lo * step equals grid * step.
+    np.add(lo, up, out=lo)
+    grid_dense = lo.astype(np.int64)
+    decoded = np.multiply(lo, step, out=lo)
     (idx,) = grid_dense.nonzero()
     positions = idx + 1
     values = grid_dense[idx]
     # Payload bits, as ``sparse_payload_bits`` counts them: per entry
     # Elias(gap) + sign + Elias(|value|), where an Elias code of n takes
-    # 2 floor(log2 n) + 1 bits.  Gaps and magnitudes share one buffer, and
-    # frexp gives n = m 2**e with 0.5 <= m < 1, so floor(log2 n) = e - 1.
-    # It is exact here: every magnitude came from a float.
+    # 2 floor(log2 n) + 1 bits.  Gaps and values share one buffer, and
+    # frexp gives n = m 2**e with 0.5 <= |m| < 1, so floor(log2 |n|) = e - 1
+    # whatever the sign.  It is exact here: every value came from a float.
     nnz = len(idx)
     buf = np.concatenate((positions, values))
     buf[1:nnz] -= positions[:-1]
-    np.abs(buf, out=buf)
-    bits = elias_length(nnz + 1) - nnz + 2 * int(np.frexp(buf)[1].sum())
+    bits = elias_length(nnz + 1) - nnz + 2 * int(np.add.reduce(np.frexp(buf)[1]))
     grid = SparseIntVector._unchecked(spec.dim, positions, values)
     return QuantizedMessage(spec=spec, grid=grid, decoded=decoded, bits=bits)
 

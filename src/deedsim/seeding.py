@@ -132,7 +132,7 @@ def _readout_constants() -> tuple:
     return tuple(out)
 
 
-_READOUT = _readout_constants()
+(_C0, _M0), (_C1, _M1), (_C2, _M2), (_C3, _M3) = _readout_constants()
 
 
 class _Key(ISeedSequence):
@@ -155,11 +155,34 @@ def philox_key(master_seed: int, *labels: int) -> np.ndarray:
     labels = tuple(map(int, labels))
     # Runs share their (seed, run, round) prefix across every message of a
     # round; only the last two labels (node, purpose) are mixed per call.
-    pool, h = _pool(seed, labels[:-2])
-    for label in labels[-2:]:
-        for word in _words(label):
-            pool, h = _absorb(pool, h, word)
-    s0, s1, s2, s3 = [(x ^ c) * m & _MASK32 for x, (c, m) in zip(pool, _READOUT)]
+    if len(labels) < 2 or not (0 <= labels[-2] <= _MASK32 and 0 <= labels[-1] <= _MASK32):
+        pool, h = _pool(seed, labels[:-2])
+        for label in labels[-2:]:
+            for word in _words(label):
+                pool, h = _absorb(pool, h, word)
+        return _readout(*pool)
+    # Both fit one word, the engines' case: the two ``_absorb`` calls and
+    # the readout written out.
+    (x0, x1, x2, x3), h = _pool(seed, labels[:-2])
+    (a0, a1, a2, a3), h = _hashed(labels[-2], h)
+    (b0, b1, b2, b3), _ = _hashed(labels[-1], h)
+    x0 = (_MIX_L * x0 - _MIX_R * a0) & _MASK32
+    x1 = (_MIX_L * x1 - _MIX_R * a1) & _MASK32
+    x2 = (_MIX_L * x2 - _MIX_R * a2) & _MASK32
+    x3 = (_MIX_L * x3 - _MIX_R * a3) & _MASK32
+    x0 = (_MIX_L * (x0 ^ x0 >> 16) - _MIX_R * b0) & _MASK32
+    x1 = (_MIX_L * (x1 ^ x1 >> 16) - _MIX_R * b1) & _MASK32
+    x2 = (_MIX_L * (x2 ^ x2 >> 16) - _MIX_R * b2) & _MASK32
+    x3 = (_MIX_L * (x3 ^ x3 >> 16) - _MIX_R * b3) & _MASK32
+    return _readout(x0 ^ x0 >> 16, x1 ^ x1 >> 16, x2 ^ x2 >> 16, x3 ^ x3 >> 16)
+
+
+def _readout(x0: int, x1: int, x2: int, x3: int) -> np.ndarray:
+    """``generate_state(2, np.uint64)`` of the mixed pool ``x0..x3``."""
+    s0 = (x0 ^ _C0) * _M0 & _MASK32
+    s1 = (x1 ^ _C1) * _M1 & _MASK32
+    s2 = (x2 ^ _C2) * _M2 & _MASK32
+    s3 = (x3 ^ _C3) * _M3 & _MASK32
     return np.array(
         [s0 ^ s0 >> 16 | (s1 ^ s1 >> 16) << 32, s2 ^ s2 >> 16 | (s3 ^ s3 >> 16) << 32],
         dtype=np.uint64,

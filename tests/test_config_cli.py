@@ -159,13 +159,17 @@ def test_fed_preconditions_rejected_at_parse(override):
 
 def test_fed_k_participants_rejected_under_full_participation():
     # Full participation uses every node, so a sample size would be ignored.
+    from deedsim.engine import run_deed_fed
+
     full = FED_VALID.replace("fed: {", "fed: {participation: full, ")
     with pytest.raises(ConfigError) as err:
         parse_config(full.replace("fed: {", "fed: {k_participants: 2, "))
-    assert err.value.violations == [
-        "deed-fed with fed.participation = full uses every node; "
-        "fed.k_participants is not accepted"
-    ]
+    assert err.value.violations == ["full participation uses every node; K is not accepted (K = 2)"]
+    # The engine API rejects it through the same check.
+    with pytest.raises(ConfigError) as ran:
+        run_deed_fed(parse_config(FED_VALID).problem, 2, 1000.0, 100000.0, 1.0, 2,
+                     participation="full", K=7)
+    assert ran.value.violations == ["full participation uses every node; K is not accepted (K = 7)"]
     assert parse_config(full).fed["k_participants"] is None
     for scheme in ("with-replacement", "without-replacement"):
         partial = FED_VALID.replace("fed: {", f"fed: {{participation: {scheme}, k_participants: 2, ")
@@ -298,6 +302,17 @@ def test_unknown_keys_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config(MINIMAL.replace("s: 0.1", "s: 0.1, warp: 9"))
     assert any("unknown key quant.warp" in v for v in err.value.violations)
+
+
+def test_fed_block_rejected_without_deed_fed():
+    # Only deed-fed reads the block; under another algorithm it was ignored.
+    fed = "fed: {local_steps: 3, participation: with-replacement, k_participants: 9}\n"
+    for text, algorithm in ((MINIMAL, "deed-gd"), (SGD_CFG, "deed-sgd")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text + fed)
+        assert err.value.violations == [f"{algorithm} reads no fed block; only deed-fed takes one"]
+    # The fed defaults filled in when the block is absent do not trigger it.
+    assert parse_config(MINIMAL).fed["participation"] == "full"
 
 
 def test_all_violations_reported():

@@ -3,8 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deedsim.engine import (
+    PARTICIPATION_SCHEMES,
+    _norm,
+    _participants,
+    _weighted_sum,
     run_adeed_gd,
     run_const_error_gd,
     run_deed_fed,
@@ -434,3 +440,51 @@ def test_fed_w0_dimension_named(fed_problem):
     with pytest.raises(InvalidInputError, match="w0 must have dim 8"):
         run_deed_fed(fed_problem, beta=beta, gamma=gamma, participation="full",
                      K=None, w0=np.ones(3), **FED_ARGS)
+
+
+# -- the vectorized aggregate and norm against the loops they replaced --
+
+
+def _sequential_weighted_sum(arrays, rows, coefs):
+    """The aggregate as a loop, adding ``coefs[j] * arrays[rows[j]]`` in row order."""
+    out = coefs[0] * arrays[rows[0]]
+    for j in range(1, len(rows)):
+        out = out + coefs[j] * arrays[rows[j]]
+    return out
+
+
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=64),
+    st.sampled_from(PARTICIPATION_SCHEMES + ("uniform",)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_weighted_sum_equals_sequential_loop(n, d, scheme, seed):
+    # n > 8 and d = 1 are where numpy's sum would switch to pairwise order.
+    rng = np.random.default_rng(seed)
+    arrays = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, d))
+    p = rng.random(n) + 0.05
+    p /= p.sum()
+    if scheme == "uniform":  # the frequent engines' coefficients
+        rows, coefs = range(n), np.full(n, 1.0 / n)
+    else:
+        K = int(rng.integers(1, n + 1)) if scheme != "full" else None
+        rows, coefs = _participants(scheme, K, p, (seed, 0, 1))
+    assert isinstance(rows, range) == (scheme in ("full", "uniform"))
+    got = _weighted_sum(arrays, rows, coefs)
+    want = _sequential_weighted_sum(arrays, rows, coefs)
+    assert got.shape == (d,) and got.tobytes() == want.tobytes()
+
+
+@given(
+    st.integers(min_value=1, max_value=64).flatmap(
+        lambda d: st.lists(st.floats(allow_nan=False, width=64), min_size=d, max_size=d)
+    )
+)
+@settings(max_examples=300, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_norm_equals_numpy_norm(coords):
+    x = np.array(coords)
+    got, want = _norm(x), np.linalg.norm(x)
+    assert np.array(got).tobytes() == np.array(want).tobytes()

@@ -333,6 +333,25 @@ def test_quantize_grid_limit_matches_reference(d):
         assert_matches_reference(np.full(d, edge), spec)
 
 
+@pytest.mark.parametrize("d", [1, 2, 20, 100])
+def test_quantize_matches_reference_beyond_two_to_the_53(d):
+    # Above 2**53 not every integer is a float: lo + 1.0 can round back to
+    # lo, so the grid and the decoded vector must still come from one sum.
+    rng = np.random.default_rng(53)
+    mags = [2.0**52 + 0.5, 2.0**53 - 0.5, 2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**60, 2.0**62 + 2.0**10]
+    for max_error in (math.sqrt(d), 0.3, 7.5):
+        spec = QuantSpec(max_error, d)
+        for rep, mag in enumerate(mags):
+            w = rng.normal(size=d)
+            w[rng.integers(d)] = mag * spec.grid_step
+            assert_matches_reference(w, spec, seed=rep)
+            assert_matches_reference(-w, spec, seed=rep)
+            signs = np.where(rng.random(d) < 0.5, -1.0, 1.0)
+            big = signs * np.array(rng.choice(mags, size=d)) * spec.grid_step
+            assert_matches_reference(big, spec, seed=rep)
+            assert_matches_reference(np.nextafter(big, 0.0), spec, seed=rep)
+
+
 @pytest.mark.parametrize("d", [1, 2, 20, 100, 10_000])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_quantize_nonfinite_messages_match_reference(d, bad):

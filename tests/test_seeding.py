@@ -78,6 +78,24 @@ def test_philox_key_is_seed_sequence_state():
         assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
+FAST_PATH_EDGES = (0, 1, 2**32 - 1, 2**32, 2**40)
+
+
+@pytest.mark.parametrize("prefix", [(), (0,), (2, 499), (1, 2**32, 7)])
+def test_philox_key_on_both_sides_of_one_word_labels(prefix):
+    # The last two labels take the straight-line path when both fit one
+    # uint32 word, and the word-by-word path otherwise.
+    for node in FAST_PATH_EDGES:
+        for purpose in FAST_PATH_EDGES:
+            labels = prefix + (node, purpose)
+            for seed in (0, 11, 2**64 + 3):
+                want = np.random.SeedSequence(entropy=seed, spawn_key=labels).generate_state(
+                    2, np.uint64
+                )
+                got = seeding.philox_key(seed, *labels)
+                assert got.dtype == np.uint64 and np.array_equal(got, want), (seed, labels)
+
+
 @pytest.mark.parametrize("args", [(-1,), (-1, 0, 0), (3, -1), (3, 0, 0, -5, 1), (3, 0, 0, 1, -2)])
 def test_negative_seed_or_label_raises(args):
     with pytest.raises(ValueError):

@@ -40,6 +40,8 @@ parent's quartile distance, and a ``reading``:
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -188,17 +190,43 @@ def blas_build(config: dict) -> str:
     return blas.get("openblas configuration") or f"{blas['name']} {blas.get('version', '')}".strip()
 
 
+def openblas_runtime(package, suffix: str) -> dict:
+    """Core type and thread count of the OpenBLAS bundled in
+    ``<package>.libs``, read from the loaded library through its
+    ``scipy_openblas_get_corename<suffix>`` and
+    ``scipy_openblas_get_num_threads<suffix>``; None where the library or a
+    symbol is missing."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                        package.__name__ + ".libs")
+    found = {"core": None, "threads": None}
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+        lib = ctypes.CDLL(path)  # the loaded library's handle, if loaded
+        for key, name, restype in (("core", "corename", ctypes.c_char_p),
+                                   ("threads", "num_threads", ctypes.c_int)):
+            fn = getattr(lib, f"scipy_openblas_get_{name}{suffix}", None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], restype
+                value = fn()
+                found[key] = value.decode() if isinstance(value, bytes) else value
+    return found
+
+
 def machine() -> dict:
     """What the timings and golden digests depend on besides the source:
-    cores, versions, BLAS builds and threading environment, and the SIMD
-    extensions numpy was built for and found."""
+    cores, versions, BLAS builds, the core type and thread count each
+    OpenBLAS runs with, the threading environment, and the SIMD extensions
+    numpy was built for and found."""
     import numpy as np
     import scipy
+    import scipy.linalg  # noqa: F401 -- loads scipy's OpenBLAS
 
     return {"cores": os.cpu_count(), "python": platform.python_version(),
             "numpy": np.__version__, "scipy": scipy.__version__,
             "numpy_blas": blas_build(np.__config__.CONFIG),
             "scipy_blas": blas_build(scipy.__config__.CONFIG),
+            # numpy's OpenBLAS has 64-bit integers and suffixed names.
+            "numpy_openblas": openblas_runtime(np, "64_"),
+            "scipy_openblas": openblas_runtime(scipy, ""),
             "numpy_simd": np.__config__.CONFIG["SIMD Extensions"],
             "thread_env": {k: v for k, v in sorted(os.environ.items())
                            if k.startswith("OPENBLAS_") or k == "OMP_NUM_THREADS"}}

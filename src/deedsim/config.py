@@ -24,7 +24,7 @@ omitted but not set to null):
     quant:
       s: float            c_prime: float     float_bits: int >= 1 (32)
       fixed_eps: float    rho: float
-    fed:
+    fed:                # deed-fed only
       local_steps: int    beta: float        gamma: float
       participation: full | with-replacement | without-replacement (full)
       k_participants: int, partial participation only

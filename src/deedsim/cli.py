@@ -19,7 +19,7 @@ import sys
 
 from .config import parse_config_file
 from .errors import ConfigError
-from .harness import cmd_compare, cmd_run, compute_bound
+from .harness import cmd_compare, cmd_run, compute_bound, output_dir
 from .verify import SUITES, run_suite
 
 
@@ -64,9 +64,7 @@ def _cmd_bound(args) -> int:
             file=sys.stderr,
         )
         return 1
-    out_dir = args.out or cfg.output_dir or os.environ.get("DEEDSIM_OUT_DIR") or "deedsim_out"
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "bound.csv")
+    path = os.path.join(output_dir(cfg, args.out), "bound.csv")
     series.to_csv(path)
     print(f"wrote {path}", file=sys.stderr)
     print(

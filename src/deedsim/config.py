@@ -9,7 +9,9 @@ problem and are the engines' own (``engine.param_violations``,
 ``margin_violations`` and ``fed_violations``): the same code and
 messages at parse time as at run time.  Each algorithm's horizon key,
 required ``quant`` and ``fed`` keys, stepsize rule and engine call are
-in its ``ALGORITHMS`` entry.
+in its ``ALGORITHMS`` entry, and a key no entry reads is rejected: a
+``fed`` block outside ``deed-fed``, ``run.counting_mode`` outside the
+lossless baselines.
 
 Schema (defaults in parentheses, * required; a key with a default may be
 omitted but not set to null):
@@ -33,7 +35,7 @@ omitted but not set to null):
       iterations: int >= 0  # horizon keys
       rounds: int >= 0
       mc_runs: int >= 1 (1)                  master_seed: int >= 0 (0)
-      counting_mode: star-full | fully-connected | x2 (star-full)
+      counting_mode: star-full | fully-connected (star-full)  # gd and agd only
       stepsize_mode: theory | experiment (theory)
       eta: float          # explicit override, where the stepsize rule is "config"
       w0: [floats]
@@ -49,7 +51,6 @@ from typing import Callable
 import numpy as np
 
 from . import engine
-from .engine import COUNTING_MODES
 from .errors import ConfigError, DeedsimError
 from .problems import QuadraticProblem, estimate_rho, make_linreg
 
@@ -64,7 +65,9 @@ class Algorithm:
     the rule the engine fixes, which rejects ``run.eta``.  Required fed
     keys give the federated envelope, a ``c_prime`` the contraction
     envelope, and otherwise ``harness.compute_bound`` uses the recursion
-    of the unquantized method.  ``run(cfg, **common)`` calls the engine.
+    of the unquantized method.  ``counting`` marks the lossless baselines,
+    whose ledger ``run.counting_mode`` re-prices.  ``run(cfg, **common)``
+    calls the engine.
     """
 
     horizon: str  # run key holding T
@@ -72,6 +75,7 @@ class Algorithm:
     run: Callable
     fed: tuple[str, ...] = ()  # required fed keys
     stepsize: str = "config"
+    counting: bool = False  # reads run.counting_mode
 
 
 _CODED = ("s", "c_prime")
@@ -90,9 +94,10 @@ ALGORITHMS = {
         trajectory_radius=c.fed["trajectory_radius"], **kw),
         fed=("local_steps", "beta", "gamma"), stepsize="beta/(t+gamma)"),
     "gd": Algorithm("iterations", (), lambda c, **kw: engine.run_exact_gd(
-        c.problem, c.eta, c.T, **kw)),
+        c.problem, c.eta, c.T, counting_mode=c.run["counting_mode"], **kw), counting=True),
     "agd": Algorithm("iterations", (), lambda c, **kw: engine.run_exact_agd(
-        c.problem, c.T, **kw), stepsize="1/L"),
+        c.problem, c.T, counting_mode=c.run["counting_mode"], **kw), stepsize="1/L",
+        counting=True),
     "const-quant-gd": Algorithm("iterations", ("fixed_eps",), lambda c, **kw: (
         engine.run_const_error_gd(c.problem, c.eta, c.T, c.quant["fixed_eps"], **kw))),
 }
@@ -224,7 +229,7 @@ def parse_config(text: str) -> RunConfig:
     elif "fed" in data and not spec.fed:
         violations.append(f"{algorithm} reads no fed block; only deed-fed takes one")
 
-    blocks = {}
+    raws, blocks = {}, {}
     for name in ("problem", "quant", "fed", "run", "output"):
         raw = data.get(name, {})
         if raw is None:
@@ -232,6 +237,7 @@ def parse_config(text: str) -> RunConfig:
         if not isinstance(raw, dict):
             violations.append(f"{name} must be a mapping")
             raw = {}
+        raws[name] = raw
         blocks[name] = _check_block(name, raw, violations)
 
     pb, qt, fd, rn = (blocks[name] for name in ("problem", "quant", "fed", "run"))
@@ -266,9 +272,9 @@ def parse_config(text: str) -> RunConfig:
     except DeedsimError as exc:
         raise ConfigError([f"problem construction failed: {exc}"]) from None
 
-    if rn["counting_mode"] not in COUNTING_MODES:
+    if "counting_mode" in raws["run"] and not spec.counting:
         violations.append(
-            f"run.counting_mode must be one of {', '.join(COUNTING_MODES)}"
+            f"{algorithm} reads no run.counting_mode; only the lossless gd and agd take one"
         )
     if rn["stepsize_mode"] not in ("theory", "experiment"):
         violations.append("run.stepsize_mode must be 'theory' or 'experiment'")
@@ -297,7 +303,8 @@ def parse_config(text: str) -> RunConfig:
         )
     else:
         found += engine.param_violations(
-            problem, T, eta=eta, **{key: qt[key] for key in spec.quant}
+            problem, T, eta=eta, counting_mode=rn["counting_mode"] if spec.counting else None,
+            **{key: qt[key] for key in spec.quant},
         )
     if spec.stepsize == "1/(rho L)":
         if problem.interpolating:

@@ -28,12 +28,11 @@ Engines:
 * ``run_const_error_gd``-- double-encodes raw gradients at a fixed budget
 
 Bit accounting: uplink counts every worker payload; the broadcast is
-charged once per receiving worker.  ``counting_mode`` applies to the
-non-double-encoded baselines: ``star-full`` charges the broadcast at
-float precision per worker, ``fully-connected`` multiplies the uplink by
-(N - 1) with no broadcast, and ``x2`` charges the downlink equal to the
-uplink.  The double-encoded algorithms always charge their actual
-quantized payloads.
+charged once per receiving worker.  The double-encoded algorithms
+charge their actual quantized payloads.  Only the lossless baselines
+take a ``counting_mode``, one of two conventions: ``star-full`` charges
+the broadcast at float precision per worker, and ``fully-connected``
+multiplies the uplink by (N - 1) with no broadcast.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ __all__ = [
     "PARTICIPATION_SCHEMES",
 ]
 
-COUNTING_MODES = ("star-full", "fully-connected", "x2")
+COUNTING_MODES = ("star-full", "fully-connected")
 PARTICIPATION_SCHEMES = ("full", "with-replacement", "without-replacement")
 
 # Relative slack for floating-point dust in envelope and budget asserts.
@@ -200,10 +199,12 @@ def _require(violations: list[str]) -> None:
         raise ConfigError(violations)
 
 
-def param_violations(problem, T, *, eta=None, c_prime=None, s=None, fixed_eps=None) -> list[str]:
-    """Horizon, stepsize, margin-range, budget-scale and fixed-budget
-    preconditions shared by the engines; a check whose argument is None
-    is skipped."""
+def param_violations(
+    problem, T, *, eta=None, c_prime=None, s=None, fixed_eps=None, counting_mode=None
+) -> list[str]:
+    """Horizon, stepsize, margin-range, budget-scale, fixed-budget and
+    counting-convention preconditions shared by the engines; a check
+    whose argument is None is skipped."""
     violations = []
     if T < 0:
         violations.append(f"requires T >= 0 (T = {T!r})")
@@ -219,6 +220,10 @@ def param_violations(problem, T, *, eta=None, c_prime=None, s=None, fixed_eps=No
         violations.append(f"requires s >= 0 (s = {s!r})")
     if fixed_eps is not None and not fixed_eps > 0.0:
         violations.append(f"requires fixed_eps > 0 (fixed_eps = {fixed_eps!r})")
+    if counting_mode is not None and counting_mode not in COUNTING_MODES:
+        violations.append(
+            f"unknown counting_mode {counting_mode!r} (one of {', '.join(COUNTING_MODES)})"
+        )
     return violations
 
 
@@ -314,11 +319,10 @@ def _frequent_run(
     tau: float | None,
     T: int,
     seed: int,
-    run_index: int,
-    counting_mode: str,
     float_bits: int,
     w0,
     budget_total,  # callable round -> total v-vs-mean budget
+    run_index: int = 0,
     grad_source=None,  # callable (run, round, query_point) -> per-node gradients; full if None
     differential: bool = True,
 ) -> RunTrace:
@@ -342,13 +346,7 @@ def _frequent_run(
     trace = _new_trace(
         algorithm,
         T,
-        {
-            "counting_mode": counting_mode,
-            "float_bits": float_bits,
-            "eta": eta,
-            "seed": seed,
-            "run_index": run_index,
-        },
+        {"float_bits": float_bits, "eta": eta, "seed": seed, "run_index": run_index},
     )
 
     _record(trace, 0, problem, w)
@@ -410,13 +408,11 @@ def run_deed_gd(
     c_prime: float,
     s: float,
     T: int,
-    seed: int = 0,
-    counting_mode: str = "star-full",
     *,
+    seed: int = 0,
     float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
     assert_envelope: bool | None = None,
-    run_index: int = 0,
 ) -> RunTrace:
     """Difference-encoded gradient descent with geometric error budgets.
 
@@ -434,7 +430,7 @@ def run_deed_gd(
         eta = 2.0 / (problem.L + problem.mu)
     return _contraction_run(
         "deed-gd", problem, eta, None, c_prime, s, T, assert_envelope, seed=seed,
-        run_index=run_index, counting_mode=counting_mode, float_bits=float_bits, w0=w0,
+        float_bits=float_bits, w0=w0,
     )
 
 
@@ -443,13 +439,11 @@ def run_adeed_gd(
     c_prime: float,
     s: float,
     T: int,
-    seed: int = 0,
-    counting_mode: str = "star-full",
     *,
+    seed: int = 0,
     float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
     assert_envelope: bool | None = None,
-    run_index: int = 0,
 ) -> RunTrace:
     """Momentum variant: gradients taken at the lookahead point.
 
@@ -462,8 +456,7 @@ def run_adeed_gd(
     """
     return _contraction_run(
         "a-deed-gd", problem, 1.0 / problem.L, _momentum(problem), c_prime, s, T,
-        assert_envelope, seed=seed, run_index=run_index, counting_mode=counting_mode,
-        float_bits=float_bits, w0=w0,
+        assert_envelope, seed=seed, float_bits=float_bits, w0=w0,
     )
 
 
@@ -471,12 +464,11 @@ def run_exact_gd(
     problem: QuadraticProblem,
     eta: float | None,
     T: int,
-    counting_mode: str = "star-full",
     *,
+    seed: int = 0,
+    counting_mode: str = "star-full",
     float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
-    seed: int = 0,
-    run_index: int = 0,
 ) -> RunTrace:
     """Lossless gradient descent over the same wire protocol.
 
@@ -486,25 +478,23 @@ def run_exact_gd(
     if eta is None:
         eta = 2.0 / (problem.L + problem.mu)
     return _lossless_run(
-        "gd", problem, eta, None, T, counting_mode, seed=seed, run_index=run_index,
-        float_bits=float_bits, w0=w0,
+        "gd", problem, eta, None, T, counting_mode, seed=seed, float_bits=float_bits, w0=w0,
     )
 
 
 def run_exact_agd(
     problem: QuadraticProblem,
     T: int,
-    counting_mode: str = "star-full",
     *,
+    seed: int = 0,
+    counting_mode: str = "star-full",
     float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
-    seed: int = 0,
-    run_index: int = 0,
 ) -> RunTrace:
     """Lossless momentum baseline (eta = 1/L, standard strongly-convex tau)."""
     return _lossless_run(
         "agd", problem, 1.0 / problem.L, _momentum(problem), T, counting_mode, seed=seed,
-        run_index=run_index, float_bits=float_bits, w0=w0,
+        float_bits=float_bits, w0=w0,
     )
 
 
@@ -512,19 +502,14 @@ def _lossless_run(algorithm, problem, eta, tau, T, counting_mode, **run):
     """Body of ``run_exact_gd`` (``tau`` None) and ``run_exact_agd``: the
     shared loop at zero budget, its ledger re-priced under the counting
     convention."""
-    _require(param_violations(problem, T, eta=eta))
+    _require(param_violations(problem, T, eta=eta, counting_mode=counting_mode))
     trace = _frequent_run(
-        problem, algorithm=algorithm, eta=eta, tau=tau, T=T, counting_mode=counting_mode,
-        budget_total=lambda k: 0.0, **run,
+        problem, algorithm=algorithm, eta=eta, tau=tau, T=T, budget_total=lambda k: 0.0, **run
     )
-    if counting_mode not in COUNTING_MODES:
-        raise ConfigError([f"unknown counting_mode {counting_mode!r}"])
-    rounds = trace.bits_up > 0
-    if counting_mode == "star-full":
-        pass  # uplink N F d, broadcast F d per receiving worker: already exact
-    elif counting_mode == "x2":
-        trace.bits_down[rounds] = trace.bits_up[rounds]
-    else:  # fully-connected: peers broadcast to N-1 others, no center
+    trace.extras["counting_mode"] = counting_mode
+    # star-full: uplink N F d, broadcast F d per receiving worker, already exact.
+    if counting_mode == "fully-connected":  # peers send to N-1 others, no center
+        rounds = trace.bits_up > 0
         trace.bits_up[rounds] = trace.bits_up[rounds] * (problem.N - 1)
         trace.bits_down[rounds] = 0
     return trace
@@ -535,12 +520,10 @@ def run_const_error_gd(
     eta: float | None,
     T: int,
     fixed_eps: float,
-    counting_mode: str = "star-full",
-    seed: int = 0,
     *,
+    seed: int = 0,
     float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
-    run_index: int = 0,
 ) -> RunTrace:
     """Double-encoded gradient descent at a *fixed* absolute budget.
 
@@ -559,8 +542,6 @@ def run_const_error_gd(
         tau=None,
         T=T,
         seed=seed,
-        run_index=run_index,
-        counting_mode=counting_mode,
         float_bits=float_bits,
         w0=w0,
         budget_total=lambda k: fixed_eps,
@@ -576,23 +557,20 @@ def run_deed_sgd(
     c_prime: float,
     s: float,
     T: int,
-    seed: int = 0,
-    counting_mode: str = "star-full",
-    mc_runs: int = 1,
     *,
+    seed: int = 0,
+    mc_runs: int = 1,
     rho: float | None = None,
     float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
-    assert_envelope: bool = True,
 ) -> list[RunTrace]:
     """Stochastic engine under the interpolation growth condition.
 
     Each worker samples one row per round; budgets follow
     ``sqrt(s c'^{k+1}) / 2`` per stage and ``eta = 1/(rho L)`` with the
     certified growth constant ``rho``.  Returns one trace per Monte Carlo
-    run; with ``assert_envelope`` the across-run mean squared distance is
-    checked against the envelope plus three standard errors at every
-    iteration.
+    run; the across-run mean squared distance is checked against the
+    envelope plus three standard errors at every iteration.
     """
     if not problem.interpolating:
         raise InvalidInputError("the stochastic engine requires an interpolating problem")
@@ -622,7 +600,6 @@ def run_deed_sgd(
             T=T,
             seed=seed,
             run_index=r,
-            counting_mode=counting_mode,
             float_bits=float_bits,
             w0=w0,
             budget_total=lambda k: math.sqrt(s * c_prime ** (k + 1)),
@@ -630,9 +607,8 @@ def run_deed_sgd(
         trace.extras.update({"c": c, "c_prime": c_prime, "s": s, "rho": rho})
         traces.append(trace)
 
-    if assert_envelope:
-        series = contraction_envelope("deed-sgd", problem, c_prime, s, T, w0, rho=rho)
-        check_envelope(traces, series, "stochastic envelope", squared=True)
+    series = contraction_envelope("deed-sgd", problem, c_prime, s, T, w0, rho=rho)
+    check_envelope(traces, series, "stochastic envelope", squared=True)
     return traces
 
 
@@ -714,14 +690,12 @@ def run_deed_fed(
     T_rounds: int,
     participation: str = "full",
     K: int | None = None,
-    seed: int = 0,
-    counting_mode: str = "star-full",
-    mc_runs: int = 1,
     *,
+    seed: int = 0,
+    mc_runs: int = 1,
     trajectory_radius: float | None = None,
     float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
-    assert_envelope: bool = True,
 ) -> list[RunTrace]:
     """Infrequent communication: E local stochastic steps between syncs.
 
@@ -737,8 +711,7 @@ def run_deed_fed(
     these diagnostics sit on the sync rows and record the communication
     that *produced* that row's iterate.
 
-    With ``assert_envelope`` the across-run mean squared distance of the
-    weighted average iterate is checked against ``v / (gamma + t)`` plus
+    The across-run mean squared distance of the weighted average iterate is checked against ``v / (gamma + t)`` plus
     three standard errors at every sync round, with ``v`` assembled from
     variance/second-moment constants certified on the ball of radius
     ``trajectory_radius`` (default ``2 |w0 - w*|``) around the optimum.
@@ -763,7 +736,6 @@ def run_deed_fed(
             "deed-fed",
             T_total,
             {
-                "counting_mode": counting_mode,
                 "E": E,
                 "beta": beta,
                 "gamma": gamma,
@@ -802,20 +774,16 @@ def run_deed_fed(
             _record(trace, k, problem, _weighted_sum(W, nodes, p))
         traces.append(trace)
 
-    if assert_envelope:
-        radius = fed_radius(problem, w0, trajectory_radius)
-        fed = estimate_fed_constants(
-            problem, E, K if K is not None else n, participation, radius
-        )
-        D0 = float(np.linalg.norm(w0 - problem.w_star))
-        series = fed_bound(fed, beta, gamma, problem.mu, s, D0, T_total)
-        for tr in traces:
-            tr.extras["fed_constants"] = fed
-            tr.extras["v"] = series.extras["v"]
-        check_envelope(
-            traces, series, "federated envelope", squared=True,
-            rows=np.arange(E, T_total + 1, E),
-        )
+    radius = fed_radius(problem, w0, trajectory_radius)
+    fed = estimate_fed_constants(problem, E, K if K is not None else n, participation, radius)
+    D0 = float(np.linalg.norm(w0 - problem.w_star))
+    series = fed_bound(fed, beta, gamma, problem.mu, s, D0, T_total)
+    for tr in traces:
+        tr.extras["fed_constants"] = fed
+        tr.extras["v"] = series.extras["v"]
+    check_envelope(
+        traces, series, "federated envelope", squared=True, rows=np.arange(E, T_total + 1, E)
+    )
     return traces
 
 

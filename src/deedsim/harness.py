@@ -17,9 +17,15 @@ from .problems import estimate_fed_constants
 from .theory import BoundSeries, RecursionSpec, fed_bound, recursion_bound
 from .trace import RunTrace
 
-__all__ = ["RunResult", "execute", "compute_bound", "cmd_run", "cmd_compare"]
+__all__ = ["RunResult", "execute", "compute_bound", "output_dir", "cmd_run", "cmd_compare"]
 
 ACCURACY_THRESHOLDS = tuple(10.0**-k for k in range(2, 9))
+
+
+def _bits_table(trace: RunTrace) -> dict:
+    """Cumulative bits to each accuracy threshold, keyed ``"1e-02"`` and
+    so on; None where the run never reaches it."""
+    return {f"{thr:.0e}": trace.bits_to_accuracy(thr) for thr in ACCURACY_THRESHOLDS}
 
 
 @dataclass
@@ -36,10 +42,9 @@ class RunResult:
 
     def summary(self) -> dict:
         tr = self.traces[0]
-        thresholds = {}
-        for thr in ACCURACY_THRESHOLDS:
-            bits = tr.bits_to_accuracy(thr)
-            thresholds[f"{thr:.0e}"] = bits if bits is not None else "unreached"
+        thresholds = {
+            key: "unreached" if bits is None else bits for key, bits in _bits_table(tr).items()
+        }
         out = {
             "algorithm": self.config.algorithm,
             "mc_runs": len(self.traces),
@@ -71,8 +76,7 @@ def execute(cfg: RunConfig) -> RunResult:
     violation = None
     try:
         out = cfg.spec.run(
-            cfg, seed=rn["master_seed"], counting_mode=rn["counting_mode"],
-            float_bits=cfg.quant["float_bits"], w0=rn["w0"],
+            cfg, seed=rn["master_seed"], float_bits=cfg.quant["float_bits"], w0=rn["w0"]
         )
     except BoundViolationError as exc:
         # An envelope violation arrives with the finished traces; a
@@ -117,20 +121,21 @@ def compute_bound(cfg: RunConfig) -> BoundSeries | None:
     return recursion_bound(RecursionSpec(np.full(T, c), np.full(T, alpha), D0), T)
 
 
-def cmd_run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
-    """Execute and write trace CSVs, an aligned bound CSV and summary.json.
-
-    Output directory priority: argument, config ``output.dir``,
-    ``DEEDSIM_OUT_DIR``, then ``./deedsim_out``.  Outputs are
-    deterministic byte-for-byte for a fixed config.
-    """
-    out_dir = (
-        out_dir
-        or cfg.output_dir
-        or os.environ.get("DEEDSIM_OUT_DIR")
-        or "deedsim_out"
-    )
+def output_dir(cfg: RunConfig, out_dir: str | None = None) -> str:
+    """The directory a command writes to, created if absent: ``out_dir``,
+    else the config's ``output.dir``, else ``$DEEDSIM_OUT_DIR``, else
+    ``./deedsim_out``."""
+    out_dir = out_dir or cfg.output_dir or os.environ.get("DEEDSIM_OUT_DIR") or "deedsim_out"
     os.makedirs(out_dir, exist_ok=True)
+    return out_dir
+
+
+def cmd_run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
+    """Execute and write trace CSVs, an aligned bound CSV and summary.json
+    to ``output_dir(cfg, out_dir)``.  Outputs are deterministic
+    byte-for-byte for a fixed config.
+    """
+    out_dir = output_dir(cfg, out_dir)
     result = execute(cfg)
 
     if len(result.traces) == 1:
@@ -184,14 +189,10 @@ def cmd_compare(configs: list[RunConfig], check_order: bool = False) -> dict:
     for cfg in configs:
         result = execute(cfg)
         tr = result.traces[0]
-        cells = {}
-        for thr in ACCURACY_THRESHOLDS:
-            bits = tr.bits_to_accuracy(thr)
-            cells[f"{thr:.0e}"] = bits
         rows.append(
             {
                 "algorithm": cfg.algorithm,
-                "bits_to_accuracy": cells,
+                "bits_to_accuracy": _bits_table(tr),
                 "total_bits": tr.total_bits,
                 "bounds_ok": result.ok,
             }

@@ -315,6 +315,44 @@ def test_fed_block_rejected_without_deed_fed():
     assert parse_config(MINIMAL).fed["participation"] == "full"
 
 
+CONST_CFG = MINIMAL.replace("deed-gd", "const-quant-gd").replace(
+    "quant: {s: 0.1, c_prime: 0.9}", "quant: {fixed_eps: 0.5}"
+)
+GD_CFG = MINIMAL.replace("deed-gd", "gd").replace("quant: {s: 0.1, c_prime: 0.9}\n", "")
+
+
+@pytest.mark.parametrize("mode", ["star-full", "fully-connected"])
+@pytest.mark.parametrize(
+    "text",
+    [MINIMAL, MINIMAL.replace("deed-gd", "a-deed-gd"), SGD_CFG, FED_VALID, CONST_CFG],
+    ids=["deed-gd", "a-deed-gd", "deed-sgd", "deed-fed", "const-quant-gd"],
+)
+def test_counting_mode_rejected_outside_lossless_baselines(text, mode):
+    # A counting convention re-prices a lossless ledger; the double-encoded
+    # and fixed-budget engines charge their quantized payloads and never read it.
+    algorithm = parse_config(text).algorithm
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.replace("run: {", f"run: {{counting_mode: {mode}, "))
+    assert err.value.violations == [
+        f"{algorithm} reads no run.counting_mode; only the lossless gd and agd take one"
+    ]
+
+
+@pytest.mark.parametrize("algorithm", ["gd", "agd"])
+def test_counting_mode_on_lossless_baselines(algorithm):
+    text = GD_CFG.replace("algorithm: gd", f"algorithm: {algorithm}")
+    assert parse_config(text).run["counting_mode"] == "star-full"
+    with_mode = text.replace("run: {", "run: {counting_mode: MODE, ")
+    cfg = parse_config(with_mode.replace("MODE", "fully-connected"))
+    assert cfg.run["counting_mode"] == "fully-connected"
+    # x2 priced the downlink as the uplink, which star-full already charges.
+    with pytest.raises(ConfigError) as err:
+        parse_config(with_mode.replace("MODE", "x2"))
+    assert err.value.violations == [
+        "unknown counting_mode 'x2' (one of star-full, fully-connected)"
+    ]
+
+
 def test_all_violations_reported():
     text = """
 algorithm: deed-gd
@@ -528,6 +566,30 @@ problem: {seed: 1, d: 1, n_nodes: 1, kappa: 1.0, rows_per_node: 1, interpolating
 quant: {s: 1.0, c_prime: 0.5}
 run: {iterations: 40, eta: 1.0, w0: [1.0]}
 """
+
+
+@pytest.mark.parametrize("command", ["run", "bound"])
+def test_output_directory_priority(command, tmp_path, monkeypatch, capsys):
+    # --out, then output.dir, then $DEEDSIM_OUT_DIR, then ./deedsim_out.
+    monkeypatch.chdir(tmp_path)
+    flag, block, env = tmp_path / "flag", tmp_path / "block", tmp_path / "env"
+    monkeypatch.setenv("DEEDSIM_OUT_DIR", str(env))
+    path = tmp_path / "cfg.yaml"
+    with_block = MINIMAL + f"output: {{dir: '{block}'}}\n"
+    expected = []
+    for text, extra, out in [
+        (with_block, ["--out", str(flag)], flag),
+        (with_block, [], block),
+        (MINIMAL, [], env),
+        (MINIMAL, [], tmp_path / "deedsim_out"),
+    ]:
+        if out.name == "deedsim_out":
+            monkeypatch.delenv("DEEDSIM_OUT_DIR")
+        path.write_text(text)
+        assert main([command, str(path), *extra]) == 0
+        expected.append(out)
+        assert sorted(p.parent for p in tmp_path.glob("*/bound.csv")) == sorted(expected)
+    capsys.readouterr()
 
 
 def test_cli_scalar_end_to_end(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deedsim import engine
 from deedsim.engine import (
     PARTICIPATION_SCHEMES,
     _norm,
@@ -80,13 +81,28 @@ def test_lossless_bit_pricing(small_problem):
 
 def test_counting_modes(small_problem):
     n, d, F = small_problem.N, small_problem.d, 32
-    x2 = run_exact_gd(small_problem, None, 4, counting_mode="x2", seed=0)
-    assert np.all(x2.bits_down[:4] == x2.bits_up[:4])
     fc = run_exact_gd(small_problem, None, 4, counting_mode="fully-connected", seed=0)
     assert np.all(fc.bits_up[:4] == n * F * d * (n - 1))
     assert np.all(fc.bits_down[:4] == 0)
     with pytest.raises(ConfigError):
         run_exact_gd(small_problem, None, 4, counting_mode="bogus", seed=0)
+
+
+def test_bad_counting_mode_rejected_before_any_message(small_problem, monkeypatch):
+    # The mode is checked with the other preconditions, not after T rounds.
+    sent = []
+    monkeypatch.setattr(engine, "quantize", lambda *args: sent.append(args))
+    for mode in ("bogus", "x2"):
+        for run in (
+            lambda: run_exact_gd(small_problem, None, 4, counting_mode=mode),
+            lambda: run_exact_agd(small_problem, 4, counting_mode=mode),
+        ):
+            with pytest.raises(ConfigError) as err:
+                run()
+            assert err.value.violations == [
+                f"unknown counting_mode {mode!r} (one of star-full, fully-connected)"
+            ]
+    assert sent == []
 
 
 def test_kappa_one_momentum_reduces_to_plain():

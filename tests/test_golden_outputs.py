@@ -72,7 +72,7 @@ GOLDEN = {
 
 
 # Shipped configs with overridden keys, for engine paths that no shipped
-# file runs: the other participation schemes, the other counting modes of
+# file runs: the other participation schemes, the other counting mode of
 # a lossless baseline and the experiment stepsize.  Built in memory, so
 # ``configs/`` keeps one file per shipped example.
 VARIANTS = {
@@ -85,7 +85,6 @@ VARIANTS = {
         "deed_fed.yaml",
         {"fed": {"participation": "with-replacement", "k_participants": 4}},
     ),
-    "gd_baseline.yaml+x2": ("gd_baseline.yaml", {"run": {"counting_mode": "x2"}}),
     "gd_baseline.yaml+fully-connected": (
         "gd_baseline.yaml",
         {"run": {"counting_mode": "fully-connected"}},
@@ -120,13 +119,6 @@ VARIANT_GOLDEN = {
         "bound.csv": "7ff2bc57a736c5954e673c699264e69b0df8bb2f1c2229c87f816d5b33278a02",
         "summary.json": "5576e9f37a78dcbdc685cdbb3b14227f98a54b6c01405b63f10165a721a2118d",
         "trace.csv": "4b11e73a575ecd44386e3f034761c27f988d502c6c14ade07ef4927f940dd1d3",
-    },
-    # x2 charges the downlink equal to the uplink, N float_bits d, which
-    # a lossless star-full broadcast already costs: same bytes as star-full.
-    "gd_baseline.yaml+x2": {
-        "bound.csv": "7ff2bc57a736c5954e673c699264e69b0df8bb2f1c2229c87f816d5b33278a02",
-        "summary.json": "f8505fe54ad212aaf68b152aa9f4666b25a84c287a968a8683f956c4845b2e41",
-        "trace.csv": "3925a6947df5ac4587c3242ef007841bcd4f1ac7c092f539f31c0cad45fdd013",
     },
 }
 

@@ -9,10 +9,17 @@ when the order of operations changes.
 
 A stream is numpy's ``Philox`` keyed by
 ``SeedSequence(entropy=seed, spawn_key=labels).generate_state(2, uint64)``.
-The key is derived here in plain integer arithmetic rather than by
-building a ``SeedSequence`` per stream, which costs more than the
-draws of a small message; ``tests/test_seeding.py`` pins the keys to
-numpy's own.
+The key is derived here rather than by building a ``SeedSequence`` per
+stream, which costs more than the draws of a small message;
+``tests/test_seeding.py`` pins the keys to numpy's own.
+
+When the last three labels (round, node, purpose) each fit one uint32
+word, as in every engine stream and ``theory``'s coin stream, a
+(node, purpose) pair asked for at a second round of an aligned block of
+64 rounds gets the keys of the whole block from one numpy pass; only
+one block's keys, under one (seed, prefix), are held at a time.  Its
+first round, and every other label shape, takes the scalar path in
+plain integer arithmetic.
 """
 
 import functools
@@ -84,7 +91,8 @@ def _hashed(word: int, h: int) -> tuple[tuple, int]:
 def _absorb(pool: tuple, h: int, word: int) -> tuple[tuple, int]:
     """Mix one entropy word into every pool word: ``pool[i] =
     mix(pool[i], hashmix(word))``.  Returns the pool and the running hash
-    constant.  ``_mix`` is written out: this runs twice per stream."""
+    constant.  ``_mix`` is written out: the scalar path runs this for
+    every label word."""
     (v0, v1, v2, v3), h = _hashed(word, h)
     x0, x1, x2, x3 = pool
     x0 = (_MIX_L * x0 - _MIX_R * v0) & _MASK32
@@ -150,31 +158,22 @@ class _Key(ISeedSequence):
 
 def philox_key(master_seed: int, *labels: int) -> np.ndarray:
     """``SeedSequence(entropy=master_seed, spawn_key=labels)
-    .generate_state(2, np.uint64)``: the Philox key of a stream."""
+    .generate_state(2, np.uint64)``: the Philox key of a stream.
+
+    The key is a fresh array, or a read-only row of the held round block.
+    """
     seed = int(master_seed)
     labels = tuple(map(int, labels))
-    # Runs share their (seed, run, round) prefix across every message of a
-    # round; only the last two labels (node, purpose) are mixed per call.
-    if len(labels) < 2 or not (0 <= labels[-2] <= _MASK32 and 0 <= labels[-1] <= _MASK32):
-        pool, h = _pool(seed, labels[:-2])
-        for label in labels[-2:]:
-            for word in _words(label):
-                pool, h = _absorb(pool, h, word)
-        return _readout(*pool)
-    # Both fit one word, the engines' case: the two ``_absorb`` calls and
-    # the readout written out.
-    (x0, x1, x2, x3), h = _pool(seed, labels[:-2])
-    (a0, a1, a2, a3), h = _hashed(labels[-2], h)
-    (b0, b1, b2, b3), _ = _hashed(labels[-1], h)
-    x0 = (_MIX_L * x0 - _MIX_R * a0) & _MASK32
-    x1 = (_MIX_L * x1 - _MIX_R * a1) & _MASK32
-    x2 = (_MIX_L * x2 - _MIX_R * a2) & _MASK32
-    x3 = (_MIX_L * x3 - _MIX_R * a3) & _MASK32
-    x0 = (_MIX_L * (x0 ^ x0 >> 16) - _MIX_R * b0) & _MASK32
-    x1 = (_MIX_L * (x1 ^ x1 >> 16) - _MIX_R * b1) & _MASK32
-    x2 = (_MIX_L * (x2 ^ x2 >> 16) - _MIX_R * b2) & _MASK32
-    x3 = (_MIX_L * (x3 ^ x3 >> 16) - _MIX_R * b3) & _MASK32
-    return _readout(x0 ^ x0 >> 16, x1 ^ x1 >> 16, x2 ^ x2 >> 16, x3 ^ x3 >> 16)
+    if len(labels) >= 3:
+        rnd, node, purpose = labels[-3:]
+        if 0 <= rnd <= _MASK32 and 0 <= node <= _MASK32 and 0 <= purpose <= _MASK32:
+            return _block_key(seed, labels[:-3], rnd, (node, purpose))
+    # Other label shapes, and labels of 2**32 and above: word by word.
+    pool, h = _pool(seed, labels[:-3])
+    for label in labels[-3:]:
+        for word in _words(label):
+            pool, h = _absorb(pool, h, word)
+    return _readout(*pool)
 
 
 def _readout(x0: int, x1: int, x2: int, x3: int) -> np.ndarray:
@@ -187,6 +186,124 @@ def _readout(x0: int, x1: int, x2: int, x3: int) -> np.ndarray:
         [s0 ^ s0 >> 16 | (s1 ^ s1 >> 16) << 32, s2 ^ s2 >> 16 | (s3 ^ s3 >> 16) << 32],
         dtype=np.uint64,
     )
+
+
+# A run asks for the streams of one (node, purpose) pair round after round,
+# so the keys of an aligned block of rounds are derived together: the four
+# pool words are uint32 rows with one column per round, and numpy's uint32
+# arithmetic wraps modulo 2**32 as SeedSequence's does.
+_BLOCK_BITS = 6
+_BLOCK = 1 << _BLOCK_BITS
+_ROUNDS = np.arange(_BLOCK, dtype=np.uint32)
+_READ_XOR = np.array([_C0, _C1, _C2, _C3], dtype=np.uint32)[:, None]
+_READ_MUL = np.array([_M0, _M1, _M2, _M3], dtype=np.uint32)[:, None]
+
+
+class _RoundBlock:
+    """What is held for one ``(seed, prefix, round block)``: the prefix's
+    pool, the pool after the last round asked for on the scalar path, the
+    pool columns after each round of the block, and each (node, purpose)
+    pair's ``(_BLOCK, 2)`` keys."""
+
+    __slots__ = ("label", "prefix_pool", "round_pool", "rounds", "keys", "seen")
+
+    def __init__(self, label: tuple, prefix_pool: tuple) -> None:
+        self.label = label
+        self.prefix_pool = prefix_pool
+        self.round_pool = (None,)
+        self.rounds = None
+        self.keys = {}
+        self.seen = set()
+
+
+_block = _RoundBlock(None, None)
+
+
+def _block_key(seed: int, prefix: tuple, rnd: int, pair: tuple) -> np.ndarray:
+    """``philox_key(seed, *prefix, rnd, *pair)`` for one-word round, node
+    and purpose labels.
+
+    A pair's first request in a block takes the scalar path; its second
+    derives all the block's keys at once.  So a pair used in only one
+    round of a block (a one-round run, or a sync every 64 or more rounds)
+    costs no block, and one used every round costs one block per 64.
+    """
+    global _block
+    block = _block
+    label = (seed, prefix, rnd >> _BLOCK_BITS)
+    if block.label != label:
+        block = _block = _RoundBlock(label, _pool(seed, prefix))
+    keys = block.keys.get(pair)
+    if keys is not None:
+        return keys[rnd & _BLOCK - 1]
+    if pair in block.seen:
+        keys = block.keys[pair] = _derive_block(block, pair)
+        return keys[rnd & _BLOCK - 1]
+    block.seen.add(pair)
+    round_pool = block.round_pool
+    if round_pool[0] != rnd:
+        round_pool = block.round_pool = (rnd, *_absorb(*block.prefix_pool, rnd))
+    _, (x0, x1, x2, x3), h = round_pool
+    # The node and purpose ``_absorb`` calls and the readout, written out.
+    (a0, a1, a2, a3), h = _hashed(pair[0], h)
+    (b0, b1, b2, b3), _ = _hashed(pair[1], h)
+    x0 = (_MIX_L * x0 - _MIX_R * a0) & _MASK32
+    x1 = (_MIX_L * x1 - _MIX_R * a1) & _MASK32
+    x2 = (_MIX_L * x2 - _MIX_R * a2) & _MASK32
+    x3 = (_MIX_L * x3 - _MIX_R * a3) & _MASK32
+    x0 = (_MIX_L * (x0 ^ x0 >> 16) - _MIX_R * b0) & _MASK32
+    x1 = (_MIX_L * (x1 ^ x1 >> 16) - _MIX_R * b1) & _MASK32
+    x2 = (_MIX_L * (x2 ^ x2 >> 16) - _MIX_R * b2) & _MASK32
+    x3 = (_MIX_L * (x3 ^ x3 >> 16) - _MIX_R * b3) & _MASK32
+    return _readout(x0 ^ x0 >> 16, x1 ^ x1 >> 16, x2 ^ x2 >> 16, x3 ^ x3 >> 16)
+
+
+@functools.lru_cache(maxsize=256)
+def _hashed_column(word: int, h: int) -> tuple[np.ndarray, int]:
+    """``_MIX_R * hashmix(word)`` for the four pool words as a uint32
+    ``(4, 1)`` column, and the next hash constant."""
+    values, h = _hashed(word, h)
+    return np.array([_MIX_R * v & _MASK32 for v in values], dtype=np.uint32)[:, None], h
+
+
+@functools.lru_cache(maxsize=16)
+def _hash_columns(h: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The xors and multipliers of ``hashmix`` for the four pool words
+    from hash constant ``h``, as uint32 ``(4, 1)`` columns, and the next
+    constant."""
+    xors, muls = [], []
+    for _ in range(_POOL):
+        xors.append(h)
+        h = h * _MULT_A & _MASK32
+        muls.append(h)
+    return np.array(xors, dtype=np.uint32)[:, None], np.array(muls, dtype=np.uint32)[:, None], h
+
+
+def _derive_block(block: _RoundBlock, pair: tuple) -> np.ndarray:
+    """The read-only ``(_BLOCK, 2)`` keys of ``pair`` for every round of
+    ``block``: SeedSequence's absorb of the round, node and purpose words,
+    then its readout."""
+    if block.rounds is None:
+        pool, h = block.prefix_pool
+        xors, muls, h = _hash_columns(h)
+        v = ((block.label[2] << _BLOCK_BITS) + _ROUNDS ^ xors) * muls
+        v ^= v >> 16
+        x = _MIX_L * np.array(pool, dtype=np.uint32)[:, None] - _MIX_R * v
+        x ^= x >> 16
+        block.rounds = x, h
+    x, h = block.rounds
+    for word in pair:
+        mixed, h = _hashed_column(word, h)
+        x = _MIX_L * x - mixed
+        x ^= x >> 16
+    x ^= _READ_XOR
+    x *= _READ_MUL
+    x ^= x >> 16
+    # Round j's key is (x[0] | x[1] << 32, x[2] | x[3] << 32): the
+    # little-endian uint32 words of column j read as two uint64.
+    words = np.ascontiguousarray(x.T, dtype="<u4")
+    words.setflags(write=False)
+    return words.view("<u8")
 
 
 def stream(master_seed: int, *labels: int) -> np.random.Generator:

@@ -15,9 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 __all__ = ["RunTrace"]
 
 _CSV_HEADER = "t,dist,fgap,bits_up,bits_down,cum_bits,budget"
+_CSV_FIELDS = tuple(_CSV_HEADER.split(","))
+_CSV_TYPES = (int, float, float, int, int, int, float)
 
 
 @dataclass
@@ -92,21 +96,46 @@ class RunTrace:
 
     @classmethod
     def from_csv(cls, fh: io.TextIOBase | str, algorithm: str = "") -> "RunTrace":
+        """Read rows written by ``to_csv``.
+
+        Raises ``InvalidInputError`` naming the line (the header is line 1)
+        and the field at fault: a wrong header, a row with too few or too
+        many fields, a field that does not parse, or a ``cum_bits`` that is
+        not the running sum of ``bits_up + bits_down``.
+        """
         own = isinstance(fh, str)
         inp = open(fh) if own else fh
-        header = inp.readline().strip()
-        if header != _CSV_HEADER:
-            raise ValueError(f"unexpected header {header!r}")
-        rows = [line.strip().split(",") for line in inp if line.strip()]
-        if own:
-            inp.close()
-        cols = list(zip(*rows)) if rows else [[]] * 7
-        return cls(
-            algorithm=algorithm,
-            t=np.array([int(x) for x in cols[0]]),
-            dist=np.array([float(x) for x in cols[1]]),
-            fgap=np.array([float(x) for x in cols[2]]),
-            bits_up=np.array([int(x) for x in cols[3]]),
-            bits_down=np.array([int(x) for x in cols[4]]),
-            budget=np.array([float(x) for x in cols[6]]),
-        )
+        try:
+            header = inp.readline().strip()
+            if header != _CSV_HEADER:
+                raise InvalidInputError(f"line 1: expected header {_CSV_HEADER!r}, got {header!r}")
+            cols = [[] for _ in _CSV_FIELDS]
+            cum = 0
+            for lineno, line in enumerate(inp, start=2):
+                if not line.strip():
+                    continue
+                fields = line.strip().split(",")
+                if len(fields) != len(_CSV_FIELDS):
+                    raise InvalidInputError(
+                        f"line {lineno}: expected {len(_CSV_FIELDS)} fields ({_CSV_HEADER}), "
+                        f"got {len(fields)}"
+                    )
+                for col, name, kind, text in zip(cols, _CSV_FIELDS, _CSV_TYPES, fields):
+                    try:
+                        col.append(kind(text))
+                    except ValueError:
+                        raise InvalidInputError(
+                            f"line {lineno}: {name} {text!r} is not {kind.__name__}"
+                        ) from None
+                cum += cols[3][-1] + cols[4][-1]
+                if cols[5][-1] != cum:
+                    raise InvalidInputError(
+                        f"line {lineno}: cum_bits {cols[5][-1]} is not the running sum "
+                        f"of bits_up + bits_down ({cum})"
+                    )
+        finally:
+            if own:
+                inp.close()
+        t, dist, fgap, bits_up, bits_down, _, budget = map(np.array, cols)
+        return cls(algorithm=algorithm, t=t, dist=dist, fgap=fgap, bits_up=bits_up,
+                   bits_down=bits_down, budget=budget)

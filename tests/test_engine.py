@@ -343,6 +343,45 @@ def test_trace_csv_roundtrip(small_problem):
     assert np.array_equal(back.budget, tr.budget)
 
 
+TRACE_CSV = (
+    "t,dist,fgap,bits_up,bits_down,cum_bits,budget\n"
+    "0,1.5,2.25,10,5,15,0.5\n"
+    "1,0.75,0.5,10,5,30,0.25\n"
+    "2,0.5,0.125,0,0,30,0\n"
+)
+
+
+def test_trace_csv_reads_well_formed_rows():
+    from deedsim.trace import RunTrace
+    import io
+
+    back = RunTrace.from_csv(io.StringIO(TRACE_CSV))
+    assert back.t.tolist() == [0, 1, 2]
+    assert back.cum_bits.tolist() == [15, 30, 30]
+    assert back.budget.tolist() == [0.5, 0.25, 0.0]
+
+
+@pytest.mark.parametrize(
+    "old, new, match",
+    [
+        ("budget\n", "budgets\n", r"line 1: expected header"),
+        ("0.25\n", "0.25,7\n", r"line 3: expected 7 fields .*got 8"),
+        ("30,0.25\n", "30\n", r"line 3: expected 7 fields .*got 6"),
+        (",30,0.25", ",31,0.25", r"line 3: cum_bits 31 is not the running sum .*\(30\)"),
+        ("0,0,30,0\n", "0,0,31,0\n", r"line 4: cum_bits 31 is not the running sum .*\(30\)"),
+        ("1,0.75,0.5,10,", "1,0.75,0.5,1e1,", r"line 3: bits_up '1e1' is not int"),
+        ("2,0.5,0.125", "2,0.5,x", r"line 4: fgap 'x' is not float"),
+    ],
+)
+def test_trace_csv_malformed_rows_name_line_and_field(old, new, match):
+    from deedsim.trace import RunTrace
+    import io
+
+    assert TRACE_CSV.count(old) == 1
+    with pytest.raises(InvalidInputError, match=match):
+        RunTrace.from_csv(io.StringIO(TRACE_CSV.replace(old, new)))
+
+
 def test_bits_to_accuracy(small_problem):
     tr = run_exact_gd(small_problem, None, 200, seed=0)
     bits = tr.bits_to_accuracy(1e-6)

@@ -104,15 +104,123 @@ def test_negative_seed_or_label_raises(args):
         stream(*args)
 
 
-def test_cache_eviction_keeps_streams_exact():
-    # Far more (seed, run, round) prefixes than the prefix cache holds,
-    # then the first ones again, after they have been evicted.
-    size = seeding._pool.cache_info().maxsize
-    prefixes = [(seed, run, rnd) for seed in (2, 2**40) for run in range(3) for rnd in range(4 * size)]
+def seed_sequence_key(seed, *labels) -> np.ndarray:
+    return np.random.SeedSequence(entropy=seed, spawn_key=labels).generate_state(2, np.uint64)
+
+
+def test_round_blocks_keep_streams_exact():
+    # Many (seed, run) prefixes and round blocks, interleaved so that every
+    # visit drops the previous block, then the first visits again after
+    # their blocks were dropped.  Each visit asks for a pair at two rounds
+    # of its block, so the second request derives the block's keys.
+    prefixes = [(seed, run) for seed in (2, 2**40) for run in range(3)]
+    starts = [b * 64 + off for b in (0, 1, 5, 2**26 - 1) for off in (0, 1, 63)]
+    visits = [(seed, run, rnd) for rnd in starts for seed, run in prefixes]
     before = seeding._pool.cache_info().misses
-    for seed, run, rnd in prefixes + prefixes[:50]:
-        got = stream(seed, run, rnd, rnd % 5, seeding.UPLINK)
-        want = oracle(seed, run, rnd, rnd % 5, seeding.UPLINK)
-        assert np.array_equal(got.random(2), want.random(2))
-    assert seeding._pool.cache_info().misses - before > len(prefixes)
-    assert seeding._pool.cache_info().currsize <= size
+    for seed, run, rnd in visits + visits[:20]:
+        for r in (rnd, rnd ^ 1, rnd):
+            for node in range(3):
+                got = stream(seed, run, r, node, seeding.UPLINK)
+                want = oracle(seed, run, r, node, seeding.UPLINK)
+                assert state(got) == state(want)
+                assert np.array_equal(got.random(2), want.random(2))
+        # The held keys are this one block's, one (64, 2) array per pair.
+        block = seeding._block
+        assert block.label == (seed, (run,), rnd // 64)
+        assert sorted(block.keys) == [(node, seeding.UPLINK) for node in range(3)]
+        assert all(k.shape == (64, 2) and not k.flags.writeable for k in block.keys.values())
+    # The pool cache holds (seed, run) prefixes, not rounds.
+    assert seeding._pool.cache_info().misses - before <= 2 * len(prefixes)
+
+
+BLOCK_EDGE_ROUNDS = (0, 63, 64, 65, 2**32 - 64, 2**32 - 1)
+PREFIXES = ((), (0,), (5,), (1, 2**33, 7))
+
+
+def assert_keys_match(seed, prefix, rounds, node, purpose):
+    # Twice over: the first request of a pair in a block takes the scalar
+    # path, a later one the block's keys.
+    for _ in range(2):
+        for rnd in rounds:
+            labels = prefix + (rnd, node, purpose)
+            got = seeding.philox_key(seed, *labels)
+            assert got.dtype == np.uint64 and np.array_equal(got, seed_sequence_key(seed, *labels)), (
+                seed, labels)
+
+
+@given(
+    seeds,
+    st.lists(st.sampled_from(EDGE_LABELS + (1, 7)), max_size=3).map(tuple),
+    st.one_of(st.sampled_from(BLOCK_EDGE_ROUNDS), st.integers(0, 2**32 - 1)),
+    st.lists(st.integers(0, 63), min_size=1, max_size=4),
+    st.one_of(st.sampled_from((0, 1, 2**32 - 1, 2**32)), st.integers(0, 2**33)),
+    st.sampled_from((seeding.UPLINK, seeding.DOWNLINK, seeding.ROW_SAMPLE, seeding.COIN, 2**32)),
+)
+@settings(max_examples=150, deadline=None)
+def test_block_keys_match_seed_sequence(seed, prefix, rnd, offsets, node, purpose):
+    first = rnd - rnd % 64
+    assert_keys_match(seed, prefix, [rnd] + [first + o for o in offsets], node, purpose)
+
+
+@pytest.mark.parametrize("prefix", PREFIXES)
+@pytest.mark.parametrize("rnd", BLOCK_EDGE_ROUNDS)
+def test_block_keys_at_block_edges(prefix, rnd):
+    neighbours = [r for r in (rnd - 1, rnd + 1) if 0 <= r < 2**32]
+    for seed in (0, 11, 2**64 + 3):
+        for purpose in (seeding.UPLINK, seeding.COIN):
+            assert_keys_match(seed, prefix, [rnd, *neighbours], 3, purpose)
+
+
+@pytest.mark.parametrize("wide", [(2**32, 0, 0), (0, 2**32, 0), (0, 0, 2**32), (2**40, 2**32, 2**33)])
+def test_labels_of_two_words_take_the_scalar_path(wide):
+    assert_keys_match(11, (0,), [0, 1], 1, 0)
+    held = seeding._block
+    for prefix in ((), (0,), (2, 3, 4)):
+        labels = prefix + wide
+        assert np.array_equal(seeding.philox_key(11, *labels), seed_sequence_key(11, *labels))
+    assert seeding._block is held
+
+
+def test_theory_coin_labels_match_seed_sequence():
+    # theory's coin stream: (t, 0, COIN), a round block with an empty prefix.
+    for seed in (0, 3):
+        for t in range(130):
+            got = stream(seed, t, 0, seeding.COIN)
+            assert_same_stream(got, oracle(seed, t, 0, seeding.COIN))
+
+
+def test_two_prefixes_used_alternately():
+    for rnd in range(0, 140, 3):
+        for prefix in ((0,), (1,), (0,), (2**40,)):
+            for node in range(2):
+                labels = prefix + (rnd, node, seeding.ROW_SAMPLE)
+                assert np.array_equal(seeding.philox_key(9, *labels), seed_sequence_key(9, *labels))
+
+
+@pytest.mark.parametrize(
+    "args", [(3, 0, 5, -1, 0), (3, 0, 5, 1, -1), (3, 0, -5, 1, 0), (3, -1, 5, 1, 0), (-3, 0, 5, 1, 0)]
+)
+def test_negative_labels_raise_with_a_block_held(args):
+    assert_keys_match(3, (0,), [5, 6], 1, 0)
+    with pytest.raises(ValueError):
+        seeding.philox_key(*args)
+    with pytest.raises(ValueError):
+        stream(*args)
+    assert_keys_match(3, (0,), [5, 6], 1, 0)
+
+
+def test_writing_to_a_returned_key_cannot_change_a_later_stream():
+    labels = (4, 2, 70, 1, seeding.UPLINK)
+    want = seed_sequence_key(*labels)
+    # The first request returns a fresh key, later ones a row of the block.
+    for _ in range(3):
+        key = seeding.philox_key(*labels)
+        if key.flags.writeable:
+            key[:] = 0
+        else:
+            with pytest.raises(ValueError):
+                key[0] = 0
+            with pytest.raises(ValueError):
+                key.setflags(write=True)
+    assert np.array_equal(seeding.philox_key(*labels), want)
+    assert_same_stream(stream(*labels), oracle(*labels))

@@ -22,7 +22,7 @@ eta = float(np.min(1.0 / problem.L_i))
 T = 800
 
 exact = run_exact_gd(problem, eta, T, seed=1)
-coded = run_deed_gd(problem, eta, 0.95, 0.01, T, seed=1, assert_envelope=False)
+coded = run_deed_gd(problem, eta, 0.95, 0.01, T, seed=1)
 
 print(f"{'t':>5} {'loss gap (exact)':>18} {'loss gap (coded)':>18} "
       f"{'rel dev':>9} {'round bits':>11}")

@@ -2,9 +2,9 @@
 
 A config is a YAML mapping with blocks ``algorithm``, ``problem``,
 ``quant``, ``fed``, ``run`` and ``output``.  Parsing is strict: unknown
-keys are rejected, every violation is reported (first all those of the
-config's shape, then all those of its values), and the named inequality
-appears verbatim in the message.  Value checks run on the constructed
+keys and non-finite numbers are rejected, every violation is reported
+(first all those of the config's shape, then all those of its values),
+and the named inequality appears verbatim in the message.  Value checks run on the constructed
 problem and are the engines' own (``engine.param_violations``,
 ``margin_violations`` and ``fed_violations``): the same code and
 messages at parse time as at run time.  Each algorithm's horizon key,
@@ -45,6 +45,7 @@ omitted but not set to null):
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -168,6 +169,12 @@ class RunConfig:
         return self.run[self.spec.horizon]
 
 
+def _is_finite(value) -> bool:
+    """Whether ``value`` is an int or float, not a bool, within the float range."""
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return numeric and abs(value) <= sys.float_info.max
+
+
 def _check_block(name: str, raw: dict, violations: list[str]) -> dict:
     schema = _SCHEMA[name]
     out = {}
@@ -188,6 +195,14 @@ def _check_block(name: str, raw: dict, violations: list[str]) -> dict:
             violations.append(
                 f"{name}.{key} has type {type(value).__name__}, expected {expected}"
             )
+            continue
+        if expected is list and value is not None and not all(map(_is_finite, value)):
+            violations.append(f"{name}.{key} must be a list of finite numbers")
+            continue
+        # fed_violations names a trajectory_radius too large for the certificate.
+        real = expected == (int, float) and key != "trajectory_radius"
+        if real and value is not None and not _is_finite(value):
+            violations.append(f"{name}.{key} must be finite ({key} = {value!r})")
             continue
         out[key] = value
     for key, (_, default) in schema.items():
@@ -244,6 +259,8 @@ def parse_config(text: str) -> RunConfig:
     for key in ("seed", "d", "n_nodes", "kappa", "rows_per_node"):
         if pb.get(key) is None:
             violations.append(f"problem.{key} is required")
+    if pb["seed"] is not None and pb["seed"] < 0:
+        violations.append(f"problem.seed must be >= 0 (seed = {pb['seed']})")
     if spec is not None:
         for block, keys in (("run", (spec.horizon,)), ("quant", spec.quant), ("fed", spec.fed)):
             for key in keys:

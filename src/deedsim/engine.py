@@ -285,8 +285,9 @@ def check_envelope(traces, series, kind, squared, rows=None) -> None:
     ``squared=True`` checks the across-run mean squared distance plus
     three standard errors (none for a single run).  ``rows`` restricts
     the check (deed-fed: sync rows only).  Raises ``BoundViolationError``
-    at the first offending row, carrying ``traces``; otherwise returns
-    the smallest slack (allowed minus observed) over the checked rows.
+    at the first offending row, carrying ``traces``; a NaN observed or
+    allowed value offends.  Otherwise returns the smallest slack (allowed
+    minus observed) over the checked rows, ``inf`` when none is checked.
     """
     if squared:
         sq = np.stack([tr.dist**2 for tr in traces])
@@ -297,11 +298,11 @@ def check_envelope(traces, series, kind, squared, rows=None) -> None:
         observed, se = trace.dist, 0.0
     allowed = series.bound * (1.0 + _REL_SLACK) + 3.0 * se + _ABS_DUST
     rows = np.arange(len(observed)) if rows is None else rows
-    bad = rows[observed[rows] > allowed[rows]]
+    bad = rows[~(observed[rows] <= allowed[rows])]
     if len(bad):
         t = int(bad[0])
         raise BoundViolationError(kind, t, observed[t], allowed[t], traces=traces)
-    return float(np.min(allowed[rows] - observed[rows]))
+    return float(np.min(allowed[rows] - observed[rows])) if len(rows) else math.inf
 
 
 def _momentum(problem) -> float:
@@ -370,15 +371,12 @@ def _frequent_run(
     return trace
 
 
-def _contraction_run(algorithm, problem, eta, tau, c_prime, s, T, assert_envelope, **run):
+def _contraction_run(algorithm, problem, eta, tau, c_prime, s, T, **run):
     """Body of ``run_deed_gd`` (``tau`` None) and ``run_adeed_gd``:
-    preconditions, the margin, the run at budget ``s c'^{k+1}``, and the
-    row-by-row envelope check (by default exactly when the margin holds)."""
+    preconditions, the run at budget ``s c'^{k+1}``, and the row-by-row
+    envelope check exactly when the contraction margin holds."""
     _require(param_violations(problem, T, eta=eta, c_prime=c_prime, s=s))
-    margin = margin_violations(algorithm, problem, c_prime, eta=eta)
-    check = not margin if assert_envelope is None else assert_envelope
-    if check:
-        _require(margin)
+    check = not margin_violations(algorithm, problem, c_prime, eta=eta)
 
     trace = _frequent_run(
         problem, algorithm=algorithm, eta=eta, tau=tau, T=T,
@@ -412,7 +410,6 @@ def run_deed_gd(
     seed: int = 0,
     float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
-    assert_envelope: bool | None = None,
 ) -> RunTrace:
     """Difference-encoded gradient descent with geometric error budgets.
 
@@ -422,15 +419,13 @@ def run_deed_gd(
     the true mean gradient (asserted).  With the default ``eta`` of
     ``2/(L + mu)`` and ``c = 1 - eta mu < c' < 1`` the distance envelope
     ``xi c'^t`` is checked row by row once the run has finished
-    (``check_envelope``).  ``assert_envelope=None`` enables the check
-    exactly when ``c' > c``; with ``s = 0`` the run coincides bit-for-bit
-    with ``run_exact_gd``.
+    (``check_envelope``); without that margin the run is not checked.
+    With ``s = 0`` the run coincides bit-for-bit with ``run_exact_gd``.
     """
     if eta is None:
         eta = 2.0 / (problem.L + problem.mu)
     return _contraction_run(
-        "deed-gd", problem, eta, None, c_prime, s, T, assert_envelope, seed=seed,
-        float_bits=float_bits, w0=w0,
+        "deed-gd", problem, eta, None, c_prime, s, T, seed=seed, float_bits=float_bits, w0=w0,
     )
 
 
@@ -443,7 +438,6 @@ def run_adeed_gd(
     seed: int = 0,
     float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
-    assert_envelope: bool | None = None,
 ) -> RunTrace:
     """Momentum variant: gradients taken at the lookahead point.
 
@@ -451,12 +445,11 @@ def run_adeed_gd(
     sqrt(mu))``; the double encoding is identical to ``run_deed_gd``.
     With ``0 < c = sqrt(1 - sqrt(mu/L)) < c' < 1`` the momentum envelope
     ``sqrt(2/mu) sqrt(c^{2k} Delta + c'^{2k} C)`` is checked row by row
-    once the run has finished (``assert_envelope=None`` enables it exactly
-    when that margin holds).
+    once the run has finished; without that margin the run is not checked.
     """
     return _contraction_run(
         "a-deed-gd", problem, 1.0 / problem.L, _momentum(problem), c_prime, s, T,
-        assert_envelope, seed=seed, float_bits=float_bits, w0=w0,
+        seed=seed, float_bits=float_bits, w0=w0,
     )
 
 
@@ -665,19 +658,18 @@ def fed_violations(
         )
     if not gamma > 1.0:
         violations.append(f"requires gamma > 1 (gamma = {gamma!r})")
+    elif gamma == math.inf:
+        violations.append(f"requires gamma < inf (gamma = {gamma!r})")
     else:
         eta0 = beta / gamma
         if not eta0 <= 1.0 / (4.0 * problem.L) * (1.0 + 1e-12):
             violations.append(
                 f"requires eta_0 <= 1/(4L) (eta_0 = {eta0!r}, 1/(4L) = {1.0 / (4 * problem.L)!r})"
             )
-        # eta_t <= 2 eta_{t+E}, scanned over the horizon.
-        for t in range(T_rounds * E + 1):
-            if beta / (t + gamma) > 2.0 * beta / (t + E + gamma) * (1.0 + 1e-12):
-                violations.append(
-                    f"requires eta_t <= 2*eta_(t+E) (violated at t = {t})"
-                )
-                break
+        # eta_t <= 2 eta_{t+E} for every t >= 0: for beta > 0 the ratio
+        # eta_t / eta_{t+E} = 1 + E/(t + gamma) is largest at t = 0.
+        if E >= 1 and beta / gamma > 2.0 * beta / (E + gamma) * (1.0 + 1e-12):
+            violations.append("requires eta_t <= 2*eta_(t+E) (violated at t = 0)")
     return violations
 
 

@@ -17,9 +17,9 @@ When the last three labels (round, node, purpose) each fit one uint32
 word, as in every engine stream and ``theory``'s coin stream, a
 (node, purpose) pair asked for at a second round of an aligned block of
 64 rounds gets the keys of the whole block from one numpy pass; only
-one block's keys, under one (seed, prefix), are held at a time.  Its
-first round, and every other label shape, takes the scalar path in
-plain integer arithmetic.
+one block's keys, under one (seed, prefix), are held at a time.  The
+pair's first round in a block, and every other label shape, take the
+one scalar path, word by word in plain integer arithmetic.
 """
 
 import functools
@@ -168,9 +168,15 @@ def philox_key(master_seed: int, *labels: int) -> np.ndarray:
         rnd, node, purpose = labels[-3:]
         if 0 <= rnd <= _MASK32 and 0 <= node <= _MASK32 and 0 <= purpose <= _MASK32:
             return _block_key(seed, labels[:-3], rnd, (node, purpose))
-    # Other label shapes, and labels of 2**32 and above: word by word.
-    pool, h = _pool(seed, labels[:-3])
-    for label in labels[-3:]:
+    return _scalar_key(seed, labels[:-3], labels[-3:])
+
+
+def _scalar_key(seed: int, prefix: tuple, labels: tuple) -> np.ndarray:
+    """``philox_key(seed, *prefix, *labels)`` word by word from the cached
+    pool of ``prefix``: every label shape, and a (node, purpose) pair's
+    first request in a round block."""
+    pool, h = _pool(seed, prefix)
+    for label in labels:
         for word in _words(label):
             pool, h = _absorb(pool, h, word)
     return _readout(*pool)
@@ -200,23 +206,20 @@ _READ_MUL = np.array([_M0, _M1, _M2, _M3], dtype=np.uint32)[:, None]
 
 
 class _RoundBlock:
-    """What is held for one ``(seed, prefix, round block)``: the prefix's
-    pool, the pool after the last round asked for on the scalar path, the
-    pool columns after each round of the block, and each (node, purpose)
+    """What is held for one ``(seed, prefix, round block)``: the pool
+    columns after each round of the block, and each (node, purpose)
     pair's ``(_BLOCK, 2)`` keys."""
 
-    __slots__ = ("label", "prefix_pool", "round_pool", "rounds", "keys", "seen")
+    __slots__ = ("label", "rounds", "keys", "seen")
 
-    def __init__(self, label: tuple, prefix_pool: tuple) -> None:
+    def __init__(self, label: tuple) -> None:
         self.label = label
-        self.prefix_pool = prefix_pool
-        self.round_pool = (None,)
         self.rounds = None
         self.keys = {}
         self.seen = set()
 
 
-_block = _RoundBlock(None, None)
+_block = _RoundBlock(None)
 
 
 def _block_key(seed: int, prefix: tuple, rnd: int, pair: tuple) -> np.ndarray:
@@ -232,30 +235,14 @@ def _block_key(seed: int, prefix: tuple, rnd: int, pair: tuple) -> np.ndarray:
     block = _block
     label = (seed, prefix, rnd >> _BLOCK_BITS)
     if block.label != label:
-        block = _block = _RoundBlock(label, _pool(seed, prefix))
+        block = _block = _RoundBlock(label)
     keys = block.keys.get(pair)
-    if keys is not None:
-        return keys[rnd & _BLOCK - 1]
-    if pair in block.seen:
+    if keys is None:
+        if pair not in block.seen:
+            block.seen.add(pair)
+            return _scalar_key(seed, prefix, (rnd, *pair))
         keys = block.keys[pair] = _derive_block(block, pair)
-        return keys[rnd & _BLOCK - 1]
-    block.seen.add(pair)
-    round_pool = block.round_pool
-    if round_pool[0] != rnd:
-        round_pool = block.round_pool = (rnd, *_absorb(*block.prefix_pool, rnd))
-    _, (x0, x1, x2, x3), h = round_pool
-    # The node and purpose ``_absorb`` calls and the readout, written out.
-    (a0, a1, a2, a3), h = _hashed(pair[0], h)
-    (b0, b1, b2, b3), _ = _hashed(pair[1], h)
-    x0 = (_MIX_L * x0 - _MIX_R * a0) & _MASK32
-    x1 = (_MIX_L * x1 - _MIX_R * a1) & _MASK32
-    x2 = (_MIX_L * x2 - _MIX_R * a2) & _MASK32
-    x3 = (_MIX_L * x3 - _MIX_R * a3) & _MASK32
-    x0 = (_MIX_L * (x0 ^ x0 >> 16) - _MIX_R * b0) & _MASK32
-    x1 = (_MIX_L * (x1 ^ x1 >> 16) - _MIX_R * b1) & _MASK32
-    x2 = (_MIX_L * (x2 ^ x2 >> 16) - _MIX_R * b2) & _MASK32
-    x3 = (_MIX_L * (x3 ^ x3 >> 16) - _MIX_R * b3) & _MASK32
-    return _readout(x0 ^ x0 >> 16, x1 ^ x1 >> 16, x2 ^ x2 >> 16, x3 ^ x3 >> 16)
+    return keys[rnd & _BLOCK - 1]
 
 
 @functools.lru_cache(maxsize=256)
@@ -284,9 +271,10 @@ def _derive_block(block: _RoundBlock, pair: tuple) -> np.ndarray:
     ``block``: SeedSequence's absorb of the round, node and purpose words,
     then its readout."""
     if block.rounds is None:
-        pool, h = block.prefix_pool
+        seed, prefix, index = block.label
+        pool, h = _pool(seed, prefix)
         xors, muls, h = _hash_columns(h)
-        v = ((block.label[2] << _BLOCK_BITS) + _ROUNDS ^ xors) * muls
+        v = ((index << _BLOCK_BITS) + _ROUNDS ^ xors) * muls
         v ^= v >> 16
         x = _MIX_L * np.array(pool, dtype=np.uint32)[:, None] - _MIX_R * v
         x ^= x >> 16

@@ -266,17 +266,13 @@ def _c6_tracking(cache: _Cache) -> tuple[bool, str]:
     gd = cache.get("bench_gd_exp", lambda: engine.run_exact_gd(prob, eta_exp, 800, seed=1))
     dg = cache.get(
         "bench_deed_exp",
-        lambda: engine.run_deed_gd(
-            prob, eta_exp, 0.95, 0.01, 800, seed=1, assert_envelope=False
-        ),
+        lambda: engine.run_deed_gd(prob, eta_exp, 0.95, 0.01, 800, seed=1),
     )
     dev_gd = float(np.max(np.abs(dg.fgap[10:] - gd.fgap[10:]) / gd.fgap[10:]))
     ag = cache.get("bench_agd_exp", lambda: engine.run_exact_agd(prob, 200, seed=1))
     da = cache.get(
         "bench_adeed_exp",
-        lambda: engine.run_adeed_gd(
-            prob, 0.82, 0.1, 200, seed=1, assert_envelope=False
-        ),
+        lambda: engine.run_adeed_gd(prob, 0.82, 0.1, 200, seed=1),
     )
     dev_ag = float(np.max(np.abs(da.fgap[10:] - ag.fgap[10:]) / ag.fgap[10:]))
     ok = dev_gd <= 0.05 and dev_ag <= 0.05

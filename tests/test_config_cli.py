@@ -255,6 +255,45 @@ def test_zero_horizon_runs_one_row(tmp_path):
     assert len((tmp_path / "trace.csv").read_text().splitlines()) == 2
 
 
+def test_fed_zero_rounds_runs_one_row(tmp_path):
+    # With no sync row the envelope check raised a bare ValueError after the run.
+    result = cmd_run(parse_config(FED_VALID.replace("rounds: 8", "rounds: 0")), str(tmp_path))
+    assert result.ok
+    assert [len(tr.t) for tr in result.traces] == [1, 1]
+    assert json.loads((tmp_path / "summary.json").read_text())["bounds_ok"] is True
+    assert len((tmp_path / "bound.csv").read_text().splitlines()) == 2
+
+
+W0_STRINGS = "run: {iterations: 50, w0: [" + ", ".join(["x"] * 10) + "]}"
+
+
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        (MINIMAL.replace("kappa: 4.0", "kappa: .nan"), "problem.kappa must be finite (kappa = nan)"),
+        (MINIMAL.replace("kappa: 4.0", "kappa: 4.0, noise_scale: .inf"),
+         "problem.noise_scale must be finite (noise_scale = inf)"),
+        (MINIMAL.replace("kappa: 4.0", "kappa: 4.0, weights: [a, b]"),
+         "problem.weights must be a list of finite numbers"),
+        (MINIMAL.replace("seed: 1", "seed: -1"), "problem.seed must be >= 0 (seed = -1)"),
+        (MINIMAL.replace("run: {iterations: 50}", W0_STRINGS),
+         "run.w0 must be a list of finite numbers"),
+        (MINIMAL.replace("s: 0.1", "s: .nan"), "quant.s must be finite (s = nan)"),
+        (FED_VALID.replace("gamma: 100000.0", "gamma: .inf"),
+         "fed.gamma must be finite (gamma = inf)"),
+    ],
+    ids=["kappa-nan", "noise_scale-inf", "weights-strings", "seed-negative", "w0-strings",
+         "s-nan", "gamma-inf"],
+)
+def test_nonfinite_or_nonnumeric_values_named_at_parse(text, message):
+    # Each of these raised a bare numpy or ValueError (kappa, noise_scale,
+    # weights, seed), failed only at run time (w0, s), or ran to a NaN
+    # envelope reported as met (gamma).
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.violations[0] == message
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -122,10 +122,6 @@ def test_parameter_validation(small_problem):
         run_deed_gd(small_problem, None, 1.2, 0.1, 5)
     with pytest.raises(ConfigError, match="s >= 0"):
         run_deed_gd(small_problem, None, 0.9, -1.0, 5)
-    # Envelope explicitly requested but the contraction margin is absent.
-    c = 1.0 - (2.0 / (small_problem.L + small_problem.mu)) * small_problem.mu
-    with pytest.raises(ConfigError, match="c < c' < 1"):
-        run_deed_gd(small_problem, None, c * 0.5, 0.1, 5, assert_envelope=True)
 
 
 def test_experiment_margin_relaxation(small_problem):
@@ -329,6 +325,83 @@ def test_fed_eta_schedule_scan():
     gamma = max(4.0 * p.L * beta, 8.0)
     with pytest.raises(ConfigError, match="eta_t <= 2"):
         run_deed_fed(p, int(gamma) + 2, beta, gamma, 1.0, 2, "full")
+
+
+def test_fed_nonfinite_beta_or_gamma_named(fed_problem):
+    # An infinite gamma gave eta_t = 0 and a NaN envelope that passed.
+    beta, gamma = _fed_params(fed_problem)
+    with pytest.raises(ConfigError) as err:
+        run_deed_fed(fed_problem, 4, beta, math.inf, 1.0, 4, "full")
+    assert err.value.violations == ["requires gamma < inf (gamma = inf)"]
+    with pytest.raises(ConfigError, match=r"eta_0 <= 1/\(4L\) \(eta_0 = inf"):
+        run_deed_fed(fed_problem, 4, math.inf, gamma, 1.0, 4, "full")
+    with pytest.raises(ConfigError, match=r"gamma > 1 \(gamma = nan\)"):
+        run_deed_fed(fed_problem, 4, beta, math.nan, 1.0, 4, "full")
+
+
+def _scanned_schedule_violations(beta, gamma, E, T_rounds):
+    # The scan fed_violations ran before its one comparison at t = 0.
+    for t in range(T_rounds * E + 1):
+        if beta / (t + gamma) > 2.0 * beta / (t + E + gamma) * (1.0 + 1e-12):
+            return [f"requires eta_t <= 2*eta_(t+E) (violated at t = {t})"]
+    return []
+
+
+def test_fed_schedule_check_equals_the_scan(fed_problem):
+    nudge = 1.0 + 1e-12
+    for beta in (1e-3, 0.5, 2.0 / fed_problem.mu, 7.0, 1e3, 1e9):
+        for gamma in (1.0 + 1e-9, 1.5, 2.0, 3.0, 7.0, 8.0 / nudge, 8.0, 8.0 * nudge, 8.5,
+                      99.0, 100.0, 1e5):
+            for E in (1, 2, 3, 7, 8, 9, 100, 101):
+                for T in (0, 1, 2, 5):
+                    found = [
+                        v for v in engine.fed_violations(
+                            fed_problem, E, beta, gamma, 1.0, T, "full", None, None)
+                        if v.startswith("requires eta_t")
+                    ]
+                    assert found == _scanned_schedule_violations(beta, gamma, E, T), (
+                        beta, gamma, E, T)
+    # A negative E is named, not divided by: here E + gamma = 0.
+    violations = engine.fed_violations(fed_problem, -2, 1e3, 2.0, 1.0, 3, "full", None, None)
+    assert "requires E >= 1 (E = -2)" in violations
+
+
+def test_fed_zero_rounds_runs_one_row(fed_problem):
+    # With no sync row to check the envelope check used to raise a bare
+    # ValueError from np.min of an empty array.
+    beta, gamma = _fed_params(fed_problem)
+    traces = run_deed_fed(fed_problem, 4, beta, gamma, 1.0, 0, "full", mc_runs=2)
+    assert len(traces) == 2
+    for tr in traces:
+        assert len(tr.t) == 1 and tr.total_bits == 0
+
+
+def test_check_envelope_counts_nan_as_a_violation(small_problem):
+    eta = 2.0 / (small_problem.L + small_problem.mu)
+    tr = run_deed_gd(small_problem, eta, 0.9, 0.1, 20, seed=1)
+    series = engine.contraction_envelope("deed-gd", small_problem, 0.9, 0.1, 20, eta=eta)
+    assert engine.check_envelope([tr], series, "envelope", squared=False) > 0.0
+    assert engine.check_envelope([tr], series, "envelope", False, np.arange(0)) == math.inf
+
+    broken = dataclasses.replace(tr, dist=tr.dist.copy())
+    broken.dist[7] = math.nan
+    with pytest.raises(BoundViolationError) as err:
+        engine.check_envelope([broken], series, "envelope", squared=False)
+    assert err.value.t == 7 and math.isnan(err.value.observed)
+    # Not even an infinite envelope lets a NaN mean through.
+    unbounded = dataclasses.replace(series, bound=np.full_like(series.bound, math.inf))
+    assert engine.check_envelope([tr, tr], unbounded, "envelope", squared=True) == math.inf
+    with pytest.raises(BoundViolationError) as err:
+        engine.check_envelope([tr, broken, tr], unbounded, "envelope", squared=True)
+    assert err.value.t == 7
+
+    series.bound[4] = math.nan
+    with pytest.raises(BoundViolationError) as err:
+        engine.check_envelope([tr], series, "envelope", squared=False)
+    assert err.value.t == 4 and math.isnan(err.value.allowed)
+    # Rows other than the NaN one still pass.
+    rows = np.array([0, 5, 20])
+    assert engine.check_envelope([tr], series, "envelope", False, rows) > 0.0
 
 
 def test_trace_csv_roundtrip(small_problem):

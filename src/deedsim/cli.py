@@ -37,19 +37,13 @@ def _load(path: str):
 
 
 def _cmd_run(args) -> int:
-    cfg = _load(args.config)
-    for w in cfg.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    result = cmd_run(cfg, out_dir=args.out)
+    result = cmd_run(_load(args.config), out_dir=args.out)
     print(json.dumps(result.summary(), indent=2, sort_keys=True, default=float))
     for path in result.files:
         print(f"wrote {path}", file=sys.stderr)
     if not result.ok:
         v = result.violation
-        print(
-            f"BOUND VIOLATION: {v.kind} at t={v.t}: {v.observed!r} > {v.allowed!r}",
-            file=sys.stderr,
-        )
+        print(f"BOUND VIOLATION: {v.kind} at t={v.t}: {v.comparison}", file=sys.stderr)
         return 1
     return 0
 
@@ -59,8 +53,8 @@ def _cmd_bound(args) -> int:
     series = compute_bound(cfg)
     if series is None:
         print(
-            "no envelope applies to this configuration (contraction margin "
-            "c < c' < 1 not met, or agd at kappa = 1, where it degenerates)",
+            "no envelope applies to this configuration (agd at kappa = 1, "
+            "where the momentum envelope degenerates)",
             file=sys.stderr,
         )
         return 1

@@ -10,8 +10,10 @@ problem and are the engines' own (``engine.param_violations``,
 messages at parse time as at run time.  Each algorithm's horizon key,
 required ``quant`` and ``fed`` keys, stepsize rule and engine call are
 in its ``ALGORITHMS`` entry, and a key no entry reads is rejected: a
-``fed`` block outside ``deed-fed``, ``run.counting_mode`` outside the
-lossless baselines.
+``fed`` block outside ``deed-fed``, ``run.eta`` where the engine fixes
+the stepsize.  A config that parses meets every engine precondition and,
+for ``deed-gd``, ``a-deed-gd`` and ``deed-sgd``, the contraction margin,
+so the engine checks its envelope.
 
 Schema (defaults in parentheses, * required; a key with a default may be
 omitted but not set to null):
@@ -25,7 +27,7 @@ omitted but not set to null):
       weights: [floats] (uniform)
     quant:
       s: float            c_prime: float     float_bits: int >= 1 (32)
-      fixed_eps: float    rho: float
+      fixed_eps: float
     fed:                # deed-fed only
       local_steps: int    beta: float        gamma: float
       participation: full | with-replacement | without-replacement (full)
@@ -35,9 +37,7 @@ omitted but not set to null):
       iterations: int >= 0  # horizon keys
       rounds: int >= 0
       mc_runs: int >= 1 (1)                  master_seed: int >= 0 (0)
-      counting_mode: star-full | fully-connected (star-full)  # gd and agd only
-      stepsize_mode: theory | experiment (theory)
-      eta: float          # explicit override, where the stepsize rule is "config"
+      eta: float          # where the stepsize rule is "config"; else 2/(L+mu)
       w0: [floats]
     output:
       dir: str
@@ -62,13 +62,11 @@ __all__ = ["Algorithm", "RunConfig", "parse_config", "parse_config_file", "ALGOR
 class Algorithm:
     """One algorithm: what its config needs and how it runs.
 
-    ``stepsize`` is ``"config"`` (``run.eta``, else ``stepsize_mode``) or
+    ``stepsize`` is ``"config"`` (``run.eta``, else ``2/(L+mu)``) or
     the rule the engine fixes, which rejects ``run.eta``.  Required fed
     keys give the federated envelope, a ``c_prime`` the contraction
     envelope, and otherwise ``harness.compute_bound`` uses the recursion
-    of the unquantized method.  ``counting`` marks the lossless baselines,
-    whose ledger ``run.counting_mode`` re-prices.  ``run(cfg, **common)``
-    calls the engine.
+    of the unquantized method.  ``run(cfg, **common)`` calls the engine.
     """
 
     horizon: str  # run key holding T
@@ -76,7 +74,6 @@ class Algorithm:
     run: Callable
     fed: tuple[str, ...] = ()  # required fed keys
     stepsize: str = "config"
-    counting: bool = False  # reads run.counting_mode
 
 
 _CODED = ("s", "c_prime")
@@ -95,10 +92,9 @@ ALGORITHMS = {
         trajectory_radius=c.fed["trajectory_radius"], **kw),
         fed=("local_steps", "beta", "gamma"), stepsize="beta/(t+gamma)"),
     "gd": Algorithm("iterations", (), lambda c, **kw: engine.run_exact_gd(
-        c.problem, c.eta, c.T, counting_mode=c.run["counting_mode"], **kw), counting=True),
+        c.problem, c.eta, c.T, **kw)),
     "agd": Algorithm("iterations", (), lambda c, **kw: engine.run_exact_agd(
-        c.problem, c.T, counting_mode=c.run["counting_mode"], **kw), stepsize="1/L",
-        counting=True),
+        c.problem, c.T, **kw), stepsize="1/L"),
     "const-quant-gd": Algorithm("iterations", ("fixed_eps",), lambda c, **kw: (
         engine.run_const_error_gd(c.problem, c.eta, c.T, c.quant["fixed_eps"], **kw))),
 }
@@ -121,7 +117,6 @@ _SCHEMA = {
         "c_prime": ((int, float), None),
         "float_bits": (int, 32),
         "fixed_eps": ((int, float), None),
-        "rho": ((int, float), None),
     },
     "fed": {
         "local_steps": (int, None),
@@ -136,8 +131,6 @@ _SCHEMA = {
         "rounds": (int, None),
         "mc_runs": (int, 1),
         "master_seed": (int, 0),
-        "counting_mode": (str, "star-full"),
-        "stepsize_mode": (str, "theory"),
         "eta": ((int, float), None),
         "w0": (list, None),
     },
@@ -158,7 +151,6 @@ class RunConfig:
     problem: QuadraticProblem = field(repr=False)
     eta: float | None  # resolved stepsize for the frequent engines
     rho: float | None  # certified growth constant (deed-sgd)
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def spec(self) -> Algorithm:
@@ -214,9 +206,8 @@ def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a YAML config.
 
     Raises ``ConfigError`` carrying *all* violations.  A config that
-    parses is guaranteed to satisfy every engine precondition (in theory
-    stepsize mode) or to carry explicit warnings (experiment mode relaxes
-    the contraction-margin inequality, whose envelope is then skipped).
+    parses is guaranteed to satisfy every engine precondition, the
+    contraction margin included.
     """
     import yaml  # here, not at module level: ``import deedsim`` stays light
 
@@ -228,7 +219,6 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(["top level must be a mapping"])
 
     violations: list[str] = []
-    warnings: list[str] = []
 
     known_top = {"algorithm", "problem", "quant", "fed", "run", "output"}
     for key in data:
@@ -256,15 +246,17 @@ def parse_config(text: str) -> RunConfig:
         blocks[name] = _check_block(name, raw, violations)
 
     pb, qt, fd, rn = (blocks[name] for name in ("problem", "quant", "fed", "run"))
+    # A required key is missing when absent or null; any other value that
+    # left it None was rejected by _check_block and is reported already.
     for key in ("seed", "d", "n_nodes", "kappa", "rows_per_node"):
-        if pb.get(key) is None:
+        if raws["problem"].get(key) is None:
             violations.append(f"problem.{key} is required")
     if pb["seed"] is not None and pb["seed"] < 0:
         violations.append(f"problem.seed must be >= 0 (seed = {pb['seed']})")
     if spec is not None:
         for block, keys in (("run", (spec.horizon,)), ("quant", spec.quant), ("fed", spec.fed)):
             for key in keys:
-                if blocks[block][key] is None:
+                if raws[block].get(key) is None:
                     violations.append(f"{block}.{key} is required for {algorithm}")
 
     if violations:
@@ -289,12 +281,6 @@ def parse_config(text: str) -> RunConfig:
     except DeedsimError as exc:
         raise ConfigError([f"problem construction failed: {exc}"]) from None
 
-    if "counting_mode" in raws["run"] and not spec.counting:
-        violations.append(
-            f"{algorithm} reads no run.counting_mode; only the lossless gd and agd take one"
-        )
-    if rn["stepsize_mode"] not in ("theory", "experiment"):
-        violations.append("run.stepsize_mode must be 'theory' or 'experiment'")
     if rn["mc_runs"] < 1:
         violations.append("run.mc_runs must be >= 1")
     if rn["master_seed"] < 0:
@@ -310,7 +296,7 @@ def parse_config(text: str) -> RunConfig:
     eta = rho = None
     found = []  # the algorithm's own preconditions
     if spec.stepsize == "config":
-        eta = _resolve_eta(rn, problem)
+        eta = 2.0 / (problem.L + problem.mu) if rn["eta"] is None else float(rn["eta"])
     elif rn["eta"] is not None:
         found.append(f"{algorithm} fixes eta = {spec.stepsize}; run.eta is not accepted")
     if spec.fed:
@@ -320,23 +306,16 @@ def parse_config(text: str) -> RunConfig:
         )
     else:
         found += engine.param_violations(
-            problem, T, eta=eta, counting_mode=rn["counting_mode"] if spec.counting else None,
-            **{key: qt[key] for key in spec.quant},
+            problem, T, eta=eta, **{key: qt[key] for key in spec.quant}
         )
     if spec.stepsize == "1/(rho L)":
         if problem.interpolating:
-            rho = qt["rho"] if qt["rho"] is not None else estimate_rho(problem)
+            rho = estimate_rho(problem)
             eta = 1.0 / (rho * problem.L)
         else:
             found.append(f"{algorithm} requires problem.interpolating = true")
     if "c_prime" in spec.quant and not found:
-        margin = engine.margin_violations(algorithm, problem, qt["c_prime"], eta=eta, rho=rho)
-        # Experiment mode relaxes the margin where the engine then skips
-        # its envelope; the stochastic engine always needs the margin.
-        if rn["stepsize_mode"] == "experiment" and spec.stepsize != "1/(rho L)":
-            warnings.extend(m + " -- envelope assertions disabled" for m in margin)
-        else:
-            found += margin
+        found += engine.margin_violations(algorithm, problem, qt["c_prime"], eta=eta, rho=rho)
     violations += found
 
     if violations:
@@ -352,16 +331,7 @@ def parse_config(text: str) -> RunConfig:
         problem=problem,
         eta=eta,
         rho=rho,
-        warnings=warnings,
     )
-
-
-def _resolve_eta(rn: dict, problem: QuadraticProblem) -> float:
-    if rn["eta"] is not None:
-        return float(rn["eta"])
-    if rn["stepsize_mode"] == "experiment":
-        return float(np.min(1.0 / problem.L_i))
-    return 2.0 / (problem.L + problem.mu)
 
 
 def parse_config_file(path: str) -> RunConfig:

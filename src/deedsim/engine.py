@@ -29,10 +29,8 @@ Engines:
 
 Bit accounting: uplink counts every worker payload; the broadcast is
 charged once per receiving worker.  The double-encoded algorithms
-charge their actual quantized payloads.  Only the lossless baselines
-take a ``counting_mode``, one of two conventions: ``star-full`` charges
-the broadcast at float precision per worker, and ``fully-connected``
-multiplies the uplink by (N - 1) with no broadcast.
+charge their actual quantized payloads, and the lossless baselines
+``float_bits * d`` per message.
 """
 
 from __future__ import annotations
@@ -68,11 +66,9 @@ __all__ = [
     "fed_violations",
     "margin_violations",
     "param_violations",
-    "COUNTING_MODES",
     "PARTICIPATION_SCHEMES",
 ]
 
-COUNTING_MODES = ("star-full", "fully-connected")
 PARTICIPATION_SCHEMES = ("full", "with-replacement", "without-replacement")
 
 # Relative slack for floating-point dust in envelope and budget asserts.
@@ -199,12 +195,10 @@ def _require(violations: list[str]) -> None:
         raise ConfigError(violations)
 
 
-def param_violations(
-    problem, T, *, eta=None, c_prime=None, s=None, fixed_eps=None, counting_mode=None
-) -> list[str]:
-    """Horizon, stepsize, margin-range, budget-scale, fixed-budget and
-    counting-convention preconditions shared by the engines; a check
-    whose argument is None is skipped."""
+def param_violations(problem, T, *, eta=None, c_prime=None, s=None, fixed_eps=None) -> list[str]:
+    """Horizon, stepsize, margin-range, budget-scale and fixed-budget
+    preconditions shared by the engines; a check whose argument is None
+    is skipped."""
     violations = []
     if T < 0:
         violations.append(f"requires T >= 0 (T = {T!r})")
@@ -220,10 +214,6 @@ def param_violations(
         violations.append(f"requires s >= 0 (s = {s!r})")
     if fixed_eps is not None and not fixed_eps > 0.0:
         violations.append(f"requires fixed_eps > 0 (fixed_eps = {fixed_eps!r})")
-    if counting_mode is not None and counting_mode not in COUNTING_MODES:
-        violations.append(
-            f"unknown counting_mode {counting_mode!r} (one of {', '.join(COUNTING_MODES)})"
-        )
     return violations
 
 
@@ -459,20 +449,18 @@ def run_exact_gd(
     T: int,
     *,
     seed: int = 0,
-    counting_mode: str = "star-full",
     float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
 ) -> RunTrace:
     """Lossless gradient descent over the same wire protocol.
 
     Messages are transmitted verbatim and charged ``float_bits * d`` per
-    link and direction under the configured counting mode.
+    link and direction: N uplinks, and the broadcast once per receiving
+    worker.
     """
     if eta is None:
         eta = 2.0 / (problem.L + problem.mu)
-    return _lossless_run(
-        "gd", problem, eta, None, T, counting_mode, seed=seed, float_bits=float_bits, w0=w0,
-    )
+    return _lossless_run("gd", problem, eta, None, T, seed=seed, float_bits=float_bits, w0=w0)
 
 
 def run_exact_agd(
@@ -480,32 +468,23 @@ def run_exact_agd(
     T: int,
     *,
     seed: int = 0,
-    counting_mode: str = "star-full",
     float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
 ) -> RunTrace:
     """Lossless momentum baseline (eta = 1/L, standard strongly-convex tau)."""
     return _lossless_run(
-        "agd", problem, 1.0 / problem.L, _momentum(problem), T, counting_mode, seed=seed,
+        "agd", problem, 1.0 / problem.L, _momentum(problem), T, seed=seed,
         float_bits=float_bits, w0=w0,
     )
 
 
-def _lossless_run(algorithm, problem, eta, tau, T, counting_mode, **run):
+def _lossless_run(algorithm, problem, eta, tau, T, **run):
     """Body of ``run_exact_gd`` (``tau`` None) and ``run_exact_agd``: the
-    shared loop at zero budget, its ledger re-priced under the counting
-    convention."""
-    _require(param_violations(problem, T, eta=eta, counting_mode=counting_mode))
-    trace = _frequent_run(
+    shared loop at zero budget."""
+    _require(param_violations(problem, T, eta=eta))
+    return _frequent_run(
         problem, algorithm=algorithm, eta=eta, tau=tau, T=T, budget_total=lambda k: 0.0, **run
     )
-    trace.extras["counting_mode"] = counting_mode
-    # star-full: uplink N F d, broadcast F d per receiving worker, already exact.
-    if counting_mode == "fully-connected":  # peers send to N-1 others, no center
-        rounds = trace.bits_up > 0
-        trace.bits_up[rounds] = trace.bits_up[rounds] * (problem.N - 1)
-        trace.bits_down[rounds] = 0
-    return trace
 
 
 def run_const_error_gd(

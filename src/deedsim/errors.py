@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 
 class DeedsimError(Exception):
     """Base class for all package errors."""
@@ -43,6 +45,16 @@ class BoundViolationError(DeedsimError, AssertionError):
         self.observed = observed
         self.allowed = allowed
         self.traces = traces
-        super().__init__(
-            f"{kind} violated at t={t}: observed {observed!r} > allowed {allowed!r}"
+        super().__init__(f"{kind} violated at t={t}: {self.comparison}")
+
+    @property
+    def comparison(self) -> str:
+        """``observed X > allowed Y``, or which of the two is NaN: a NaN
+        compares false with everything, so it is named, not compared."""
+        nan = [name for name in ("observed", "allowed") if math.isnan(getattr(self, name))]
+        if not nan:
+            return f"observed {self.observed!r} > allowed {self.allowed!r}"
+        return (
+            f"NaN {' and '.join(nan)} value "
+            f"(observed {self.observed!r}, allowed {self.allowed!r})"
         )

@@ -89,8 +89,8 @@ def _benchmark_problem(cache: _Cache):
     """d=100, N=10 least-squares with global Hessian condition 16.
 
     Node smoothness is spread (max L_i about 3.1x the global curvature)
-    so the experiment-mode trajectories span the full horizon without
-    hitting float-precision floors."""
+    so the tracking runs at eta = min_i 1/L_i span the full horizon
+    without hitting float-precision floors."""
     return cache.get(
         "bench",
         lambda: make_linreg(

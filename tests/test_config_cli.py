@@ -39,8 +39,6 @@ def test_minimal_config_theory_eta():
     p = cfg.problem
     assert cfg.eta == pytest.approx(2.0 / (p.L + p.mu))
     assert cfg.algorithm == "deed-gd"
-    assert cfg.run["counting_mode"] == "star-full"
-    assert not cfg.warnings
 
 
 def test_contraction_margin_violation_named():
@@ -50,22 +48,30 @@ def test_contraction_margin_violation_named():
     assert any("c < c' < 1" in v for v in err.value.violations)
 
 
-def test_experiment_mode_relaxes_margin_with_warning():
-    text = MINIMAL.replace("c_prime: 0.9", "c_prime: 0.2").replace(
-        "run: {iterations: 50}", "run: {iterations: 50, stepsize_mode: experiment}"
-    )
-    cfg = parse_config(text)
-    assert any("c < c' < 1" in w for w in cfg.warnings)
+@pytest.mark.parametrize("mode", ["theory", "experiment"])
+def test_stepsize_mode_rejected(mode):
+    # A failed margin is a violation, never a warning: no config reaches an
+    # engine that would skip its envelope.
+    for text in (MINIMAL, MINIMAL.replace("c_prime: 0.9", "c_prime: 0.2")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.replace("run: {", f"run: {{stepsize_mode: {mode}, "))
+        assert err.value.violations == ["unknown key run.stepsize_mode"]
+
+
+@pytest.mark.parametrize("rho", ["0.5", "0", "4.0"])
+def test_quant_rho_rejected(rho):
+    # deed-sgd always certifies its growth constant; none is taken on trust.
+    with pytest.raises(ConfigError) as err:
+        parse_config(SGD_CFG.replace("c_prime: 0.999}", f"c_prime: 0.999, rho: {rho}}}"))
+    assert err.value.violations == ["unknown key quant.rho"]
 
 
 def test_momentum_margin_needs_positive_contraction():
     # kappa = 1 gives c = 0, where the momentum envelope degenerates: the
-    # engine skips it, so theory mode rejects and experiment mode warns.
+    # engine would skip it, so the config is rejected.
     text = SCALAR_CFG.replace("deed-gd", "a-deed-gd").replace("eta: 1.0, ", "")
     with pytest.raises(ConfigError, match=r"requires 0 < c < c' < 1 \(c = .* = 0\.0"):
         parse_config(text)
-    cfg = parse_config(text.replace("w0:", "stepsize_mode: experiment, w0:"))
-    assert cfg.warnings and cfg.warnings[0].startswith("requires 0 < c < c' < 1")
 
 
 def test_fed_beta_violation_named():
@@ -367,29 +373,24 @@ GD_CFG = MINIMAL.replace("deed-gd", "gd").replace("quant: {s: 0.1, c_prime: 0.9}
     ids=["deed-gd", "a-deed-gd", "deed-sgd", "deed-fed", "const-quant-gd"],
 )
 def test_counting_mode_rejected_outside_lossless_baselines(text, mode):
-    # A counting convention re-prices a lossless ledger; the double-encoded
-    # and fixed-budget engines charge their quantized payloads and never read it.
-    algorithm = parse_config(text).algorithm
+    # The double-encoded and fixed-budget engines charge their quantized
+    # payloads; no engine takes a counting convention.
+    parse_config(text)
     with pytest.raises(ConfigError) as err:
         parse_config(text.replace("run: {", f"run: {{counting_mode: {mode}, "))
-    assert err.value.violations == [
-        f"{algorithm} reads no run.counting_mode; only the lossless gd and agd take one"
-    ]
+    assert err.value.violations == ["unknown key run.counting_mode"]
 
 
 @pytest.mark.parametrize("algorithm", ["gd", "agd"])
 def test_counting_mode_on_lossless_baselines(algorithm):
+    # The lossless baselines charge star-full only, the one convention of
+    # every engine, and take no key to re-price it.
     text = GD_CFG.replace("algorithm: gd", f"algorithm: {algorithm}")
-    assert parse_config(text).run["counting_mode"] == "star-full"
-    with_mode = text.replace("run: {", "run: {counting_mode: MODE, ")
-    cfg = parse_config(with_mode.replace("MODE", "fully-connected"))
-    assert cfg.run["counting_mode"] == "fully-connected"
-    # x2 priced the downlink as the uplink, which star-full already charges.
-    with pytest.raises(ConfigError) as err:
-        parse_config(with_mode.replace("MODE", "x2"))
-    assert err.value.violations == [
-        "unknown counting_mode 'x2' (one of star-full, fully-connected)"
-    ]
+    parse_config(text)
+    for mode in ("star-full", "fully-connected", "x2"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.replace("run: {", f"run: {{counting_mode: {mode}, "))
+        assert err.value.violations == ["unknown key run.counting_mode"]
 
 
 def test_all_violations_reported():
@@ -397,14 +398,60 @@ def test_all_violations_reported():
 algorithm: deed-gd
 problem: {seed: 1, d: 10, n_nodes: 2, kappa: 4.0, rows_per_node: 12}
 quant: {s: -1.0, c_prime: 1.5}
-run: {iterations: 10, counting_mode: bogus}
+run: {iterations: 10, mc_runs: 0}
 """
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     text_all = "; ".join(err.value.violations)
     assert "s >= 0" in text_all
     assert "c < c' < 1" in text_all or "c_prime" in text_all
-    assert "counting_mode" in text_all
+    assert "mc_runs" in text_all
+
+
+@pytest.mark.parametrize(
+    "old, new, violation",
+    [
+        ("kappa: 4.0", "kappa: abc", "problem.kappa has type str, expected (<class 'int'>, "
+         "<class 'float'>)"),
+        ("kappa: 4.0", "kappa: .nan", "problem.kappa must be finite (kappa = nan)"),
+        ("s: 0.1", "s: .nan", "quant.s must be finite (s = nan)"),
+        ("d: 10", "d: true", "problem.d must not be a boolean"),
+    ],
+    ids=["kappa-str", "kappa-nan", "s-nan", "d-bool"],
+)
+def test_rejected_key_reported_once(old, new, violation):
+    # A required key that _check_block rejects is not missing as well.
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL.replace(old, new))
+    assert err.value.violations == [violation]
+
+
+@pytest.mark.parametrize("text", ["kappa: null, ", ""], ids=["null", "absent"])
+def test_missing_required_key_still_reported(text):
+    minimal = MINIMAL.replace("kappa: 4.0, ", text)
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal.replace("s: 0.1, ", text.replace("kappa", "s")))
+    assert err.value.violations == ["problem.kappa is required", "quant.s is required for deed-gd"]
+
+
+def test_schema_docstring_names_every_key():
+    # The schema block of the config module's docstring lists exactly the
+    # keys parse_config accepts, so no retired key stays documented.
+    import re
+
+    import deedsim.config as config
+
+    schema = config.__doc__.split("Schema", 1)[1]
+    documented, block = {}, None
+    for line in schema.splitlines():
+        header = re.match(r"    (\w+):", line)
+        if header:
+            block = header.group(1)
+            documented[block] = set()
+        elif line.startswith("      ") and block is not None:
+            documented[block] |= set(re.findall(r"(\w+)\*?:", line))
+    want = {name: set(keys) for name, keys in config._SCHEMA.items()}
+    assert documented == {"algorithm": set(), **want}
 
 
 def test_sgd_config_requires_interpolation():
@@ -536,6 +583,27 @@ def test_cli_exit_code_on_violation(tmp_path, monkeypatch, capsys):
     assert rc == 1
     assert len(calls) == 1
     assert "BOUND VIOLATION: deed-gd envelope at t=20" in capsys.readouterr().err
+
+
+def test_cli_names_a_nan_bound(tmp_path, monkeypatch, capsys):
+    # NaN compares false, so the violation line names it rather than
+    # printing a comparison that reads as false.
+    import deedsim.engine as eng
+
+    real_bound = eng.deterministic_bound
+
+    def nan_at_20(*args, **kwargs):
+        series = real_bound(*args, **kwargs)
+        series.bound[20] = np.nan
+        return series
+
+    monkeypatch.setattr(eng, "deterministic_bound", nan_at_20)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(MINIMAL)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "BOUND VIOLATION: deed-gd envelope at t=20: NaN allowed value (observed " in (
+        capsys.readouterr().err
+    )
 
 
 def test_midrun_violation_propagates(tmp_path, monkeypatch):

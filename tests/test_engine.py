@@ -80,29 +80,16 @@ def test_lossless_bit_pricing(small_problem):
 
 
 def test_counting_modes(small_problem):
+    # Both lossless baselines charge the one star convention and take no
+    # counting_mode to re-price it.
     n, d, F = small_problem.N, small_problem.d, 32
-    fc = run_exact_gd(small_problem, None, 4, counting_mode="fully-connected", seed=0)
-    assert np.all(fc.bits_up[:4] == n * F * d * (n - 1))
-    assert np.all(fc.bits_down[:4] == 0)
-    with pytest.raises(ConfigError):
-        run_exact_gd(small_problem, None, 4, counting_mode="bogus", seed=0)
-
-
-def test_bad_counting_mode_rejected_before_any_message(small_problem, monkeypatch):
-    # The mode is checked with the other preconditions, not after T rounds.
-    sent = []
-    monkeypatch.setattr(engine, "quantize", lambda *args: sent.append(args))
-    for mode in ("bogus", "x2"):
-        for run in (
-            lambda: run_exact_gd(small_problem, None, 4, counting_mode=mode),
-            lambda: run_exact_agd(small_problem, 4, counting_mode=mode),
-        ):
-            with pytest.raises(ConfigError) as err:
-                run()
-            assert err.value.violations == [
-                f"unknown counting_mode {mode!r} (one of star-full, fully-connected)"
-            ]
-    assert sent == []
+    for tr in (run_exact_gd(small_problem, None, 4), run_exact_agd(small_problem, 4)):
+        assert np.all(tr.bits_up[:4] == n * F * d)
+        assert np.all(tr.bits_down[:4] == n * F * d)
+    with pytest.raises(TypeError, match="counting_mode"):
+        run_exact_gd(small_problem, None, 4, counting_mode="star-full")
+    with pytest.raises(TypeError, match="counting_mode"):
+        run_exact_agd(small_problem, 4, counting_mode="star-full")
 
 
 def test_kappa_one_momentum_reduces_to_plain():
@@ -388,6 +375,8 @@ def test_check_envelope_counts_nan_as_a_violation(small_problem):
     with pytest.raises(BoundViolationError) as err:
         engine.check_envelope([broken], series, "envelope", squared=False)
     assert err.value.t == 7 and math.isnan(err.value.observed)
+    assert str(err.value).startswith("envelope violated at t=7: NaN observed value (observed ")
+    assert ">" not in err.value.comparison
     # Not even an infinite envelope lets a NaN mean through.
     unbounded = dataclasses.replace(series, bound=np.full_like(series.bound, math.inf))
     assert engine.check_envelope([tr, tr], unbounded, "envelope", squared=True) == math.inf
@@ -399,9 +388,59 @@ def test_check_envelope_counts_nan_as_a_violation(small_problem):
     with pytest.raises(BoundViolationError) as err:
         engine.check_envelope([tr], series, "envelope", squared=False)
     assert err.value.t == 4 and math.isnan(err.value.allowed)
+    assert err.value.comparison.startswith("NaN allowed value (observed ")
+    assert BoundViolationError("k", 0, math.nan, math.nan).comparison.startswith(
+        "NaN observed and allowed value"
+    )
     # Rows other than the NaN one still pass.
     rows = np.array([0, 5, 20])
     assert engine.check_envelope([tr], series, "envelope", False, rows) > 0.0
+
+
+def _allowed(bound):
+    """The envelope or budget value a check admits at ``bound``, with the
+    engine's float-dust slack and no standard error."""
+    return bound * (1.0 + engine._REL_SLACK) + engine._ABS_DUST
+
+
+def _root_at_most(x):
+    """The largest float whose square does not exceed ``x``."""
+    r = math.sqrt(x)
+    while r * r > x:
+        r = np.nextafter(r, 0.0)
+    return r
+
+
+@pytest.mark.parametrize("squared", [False, True], ids=["distance", "squared-one-run"])
+def test_check_envelope_is_tight_at_the_allowed_value(small_problem, squared):
+    # A row exactly at the allowed value passes and one a millionth above
+    # it raises: the check admits float dust, not a factor of the envelope.
+    eta = 2.0 / (small_problem.L + small_problem.mu)
+    tr = run_deed_gd(small_problem, eta, 0.9, 0.1, 20, seed=1)
+    series = engine.contraction_envelope("deed-gd", small_problem, 0.9, 0.1, 20, eta=eta)
+    rows = np.array([5])
+    allowed = _allowed(series.bound[5])
+    for factor, passes in ((1.0, True), (1.0 + 1e-6, False)):
+        probe = dataclasses.replace(tr, dist=tr.dist.copy())
+        target = allowed * factor
+        probe.dist[5] = _root_at_most(target) if squared else target
+        if passes:
+            assert engine.check_envelope([probe], series, "envelope", squared, rows) >= 0.0
+        else:
+            with pytest.raises(BoundViolationError) as err:
+                engine.check_envelope([probe], series, "envelope", squared, rows)
+            assert err.value.t == 5 and err.value.allowed == allowed
+
+
+def test_assert_budget_is_tight_at_the_allowed_value():
+    gbar = np.zeros(3)
+    budget = 0.75
+    allowed = _allowed(budget)
+    at = np.array([allowed, 0.0, 0.0])
+    assert engine._assert_budget(at, gbar, budget, 4) == allowed
+    with pytest.raises(BoundViolationError) as err:
+        engine._assert_budget(at * (1.0 + 1e-6), gbar, budget, 4)
+    assert err.value.t == 4 and err.value.allowed == allowed
 
 
 def test_trace_csv_roundtrip(small_problem):

@@ -72,8 +72,7 @@ GOLDEN = {
 
 
 # Shipped configs with overridden keys, for engine paths that no shipped
-# file runs: the other participation schemes, the other counting mode of
-# a lossless baseline and the experiment stepsize.  Built in memory, so
+# file runs: the other participation schemes.  Built in memory, so
 # ``configs/`` keeps one file per shipped example.
 VARIANTS = {
     # Null drops the shipped k_participants, which full participation rejects.
@@ -85,11 +84,6 @@ VARIANTS = {
         "deed_fed.yaml",
         {"fed": {"participation": "with-replacement", "k_participants": 4}},
     ),
-    "gd_baseline.yaml+fully-connected": (
-        "gd_baseline.yaml",
-        {"run": {"counting_mode": "fully-connected"}},
-    ),
-    "deed_gd.yaml+experiment": ("deed_gd.yaml", {"run": {"stepsize_mode": "experiment"}}),
 }
 
 VARIANT_GOLDEN = {
@@ -110,15 +104,6 @@ VARIANT_GOLDEN = {
         "trace_run001.csv": "f7ea597878e646489d3b6578488b31d918ff13031d357aef265c329dd14d18a9",
         "trace_run002.csv": "87e624ef4cd69e17df602bf6f0d9271b6be057f6e81b396d6a09d4770c4bcbef",
         "trace_run003.csv": "2e77a2991d113153b25ac9f0cd13f663f6052e5f80e73b3ba616e567c43f730a",
-    },
-    "deed_gd.yaml+experiment": {
-        "summary.json": "ada0d42e8950d30d21937f86b34d60046e5d3300676662eb3ecafd9ea099109f",
-        "trace.csv": "0c6b75a572782e976655498d6022437dfd747977fbab27f66bc9e0bff95ec9fe",
-    },
-    "gd_baseline.yaml+fully-connected": {
-        "bound.csv": "7ff2bc57a736c5954e673c699264e69b0df8bb2f1c2229c87f816d5b33278a02",
-        "summary.json": "5576e9f37a78dcbdc685cdbb3b14227f98a54b6c01405b63f10165a721a2118d",
-        "trace.csv": "4b11e73a575ecd44386e3f034761c27f988d502c6c14ade07ef4927f940dd1d3",
     },
 }
 

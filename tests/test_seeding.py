@@ -83,8 +83,9 @@ FAST_PATH_EDGES = (0, 1, 2**32 - 1, 2**32, 2**40)
 
 @pytest.mark.parametrize("prefix", [(), (0,), (2, 499), (1, 2**32, 7)])
 def test_philox_key_on_both_sides_of_one_word_labels(prefix):
-    # The last two labels take the straight-line path when both fit one
-    # uint32 word, and the word-by-word path otherwise.
+    # Three or more labels whose last three (round, node, purpose) each fit
+    # one uint32 word take the round-block path; fewer labels, or a wider
+    # one, take the word-by-word path.
     for node in FAST_PATH_EDGES:
         for purpose in FAST_PATH_EDGES:
             labels = prefix + (node, purpose)

@@ -13,13 +13,12 @@ taken from --out, then the config's ``output.dir``, then the
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .config import parse_config_file
 from .errors import ConfigError
-from .harness import cmd_compare, cmd_run, compute_bound, output_dir
+from .harness import cmd_compare, cmd_run, compute_bound, output_dir, strict_json
 from .verify import SUITES, run_suite
 
 
@@ -38,7 +37,7 @@ def _load(path: str):
 
 def _cmd_run(args) -> int:
     result = cmd_run(_load(args.config), out_dir=args.out)
-    print(json.dumps(result.summary(), indent=2, sort_keys=True, default=float))
+    print(strict_json(result.summary(), indent=2, sort_keys=True))
     for path in result.files:
         print(f"wrote {path}", file=sys.stderr)
     if not result.ok:
@@ -62,7 +61,7 @@ def _cmd_bound(args) -> int:
     series.to_csv(path)
     print(f"wrote {path}", file=sys.stderr)
     print(
-        json.dumps(
+        strict_json(
             {
                 "rows": len(series.t),
                 "bound_t0": series.bound[0],
@@ -71,7 +70,6 @@ def _cmd_bound(args) -> int:
             },
             indent=2,
             sort_keys=True,
-            default=float,
         )
     )
     return 0
@@ -85,7 +83,7 @@ def _cmd_compare(args) -> int:
         for v in exc.violations:
             print(f"error: {v}", file=sys.stderr)
         return 2
-    print(json.dumps(table, indent=2, sort_keys=True, default=float))
+    print(strict_json(table, indent=2, sort_keys=True))
     # Human-readable table on stderr.
     head = "algorithm".ljust(16) + "".join(t.rjust(12) for t in table["thresholds"])
     print(head, file=sys.stderr)
@@ -117,8 +115,8 @@ def _cmd_verify(args) -> int:
             f"in {r.seconds:.1f}s: {r.detail}",
             file=sys.stderr,
         )
-    print(json.dumps({"suite": args.tag, "checks": [r.to_dict() for r in results]},
-                     indent=2, sort_keys=True))
+    print(strict_json({"suite": args.tag, "checks": [r.to_dict() for r in results]},
+                      indent=2, sort_keys=True))
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -84,9 +84,15 @@ def _weighted_sum(arrays: np.ndarray, rows, coefs: np.ndarray) -> np.ndarray:
     after row by definition; a BLAS product or ``sum``'s pairwise
     summation would round differently.
     """
-    if isinstance(rows, range):  # a view, not a gather
-        rows = slice(rows.start, rows.stop, rows.step)
-    return np.add.accumulate(coefs[:, None] * arrays[rows], axis=0)[-1]
+    return np.add.accumulate(coefs[:, None] * arrays[_rows(rows)], axis=0)[-1]
+
+
+def _rows(rows):
+    """An index of the node ids ``rows``: a slice (a view, not a gather)
+    for a range."""
+    if isinstance(rows, range):
+        return slice(rows.start, rows.stop, rows.step)
+    return rows
 
 
 def _norm(x: np.ndarray) -> float:
@@ -120,17 +126,20 @@ def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_
     """
     seed, run_index, round_index = labels
     spec = QuantSpec(max_error=stage, dim=len(v))
-    up_bits = 0
-    max_bits = 0
+    rows = _rows(participants)
+    D = payloads[rows] - S[rows]  # one difference per participant
     max_fraction = 0.0
-    for i in participants:
-        diff = payloads[i] - S[i]
-        msg = quantize(diff, spec, stream(seed, run_index, round_index, i, UPLINK), float_bits)
-        S[i] += msg.decoded
-        up_bits += msg.bits
-        max_bits = max(max_bits, msg.bits)
-        if stage > 0.0:
-            max_fraction = max(max_fraction, _norm(diff) / stage)
+    if stage > 0.0:
+        # Each diff's norm as sqrt(d.dot(d)): a stacked 1 x d by d x 1
+        # product makes the same dot call per row.
+        max_fraction = float((np.sqrt((D[:, None, :] @ D[..., None])[:, 0, 0]) / stage).max())
+    bits = []
+    for j, i in enumerate(participants):
+        msg = quantize(D[j], spec, stream(seed, run_index, round_index, i, UPLINK), float_bits)
+        D[j] = msg.decoded  # D now holds the decoded messages
+        bits.append(msg.bits)
+    S[rows] += D
+    up_bits, max_bits = sum(bits), max(bits)
 
     down_diff = _weighted_sum(S, participants, coefs) - v
     rng = stream(seed, run_index, round_index, 0, DOWNLINK)
@@ -141,6 +150,11 @@ def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_
     max_bits = max(max_bits, umsg.bits)
     err = _assert_budget(v, _weighted_sum(payloads, participants, coefs), budget, round_index)
     return up_bits, umsg.bits, max_fraction, max_bits, err
+
+
+def _row_streams(seed, run_index, round_index, nodes) -> list:
+    """Each node's row-sample stream of one round or local step."""
+    return [stream(seed, run_index, round_index, i, ROW_SAMPLE) for i in nodes]
 
 
 def _new_trace(algorithm: str, T: int, extras: dict) -> RunTrace:
@@ -314,7 +328,7 @@ def _frequent_run(
     w0,
     budget_total,  # callable round -> total v-vs-mean budget
     run_index: int = 0,
-    grad_source=None,  # callable (run, round, query_point) -> per-node gradients; full if None
+    grad_source=None,  # callable (run, round, query_point) -> (N, d) gradients; full if None
     differential: bool = True,
 ) -> RunTrace:
     """Shared loop for the frequent-communication engines; each of the
@@ -329,7 +343,7 @@ def _frequent_run(
     n = problem.N
     nodes = range(n)
     if grad_source is None:
-        grad_source = lambda r, k, q: [problem.full_grad(i, q) for i in nodes]
+        grad_source = lambda r, k, q: problem.full_grad(nodes, q)
     coefs = np.full(n, 1.0 / n)
     w = y = _initial_point(problem, w0)  # y: lookahead point
     S = np.zeros((n, problem.d))
@@ -345,7 +359,7 @@ def _frequent_run(
         if not differential:
             S.fill(0.0)
             v.fill(0.0)
-        grads = np.array(grad_source(run_index, k, w if tau is None else y))
+        grads = grad_source(run_index, k, w if tau is None else y)
         total = budget_total(k)
         exchange = _exchange(
             S, v, grads, nodes, coefs, total / 2.0, total, (seed, run_index, k), float_bits
@@ -555,11 +569,10 @@ def run_deed_sgd(
         + param_violations(problem, T, s=s)
     )
 
+    nodes = range(problem.N)
+
     def row_grads(r, k, q):
-        return [
-            problem.stochastic_grad(i, q, stream(seed, r, k, i, ROW_SAMPLE))
-            for i in range(problem.N)
-        ]
+        return problem.stochastic_grad(nodes, q, _row_streams(seed, r, k, nodes))
 
     traces = []
     for r in range(mc_runs):
@@ -723,11 +736,7 @@ def run_deed_fed(
         for t in range(T_total):
             # Node i's gradient reads only row i, so one update of all rows
             # after every gradient takes the same floats as one per node.
-            G = np.array([
-                problem.stochastic_grad(i, W[i], stream(seed, r, t, i, ROW_SAMPLE))
-                for i in nodes
-            ])
-            W -= eta_at(t) * G
+            W -= eta_at(t) * problem.stochastic_grad(nodes, W, _row_streams(seed, r, t, nodes))
             k = t + 1
             if k % E == 0:
                 # The broadcast lies within (s eta_k / 2)(1 + sum_i c_i) of

@@ -17,9 +17,28 @@ from .problems import estimate_fed_constants
 from .theory import BoundSeries, RecursionSpec, fed_bound, recursion_bound
 from .trace import RunTrace
 
-__all__ = ["RunResult", "execute", "compute_bound", "output_dir", "cmd_run", "cmd_compare"]
+__all__ = [
+    "RunResult", "execute", "compute_bound", "output_dir", "cmd_run", "cmd_compare", "strict_json",
+]
 
 ACCURACY_THRESHOLDS = tuple(10.0**-k for k in range(2, 9))
+
+
+def strict_json(obj, **kwargs) -> str:
+    """``json.dumps(obj, **kwargs)`` as strict JSON: a non-finite float is
+    written as the string ``"NaN"``, ``"Infinity"`` or ``"-Infinity"``
+    rather than as a bare token, and other numpy numbers as floats."""
+
+    def finite(x):
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        if isinstance(x, (float, np.floating)) and not math.isfinite(x):
+            return "NaN" if math.isnan(x) else "Infinity" if x > 0 else "-Infinity"
+        return x
+
+    return json.dumps(finite(obj), allow_nan=False, default=float, **kwargs)
 
 
 def _bits_table(trace: RunTrace) -> dict:
@@ -162,8 +181,7 @@ def cmd_run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
 
     path = os.path.join(out_dir, "summary.json")
     with open(path, "w", newline="\n") as fh:
-        json.dump(result.summary(), fh, indent=2, sort_keys=True, default=float)
-        fh.write("\n")
+        fh.write(strict_json(result.summary(), indent=2, sort_keys=True) + "\n")
     result.files.append(path)
     return result
 

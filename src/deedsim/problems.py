@@ -6,6 +6,12 @@ node weights ``p`` on the simplex.  The objective is
     f(w) = sum_i p_i * f_i(w),     f_i(w) = ||A_i w - b_i||^2 / (2 m_i),
 
 so with uniform weights f is the plain average of the node objectives.
+When every node holds the same number of rows m, the blocks are stored
+once, as one ``(N, m, d)`` array and one ``(N, m)`` array, and ``A[i]``
+and ``b[i]`` are views of them.  The gradient oracles take one node id
+or a sequence of them; for a sequence they compute every node's gradient
+in one stacked ``np.matmul``, which makes the same BLAS call per node as
+the one-node form and so returns the same bits.
 Constructed problems expose exact smoothness / strong-convexity
 constants, the exact optimum, per-row stochastic gradient oracles, a
 certified growth constant for the interpolation regime, and certified
@@ -63,6 +69,10 @@ class QuadraticProblem:
     w_star: np.ndarray = field(repr=False)
     f_star: float
     hess: np.ndarray = field(repr=False, default=None)
+    # The blocks stacked, (N, m, d) and (N, m), when every node has m
+    # rows (A[i] and b[i] are their views); None for ragged nodes.
+    A_stack: np.ndarray | None = field(repr=False, default=None)
+    b_stack: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def N(self) -> int:
@@ -100,9 +110,23 @@ class QuadraticProblem:
         delta = w - self.w_star
         return 0.5 * float(delta @ self.hess @ delta)
 
-    def full_grad(self, i: int, w: np.ndarray) -> np.ndarray:
-        Ai = self.A[i]
-        return Ai.T @ (Ai @ w - self.b[i]) / Ai.shape[0]
+    def full_grad(self, i, w: np.ndarray) -> np.ndarray:
+        """Gradient of ``f_i`` at ``w``.  For a sequence of node ids
+        ``i``, the ``(n, d)`` gradients of those nodes at ``w``, one point
+        or one row per node."""
+        if isinstance(i, (int, np.integer)):
+            Ai = self.A[i]
+            return Ai.T @ (Ai @ w - self.b[i]) / Ai.shape[0]
+        if self.A_stack is None:
+            W = np.broadcast_to(w, (len(i), self.d))
+            return _rows_of(self.d, (self.full_grad(k, W[j]) for j, k in enumerate(i)))
+        if isinstance(i, range) and i == range(self.N):
+            A3, B = self.A_stack, self.b_stack
+        else:
+            ids = np.asarray(i, dtype=np.intp)
+            A3, B = self.A_stack[ids], self.b_stack[ids]
+        Aw = A3 @ w if w.ndim == 1 else (A3 @ w[..., None])[..., 0]
+        return (A3.transpose(0, 2, 1) @ (Aw - B)[..., None])[..., 0] / A3.shape[1]
 
     def global_grad(self, w: np.ndarray) -> np.ndarray:
         g = np.zeros(self.d)
@@ -110,17 +134,37 @@ class QuadraticProblem:
             g += self.weights[i] * self.full_grad(i, w)
         return g
 
-    def stochastic_grad(
-        self, i: int, w: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
+    def stochastic_grad(self, i, w: np.ndarray, rng) -> np.ndarray:
         """Gradient of a uniformly sampled single row of node ``i``;
-        unbiased for ``full_grad(i, w)``."""
-        Ai = self.A[i]
-        if Ai.shape[0] == 0:
-            raise InvalidInputError(f"node {i} holds no rows")
-        r = int(rng.integers(Ai.shape[0]))
-        a = Ai[r]
-        return a * (a @ w - self.b[i][r])
+        unbiased for ``full_grad(i, w)``.  For a sequence of node ids
+        ``i``, the ``(n, d)`` row gradients of those nodes at ``w`` (one
+        point or one row per node), node ``i[j]`` drawing its row from
+        the stream ``rng[j]``."""
+        if isinstance(i, (int, np.integer)):
+            Ai = self.A[i]
+            if Ai.shape[0] == 0:
+                raise InvalidInputError(f"node {i} holds no rows")
+            r = int(rng.integers(Ai.shape[0]))
+            a = Ai[r]
+            return a * (a @ w - self.b[i][r])
+        if self.A_stack is None:
+            W = np.broadcast_to(w, (len(i), self.d))
+            return _rows_of(
+                self.d, (self.stochastic_grad(k, W[j], g) for j, (k, g) in enumerate(zip(i, rng)))
+            )
+        ids = np.asarray(i, dtype=np.intp)
+        m = self.A_stack.shape[1]
+        if m == 0 and len(ids):
+            raise InvalidInputError(f"node {ids[0]} holds no rows")
+        picks = ids, [int(g.integers(m)) for g in rng]
+        a = self.A_stack[picks]
+        x = w[:, None] if w.ndim == 1 else w[..., None]
+        return a * ((a[:, None, :] @ x)[:, 0, 0] - self.b_stack[picks])[:, None]
+
+
+def _rows_of(d: int, vectors) -> np.ndarray:
+    """The length-``d`` ``vectors`` as the rows of an ``(n, d)`` array."""
+    return np.array(list(vectors), dtype=np.float64).reshape(-1, d)
 
 
 @dataclass(frozen=True)
@@ -200,17 +244,17 @@ def make_linreg(
     V = _orthonormal_columns(rng, d, d)
     w_star = w_star_scale * rng.standard_normal(d)
 
-    blocks: list[np.ndarray] = []
     if rows_per_node >= d:
         # Per-node profiles share the eigenbasis; multipliers on the top
         # eigendirection average to one so the global spectrum is exact.
         top_mult = np.full(N, (N - l_spread) / (N - 1) if N > 1 else 1.0)
         top_mult[0] = l_spread if N > 1 else 1.0
+        A = np.empty((N, rows_per_node, d))
         for i in range(N):
             profile = lam.copy()
             profile[-1] *= top_mult[i]
             Q = _orthonormal_columns(rng, rows_per_node, d)
-            blocks.append(Q * np.sqrt(rows_per_node * profile) @ V.T)
+            A[i] = Q * np.sqrt(rows_per_node * profile) @ V.T
     else:
         if l_spread != 1.0:
             raise InvalidInputError("l_spread requires rows_per_node >= d")
@@ -219,24 +263,13 @@ def make_linreg(
         total = rows_per_node * N
         G = rng.standard_normal((total, d))
         U, _, _ = np.linalg.svd(G, full_matrices=False)
-        stacked = (U * np.sqrt(total * lam)) @ V.T
-        for i in range(N):
-            blocks.append(stacked[i * rows_per_node : (i + 1) * rows_per_node])
+        A = ((U * np.sqrt(total * lam)) @ V.T).reshape(N, rows_per_node, d)
 
     if interpolating:
-        bs = [Ai @ w_star for Ai in blocks]
+        b = np.stack([Ai @ w_star for Ai in A])
     else:
-        bs = [
-            Ai @ w_star + noise_scale * rng.standard_normal(Ai.shape[0])
-            for Ai in blocks
-        ]
-
-    return from_node_data(
-        list(zip(blocks, bs)),
-        weights=weights,
-        interpolating=interpolating,
-        exact_w_star=w_star if interpolating else None,
-    )
+        b = np.stack([Ai @ w_star + noise_scale * rng.standard_normal(rows_per_node) for Ai in A])
+    return _assemble(A, b, weights, interpolating, w_star if interpolating else None)
 
 
 def from_node_data(
@@ -245,16 +278,27 @@ def from_node_data(
     interpolating: bool | None = None,
     exact_w_star: np.ndarray | None = None,
 ) -> QuadraticProblem:
-    """Assemble a problem from explicit per-node ``(A_i, b_i)`` blocks."""
-    A = tuple(np.ascontiguousarray(Ai, dtype=np.float64) for Ai, _ in blocks)
-    b = tuple(np.ascontiguousarray(bi, dtype=np.float64) for _, bi in blocks)
-    N = len(A)
-    if N == 0:
+    """Assemble a problem from explicit per-node ``(A_i, b_i)`` blocks;
+    blocks with equal row counts are copied into one stack."""
+    A = [np.ascontiguousarray(Ai, dtype=np.float64) for Ai, _ in blocks]
+    b = [np.ascontiguousarray(bi, dtype=np.float64) for _, bi in blocks]
+    if len(A) == 0:
         raise InvalidInputError("at least one node required")
     d = A[0].shape[1]
     for Ai, bi in zip(A, b):
         if Ai.ndim != 2 or Ai.shape[1] != d or bi.shape != (Ai.shape[0],):
             raise InvalidInputError("inconsistent block shapes")
+    if len({Ai.shape[0] for Ai in A}) == 1:
+        A, b = np.stack(A), np.stack(b)
+    return _assemble(A, b, weights, interpolating, exact_w_star)
+
+
+def _assemble(A, b, weights, interpolating, exact_w_star) -> QuadraticProblem:
+    """The problem on checked blocks: ``A`` and ``b`` stacked as
+    ``(N, m, d)`` and ``(N, m)`` arrays, whose views become the per-node
+    blocks, or lists of ragged blocks."""
+    stacked = isinstance(A, np.ndarray)
+    N, d = len(A), A[0].shape[1]
     if weights is None:
         p = np.full(N, 1.0 / N)
     else:
@@ -275,8 +319,8 @@ def from_node_data(
     L = float(L_i.max())
 
     prob = QuadraticProblem(
-        A=A,
-        b=b,
+        A=tuple(A),
+        b=tuple(b),
         weights=p,
         interpolating=bool(interpolating),
         L_i=L_i,
@@ -286,6 +330,8 @@ def from_node_data(
         w_star=np.zeros(d),
         f_star=0.0,
         hess=H,
+        A_stack=A if stacked else None,
+        b_stack=b if stacked else None,
     )
     if exact_w_star is not None:
         # b was built as A @ w_star, so the gradient vanishes identically

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import numpy as np
@@ -603,6 +604,43 @@ def test_cli_names_a_nan_bound(tmp_path, monkeypatch, capsys):
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     assert "BOUND VIOLATION: deed-gd envelope at t=20: NaN allowed value (observed " in (
         capsys.readouterr().err
+    )
+
+
+def _strict_loads(text):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_summary_with_a_nan_violation_is_strict_json(tmp_path, monkeypatch, capsys):
+    import deedsim.engine as eng
+
+    real_bound = eng.deterministic_bound
+
+    def nan_at_20(*args, **kwargs):
+        series = real_bound(*args, **kwargs)
+        series.bound[20] = np.nan
+        return series
+
+    monkeypatch.setattr(eng, "deterministic_bound", nan_at_20)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(MINIMAL)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    summary = _strict_loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["violation"]["allowed"] == "NaN" and summary["violation"]["t"] == 20
+    assert _strict_loads(capsys.readouterr().out) == summary
+
+
+def test_strict_json_names_every_nonfinite_float():
+    from deedsim.harness import strict_json
+
+    text = strict_json({"x": [np.inf, -math.inf, np.float64("nan"), np.float32("nan"), 1.5]})
+    assert _strict_loads(text) == {"x": ["Infinity", "-Infinity", "NaN", "NaN", 1.5]}
+    value = {"b": [1, 2.5, None, True], "a": {"c": np.float64(0.1)}}
+    assert strict_json(value, indent=2, sort_keys=True) == json.dumps(
+        value, indent=2, sort_keys=True, default=float
     )
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from deedsim import engine
 from deedsim.engine import (
     PARTICIPATION_SCHEMES,
+    _exchange,
     _norm,
     _participants,
     _weighted_sum,
@@ -22,6 +23,8 @@ from deedsim.engine import (
 )
 from deedsim.errors import BoundViolationError, ConfigError, InvalidInputError
 from deedsim.problems import estimate_rho, from_node_data, make_linreg
+from deedsim.quantizer import QuantSpec, quantize
+from deedsim.seeding import DOWNLINK, UPLINK, stream
 from deedsim.theory import RecursionSpec, recursion_bound
 
 
@@ -655,3 +658,69 @@ def test_norm_equals_numpy_norm(coords):
     x = np.array(coords)
     got, want = _norm(x), np.linalg.norm(x)
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+# -- the batched uplinks against the one-message-at-a-time exchange --
+
+
+def _exchange_per_node(S, v, payloads, participants, coefs, stage, budget, labels, float_bits):
+    """``_exchange`` with its uplinks sent one at a time: each participant's
+    difference, message, accumulator update, bits and error fraction."""
+    seed, run_index, round_index = labels
+    spec = QuantSpec(max_error=stage, dim=len(v))
+    up_bits = max_bits = 0
+    max_fraction = 0.0
+    for i in participants:
+        diff = payloads[i] - S[i]
+        msg = quantize(diff, spec, stream(seed, run_index, round_index, i, UPLINK), float_bits)
+        S[i] += msg.decoded
+        up_bits += msg.bits
+        max_bits = max(max_bits, msg.bits)
+        if stage > 0.0:
+            max_fraction = max(max_fraction, _norm(diff) / stage)
+    down_diff = _weighted_sum(S, participants, coefs) - v
+    umsg = quantize(down_diff, spec, stream(seed, run_index, round_index, 0, DOWNLINK), float_bits)
+    v += umsg.decoded
+    if stage > 0.0:
+        max_fraction = max(max_fraction, _norm(down_diff) / stage)
+    max_bits = max(max_bits, umsg.bits)
+    err = _norm(v - _weighted_sum(payloads, participants, coefs))
+    return up_bits, umsg.bits, max_fraction, max_bits, err
+
+
+def assert_exchange_matches_per_node(n, d, scheme, stage, seed):
+    """One ``_exchange`` leaves the same accumulators and broadcast, and
+    books the same bits, fraction, largest message and error, as the
+    per-node loop, for ``range`` (uniform, full) and list participants."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** int(rng.integers(-5, 6))
+    payloads = scale * rng.standard_normal((n, d))
+    S0 = payloads + scale * rng.standard_normal((n, d))
+    v0 = scale * rng.standard_normal(d)
+    p = rng.random(n) + 0.05
+    p /= p.sum()
+    if scheme == "uniform":  # the frequent engines
+        participants, coefs = range(n), np.full(n, 1.0 / n)
+    else:
+        K = int(rng.integers(1, n + 1)) if scheme != "full" else None
+        participants, coefs = _participants(scheme, K, p, (seed, 0, 1))
+    assert isinstance(participants, range) == (scheme in ("full", "uniform"))
+    stage *= scale * math.sqrt(d)
+    results = []
+    for fn in (_exchange, _exchange_per_node):
+        S, v = S0.copy(), v0.copy()
+        out = fn(S, v, payloads, participants, coefs, stage, math.inf, (seed, 0, 3), 32)
+        results.append((S.tobytes(), v.tobytes(), repr(out)))
+    assert results[0] == results[1]
+
+
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=100),
+    st.sampled_from(PARTICIPATION_SCHEMES + ("uniform",)),
+    st.sampled_from([0.0, 0.01, 1.0, 30.0]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_exchange_equals_per_node_loop(n, d, scheme, stage, seed):
+    assert_exchange_matches_per_node(n, d, scheme, stage, seed)

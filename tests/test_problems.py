@@ -1,10 +1,13 @@
 import io
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from deedsim.errors import InvalidInputError, RankDeficiencyError
@@ -413,3 +416,153 @@ def test_serialization_roundtrip_and_determinism():
         assert np.array_equal(a, b)
     assert np.array_equal(p.w_star, q.w_star)
     assert q.interpolating and q.f_star == 0.0
+
+
+# -- the stacked layout and the batched oracles --
+
+
+def _gaussian_problem(rows, d, a_scale, seed):
+    """Gaussian blocks of ``rows[i]`` rows and entries of size ``a_scale``,
+    interpolating a Gaussian optimum."""
+    rng = np.random.default_rng(seed)
+    w_star = rng.standard_normal(d)
+    blocks = [a_scale * rng.standard_normal((m, d)) for m in rows]
+    return from_node_data([(A, A @ w_star) for A in blocks], interpolating=True,
+                          exact_w_star=w_star)
+
+
+def assert_batched_oracles_match(p, w_scale, seed):
+    """``full_grad`` and ``stochastic_grad`` over a sequence of nodes equal
+    the one-node calls bit for bit, at one point and at one row per node,
+    for every node in order and for a shuffled subset, and consume the
+    same draws."""
+    rng = np.random.default_rng(seed)
+    W = w_scale * rng.standard_normal((p.N, p.d))
+    subset = rng.permutation(p.N)[: max(1, p.N // 2)].tolist()
+    for nodes in (range(p.N), subset):
+        n = len(nodes)
+        for x in (W[0], W[:n]):
+            at = [x if x.ndim == 1 else x[j] for j in range(n)]
+            got = p.full_grad(nodes, x)
+            want = np.array([p.full_grad(i, at[j]) for j, i in enumerate(nodes)])
+            assert got.shape == (n, p.d) and got.tobytes() == want.tobytes()
+
+            batched = [np.random.default_rng([seed, i]) for i in nodes]
+            one_by_one = [np.random.default_rng([seed, i]) for i in nodes]
+            got = p.stochastic_grad(nodes, x, batched)
+            want = np.array(
+                [p.stochastic_grad(i, at[j], one_by_one[j]) for j, i in enumerate(nodes)]
+            )
+            assert got.shape == (n, p.d) and got.tobytes() == want.tobytes()
+            assert [g.bit_generator.state for g in batched] == [
+                g.bit_generator.state for g in one_by_one
+            ]
+
+
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=1, max_value=100),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=-5, max_value=5),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(N=10, d=100, m=100, a_exp=0, w_exp=0, seed=1)  # the gd-race shape
+@example(N=5, d=20, m=20, a_exp=-5, w_exp=5, seed=2)  # sgd-mc
+@example(N=8, d=10, m=12, a_exp=5, w_exp=-5, seed=3)  # fed-local
+@example(N=1, d=1, m=1, a_exp=0, w_exp=0, seed=4)
+@example(N=4, d=1, m=7, a_exp=0, w_exp=0, seed=5)
+@example(N=3, d=3, m=1, a_exp=0, w_exp=0, seed=6)
+@settings(max_examples=60, deadline=None)
+def test_batched_oracles_equal_per_node(N, d, m, a_exp, w_exp, seed):
+    m = max(m, -(-d // N))  # enough rows for a nonsingular Hessian
+    p = _gaussian_problem([m] * N, d, 10.0**a_exp, seed)
+    assert p.A_stack.shape == (N, m, d)
+    assert_batched_oracles_match(p, 10.0**w_exp, seed)
+
+
+def test_ragged_problem_takes_the_same_call():
+    p = _gaussian_problem([3, 5, 1, 4], 4, 1.0, 7)
+    assert p.A_stack is None and p.rows == (3, 5, 1, 4)
+    assert_batched_oracles_match(p, 1.0, 7)
+
+
+def _saved(p):
+    buf = io.BytesIO()
+    save_problem(p, buf)
+    buf.seek(0)
+    return buf
+
+
+def test_blocks_are_views_of_one_stack():
+    for p in (
+        make_linreg(seed=1, d=6, N=3, target_kappa=4.0, rows_per_node=8, interpolating=False,
+                    noise_scale=1.0),
+        make_linreg(seed=2, d=12, N=4, target_kappa=6.0, rows_per_node=4, interpolating=True),
+        load_problem(_saved(make_linreg(seed=3, d=5, N=2, target_kappa=2.0, rows_per_node=5,
+                                        interpolating=True))),
+    ):
+        assert p.A_stack.shape == (p.N, p.rows[0], p.d) and p.b_stack.shape == (p.N, p.rows[0])
+        for i in range(p.N):
+            assert np.shares_memory(p.A[i], p.A_stack[i])
+            assert np.shares_memory(p.b[i], p.b_stack[i])
+
+
+def test_empty_node_named_by_the_batched_oracle():
+    w = np.zeros(2)
+    with np.errstate(invalid="ignore"):  # an empty node's Hessian is 0/0
+        ragged = from_node_data([(np.eye(2), np.ones(2)), (np.zeros((0, 2)), np.zeros(0))],
+                                interpolating=True, exact_w_star=np.ones(2))
+        empty = from_node_data([(np.zeros((0, 2)), np.zeros(0))] * 2,
+                               interpolating=True, exact_w_star=np.ones(2))
+    assert ragged.A_stack is None and empty.A_stack.shape == (2, 0, 2)
+    for p, first in ((ragged, 1), (empty, 0)):
+        streams = [np.random.default_rng(i) for i in range(2)]
+        with pytest.raises(InvalidInputError, match=f"node {first} holds no rows"):
+            p.stochastic_grad(range(2), w, streams)
+
+
+# Each variant changes the BLAS kernel, its thread count or numpy's SIMD
+# loops, and with them some golden digests; the batched oracles and the
+# exchange must still equal their one-node forms.
+KERNEL_VARIANTS = (
+    {"OPENBLAS_NUM_THREADS": "1"},
+    {"OPENBLAS_CORETYPE": "Haswell"},
+    {"NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR"},
+)
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
+
+BATCHED_CHILD = r"""
+import test_engine, test_problems
+from deedsim.problems import make_linreg
+
+shapes = [  # the perfbench run workloads' problems, then a ragged one
+    dict(d=100, N=10, target_kappa=16.0, rows_per_node=100, interpolating=False,
+         w_star_scale=300.0, noise_scale=10.0, l_spread=3.125),
+    dict(d=20, N=5, target_kappa=8.0, rows_per_node=20, interpolating=True, w_star_scale=5.0),
+    dict(d=10, N=8, target_kappa=4.0, rows_per_node=12, interpolating=False, noise_scale=2.0,
+         w_star_scale=5.0),
+]
+for seed, shape in enumerate(shapes):
+    test_problems.assert_batched_oracles_match(make_linreg(seed=seed, **shape), 300.0, seed)
+test_problems.assert_batched_oracles_match(
+    test_problems._gaussian_problem([3, 5, 1, 4], 4, 1e5, 9), 1e-5, 9
+)
+for n, d, scheme in ((10, 100, "uniform"), (5, 20, "uniform"), (8, 10, "without-replacement"),
+                     (8, 10, "with-replacement"), (3, 1, "full")):
+    for stage in (0.0, 1.0):
+        test_engine.assert_exchange_matches_per_node(n, d, scheme, stage, seed=n * d)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("variant", KERNEL_VARIANTS, ids=lambda v: next(iter(v)))
+def test_batched_equals_per_node_under_other_kernels(variant):
+    path = os.pathsep.join(filter(None, [SRC, TESTS, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, **variant, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-c", BATCHED_CHILD], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"

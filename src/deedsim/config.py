@@ -11,9 +11,10 @@ messages at parse time as at run time.  Each algorithm's horizon key,
 required ``quant`` and ``fed`` keys, stepsize rule and engine call are
 in its ``ALGORITHMS`` entry, and a key no entry reads is rejected: a
 ``fed`` block outside ``deed-fed``, ``run.eta`` where the engine fixes
-the stepsize.  A config that parses meets every engine precondition and,
-for ``deed-gd``, ``a-deed-gd`` and ``deed-sgd``, the contraction margin,
-so the engine checks its envelope.
+the stepsize, ``run.mc_runs`` outside ``deed-sgd`` and ``deed-fed``, and
+a ``quant`` key the algorithm does not read.  A config that parses
+meets every engine precondition and, for ``deed-gd``, ``a-deed-gd`` and
+``deed-sgd``, the contraction margin, so the engine checks its envelope.
 
 Schema (defaults in parentheses, * required; a key with a default may be
 omitted but not set to null):
@@ -27,7 +28,7 @@ omitted but not set to null):
       weights: [floats] (uniform)
     quant:
       s: float            c_prime: float     float_bits: int >= 1 (32)
-      fixed_eps: float
+      fixed_eps: float    # each read by the algorithms that require it
     fed:                # deed-fed only
       local_steps: int    beta: float        gamma: float
       participation: full | with-replacement | without-replacement (full)
@@ -36,7 +37,8 @@ omitted but not set to null):
     run:
       iterations: int >= 0  # horizon keys
       rounds: int >= 0
-      mc_runs: int >= 1 (1)                  master_seed: int >= 0 (0)
+      mc_runs: int >= 1 (1), deed-sgd and deed-fed only
+      master_seed: int >= 0 (0)
       eta: float          # where the stepsize rule is "config"; else 2/(L+mu)
       w0: [floats]
     output:
@@ -63,7 +65,10 @@ class Algorithm:
     """One algorithm: what its config needs and how it runs.
 
     ``stepsize`` is ``"config"`` (``run.eta``, else ``2/(L+mu)``) or
-    the rule the engine fixes, which rejects ``run.eta``.  Required fed
+    the rule the engine fixes, which rejects ``run.eta``.  ``mc_runs``
+    says whether the engine runs Monte Carlo runs (``run.mc_runs``); a
+    ``quant`` key that is neither required nor in ``unread`` is rejected.
+    Required fed
     keys give the federated envelope, a ``c_prime`` the contraction
     envelope, and otherwise ``harness.compute_bound`` uses the recursion
     of the unquantized method.  ``run(cfg, **common)`` calls the engine.
@@ -74,6 +79,8 @@ class Algorithm:
     run: Callable
     fed: tuple[str, ...] = ()  # required fed keys
     stepsize: str = "config"
+    mc_runs: bool = False
+    unread: tuple[str, ...] = ()  # quant keys accepted though never read
 
 
 _CODED = ("s", "c_prime")
@@ -85,12 +92,14 @@ ALGORITHMS = {
         c.problem, c.quant["c_prime"], c.quant["s"], c.T, **kw), stepsize="1/L"),
     "deed-sgd": Algorithm("iterations", _CODED, lambda c, **kw: engine.run_deed_sgd(
         c.problem, c.quant["c_prime"], c.quant["s"], c.T, mc_runs=c.run["mc_runs"],
-        rho=c.rho, **kw), stepsize="1/(rho L)"),
+        rho=c.rho, **kw), stepsize="1/(rho L)", mc_runs=True),
     "deed-fed": Algorithm("rounds", ("s",), lambda c, **kw: engine.run_deed_fed(
         c.problem, c.fed["local_steps"], c.fed["beta"], c.fed["gamma"], c.quant["s"], c.T,
         c.fed["participation"], c.fed["k_participants"], mc_runs=c.run["mc_runs"],
         trajectory_radius=c.fed["trajectory_radius"], **kw),
-        fed=("local_steps", "beta", "gamma"), stepsize="beta/(t+gamma)"),
+        fed=("local_steps", "beta", "gamma"), stepsize="beta/(t+gamma)", mc_runs=True,
+        # The benchmark's fed-local template still sets c_prime (ROADMAP item 9).
+        unread=("c_prime",)),
     "gd": Algorithm("iterations", (), lambda c, **kw: engine.run_exact_gd(
         c.problem, c.eta, c.T, **kw)),
     "agd": Algorithm("iterations", (), lambda c, **kw: engine.run_exact_agd(
@@ -281,8 +290,15 @@ def parse_config(text: str) -> RunConfig:
     except DeedsimError as exc:
         raise ConfigError([f"problem construction failed: {exc}"]) from None
 
-    if rn["mc_runs"] < 1:
+    if "mc_runs" in raws["run"] and not spec.mc_runs:
+        violations.append(
+            f"{algorithm} does not read run.mc_runs; only deed-sgd and deed-fed take Monte Carlo runs"
+        )
+    elif rn["mc_runs"] < 1:
         violations.append("run.mc_runs must be >= 1")
+    for key in ("s", "c_prime", "fixed_eps"):
+        if key in raws["quant"] and key not in spec.quant + spec.unread:
+            violations.append(f"{algorithm} does not read quant.{key}")
     if rn["master_seed"] < 0:
         violations.append(f"run.master_seed must be >= 0 (master_seed = {rn['master_seed']})")
     if qt["float_bits"] < 1:

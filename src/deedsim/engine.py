@@ -6,15 +6,20 @@ payload (gradient, stochastic gradient or local weights) and a local
 accumulator; the center aggregates, encodes the difference to its own
 broadcast accumulator, and broadcasts.  Sender and receivers apply the
 same decoded message to the same accumulator, so the replicas are
-bit-identical by construction and each quantity is held once: one
-iterate (or one row of local weights per node), one broadcast, and the
-worker accumulators as one ``(N, d)`` array.  Every engine sends its
-messages through one ``_exchange``: the uplinks of the round's
+bit-identical by construction and each quantity is held once.  The Monte
+Carlo runs of an engine advance together, round by round, one *lane*
+per run: each lane's iterate (or row of local weights per node) and
+broadcast are rows of ``(R, d)`` arrays (``(R, N, d)`` for local
+weights), and the worker accumulators are one ``(R, N, d)`` array.  The
+single-run engines are the case R = 1.  Every engine sends its messages
+through one ``_exchange``: each lane's uplinks of the round's
 participants, the center's weighted aggregate, the downlink, and the
 aggregate error chain assert (the broadcast lies within the round's
-total budget of the exact aggregate).  ``_book`` records each exchange's
-bits, budget, largest error fraction, largest message and aggregate
-error on its trace row.
+total budget of the exact aggregate).  A lane draws from its own run's
+streams, and the streams are pure functions of their labels, so
+advancing the runs together changes no draw.  ``_Lanes.book`` records
+each exchange's bits, budget, largest error fraction, largest message
+and aggregate error on its trace row.
 
 Engines:
 
@@ -77,14 +82,15 @@ _ABS_DUST = 1e-12
 
 
 def _weighted_sum(arrays: np.ndarray, rows, coefs: np.ndarray) -> np.ndarray:
-    """``sum_j coefs[j] * arrays[rows[j]]`` over the rows of an ``(N, d)``
-    array, added in the order of ``rows`` (ascending node ids).
+    """``sum_j coefs[j] * arrays[..., rows[j], :]`` over the rows of an
+    ``(N, d)`` array, or of each lane of an ``(R, N, d)`` one, added in the
+    order of ``rows`` (ascending node ids).
 
-    One broadcast product and a running sum down axis 0, which adds row
-    after row by definition; a BLAS product or ``sum``'s pairwise
+    One broadcast product and a running sum down the node axis, which adds
+    row after row by definition; a BLAS product or ``sum``'s pairwise
     summation would round differently.
     """
-    return np.add.accumulate(coefs[:, None] * arrays[_rows(rows)], axis=0)[-1]
+    return np.add.accumulate(coefs[:, None] * arrays[..., _rows(rows), :], axis=-2)[..., -1, :]
 
 
 def _rows(rows):
@@ -95,10 +101,11 @@ def _rows(rows):
     return rows
 
 
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a 1-D float vector, as ``np.linalg.norm`` computes
-    it (``sqrt(x.dot(x))``) without its dispatch."""
-    return math.sqrt(x.dot(x))
+def _norm(x: np.ndarray):
+    """Euclidean norm along the last axis, as ``np.linalg.norm`` computes
+    it for one vector (``sqrt(x.dot(x))``): a stacked 1 x d by d x 1
+    product makes the same dot call per vector."""
+    return np.sqrt((x[..., None, :] @ x[..., None])[..., 0, 0])
 
 
 def _initial_point(problem, w0) -> np.ndarray:
@@ -110,97 +117,138 @@ def _initial_point(problem, w0) -> np.ndarray:
 
 
 def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_bits):
-    """One difference-encoded uplink/aggregate/downlink exchange, the one
-    message path of every engine; updates ``S`` and ``v`` in place.
+    """One difference-encoded uplink/aggregate/downlink exchange in every
+    lane, the one message path of every engine; updates ``S`` and ``v``
+    in place.
 
-    Node ``i`` of ``participants`` encodes ``payloads[i] - S[i]`` at
-    maximal error ``stage``, and sender and center apply the decoded
-    message to the one accumulator row ``S[i]``.  The center encodes the
-    ``coefs``-weighted sum of those rows against the broadcast ``v`` at
-    the same error, and every node applies it to ``v``.  Asserts that
-    ``v`` lies within ``budget`` of the weighted payloads.  ``labels`` is
-    the exchange's ``(seed, run, round)`` stream prefix.
+    Lane ``l`` is one Monte Carlo run: ``S`` is ``(R, N, d)``, ``v`` and
+    the returned per-lane results have a leading axis of length R.  In
+    each lane node ``i`` of ``participants`` encodes ``payloads[l, i] -
+    S[l, i]`` at maximal error ``stage``, and sender and center apply the
+    decoded message to the one accumulator row ``S[l, i]``.  The center
+    encodes the ``coefs``-weighted sum of those rows against the
+    broadcast ``v[l]`` at the same error, and every node applies it to
+    ``v[l]``.  Asserts that ``v`` lies within ``budget`` of the weighted
+    payloads.  ``labels`` is ``(seed, runs, round)``: lane ``l`` draws its
+    messages from run ``runs[l]``'s streams, one per message.
 
-    Returns (up_bits, down_payload_bits, max fraction, max message bits,
-    aggregate error).
+    Returns per-lane arrays (up_bits, down_payload_bits, max fraction,
+    max message bits, aggregate error).
     """
-    seed, run_index, round_index = labels
-    spec = QuantSpec(max_error=stage, dim=len(v))
+    seed, runs, round_index = labels
+    spec = QuantSpec(max_error=stage, dim=v.shape[-1])
     rows = _rows(participants)
-    D = payloads[rows] - S[rows]  # one difference per participant
-    max_fraction = 0.0
+    D = payloads[:, rows] - S[:, rows]  # one difference per lane and participant
+    max_fraction = np.zeros(len(runs))
     if stage > 0.0:
-        # Each diff's norm as sqrt(d.dot(d)): a stacked 1 x d by d x 1
-        # product makes the same dot call per row.
-        max_fraction = float((np.sqrt((D[:, None, :] @ D[..., None])[:, 0, 0]) / stage).max())
-    bits = []
-    for j, i in enumerate(participants):
-        msg = quantize(D[j], spec, stream(seed, run_index, round_index, i, UPLINK), float_bits)
-        D[j] = msg.decoded  # D now holds the decoded messages
-        bits.append(msg.bits)
-    S[rows] += D
-    up_bits, max_bits = sum(bits), max(bits)
+        max_fraction = (_norm(D) / stage).max(axis=1)
+    bits = np.empty((len(runs), D.shape[1] + 1), dtype=np.int64)
+    for lane, r in enumerate(runs):
+        for j, i in enumerate(participants):
+            msg = quantize(D[lane, j], spec, stream(seed, r, round_index, i, UPLINK), float_bits)
+            D[lane, j] = msg.decoded  # D now holds the decoded messages
+            bits[lane, j] = msg.bits
+    S[:, rows] += D
 
     down_diff = _weighted_sum(S, participants, coefs) - v
-    rng = stream(seed, run_index, round_index, 0, DOWNLINK)
-    umsg = quantize(down_diff, spec, rng, float_bits)
-    v += umsg.decoded
+    for lane, r in enumerate(runs):
+        umsg = quantize(down_diff[lane], spec, stream(seed, r, round_index, 0, DOWNLINK), float_bits)
+        v[lane] += umsg.decoded
+        bits[lane, -1] = umsg.bits
     if stage > 0.0:
-        max_fraction = max(max_fraction, _norm(down_diff) / stage)
-    max_bits = max(max_bits, umsg.bits)
-    err = _assert_budget(v, _weighted_sum(payloads, participants, coefs), budget, round_index)
-    return up_bits, umsg.bits, max_fraction, max_bits, err
+        max_fraction = np.maximum(max_fraction, _norm(down_diff) / stage)
+    gbar = _weighted_sum(payloads, participants, coefs)
+    err = _assert_budget(v, gbar, budget, labels)
+    return bits[:, :-1].sum(axis=1), bits[:, -1], max_fraction, bits.max(axis=1), err
 
 
-def _row_streams(seed, run_index, round_index, nodes) -> list:
-    """Each node's row-sample stream of one round or local step."""
-    return [stream(seed, run_index, round_index, i, ROW_SAMPLE) for i in nodes]
+def _row_streams(seed, runs, round_index, nodes):
+    """Each lane's and node's row-sample stream of one round or local step,
+    lane by lane, built as they are drawn from: a round's ``R x N`` streams
+    are never held at once."""
+    return (stream(seed, r, round_index, i, ROW_SAMPLE) for r in runs for i in nodes)
 
 
-def _new_trace(algorithm: str, T: int, extras: dict) -> RunTrace:
-    """A trace of ``T + 1`` rows with nothing booked: no bits or budget,
-    NaN error fractions and aggregate errors, zero message bits."""
-    return RunTrace(
-        algorithm=algorithm,
-        t=np.arange(T + 1),
-        dist=np.empty(T + 1),
-        fgap=np.empty(T + 1),
-        bits_up=np.zeros(T + 1, dtype=np.int64),
-        bits_down=np.zeros(T + 1, dtype=np.int64),
-        budget=np.zeros(T + 1),
-        extras={
-            **extras,
-            "fractions": np.full(T + 1, np.nan),
-            "max_msg_bits": np.zeros(T + 1, dtype=np.int64),
-            "vg_err": np.full(T + 1, np.nan),
-        },
-    )
+def _lane_grads(problem, runs, round_index, seed, nodes, Q):
+    """Every lane's and node's single-row gradients as ``(R, N, d)``, in one
+    ``stochastic_grad`` call: node ``i`` of lane ``l`` queries ``Q[l]``,
+    one row of ``Q`` per lane, or its own row of an ``(R, N, d)`` ``Q``."""
+    R, n = len(runs), len(nodes)
+    ids = np.tile(np.arange(n), R)
+    points = np.repeat(Q, n, axis=0) if Q.ndim == 2 else Q.reshape(R * n, -1)
+    streams = _row_streams(seed, runs, round_index, nodes)
+    return problem.stochastic_grad(ids, points, streams).reshape(R, n, -1)
 
 
-def _book(trace: RunTrace, row: int, total: float, n: int, exchange) -> None:
-    """Book an ``_exchange`` result and its total budget on ``row``; the
-    broadcast is charged once per receiving link."""
-    up, down_payload, frac, mbits, err = exchange
-    trace.bits_up[row] = up
-    trace.bits_down[row] = n * down_payload
-    trace.budget[row] = total
-    trace.extras["fractions"][row] = frac
-    trace.extras["max_msg_bits"][row] = mbits
-    trace.extras["vg_err"][row] = err
+class _Lanes:
+    """Every lane's trace columns as ``(R, T + 1)`` arrays: nothing booked
+    (no bits or budget, NaN error fractions and aggregate errors, zero
+    message bits) until ``book`` and ``record`` fill a row."""
+
+    def __init__(self, runs: int, T: int) -> None:
+        self.dist = np.empty((runs, T + 1))
+        self.fgap = np.empty((runs, T + 1))
+        self.bits_up = np.zeros((runs, T + 1), dtype=np.int64)
+        self.bits_down = np.zeros((runs, T + 1), dtype=np.int64)
+        self.budget = np.zeros((runs, T + 1))
+        self.fractions = np.full((runs, T + 1), np.nan)
+        self.max_msg_bits = np.zeros((runs, T + 1), dtype=np.int64)
+        self.vg_err = np.full((runs, T + 1), np.nan)
+
+    def book(self, row: int, total: float, n: int, exchange, lanes=slice(None)) -> None:
+        """Book an ``_exchange`` result of ``lanes`` and its total budget on
+        ``row``; the broadcast is charged once per receiving link."""
+        up, down_payload, frac, mbits, err = exchange
+        self.bits_up[lanes, row] = up
+        self.bits_down[lanes, row] = n * down_payload
+        self.budget[lanes, row] = total
+        self.fractions[lanes, row] = frac
+        self.max_msg_bits[lanes, row] = mbits
+        self.vg_err[lanes, row] = err
+
+    def record(self, t: int, problem, X: np.ndarray) -> None:
+        """Row ``t``'s distance to the optimum and loss gap of each lane's
+        point, one row of ``X`` per lane."""
+        self.dist[:, t] = _norm(X - problem.w_star)
+        self.fgap[:, t] = problem.f_gap(X)
+
+    def traces(self, algorithm: str, extras) -> list[RunTrace]:
+        """One trace per lane, its columns that lane's rows, and its extras
+        ``extras(run)`` followed by the per-round diagnostics."""
+        return [
+            RunTrace(
+                algorithm=algorithm,
+                t=np.arange(self.dist.shape[1]),
+                dist=self.dist[r],
+                fgap=self.fgap[r],
+                bits_up=self.bits_up[r],
+                bits_down=self.bits_down[r],
+                budget=self.budget[r],
+                extras={
+                    **extras(r),
+                    "fractions": self.fractions[r],
+                    "max_msg_bits": self.max_msg_bits[r],
+                    "vg_err": self.vg_err[r],
+                },
+            )
+            for r in range(len(self.dist))
+        ]
 
 
-def _record(trace: RunTrace, t: int, problem, x: np.ndarray) -> None:
-    """Row ``t``'s distance to the optimum and loss gap at ``x``."""
-    trace.dist[t] = _norm(x - problem.w_star)
-    trace.fgap[t] = problem.f_gap(x)
-
-
-def _assert_budget(v_k, gbar, budget, round_index) -> float:
-    """Raise unless ``|v_k - gbar| <= budget`` (up to float dust); returns the error."""
-    err = _norm(v_k - gbar)
+def _assert_budget(v, gbar, budget, labels) -> np.ndarray:
+    """Raise unless every lane's ``|v - gbar| <= budget`` (up to float
+    dust), naming the round and the first offending lane's run of
+    ``labels = (seed, runs, round)``; returns the lanes' errors."""
+    _, runs, round_index = labels
+    err = _norm(v - gbar)
     allowed = budget * (1.0 + _REL_SLACK) + _ABS_DUST * (1.0 + _norm(gbar))
-    if err > allowed:
-        raise BoundViolationError("aggregate error budget", round_index, err, allowed)
+    bad = np.flatnonzero(err > allowed)
+    if len(bad):
+        lane = bad[0]
+        raise BoundViolationError(
+            "aggregate error budget", round_index, float(err[lane]), float(allowed[lane]),
+            run=runs[lane],
+        )
     return err
 
 
@@ -327,52 +375,52 @@ def _frequent_run(
     float_bits: int,
     w0,
     budget_total,  # callable round -> total v-vs-mean budget
-    run_index: int = 0,
-    grad_source=None,  # callable (run, round, query_point) -> (N, d) gradients; full if None
+    runs: int = 1,
+    grad_source=None,  # callable (round, (R, d) query points) -> (R, N, d) gradients
     differential: bool = True,
-) -> RunTrace:
-    """Shared loop for the frequent-communication engines; each of the
-    two encoding stages of a round gets half the round's total budget.
+) -> list[RunTrace]:
+    """Shared loop for the frequent-communication engines, one lane per
+    Monte Carlo run, all advanced round by round; each of the two encoding
+    stages of a round gets half the round's total budget.
 
-    Every node applies the same decoded messages, so the iterate, the
-    momentum memory and the broadcast ``v`` are held once, and the
-    per-node accumulators as one ``(N, d)`` array ``S``.
+    Every node applies the same decoded messages, so each lane's iterate,
+    momentum memory and broadcast are held once, as the rows of ``(R, d)``
+    arrays, and the per-node accumulators as one ``(R, N, d)`` array
+    ``S``.  Full gradients (``grad_source`` None) serve one lane.
     ``differential=False`` clears ``S`` and ``v`` at the start of every
-    round, so raw payloads rather than differences are encoded.
+    round, so raw payloads rather than differences are encoded.  Returns
+    one trace per run.
     """
     n = problem.N
-    nodes = range(n)
+    nodes, lanes = range(n), range(runs)
     if grad_source is None:
-        grad_source = lambda r, k, q: problem.full_grad(nodes, q)
+        grad_source = lambda k, Q: problem.full_grad(nodes, Q[0])[None]
     coefs = np.full(n, 1.0 / n)
-    w = y = _initial_point(problem, w0)  # y: lookahead point
-    S = np.zeros((n, problem.d))
-    v = np.zeros(problem.d)
-    trace = _new_trace(
-        algorithm,
-        T,
-        {"float_bits": float_bits, "eta": eta, "seed": seed, "run_index": run_index},
-    )
+    w = y = np.tile(_initial_point(problem, w0), (runs, 1))  # y: lookahead points
+    S = np.zeros((runs, n, problem.d))
+    v = np.zeros((runs, problem.d))
+    log = _Lanes(runs, T)
 
-    _record(trace, 0, problem, w)
+    log.record(0, problem, w)
     for k in range(T):
         if not differential:
             S.fill(0.0)
             v.fill(0.0)
-        grads = grad_source(run_index, k, w if tau is None else y)
+        grads = grad_source(k, w if tau is None else y)
         total = budget_total(k)
         exchange = _exchange(
-            S, v, grads, nodes, coefs, total / 2.0, total, (seed, run_index, k), float_bits
+            S, v, grads, nodes, coefs, total / 2.0, total, (seed, lanes, k), float_bits
         )
-        _book(trace, k, total, n, exchange)
+        log.book(k, total, n, exchange)
 
         if tau is None:
             w = w - eta * v
         else:
             x_prev, w = w, y - eta * v
             y = w + tau * (w - x_prev)
-        _record(trace, k + 1, problem, w)
-    return trace
+        log.record(k + 1, problem, w)
+    extras = {"float_bits": float_bits, "eta": eta, "seed": seed}
+    return log.traces(algorithm, lambda r: {**extras, "run_index": r})
 
 
 def _contraction_run(algorithm, problem, eta, tau, c_prime, s, T, **run):
@@ -382,7 +430,7 @@ def _contraction_run(algorithm, problem, eta, tau, c_prime, s, T, **run):
     _require(param_violations(problem, T, eta=eta, c_prime=c_prime, s=s))
     check = not margin_violations(algorithm, problem, c_prime, eta=eta)
 
-    trace = _frequent_run(
+    [trace] = _frequent_run(
         problem, algorithm=algorithm, eta=eta, tau=tau, T=T,
         budget_total=lambda k: s * c_prime ** (k + 1), **run,
     )
@@ -496,9 +544,10 @@ def _lossless_run(algorithm, problem, eta, tau, T, **run):
     """Body of ``run_exact_gd`` (``tau`` None) and ``run_exact_agd``: the
     shared loop at zero budget."""
     _require(param_violations(problem, T, eta=eta))
-    return _frequent_run(
+    [trace] = _frequent_run(
         problem, algorithm=algorithm, eta=eta, tau=tau, T=T, budget_total=lambda k: 0.0, **run
     )
+    return trace
 
 
 def run_const_error_gd(
@@ -521,7 +570,7 @@ def run_const_error_gd(
     if eta is None:
         eta = 2.0 / (problem.L + problem.mu)
     _require(param_violations(problem, T, eta=eta, fixed_eps=fixed_eps))
-    trace = _frequent_run(
+    [trace] = _frequent_run(
         problem,
         algorithm="const-quant-gd",
         eta=eta,
@@ -569,28 +618,22 @@ def run_deed_sgd(
         + param_violations(problem, T, s=s)
     )
 
-    nodes = range(problem.N)
-
-    def row_grads(r, k, q):
-        return problem.stochastic_grad(nodes, q, _row_streams(seed, r, k, nodes))
-
-    traces = []
-    for r in range(mc_runs):
-        trace = _frequent_run(
-            problem,
-            algorithm="deed-sgd",
-            eta=eta,
-            tau=None,
-            grad_source=row_grads,
-            T=T,
-            seed=seed,
-            run_index=r,
-            float_bits=float_bits,
-            w0=w0,
-            budget_total=lambda k: math.sqrt(s * c_prime ** (k + 1)),
-        )
+    nodes, lanes = range(problem.N), range(mc_runs)
+    traces = _frequent_run(
+        problem,
+        algorithm="deed-sgd",
+        eta=eta,
+        tau=None,
+        grad_source=lambda k, Q: _lane_grads(problem, lanes, k, seed, nodes, Q),
+        T=T,
+        seed=seed,
+        runs=mc_runs,
+        float_bits=float_bits,
+        w0=w0,
+        budget_total=lambda k: math.sqrt(s * c_prime ** (k + 1)),
+    )
+    for trace in traces:
         trace.extras.update({"c": c, "c_prime": c_prime, "s": s, "rho": rho})
-        traces.append(trace)
 
     series = contraction_envelope("deed-sgd", problem, c_prime, s, T, w0, rho=rho)
     check_envelope(traces, series, "stochastic envelope", squared=True)
@@ -708,51 +751,51 @@ def run_deed_fed(
     )
     T_total = T_rounds * E
     n, p = problem.N, problem.weights
-    nodes = range(n)
+    nodes, lanes = range(n), range(mc_runs)
 
     eta_at = lambda t: beta / (t + gamma)
-    traces = []
-    for r in range(mc_runs):
-        W = np.tile(w0, (n, 1))  # local weights, one row per node
-        S = np.zeros((n, problem.d))
-        v = np.zeros(problem.d)
-        trace = _new_trace(
-            "deed-fed",
-            T_total,
-            {
-                "E": E,
-                "beta": beta,
-                "gamma": gamma,
-                "s": s,
-                "participation": participation,
-                "K": K,
-                "seed": seed,
-                "run_index": r,
-                "bits_timing": "arriving",
-            },
-        )
+    W = np.tile(w0, (mc_runs, n, 1))  # local weights, one row per lane and node
+    S = np.zeros((mc_runs, n, problem.d))
+    v = np.zeros((mc_runs, problem.d))
+    log = _Lanes(mc_runs, T_total)
 
-        _record(trace, 0, problem, _weighted_sum(W, nodes, p))
-        for t in range(T_total):
-            # Node i's gradient reads only row i, so one update of all rows
-            # after every gradient takes the same floats as one per node.
-            W -= eta_at(t) * problem.stochastic_grad(nodes, W, _row_streams(seed, r, t, nodes))
-            k = t + 1
-            if k % E == 0:
-                # The broadcast lies within (s eta_k / 2)(1 + sum_i c_i) of
-                # sum_i c_i W[i]; every node restarts from it.
-                labels = (seed, r, k)
-                participants, coefs = _participants(participation, K, p, labels)
-                total = s * eta_at(k)
-                stage = total / 2.0
+    log.record(0, problem, _weighted_sum(W, nodes, p))
+    for t in range(T_total):
+        # Node i's gradient reads only its own row, so one update of all
+        # rows after every gradient takes the same floats as one per node.
+        W -= eta_at(t) * _lane_grads(problem, lanes, t, seed, nodes, W)
+        k = t + 1
+        if k % E == 0:
+            # The broadcast lies within (s eta_k / 2)(1 + sum_i c_i) of
+            # sum_i c_i W[i]; every node restarts from it.  Participants
+            # differ per run, so each lane syncs on its own views.
+            total = s * eta_at(k)
+            stage = total / 2.0
+            for r in lanes:
+                participants, coefs = _participants(participation, K, p, (seed, r, k))
                 budget = stage * (1.0 + float(np.sum(coefs)))
+                lane = slice(r, r + 1)
                 exchange = _exchange(
-                    S, v, W, participants, coefs, stage, budget, labels, float_bits
+                    S[lane], v[lane], W[lane], participants, coefs, stage, budget,
+                    (seed, (r,), k), float_bits,
                 )
-                _book(trace, k, total, n, exchange)
-                W[:] = v
-            _record(trace, k, problem, _weighted_sum(W, nodes, p))
-        traces.append(trace)
+                log.book(k, total, n, exchange, lane)
+            W[:] = v[:, None, :]
+        log.record(k, problem, _weighted_sum(W, nodes, p))
+    traces = log.traces(
+        "deed-fed",
+        lambda r: {
+            "E": E,
+            "beta": beta,
+            "gamma": gamma,
+            "s": s,
+            "participation": participation,
+            "K": K,
+            "seed": seed,
+            "run_index": r,
+            "bits_timing": "arriving",
+        },
+    )
 
     radius = fed_radius(problem, w0, trajectory_radius)
     fed = estimate_fed_constants(problem, E, K if K is not None else n, participation, radius)

@@ -36,16 +36,19 @@ class BoundViolationError(DeedsimError, AssertionError):
     """A run broke a convergence envelope or error-budget guarantee.
 
     An envelope violation is found after the simulation has finished and
-    carries its ``traces``; a violation raised mid-run carries ``None``.
+    carries its ``traces``; a violation raised mid-run carries ``None``
+    and names the Monte Carlo ``run`` it happened in.
     """
 
-    def __init__(self, kind, t, observed, allowed, traces=None):
+    def __init__(self, kind, t, observed, allowed, traces=None, run=None):
         self.kind = kind
         self.t = t
         self.observed = observed
         self.allowed = allowed
         self.traces = traces
-        super().__init__(f"{kind} violated at t={t}: {self.comparison}")
+        self.run = run
+        where = f"t={t}" if run is None else f"t={t} in run {run}"
+        super().__init__(f"{kind} violated at {where}: {self.comparison}")
 
     @property
     def comparison(self) -> str:

@@ -103,12 +103,16 @@ class QuadraticProblem:
     def f(self, w: np.ndarray) -> float:
         return float(sum(self.weights[i] * self.f_node(i, w) for i in range(self.N)))
 
-    def f_gap(self, w: np.ndarray) -> float:
+    def f_gap(self, w: np.ndarray):
         """Optimality gap via the exact quadratic identity
         ``f(w) - f* = (w - w*)' H (w - w*) / 2``, which avoids the
-        catastrophic cancellation of subtracting two near-equal values."""
+        catastrophic cancellation of subtracting two near-equal values.
+        For an ``(R, d)`` stack of points, the ``R`` gaps: the same vector
+        by matrix and dot calls per point, stacked."""
         delta = w - self.w_star
-        return 0.5 * float(delta @ self.hess @ delta)
+        if delta.ndim == 1:
+            return 0.5 * float(delta @ self.hess @ delta)
+        return 0.5 * ((delta[:, None, :] @ self.hess) @ delta[..., None])[:, 0, 0]
 
     def full_grad(self, i, w: np.ndarray) -> np.ndarray:
         """Gradient of ``f_i`` at ``w``.  For a sequence of node ids
@@ -142,8 +146,6 @@ class QuadraticProblem:
         the stream ``rng[j]``."""
         if isinstance(i, (int, np.integer)):
             Ai = self.A[i]
-            if Ai.shape[0] == 0:
-                raise InvalidInputError(f"node {i} holds no rows")
             r = int(rng.integers(Ai.shape[0]))
             a = Ai[r]
             return a * (a @ w - self.b[i][r])
@@ -152,11 +154,8 @@ class QuadraticProblem:
             return _rows_of(
                 self.d, (self.stochastic_grad(k, W[j], g) for j, (k, g) in enumerate(zip(i, rng)))
             )
-        ids = np.asarray(i, dtype=np.intp)
         m = self.A_stack.shape[1]
-        if m == 0 and len(ids):
-            raise InvalidInputError(f"node {ids[0]} holds no rows")
-        picks = ids, [int(g.integers(m)) for g in rng]
+        picks = np.asarray(i, dtype=np.intp), [int(g.integers(m)) for g in rng]
         a = self.A_stack[picks]
         x = w[:, None] if w.ndim == 1 else w[..., None]
         return a * ((a[:, None, :] @ x)[:, 0, 0] - self.b_stack[picks])[:, None]
@@ -279,15 +278,18 @@ def from_node_data(
     exact_w_star: np.ndarray | None = None,
 ) -> QuadraticProblem:
     """Assemble a problem from explicit per-node ``(A_i, b_i)`` blocks;
-    blocks with equal row counts are copied into one stack."""
+    blocks with equal row counts are copied into one stack.  Every node
+    must hold at least one row."""
     A = [np.ascontiguousarray(Ai, dtype=np.float64) for Ai, _ in blocks]
     b = [np.ascontiguousarray(bi, dtype=np.float64) for _, bi in blocks]
     if len(A) == 0:
         raise InvalidInputError("at least one node required")
     d = A[0].shape[1]
-    for Ai, bi in zip(A, b):
+    for i, (Ai, bi) in enumerate(zip(A, b)):
         if Ai.ndim != 2 or Ai.shape[1] != d or bi.shape != (Ai.shape[0],):
             raise InvalidInputError("inconsistent block shapes")
+        if Ai.shape[0] == 0:  # its Hessian would be 0/0, and every constant NaN
+            raise InvalidInputError(f"node {i} holds no rows")
     if len({Ai.shape[0] for Ai in A}) == 1:
         A, b = np.stack(A), np.stack(b)
     return _assemble(A, b, weights, interpolating, exact_w_star)

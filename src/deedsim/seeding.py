@@ -16,8 +16,9 @@ stream, which costs more than the draws of a small message;
 When the last three labels (round, node, purpose) each fit one uint32
 word, as in every engine stream and ``theory``'s coin stream, a
 (node, purpose) pair asked for at a second round of an aligned block of
-64 rounds gets the keys of the whole block from one numpy pass; only
-one block's keys, under one (seed, prefix), are held at a time.  The
+64 rounds gets the keys of the whole block from one numpy pass.  The
+keys of one (seed, round block) window are held, one block per label
+prefix (the run), so runs advanced round by round keep theirs.  The
 pair's first round in a block, and every other label shape, take the
 one scalar path, word by word in plain integer arithmetic.
 """
@@ -219,7 +220,8 @@ class _RoundBlock:
         self.seen = set()
 
 
-_block = _RoundBlock(None)
+# The held window: one (seed, round block) and its round blocks by prefix.
+_window = (None, {})
 
 
 def _block_key(seed: int, prefix: tuple, rnd: int, pair: tuple) -> np.ndarray:
@@ -230,12 +232,19 @@ def _block_key(seed: int, prefix: tuple, rnd: int, pair: tuple) -> np.ndarray:
     derives all the block's keys at once.  So a pair used in only one
     round of a block (a one-round run, or a sync every 64 or more rounds)
     costs no block, and one used every round costs one block per 64.
+    Runs advanced together ask for every run's prefix round by round, so
+    the blocks of all prefixes in one ``(seed, round block)`` window are
+    held; a request for another window drops them all.
     """
-    global _block
-    block = _block
-    label = (seed, prefix, rnd >> _BLOCK_BITS)
-    if block.label != label:
-        block = _block = _RoundBlock(label)
+    global _window
+    label, blocks = _window
+    index = rnd >> _BLOCK_BITS
+    if label != (seed, index):
+        blocks = {}
+        _window = (seed, index), blocks
+    block = blocks.get(prefix)
+    if block is None:
+        block = blocks[prefix] = _RoundBlock((seed, prefix, index))
     keys = block.keys.get(pair)
     if keys is None:
         if pair not in block.seen:

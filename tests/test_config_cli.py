@@ -242,7 +242,8 @@ def test_fed_default_radius_zero_rejected_at_parse():
     "text",
     [
         MINIMAL.replace("iterations: 50", "iterations: -1"),
-        MINIMAL.replace("deed-gd", "gd").replace("iterations: 50", "iterations: -1"),
+        MINIMAL.replace("deed-gd", "gd").replace("quant: {s: 0.1, c_prime: 0.9}\n", "")
+        .replace("iterations: 50", "iterations: -1"),
         FED_VALID.replace("rounds: 8", "rounds: -1"),
     ],
     ids=["deed-gd", "gd", "deed-fed"],
@@ -365,6 +366,46 @@ CONST_CFG = MINIMAL.replace("deed-gd", "const-quant-gd").replace(
     "quant: {s: 0.1, c_prime: 0.9}", "quant: {fixed_eps: 0.5}"
 )
 GD_CFG = MINIMAL.replace("deed-gd", "gd").replace("quant: {s: 0.1, c_prime: 0.9}\n", "")
+CONFIGS = {
+    "deed-gd": MINIMAL,
+    "a-deed-gd": MINIMAL.replace("deed-gd", "a-deed-gd"),
+    "deed-sgd": SGD_CFG,
+    "deed-fed": FED_VALID,
+    "gd": GD_CFG,
+    "agd": GD_CFG.replace("algorithm: gd", "algorithm: agd"),
+    "const-quant-gd": CONST_CFG,
+}
+UNREAD_KEYS = (
+    [(a, "run", "mc_runs", 2) for a in ("deed-gd", "a-deed-gd", "gd", "agd", "const-quant-gd")]
+    + [(a, "quant", "fixed_eps", 0.5) for a in CONFIGS if a != "const-quant-gd"]
+    + [(a, "quant", key, value) for a in ("gd", "agd", "const-quant-gd")
+       for key, value in (("s", 0.1), ("c_prime", 0.9))]
+)
+
+
+@pytest.mark.parametrize(
+    "algorithm,block,key,value", UNREAD_KEYS, ids=[f"{a}-{k}" for a, _, k, _ in UNREAD_KEYS]
+)
+def test_keys_an_algorithm_never_reads_rejected(algorithm, block, key, value):
+    import yaml
+
+    data = yaml.safe_load(CONFIGS[algorithm])
+    parse_config(yaml.safe_dump(data))
+    assert key not in (data.get(block) or {})
+    data.setdefault(block, {})[key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(yaml.safe_dump(data))
+    why = "; only deed-sgd and deed-fed take Monte Carlo runs" if key == "mc_runs" else ""
+    assert err.value.violations == [f"{algorithm} does not read {block}.{key}{why}"]
+
+
+def test_keys_an_algorithm_reads_still_parse():
+    # Monte Carlo runs where the engine takes them, and deed-fed's unread
+    # c_prime, which the benchmark's fed-local template still sets.
+    assert parse_config(SGD_CFG).run["mc_runs"] == 3
+    assert parse_config(FED_VALID).run["mc_runs"] == 2
+    assert parse_config(FED_VALID).quant["c_prime"] == 0.9
+    assert parse_config(CONST_CFG).quant["fixed_eps"] == 0.5
 
 
 @pytest.mark.parametrize("mode", ["star-full", "fully-connected"])

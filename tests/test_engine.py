@@ -436,14 +436,19 @@ def test_check_envelope_is_tight_at_the_allowed_value(small_problem, squared):
 
 
 def test_assert_budget_is_tight_at_the_allowed_value():
-    gbar = np.zeros(3)
+    # Three lanes of runs 5, 6 and 7; only the lane under test is off zero.
+    gbar = np.zeros((3, 3))
     budget = 0.75
     allowed = _allowed(budget)
-    at = np.array([allowed, 0.0, 0.0])
-    assert engine._assert_budget(at, gbar, budget, 4) == allowed
-    with pytest.raises(BoundViolationError) as err:
-        engine._assert_budget(at * (1.0 + 1e-6), gbar, budget, 4)
-    assert err.value.t == 4 and err.value.allowed == allowed
+    labels = (0, range(5, 8), 4)
+    for lane in range(3):
+        at = np.zeros((3, 3))
+        at[lane, 0] = allowed
+        assert engine._assert_budget(at, gbar, budget, labels)[lane] == allowed
+        with pytest.raises(BoundViolationError) as err:
+            engine._assert_budget(at * (1.0 + 1e-6), gbar, budget, labels)
+        assert err.value.t == 4 and err.value.allowed == allowed
+        assert err.value.run == 5 + lane and f"at t=4 in run {5 + lane}:" in str(err.value)
 
 
 def test_trace_csv_roundtrip(small_problem):
@@ -664,8 +669,9 @@ def test_norm_equals_numpy_norm(coords):
 
 
 def _exchange_per_node(S, v, payloads, participants, coefs, stage, budget, labels, float_bits):
-    """``_exchange`` with its uplinks sent one at a time: each participant's
-    difference, message, accumulator update, bits and error fraction."""
+    """One run's ``_exchange`` with its uplinks sent one at a time: each
+    participant's difference, message, accumulator update, bits and error
+    fraction, on ``(N, d)`` accumulators and a ``(d,)`` broadcast."""
     seed, run_index, round_index = labels
     spec = QuantSpec(max_error=stage, dim=len(v))
     up_bits = max_bits = 0
@@ -677,26 +683,28 @@ def _exchange_per_node(S, v, payloads, participants, coefs, stage, budget, label
         up_bits += msg.bits
         max_bits = max(max_bits, msg.bits)
         if stage > 0.0:
-            max_fraction = max(max_fraction, _norm(diff) / stage)
-    down_diff = _weighted_sum(S, participants, coefs) - v
+            max_fraction = max(max_fraction, math.sqrt(diff.dot(diff)) / stage)
+    down_diff = _sequential_weighted_sum(S, participants, coefs) - v
     umsg = quantize(down_diff, spec, stream(seed, run_index, round_index, 0, DOWNLINK), float_bits)
     v += umsg.decoded
     if stage > 0.0:
-        max_fraction = max(max_fraction, _norm(down_diff) / stage)
+        max_fraction = max(max_fraction, math.sqrt(down_diff.dot(down_diff)) / stage)
     max_bits = max(max_bits, umsg.bits)
-    err = _norm(v - _weighted_sum(payloads, participants, coefs))
-    return up_bits, umsg.bits, max_fraction, max_bits, err
+    err = v - _sequential_weighted_sum(payloads, participants, coefs)
+    return up_bits, umsg.bits, max_fraction, max_bits, math.sqrt(err.dot(err))
 
 
-def assert_exchange_matches_per_node(n, d, scheme, stage, seed):
-    """One ``_exchange`` leaves the same accumulators and broadcast, and
-    books the same bits, fraction, largest message and error, as the
-    per-node loop, for ``range`` (uniform, full) and list participants."""
+def assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes=2):
+    """One ``_exchange`` over ``lanes`` runs leaves the same accumulators
+    and broadcasts, and books the same bits, fraction, largest message and
+    error in each lane, as the per-node loop run by run, for ``range``
+    (uniform, full) and list participants."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** int(rng.integers(-5, 6))
-    payloads = scale * rng.standard_normal((n, d))
-    S0 = payloads + scale * rng.standard_normal((n, d))
-    v0 = scale * rng.standard_normal(d)
+    payloads = scale * rng.standard_normal((lanes, n, d))
+    S0 = payloads + scale * rng.standard_normal((lanes, n, d))
+    v0 = scale * rng.standard_normal((lanes, d))
+    runs = tuple(int(r) for r in rng.choice(50, size=lanes, replace=False))
     p = rng.random(n) + 0.05
     p /= p.sum()
     if scheme == "uniform":  # the frequent engines
@@ -706,12 +714,18 @@ def assert_exchange_matches_per_node(n, d, scheme, stage, seed):
         participants, coefs = _participants(scheme, K, p, (seed, 0, 1))
     assert isinstance(participants, range) == (scheme in ("full", "uniform"))
     stage *= scale * math.sqrt(d)
-    results = []
-    for fn in (_exchange, _exchange_per_node):
-        S, v = S0.copy(), v0.copy()
-        out = fn(S, v, payloads, participants, coefs, stage, math.inf, (seed, 0, 3), 32)
-        results.append((S.tobytes(), v.tobytes(), repr(out)))
-    assert results[0] == results[1]
+
+    S, v = S0.copy(), v0.copy()
+    out = _exchange(S, v, payloads, participants, coefs, stage, math.inf, (seed, runs, 3), 32)
+    got = [(S[lane].tobytes(), v[lane].tobytes(), repr(tuple(x[lane].item() for x in out)))
+           for lane in range(lanes)]
+    want = []
+    for lane, run in enumerate(runs):
+        S, v = S0[lane].copy(), v0[lane].copy()
+        one = _exchange_per_node(S, v, payloads[lane], participants, coefs, stage, math.inf,
+                                 (seed, run, 3), 32)
+        want.append((S.tobytes(), v.tobytes(), repr(one)))
+    assert got == want
 
 
 @given(
@@ -720,7 +734,113 @@ def assert_exchange_matches_per_node(n, d, scheme, stage, seed):
     st.sampled_from(PARTICIPATION_SCHEMES + ("uniform",)),
     st.sampled_from([0.0, 0.01, 1.0, 30.0]),
     st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=3),
 )
 @settings(max_examples=150, deadline=None)
-def test_exchange_equals_per_node_loop(n, d, scheme, stage, seed):
-    assert_exchange_matches_per_node(n, d, scheme, stage, seed)
+def test_exchange_equals_per_node_loop(n, d, scheme, stage, seed, lanes):
+    assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes)
+
+
+# -- the Monte Carlo lanes against the run-by-run loops they replaced --
+
+
+def assert_same_traces(got, want):
+    """Equal bit for bit: every trace column, every extra and its type."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.algorithm == b.algorithm
+        for col in ("t", "dist", "fgap", "bits_up", "bits_down", "budget"):
+            x, y = getattr(a, col), getattr(b, col)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), col
+        assert list(a.extras) == list(b.extras)
+        for key, x in a.extras.items():
+            y = b.extras[key]
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), key
+            else:
+                assert type(x) is type(y) and repr(x) == repr(y), key
+
+
+def _lane_problems():
+    interp = make_linreg(seed=11, d=12, N=4, target_kappa=4.0, rows_per_node=12,
+                         interpolating=True, w_star_scale=3.0)
+    fed = make_linreg(seed=13, d=8, N=6, target_kappa=4.0, rows_per_node=10,
+                      interpolating=False, noise_scale=1.0, w_star_scale=3.0)
+    return interp, fed
+
+
+def assert_lanes_match_reference(mc_runs, participation):
+    """``run_deed_sgd`` and ``run_deed_fed`` against the run-by-run loops
+    of ``tests/engine_reference.py``."""
+    import engine_reference as ref
+
+    interp, fed = _lane_problems()
+    rho = estimate_rho(interp)
+    c = 1.0 - interp.mu / (rho * interp.L)
+    sgd = dict(c_prime=1 - 0.5 * (1 - c), s=1.0, T=40, seed=4, mc_runs=mc_runs, rho=rho)
+    assert_same_traces(run_deed_sgd(interp, **sgd), ref.run_deed_sgd(interp, **sgd))
+    beta, gamma = _fed_params(fed)
+    K = None if participation == "full" else 4
+    args = (fed, 4, beta, gamma, 1.0, 10, participation, K)
+    assert_same_traces(run_deed_fed(*args, seed=2, mc_runs=mc_runs),
+                       ref.run_deed_fed(*args, seed=2, mc_runs=mc_runs))
+
+
+@pytest.mark.parametrize("mc_runs", [1, 3])
+@pytest.mark.parametrize("participation", PARTICIPATION_SCHEMES)
+def test_lanes_equal_run_by_run_reference(participation, mc_runs):
+    assert_lanes_match_reference(mc_runs, participation)
+
+
+def _faulty_downlinks(monkeypatch, faults):
+    """Shift the broadcast of each (run, round) in ``faults`` by three
+    stage budgets, so that run's aggregate-error assert trips at that
+    round; every other message is untouched."""
+    real_stream, real_quantize = engine.stream, engine.quantize
+    last = []
+
+    def labelled(seed, *labels):
+        last[:] = labels
+        return real_stream(seed, *labels)
+
+    def faulty(w, spec, *args):
+        msg = real_quantize(w, spec, *args)
+        run, rnd, _, purpose = last
+        if (run, rnd) in faults and purpose == DOWNLINK:
+            decoded = msg.decoded.copy()
+            decoded[0] += 3.0 * spec.max_error
+            msg = dataclasses.replace(msg, decoded=decoded)
+        return msg
+
+    monkeypatch.setattr(engine, "stream", labelled)
+    monkeypatch.setattr(engine, "quantize", faulty)
+
+
+@pytest.mark.parametrize("participation", PARTICIPATION_SCHEMES)
+def test_budget_violation_in_one_lane_names_its_run(monkeypatch, participation):
+    interp, fed = _lane_problems()
+    rho = estimate_rho(interp)
+    c = 1.0 - interp.mu / (rho * interp.L)
+    beta, gamma = _fed_params(fed)
+    K = None if participation == "full" else 4
+    runs = {
+        "deed-sgd": lambda: run_deed_sgd(interp, 1 - 0.5 * (1 - c), 1.0, 40, seed=4,
+                                         mc_runs=3, rho=rho),
+        "deed-fed": lambda: run_deed_fed(fed, 4, beta, gamma, 1.0, 10, participation, K,
+                                         seed=2, mc_runs=3),
+    }
+    clean = {name: run() for name, run in runs.items()}
+    with monkeypatch.context() as m:
+        _faulty_downlinks(m, {(5, 8)})  # no such run: every output stays the same
+        for name, run in runs.items():
+            assert_same_traces(run(), clean[name])
+    # Run 1 fails at round 12 and run 2 at round 8: the earliest round is
+    # reported, though run 1 comes first.
+    for name, run in runs.items():
+        with monkeypatch.context() as m:
+            _faulty_downlinks(m, {(1, 12), (2, 8)})
+            with pytest.raises(BoundViolationError) as err:
+                run()
+        assert err.value.kind == "aggregate error budget"
+        assert (err.value.t, err.value.run, err.value.traces) == (8, 2, None)
+        assert "violated at t=8 in run 2:" in str(err.value)

@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -509,22 +510,23 @@ def test_blocks_are_views_of_one_stack():
 
 
 def test_empty_node_named_by_the_batched_oracle():
-    w = np.zeros(2)
-    with np.errstate(invalid="ignore"):  # an empty node's Hessian is 0/0
-        ragged = from_node_data([(np.eye(2), np.ones(2)), (np.zeros((0, 2)), np.zeros(0))],
-                                interpolating=True, exact_w_star=np.ones(2))
-        empty = from_node_data([(np.zeros((0, 2)), np.zeros(0))] * 2,
-                               interpolating=True, exact_w_star=np.ones(2))
-    assert ragged.A_stack is None and empty.A_stack.shape == (2, 0, 2)
-    for p, first in ((ragged, 1), (empty, 0)):
-        streams = [np.random.default_rng(i) for i in range(2)]
-        with pytest.raises(InvalidInputError, match=f"node {first} holds no rows"):
-            p.stochastic_grad(range(2), w, streams)
+    # A node with no rows would get a 0/0 Hessian and NaN constants, so the
+    # problem is refused before any constant is computed; no oracle ever
+    # sees an empty node.
+    one = (np.eye(2), np.ones(2))
+    empty = (np.zeros((0, 2)), np.zeros(0))
+    for blocks, first in (([one, empty], 1), ([empty, empty], 0), ([empty, one, one], 0)):
+        for kwargs in ({}, dict(interpolating=True, exact_w_star=np.ones(2))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no RuntimeWarning on the way
+                with pytest.raises(InvalidInputError, match=f"^node {first} holds no rows$"):
+                    from_node_data(blocks, **kwargs)
 
 
 # Each variant changes the BLAS kernel, its thread count or numpy's SIMD
-# loops, and with them some golden digests; the batched oracles and the
-# exchange must still equal their one-node forms.
+# loops, and with them some golden digests; the batched oracles, the
+# exchange and the Monte Carlo lanes must still equal their one-node and
+# run-by-run forms.
 KERNEL_VARIANTS = (
     {"OPENBLAS_NUM_THREADS": "1"},
     {"OPENBLAS_CORETYPE": "Haswell"},
@@ -554,6 +556,8 @@ for n, d, scheme in ((10, 100, "uniform"), (5, 20, "uniform"), (8, 10, "without-
                      (8, 10, "with-replacement"), (3, 1, "full")):
     for stage in (0.0, 1.0):
         test_engine.assert_exchange_matches_per_node(n, d, scheme, stage, seed=n * d)
+for participation in ("full", "with-replacement", "without-replacement"):
+    test_engine.assert_lanes_match_reference(3, participation)
 print("ok")
 """
 

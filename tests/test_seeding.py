@@ -111,9 +111,10 @@ def seed_sequence_key(seed, *labels) -> np.ndarray:
 
 def test_round_blocks_keep_streams_exact():
     # Many (seed, run) prefixes and round blocks, interleaved so that every
-    # visit drops the previous block, then the first visits again after
-    # their blocks were dropped.  Each visit asks for a pair at two rounds
-    # of its block, so the second request derives the block's keys.
+    # change of seed or block drops the held window, then the first visits
+    # again after their windows were dropped.  Each visit asks for a pair
+    # at two rounds of its block, so the second request derives the
+    # block's keys.
     prefixes = [(seed, run) for seed in (2, 2**40) for run in range(3)]
     starts = [b * 64 + off for b in (0, 1, 5, 2**26 - 1) for off in (0, 1, 63)]
     visits = [(seed, run, rnd) for rnd in starts for seed, run in prefixes]
@@ -125,13 +126,47 @@ def test_round_blocks_keep_streams_exact():
                 want = oracle(seed, run, r, node, seeding.UPLINK)
                 assert state(got) == state(want)
                 assert np.array_equal(got.random(2), want.random(2))
-        # The held keys are this one block's, one (64, 2) array per pair.
-        block = seeding._block
+        # The held window is this visit's (seed, block), with one block per
+        # run visited in it, and this run's holds one (64, 2) array per pair.
+        label, blocks = seeding._window
+        assert label == (seed, rnd // 64)
+        assert set(blocks) <= {(run_,) for run_ in range(3)}
+        block = blocks[(run,)]
         assert block.label == (seed, (run,), rnd // 64)
         assert sorted(block.keys) == [(node, seeding.UPLINK) for node in range(3)]
         assert all(k.shape == (64, 2) and not k.flags.writeable for k in block.keys.values())
     # The pool cache holds (seed, run) prefixes, not rounds.
     assert seeding._pool.cache_info().misses - before <= 2 * len(prefixes)
+
+
+def test_runs_in_lane_order_keep_their_blocks(monkeypatch):
+    # Runs advanced together ask for every run's streams round by round,
+    # so the (run,) prefix changes on every request.  Each (run, pair,
+    # block) must still derive its block once, on its second request:
+    # a cache that dropped a run's block when another run came would take
+    # the scalar path every time and give the same keys, so only this
+    # count can see it.
+    derived = {}
+    real = seeding._derive_block
+
+    def spy(block, pair):
+        seed, prefix, index = block.label
+        derived[prefix, pair, index] = derived.get((prefix, pair, index), 0) + 1
+        return real(block, pair)
+
+    monkeypatch.setattr(seeding, "_derive_block", spy)
+    seed, runs = 123457, range(30)
+    pairs = [(0, seeding.UPLINK), (2, seeding.UPLINK), (0, seeding.DOWNLINK),
+             (1, seeding.ROW_SAMPLE), (4, seeding.ROW_SAMPLE)]
+    rounds = range(62, 132)  # the tail of block 0, all of block 1, the head of block 2
+    for rnd in rounds:
+        for run in runs:
+            for node, purpose in pairs:
+                labels = (run, rnd, node, purpose)
+                got = seeding.philox_key(seed, *labels)
+                assert np.array_equal(got, seed_sequence_key(seed, *labels)), labels
+    assert derived == {((run,), pair, index): 1
+                       for run in runs for pair in pairs for index in (0, 1, 2)}
 
 
 BLOCK_EDGE_ROUNDS = (0, 63, 64, 65, 2**32 - 64, 2**32 - 1)
@@ -175,11 +210,13 @@ def test_block_keys_at_block_edges(prefix, rnd):
 @pytest.mark.parametrize("wide", [(2**32, 0, 0), (0, 2**32, 0), (0, 0, 2**32), (2**40, 2**32, 2**33)])
 def test_labels_of_two_words_take_the_scalar_path(wide):
     assert_keys_match(11, (0,), [0, 1], 1, 0)
-    held = seeding._block
+    held = seeding._window
+    contents = {prefix: (dict(b.keys), set(b.seen)) for prefix, b in held[1].items()}
     for prefix in ((), (0,), (2, 3, 4)):
         labels = prefix + wide
         assert np.array_equal(seeding.philox_key(11, *labels), seed_sequence_key(11, *labels))
-    assert seeding._block is held
+    assert seeding._window is held
+    assert {prefix: (dict(b.keys), set(b.seen)) for prefix, b in held[1].items()} == contents
 
 
 def test_theory_coin_labels_match_seed_sequence():

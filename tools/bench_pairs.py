@@ -47,6 +47,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -249,6 +250,8 @@ def main(argv=None) -> int:
     if args.pairs < 1 or not (workloads or args.cold_cli):
         parser.error("give --workloads or --cold-cli, and --pairs >= 1")
 
+    # On SIGTERM unwind normally, so that the extracted trees are removed.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     scratch = tempfile.mkdtemp(prefix="bench_pairs_")
     trees, shas = {}, {}
     try:

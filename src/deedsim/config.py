@@ -291,9 +291,8 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError([f"problem construction failed: {exc}"]) from None
 
     if "mc_runs" in raws["run"] and not spec.mc_runs:
-        violations.append(
-            f"{algorithm} does not read run.mc_runs; only deed-sgd and deed-fed take Monte Carlo runs"
-        )
+        violations.append(f"{algorithm} does not read run.mc_runs; "
+                          "only deed-sgd and deed-fed take Monte Carlo runs")
     elif rn["mc_runs"] < 1:
         violations.append("run.mc_runs must be >= 1")
     for key in ("s", "c_prime", "fixed_eps"):

@@ -145,14 +145,16 @@ def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_
     bits = np.empty((len(runs), D.shape[1] + 1), dtype=np.int64)
     for lane, r in enumerate(runs):
         for j, i in enumerate(participants):
-            msg = quantize(D[lane, j], spec, stream(seed, r, round_index, i, UPLINK), float_bits)
+            rng = stream(seed, r, round_index, i, UPLINK)
+            msg = quantize(D[lane, j], spec, rng, float_bits)
             D[lane, j] = msg.decoded  # D now holds the decoded messages
             bits[lane, j] = msg.bits
     S[:, rows] += D
 
     down_diff = _weighted_sum(S, participants, coefs) - v
     for lane, r in enumerate(runs):
-        umsg = quantize(down_diff[lane], spec, stream(seed, r, round_index, 0, DOWNLINK), float_bits)
+        rng = stream(seed, r, round_index, 0, DOWNLINK)
+        umsg = quantize(down_diff[lane], spec, rng, float_bits)
         v[lane] += umsg.decoded
         bits[lane, -1] = umsg.bits
     if stage > 0.0:
@@ -162,22 +164,17 @@ def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_
     return bits[:, :-1].sum(axis=1), bits[:, -1], max_fraction, bits.max(axis=1), err
 
 
-def _row_streams(seed, runs, round_index, nodes):
-    """Each lane's and node's row-sample stream of one round or local step,
-    lane by lane, built as they are drawn from: a round's ``R x N`` streams
-    are never held at once."""
-    return (stream(seed, r, round_index, i, ROW_SAMPLE) for r in runs for i in nodes)
-
-
-def _lane_grads(problem, runs, round_index, seed, nodes, Q):
-    """Every lane's and node's single-row gradients as ``(R, N, d)``, in one
-    ``stochastic_grad`` call: node ``i`` of lane ``l`` queries ``Q[l]``,
-    one row of ``Q`` per lane, or its own row of an ``(R, N, d)`` ``Q``."""
+def _lane_grads(problem, seed, runs, round_index, nodes, Q):
+    """Every lane's and node's single-row gradients of one round or local
+    step as ``(R, N, d)``, in one ``stochastic_grad`` call: node ``i`` of
+    lane ``l`` queries ``Q[l]`` (one row of ``Q`` per lane) or its own row
+    ``Q[l, i]``, and draws from its run's row-sample stream.  The streams
+    are built as they are drawn from, so a round's ``R x N`` streams are
+    never held at once."""
     R, n = len(runs), len(nodes)
-    ids = np.tile(np.arange(n), R)
     points = np.repeat(Q, n, axis=0) if Q.ndim == 2 else Q.reshape(R * n, -1)
-    streams = _row_streams(seed, runs, round_index, nodes)
-    return problem.stochastic_grad(ids, points, streams).reshape(R, n, -1)
+    streams = (stream(seed, r, round_index, i, ROW_SAMPLE) for r in runs for i in nodes)
+    return problem.stochastic_grad(np.tile(nodes, R), points, streams).reshape(R, n, -1)
 
 
 class _Lanes:
@@ -603,9 +600,12 @@ def run_deed_sgd(
 
     Each worker samples one row per round; budgets follow
     ``sqrt(s c'^{k+1}) / 2`` per stage and ``eta = 1/(rho L)`` with the
-    certified growth constant ``rho``.  Returns one trace per Monte Carlo
-    run; the across-run mean squared distance is checked against the
-    envelope plus three standard errors at every iteration.
+    certified growth constant ``rho``.  The ``mc_runs`` Monte Carlo runs
+    advance together, one lane each, with every lane's row gradients in
+    one oracle call per round.  Returns one trace per run; the across-run
+    mean squared distance is checked against the envelope plus three
+    standard errors at every iteration.  A budget violation is raised at
+    the earliest round any run breaks it, naming that run.
     """
     if not problem.interpolating:
         raise InvalidInputError("the stochastic engine requires an interpolating problem")
@@ -624,7 +624,7 @@ def run_deed_sgd(
         algorithm="deed-sgd",
         eta=eta,
         tau=None,
-        grad_source=lambda k, Q: _lane_grads(problem, lanes, k, seed, nodes, Q),
+        grad_source=lambda k, Q: _lane_grads(problem, seed, lanes, k, nodes, Q),
         T=T,
         seed=seed,
         runs=mc_runs,
@@ -736,7 +736,10 @@ def run_deed_fed(
     sync's largest error fraction and message (``fractions``,
     ``max_msg_bits``).  Trace rows are per iteration; bits, budgets and
     these diagnostics sit on the sync rows and record the communication
-    that *produced* that row's iterate.
+    that *produced* that row's iterate.  The ``mc_runs`` runs advance
+    together, one lane each: a local step draws every lane's and node's
+    row gradient in one oracle call, and a sync exchanges lane by lane,
+    since the participants differ per run.
 
     The across-run mean squared distance of the weighted average iterate is checked against ``v / (gamma + t)`` plus
     three standard errors at every sync round, with ``v`` assembled from
@@ -763,7 +766,7 @@ def run_deed_fed(
     for t in range(T_total):
         # Node i's gradient reads only its own row, so one update of all
         # rows after every gradient takes the same floats as one per node.
-        W -= eta_at(t) * _lane_grads(problem, lanes, t, seed, nodes, W)
+        W -= eta_at(t) * _lane_grads(problem, seed, lanes, t, nodes, W)
         k = t + 1
         if k % E == 0:
             # The broadcast lies within (s eta_k / 2)(1 + sum_i c_i) of

@@ -132,8 +132,8 @@ def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_
     payloads.  ``labels`` is ``(seed, runs, round)``: lane ``l`` draws its
     messages from run ``runs[l]``'s streams, one per message.
 
-    Returns per-lane arrays (up_bits, down_payload_bits, max fraction,
-    max message bits, aggregate error).
+    Returns one value per lane of each of (up_bits, down_payload_bits,
+    max fraction, max message bits, aggregate error).
     """
     seed, runs, round_index = labels
     spec = QuantSpec(max_error=stage, dim=v.shape[-1])
@@ -142,13 +142,13 @@ def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_
     max_fraction = np.zeros(len(runs))
     if stage > 0.0:
         max_fraction = (_norm(D) / stage).max(axis=1)
-    bits = np.empty((len(runs), D.shape[1] + 1), dtype=np.int64)
+    bits = [[] for _ in runs]  # each lane's uplink bits, then its downlink's
     for lane, r in enumerate(runs):
         for j, i in enumerate(participants):
             rng = stream(seed, r, round_index, i, UPLINK)
             msg = quantize(D[lane, j], spec, rng, float_bits)
             D[lane, j] = msg.decoded  # D now holds the decoded messages
-            bits[lane, j] = msg.bits
+            bits[lane].append(msg.bits)
     S[:, rows] += D
 
     down_diff = _weighted_sum(S, participants, coefs) - v
@@ -156,12 +156,14 @@ def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_
         rng = stream(seed, r, round_index, 0, DOWNLINK)
         umsg = quantize(down_diff[lane], spec, rng, float_bits)
         v[lane] += umsg.decoded
-        bits[lane, -1] = umsg.bits
+        bits[lane].append(umsg.bits)
     if stage > 0.0:
         max_fraction = np.maximum(max_fraction, _norm(down_diff) / stage)
-    gbar = _weighted_sum(payloads, participants, coefs)
-    err = _assert_budget(v, gbar, budget, labels)
-    return bits[:, :-1].sum(axis=1), bits[:, -1], max_fraction, bits.max(axis=1), err
+    err = _assert_budget(v, _weighted_sum(payloads, participants, coefs), budget, labels)
+    return (
+        [sum(b[:-1]) for b in bits], [b[-1] for b in bits], max_fraction,
+        [max(b) for b in bits], err,
+    )
 
 
 def _lane_grads(problem, seed, runs, round_index, nodes, Q):
@@ -178,57 +180,59 @@ def _lane_grads(problem, seed, runs, round_index, nodes, Q):
 
 
 class _Lanes:
-    """Every lane's trace columns as ``(R, T + 1)`` arrays: nothing booked
-    (no bits or budget, NaN error fractions and aggregate errors, zero
-    message bits) until ``book`` and ``record`` fill a row."""
+    """Every lane's trace columns as ``(T + 1, R)`` arrays, one column per
+    lane: nothing booked (no bits or budget, NaN error fractions and
+    aggregate errors, zero message bits) until ``book`` and ``record``
+    fill a row."""
 
     def __init__(self, runs: int, T: int) -> None:
-        self.dist = np.empty((runs, T + 1))
-        self.fgap = np.empty((runs, T + 1))
-        self.bits_up = np.zeros((runs, T + 1), dtype=np.int64)
-        self.bits_down = np.zeros((runs, T + 1), dtype=np.int64)
-        self.budget = np.zeros((runs, T + 1))
-        self.fractions = np.full((runs, T + 1), np.nan)
-        self.max_msg_bits = np.zeros((runs, T + 1), dtype=np.int64)
-        self.vg_err = np.full((runs, T + 1), np.nan)
+        self.dist = np.empty((T + 1, runs))
+        self.fgap = np.empty((T + 1, runs))
+        self.bits_up = np.zeros((T + 1, runs), dtype=np.int64)
+        self.bits_down = np.zeros((T + 1, runs), dtype=np.int64)
+        self.budget = np.zeros((T + 1, runs))
+        self.fractions = np.full((T + 1, runs), np.nan)
+        self.max_msg_bits = np.zeros((T + 1, runs), dtype=np.int64)
+        self.vg_err = np.full((T + 1, runs), np.nan)
 
     def book(self, row: int, total: float, n: int, exchange, lanes=slice(None)) -> None:
         """Book an ``_exchange`` result of ``lanes`` and its total budget on
         ``row``; the broadcast is charged once per receiving link."""
         up, down_payload, frac, mbits, err = exchange
-        self.bits_up[lanes, row] = up
-        self.bits_down[lanes, row] = n * down_payload
-        self.budget[lanes, row] = total
-        self.fractions[lanes, row] = frac
-        self.max_msg_bits[lanes, row] = mbits
-        self.vg_err[lanes, row] = err
+        self.bits_up[row, lanes] = up
+        self.bits_down[row, lanes] = np.multiply(n, down_payload)
+        self.budget[row, lanes] = total
+        self.fractions[row, lanes] = frac
+        self.max_msg_bits[row, lanes] = mbits
+        self.vg_err[row, lanes] = err
 
     def record(self, t: int, problem, X: np.ndarray) -> None:
         """Row ``t``'s distance to the optimum and loss gap of each lane's
         point, one row of ``X`` per lane."""
-        self.dist[:, t] = _norm(X - problem.w_star)
-        self.fgap[:, t] = problem.f_gap(X)
+        self.dist[t] = _norm(X - problem.w_star)
+        self.fgap[t] = problem.f_gap(X)
 
     def traces(self, algorithm: str, extras) -> list[RunTrace]:
-        """One trace per lane, its columns that lane's rows, and its extras
-        ``extras(run)`` followed by the per-round diagnostics."""
+        """One trace per lane, its columns that lane's column, and its
+        extras ``extras(run)`` followed by the per-round diagnostics."""
+        lane = lambda a, r: np.ascontiguousarray(a[:, r])
         return [
             RunTrace(
                 algorithm=algorithm,
-                t=np.arange(self.dist.shape[1]),
-                dist=self.dist[r],
-                fgap=self.fgap[r],
-                bits_up=self.bits_up[r],
-                bits_down=self.bits_down[r],
-                budget=self.budget[r],
+                t=np.arange(len(self.dist)),
+                dist=lane(self.dist, r),
+                fgap=lane(self.fgap, r),
+                bits_up=lane(self.bits_up, r),
+                bits_down=lane(self.bits_down, r),
+                budget=lane(self.budget, r),
                 extras={
                     **extras(r),
-                    "fractions": self.fractions[r],
-                    "max_msg_bits": self.max_msg_bits[r],
-                    "vg_err": self.vg_err[r],
+                    "fractions": lane(self.fractions, r),
+                    "max_msg_bits": lane(self.max_msg_bits, r),
+                    "vg_err": lane(self.vg_err, r),
                 },
             )
-            for r in range(len(self.dist))
+            for r in range(self.dist.shape[1])
         ]
 
 
@@ -238,14 +242,16 @@ def _assert_budget(v, gbar, budget, labels) -> np.ndarray:
     ``labels = (seed, runs, round)``; returns the lanes' errors."""
     _, runs, round_index = labels
     err = _norm(v - gbar)
-    allowed = budget * (1.0 + _REL_SLACK) + _ABS_DUST * (1.0 + _norm(gbar))
-    bad = np.flatnonzero(err > allowed)
-    if len(bad):
-        lane = bad[0]
-        raise BoundViolationError(
-            "aggregate error budget", round_index, float(err[lane]), float(allowed[lane]),
-            run=runs[lane],
-        )
+    # The dust term only adds slack, so gbar's norm is needed only past it.
+    if (err > budget * (1.0 + _REL_SLACK)).any():
+        allowed = budget * (1.0 + _REL_SLACK) + _ABS_DUST * (1.0 + _norm(gbar))
+        bad = np.flatnonzero(err > allowed)
+        if len(bad):
+            lane = bad[0]
+            raise BoundViolationError(
+                "aggregate error budget", round_index, float(err[lane]), float(allowed[lane]),
+                run=runs[lane],
+            )
     return err
 
 

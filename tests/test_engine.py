@@ -717,7 +717,7 @@ def assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes=2):
 
     S, v = S0.copy(), v0.copy()
     out = _exchange(S, v, payloads, participants, coefs, stage, math.inf, (seed, runs, 3), 32)
-    got = [(S[lane].tobytes(), v[lane].tobytes(), repr(tuple(x[lane].item() for x in out)))
+    got = [(S[lane].tobytes(), v[lane].tobytes(), repr(tuple(np.asarray(x)[lane].item() for x in out)))
            for lane in range(lanes)]
     want = []
     for lane, run in enumerate(runs):

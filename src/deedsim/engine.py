@@ -143,12 +143,12 @@ def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_
     if stage > 0.0:
         max_fraction = (_norm(D) / stage).max(axis=1)
     bits = [[] for _ in runs]  # each lane's uplink bits, then its downlink's
-    for lane, r in enumerate(runs):
+    for D_lane, bits_lane, r in zip(D, bits, runs):
         for j, i in enumerate(participants):
             rng = stream(seed, r, round_index, i, UPLINK)
-            msg = quantize(D[lane, j], spec, rng, float_bits)
-            D[lane, j] = msg.decoded  # D now holds the decoded messages
-            bits[lane].append(msg.bits)
+            msg = quantize(D_lane[j], spec, rng, float_bits)
+            D_lane[j] = msg.decoded  # D now holds the decoded messages
+            bits_lane.append(msg.bits)
     S[:, rows] += D
 
     down_diff = _weighted_sum(S, participants, coefs) - v
@@ -213,23 +213,23 @@ class _Lanes:
         self.fgap[t] = problem.f_gap(X)
 
     def traces(self, algorithm: str, extras) -> list[RunTrace]:
-        """One trace per lane, its columns that lane's column, and its
-        extras ``extras(run)`` followed by the per-round diagnostics."""
-        lane = lambda a, r: np.ascontiguousarray(a[:, r])
+        """One trace per lane, its columns views of that lane's column (no
+        copy), and its extras ``extras(run)`` followed by the per-round
+        diagnostics."""
         return [
             RunTrace(
                 algorithm=algorithm,
                 t=np.arange(len(self.dist)),
-                dist=lane(self.dist, r),
-                fgap=lane(self.fgap, r),
-                bits_up=lane(self.bits_up, r),
-                bits_down=lane(self.bits_down, r),
-                budget=lane(self.budget, r),
+                dist=self.dist[:, r],
+                fgap=self.fgap[:, r],
+                bits_up=self.bits_up[:, r],
+                bits_down=self.bits_down[:, r],
+                budget=self.budget[:, r],
                 extras={
                     **extras(r),
-                    "fractions": lane(self.fractions, r),
-                    "max_msg_bits": lane(self.max_msg_bits, r),
-                    "vg_err": lane(self.vg_err, r),
+                    "fractions": self.fractions[:, r],
+                    "max_msg_bits": self.max_msg_bits[:, r],
+                    "vg_err": self.vg_err[:, r],
                 },
             )
             for r in range(self.dist.shape[1])

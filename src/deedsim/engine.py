@@ -121,9 +121,8 @@ def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_
     lane, the one message path of every engine; updates ``S`` and ``v``
     in place.
 
-    Lane ``l`` is one Monte Carlo run: ``S`` is ``(R, N, d)``, ``v`` and
-    the returned per-lane results have a leading axis of length R.  In
-    each lane node ``i`` of ``participants`` encodes ``payloads[l, i] -
+    Lane ``l`` is one Monte Carlo run: ``S`` and ``payloads`` are
+    ``(R, N, d)`` and ``v`` is ``(R, d)``.  In each lane node ``i`` of ``participants`` encodes ``payloads[l, i] -
     S[l, i]`` at maximal error ``stage``, and sender and center apply the
     decoded message to the one accumulator row ``S[l, i]``.  The center
     encodes the ``coefs``-weighted sum of those rows against the

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -844,3 +845,88 @@ def test_budget_violation_in_one_lane_names_its_run(monkeypatch, participation):
         assert err.value.kind == "aggregate error budget"
         assert (err.value.t, err.value.run, err.value.traces) == (8, 2, None)
         assert "violated at t=8 in run 2:" in str(err.value)
+
+
+# -- the single-run engines' outputs at a shape no shipped config runs --
+
+
+def _second_shape_runs():
+    p = make_linreg(seed=5, d=7, N=3, target_kappa=5.0, rows_per_node=9, interpolating=False,
+                    noise_scale=1.0, w_star_scale=4.0)
+    w0 = np.linspace(-1.0, 1.0, 7)
+    return {
+        "deed-gd": lambda: run_deed_gd(p, None, 0.8, 2.0, 60, seed=3, w0=w0),
+        "a-deed-gd": lambda: run_adeed_gd(p, 0.85, 2.0, 60, seed=3, w0=w0),
+        "gd": lambda: run_exact_gd(p, None, 60, seed=3, w0=w0),
+        "agd": lambda: run_exact_agd(p, 60, seed=3, w0=w0),
+        "const-quant-gd": lambda: run_const_error_gd(p, None, 60, 0.5, seed=3, w0=w0),
+    }
+
+
+# "dtype:sha256" of every trace column and array extra, N = 3, d = 7.
+SECOND_SHAPE_GOLDEN = {
+    "deed-gd": {
+        "t": "<i8:cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
+        "dist": "<f8:eaa5913995897847ca7735a3718adc6a933a37316d79b4f55720a7c1825a28c3",
+        "fgap": "<f8:f63a4f0b680cf1190f3c047db5c0360c9632f3bc78ddb1cee3bcf0f967fb61d8",
+        "bits_up": "<i8:eb7e5e18f341ac99b09253a5211c6d48589f5dc0284b512e646329602ebb2e05",
+        "bits_down": "<i8:532f6e7d7038dfdb60683b40f1f6decaf96a5303d4c8b062bd0e6e409b4e0e27",
+        "budget": "<f8:243992115c72b2490cbc42b6f842b86476e5d5b53623a7f2a6b33e229330cde6",
+        "fractions": "<f8:3a8f30641a6726e47809bc404a7cd815a8c690c6dce03ffb9b9c29b8d86609d3",
+        "max_msg_bits": "<i8:386d3231e0b7497c3111ceee0408a7b3d1c4259f8dcd2b3f883452460f69b5b1",
+        "vg_err": "<f8:88744b889d3d05328829d7c6d9f161ced1c5698cd9e2a056ece506dc2c995ff5",
+    },
+    "a-deed-gd": {
+        "t": "<i8:cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
+        "dist": "<f8:a6907701dabc3aa6fcf4fa1e6f1d763c283ecc89934bd8602d6d651553adce10",
+        "fgap": "<f8:717c3359350876712e71ee89aa2092aa4f1ece6f4e349dbb9cced78ce9c752c9",
+        "bits_up": "<i8:3c44461bab7b17691f2cba0dab7504487abdf3fb1daa1db56c805d86b3faf247",
+        "bits_down": "<i8:6dd4a2333fe2d3171bbca0e42d9c2e8f66733108daee46bcdefdc9cf6efcb0ec",
+        "budget": "<f8:eb2118ac812820df1e6b37906c3282ca5c5ad5b89b04216bcfa01e3ef51e4407",
+        "fractions": "<f8:1d73f7758b85e72d95b308d58b6dbcbede2039a8a13aa924b35ff67658109ffe",
+        "max_msg_bits": "<i8:cd84bbe0060bc61020d0b971ed3f29f5778d2a937d14a99007b9118c3d19a4fb",
+        "vg_err": "<f8:00cdbf5dd279a4f5b4b53976a1c3ab65413ec5500058b1312d1595288e39c38b",
+    },
+    "gd": {
+        "t": "<i8:cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
+        "dist": "<f8:249a5a27a9e7f235c9a508bd5890b11f0c62f5d52b9e081251973752d12ab7bf",
+        "fgap": "<f8:633664d4e05305d6ba9285308b632d3b6e5ca12babb3b3ac80cbb93bb3118c02",
+        "bits_up": "<i8:300aa32886aa6b7cf2393f62bcf960e6e2ac0e6041fdcbc001f31385f6065349",
+        "bits_down": "<i8:300aa32886aa6b7cf2393f62bcf960e6e2ac0e6041fdcbc001f31385f6065349",
+        "budget": "<f8:f8afcaf4ddde4b7d144069a66a2a5f6ee05b9652f6de33095ae49251486216af",
+        "fractions": "<f8:2891fe945708863bbdab9249045e1d77c9e892500141dfcff2eacce2478beeca",
+        "max_msg_bits": "<i8:4dc10a433c088d81186c0c9875ac38bc7349615d1e4c8f5acd0648383b19d0ae",
+        "vg_err": "<f8:80627acb9414aac90257bbea73185dc76cda3ec6e9519d895d7c017536aa46ac",
+    },
+    "agd": {
+        "t": "<i8:cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
+        "dist": "<f8:a028bb48b76475572d7d3c729aa5e02147f4c6ac028d054e22e645b3282037e9",
+        "fgap": "<f8:1796ed6eaaf0ab4f0573cd5d7d37eb16b6c316aa8bfde89de38c0ade32ea12f6",
+        "bits_up": "<i8:300aa32886aa6b7cf2393f62bcf960e6e2ac0e6041fdcbc001f31385f6065349",
+        "bits_down": "<i8:300aa32886aa6b7cf2393f62bcf960e6e2ac0e6041fdcbc001f31385f6065349",
+        "budget": "<f8:f8afcaf4ddde4b7d144069a66a2a5f6ee05b9652f6de33095ae49251486216af",
+        "fractions": "<f8:2891fe945708863bbdab9249045e1d77c9e892500141dfcff2eacce2478beeca",
+        "max_msg_bits": "<i8:4dc10a433c088d81186c0c9875ac38bc7349615d1e4c8f5acd0648383b19d0ae",
+        "vg_err": "<f8:717017a88874e1a7dda40c5352d62c92fef5a742709280787b1616aa44514e12",
+    },
+    "const-quant-gd": {
+        "t": "<i8:cc789dacd7efe5552adf2e5ce49e4a4efb47a446872f95d20d2aab84ae95dea5",
+        "dist": "<f8:b0d6f7e0539437d0c096634578f66de3165a699da4acd77118489eb023f1ca72",
+        "fgap": "<f8:a9d9ef4e42a1c6b28c4fe7bce0511b797187079237a3317f63baf785f5227ab9",
+        "bits_up": "<i8:603d4e1daa0436808b7372910605b80aaa29ca48c0ee849aca006f09d5f0ffee",
+        "bits_down": "<i8:e86aace0f08521ba318576b3e096f7162b243fc9a58933402ed2726520db9b16",
+        "budget": "<f8:ba8d98c75704d14fb226236c103795843d8716bae53444f20ffe7e16ab1aaaee",
+        "fractions": "<f8:ac6fda6801e7d1e6f6f4b663dc64876904d1f83d2b50bddc8a2fd7553da82b43",
+        "max_msg_bits": "<i8:7435ff0553e02d55bee5444b2e1d4c8e36713bccd085e23ca3100d5b5581380b",
+        "vg_err": "<f8:655c916cb8bb3e7b6b976273393384c7bbabdb116d3e87d8e2798864d3a19122",
+    },
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(SECOND_SHAPE_GOLDEN))
+def test_single_run_engines_golden_at_second_shape(algorithm):
+    trace = _second_shape_runs()[algorithm]()
+    cols = {c: getattr(trace, c) for c in ("t", "dist", "fgap", "bits_up", "bits_down", "budget")}
+    cols.update({k: x for k, x in trace.extras.items() if isinstance(x, np.ndarray)})
+    got = {c: f"{x.dtype.str}:{hashlib.sha256(x.tobytes()).hexdigest()}" for c, x in cols.items()}
+    assert got == SECOND_SHAPE_GOLDEN[algorithm]

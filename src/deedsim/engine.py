@@ -81,16 +81,22 @@ _REL_SLACK = 1e-9
 _ABS_DUST = 1e-12
 
 
-def _weighted_sum(arrays: np.ndarray, rows, coefs: np.ndarray) -> np.ndarray:
-    """``sum_j coefs[j] * arrays[..., rows[j], :]`` over the rows of an
-    ``(N, d)`` array, or of each lane of an ``(R, N, d)`` one, added in the
-    order of ``rows`` (ascending node ids).
+def _weighted_sums(SP: np.ndarray, rows, coefs) -> np.ndarray:
+    """``sum_j coefs[j] * SP[:, rows[j]]`` of a ``(2, N, R, d)`` array (the
+    nodes' accumulators, then their payloads, a row per lane) as one
+    ``(2, R, d)`` array, added node after node in the order of ``rows``
+    (ascending node ids).
 
-    One broadcast product and a running sum down the node axis, which adds
-    row after row by definition; a BLAS product or ``sum``'s pairwise
-    summation would round differently.
+    The products are laid out node-major, ``(K, 2, R, d)``, and
+    ``add.reduce`` down that leading axis adds each node's whole
+    ``2 x R x d`` block to the running sum in turn, starting from ``-0.0``,
+    which leaves every float unchanged, signed zeros included.  (Blocks of
+    two or more floats keep numpy from summing pairwise, as it does along
+    a single axis; a BLAS product would round differently too.)
     """
-    return np.add.accumulate(coefs[:, None] * arrays[..., _rows(rows), :], axis=-2)[..., -1, :]
+    held = SP[:, _rows(rows)].swapaxes(0, 1)
+    terms = np.multiply(coefs[:, None, None, None], held, out=np.empty(held.shape))
+    return np.add.reduce(terms, axis=0, initial=-0.0)
 
 
 def _rows(rows):
@@ -116,49 +122,61 @@ def _initial_point(problem, w0) -> np.ndarray:
     return w0
 
 
-def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_bits):
+def _exchange(SP, v, participants, coefs, stage, budget, labels, float_bits):
     """One difference-encoded uplink/aggregate/downlink exchange in every
-    lane, the one message path of every engine; updates ``S`` and ``v``
-    in place.
+    lane, the one message path of every engine; updates the accumulators
+    ``SP[0]`` and ``v`` in place.
 
-    Lane ``l`` is one Monte Carlo run: ``S`` and ``payloads`` are
-    ``(R, N, d)`` and ``v`` is ``(R, d)``.  In each lane node ``i`` of ``participants`` encodes ``payloads[l, i] -
-    S[l, i]`` at maximal error ``stage``, and sender and center apply the
-    decoded message to the one accumulator row ``S[l, i]``.  The center
-    encodes the ``coefs``-weighted sum of those rows against the
-    broadcast ``v[l]`` at the same error, and every node applies it to
-    ``v[l]``.  Asserts that ``v`` lies within ``budget`` of the weighted
-    payloads.  ``labels`` is ``(seed, runs, round)``: lane ``l`` draws its
-    messages from run ``runs[l]``'s streams, one per message.
+    Lane ``l`` is one Monte Carlo run.  ``SP`` is ``(2, N, R, d)``:
+    ``SP[0, i, l]`` is node ``i``'s accumulator and ``SP[1, i, l]`` its
+    payload in lane ``l``; ``v`` is ``(R, d)``.  In each lane node ``i`` of
+    ``participants`` encodes ``SP[1, i, l] - SP[0, i, l]`` at maximal error
+    ``stage``, and sender and center apply the decoded message to the one
+    accumulator row.  The center encodes the ``coefs``-weighted sum of
+    those rows against the broadcast ``v[l]`` at the same error, and every
+    node applies it to ``v[l]``.  Asserts that ``v`` lies within
+    ``budget`` of the weighted payloads.  ``labels`` is ``(seed, runs,
+    round)``: lane ``l`` draws its messages from run ``runs[l]``'s
+    streams, one per message.
+
+    The uplink differences, downlink difference and aggregate error of
+    every lane are rows of one ``(K + 2, R, d)`` array, so one stacked call
+    takes all their norms, and one reduce gives both weighted sums.
 
     Returns one value per lane of each of (up_bits, down_payload_bits,
     max fraction, max message bits, aggregate error).
     """
     seed, runs, round_index = labels
-    spec = QuantSpec(max_error=stage, dim=v.shape[-1])
+    d = v.shape[-1]
+    spec = QuantSpec(max_error=stage, dim=d)
     rows = _rows(participants)
-    D = payloads[:, rows] - S[:, rows]  # one difference per lane and participant
-    max_fraction = np.zeros(len(runs))
-    if stage > 0.0:
-        max_fraction = (_norm(D) / stage).max(axis=1)
+    K = len(participants)
+    S, payloads = SP
+    diffs = np.empty((K + 2, len(runs), d))  # K uplinks, the downlink, the error
+    np.subtract(payloads[rows], S[rows], out=diffs[:K])
+    decoded = np.empty((K, len(runs), d))
     bits = [[] for _ in runs]  # each lane's uplink bits, then its downlink's
-    for D_lane, bits_lane, r in zip(D, bits, runs):
-        for j, i in enumerate(participants):
-            rng = stream(seed, r, round_index, i, UPLINK)
-            msg = quantize(D_lane[j], spec, rng, float_bits)
-            D_lane[j] = msg.decoded  # D now holds the decoded messages
+    for lane, (bits_lane, r) in enumerate(zip(bits, runs)):
+        decoded_lane = decoded[:, lane]
+        for j, (i, diff) in enumerate(zip(participants, diffs[:K, lane])):
+            msg = quantize(diff, spec, stream(seed, r, round_index, i, UPLINK), float_bits)
+            decoded_lane[j] = msg.decoded
             bits_lane.append(msg.bits)
-    S[:, rows] += D
+    S[rows] += decoded
 
-    down_diff = _weighted_sum(S, participants, coefs) - v
+    aggregate, gbar = _weighted_sums(SP, participants, coefs)
+    down_diff = np.subtract(aggregate, v, out=diffs[K])
     for lane, r in enumerate(runs):
-        rng = stream(seed, r, round_index, 0, DOWNLINK)
-        umsg = quantize(down_diff[lane], spec, rng, float_bits)
+        umsg = quantize(down_diff[lane], spec, stream(seed, r, round_index, 0, DOWNLINK), float_bits)
         v[lane] += umsg.decoded
         bits[lane].append(umsg.bits)
-    if stage > 0.0:
-        max_fraction = np.maximum(max_fraction, _norm(down_diff) / stage)
-    err = _assert_budget(v, _weighted_sum(payloads, participants, coefs), budget, labels)
+    np.subtract(v, gbar, out=diffs[K + 1])
+    # Each lane's norms as floats: the few per lane cost less in Python
+    # than in further numpy calls.
+    norms = _norm(diffs).T.tolist()
+    err = _assert_budget([lane[K + 1] for lane in norms], gbar, budget, labels)
+    # stage > 0 divides monotonically, so the largest norm gives the largest fraction.
+    max_fraction = [max(lane[: K + 1]) / stage if stage > 0.0 else 0.0 for lane in norms]
     return (
         [sum(b[:-1]) for b in bits], [b[-1] for b in bits], max_fraction,
         [max(b) for b in bits], err,
@@ -166,91 +184,105 @@ def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_
 
 
 def _lane_grads(problem, seed, runs, round_index, nodes, Q):
-    """Every lane's and node's single-row gradients of one round or local
-    step as ``(R, N, d)``, in one ``stochastic_grad`` call: node ``i`` of
-    lane ``l`` queries ``Q[l]`` (one row of ``Q`` per lane) or its own row
-    ``Q[l, i]``, and draws from its run's row-sample stream.  The streams
-    are built as they are drawn from, so a round's ``R x N`` streams are
-    never held at once."""
+    """Every node's and lane's single-row gradients of one round or local
+    step as a node-major ``(N, R, d)`` view, in one ``stochastic_grad``
+    call: node ``i`` of lane ``l`` queries ``Q[l]`` (an ``(R, d)`` ``Q``)
+    or its own row ``Q[i, l]`` (a node-major ``(N, R, d)`` ``Q``), and draws
+    from its run's row-sample stream.  The streams are built as they are
+    drawn from, so a round's ``R x N`` streams are never held at once."""
     R, n = len(runs), len(nodes)
-    points = np.repeat(Q, n, axis=0) if Q.ndim == 2 else Q.reshape(R * n, -1)
+    points = np.repeat(Q, n, axis=0) if Q.ndim == 2 else Q.swapaxes(0, 1).reshape(R * n, -1)
     streams = (stream(seed, r, round_index, i, ROW_SAMPLE) for r in runs for i in nodes)
-    return problem.stochastic_grad(np.tile(nodes, R), points, streams).reshape(R, n, -1)
+    grads = problem.stochastic_grad(np.tile(nodes, R), points, streams)
+    return grads.reshape(R, n, -1).swapaxes(0, 1)
+
+
+# Rows of iterates a trace holds before one stacked call takes all their
+# distances to the optimum and another all their loss gaps.
+_BLOCK = 64
 
 
 class _Lanes:
-    """Every lane's trace columns as ``(T + 1, R)`` arrays, one column per
-    lane: nothing booked (no bits or budget, NaN error fractions and
-    aggregate errors, zero message bits) until ``book`` and ``record``
-    fill a row."""
+    """Every lane's trace columns: the float columns (distance, loss gap,
+    budget, largest error fraction, aggregate error) as one
+    ``(T + 1, 5, R)`` array and the bit columns (uplink, downlink, largest
+    message) as one ``(T + 1, 3, R)`` array, so that ``book`` writes a
+    round in two calls.  Nothing is booked (no bits or budget, NaN error
+    fractions and aggregate errors, zero message bits) until ``book`` and
+    ``record`` fill a row.
 
-    def __init__(self, runs: int, T: int) -> None:
-        self.dist = np.empty((T + 1, runs))
-        self.fgap = np.empty((T + 1, runs))
-        self.bits_up = np.zeros((T + 1, runs), dtype=np.int64)
-        self.bits_down = np.zeros((T + 1, runs), dtype=np.int64)
-        self.budget = np.zeros((T + 1, runs))
-        self.fractions = np.full((T + 1, runs), np.nan)
-        self.max_msg_bits = np.zeros((T + 1, runs), dtype=np.int64)
-        self.vg_err = np.full((T + 1, runs), np.nan)
+    ``record`` holds up to ``_BLOCK`` iterates and then takes all their
+    distances in one stacked ``_norm`` and all their loss gaps in one
+    ``f_gap`` call.  Rows are recorded in order and row T comes last, so
+    the last block is written when the run ends.
+    """
 
-    def book(self, row: int, total: float, n: int, exchange, lanes=slice(None)) -> None:
-        """Book an ``_exchange`` result of ``lanes`` and its total budget on
-        ``row``; the broadcast is charged once per receiving link."""
-        up, down_payload, frac, mbits, err = exchange
-        self.bits_up[row, lanes] = up
-        self.bits_down[row, lanes] = np.multiply(n, down_payload)
-        self.budget[row, lanes] = total
-        self.fractions[row, lanes] = frac
-        self.max_msg_bits[row, lanes] = mbits
-        self.vg_err[row, lanes] = err
+    def __init__(self, problem, runs: int, T: int) -> None:
+        self.problem, self.T = problem, T
+        self.floats = np.full((T + 1, 5, runs), np.nan)
+        self.floats[:, 2] = 0.0
+        self.bits = np.zeros((T + 1, 3, runs), dtype=np.int64)
+        self._points = np.empty((min(_BLOCK, T + 1), runs, problem.d))
 
-    def record(self, t: int, problem, X: np.ndarray) -> None:
-        """Row ``t``'s distance to the optimum and loss gap of each lane's
-        point, one row of ``X`` per lane."""
-        self.dist[t] = _norm(X - problem.w_star)
-        self.fgap[t] = problem.f_gap(X)
+    def book(self, row: int, total: float, exchange) -> None:
+        """Book an ``_exchange`` result of every lane and its total budget
+        on ``row``; the broadcast is charged once per node."""
+        up, down, frac, mbits, err = exchange
+        self.bits[row] = (up, [self.problem.N * b for b in down], mbits)
+        self.floats[row, 2:] = ([total] * len(err), frac, err)
+
+    def record(self, t: int, X: np.ndarray) -> None:
+        """Hold row ``t``'s point of each lane, one row of ``X`` per lane,
+        for its distance to the optimum and loss gap."""
+        j = t % len(self._points)
+        self._points[j] = X
+        if j == len(self._points) - 1 or t == self.T:
+            X = self._points[: j + 1]
+            rows = slice(t - j, t + 1)
+            self.floats[rows, 0] = _norm(X - self.problem.w_star)
+            gaps = self.problem.f_gap(X.reshape(-1, X.shape[-1]))
+            self.floats[rows, 1] = gaps.reshape(j + 1, -1)
 
     def traces(self, algorithm: str, extras) -> list[RunTrace]:
-        """One trace per lane, its columns views of that lane's column (no
+        """One trace per lane, its columns views of that lane's columns (no
         copy), and its extras ``extras(run)`` followed by the per-round
         diagnostics."""
+        F, B = self.floats, self.bits
         return [
             RunTrace(
                 algorithm=algorithm,
-                t=np.arange(len(self.dist)),
-                dist=self.dist[:, r],
-                fgap=self.fgap[:, r],
-                bits_up=self.bits_up[:, r],
-                bits_down=self.bits_down[:, r],
-                budget=self.budget[:, r],
+                t=np.arange(len(F)),
+                dist=F[:, 0, r],
+                fgap=F[:, 1, r],
+                bits_up=B[:, 0, r],
+                bits_down=B[:, 1, r],
+                budget=F[:, 2, r],
                 extras={
                     **extras(r),
-                    "fractions": self.fractions[:, r],
-                    "max_msg_bits": self.max_msg_bits[:, r],
-                    "vg_err": self.vg_err[:, r],
+                    "fractions": F[:, 3, r],
+                    "max_msg_bits": B[:, 2, r],
+                    "vg_err": F[:, 4, r],
                 },
             )
-            for r in range(self.dist.shape[1])
+            for r in range(F.shape[2])
         ]
 
 
-def _assert_budget(v, gbar, budget, labels) -> np.ndarray:
-    """Raise unless every lane's ``|v - gbar| <= budget`` (up to float
-    dust), naming the round and the first offending lane's run of
-    ``labels = (seed, runs, round)``; returns the lanes' errors."""
+def _assert_budget(err, gbar, budget, labels) -> list:
+    """Raise unless every lane's aggregate error ``err[l] = |v[l] -
+    gbar[l]|`` (floats) is at most ``budget`` (up to float dust), naming the
+    round and the first offending lane's run of ``labels = (seed, runs,
+    round)``; returns ``err``."""
     _, runs, round_index = labels
-    err = _norm(v - gbar)
     # The dust term only adds slack, so gbar's norm is needed only past it.
-    if (err > budget * (1.0 + _REL_SLACK)).any():
-        allowed = budget * (1.0 + _REL_SLACK) + _ABS_DUST * (1.0 + _norm(gbar))
-        bad = np.flatnonzero(err > allowed)
-        if len(bad):
-            lane = bad[0]
-            raise BoundViolationError(
-                "aggregate error budget", round_index, float(err[lane]), float(allowed[lane]),
-                run=runs[lane],
-            )
+    limit = budget * (1.0 + _REL_SLACK)
+    if any(e > limit for e in err):
+        allowed = limit + _ABS_DUST * (1.0 + _norm(gbar))
+        for lane, (e, a) in enumerate(zip(err, allowed.tolist())):
+            if e > a:
+                raise BoundViolationError(
+                    "aggregate error budget", round_index, e, a, run=runs[lane]
+                )
     return err
 
 
@@ -378,7 +410,7 @@ def _frequent_run(
     w0,
     budget_total,  # callable round -> total v-vs-mean budget
     runs: int = 1,
-    grad_source=None,  # callable (round, (R, d) query points) -> (R, N, d) gradients
+    grad_source=None,  # callable (round, (R, d) query points) -> (N, R, d) gradients
     differential: bool = True,
 ) -> list[RunTrace]:
     """Shared loop for the frequent-communication engines, one lane per
@@ -387,40 +419,39 @@ def _frequent_run(
 
     Every node applies the same decoded messages, so each lane's iterate,
     momentum memory and broadcast are held once, as the rows of ``(R, d)``
-    arrays, and the per-node accumulators as one ``(R, N, d)`` array
-    ``S``.  Full gradients (``grad_source`` None) serve one lane.
-    ``differential=False`` clears ``S`` and ``v`` at the start of every
-    round, so raw payloads rather than differences are encoded.  Returns
-    one trace per run.
+    arrays, and the per-node accumulators and payloads as one
+    ``(2, N, R, d)`` array ``SP``.  ``grad_source`` returns the round's
+    payloads as ``(N, R, d)``; full gradients (``grad_source`` None) serve
+    one lane.  ``differential=False`` clears the accumulators and ``v`` at
+    the start of every round, so raw payloads rather than differences are
+    encoded.  Returns one trace per run.
     """
     n = problem.N
     nodes, lanes = range(n), range(runs)
     if grad_source is None:
-        grad_source = lambda k, Q: problem.full_grad(nodes, Q[0])[None]
+        grad_source = lambda k, Q: problem.full_grad(nodes, Q[0])[:, None]
     coefs = np.full(n, 1.0 / n)
     w = y = np.tile(_initial_point(problem, w0), (runs, 1))  # y: lookahead points
-    S = np.zeros((runs, n, problem.d))
+    SP = np.zeros((2, n, runs, problem.d))
     v = np.zeros((runs, problem.d))
-    log = _Lanes(runs, T)
+    log = _Lanes(problem, runs, T)
 
-    log.record(0, problem, w)
+    log.record(0, w)
     for k in range(T):
         if not differential:
-            S.fill(0.0)
+            SP[0] = 0.0
             v.fill(0.0)
-        grads = grad_source(k, w if tau is None else y)
+        SP[1] = grad_source(k, w if tau is None else y)
         total = budget_total(k)
-        exchange = _exchange(
-            S, v, grads, nodes, coefs, total / 2.0, total, (seed, lanes, k), float_bits
-        )
-        log.book(k, total, n, exchange)
+        exchange = _exchange(SP, v, nodes, coefs, total / 2.0, total, (seed, lanes, k), float_bits)
+        log.book(k, total, exchange)
 
         if tau is None:
             w = w - eta * v
         else:
             x_prev, w = w, y - eta * v
             y = w + tau * (w - x_prev)
-        log.record(k + 1, problem, w)
+        log.record(k + 1, w)
     extras = {"float_bits": float_bits, "eta": eta, "seed": seed}
     return log.traces(algorithm, lambda r: {**extras, "run_index": r})
 
@@ -762,12 +793,14 @@ def run_deed_fed(
     nodes, lanes = range(n), range(mc_runs)
 
     eta_at = lambda t: beta / (t + gamma)
-    W = np.tile(w0, (mc_runs, n, 1))  # local weights, one row per lane and node
-    S = np.zeros((mc_runs, n, problem.d))
+    # The nodes' accumulators, then their local weights, a row per lane.
+    SP = np.zeros((2, n, mc_runs, problem.d))
+    W = SP[1]
+    W[:] = w0
     v = np.zeros((mc_runs, problem.d))
-    log = _Lanes(mc_runs, T_total)
+    log = _Lanes(problem, mc_runs, T_total)
 
-    log.record(0, problem, _weighted_sum(W, nodes, p))
+    log.record(0, _weighted_sums(SP, nodes, p)[1])
     for t in range(T_total):
         # Node i's gradient reads only its own row, so one update of all
         # rows after every gradient takes the same floats as one per node.
@@ -779,17 +812,19 @@ def run_deed_fed(
             # differ per run, so each lane syncs on its own views.
             total = s * eta_at(k)
             stage = total / 2.0
+            syncs = []
             for r in lanes:
                 participants, coefs = _participants(participation, K, p, (seed, r, k))
                 budget = stage * (1.0 + float(np.sum(coefs)))
                 lane = slice(r, r + 1)
-                exchange = _exchange(
-                    S[lane], v[lane], W[lane], participants, coefs, stage, budget,
+                syncs.append(_exchange(
+                    SP[:, :, lane], v[lane], participants, coefs, stage, budget,
                     (seed, (r,), k), float_bits,
-                )
-                log.book(k, total, n, exchange, lane)
-            W[:] = v[:, None, :]
-        log.record(k, problem, _weighted_sum(W, nodes, p))
+                ))
+            # Each result holds one value per statistic; join them lane by lane.
+            log.book(k, total, [[x for one in stat for x in one] for stat in zip(*syncs)])
+            W[:] = v
+        log.record(k, _weighted_sums(SP, nodes, p)[1])
     traces = log.traces(
         "deed-fed",
         lambda r: {

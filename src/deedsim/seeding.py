@@ -174,9 +174,14 @@ def philox_key(master_seed: int, *labels: int) -> np.ndarray:
 
 def _scalar_key(seed: int, prefix: tuple, labels: tuple) -> np.ndarray:
     """``philox_key(seed, *prefix, *labels)`` word by word from the cached
-    pool of ``prefix``: every label shape, and a (node, purpose) pair's
-    first request in a round block."""
-    pool, h = _pool(seed, prefix)
+    pool of ``prefix``: every label shape outside the round blocks."""
+    return _absorbed_key(_pool(seed, prefix), labels)
+
+
+def _absorbed_key(pool_h: tuple, labels: tuple) -> np.ndarray:
+    """The key after absorbing ``labels``, word by word, into a prefix's
+    mixed pool and hash constant ``pool_h``."""
+    pool, h = pool_h
     for label in labels:
         for word in _words(label):
             pool, h = _absorb(pool, h, word)
@@ -207,14 +212,18 @@ _READ_MUL = np.array([_M0, _M1, _M2, _M3], dtype=np.uint32)[:, None]
 
 
 class _RoundBlock:
-    """What is held for one ``(seed, prefix, round block)``: the pool
-    columns after each round of the block, and each (node, purpose)
-    pair's ``(_BLOCK, 2)`` keys."""
+    """What is held for one ``(seed, prefix, round block)``: the prefix's
+    mixed pool and hash constant, the pool columns after each round of the
+    block, and each (node, purpose) pair's ``(_BLOCK, 2)`` keys.  The
+    prefix's pool is derived once per block, however many prefixes are in
+    flight."""
 
-    __slots__ = ("label", "rounds", "keys", "seen")
+    __slots__ = ("label", "pool", "rounds", "keys", "seen")
 
     def __init__(self, label: tuple) -> None:
+        seed, prefix, _ = label
         self.label = label
+        self.pool = _pool(seed, prefix)
         self.rounds = None
         self.keys = {}
         self.seen = set()
@@ -249,7 +258,7 @@ def _block_key(seed: int, prefix: tuple, rnd: int, pair: tuple) -> np.ndarray:
     if keys is None:
         if pair not in block.seen:
             block.seen.add(pair)
-            return _scalar_key(seed, prefix, (rnd, *pair))
+            return _absorbed_key(block.pool, (rnd, *pair))
         keys = block.keys[pair] = _derive_block(block, pair)
     return keys[rnd & _BLOCK - 1]
 
@@ -280,8 +289,8 @@ def _derive_block(block: _RoundBlock, pair: tuple) -> np.ndarray:
     ``block``: SeedSequence's absorb of the round, node and purpose words,
     then its readout."""
     if block.rounds is None:
-        seed, prefix, index = block.label
-        pool, h = _pool(seed, prefix)
+        index = block.label[2]
+        pool, h = block.pool
         xors, muls, h = _hash_columns(h)
         v = ((index << _BLOCK_BITS) + _ROUNDS ^ xors) * muls
         v ^= v >> 16

@@ -13,7 +13,7 @@ from deedsim.engine import (
     _exchange,
     _norm,
     _participants,
-    _weighted_sum,
+    _weighted_sums,
     run_adeed_gd,
     run_const_error_gd,
     run_deed_fed,
@@ -443,8 +443,8 @@ def test_assert_budget_is_tight_at_the_allowed_value():
     allowed = _allowed(budget)
     labels = (0, range(5, 8), 4)
     for lane in range(3):
-        at = np.zeros((3, 3))
-        at[lane, 0] = allowed
+        at = np.zeros(3)  # the lanes' errors |v - gbar|
+        at[lane] = allowed
         assert engine._assert_budget(at, gbar, budget, labels)[lane] == allowed
         with pytest.raises(BoundViolationError) as err:
             engine._assert_budget(at * (1.0 + 1e-6), gbar, budget, labels)
@@ -620,6 +620,25 @@ def test_fed_w0_dimension_named(fed_problem):
 
 # -- the vectorized aggregate and norm against the loops they replaced --
 
+# Lane counts of the lane loop: a single run, two, and sgd-mc's thirty.
+LANES = (1, 2, 30)
+
+# Values where a sum's order or starting value shows: signed zeros (-0.0 +
+# 0.0 is 0.0, so a sum started at 0.0 loses an all-negative-zero column's
+# sign), subnormals and the smallest normal.
+_AWKWARD = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308)
+
+
+def _awkward_floats(rng, shape, scale=1.0):
+    """Normal floats over 17 decades, with some entries, and some whole
+    columns along the node axis (-2), replaced by ``_AWKWARD`` values."""
+    x = scale * rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+    spots = rng.random(shape) < 0.2
+    x[spots] = rng.choice(_AWKWARD, size=int(spots.sum()))
+    columns = rng.random(shape[:-2] + shape[-1:]) < 0.2  # one value down every node
+    x.swapaxes(-2, -1)[columns] = rng.choice(_AWKWARD, size=int(columns.sum()))[:, None]
+    return x
+
 
 def _sequential_weighted_sum(arrays, rows, coefs):
     """The aggregate as a loop, adding ``coefs[j] * arrays[rows[j]]`` in row order."""
@@ -629,17 +648,18 @@ def _sequential_weighted_sum(arrays, rows, coefs):
     return out
 
 
-@given(
-    st.integers(min_value=1, max_value=16),
-    st.integers(min_value=1, max_value=64),
-    st.sampled_from(PARTICIPATION_SCHEMES + ("uniform",)),
-    st.integers(min_value=0, max_value=2**32 - 1),
-)
-@settings(max_examples=300, deadline=None)
-def test_weighted_sum_equals_sequential_loop(n, d, scheme, seed):
-    # n > 8 and d = 1 are where numpy's sum would switch to pairwise order.
+def _held(S, payloads):
+    """The engine's ``(2, N, R, d)`` layout of ``(R, N, d)`` accumulators
+    and payloads."""
+    return np.ascontiguousarray(np.stack([S, payloads]).swapaxes(1, 2))
+
+
+def assert_weighted_sums_match(n, d, scheme, seed, lanes):
+    """``_weighted_sums`` of the engine's layout of two ``(lanes, n, d)`` arrays
+    equals the sequential loop in both and every lane, for ``range``
+    (uniform, full) and list rows."""
     rng = np.random.default_rng(seed)
-    arrays = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-8, 9, size=(n, d))
+    arrays = [_awkward_floats(rng, (lanes, n, d)) for _ in range(2)]
     p = rng.random(n) + 0.05
     p /= p.sum()
     if scheme == "uniform":  # the frequent engines' coefficients
@@ -648,22 +668,60 @@ def test_weighted_sum_equals_sequential_loop(n, d, scheme, seed):
         K = int(rng.integers(1, n + 1)) if scheme != "full" else None
         rows, coefs = _participants(scheme, K, p, (seed, 0, 1))
     assert isinstance(rows, range) == (scheme in ("full", "uniform"))
-    got = _weighted_sum(arrays, rows, coefs)
-    want = _sequential_weighted_sum(arrays, rows, coefs)
-    assert got.shape == (d,) and got.tobytes() == want.tobytes()
+    got = _weighted_sums(_held(*arrays), rows, coefs)
+    assert got.shape == (2, lanes, d)
+    for x, sums in zip(arrays, got):
+        for lane, total in zip(x, sums):
+            assert total.tobytes() == _sequential_weighted_sum(lane, rows, coefs).tobytes()
+
+
+@given(
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=64),
+    st.sampled_from(PARTICIPATION_SCHEMES + ("uniform",)),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(LANES),
+)
+@settings(max_examples=300, deadline=None)
+def test_weighted_sum_equals_sequential_loop(n, d, scheme, seed, lanes):
+    # n > 8 and d = 1 are where numpy's sum would switch to pairwise order.
+    assert_weighted_sums_match(n, d, scheme, seed, lanes)
+
+
+def assert_norms_match(coords, lanes):
+    """``_norm`` of one vector, and of a ``(lanes, 3, d)`` stack of its
+    rotations and sign flips, equals ``np.linalg.norm`` of each vector."""
+    x = np.array(coords)
+    got, want = _norm(x), np.linalg.norm(x)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    stack = np.array([[np.roll(x, lane + j) * (-1.0) ** j for j in range(3)]
+                      for lane in range(lanes)])
+    norms = _norm(stack)
+    assert norms.shape == (lanes, 3)
+    for vectors, lane_norms in zip(stack, norms):
+        for vector, norm in zip(vectors, lane_norms):
+            assert norm.tobytes() == np.array(np.linalg.norm(vector)).tobytes()
 
 
 @given(
     st.integers(min_value=1, max_value=64).flatmap(
         lambda d: st.lists(st.floats(allow_nan=False, width=64), min_size=d, max_size=d)
-    )
+    ),
+    st.sampled_from(LANES),
 )
 @settings(max_examples=300, deadline=None)
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_norm_equals_numpy_norm(coords):
-    x = np.array(coords)
-    got, want = _norm(x), np.linalg.norm(x)
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+def test_norm_equals_numpy_norm(coords, lanes):
+    assert_norms_match(coords, lanes)
+
+
+AWKWARD_VECTOR = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 3.0, -2.5, 1e-160, 7e153]
+
+
+def test_norm_equals_numpy_norm_on_awkward_values():
+    for lanes in LANES:
+        assert_norms_match(AWKWARD_VECTOR, lanes)
+        assert_norms_match([-0.0] * 5, lanes)
 
 
 # -- the batched uplinks against the one-message-at-a-time exchange --
@@ -702,9 +760,9 @@ def assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes=2):
     (uniform, full) and list participants."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** int(rng.integers(-5, 6))
-    payloads = scale * rng.standard_normal((lanes, n, d))
-    S0 = payloads + scale * rng.standard_normal((lanes, n, d))
-    v0 = scale * rng.standard_normal((lanes, d))
+    payloads = _awkward_floats(rng, (lanes, n, d), scale)
+    S0 = _awkward_floats(rng, (lanes, n, d), scale)
+    v0 = _awkward_floats(rng, (lanes, 1, d), scale)[:, 0]
     runs = tuple(int(r) for r in rng.choice(50, size=lanes, replace=False))
     p = rng.random(n) + 0.05
     p /= p.sum()
@@ -716,9 +774,11 @@ def assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes=2):
     assert isinstance(participants, range) == (scheme in ("full", "uniform"))
     stage *= scale * math.sqrt(d)
 
-    S, v = S0.copy(), v0.copy()
-    out = _exchange(S, v, payloads, participants, coefs, stage, math.inf, (seed, runs, 3), 32)
-    got = [(S[lane].tobytes(), v[lane].tobytes(), repr(tuple(np.asarray(x)[lane].item() for x in out)))
+    SP, v = _held(S0, payloads), v0.copy()
+    out = _exchange(SP, v, participants, coefs, stage, math.inf, (seed, runs, 3), 32)
+    assert SP[1].tobytes() == _held(S0, payloads)[1].tobytes()  # payloads untouched
+    got = [(SP[0, :, lane].tobytes(), v[lane].tobytes(),
+            repr(tuple(np.asarray(x)[lane].item() for x in out)))
            for lane in range(lanes)]
     want = []
     for lane, run in enumerate(runs):
@@ -735,7 +795,7 @@ def assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes=2):
     st.sampled_from(PARTICIPATION_SCHEMES + ("uniform",)),
     st.sampled_from([0.0, 0.01, 1.0, 30.0]),
     st.integers(min_value=0, max_value=2**32 - 1),
-    st.integers(min_value=1, max_value=3),
+    st.sampled_from(LANES),
 )
 @settings(max_examples=150, deadline=None)
 def test_exchange_equals_per_node_loop(n, d, scheme, stage, seed, lanes):
@@ -770,7 +830,7 @@ def _lane_problems():
     return interp, fed
 
 
-def assert_lanes_match_reference(mc_runs, participation):
+def assert_lanes_match_reference(mc_runs, participation, sgd_T=40, fed_rounds=10):
     """``run_deed_sgd`` and ``run_deed_fed`` against the run-by-run loops
     of ``tests/engine_reference.py``."""
     import engine_reference as ref
@@ -778,11 +838,11 @@ def assert_lanes_match_reference(mc_runs, participation):
     interp, fed = _lane_problems()
     rho = estimate_rho(interp)
     c = 1.0 - interp.mu / (rho * interp.L)
-    sgd = dict(c_prime=1 - 0.5 * (1 - c), s=1.0, T=40, seed=4, mc_runs=mc_runs, rho=rho)
+    sgd = dict(c_prime=1 - 0.5 * (1 - c), s=1.0, T=sgd_T, seed=4, mc_runs=mc_runs, rho=rho)
     assert_same_traces(run_deed_sgd(interp, **sgd), ref.run_deed_sgd(interp, **sgd))
     beta, gamma = _fed_params(fed)
     K = None if participation == "full" else 4
-    args = (fed, 4, beta, gamma, 1.0, 10, participation, K)
+    args = (fed, 4, beta, gamma, 1.0, fed_rounds, participation, K)
     assert_same_traces(run_deed_fed(*args, seed=2, mc_runs=mc_runs),
                        ref.run_deed_fed(*args, seed=2, mc_runs=mc_runs))
 
@@ -791,6 +851,12 @@ def assert_lanes_match_reference(mc_runs, participation):
 @pytest.mark.parametrize("participation", PARTICIPATION_SCHEMES)
 def test_lanes_equal_run_by_run_reference(participation, mc_runs):
     assert_lanes_match_reference(mc_runs, participation)
+
+
+def test_lanes_equal_run_by_run_reference_across_record_blocks():
+    # 151 and 141 trace rows: records held and written in blocks of 64.
+    assert engine._BLOCK == 64
+    assert_lanes_match_reference(2, "without-replacement", sgd_T=150, fed_rounds=35)
 
 
 def _faulty_downlinks(monkeypatch, faults):

@@ -537,6 +537,7 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 BATCHED_CHILD = r"""
+import numpy as np
 import test_engine, test_problems
 from deedsim.problems import make_linreg
 
@@ -553,11 +554,17 @@ test_problems.assert_batched_oracles_match(
     test_problems._gaussian_problem([3, 5, 1, 4], 4, 1e5, 9), 1e-5, 9
 )
 for n, d, scheme in ((10, 100, "uniform"), (5, 20, "uniform"), (8, 10, "without-replacement"),
-                     (8, 10, "with-replacement"), (3, 1, "full")):
-    for stage in (0.0, 1.0):
-        test_engine.assert_exchange_matches_per_node(n, d, scheme, stage, seed=n * d)
+                     (8, 10, "with-replacement"), (3, 1, "full"), (12, 1, "uniform")):
+    for lanes in test_engine.LANES:
+        for stage in (0.0, 1.0):
+            test_engine.assert_exchange_matches_per_node(n, d, scheme, stage, n * d, lanes)
+        test_engine.assert_weighted_sums_match(n, d, scheme, n * d, lanes)
+for lanes in test_engine.LANES:
+    test_engine.assert_norms_match(test_engine.AWKWARD_VECTOR, lanes)
+    test_engine.assert_norms_match(list(np.random.default_rng(lanes).normal(size=37)), lanes)
 for participation in ("full", "with-replacement", "without-replacement"):
     test_engine.assert_lanes_match_reference(3, participation)
+test_engine.assert_lanes_match_reference(2, "without-replacement", sgd_T=150, fed_rounds=35)
 print("ok")
 """
 

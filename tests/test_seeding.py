@@ -169,6 +169,35 @@ def test_runs_in_lane_order_keep_their_blocks(monkeypatch):
                        for run in runs for pair in pairs for index in (0, 1, 2)}
 
 
+def test_prefix_pools_derived_once_per_window(monkeypatch):
+    # With 64 or more runs taking turns, a 64-entry cache of prefix pools
+    # would miss on every request.  Each run's round block holds its
+    # prefix's pool, so a (run, window) derives it once, whatever the
+    # number of runs; the keys stay SeedSequence's.
+    derived = {}
+    window = [None]
+    real = seeding._pool
+
+    def spy(seed, labels):
+        if len(labels) == 1:  # a run's prefix, not the seed's own pool
+            derived[labels, window[0]] = derived.get((labels, window[0]), 0) + 1
+        return real(seed, labels)
+
+    monkeypatch.setattr(seeding, "_pool", spy)
+    monkeypatch.setattr(seeding, "_window", (None, {}))
+    seed, runs = 424243, range(100)
+    pairs = [(0, seeding.UPLINK), (1, seeding.UPLINK), (0, seeding.DOWNLINK)]  # N = 2
+    rounds = range(58, 72)  # across the edge of round blocks 0 and 1
+    for rnd in rounds:
+        window[0] = rnd // seeding._BLOCK
+        for run in runs:
+            for node, purpose in pairs:
+                labels = (run, rnd, node, purpose)
+                got = seeding.philox_key(seed, *labels)
+                assert np.array_equal(got, seed_sequence_key(seed, *labels)), labels
+    assert derived == {((run,), index): 1 for run in runs for index in (0, 1)}
+
+
 BLOCK_EDGE_ROUNDS = (0, 63, 64, 65, 2**32 - 64, 2**32 - 1)
 PREFIXES = ((), (0,), (5,), (1, 2**33, 7))
 

@@ -155,7 +155,7 @@ def _exchange(SP, v, participants, coefs, stage, budget, labels, float_bits):
     diffs = np.empty((K + 2, len(runs), d))  # K uplinks, the downlink, the error
     np.subtract(payloads[rows], S[rows], out=diffs[:K])
     decoded = np.empty((K, len(runs), d))
-    bits = [[] for _ in runs]  # each lane's uplink bits, then its downlink's
+    bits = [[] for _ in runs]  # each lane's uplink bits
     for lane, (bits_lane, r) in enumerate(zip(bits, runs)):
         decoded_lane = decoded[:, lane]
         for j, (i, diff) in enumerate(zip(participants, diffs[:K, lane])):
@@ -166,20 +166,22 @@ def _exchange(SP, v, participants, coefs, stage, budget, labels, float_bits):
 
     aggregate, gbar = _weighted_sums(SP, participants, coefs)
     down_diff = np.subtract(aggregate, v, out=diffs[K])
+    down_decoded, down_bits = decoded[0], []  # every uplink is applied: reuse a row
     for lane, r in enumerate(runs):
         umsg = quantize(down_diff[lane], spec, stream(seed, r, round_index, 0, DOWNLINK), float_bits)
-        v[lane] += umsg.decoded
-        bits[lane].append(umsg.bits)
+        down_decoded[lane] = umsg.decoded
+        down_bits.append(umsg.bits)
+    v += down_decoded
     np.subtract(v, gbar, out=diffs[K + 1])
-    # Each lane's norms as floats: the few per lane cost less in Python
-    # than in further numpy calls.
-    norms = _norm(diffs).T.tolist()
-    err = _assert_budget([lane[K + 1] for lane in norms], gbar, budget, labels)
+    norms = _norm(diffs)
+    err = _assert_budget(norms[K + 1].tolist(), gbar, budget, labels)
     # stage > 0 divides monotonically, so the largest norm gives the largest fraction.
-    max_fraction = [max(lane[: K + 1]) / stage if stage > 0.0 else 0.0 for lane in norms]
+    max_fraction = (
+        np.maximum.reduce(norms[: K + 1]) / stage if stage > 0.0 else np.zeros(len(runs))
+    )
     return (
-        [sum(b[:-1]) for b in bits], [b[-1] for b in bits], max_fraction,
-        [max(b) for b in bits], err,
+        [sum(b) for b in bits], down_bits, max_fraction,
+        [max(max(b), down) for b, down in zip(bits, down_bits)], err,
     )
 
 

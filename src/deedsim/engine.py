@@ -40,6 +40,7 @@ charge their actual quantized payloads, and the lossless baselines
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -99,6 +100,13 @@ def _weighted_sums(SP: np.ndarray, rows, coefs) -> np.ndarray:
     return np.add.reduce(terms, axis=0, initial=-0.0)
 
 
+@functools.lru_cache(maxsize=1)
+def _quant_spec(stage: float, d: int) -> QuantSpec:
+    """The ``QuantSpec`` of one encoding stage: a run at a fixed budget, and
+    the lanes of one ``deed-fed`` sync, ask for the same one again."""
+    return QuantSpec(max_error=stage, dim=d)
+
+
 def _rows(rows):
     """An index of the node ids ``rows``: a slice (a view, not a gather)
     for a range."""
@@ -148,7 +156,7 @@ def _exchange(SP, v, participants, coefs, stage, budget, labels, float_bits):
     """
     seed, runs, round_index = labels
     d = v.shape[-1]
-    spec = QuantSpec(max_error=stage, dim=d)
+    spec = _quant_spec(stage, d)
     rows = _rows(participants)
     K = len(participants)
     S, payloads = SP

@@ -82,11 +82,12 @@ _REL_SLACK = 1e-9
 _ABS_DUST = 1e-12
 
 
-def _weighted_sums(SP: np.ndarray, rows, coefs) -> np.ndarray:
+def _weighted_sums(SP: np.ndarray, rows, coefs, terms=None, out=None) -> np.ndarray:
     """``sum_j coefs[j] * SP[:, rows[j]]`` of a ``(2, N, R, d)`` array (the
     nodes' accumulators, then their payloads, a row per lane) as one
     ``(2, R, d)`` array, added node after node in the order of ``rows``
-    (ascending node ids).
+    (ascending node ids); ``terms`` (``(K, 2, R, d)``) and ``out`` are
+    optional scratch and result arrays.
 
     The products are laid out node-major, ``(K, 2, R, d)``, and
     ``add.reduce`` down that leading axis adds each node's whole
@@ -96,8 +97,10 @@ def _weighted_sums(SP: np.ndarray, rows, coefs) -> np.ndarray:
     a single axis; a BLAS product would round differently too.)
     """
     held = SP[:, _rows(rows)].swapaxes(0, 1)
-    terms = np.multiply(coefs[:, None, None, None], held, out=np.empty(held.shape))
-    return np.add.reduce(terms, axis=0, initial=-0.0)
+    if terms is None:
+        terms = np.empty(held.shape)
+    np.multiply(coefs[:, None, None, None], held, out=terms)
+    return np.add.reduce(terms, axis=0, initial=-0.0, out=out)
 
 
 @functools.lru_cache(maxsize=1)
@@ -130,10 +133,11 @@ def _initial_point(problem, w0) -> np.ndarray:
     return w0
 
 
-def _exchange(SP, v, participants, coefs, stage, budget, labels, float_bits):
-    """One difference-encoded uplink/aggregate/downlink exchange in every
-    lane, the one message path of every engine; updates the accumulators
-    ``SP[0]`` and ``v`` in place.
+class _Exchange:
+    """The difference-encoded uplink/aggregate/downlink exchange of a set
+    of lanes, the one message path of every engine.  A call runs one
+    round's exchange in every lane and updates the accumulators ``SP[0]``
+    and ``v`` in place.
 
     Lane ``l`` is one Monte Carlo run.  ``SP`` is ``(2, N, R, d)``:
     ``SP[0, i, l]`` is node ``i``'s accumulator and ``SP[1, i, l]`` its
@@ -149,48 +153,79 @@ def _exchange(SP, v, participants, coefs, stage, budget, labels, float_bits):
 
     The uplink differences, downlink difference and aggregate error of
     every lane are rows of one ``(K + 2, R, d)`` array, so one stacked call
-    takes all their norms, and one reduce gives both weighted sums.
+    takes all their norms, and one reduce gives both weighted sums.  The
+    scratch arrays and their views are made once, so a run that calls the
+    same ``_Exchange`` every round pays only for the arithmetic.
 
-    Returns one value per lane of each of (up_bits, down_payload_bits,
-    max fraction, max message bits, aggregate error).
+    A call returns one value per lane of each of (up_bits,
+    down_payload_bits, max fraction, max message bits, aggregate error).
     """
-    seed, runs, round_index = labels
-    d = v.shape[-1]
-    spec = _quant_spec(stage, d)
-    rows = _rows(participants)
-    K = len(participants)
-    S, payloads = SP
-    diffs = np.empty((K + 2, len(runs), d))  # K uplinks, the downlink, the error
-    np.subtract(payloads[rows], S[rows], out=diffs[:K])
-    decoded = np.empty((K, len(runs), d))
-    bits = [[] for _ in runs]  # each lane's uplink bits
-    for lane, (bits_lane, r) in enumerate(zip(bits, runs)):
-        decoded_lane = decoded[:, lane]
-        for j, (i, diff) in enumerate(zip(participants, diffs[:K, lane])):
-            msg = quantize(diff, spec, stream(seed, r, round_index, i, UPLINK), float_bits)
-            decoded_lane[j] = msg.decoded
-            bits_lane.append(msg.bits)
-    S[rows] += decoded
 
-    aggregate, gbar = _weighted_sums(SP, participants, coefs)
-    down_diff = np.subtract(aggregate, v, out=diffs[K])
-    down_decoded, down_bits = decoded[0], []  # every uplink is applied: reuse a row
-    for lane, r in enumerate(runs):
-        umsg = quantize(down_diff[lane], spec, stream(seed, r, round_index, 0, DOWNLINK), float_bits)
-        down_decoded[lane] = umsg.decoded
-        down_bits.append(umsg.bits)
-    v += down_decoded
-    np.subtract(v, gbar, out=diffs[K + 1])
-    norms = _norm(diffs)
-    err = _assert_budget(norms[K + 1].tolist(), gbar, budget, labels)
-    # stage > 0 divides monotonically, so the largest norm gives the largest fraction.
-    max_fraction = (
-        np.maximum.reduce(norms[: K + 1]) / stage if stage > 0.0 else np.zeros(len(runs))
-    )
-    return (
-        [sum(b) for b in bits], down_bits, max_fraction,
-        [max(max(b), down) for b, down in zip(bits, down_bits)], err,
-    )
+    def __init__(self, SP, v, participants, coefs) -> None:
+        R, d = v.shape
+        K = len(participants)
+        self.SP, self.v, self.participants, self.coefs = SP, v, participants, coefs
+        self.rows = _rows(participants)
+        self.S, self.payloads = SP
+        self.diffs = np.empty((K + 2, R, d))  # K uplinks, the downlink, the error
+        self.up, self.down, self.error = self.diffs[:K], self.diffs[K], self.diffs[K + 1]
+        self.decoded = np.empty((K, R, d))  # the uplinks' messages, then the downlink's
+        self.terms = np.empty((K, 2, R, d))
+        self.sums = np.empty((2, R, d))
+        self.aggregate, self.gbar = self.sums
+        # Each difference's norm as _norm takes it: one dot per vector.
+        self.rows_of_diffs = self.diffs[..., None, :], self.diffs[..., None]
+        self.dots = np.empty((K + 2, R, 1, 1))
+        self.norms = np.empty((K + 2, R))
+        self.squares, self.message_norms, self.error_norms = (
+            self.dots[..., 0, 0], self.norms[:-1], self.norms[-1],
+        )
+        self.uplinks = [
+            list(zip(participants, self.up[:, lane], self.decoded[:, lane])) for lane in range(R)
+        ]
+        self.downlinks = list(zip(self.down, self.decoded[0]))
+
+    def __call__(self, stage, budget, labels, float_bits):
+        seed, runs, round_index = labels
+        spec = _quant_spec(stage, self.v.shape[-1])
+        S, rows = self.S, self.rows
+        np.subtract(self.payloads[rows], S[rows], out=self.up)
+        bits = []  # each lane's uplink bits
+        for sends, r in zip(self.uplinks, runs):
+            lane_bits = []
+            for i, diff, decoded in sends:
+                msg = quantize(diff, spec, stream(seed, r, round_index, i, UPLINK), float_bits)
+                decoded[...] = msg.decoded
+                lane_bits.append(msg.bits)
+            bits.append(lane_bits)
+        S[rows] += self.decoded
+
+        _weighted_sums(self.SP, self.participants, self.coefs, self.terms, self.sums)
+        np.subtract(self.aggregate, self.v, out=self.down)
+        down_bits = []  # every uplink is applied, so decoded[0] takes the downlinks
+        for (diff, decoded), r in zip(self.downlinks, runs):
+            umsg = quantize(diff, spec, stream(seed, r, round_index, 0, DOWNLINK), float_bits)
+            decoded[...] = umsg.decoded
+            down_bits.append(umsg.bits)
+        self.v += self.decoded[0]
+        np.subtract(self.v, self.gbar, out=self.error)
+        np.matmul(*self.rows_of_diffs, out=self.dots)
+        np.sqrt(self.squares, out=self.norms)
+        err = _assert_budget(self.error_norms.tolist(), self.gbar, budget, labels)
+        # stage > 0 divides monotonically, so the largest norm gives the largest fraction.
+        max_fraction = (
+            np.maximum.reduce(self.message_norms) / stage if stage > 0.0 else np.zeros(len(runs))
+        )
+        return (
+            [sum(b) for b in bits], down_bits, max_fraction,
+            [max(max(b), down) for b, down in zip(bits, down_bits)], err,
+        )
+
+
+def _exchange(SP, v, participants, coefs, stage, budget, labels, float_bits):
+    """One ``_Exchange`` call on fresh scratch arrays: ``deed-fed``'s sync
+    of one lane, whose participants change from sync to sync."""
+    return _Exchange(SP, v, participants, coefs)(stage, budget, labels, float_bits)
 
 
 def _lane_grads(problem, seed, runs, round_index, nodes, Q):
@@ -443,18 +478,19 @@ def _frequent_run(
     coefs = np.full(n, 1.0 / n)
     w = y = np.tile(_initial_point(problem, w0), (runs, 1))  # y: lookahead points
     SP = np.zeros((2, n, runs, problem.d))
+    accumulators, payloads = SP
     v = np.zeros((runs, problem.d))
+    exchange = _Exchange(SP, v, nodes, coefs)
     log = _Lanes(problem, runs, T)
 
     log.record(0, w)
     for k in range(T):
         if not differential:
-            SP[0] = 0.0
+            accumulators.fill(0.0)
             v.fill(0.0)
-        SP[1] = grad_source(k, w if tau is None else y)
+        payloads[...] = grad_source(k, w if tau is None else y)
         total = budget_total(k)
-        exchange = _exchange(SP, v, nodes, coefs, total / 2.0, total, (seed, lanes, k), float_bits)
-        log.book(k, total, exchange)
+        log.book(k, total, exchange(total / 2.0, total, (seed, lanes, k), float_bits))
 
         if tau is None:
             w = w - eta * v

@@ -9,17 +9,18 @@ same decoded message to the same accumulator, so the replicas are
 bit-identical by construction and each quantity is held once.  The Monte
 Carlo runs of an engine advance together, round by round, one *lane*
 per run: each lane's iterate (or row of local weights per node) and
-broadcast are rows of ``(R, d)`` arrays (``(R, N, d)`` for local
-weights), and the worker accumulators are one ``(R, N, d)`` array.  The
-single-run engines are the case R = 1.  Every engine sends its messages
-through one ``_exchange``: each lane's uplinks of the round's
-participants, the center's weighted aggregate, the downlink, and the
-aggregate error chain assert (the broadcast lies within the round's
-total budget of the exact aggregate).  A lane draws from its own run's
-streams, and the streams are pure functions of their labels, so
-advancing the runs together changes no draw.  ``_Lanes.book`` records
-each exchange's bits, budget, largest error fraction, largest message
-and aggregate error on its trace row.
+broadcast are rows of ``(R, d)`` arrays (``(N, R, d)`` for local
+weights), and the nodes' accumulators and payloads are one
+``(2, N, R, d)`` array.  The single-run engines are the case R = 1, on
+the same path.  Every engine sends its messages through one
+``_Exchange``: each lane's uplinks of the round's participants, the
+center's weighted aggregate, the downlink, and the aggregate error chain
+assert (the broadcast lies within the round's total budget of the exact
+aggregate).  A lane draws from its own run's streams, and the streams
+are pure functions of their labels, so advancing the runs together
+changes no draw.  ``_Lanes.book`` records each exchange's bits, budget,
+largest error fraction, largest message and aggregate error on its trace
+row, and ``_Lanes.record`` the distance and loss gap of each iterate.
 
 Engines:
 
@@ -170,6 +171,7 @@ class _Exchange:
         self.diffs = np.empty((K + 2, R, d))  # K uplinks, the downlink, the error
         self.up, self.down, self.error = self.diffs[:K], self.diffs[K], self.diffs[K + 1]
         self.decoded = np.empty((K, R, d))  # the uplinks' messages, then the downlink's
+        self.down_decoded = self.decoded[0]
         self.terms = np.empty((K, 2, R, d))
         self.sums = np.empty((2, R, d))
         self.aggregate, self.gbar = self.sums
@@ -183,7 +185,7 @@ class _Exchange:
         self.uplinks = [
             list(zip(participants, self.up[:, lane], self.decoded[:, lane])) for lane in range(R)
         ]
-        self.downlinks = list(zip(self.down, self.decoded[0]))
+        self.downlinks = list(zip(self.down, self.down_decoded))
 
     def __call__(self, stage, budget, labels, float_bits):
         seed, runs, round_index = labels
@@ -202,12 +204,12 @@ class _Exchange:
 
         _weighted_sums(self.SP, self.participants, self.coefs, self.terms, self.sums)
         np.subtract(self.aggregate, self.v, out=self.down)
-        down_bits = []  # every uplink is applied, so decoded[0] takes the downlinks
+        down_bits = []  # every uplink is applied, so down_decoded is free
         for (diff, decoded), r in zip(self.downlinks, runs):
             umsg = quantize(diff, spec, stream(seed, r, round_index, 0, DOWNLINK), float_bits)
             decoded[...] = umsg.decoded
             down_bits.append(umsg.bits)
-        self.v += self.decoded[0]
+        self.v += self.down_decoded
         np.subtract(self.v, self.gbar, out=self.error)
         np.matmul(*self.rows_of_diffs, out=self.dots)
         np.sqrt(self.squares, out=self.norms)
@@ -220,12 +222,6 @@ class _Exchange:
             [sum(b) for b in bits], down_bits, max_fraction,
             [max(max(b), down) for b, down in zip(bits, down_bits)], err,
         )
-
-
-def _exchange(SP, v, participants, coefs, stage, budget, labels, float_bits):
-    """One ``_Exchange`` call on fresh scratch arrays: ``deed-fed``'s sync
-    of one lane, whose participants change from sync to sync."""
-    return _Exchange(SP, v, participants, coefs)(stage, budget, labels, float_bits)
 
 
 def _lane_grads(problem, seed, runs, round_index, nodes, Q):
@@ -270,7 +266,7 @@ class _Lanes:
         self._points = np.empty((min(_BLOCK, T + 1), runs, problem.d))
 
     def book(self, row: int, total: float, exchange) -> None:
-        """Book an ``_exchange`` result of every lane and its total budget
+        """Book an ``_Exchange`` result of every lane and its total budget
         on ``row``; the broadcast is charged once per node."""
         up, down, frac, mbits, err = exchange
         self.bits[row] = (up, [self.problem.N * b for b in down], mbits)
@@ -863,10 +859,8 @@ def run_deed_fed(
                 participants, coefs = _participants(participation, K, p, (seed, r, k))
                 budget = stage * (1.0 + float(np.sum(coefs)))
                 lane = slice(r, r + 1)
-                syncs.append(_exchange(
-                    SP[:, :, lane], v[lane], participants, coefs, stage, budget,
-                    (seed, (r,), k), float_bits,
-                ))
+                exchange = _Exchange(SP[:, :, lane], v[lane], participants, coefs)
+                syncs.append(exchange(stage, budget, (seed, (r,), k), float_bits))
             # Each result holds one value per statistic; join them lane by lane.
             log.book(k, total, [[x for one in stat for x in one] for stat in zip(*syncs)])
             W[:] = v

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from deedsim import engine
 from deedsim.engine import (
     PARTICIPATION_SCHEMES,
-    _exchange,
+    _Exchange,
     _norm,
     _participants,
     _weighted_sums,
@@ -728,7 +728,7 @@ def test_norm_equals_numpy_norm_on_awkward_values():
 
 
 def _exchange_per_node(S, v, payloads, participants, coefs, stage, budget, labels, float_bits):
-    """One run's ``_exchange`` with its uplinks sent one at a time: each
+    """One run's ``_Exchange`` call with its uplinks sent one at a time: each
     participant's difference, message, accumulator update, bits and error
     fraction, on ``(N, d)`` accumulators and a ``(d,)`` broadcast."""
     seed, run_index, round_index = labels
@@ -754,7 +754,7 @@ def _exchange_per_node(S, v, payloads, participants, coefs, stage, budget, label
 
 
 def assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes=2):
-    """One ``_exchange`` over ``lanes`` runs leaves the same accumulators
+    """One ``_Exchange`` call over ``lanes`` runs leaves the same accumulators
     and broadcasts, and books the same bits, fraction, largest message and
     error in each lane, as the per-node loop run by run, for ``range``
     (uniform, full) and list participants."""
@@ -775,7 +775,7 @@ def assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes=2):
     stage *= scale * math.sqrt(d)
 
     SP, v = _held(S0, payloads), v0.copy()
-    out = _exchange(SP, v, participants, coefs, stage, math.inf, (seed, runs, 3), 32)
+    out = _Exchange(SP, v, participants, coefs)(stage, math.inf, (seed, runs, 3), 32)
     assert SP[1].tobytes() == _held(S0, payloads)[1].tobytes()  # payloads untouched
     got = [(SP[0, :, lane].tobytes(), v[lane].tobytes(),
             repr(tuple(np.asarray(x)[lane].item() for x in out)))

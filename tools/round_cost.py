@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import inspect
 import os
 import statistics
 import subprocess
@@ -108,19 +107,20 @@ def cases(engine, make_linreg, rounds: int) -> dict:
     budget = stage * (1.0 + float(np.sum(coefs)))
     v = np.zeros((1, fed.d))
     W = np.random.default_rng(1).standard_normal((fed.N, 1, fed.d))
-    if "payloads" in inspect.signature(engine._exchange).parameters:
-        # Lane-major accumulators and payloads, (R, N, d) each.
-        S, W = np.zeros((1, fed.N, fed.d)), W.swapaxes(0, 1).copy()
-        held = (S[0:1], v[0:1], W[0:1])
-    else:
-        # One (2, N, R, d) array: the accumulators, then the payloads.
+    if hasattr(engine, "_Exchange"):
+        # One (2, N, R, d) array, the accumulators then the payloads; each
+        # sync makes its exchange afresh, as run_deed_fed does.
         SP = np.zeros((2, fed.N, 1, fed.d))
         SP[1] = W
-        held = (SP[:, :, 0:1], v[0:1])
+        sync = lambda *args: engine._Exchange(SP, v, participants, coefs)(*args)
+    else:
+        # Lane-major accumulators and payloads, (R, N, d) each.
+        S, W = np.zeros((1, fed.N, fed.d)), W.swapaxes(0, 1).copy()
+        sync = lambda *args: engine._exchange(S, v, W, participants, coefs, *args)
 
     def fed_sync():
         for k in range(rounds):
-            engine._exchange(*held, participants, coefs, stage, budget, (1, (0,), k), 32)
+            sync(stage, budget, (1, (0,), k), 32)
 
     out["sgd-mc N=5 d=20 R=30"] = sgd_mc
     out["fed-sync N=8 d=10 K=4"] = fed_sync

@@ -14,7 +14,8 @@ gradient oracle.  Three cases, each on its perfbench workload's problem:
   d = 100, one lane (R = 1);
 - ``sgd-mc``: ``_frequent_run`` as ``run_deed_sgd`` calls it, N = 5,
   d = 20, R = 30 lanes of single-row gradients;
-- ``fed-sync``: one ``deed-fed`` sync, ``_exchange`` on one lane's views,
+- ``fed-sync``: one lane's ``deed-fed`` sync as ``run_deed_fed`` makes
+  it (an ``_Exchange`` made afresh; ``_exchange`` in trees before it),
   N = 8, d = 10, K = 4 participants.
 
 Each tree (a git ref, extracted with ``git archive``, or ``.`` for the

@@ -4,15 +4,17 @@ A config is a YAML mapping with blocks ``algorithm``, ``problem``,
 ``quant``, ``fed``, ``run`` and ``output``.  Parsing is strict: unknown
 keys and non-finite numbers are rejected, every violation is reported
 (first all those of the config's shape, then all those of its values),
-and the named inequality appears verbatim in the message.  Value checks run on the constructed
-problem and are the engines' own (``engine.param_violations``,
-``margin_violations`` and ``fed_violations``): the same code and
-messages at parse time as at run time.  Each algorithm's horizon key,
-required ``quant`` and ``fed`` keys, stepsize rule and engine call are
-in its ``ALGORITHMS`` entry, and a key no entry reads is rejected: a
-``fed`` block outside ``deed-fed``, ``run.eta`` where the engine fixes
-the stepsize, ``run.mc_runs`` outside ``deed-sgd`` and ``deed-fed``, and
-a ``quant`` key the algorithm does not read.  A config that parses
+and the named inequality appears verbatim in the message.  Value checks
+run on the constructed problem and are the engines' own
+(``engine.param_violations``, ``margin_violations``, ``fed_violations``
+and ``w0``'s dimension check): the same code and messages at parse time
+as at run time, so each run parameter is checked once, in the engine,
+as is the default stepsize.  Each algorithm's horizon key, required
+``quant`` and ``fed`` keys, stepsize rule and engine call are in its
+``ALGORITHMS`` entry, and a key no entry reads is rejected: a ``fed``
+block outside ``deed-fed``, ``run.eta`` where the engine fixes the
+stepsize, ``run.mc_runs`` outside ``deed-sgd`` and ``deed-fed``, and a
+``quant`` key the algorithm does not read.  A config that parses
 meets every engine precondition and, for ``deed-gd``, ``a-deed-gd`` and
 ``deed-sgd``, the contraction margin, so the engine checks its envelope.
 
@@ -27,8 +29,9 @@ omitted but not set to null):
       noise_scale: float (0.0)               l_spread: float (1.0)
       weights: [floats] (uniform)
     quant:
-      s: float            c_prime: float     float_bits: int >= 1 (32)
-      fixed_eps: float    # each read by the algorithms that require it
+      s: float            c_prime: float     fixed_eps: float
+      # each read by the algorithms that require it; a lossless message
+      # (zero budget) is charged 32 bits per coordinate
     fed:                # deed-fed only
       local_steps: int    beta: float        gamma: float
       participation: full | with-replacement | without-replacement (full)
@@ -54,7 +57,7 @@ from typing import Callable
 import numpy as np
 
 from . import engine
-from .errors import ConfigError, DeedsimError
+from .errors import ConfigError, DeedsimError, InvalidInputError
 from .problems import QuadraticProblem, estimate_rho, make_linreg
 
 __all__ = ["Algorithm", "RunConfig", "parse_config", "parse_config_file", "ALGORITHMS"]
@@ -124,7 +127,6 @@ _SCHEMA = {
     "quant": {
         "s": ((int, float), None),
         "c_prime": ((int, float), None),
-        "float_bits": (int, 32),
         "fixed_eps": ((int, float), None),
     },
     "fed": {
@@ -293,35 +295,31 @@ def parse_config(text: str) -> RunConfig:
     if "mc_runs" in raws["run"] and not spec.mc_runs:
         violations.append(f"{algorithm} does not read run.mc_runs; "
                           "only deed-sgd and deed-fed take Monte Carlo runs")
-    elif rn["mc_runs"] < 1:
-        violations.append("run.mc_runs must be >= 1")
     for key in ("s", "c_prime", "fixed_eps"):
         if key in raws["quant"] and key not in spec.quant + spec.unread:
             violations.append(f"{algorithm} does not read quant.{key}")
-    if rn["master_seed"] < 0:
-        violations.append(f"run.master_seed must be >= 0 (master_seed = {rn['master_seed']})")
-    if qt["float_bits"] < 1:
-        violations.append(f"requires float_bits >= 1 (float_bits = {qt['float_bits']!r})")
-    w0 = rn["w0"]
-    if w0 is not None and len(w0) != problem.d:
-        violations.append(f"run.w0 must have length d = {problem.d}")
-        w0 = None
+    try:
+        w0 = engine._initial_point(problem, rn["w0"])
+    except InvalidInputError as exc:
+        violations.append(str(exc))
+        w0 = None  # the other checks take the default, as for no w0
 
     T = rn[spec.horizon]
     eta = rho = None
     found = []  # the algorithm's own preconditions
     if spec.stepsize == "config":
-        eta = 2.0 / (problem.L + problem.mu) if rn["eta"] is None else float(rn["eta"])
+        eta = engine._default_eta(problem) if rn["eta"] is None else float(rn["eta"])
     elif rn["eta"] is not None:
         found.append(f"{algorithm} fixes eta = {spec.stepsize}; run.eta is not accepted")
+    run = {"mc_runs": rn["mc_runs"] if spec.mc_runs else None, "seed": rn["master_seed"]}
     if spec.fed:
         found += engine.fed_violations(
             problem, fd["local_steps"], fd["beta"], fd["gamma"], qt["s"], T,
-            fd["participation"], fd["k_participants"], fd["trajectory_radius"], w0,
+            fd["participation"], fd["k_participants"], fd["trajectory_radius"], w0, **run,
         )
     else:
         found += engine.param_violations(
-            problem, T, eta=eta, **{key: qt[key] for key in spec.quant}
+            problem, T, eta=eta, **run, **{key: qt[key] for key in spec.quant}
         )
     if spec.stepsize == "1/(rho L)":
         if problem.interpolating:

@@ -30,13 +30,18 @@ Engines:
 * ``run_deed_fed``      -- E local steps per round, weight-difference
                            encoding with budget s eta_k / 2
 * ``run_exact_gd`` / ``run_exact_agd``  -- lossless baselines (same loop,
-                           zero budget), charged float_bits * d per message
+                           zero budget), charged 32 bits per coordinate
 * ``run_const_error_gd``-- double-encodes raw gradients at a fixed budget
 
 Bit accounting: uplink counts every worker payload; the broadcast is
 charged once per receiving worker.  The double-encoded algorithms
-charge their actual quantized payloads, and the lossless baselines
-``float_bits * d`` per message.
+charge their actual quantized payloads, and a lossless message (zero
+budget) is priced by ``quantize``'s default float width,
+``DEFAULT_FLOAT_BITS * d`` = 32 bits per coordinate.
+
+Each run parameter is defaulted and checked here, once (``_default_eta``,
+``_initial_point`` and the ``*_violations`` functions);
+``config.parse_config`` reports the same messages.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ import numpy as np
 
 from .errors import BoundViolationError, ConfigError, InvalidInputError
 from .problems import _MAX_RADIUS, QuadraticProblem, estimate_fed_constants, estimate_rho
-from .quantizer import DEFAULT_FLOAT_BITS, QuantSpec, quantize
+from .quantizer import QuantSpec, quantize
 from .seeding import DOWNLINK, PARTICIPATION, ROW_SAMPLE, UPLINK, stream
 from .theory import (
     AcceleratedConstants,
@@ -187,7 +192,7 @@ class _Exchange:
         ]
         self.downlinks = list(zip(self.down, self.down_decoded))
 
-    def __call__(self, stage, budget, labels, float_bits):
+    def __call__(self, stage, budget, labels):
         seed, runs, round_index = labels
         spec = _quant_spec(stage, self.v.shape[-1])
         S, rows = self.S, self.rows
@@ -196,7 +201,7 @@ class _Exchange:
         for sends, r in zip(self.uplinks, runs):
             lane_bits = []
             for i, diff, decoded in sends:
-                msg = quantize(diff, spec, stream(seed, r, round_index, i, UPLINK), float_bits)
+                msg = quantize(diff, spec, stream(seed, r, round_index, i, UPLINK))
                 decoded[...] = msg.decoded
                 lane_bits.append(msg.bits)
             bits.append(lane_bits)
@@ -206,7 +211,7 @@ class _Exchange:
         np.subtract(self.aggregate, self.v, out=self.down)
         down_bits = []  # every uplink is applied, so down_decoded is free
         for (diff, decoded), r in zip(self.downlinks, runs):
-            umsg = quantize(diff, spec, stream(seed, r, round_index, 0, DOWNLINK), float_bits)
+            umsg = quantize(diff, spec, stream(seed, r, round_index, 0, DOWNLINK))
             decoded[...] = umsg.decoded
             down_bits.append(umsg.bits)
         self.v += self.down_decoded
@@ -332,15 +337,23 @@ def _require(violations: list[str]) -> None:
         raise ConfigError(violations)
 
 
-def param_violations(problem, T, *, eta=None, c_prime=None, s=None, fixed_eps=None) -> list[str]:
-    """Horizon, stepsize, margin-range, budget-scale and fixed-budget
-    preconditions shared by the engines; a check whose argument is None
-    is skipped."""
+def _default_eta(problem) -> float:
+    """The stepsize ``2/(L+mu)``: the default of the engines that take
+    one, and the largest that ``param_violations`` accepts."""
+    return 2.0 / (problem.L + problem.mu)
+
+
+def param_violations(
+    problem, T, *, eta=None, c_prime=None, s=None, fixed_eps=None, mc_runs=None, seed=None
+) -> list[str]:
+    """Horizon, stepsize, margin-range, budget-scale, fixed-budget, Monte
+    Carlo run count and seed preconditions shared by the engines; a check
+    whose argument is None is skipped."""
     violations = []
     if T < 0:
         violations.append(f"requires T >= 0 (T = {T!r})")
     if eta is not None:
-        limit = 2.0 / (problem.L + problem.mu)
+        limit = _default_eta(problem)
         if not 0.0 < eta <= limit * (1.0 + 1e-12):
             violations.append(
                 f"requires 0 < eta <= 2/(L+mu) (eta = {eta!r}, 2/(L+mu) = {limit!r})"
@@ -351,6 +364,10 @@ def param_violations(problem, T, *, eta=None, c_prime=None, s=None, fixed_eps=No
         violations.append(f"requires s >= 0 (s = {s!r})")
     if fixed_eps is not None and not fixed_eps > 0.0:
         violations.append(f"requires fixed_eps > 0 (fixed_eps = {fixed_eps!r})")
+    if mc_runs is not None and mc_runs < 1:
+        violations.append(f"requires mc_runs >= 1 (mc_runs = {mc_runs!r})")
+    if seed is not None and seed < 0:
+        violations.append(f"requires seed >= 0 (seed = {seed!r})")
     return violations
 
 
@@ -447,7 +464,6 @@ def _frequent_run(
     tau: float | None,
     T: int,
     seed: int,
-    float_bits: int,
     w0,
     budget_total,  # callable round -> total v-vs-mean budget
     runs: int = 1,
@@ -486,7 +502,7 @@ def _frequent_run(
             v.fill(0.0)
         payloads[...] = grad_source(k, w if tau is None else y)
         total = budget_total(k)
-        log.book(k, total, exchange(total / 2.0, total, (seed, lanes, k), float_bits))
+        log.book(k, total, exchange(total / 2.0, total, (seed, lanes, k)))
 
         if tau is None:
             w = w - eta * v
@@ -494,7 +510,7 @@ def _frequent_run(
             x_prev, w = w, y - eta * v
             y = w + tau * (w - x_prev)
         log.record(k + 1, w)
-    extras = {"float_bits": float_bits, "eta": eta, "seed": seed}
+    extras = {"eta": eta, "seed": seed}
     return log.traces(algorithm, lambda r: {**extras, "run_index": r})
 
 
@@ -502,7 +518,7 @@ def _contraction_run(algorithm, problem, eta, tau, c_prime, s, T, **run):
     """Body of ``run_deed_gd`` (``tau`` None) and ``run_adeed_gd``:
     preconditions, the run at budget ``s c'^{k+1}``, and the row-by-row
     envelope check exactly when the contraction margin holds."""
-    _require(param_violations(problem, T, eta=eta, c_prime=c_prime, s=s))
+    _require(param_violations(problem, T, eta=eta, c_prime=c_prime, s=s, seed=run["seed"]))
     check = not margin_violations(algorithm, problem, c_prime, eta=eta)
 
     [trace] = _frequent_run(
@@ -535,7 +551,6 @@ def run_deed_gd(
     T: int,
     *,
     seed: int = 0,
-    float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
 ) -> RunTrace:
     """Difference-encoded gradient descent with geometric error budgets.
@@ -550,10 +565,8 @@ def run_deed_gd(
     With ``s = 0`` the run coincides bit-for-bit with ``run_exact_gd``.
     """
     if eta is None:
-        eta = 2.0 / (problem.L + problem.mu)
-    return _contraction_run(
-        "deed-gd", problem, eta, None, c_prime, s, T, seed=seed, float_bits=float_bits, w0=w0,
-    )
+        eta = _default_eta(problem)
+    return _contraction_run("deed-gd", problem, eta, None, c_prime, s, T, seed=seed, w0=w0)
 
 
 def run_adeed_gd(
@@ -563,7 +576,6 @@ def run_adeed_gd(
     T: int,
     *,
     seed: int = 0,
-    float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
 ) -> RunTrace:
     """Momentum variant: gradients taken at the lookahead point.
@@ -576,7 +588,7 @@ def run_adeed_gd(
     """
     return _contraction_run(
         "a-deed-gd", problem, 1.0 / problem.L, _momentum(problem), c_prime, s, T,
-        seed=seed, float_bits=float_bits, w0=w0,
+        seed=seed, w0=w0,
     )
 
 
@@ -586,18 +598,17 @@ def run_exact_gd(
     T: int,
     *,
     seed: int = 0,
-    float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
 ) -> RunTrace:
     """Lossless gradient descent over the same wire protocol.
 
-    Messages are transmitted verbatim and charged ``float_bits * d`` per
-    link and direction: N uplinks, and the broadcast once per receiving
-    worker.
+    Messages are transmitted verbatim and charged 32 bits per coordinate
+    per link and direction: N uplinks, and the broadcast once per
+    receiving worker.
     """
     if eta is None:
-        eta = 2.0 / (problem.L + problem.mu)
-    return _lossless_run("gd", problem, eta, None, T, seed=seed, float_bits=float_bits, w0=w0)
+        eta = _default_eta(problem)
+    return _lossless_run("gd", problem, eta, None, T, seed=seed, w0=w0)
 
 
 def run_exact_agd(
@@ -605,20 +616,16 @@ def run_exact_agd(
     T: int,
     *,
     seed: int = 0,
-    float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
 ) -> RunTrace:
     """Lossless momentum baseline (eta = 1/L, standard strongly-convex tau)."""
-    return _lossless_run(
-        "agd", problem, 1.0 / problem.L, _momentum(problem), T, seed=seed,
-        float_bits=float_bits, w0=w0,
-    )
+    return _lossless_run("agd", problem, 1.0 / problem.L, _momentum(problem), T, seed=seed, w0=w0)
 
 
 def _lossless_run(algorithm, problem, eta, tau, T, **run):
     """Body of ``run_exact_gd`` (``tau`` None) and ``run_exact_agd``: the
     shared loop at zero budget."""
-    _require(param_violations(problem, T, eta=eta))
+    _require(param_violations(problem, T, eta=eta, seed=run["seed"]))
     [trace] = _frequent_run(
         problem, algorithm=algorithm, eta=eta, tau=tau, T=T, budget_total=lambda k: 0.0, **run
     )
@@ -632,7 +639,6 @@ def run_const_error_gd(
     fixed_eps: float,
     *,
     seed: int = 0,
-    float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
 ) -> RunTrace:
     """Double-encoded gradient descent at a *fixed* absolute budget.
@@ -643,8 +649,8 @@ def run_const_error_gd(
     proportional to ``eta * fixed_eps`` instead of converging.
     """
     if eta is None:
-        eta = 2.0 / (problem.L + problem.mu)
-    _require(param_violations(problem, T, eta=eta, fixed_eps=fixed_eps))
+        eta = _default_eta(problem)
+    _require(param_violations(problem, T, eta=eta, fixed_eps=fixed_eps, seed=seed))
     [trace] = _frequent_run(
         problem,
         algorithm="const-quant-gd",
@@ -652,7 +658,6 @@ def run_const_error_gd(
         tau=None,
         T=T,
         seed=seed,
-        float_bits=float_bits,
         w0=w0,
         budget_total=lambda k: fixed_eps,
         differential=False,
@@ -671,7 +676,6 @@ def run_deed_sgd(
     seed: int = 0,
     mc_runs: int = 1,
     rho: float | None = None,
-    float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
 ) -> list[RunTrace]:
     """Stochastic engine under the interpolation growth condition.
@@ -693,7 +697,7 @@ def run_deed_sgd(
     c = contraction_factor("deed-sgd", problem, rho=rho)
     _require(
         margin_violations("deed-sgd", problem, c_prime, rho=rho)
-        + param_violations(problem, T, s=s)
+        + param_violations(problem, T, s=s, mc_runs=mc_runs, seed=seed)
     )
 
     nodes, lanes = range(problem.N), range(mc_runs)
@@ -706,7 +710,6 @@ def run_deed_sgd(
         T=T,
         seed=seed,
         runs=mc_runs,
-        float_bits=float_bits,
         w0=w0,
         budget_total=lambda k: math.sqrt(s * c_prime ** (k + 1)),
     )
@@ -727,12 +730,13 @@ def fed_radius(problem, w0, trajectory_radius) -> float:
 
 
 def fed_violations(
-    problem, E, beta, gamma, s, T_rounds, participation, K, trajectory_radius, w0=None
+    problem, E, beta, gamma, s, T_rounds, participation, K, trajectory_radius, w0=None,
+    *, mc_runs=None, seed=None,
 ) -> list[str]:
     """Every precondition of ``run_deed_fed``: horizon, budget scale,
-    participation and ``K``, certification radius (by default
-    ``2 |w0 - w*|``), and stepsize schedule."""
-    violations = param_violations(problem, T_rounds, s=s)
+    Monte Carlo run count, seed, participation and ``K``, certification
+    radius (by default ``2 |w0 - w*|``), and stepsize schedule."""
+    violations = param_violations(problem, T_rounds, s=s, mc_runs=mc_runs, seed=seed)
     if participation not in PARTICIPATION_SCHEMES:
         violations.append(f"unknown participation scheme {participation!r}")
     elif participation == "full":
@@ -799,7 +803,6 @@ def run_deed_fed(
     seed: int = 0,
     mc_runs: int = 1,
     trajectory_radius: float | None = None,
-    float_bits: int = DEFAULT_FLOAT_BITS,
     w0: np.ndarray | None = None,
 ) -> list[RunTrace]:
     """Infrequent communication: E local stochastic steps between syncs.
@@ -827,7 +830,8 @@ def run_deed_fed(
     w0 = _initial_point(problem, w0)
     _require(
         fed_violations(
-            problem, E, beta, gamma, s, T_rounds, participation, K, trajectory_radius, w0
+            problem, E, beta, gamma, s, T_rounds, participation, K, trajectory_radius, w0,
+            mc_runs=mc_runs, seed=seed,
         )
     )
     T_total = T_rounds * E
@@ -860,7 +864,7 @@ def run_deed_fed(
                 budget = stage * (1.0 + float(np.sum(coefs)))
                 lane = slice(r, r + 1)
                 exchange = _Exchange(SP[:, :, lane], v[lane], participants, coefs)
-                syncs.append(exchange(stage, budget, (seed, (r,), k), float_bits))
+                syncs.append(exchange(stage, budget, (seed, (r,), k)))
             # Each result holds one value per statistic; join them lane by lane.
             log.book(k, total, [[x for one in stat for x in one] for stat in zip(*syncs)])
             W[:] = v

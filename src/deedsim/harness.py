@@ -94,9 +94,7 @@ def execute(cfg: RunConfig) -> RunResult:
     rn = cfg.run
     violation = None
     try:
-        out = cfg.spec.run(
-            cfg, seed=rn["master_seed"], float_bits=cfg.quant["float_bits"], w0=rn["w0"]
-        )
+        out = cfg.spec.run(cfg, seed=rn["master_seed"], w0=rn["w0"])
     except BoundViolationError as exc:
         # An envelope violation arrives with the finished traces; a
         # violation raised mid-run (the aggregate error budget) carries none.

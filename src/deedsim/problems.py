@@ -68,7 +68,7 @@ class QuadraticProblem:
     kappa: float
     w_star: np.ndarray = field(repr=False)
     f_star: float
-    hess: np.ndarray = field(repr=False, default=None)
+    hess: np.ndarray = field(repr=False)  # the weighted sum of the node Hessians
     # The blocks stacked, (N, m, d) and (N, m), when every node has m
     # rows (A[i] and b[i] are their views); None for ragged nodes.
     A_stack: np.ndarray | None = field(repr=False, default=None)
@@ -91,10 +91,7 @@ class QuadraticProblem:
         return Ai.T @ Ai / Ai.shape[0]
 
     def hessian(self) -> np.ndarray:
-        H = np.zeros((self.d, self.d))
-        for i in range(self.N):
-            H += self.weights[i] * self.node_hessian(i)
-        return H
+        return self.hess
 
     def f_node(self, i: int, w: np.ndarray) -> float:
         r = self.A[i] @ w - self.b[i]
@@ -308,12 +305,11 @@ def _assemble(A, b, weights, interpolating, exact_w_star) -> QuadraticProblem:
         if p.shape != (N,) or np.any(p < 0) or abs(p.sum() - 1.0) > 1e-12:
             raise InvalidInputError("weights must be a length-N simplex vector")
 
-    L_i = np.array(
-        [float(np.linalg.eigvalsh(Ai.T @ Ai / Ai.shape[0])[-1]) for Ai in A]
-    )
+    node_hess = [Ai.T @ Ai / Ai.shape[0] for Ai in A]  # each formed once
+    L_i = np.array([float(np.linalg.eigvalsh(Hi)[-1]) for Hi in node_hess])
     H = np.zeros((d, d))
-    for i in range(N):
-        H += p[i] * (A[i].T @ A[i] / A[i].shape[0])
+    for pi, Hi in zip(p, node_hess):
+        H += pi * Hi
     eigs = np.linalg.eigvalsh(H)
     mu = float(eigs[0])
     if mu <= 0:

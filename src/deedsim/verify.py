@@ -327,7 +327,7 @@ def _c8_rate_separation(cache: _Cache) -> tuple[bool, str]:
             seed=777, d=50, N=4, target_kappa=kap, rows_per_node=50,
             interpolating=False, w_star_scale=10.0, noise_scale=1.0,
         )
-        c = 1.0 - (2.0 / (prob.L + prob.mu)) * prob.mu
+        c = 1.0 - engine._default_eta(prob) * prob.mu
         tr = engine.run_deed_gd(prob, None, (1 + c) / 2, 1e-3, horizons_gd[kap], seed=2)
         hit = np.nonzero(tr.fgap <= 1e-8)[0]
         if not len(hit):

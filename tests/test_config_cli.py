@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from deedsim.cli import main
 from deedsim.config import parse_config
-from deedsim.errors import ConfigError
+from deedsim.errors import ConfigError, InvalidInputError
 from deedsim.harness import cmd_compare, cmd_run
 
 MINIMAL = """
@@ -314,11 +314,56 @@ def test_nonfinite_or_nonnumeric_values_named_at_parse(text, message):
     ids=["gd", "deed-gd-lossless", "deed-gd"],
 )
 def test_nonpositive_float_bits_rejected(text):
-    # A non-positive float width would price lossless messages at zero or
-    # negative bits.
+    # The float width is no knob: a lossless message is charged 32 bits per
+    # coordinate, so float_bits is an unknown key, whatever its value.
     with pytest.raises(ConfigError) as err:
         parse_config(text)
-    assert any(v.startswith("requires float_bits >= 1") for v in err.value.violations)
+    assert err.value.violations == ["unknown key quant.float_bits"]
+
+
+def test_float_bits_key_unknown():
+    with pytest.raises(ConfigError) as err:
+        parse_config(MINIMAL.replace("s: 0.1", "s: 0.1, float_bits: 64"))
+    assert err.value.violations == ["unknown key quant.float_bits"]
+
+
+def _engine_error(text, key, value):
+    """The message the engine raises for the parsed config ``text`` with
+    its run block's ``key`` set to ``value``, run through the config's
+    own dispatch."""
+    cfg = parse_config(text)
+    cfg.run[key] = value
+    with pytest.raises((ConfigError, InvalidInputError)) as err:
+        cfg.spec.run(cfg, seed=cfg.run["master_seed"], w0=cfg.run["w0"])
+    return str(err.value)
+
+
+@pytest.mark.parametrize(
+    ("text", "key", "value", "message"),
+    [
+        (SGD_CFG, "mc_runs", 0, "requires mc_runs >= 1 (mc_runs = 0)"),
+        (SGD_CFG, "mc_runs", -1, "requires mc_runs >= 1 (mc_runs = -1)"),
+        (SGD_CFG, "master_seed", -1, "requires seed >= 0 (seed = -1)"),
+        (FED_VALID, "mc_runs", 0, "requires mc_runs >= 1 (mc_runs = 0)"),
+        (FED_VALID, "master_seed", -1, "requires seed >= 0 (seed = -1)"),
+        (MINIMAL, "master_seed", -1, "requires seed >= 0 (seed = -1)"),
+        (MINIMAL, "w0", [1, 2, 3], "w0 must have dim 10 (got shape (3,))"),
+        (FED_VALID, "w0", [1.0] * 7, "w0 must have dim 6 (got shape (7,))"),
+    ],
+    ids=["sgd-mc_runs-0", "sgd-mc_runs-negative", "sgd-seed", "fed-mc_runs-0", "fed-seed",
+         "gd-seed", "gd-w0", "fed-w0"],
+)
+def test_run_parameter_checked_once_by_the_engine(text, key, value, message):
+    # The parser reports the engine's own message, once, and nothing else:
+    # a w0 of the wrong length leaves deed-fed's default radius to 2 |w*|.
+    assert _engine_error(text, key, value) == message
+    import yaml
+
+    data = yaml.safe_load(text)
+    data["run"][key] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(yaml.safe_dump(data))
+    assert err.value.violations == [message]
 
 
 @pytest.mark.parametrize(
@@ -326,7 +371,7 @@ def test_nonpositive_float_bits_rejected(text):
     [
         ("mc_runs: 3", "mc_runs: null", "run.mc_runs must not be null"),
         ("master_seed: 5", "master_seed: null", "run.master_seed must not be null"),
-        ("master_seed: 5", "master_seed: -1", "run.master_seed must be >= 0 (master_seed = -1)"),
+        ("master_seed: 5", "master_seed: -1", "requires seed >= 0 (seed = -1)"),
         ("interpolating: true", "interpolating: true, l_spread: null",
          "problem.l_spread must not be null"),
         ("interpolating: true", "interpolating: null", "problem.interpolating must not be null"),

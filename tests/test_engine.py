@@ -308,6 +308,35 @@ def test_negative_horizon_named(small_problem, interp_problem, fed_problem):
             run()
 
 
+def test_negative_seed_named(small_problem, interp_problem, fed_problem):
+    # Each engine used to fail inside seeding, with a bare ValueError.
+    beta, gamma = _fed_params(fed_problem)
+    runs = [
+        lambda: run_deed_gd(small_problem, None, 0.9, 0.1, 5, seed=-1),
+        lambda: run_adeed_gd(small_problem, 0.97, 0.1, 5, seed=-1),
+        lambda: run_exact_gd(small_problem, None, 5, seed=-1),
+        lambda: run_exact_agd(small_problem, 5, seed=-1),
+        lambda: run_const_error_gd(small_problem, None, 5, 1.0, seed=-1),
+        lambda: run_deed_sgd(interp_problem, 0.999, 1.0, 5, seed=-1),
+        lambda: run_deed_fed(fed_problem, 4, beta, gamma, 1.0, 2, "full", seed=-1),
+    ]
+    for run in runs:
+        with pytest.raises(ConfigError, match=r"^requires seed >= 0 \(seed = -1\)$"):
+            run()
+
+
+@pytest.mark.parametrize("mc_runs", [0, -1])
+def test_nonpositive_mc_runs_named(interp_problem, fed_problem, mc_runs):
+    # These used to fail in numpy: a reshape of an empty array, or a
+    # negative dimension.
+    beta, gamma = _fed_params(fed_problem)
+    message = rf"^requires mc_runs >= 1 \(mc_runs = {mc_runs}\)$"
+    with pytest.raises(ConfigError, match=message):
+        run_deed_sgd(interp_problem, 0.999, 1.0, 5, mc_runs=mc_runs)
+    with pytest.raises(ConfigError, match=message):
+        run_deed_fed(fed_problem, 4, beta, gamma, 1.0, 2, "full", mc_runs=mc_runs)
+
+
 def test_fed_eta_schedule_scan():
     # E > gamma violates eta_t <= 2 eta_(t+E) at t = 0.
     p = make_linreg(seed=4, d=4, N=2, target_kappa=2.0, rows_per_node=6,
@@ -727,7 +756,7 @@ def test_norm_equals_numpy_norm_on_awkward_values():
 # -- the batched uplinks against the one-message-at-a-time exchange --
 
 
-def _exchange_per_node(S, v, payloads, participants, coefs, stage, budget, labels, float_bits):
+def _exchange_per_node(S, v, payloads, participants, coefs, stage, budget, labels):
     """One run's ``_Exchange`` call with its uplinks sent one at a time: each
     participant's difference, message, accumulator update, bits and error
     fraction, on ``(N, d)`` accumulators and a ``(d,)`` broadcast."""
@@ -737,14 +766,14 @@ def _exchange_per_node(S, v, payloads, participants, coefs, stage, budget, label
     max_fraction = 0.0
     for i in participants:
         diff = payloads[i] - S[i]
-        msg = quantize(diff, spec, stream(seed, run_index, round_index, i, UPLINK), float_bits)
+        msg = quantize(diff, spec, stream(seed, run_index, round_index, i, UPLINK))
         S[i] += msg.decoded
         up_bits += msg.bits
         max_bits = max(max_bits, msg.bits)
         if stage > 0.0:
             max_fraction = max(max_fraction, math.sqrt(diff.dot(diff)) / stage)
     down_diff = _sequential_weighted_sum(S, participants, coefs) - v
-    umsg = quantize(down_diff, spec, stream(seed, run_index, round_index, 0, DOWNLINK), float_bits)
+    umsg = quantize(down_diff, spec, stream(seed, run_index, round_index, 0, DOWNLINK))
     v += umsg.decoded
     if stage > 0.0:
         max_fraction = max(max_fraction, math.sqrt(down_diff.dot(down_diff)) / stage)
@@ -775,7 +804,7 @@ def assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes=2):
     stage *= scale * math.sqrt(d)
 
     SP, v = _held(S0, payloads), v0.copy()
-    out = _Exchange(SP, v, participants, coefs)(stage, math.inf, (seed, runs, 3), 32)
+    out = _Exchange(SP, v, participants, coefs)(stage, math.inf, (seed, runs, 3))
     assert SP[1].tobytes() == _held(S0, payloads)[1].tobytes()  # payloads untouched
     got = [(SP[0, :, lane].tobytes(), v[lane].tobytes(),
             repr(tuple(np.asarray(x)[lane].item() for x in out)))
@@ -784,7 +813,7 @@ def assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes=2):
     for lane, run in enumerate(runs):
         S, v = S0[lane].copy(), v0[lane].copy()
         one = _exchange_per_node(S, v, payloads[lane], participants, coefs, stage, math.inf,
-                                 (seed, run, 3), 32)
+                                 (seed, run, 3))
         want.append((S.tobytes(), v.tobytes(), repr(one)))
     assert got == want
 
@@ -830,6 +859,15 @@ def _lane_problems():
     return interp, fed
 
 
+def _priced_at_32_bits(traces):
+    """The reference's traces without the ``float_bits`` extra, which the
+    engines no longer take or record: the reference ran at the default
+    32 bits per coordinate, the only width the engines charge."""
+    for trace in traces:
+        assert trace.extras.pop("float_bits") == 32
+    return traces
+
+
 def assert_lanes_match_reference(mc_runs, participation, sgd_T=40, fed_rounds=10):
     """``run_deed_sgd`` and ``run_deed_fed`` against the run-by-run loops
     of ``tests/engine_reference.py``."""
@@ -839,7 +877,8 @@ def assert_lanes_match_reference(mc_runs, participation, sgd_T=40, fed_rounds=10
     rho = estimate_rho(interp)
     c = 1.0 - interp.mu / (rho * interp.L)
     sgd = dict(c_prime=1 - 0.5 * (1 - c), s=1.0, T=sgd_T, seed=4, mc_runs=mc_runs, rho=rho)
-    assert_same_traces(run_deed_sgd(interp, **sgd), ref.run_deed_sgd(interp, **sgd))
+    want = _priced_at_32_bits(ref.run_deed_sgd(interp, **sgd))
+    assert_same_traces(run_deed_sgd(interp, **sgd), want)
     beta, gamma = _fed_params(fed)
     K = None if participation == "full" else 4
     args = (fed, 4, beta, gamma, 1.0, fed_rounds, participation, K)

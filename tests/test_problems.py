@@ -488,6 +488,26 @@ def test_ragged_problem_takes_the_same_call():
     assert_batched_oracles_match(p, 1.0, 7)
 
 
+def _summed_hessian(p):
+    """The global Hessian summed from scratch: each node's ``A_i^T A_i /
+    m_i``, weighted, added node after node to a zero matrix."""
+    H = np.zeros((p.d, p.d))
+    for i in range(p.N):
+        H += p.weights[i] * (p.A[i].T @ p.A[i] / p.A[i].shape[0])
+    return H
+
+
+@pytest.mark.parametrize("rows", [[6, 6, 6], [3, 5, 1, 4]], ids=["stacked", "ragged"])
+def test_hessian_formed_once_equals_the_summed_node_hessians(rows):
+    p = _gaussian_problem(rows, 4, 1.7, 11)
+    assert (p.A_stack is None) == (len(set(rows)) > 1)
+    H = _summed_hessian(p)
+    assert p.hess.tobytes() == H.tobytes()
+    assert p.hessian().tobytes() == H.tobytes()
+    tops = [np.linalg.eigvalsh(p.node_hessian(i))[-1] for i in range(p.N)]
+    assert p.L_i.tobytes() == np.array(tops).tobytes()
+
+
 def _saved(p):
     buf = io.BytesIO()
     save_problem(p, buf)

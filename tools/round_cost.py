@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import inspect
 import os
 import statistics
 import subprocess
@@ -64,7 +65,7 @@ _DRAWS = _Draws()
 
 def stub_messages(engine) -> None:
     """Replace ``engine``'s ``quantize`` and ``stream`` in this process."""
-    engine.quantize = lambda w, spec, rng, float_bits: _Message(w, 1000)
+    engine.quantize = lambda w, spec, rng, float_bits=32: _Message(w, 1000)
     engine.stream = lambda *labels: _DRAWS
 
 
@@ -78,11 +79,14 @@ def cases(engine, make_linreg, rounds: int) -> dict:
     race = _problem(make_linreg, 100, 10, 16.0, 100, False,
                     w_star_scale=300.0, noise_scale=10.0, l_spread=3.125)
     eta = 2.0 / (race.L + race.mu)
+    # Trees from before the float width was retired pass it to every call.
+    width = {}
+    if "float_bits" in inspect.signature(engine._frequent_run).parameters:
+        width = {"float_bits": 32}
 
     def gd_race():
         engine._frequent_run(race, algorithm="deed-gd", eta=eta, tau=None, T=rounds, seed=1,
-                             float_bits=32, w0=None,
-                             budget_total=lambda k: 50.0 * 0.97 ** (k + 1))
+                             w0=None, budget_total=lambda k: 50.0 * 0.97 ** (k + 1), **width)
 
     out = {"gd-race N=10 d=100 R=1": gd_race}
     if not hasattr(engine, "_lane_grads"):
@@ -96,9 +100,8 @@ def cases(engine, make_linreg, rounds: int) -> dict:
     def sgd_mc():
         engine._frequent_run(
             sgd, algorithm="deed-sgd", eta=1.0 / sgd.L, tau=None, T=rounds, seed=1,
-            float_bits=32, w0=None, budget_total=lambda k: (2.0 * 0.9955 ** (k + 1)) ** 0.5,
-            runs=len(runs),
-            grad_source=lambda k, Q: engine._lane_grads(sgd, 1, runs, k, nodes, Q),
+            w0=None, budget_total=lambda k: (2.0 * 0.9955 ** (k + 1)) ** 0.5, runs=len(runs),
+            grad_source=lambda k, Q: engine._lane_grads(sgd, 1, runs, k, nodes, Q), **width,
         )
 
     fed = _problem(make_linreg, 10, 8, 4.0, 12, False, noise_scale=2.0, w_star_scale=5.0)
@@ -121,7 +124,7 @@ def cases(engine, make_linreg, rounds: int) -> dict:
 
     def fed_sync():
         for k in range(rounds):
-            sync(stage, budget, (1, (0,), k), 32)
+            sync(stage, budget, (1, (0,), k), *width.values())
 
     out["sgd-mc N=5 d=20 R=30"] = sgd_mc
     out["fed-sync N=8 d=10 K=4"] = fed_sync

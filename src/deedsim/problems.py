@@ -310,6 +310,7 @@ def _assemble(A, b, weights, interpolating, exact_w_star) -> QuadraticProblem:
     H = np.zeros((d, d))
     for pi, Hi in zip(p, node_hess):
         H += pi * Hi
+    H.setflags(write=False)  # hessian() hands this one array to every caller
     eigs = np.linalg.eigvalsh(H)
     mu = float(eigs[0])
     if mu <= 0:

@@ -504,6 +504,7 @@ def test_hessian_formed_once_equals_the_summed_node_hessians(rows):
     H = _summed_hessian(p)
     assert p.hess.tobytes() == H.tobytes()
     assert p.hessian().tobytes() == H.tobytes()
+    assert not p.hessian().flags.writeable
     tops = [np.linalg.eigvalsh(p.node_hessian(i))[-1] for i in range(p.N)]
     assert p.L_i.tobytes() == np.array(tops).tobytes()
 

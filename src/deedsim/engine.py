@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -348,10 +349,9 @@ def param_violations(
 ) -> list[str]:
     """Horizon, stepsize, margin-range, budget-scale, fixed-budget, Monte
     Carlo run count and seed preconditions shared by the engines; a check
-    whose argument is None is skipped."""
-    violations = []
-    if T < 0:
-        violations.append(f"requires T >= 0 (T = {T!r})")
+    whose argument is None is skipped.  ``T``, ``mc_runs`` and ``seed``
+    must be integers, not bools."""
+    violations = _count_violations("T", T, 0)
     if eta is not None:
         limit = _default_eta(problem)
         if not 0.0 < eta <= limit * (1.0 + 1e-12):
@@ -364,11 +364,26 @@ def param_violations(
         violations.append(f"requires s >= 0 (s = {s!r})")
     if fixed_eps is not None and not fixed_eps > 0.0:
         violations.append(f"requires fixed_eps > 0 (fixed_eps = {fixed_eps!r})")
-    if mc_runs is not None and mc_runs < 1:
-        violations.append(f"requires mc_runs >= 1 (mc_runs = {mc_runs!r})")
-    if seed is not None and seed < 0:
-        violations.append(f"requires seed >= 0 (seed = {seed!r})")
+    if mc_runs is not None:
+        violations += _count_violations("mc_runs", mc_runs, 1)
+    if seed is not None:
+        violations += _count_violations("seed", seed, 0)
     return violations
+
+
+def _is_integer(value) -> bool:
+    """An integer that is not a bool.  A float seed would otherwise run
+    as its integer part, and a float count fail later in numpy or ``range``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _count_violations(name, value, low) -> list[str]:
+    """``value`` must be an integer, not a bool, of at least ``low``."""
+    if not _is_integer(value):
+        return [f"requires an integer {name} ({name} = {value!r})"]
+    if value < low:
+        return [f"requires {name} >= {low} ({name} = {value!r})"]
+    return []
 
 
 def contraction_factor(algorithm, problem, *, eta=None, rho=None) -> float:
@@ -422,8 +437,9 @@ def contraction_envelope(algorithm, problem, c_prime, s, T, w0=None, *, eta=None
     return series
 
 
-def check_envelope(traces, series, kind, squared, rows=None) -> None:
-    """Verify finished traces against an envelope.
+def check_envelope(traces, series, kind, squared, rows=None) -> float:
+    """Verify finished traces against an envelope; return the smallest
+    slack.
 
     ``squared=False`` checks the one trace's distance row by row;
     ``squared=True`` checks the across-run mean squared distance plus
@@ -735,7 +751,8 @@ def fed_violations(
 ) -> list[str]:
     """Every precondition of ``run_deed_fed``: horizon, budget scale,
     Monte Carlo run count, seed, participation and ``K``, certification
-    radius (by default ``2 |w0 - w*|``), and stepsize schedule."""
+    radius (by default ``2 |w0 - w*|``), and stepsize schedule.
+    ``T_rounds``, ``E`` and ``K`` must be integers, not bools."""
     violations = param_violations(problem, T_rounds, s=s, mc_runs=mc_runs, seed=seed)
     if participation not in PARTICIPATION_SCHEMES:
         violations.append(f"unknown participation scheme {participation!r}")
@@ -747,6 +764,8 @@ def fed_violations(
     else:
         if K is None:
             violations.append("K is required for partial participation")
+        elif not _is_integer(K):
+            violations.append(f"requires an integer K (K = {K!r})")
         elif participation == "without-replacement" and not 1 <= K <= problem.N:
             violations.append(
                 f"requires 1 <= K <= N without replacement (K = {K!r}, N = {problem.N})"
@@ -767,8 +786,8 @@ def fed_violations(
         violations.append(
             f"requires trajectory_radius**2 < inf (trajectory_radius = {radius!r}{default})"
         )
-    if E < 1:
-        violations.append(f"requires E >= 1 (E = {E!r})")
+    bad_E = _count_violations("E", E, 1)
+    violations += bad_E
     if not beta * problem.mu > 1.0:
         violations.append(
             f"requires beta > 1/mu (beta = {beta!r}, 1/mu = {1.0 / problem.mu!r})"
@@ -785,7 +804,7 @@ def fed_violations(
             )
         # eta_t <= 2 eta_{t+E} for every t >= 0: for beta > 0 the ratio
         # eta_t / eta_{t+E} = 1 + E/(t + gamma) is largest at t = 0.
-        if E >= 1 and beta / gamma > 2.0 * beta / (E + gamma) * (1.0 + 1e-12):
+        if not bad_E and beta / gamma > 2.0 * beta / (E + gamma) * (1.0 + 1e-12):
             violations.append("requires eta_t <= 2*eta_(t+E) (violated at t = 0)")
     return violations
 

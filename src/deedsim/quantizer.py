@@ -3,11 +3,13 @@
 A vector ``w`` in R^d is scaled onto an integer grid of step
 ``max_error / sqrt(d)``, each coordinate is rounded to floor or ceil
 unbiasedly (stochastic rounding), and the integer grid point is shipped
-as a sparse Elias-coded payload.  The grid point is a ``SparseIntVector``
-that adopts the arrays of its nonzero positions and values; no tuple is
-built.  The decoded vector is always within Euclidean distance
-``max_error`` of the input, and its expectation over the rounding dither
-equals the input.
+as a sparse Elias-coded payload.  ``quantize`` counts the payload bits
+from the grid point held as integer-valued floats, and the message keeps
+that float grid; its ``grid``, a ``SparseIntVector``, is built from it on
+first read, and the float grid is then dropped.  A simulated run reads
+only a message's decoded vector and bits, so it builds no grid.  The
+decoded vector is always within Euclidean distance ``max_error`` of the
+input, and its expectation over the rounding dither equals the input.
 
 Setting ``max_error = 0`` selects lossless pass-through: the vector is
 transmitted verbatim and charged ``float_bits * dim`` bits, which gives
@@ -85,13 +87,38 @@ class QuantizedMessage:
     ``grid`` is ``None`` in pass-through mode, where ``decoded`` carries
     the verbatim vector and ``bits`` is ``float_bits * dim``.  Otherwise
     ``decoded == grid * grid_step`` coordinate-wise and ``bits`` equals
-    the Elias payload length.
+    the Elias payload length.  A message from ``quantize`` builds its
+    ``grid`` on first read (see ``_unbuilt``).
     """
 
     spec: QuantSpec
     grid: SparseIntVector | None
     decoded: np.ndarray = field(repr=False)
     bits: int
+
+    @classmethod
+    def _unbuilt(
+        cls, spec: QuantSpec, float_grid: np.ndarray, decoded: np.ndarray, bits: int
+    ) -> "QuantizedMessage":
+        """A message that holds its grid point as the integer-valued float
+        array ``float_grid`` (the quantizer's own) in place of ``grid``."""
+        self = object.__new__(cls)
+        self.__dict__.update(spec=spec, decoded=decoded, bits=bits, _float_grid=float_grid)
+        return self
+
+    def __getattr__(self, name):
+        # Reached only for a name the instance does not hold: ``grid`` of
+        # an unbuilt message, before its first read.  It is stored before
+        # the float grid is dropped, so a read from another thread finds one.
+        state = self.__dict__
+        if name != "grid" or "_float_grid" not in state:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        lo = state["_float_grid"]
+        (idx,) = lo.nonzero()
+        grid = SparseIntVector._unchecked(self.spec.dim, idx + 1, lo[idx].astype(np.int64))
+        state.setdefault("grid", grid)
+        state.pop("_float_grid", None)
+        return state["grid"]
 
     @property
     def payload(self) -> BitStream:
@@ -147,7 +174,7 @@ def quantize(
     step = spec.grid_step
     scaled = w / step
     # One guard for both faults: a NaN fails every comparison.
-    if not np.abs(scaled).max() < _GRID_LIMIT:
+    if not np.maximum.reduce(np.abs(scaled)) < _GRID_LIMIT:
         if not np.isfinite(w).all():
             raise InvalidInputError("input coordinates must be finite")
         raise InvalidInputError("scaled magnitude overflows the 64-bit grid")
@@ -165,25 +192,23 @@ def quantize(
         up[randomized] = rng.random(n) < frac[randomized]
 
     # The grid point lo + up in place of lo.  Every grid value is an
-    # integer-valued float, so the int64 grid is exact and the decoded
-    # value lo * step equals grid * step.
+    # integer-valued float below 2**63, so the int64 grid built from it is
+    # exact and the decoded value lo * step equals grid * step.
     np.add(lo, up, out=lo)
-    grid_dense = lo.astype(np.int64)
-    decoded = np.multiply(lo, step, out=lo)
-    (idx,) = grid_dense.nonzero()
-    positions = idx + 1
-    values = grid_dense[idx]
+    decoded = lo * step
+    (idx,) = lo.nonzero()
     # Payload bits, as ``sparse_payload_bits`` counts them: per entry
     # Elias(gap) + sign + Elias(|value|), where an Elias code of n takes
-    # 2 floor(log2 n) + 1 bits.  Gaps and values share one buffer, and
-    # frexp gives n = m 2**e with 0.5 <= |m| < 1, so floor(log2 |n|) = e - 1
-    # whatever the sign.  It is exact here: every value came from a float.
+    # 2 floor(log2 n) + 1 = 2 e - 1 bits for frexp's n = m 2**e with
+    # 0.5 <= |m| < 1, whatever the sign.  frexp gives 0 an exponent of 0,
+    # so the dense grid sums the values' exponents.  The gaps are
+    # idx[0] + 1, then the steps of idx.
     nnz = len(idx)
-    buf = np.concatenate((positions, values))
-    buf[1:nnz] -= positions[:-1]
-    bits = elias_length(nnz + 1) - nnz + 2 * int(np.add.reduce(np.frexp(buf)[1]))
-    grid = SparseIntVector._unchecked(spec.dim, positions, values)
-    return QuantizedMessage(spec=spec, grid=grid, decoded=decoded, bits=bits)
+    exponents = np.add.reduce(np.frexp(lo)[1]) + np.add.reduce(np.frexp(idx[1:] - idx[:-1])[1])
+    if nnz:
+        exponents += (int(idx[0]) + 1).bit_length()
+    bits = elias_length(nnz + 1) - nnz + 2 * int(exponents)
+    return QuantizedMessage._unbuilt(spec, lo, decoded, bits)
 
 
 def dequantize(msg: QuantizedMessage) -> np.ndarray:

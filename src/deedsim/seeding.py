@@ -8,7 +8,8 @@ two runs with the same configuration consume identical randomness even
 when the order of operations changes.
 
 A stream is numpy's ``Philox`` keyed by
-``SeedSequence(entropy=seed, spawn_key=labels).generate_state(2, uint64)``.
+``SeedSequence(entropy=seed, spawn_key=labels).generate_state(2, uint64)``,
+with its counter at 0 (one shared, read-only array of four uint64 zeros).
 The key is derived here rather than by building a ``SeedSequence`` per
 stream, which costs more than the draws of a small message;
 ``tests/test_seeding.py`` pins the keys to numpy's own.
@@ -312,10 +313,18 @@ def _derive_block(block: _RoundBlock, pair: tuple) -> np.ndarray:
     return words.view("<u8")
 
 
+# Every stream starts at Philox counter 0.  ``Philox`` copies its counter
+# into the generator's own state, so one read-only array serves them all
+# and spares numpy's conversion of the integer 0 on every call.
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.setflags(write=False)
+
+
 def stream(master_seed: int, *labels: int) -> np.random.Generator:
     """Return the Philox generator for ``(master_seed, *labels)``.
 
     Labels are nonnegative integers, typically (run, round, node,
     purpose).  The same tuple always yields the same stream.
     """
-    return np.random.Generator(np.random.Philox(_Key(philox_key(master_seed, *labels))))
+    key = _Key(philox_key(master_seed, *labels))
+    return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))

@@ -337,6 +337,92 @@ def test_nonpositive_mc_runs_named(interp_problem, fed_problem, mc_runs):
         run_deed_fed(fed_problem, 4, beta, gamma, 1.0, 2, "full", mc_runs=mc_runs)
 
 
+@pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
+def test_non_integer_seed_named(small_problem, interp_problem, fed_problem, value):
+    # A float seed used to run as its integer part and be recorded as given.
+    beta, gamma = _fed_params(fed_problem)
+    runs = [
+        lambda: run_deed_gd(small_problem, None, 0.9, 0.1, 3, seed=value),
+        lambda: run_exact_agd(small_problem, 3, seed=value),
+        lambda: run_const_error_gd(small_problem, None, 3, 1.0, seed=value),
+        lambda: run_deed_sgd(interp_problem, 0.999, 1.0, 3, seed=value),
+        lambda: run_deed_fed(fed_problem, 4, beta, gamma, 1.0, 2, "full", seed=value),
+    ]
+    for run in runs:
+        with pytest.raises(ConfigError) as err:
+            run()
+        assert err.value.violations == [f"requires an integer seed (seed = {value!r})"]
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True])
+def test_non_integer_mc_runs_named(interp_problem, fed_problem, value):
+    beta, gamma = _fed_params(fed_problem)
+    message = [f"requires an integer mc_runs (mc_runs = {value!r})"]
+    with pytest.raises(ConfigError) as err:
+        run_deed_sgd(interp_problem, 0.999, 1.0, 3, mc_runs=value)
+    assert err.value.violations == message
+    with pytest.raises(ConfigError) as err:
+        run_deed_fed(fed_problem, 4, beta, gamma, 1.0, 2, "full", mc_runs=value)
+    assert err.value.violations == message
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_non_integer_horizon_named(small_problem, interp_problem, value):
+    message = [f"requires an integer T (T = {value!r})"]
+    for run in (
+        lambda: run_deed_gd(small_problem, None, 0.9, 0.1, value),
+        lambda: run_adeed_gd(small_problem, 0.97, 0.1, value),
+        lambda: run_exact_gd(small_problem, None, value),
+        lambda: run_deed_sgd(interp_problem, 0.999, 1.0, value),
+    ):
+        with pytest.raises(ConfigError) as err:
+            run()
+        assert err.value.violations == message
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+def test_non_integer_fed_counts_named(fed_problem, value):
+    beta, gamma = _fed_params(fed_problem)
+    # T_rounds is checked as the horizon T.
+    with pytest.raises(ConfigError) as err:
+        run_deed_fed(fed_problem, 4, beta, gamma, 1.0, value, "full")
+    assert err.value.violations == [f"requires an integer T (T = {value!r})"]
+    with pytest.raises(ConfigError) as err:
+        run_deed_fed(fed_problem, value, beta, gamma, 1.0, 2, "full")
+    assert err.value.violations == [f"requires an integer E (E = {value!r})"]
+    for participation in ("with-replacement", "without-replacement"):
+        with pytest.raises(ConfigError) as err:
+            run_deed_fed(fed_problem, 4, beta, gamma, 1.0, 2, participation, K=value)
+        assert err.value.violations == [f"requires an integer K (K = {value!r})"]
+
+
+def test_runs_build_no_grid(monkeypatch, small_problem, interp_problem, fed_problem):
+    # A run reads each message's decoded vector and bits only; a message's
+    # SparseIntVector is built only when its grid is read.
+    from deedsim.bitstream import SparseIntVector
+
+    def refuse(*args):
+        raise AssertionError("a message's grid was built")
+
+    monkeypatch.setattr(SparseIntVector, "_unchecked", refuse)
+    with pytest.raises(AssertionError, match="grid was built"):
+        quantize(np.ones(3), QuantSpec(0.1, 3), stream(1, 0)).grid
+    traces = run_deed_sgd(interp_problem, 0.999, 1.0, 40, mc_runs=3)
+    assert all(tr.total_bits > 0 for tr in traces)
+    assert run_deed_gd(small_problem, None, 0.9, 0.1, 10).total_bits > 0
+    beta, gamma = _fed_params(fed_problem)
+    traces = run_deed_fed(fed_problem, 4, beta, gamma, 1.0, 3, "full", mc_runs=2)
+    assert all(tr.total_bits > 0 for tr in traces)
+
+
+def test_numpy_integer_counts_accepted(small_problem):
+    # numpy integers are integers: the run equals the one with Python ints.
+    ref = run_deed_gd(small_problem, None, 0.9, 0.1, 3, seed=4)
+    tr = run_deed_gd(small_problem, None, 0.9, 0.1, np.int64(3), seed=np.int64(4))
+    assert tr.dist.tobytes() == ref.dist.tobytes()
+    assert tr.bits_up.tobytes() == ref.bits_up.tobytes()
+
+
 def test_fed_eta_schedule_scan():
     # E > gamma violates eta_t <= 2 eta_(t+E) at t = 0.
     p = make_linreg(seed=4, d=4, N=2, target_kappa=2.0, rows_per_node=6,

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ import quantize_reference as ref
 from deedsim.bitstream import BitStream, SparseIntVector, decode_sparse, elias_decode, encode_sparse
 from deedsim.errors import InvalidInputError
 from deedsim.quantizer import (
+    QuantizedMessage,
     QuantSpec,
     bits_lower_bound,
     bits_upper_bound,
@@ -392,3 +396,67 @@ any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)
 def test_quantize_matches_reference_on_any_floats(coords, max_error, seed):
     w = np.array(coords, dtype=np.float64)
     assert_matches_reference(w, QuantSpec(max_error, len(w)), seed=seed)
+
+
+# -- the grid, built on first read --
+
+FIELDS = {"spec", "grid", "decoded", "bits"}
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+@pytest.mark.parametrize("d", [1, 20, 100])
+def test_grid_built_on_first_read_equals_reference(d):
+    rng = np.random.default_rng(100 + d)
+    for rep in range(10):
+        spec = QuantSpec(float(rng.choice([1e-6, 0.05, 3.0])), d)
+        w = rng.normal(size=d) * float(rng.choice([0.0, 1e-3, 1.0, 1e4]))
+        msg = quantize(w, spec, _philox(rep))
+        want = ref.quantize(w, spec, _philox(rep))
+        assert "grid" not in vars(msg)
+        assert msg.grid == want.grid
+        assert msg.grid.positions == want.grid.positions
+        assert msg.grid.values == want.grid.values
+        # Once built, the message holds its fields and nothing else: the
+        # float grid it was built from is dropped.
+        assert set(vars(msg)) == FIELDS
+        assert msg.grid is msg.grid
+
+
+def test_unbuilt_message_keeps_dataclass_behaviour():
+    spec = QuantSpec(0.05, 6)
+    w = np.array([0.3, -0.01, 0.0, 2.5, -7.25, 1e-9])
+
+    def fresh():
+        return quantize(w, spec, _philox(3))
+
+    want = ref.quantize(w, spec, _philox(3))
+    assert not hasattr(fresh(), "no_such_field")
+
+    # replace with a grid takes that grid and builds none.
+    msg = fresh()
+    other = dataclasses.replace(msg, grid=want.grid)
+    assert other.grid is want.grid and other.decoded is msg.decoded and other.bits == msg.bits
+    assert "grid" not in vars(msg)
+    # replace of another field reads the grid.
+    assert dataclasses.replace(fresh(), bits=0).grid == want.grid
+
+    # == and repr read the grid, field by field as a built message's do.
+    msg = fresh()
+    assert msg == QuantizedMessage(spec, want.grid, msg.decoded, msg.bits)
+    msg = fresh()
+    assert msg != QuantizedMessage(spec, want.grid, msg.decoded, msg.bits + 1)
+    assert repr(fresh()) == repr(want)
+
+    # A pickle or copy round trip, before or after the first read.
+    built = fresh()
+    built.grid
+    for m in (fresh(), built):
+        for back in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
+            assert back.grid == want.grid
+            assert back.bits == want.bits
+            assert back.decoded.tobytes() == want.decoded.tobytes()
+            assert back.to_bytes() == want.to_bytes()
+            assert set(vars(back)) == FIELDS

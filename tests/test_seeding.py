@@ -291,3 +291,29 @@ def test_writing_to_a_returned_key_cannot_change_a_later_stream():
                 key.setflags(write=True)
     assert np.array_equal(seeding.philox_key(*labels), want)
     assert_same_stream(stream(*labels), oracle(*labels))
+
+
+def test_streams_share_a_zero_counter_they_cannot_advance():
+    # Every stream starts from one read-only counter array; drawing from
+    # a stream advances its own copy only.
+    streams = [stream(7, run, 3, node, seeding.UPLINK) for run in range(4) for node in range(50)]
+    for g in streams:
+        g.random(int(g.integers(1, 1000)))
+    assert streams[0].bit_generator.state["state"]["counter"][0] > 0
+    counter = seeding._ZERO_COUNTER
+    assert counter.dtype == np.uint64 and counter.tolist() == [0, 0, 0, 0]
+    assert not counter.flags.writeable
+    with pytest.raises(ValueError):
+        counter[0] = 1
+    labels = (7, 2, 3, 9, seeding.UPLINK)
+    assert state(stream(*labels)) == state(oracle(*labels))
+
+
+def test_same_stream_past_the_first_hundred_counter_blocks():
+    # A Philox block is four uint64 words, four doubles: 500 doubles span
+    # 125 blocks before assert_same_stream's own draws.
+    labels = (11, 0, 130, 2, seeding.DOWNLINK)
+    got, want = stream(*labels), oracle(*labels)
+    assert np.array_equal(got.random(500), want.random(500))
+    assert got.bit_generator.state["state"]["counter"][0] > 100
+    assert_same_stream(got, want)

@@ -1,4 +1,5 @@
-"""Microseconds per round of the frequent run loop, with messages stubbed.
+"""Microseconds per round of the frequent run loop with messages stubbed,
+and per real message.
 
     python3 tools/round_cost.py                    # the working tree's src/
     python3 tools/round_cost.py 6a44725 HEAD .     # two commits and the working tree
@@ -17,6 +18,14 @@ gradient oracle.  Three cases, each on its perfbench workload's problem:
 - ``fed-sync``: one lane's ``deed-fed`` sync as ``run_deed_fed`` makes
   it (an ``_Exchange`` made afresh; ``_exchange`` in trees before it),
   N = 8, d = 10, K = 4 participants.
+
+Two more cases time what the stubs leave out, one message: the real
+``seeding.stream(seed, run, round, node, UPLINK)`` and
+``quantizer.quantize`` of a vector of that stream, at d = 20 (``sgd-mc``)
+and d = 100 (``gd-race``).  The vectors cycle through five ratios of
+``|w|`` to the budget, from 0.44 to 42.4, across the range the runs send
+(``perfbench/workloads.py``'s ``WIRE_RATIOS``), and a sample's rounds
+are its messages.
 
 Each tree (a git ref, extracted with ``git archive``, or ``.`` for the
 working tree) runs in its own worker process.  A sample times
@@ -40,6 +49,8 @@ import subprocess
 import sys
 import tempfile
 import time
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -89,10 +100,10 @@ def cases(engine, make_linreg, rounds: int) -> dict:
                              w0=None, budget_total=lambda k: 50.0 * 0.97 ** (k + 1), **width)
 
     out = {"gd-race N=10 d=100 R=1": gd_race}
+    for d in (20, 100):
+        out[f"message d={d}"] = _messages(d, rounds)
     if not hasattr(engine, "_lane_grads"):
         return out
-
-    import numpy as np
 
     sgd = _problem(make_linreg, 20, 5, 8.0, 20, True, w_star_scale=5.0)
     runs, nodes = range(30), range(sgd.N)
@@ -129,6 +140,26 @@ def cases(engine, make_linreg, rounds: int) -> dict:
     out["sgd-mc N=5 d=20 R=30"] = sgd_mc
     out["fed-sync N=8 d=10 K=4"] = fed_sync
     return out
+
+
+def _messages(d: int, rounds: int):
+    """A callable that sends ``rounds`` real messages of dimension ``d``,
+    one stream and one ``quantize`` call each, as an engine's uplink."""
+    from deedsim.quantizer import QuantSpec, quantize
+    from deedsim.seeding import UPLINK, stream
+
+    rng = np.random.default_rng(d)
+    spec = QuantSpec(0.5, d)
+    vectors = []
+    for ratio in (0.44, 0.891, 5.23, 17.5, 42.4):
+        w = rng.standard_normal(d)
+        vectors.append(w * (ratio * spec.max_error / np.linalg.norm(w)))
+
+    def send():
+        for k in range(rounds):
+            quantize(vectors[k % len(vectors)], spec, stream(1, 0, k, 0, UPLINK))
+
+    return send
 
 
 def worker(src: str, rounds: int) -> None:
@@ -196,9 +227,10 @@ def main(argv=None) -> None:
                     raise SystemExit("a worker failed to start")
             names = [
                 "gd-race N=10 d=100 R=1", "sgd-mc N=5 d=20 R=30", "fed-sync N=8 d=10 K=4",
+                "message d=20", "message d=100",
             ]
             print(f"{'case':<24} {'tree':<10} {'median':>8} {'q1':>8} {'q3':>8} "
-                  f"{'ratio':>7}  (us per round)")
+                  f"{'ratio':>7}  (us per round or message)")
             for name in names:
                 samples = [[] for _ in workers]
                 for rep in range(args.reps):

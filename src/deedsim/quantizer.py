@@ -98,26 +98,26 @@ class QuantizedMessage:
 
     @classmethod
     def _unbuilt(
-        cls, spec: QuantSpec, float_grid: np.ndarray, decoded: np.ndarray, bits: int
+        cls, spec: QuantSpec, float_grid: np.ndarray, idx: np.ndarray, decoded: np.ndarray,
+        bits: int,
     ) -> "QuantizedMessage":
         """A message that holds its grid point as the integer-valued float
-        array ``float_grid`` (the quantizer's own) in place of ``grid``."""
+        array ``float_grid`` (the quantizer's own) and the indices ``idx``
+        of its nonzeros, in place of ``grid``."""
         self = object.__new__(cls)
-        self.__dict__.update(spec=spec, decoded=decoded, bits=bits, _float_grid=float_grid)
+        self.__dict__.update(spec=spec, decoded=decoded, bits=bits, _float_grid=(float_grid, idx))
         return self
 
     def __getattr__(self, name):
         # Reached only for a name the instance does not hold: ``grid`` of
-        # an unbuilt message, before its first read.  It is stored before
-        # the float grid is dropped, so a read from another thread finds one.
+        # an unbuilt message, before its first read.  Once the grid is
+        # stored, the float grid is dropped.
         state = self.__dict__
         if name != "grid" or "_float_grid" not in state:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        lo = state["_float_grid"]
-        (idx,) = lo.nonzero()
-        grid = SparseIntVector._unchecked(self.spec.dim, idx + 1, lo[idx].astype(np.int64))
-        state.setdefault("grid", grid)
-        state.pop("_float_grid", None)
+        lo, idx = state["_float_grid"]
+        state["grid"] = SparseIntVector._unchecked(self.spec.dim, idx + 1, lo[idx].astype(np.int64))
+        del state["_float_grid"]
         return state["grid"]
 
     @property
@@ -208,7 +208,7 @@ def quantize(
     if nnz:
         exponents += (int(idx[0]) + 1).bit_length()
     bits = elias_length(nnz + 1) - nnz + 2 * int(exponents)
-    return QuantizedMessage._unbuilt(spec, lo, decoded, bits)
+    return QuantizedMessage._unbuilt(spec, lo, idx, decoded, bits)
 
 
 def dequantize(msg: QuantizedMessage) -> np.ndarray:

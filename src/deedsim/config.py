@@ -322,11 +322,11 @@ def parse_config(text: str) -> RunConfig:
             problem, T, eta=eta, **run, **{key: qt[key] for key in spec.quant}
         )
     if spec.stepsize == "1/(rho L)":
-        if problem.interpolating:
+        if not problem.interpolating:
+            found.append(f"{algorithm} requires problem.interpolating = true")
+        elif not found:  # certify only a run the cheap checks pass
             rho = estimate_rho(problem)
             eta = 1.0 / (rho * problem.L)
-        else:
-            found.append(f"{algorithm} requires problem.interpolating = true")
     if "c_prime" in spec.quant and not found:
         found += engine.margin_violations(algorithm, problem, qt["c_prime"], eta=eta, rho=rho)
     violations += found

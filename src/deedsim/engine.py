@@ -94,7 +94,9 @@ def _weighted_sums(SP: np.ndarray, rows, coefs, terms=None, out=None) -> np.ndar
     nodes' accumulators, then their payloads, a row per lane) as one
     ``(2, R, d)`` array, added node after node in the order of ``rows``
     (ascending node ids); ``terms`` (``(K, 2, R, d)``) and ``out`` are
-    optional scratch and result arrays.
+    optional scratch and result arrays.  ``rows`` and ``coefs`` are node
+    ids and ``(K,)`` coefficients shared by every lane, or each lane's own
+    (see ``_index``) with ``(K, R)`` coefficients.
 
     The products are laid out node-major, ``(K, 2, R, d)``, and
     ``add.reduce`` down that leading axis adds each node's whole
@@ -103,10 +105,10 @@ def _weighted_sums(SP: np.ndarray, rows, coefs, terms=None, out=None) -> np.ndar
     two or more floats keep numpy from summing pairwise, as it does along
     a single axis; a BLAS product would round differently too.)
     """
-    held = SP[:, _rows(rows)].swapaxes(0, 1)
+    held = SP[(slice(None),) + _index(rows)].swapaxes(0, 1)
     if terms is None:
         terms = np.empty(held.shape)
-    np.multiply(coefs[:, None, None, None], held, out=terms)
+    np.multiply(coefs.reshape(len(coefs), 1, -1, 1), held, out=terms)
     return np.add.reduce(terms, axis=0, initial=-0.0, out=out)
 
 
@@ -117,12 +119,15 @@ def _quant_spec(stage: float, d: int) -> QuantSpec:
     return QuantSpec(max_error=stage, dim=d)
 
 
-def _rows(rows):
-    """An index of the node ids ``rows``: a slice (a view, not a gather)
-    for a range."""
+def _index(rows) -> tuple:
+    """The index of ``rows`` into the node and lane axes of an
+    ``(N, R, ...)`` array.  Node ids shared by every lane: a ``range`` (a
+    slice, so a view, not a gather) or a list.  Each lane's own: a pair
+    ``(P, lanes)`` of ``(K, R)`` node ids, column ``l`` lane ``lanes[l]``'s,
+    and the ``(R,)`` lane ids, which gathers ``K x R`` rows."""
     if isinstance(rows, range):
-        return slice(rows.start, rows.stop, rows.step)
-    return rows
+        return (slice(rows.start, rows.stop, rows.step),)
+    return rows if isinstance(rows, tuple) else (rows,)
 
 
 def _norm(x: np.ndarray):
@@ -148,15 +153,24 @@ class _Exchange:
 
     Lane ``l`` is one Monte Carlo run.  ``SP`` is ``(2, N, R, d)``:
     ``SP[0, i, l]`` is node ``i``'s accumulator and ``SP[1, i, l]`` its
-    payload in lane ``l``; ``v`` is ``(R, d)``.  In each lane node ``i`` of
-    ``participants`` encodes ``SP[1, i, l] - SP[0, i, l]`` at maximal error
-    ``stage``, and sender and center apply the decoded message to the one
-    accumulator row.  The center encodes the ``coefs``-weighted sum of
+    payload in lane ``l``; ``v`` is ``(R, d)``.  In each lane each
+    participant ``i`` encodes ``SP[1, i, l] - SP[0, i, l]`` at maximal
+    error ``stage``, and sender and center apply the decoded message to the
+    one accumulator row.  The center encodes the ``coefs``-weighted sum of
     those rows against the broadcast ``v[l]`` at the same error, and every
-    node applies it to ``v[l]``.  Asserts that ``v`` lies within
-    ``budget`` of the weighted payloads.  ``labels`` is ``(seed, runs,
-    round)``: lane ``l`` draws its messages from run ``runs[l]``'s
-    streams, one per message.
+    node applies it to ``v[l]``.  Asserts that each lane's ``v`` lies
+    within ``budget`` (one float, or a list of one per lane) of the
+    weighted payloads.  ``labels`` is ``(seed, runs, round)``: lane ``l``
+    draws its messages from run ``runs[l]``'s streams, one per message.
+
+    The participants take one of two forms.  A ``range`` of node ids, with
+    ``(K,)`` coefficients, is shared by every lane of ``SP``: the exchange
+    works on views of it and gathers nothing.  A pair ``(P, lanes)`` holds
+    each lane's own ascending node ids, column ``l`` of the ``(K, R)``
+    array ``P`` for lane ``lanes[l]`` of ``SP`` (a list or array of lane
+    ids), with ``(K, R)`` coefficients: the uplink differences, the
+    accumulator update and the weighted sums gather and scatter
+    ``SP[:, P, lanes]``, and the broadcasts ``v[lanes]``.
 
     The uplink differences, downlink difference and aggregate error of
     every lane are rows of one ``(K + 2, R, d)`` array, so one stacked call
@@ -169,11 +183,18 @@ class _Exchange:
     """
 
     def __init__(self, SP, v, participants, coefs) -> None:
-        R, d = v.shape
-        K = len(participants)
-        self.SP, self.v, self.participants, self.coefs = SP, v, participants, coefs
-        self.rows = _rows(participants)
+        d = v.shape[-1]
+        K = len(coefs)
+        self.SP, self.v, self.rows, self.coefs = SP, v, participants, coefs
         self.S, self.payloads = SP
+        self.index = _index(participants)
+        if isinstance(participants, range):
+            self.lanes, R = None, len(v)
+            senders = [participants] * R
+        else:
+            nodes, self.lanes = participants
+            R = len(self.lanes)
+            senders = nodes.T.tolist()
         self.diffs = np.empty((K + 2, R, d))  # K uplinks, the downlink, the error
         self.up, self.down, self.error = self.diffs[:K], self.diffs[K], self.diffs[K + 1]
         self.decoded = np.empty((K, R, d))  # the uplinks' messages, then the downlink's
@@ -189,15 +210,16 @@ class _Exchange:
             self.dots[..., 0, 0], self.norms[:-1], self.norms[-1],
         )
         self.uplinks = [
-            list(zip(participants, self.up[:, lane], self.decoded[:, lane])) for lane in range(R)
+            list(zip(nodes, self.up[:, lane], self.decoded[:, lane]))
+            for lane, nodes in enumerate(senders)
         ]
         self.downlinks = list(zip(self.down, self.down_decoded))
 
     def __call__(self, stage, budget, labels):
         seed, runs, round_index = labels
         spec = _quant_spec(stage, self.v.shape[-1])
-        S, rows = self.S, self.rows
-        np.subtract(self.payloads[rows], S[rows], out=self.up)
+        S, index = self.S, self.index
+        np.subtract(self.payloads[index], S[index], out=self.up)
         bits = []  # each lane's uplink bits
         for sends, r in zip(self.uplinks, runs):
             lane_bits = []
@@ -206,17 +228,21 @@ class _Exchange:
                 decoded[...] = msg.decoded
                 lane_bits.append(msg.bits)
             bits.append(lane_bits)
-        S[rows] += self.decoded
+        S[index] += self.decoded
 
-        _weighted_sums(self.SP, self.participants, self.coefs, self.terms, self.sums)
-        np.subtract(self.aggregate, self.v, out=self.down)
+        _weighted_sums(self.SP, self.rows, self.coefs, self.terms, self.sums)
+        # The lanes' broadcasts: v itself, or a gathered copy scattered back.
+        v = self.v if self.lanes is None else self.v[self.lanes]
+        np.subtract(self.aggregate, v, out=self.down)
         down_bits = []  # every uplink is applied, so down_decoded is free
         for (diff, decoded), r in zip(self.downlinks, runs):
             umsg = quantize(diff, spec, stream(seed, r, round_index, 0, DOWNLINK))
             decoded[...] = umsg.decoded
             down_bits.append(umsg.bits)
-        self.v += self.down_decoded
-        np.subtract(self.v, self.gbar, out=self.error)
+        v += self.down_decoded
+        if self.lanes is not None:
+            self.v[self.lanes] = v
+        np.subtract(v, self.gbar, out=self.error)
         np.matmul(*self.rows_of_diffs, out=self.dots)
         np.sqrt(self.squares, out=self.norms)
         err = _assert_budget(self.error_norms.tolist(), self.gbar, budget, labels)
@@ -271,12 +297,13 @@ class _Lanes:
         self.bits = np.zeros((T + 1, 3, runs), dtype=np.int64)
         self._points = np.empty((min(_BLOCK, T + 1), runs, problem.d))
 
-    def book(self, row: int, total: float, exchange) -> None:
-        """Book an ``_Exchange`` result of every lane and its total budget
-        on ``row``; the broadcast is charged once per node."""
+    def book(self, row: int, total: float, exchange, lanes=slice(None)) -> None:
+        """Book an ``_Exchange`` result of the lanes ``lanes`` (every lane,
+        in order, by default) and its total budget on ``row``; the
+        broadcast is charged once per node."""
         up, down, frac, mbits, err = exchange
-        self.bits[row] = (up, [self.problem.N * b for b in down], mbits)
-        self.floats[row, 2:] = ([total] * len(err), frac, err)
+        self.bits[row][:, lanes] = (up, [self.problem.N * b for b in down], mbits)
+        self.floats[row][2:, lanes] = ([total] * len(err), frac, err)
 
     def record(self, t: int, X: np.ndarray) -> None:
         """Hold row ``t``'s point of each lane, one row of ``X`` per lane,
@@ -317,14 +344,20 @@ class _Lanes:
 
 def _assert_budget(err, gbar, budget, labels) -> list:
     """Raise unless every lane's aggregate error ``err[l] = |v[l] -
-    gbar[l]|`` (floats) is at most ``budget`` (up to float dust), naming the
-    round and the first offending lane's run of ``labels = (seed, runs,
-    round)``; returns ``err``."""
+    gbar[l]|`` (floats) is at most its budget (up to float dust), naming
+    the round and the first offending lane's run of ``labels = (seed, runs,
+    round)``; ``budget`` is one float for every lane or a list of one per
+    lane.  Returns ``err``."""
     _, runs, round_index = labels
     # The dust term only adds slack, so gbar's norm is needed only past it.
-    limit = budget * (1.0 + _REL_SLACK)
-    if any(e > limit for e in err):
-        allowed = limit + _ABS_DUST * (1.0 + _norm(gbar))
+    scale = 1.0 + _REL_SLACK
+    if isinstance(budget, list):
+        over = any(e > b * scale for e, b in zip(err, budget))
+    else:
+        limit = budget * scale
+        over = any(e > limit for e in err)
+    if over:
+        allowed = np.multiply(budget, scale) + _ABS_DUST * (1.0 + _norm(gbar))
         for lane, (e, a) in enumerate(zip(err, allowed.tolist())):
             if e > a:
                 raise BoundViolationError(
@@ -707,14 +740,14 @@ def run_deed_sgd(
     """
     if not problem.interpolating:
         raise InvalidInputError("the stochastic engine requires an interpolating problem")
+    # Certify rho only for a call that passes the cheap checks; the margin
+    # check that needs it follows, as in ``config.parse_config``.
+    _require(param_violations(problem, T, s=s, mc_runs=mc_runs, seed=seed))
     if rho is None:
         rho = estimate_rho(problem)
+    _require(margin_violations("deed-sgd", problem, c_prime, rho=rho))
     eta = 1.0 / (rho * problem.L)
     c = contraction_factor("deed-sgd", problem, rho=rho)
-    _require(
-        margin_violations("deed-sgd", problem, c_prime, rho=rho)
-        + param_violations(problem, T, s=s, mc_runs=mc_runs, seed=seed)
-    )
 
     nodes, lanes = range(problem.N), range(mc_runs)
     traces = _frequent_run(
@@ -838,10 +871,14 @@ def run_deed_fed(
     these diagnostics sit on the sync rows and record the communication
     that *produced* that row's iterate.  The ``mc_runs`` runs advance
     together, one lane each: a local step draws every lane's and node's
-    row gradient in one oracle call, and a sync exchanges lane by lane,
-    since the participants differ per run.
+    row gradient in one oracle call, and a sync exchanges every lane in
+    one ``_Exchange`` call.  Under full participation the lanes share the
+    nodes; under partial participation each lane draws its own, and the
+    call gathers each lane's participants (``_partial_sync``: with
+    replacement, one call per number of distinct participants drawn).
 
-    The across-run mean squared distance of the weighted average iterate is checked against ``v / (gamma + t)`` plus
+    The across-run mean squared distance of the weighted average iterate
+    is checked against ``v / (gamma + t)`` plus
     three standard errors at every sync round, with ``v`` assembled from
     variance/second-moment constants certified on the ball of radius
     ``trajectory_radius`` (default ``2 |w0 - w*|``) around the optimum.
@@ -864,6 +901,8 @@ def run_deed_fed(
     W[:] = w0
     v = np.zeros((mc_runs, problem.d))
     log = _Lanes(problem, mc_runs, T_total)
+    # Under full participation every lane syncs every node, on views.
+    full = _Exchange(SP, v, nodes, p) if participation == "full" else None
 
     log.record(0, _weighted_sums(SP, nodes, p)[1])
     for t in range(T_total):
@@ -873,19 +912,16 @@ def run_deed_fed(
         k = t + 1
         if k % E == 0:
             # The broadcast lies within (s eta_k / 2)(1 + sum_i c_i) of
-            # sum_i c_i W[i]; every node restarts from it.  Participants
-            # differ per run, so each lane syncs on its own views.
+            # sum_i c_i W[i]; every node restarts from it.
             total = s * eta_at(k)
             stage = total / 2.0
-            syncs = []
-            for r in lanes:
-                participants, coefs = _participants(participation, K, p, (seed, r, k))
-                budget = stage * (1.0 + float(np.sum(coefs)))
-                lane = slice(r, r + 1)
-                exchange = _Exchange(SP[:, :, lane], v[lane], participants, coefs)
-                syncs.append(exchange(stage, budget, (seed, (r,), k)))
-            # Each result holds one value per statistic; join them lane by lane.
-            log.book(k, total, [[x for one in stat for x in one] for stat in zip(*syncs)])
+            if full is not None:
+                budget = stage * (1.0 + float(np.sum(p)))
+                log.book(k, total, full(stage, budget, (seed, lanes, k)))
+            else:
+                for group, result in _partial_sync(SP, v, participation, K, p, stage,
+                                                   (seed, lanes, k)):
+                    log.book(k, total, result, group)
             W[:] = v
         log.record(k, _weighted_sums(SP, nodes, p)[1])
     traces = log.traces(
@@ -936,3 +972,44 @@ def _participants(participation, K, p, labels):
         return participants, counts[participants] / K
     participants = sorted(rng.choice(n, size=K, replace=False).tolist())
     return participants, (n / K) * p[participants]
+
+
+def _lane_draws(participation, K, p, labels) -> list:
+    """Each lane's participants and coefficients of one partial-participation
+    sync (``labels``: seed, runs, round; lane ``l`` is run ``runs[l]``),
+    grouped by their number: a list of (lane ids, their ``(K, R)``
+    participants, their ``(K,)`` coefficient arrays), one entry per number
+    that some lane draws (one entry without replacement)."""
+    seed, runs, round_index = labels
+    groups = {}  # number of participants -> [(lane, participants, coefs)]
+    for lane, r in enumerate(runs):
+        participants, coefs = _participants(participation, K, p, (seed, r, round_index))
+        groups.setdefault(len(participants), []).append((lane, participants, coefs))
+    return [
+        (list(lanes), np.array(participants).T, coefs)
+        for lanes, participants, coefs in (zip(*members) for members in groups.values())
+    ]
+
+
+def _partial_sync(SP, v, participation, K, p, stage, labels):
+    """One partial-participation sync of every lane (``labels``: seed,
+    runs, round), as a list of (lane ids, ``_Exchange`` result).  Each lane
+    draws its own participants, and lanes with the same number of them
+    share one ``_Exchange`` call on their ``(K, R)`` participants
+    (``_lane_draws``): without replacement that is every lane.  Each
+    lane's budget is ``stage (1 + sum_i c_i)`` over its own coefficients.
+    A budget violation in several calls names the lowest run, as a lane
+    loop would."""
+    seed, runs, round_index = labels
+    synced, failures = [], []
+    for lanes, participants, coefs in _lane_draws(participation, K, p, labels):
+        budgets = [stage * (1.0 + float(np.sum(c))) for c in coefs]
+        exchange = _Exchange(SP, v, (participants, lanes), np.stack(coefs, axis=1))
+        try:
+            synced.append((lanes, exchange(stage, budgets, (seed, [runs[l] for l in lanes],
+                                                            round_index))))
+        except BoundViolationError as error:
+            failures.append(error)
+    if failures:
+        raise min(failures, key=lambda error: error.run)
+    return synced

@@ -80,7 +80,7 @@ class QuantSpec:
         return self.max_error == 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantizedMessage:
     """A quantized vector: integer grid point, payload size, decoded value.
 
@@ -88,13 +88,27 @@ class QuantizedMessage:
     the verbatim vector and ``bits`` is ``float_bits * dim``.  Otherwise
     ``decoded == grid * grid_step`` coordinate-wise and ``bits`` equals
     the Elias payload length.  A message from ``quantize`` builds its
-    ``grid`` on first read (see ``_unbuilt``).
+    ``grid`` on first read (see ``_unbuilt``).  Two messages are equal when
+    their spec, bits, grid and decoded values are; a message is unhashable,
+    as its decoded array is mutable.
     """
 
     spec: QuantSpec
     grid: SparseIntVector | None
     decoded: np.ndarray = field(repr=False)
     bits: int
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.spec == other.spec
+            and self.bits == other.bits
+            and self.grid == other.grid
+            and np.array_equal(self.decoded, other.decoded)
+        )
+
+    __hash__ = None
 
     @classmethod
     def _unbuilt(

@@ -867,3 +867,68 @@ def test_cli_bound_without_envelope(tmp_path, capsys):
     assert main(["bound", str(path), "--out", str(tmp_path)]) == 1
     assert "agd at kappa = 1" in capsys.readouterr().err
     assert not (tmp_path / "bound.csv").exists()
+
+
+def _refuse_certification(monkeypatch):
+    """Make every ``estimate_rho`` call of the engine and the parser fail."""
+    from deedsim import config, engine
+
+    def refuse(problem):
+        raise AssertionError("certified a call that is rejected")
+
+    monkeypatch.setattr(engine, "estimate_rho", refuse)
+    monkeypatch.setattr(config, "estimate_rho", refuse)
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "message"),
+    [
+        ("master_seed: 5", "master_seed: 1.5", "run.master_seed has type float"),
+        ("master_seed: 5", "master_seed: -1", "requires seed >= 0 (seed = -1)"),
+        ("mc_runs: 3", "mc_runs: 0", "requires mc_runs >= 1 (mc_runs = 0)"),
+        ("iterations: 60", "iterations: -1", "requires T >= 0 (T = -1)"),
+    ],
+    ids=["seed-float", "seed-negative", "mc_runs-0", "iterations-negative"],
+)
+def test_rejected_config_certifies_nothing(monkeypatch, old, new, message):
+    _refuse_certification(monkeypatch)
+    with pytest.raises(ConfigError) as err:
+        parse_config(SGD_CFG.replace(old, new))
+    assert [v for v in err.value.violations if message in v] == err.value.violations
+
+
+@pytest.mark.parametrize(
+    ("params", "message"),
+    [
+        ({"seed": 1.5}, "requires an integer seed (seed = 1.5)"),
+        ({"mc_runs": 0}, "requires mc_runs >= 1 (mc_runs = 0)"),
+        ({"T": -1}, "requires T >= 0 (T = -1)"),
+    ],
+    ids=["seed-float", "mc_runs-0", "T-negative"],
+)
+def test_rejected_sgd_call_certifies_nothing(monkeypatch, params, message):
+    from deedsim.engine import run_deed_sgd
+
+    problem = parse_config(SGD_CFG).problem
+    _refuse_certification(monkeypatch)
+    call = {"c_prime": 0.999, "s": 1.0, "T": 60, "seed": 5, "mc_runs": 3, **params}
+    with pytest.raises(ConfigError) as err:
+        run_deed_sgd(problem, **call)
+    assert err.value.violations == [message]
+
+
+def test_valid_sgd_run_certifies_once(monkeypatch, tmp_path):
+    from deedsim import config, engine
+
+    calls = []
+    real = config.estimate_rho
+
+    def counted(problem):
+        calls.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(engine, "estimate_rho", counted)
+    monkeypatch.setattr(config, "estimate_rho", counted)
+    result = cmd_run(parse_config(SGD_CFG), str(tmp_path))
+    assert len(calls) == 1
+    assert len(result.traces) == 3 and result.violation is None

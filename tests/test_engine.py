@@ -788,6 +788,16 @@ def assert_weighted_sums_match(n, d, scheme, seed, lanes):
     for x, sums in zip(arrays, got):
         for lane, total in zip(x, sums):
             assert total.tobytes() == _sequential_weighted_sum(lane, rows, coefs).tobytes()
+    if isinstance(rows, range):
+        return
+    # Each lane's own rows, as a deed-fed sync gathers them.
+    for group, P, C in _lane_groups(scheme, K, p, seed, range(lanes)):
+        got = _weighted_sums(_held(*arrays), (P, group), C)
+        assert got.shape == (2, len(group), d)
+        for x, sums in zip(arrays, got):
+            for j, total in enumerate(sums):
+                want = _sequential_weighted_sum(x[group[j]], P[:, j], C[:, j].copy())
+                assert total.tobytes() == want.tobytes()
 
 
 @given(
@@ -868,11 +878,21 @@ def _exchange_per_node(S, v, payloads, participants, coefs, stage, budget, label
     return up_bits, umsg.bits, max_fraction, max_bits, math.sqrt(err.dot(err))
 
 
+def _lane_groups(scheme, K, p, seed, runs):
+    """Each run's participants and coefficients of round 1 as
+    ``_partial_sync`` groups the lanes: ``[(lane ids, (K, R) participants,
+    (K, R) coefficients)]``, one entry per number of participants drawn."""
+    return [(lanes, participants, np.stack(coefs, axis=1))
+            for lanes, participants, coefs in engine._lane_draws(scheme, K, p, (seed, runs, 1))]
+
+
 def assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes=2):
-    """One ``_Exchange`` call over ``lanes`` runs leaves the same accumulators
-    and broadcasts, and books the same bits, fraction, largest message and
-    error in each lane, as the per-node loop run by run, for ``range``
-    (uniform, full) and list participants."""
+    """``_Exchange`` over ``lanes`` runs leaves the same accumulators and
+    broadcasts, and books the same bits, fraction, largest message and
+    error in each lane, as the per-node loop run by run.  ``range``
+    participants (uniform, full) take one call for every lane; each lane's
+    own draw (the partial schemes) takes one call per number of
+    participants, on those lanes' ``(K, R)`` participants."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** int(rng.integers(-5, 6))
     payloads = _awkward_floats(rng, (lanes, n, d), scale)
@@ -882,25 +902,36 @@ def assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes=2):
     p = rng.random(n) + 0.05
     p /= p.sum()
     if scheme == "uniform":  # the frequent engines
-        participants, coefs = range(n), np.full(n, 1.0 / n)
+        calls = [(list(range(lanes)), range(n), np.full(n, 1.0 / n))]
+    elif scheme == "full":
+        calls = [(list(range(lanes)), *_participants(scheme, None, p, (seed, 0, 1)))]
     else:
-        K = int(rng.integers(1, n + 1)) if scheme != "full" else None
-        participants, coefs = _participants(scheme, K, p, (seed, 0, 1))
-    assert isinstance(participants, range) == (scheme in ("full", "uniform"))
+        calls = _lane_groups(scheme, int(rng.integers(1, n + 1)), p, seed, runs)
+        if scheme == "without-replacement":
+            assert len(calls) == 1
     stage *= scale * math.sqrt(d)
 
     SP, v = _held(S0, payloads), v0.copy()
-    out = _Exchange(SP, v, participants, coefs)(stage, math.inf, (seed, runs, 3))
+    out = [None] * lanes
+    for group, participants, coefs in calls:
+        if not isinstance(participants, range):
+            participants = (participants, group)
+        result = _Exchange(SP, v, participants, coefs)(stage, math.inf,
+                                                        (seed, [runs[l] for l in group], 3))
+        for j, lane in enumerate(group):
+            out[lane] = repr(tuple(np.asarray(x)[j].item() for x in result))
     assert SP[1].tobytes() == _held(S0, payloads)[1].tobytes()  # payloads untouched
-    got = [(SP[0, :, lane].tobytes(), v[lane].tobytes(),
-            repr(tuple(np.asarray(x)[lane].item() for x in out)))
-           for lane in range(lanes)]
-    want = []
-    for lane, run in enumerate(runs):
-        S, v = S0[lane].copy(), v0[lane].copy()
-        one = _exchange_per_node(S, v, payloads[lane], participants, coefs, stage, math.inf,
-                                 (seed, run, 3))
-        want.append((S.tobytes(), v.tobytes(), repr(one)))
+    got = [(SP[0, :, lane].tobytes(), v[lane].tobytes(), out[lane]) for lane in range(lanes)]
+    want = [None] * lanes
+    for group, participants, coefs in calls:
+        for j, lane in enumerate(group):
+            nodes, lane_coefs = participants, coefs
+            if not isinstance(participants, range):
+                nodes, lane_coefs = participants[:, j].tolist(), coefs[:, j].copy()
+            S, w = S0[lane].copy(), v0[lane].copy()
+            one = _exchange_per_node(S, w, payloads[lane], nodes, lane_coefs, stage, math.inf,
+                                     (seed, runs[lane], 3))
+            want[lane] = (S.tobytes(), w.tobytes(), repr(one))
     assert got == want
 
 
@@ -972,9 +1003,20 @@ def assert_lanes_match_reference(mc_runs, participation, sgd_T=40, fed_rounds=10
                        ref.run_deed_fed(*args, seed=2, mc_runs=mc_runs))
 
 
-@pytest.mark.parametrize("mc_runs", [1, 3])
-@pytest.mark.parametrize("participation", PARTICIPATION_SCHEMES)
+@pytest.mark.parametrize(
+    "participation, mc_runs",
+    [(scheme, runs) for scheme in PARTICIPATION_SCHEMES for runs in (1, 3)]
+    + [("with-replacement", 5)],
+)
 def test_lanes_equal_run_by_run_reference(participation, mc_runs):
+    if mc_runs == 5:
+        # The lanes of some sync draw different numbers of distinct
+        # participants, so that sync takes one _Exchange call per number.
+        fed = _lane_problems()[1]
+        syncs = range(4, 4 * 10 + 1, 4)  # E = 4, 10 rounds, seed 2, K = 4
+        counts = [{len(_participants(participation, 4, fed.weights, (2, r, k))[0])
+                   for r in range(mc_runs)} for k in syncs]
+        assert sum(len(c) > 1 for c in counts) >= 5
     assert_lanes_match_reference(mc_runs, participation)
 
 
@@ -1036,6 +1078,33 @@ def test_budget_violation_in_one_lane_names_its_run(monkeypatch, participation):
         assert err.value.kind == "aggregate error budget"
         assert (err.value.t, err.value.run, err.value.traces) == (8, 2, None)
         assert "violated at t=8 in run 2:" in str(err.value)
+
+
+@pytest.mark.parametrize("participation", PARTICIPATION_SCHEMES)
+def test_fed_downlink_fault_names_its_run_and_sync(monkeypatch, participation):
+    # Five lanes; with replacement, sync 4's lanes draw 3, 4, 2, 3 and 2
+    # distinct participants, so runs 0 and 3 share the first call and run
+    # 1 has the second, and sync 20's draw 2, 4, 3, 4, 3 puts run 4 second
+    # in the last call.
+    _, fed = _lane_problems()
+    beta, gamma = _fed_params(fed)
+    K = None if participation == "full" else 4
+    if participation == "with-replacement":
+        draws = [len(_participants(participation, K, fed.weights, (2, r, 4))[0])
+                 for r in range(5)]
+        assert draws == [3, 4, 2, 3, 2]
+    for faults, (t, run) in [
+        ({(4, 20)}, (20, 4)),  # one lane shifted: that run and that sync
+        ({(4, 20), (0, 24)}, (20, 4)),  # the earliest sync
+        ({(3, 4), (1, 4)}, (4, 1)),  # a tie across calls: the lowest run
+    ]:
+        with monkeypatch.context() as m:
+            _faulty_downlinks(m, faults)
+            with pytest.raises(BoundViolationError) as err:
+                run_deed_fed(fed, 4, beta, gamma, 1.0, 10, participation, K, seed=2, mc_runs=5)
+        assert err.value.kind == "aggregate error budget"
+        assert (err.value.t, err.value.run) == (t, run)
+        assert f"violated at t={t} in run {run}:" in str(err.value)
 
 
 # -- the single-run engines' outputs at a shape no shipped config runs --

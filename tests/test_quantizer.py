@@ -460,3 +460,33 @@ def test_unbuilt_message_keeps_dataclass_behaviour():
             assert back.decoded.tobytes() == want.decoded.tobytes()
             assert back.to_bytes() == want.to_bytes()
             assert set(vars(back)) == FIELDS
+
+
+def test_messages_from_separate_calls_compare_by_value():
+    spec = QuantSpec(0.1, 3)
+
+    def fresh(w=(1.0, 1.0, 1.0), rep=1):
+        return quantize(np.array(w), spec, _philox(rep))
+
+    def built(*args):
+        msg = fresh(*args)
+        msg.grid
+        return msg
+
+    def lossless(w=(1.0, 1.0, 1.0)):
+        return quantize(np.array(w), QuantSpec(0.0, 3), _philox(0))
+
+    # Unbuilt, built, and one of each: equal from separate calls, and
+    # unequal for another input.
+    for make, other in [(fresh, fresh), (built, built), (fresh, built), (built, fresh)]:
+        assert make() == other() and not make() != other()
+        assert make() != other((2.0, -1.0, 0.5)) and not make() == other((2.0, -1.0, 0.5))
+    assert fresh() != dataclasses.replace(fresh(), bits=fresh().bits + 1)
+    assert lossless() == lossless() and not lossless() != lossless()
+    # Lossless messages differ only in their decoded values here.
+    assert lossless() != lossless((1.0, 1.0, 2.0))
+    assert lossless() != fresh() and fresh() != lossless()
+    assert fresh() != "a message" and not fresh() == "a message"
+    for msg in (fresh(), built(), lossless()):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(msg)

@@ -15,9 +15,13 @@ gradient oracle.  Three cases, each on its perfbench workload's problem:
   d = 100, one lane (R = 1);
 - ``sgd-mc``: ``_frequent_run`` as ``run_deed_sgd`` calls it, N = 5,
   d = 20, R = 30 lanes of single-row gradients;
-- ``fed-sync``: one lane's ``deed-fed`` sync as ``run_deed_fed`` makes
-  it (an ``_Exchange`` made afresh; ``_exchange`` in trees before it),
-  N = 8, d = 10, K = 4 participants.
+- ``fed-sync``: one whole ``deed-fed`` sync of R = 30 lanes without
+  replacement, N = 8, d = 10, K = 4 participants per lane, as
+  ``run_deed_fed`` makes it: one ``_partial_sync`` call for every lane,
+  or, in trees before it, a loop over the lanes that makes a one-lane
+  ``_Exchange`` afresh for each (``_exchange`` in trees before that).
+  Each lane's participants are drawn before the timing, from that
+  lane's real participation stream, and looked up during it.
 
 Two more cases time what the stubs leave out, one message: the real
 ``seeding.stream(seed, run, round, node, UPLINK)`` and
@@ -116,30 +120,55 @@ def cases(engine, make_linreg, rounds: int) -> dict:
         )
 
     fed = _problem(make_linreg, 10, 8, 4.0, 12, False, noise_scale=2.0, w_star_scale=5.0)
-    participants = [0, 2, 5, 7]
-    coefs = (fed.N / len(participants)) * fed.weights[participants]
-    stage = 0.5 * 64.0 / 1024.0
-    budget = stage * (1.0 + float(np.sum(coefs)))
-    v = np.zeros((1, fed.d))
-    W = np.random.default_rng(1).standard_normal((fed.N, 1, fed.d))
-    if hasattr(engine, "_Exchange"):
-        # One (2, N, R, d) array, the accumulators then the payloads; each
-        # sync makes its exchange afresh, as run_deed_fed does.
-        SP = np.zeros((2, fed.N, 1, fed.d))
+    K, p, stage = 4, fed.weights, 0.5 * 64.0 / 1024.0
+    _predraw_participants(engine, K, p, runs, rounds)
+    W = np.random.default_rng(1).standard_normal((fed.N, len(runs), fed.d))
+    v = np.zeros((len(runs), fed.d))
+    if hasattr(engine, "_partial_sync"):
+        # One (2, N, R, d) array, the accumulators then the payloads.
+        SP = np.zeros((2, fed.N, len(runs), fed.d))
         SP[1] = W
-        sync = lambda *args: engine._Exchange(SP, v, participants, coefs)(*args)
+        sync = lambda k: engine._partial_sync(SP, v, "without-replacement", K, p, stage,
+                                              (1, runs, k))
     else:
-        # Lane-major accumulators and payloads, (R, N, d) each.
-        S, W = np.zeros((1, fed.N, fed.d)), W.swapaxes(0, 1).copy()
-        sync = lambda *args: engine._exchange(S, v, W, participants, coefs, *args)
+        if hasattr(engine, "_Exchange"):
+            SP = np.zeros((2, fed.N, len(runs), fed.d))
+            SP[1] = W
+            one_lane = lambda r, participants, coefs, *args: engine._Exchange(
+                SP[:, :, r:r + 1], v[r:r + 1], participants, coefs)(*args)
+        else:
+            # Lane-major accumulators and payloads, (R, N, d) each.
+            S, W = np.zeros((len(runs), fed.N, fed.d)), W.swapaxes(0, 1).copy()
+            one_lane = lambda r, participants, coefs, *args: engine._exchange(
+                S[r:r + 1], v[r:r + 1], W[r:r + 1], participants, coefs, *args)
+
+        def sync(k):
+            for r in runs:
+                participants, coefs = engine._participants("without-replacement", K, p, (1, r, k))
+                budget = stage * (1.0 + float(np.sum(coefs)))
+                one_lane(r, participants, coefs, stage, budget, (1, (r,), k), *width.values())
 
     def fed_sync():
         for k in range(rounds):
-            sync(stage, budget, (1, (0,), k), *width.values())
+            sync(k)
 
     out["sgd-mc N=5 d=20 R=30"] = sgd_mc
-    out["fed-sync N=8 d=10 K=4"] = fed_sync
+    out["fed-sync N=8 d=10 K=4 R=30"] = fed_sync
     return out
+
+
+def _predraw_participants(engine, K, p, runs, rounds) -> None:
+    """Draw every lane's participants of syncs 0 .. ``rounds - 1`` without
+    replacement, from the real participation streams (``engine.stream``
+    may be stubbed), and make ``engine._participants`` look them up."""
+    from deedsim.seeding import stream
+
+    stubbed, engine.stream = engine.stream, stream
+    draw = engine._participants
+    draws = {(1, r, k): draw("without-replacement", K, p, (1, r, k))
+             for r in runs for k in range(rounds)}
+    engine.stream = stubbed
+    engine._participants = lambda participation, K, p, labels: draws[labels]
 
 
 def _messages(d: int, rounds: int):
@@ -226,10 +255,10 @@ def main(argv=None) -> None:
                 if proc.stdout.readline().strip() != "ready":
                     raise SystemExit("a worker failed to start")
             names = [
-                "gd-race N=10 d=100 R=1", "sgd-mc N=5 d=20 R=30", "fed-sync N=8 d=10 K=4",
+                "gd-race N=10 d=100 R=1", "sgd-mc N=5 d=20 R=30", "fed-sync N=8 d=10 K=4 R=30",
                 "message d=20", "message d=100",
             ]
-            print(f"{'case':<24} {'tree':<10} {'median':>8} {'q1':>8} {'q3':>8} "
+            print(f"{'case':<26} {'tree':<10} {'median':>8} {'q1':>8} {'q3':>8} "
                   f"{'ratio':>7}  (us per round or message)")
             for name in names:
                 samples = [[] for _ in workers]
@@ -243,14 +272,14 @@ def main(argv=None) -> None:
                             samples[n].append(float(answer))
                 for ref, xs in zip(args.refs, samples):
                     if not xs:
-                        print(f"{name:<24} {ref:<10} {'-':>8}")
+                        print(f"{name:<26} {ref:<10} {'-':>8}")
                         continue
                     q1, med, q3 = statistics.quantiles(xs, n=4)
                     ratio = ""
                     base = next(b for b in samples if b)  # the first tree with this case
                     if xs is not base:
                         ratio = f"{statistics.median(x / y for x, y in zip(xs, base)):7.3f}"
-                    print(f"{name:<24} {ref:<10} {med:8.1f} {q1:8.1f} {q3:8.1f} {ratio:>7}")
+                    print(f"{name:<26} {ref:<10} {med:8.1f} {q1:8.1f} {q3:8.1f} {ratio:>7}")
         finally:
             for proc in workers:
                 proc.stdin.close()

@@ -1006,10 +1006,11 @@ def _partial_sync(SP, v, participation, K, p, stage, labels):
         budgets = [stage * (1.0 + float(np.sum(c))) for c in coefs]
         exchange = _Exchange(SP, v, (participants, lanes), np.stack(coefs, axis=1))
         try:
-            synced.append((lanes, exchange(stage, budgets, (seed, [runs[l] for l in lanes],
-                                                            round_index))))
+            result = exchange(stage, budgets, (seed, [runs[l] for l in lanes], round_index))
         except BoundViolationError as error:
             failures.append(error)
+        else:
+            synced.append((lanes, result))
     if failures:
         raise min(failures, key=lambda error: error.run)
     return synced

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError, RankDeficiencyError
+from .seeding import draw_index
 
 __all__ = [
     "QuadraticProblem",
@@ -140,10 +141,14 @@ class QuadraticProblem:
         unbiased for ``full_grad(i, w)``.  For a sequence of node ids
         ``i``, the ``(n, d)`` row gradients of those nodes at ``w`` (one
         point or one row per node), node ``i[j]`` drawing its row from
-        the stream ``rng[j]``."""
+        the stream ``rng[j]``.
+
+        A row index is ``seeding.draw_index``: Lemire's method on the
+        stream's raw Philox words, which equals ``rng.integers(m)`` only
+        when ``rng`` is a fresh stream, as every engine's is."""
         if isinstance(i, (int, np.integer)):
             Ai = self.A[i]
-            r = int(rng.integers(Ai.shape[0]))
+            r = draw_index(rng, Ai.shape[0])
             a = Ai[r]
             return a * (a @ w - self.b[i][r])
         if self.A_stack is None:
@@ -152,7 +157,7 @@ class QuadraticProblem:
                 self.d, (self.stochastic_grad(k, W[j], g) for j, (k, g) in enumerate(zip(i, rng)))
             )
         m = self.A_stack.shape[1]
-        picks = np.asarray(i, dtype=np.intp), [int(g.integers(m)) for g in rng]
+        picks = np.asarray(i, dtype=np.intp), [draw_index(g, m) for g in rng]
         a = self.A_stack[picks]
         x = w[:, None] if w.ndim == 1 else w[..., None]
         return a * ((a[:, None, :] @ x)[:, 0, 0] - self.b_stack[picks])[:, None]

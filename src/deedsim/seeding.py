@@ -29,6 +29,8 @@ import functools
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .errors import InvalidInputError
+
 # Fixed purpose labels; values are part of the reproducibility contract.
 UPLINK = 0
 DOWNLINK = 1
@@ -162,7 +164,7 @@ def philox_key(master_seed: int, *labels: int) -> np.ndarray:
     """``SeedSequence(entropy=master_seed, spawn_key=labels)
     .generate_state(2, np.uint64)``: the Philox key of a stream.
 
-    The key is a fresh array, or a read-only row of the held round block.
+    The key is a fresh array, or a read-only row of a held round block.
     """
     seed = int(master_seed)
     labels = tuple(map(int, labels))
@@ -207,6 +209,7 @@ def _readout(x0: int, x1: int, x2: int, x3: int) -> np.ndarray:
 # arithmetic wraps modulo 2**32 as SeedSequence's does.
 _BLOCK_BITS = 6
 _BLOCK = 1 << _BLOCK_BITS
+_LAST = _BLOCK - 1
 _ROUNDS = np.arange(_BLOCK, dtype=np.uint32)
 _READ_XOR = np.array([_C0, _C1, _C2, _C3], dtype=np.uint32)[:, None]
 _READ_MUL = np.array([_M0, _M1, _M2, _M3], dtype=np.uint32)[:, None]
@@ -214,24 +217,24 @@ _READ_MUL = np.array([_M0, _M1, _M2, _M3], dtype=np.uint32)[:, None]
 
 class _RoundBlock:
     """What is held for one ``(seed, prefix, round block)``: the prefix's
-    mixed pool and hash constant, the pool columns after each round of the
-    block, and each (node, purpose) pair's ``(_BLOCK, 2)`` keys.  The
-    prefix's pool is derived once per block, however many prefixes are in
-    flight."""
+    mixed pool and hash constant, and the pool columns after each round of
+    the block.  The prefix's pool is derived once per block, however many
+    prefixes are in flight."""
 
-    __slots__ = ("label", "pool", "rounds", "keys", "seen")
+    __slots__ = ("label", "pool", "rounds")
 
     def __init__(self, label: tuple) -> None:
         seed, prefix, _ = label
         self.label = label
         self.pool = _pool(seed, prefix)
         self.rounds = None
-        self.keys = {}
-        self.seen = set()
 
 
-# The held window: one (seed, round block) and its round blocks by prefix.
-_window = (None, {})
+# The held window: its seed and round block index, the round blocks of its
+# prefixes, and one flat dict from ``(seed, *prefix, node, purpose)`` to the
+# pair's ``(_BLOCK, 2)`` keys, or to None after the pair's first request.
+# The seed in the dict's keys lets ``stream`` find a key in one lookup.
+_window = (None, None, {}, {})
 
 
 def _block_key(seed: int, prefix: tuple, rnd: int, pair: tuple) -> np.ndarray:
@@ -247,21 +250,22 @@ def _block_key(seed: int, prefix: tuple, rnd: int, pair: tuple) -> np.ndarray:
     held; a request for another window drops them all.
     """
     global _window
-    label, blocks = _window
-    index = rnd >> _BLOCK_BITS
-    if label != (seed, index):
-        blocks = {}
-        _window = (seed, index), blocks
-    block = blocks.get(prefix)
-    if block is None:
-        block = blocks[prefix] = _RoundBlock((seed, prefix, index))
-    keys = block.keys.get(pair)
+    held_seed, index, blocks, held = _window
+    if held_seed != seed or index != rnd >> _BLOCK_BITS:
+        index = rnd >> _BLOCK_BITS
+        blocks, held = {}, {}
+        _window = seed, index, blocks, held
+    name = (seed, *prefix, *pair)
+    keys = held.get(name)
     if keys is None:
-        if pair not in block.seen:
-            block.seen.add(pair)
+        block = blocks.get(prefix)
+        if block is None:
+            block = blocks[prefix] = _RoundBlock((seed, prefix, index))
+        if name not in held:
+            held[name] = None
             return _absorbed_key(block.pool, (rnd, *pair))
-        keys = block.keys[pair] = _derive_block(block, pair)
-    return keys[rnd & _BLOCK - 1]
+        keys = held[name] = _derive_block(block, pair)
+    return keys[rnd & _LAST]
 
 
 @functools.lru_cache(maxsize=256)
@@ -324,7 +328,53 @@ def stream(master_seed: int, *labels: int) -> np.random.Generator:
     """Return the Philox generator for ``(master_seed, *labels)``.
 
     Labels are nonnegative integers, typically (run, round, node,
-    purpose).  The same tuple always yields the same stream.
+    purpose).  The same tuple always yields the same stream.  For that
+    shape, a pair whose round block is held finds its key in one lookup
+    of the held dict; every other request goes through ``philox_key``.
     """
+    if len(labels) == 4:
+        run, rnd, node, purpose = labels
+        _, index, _, held = _window
+        keys = held.get((master_seed, run, node, purpose))
+        # Only a held window's one-word ints are in ``held``; a round of
+        # another block, or not one word, has another index.
+        if keys is not None and type(rnd) is int and rnd >> _BLOCK_BITS == index:
+            return np.random.Generator(
+                np.random.Philox(_Key(keys[rnd & _LAST]), counter=_ZERO_COUNTER))
     key = _Key(philox_key(master_seed, *labels))
     return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
+
+
+_WORD = 1 << 32
+
+
+def draw_index(rng: np.random.Generator, m: int) -> int:
+    """A uniform index in ``range(m)``: ``int(rng.integers(m))`` when
+    ``rng`` is a fresh stream, for ``1 <= m <= 2**32``.
+
+    This is numpy's own algorithm, Lemire's bounded integer on 32-bit
+    draws, read from the raw Philox words: the first draw is the low half
+    of the first word, a rejected draw is followed by the high half, then
+    by the low half of a new word.  ``m == 1`` draws nothing, as numpy's
+    ``integers(1)``.  (On a stream that has already handed out half a word
+    to a 32-bit draw, numpy would start from that buffered half instead.)
+    """
+    if not 1 <= m <= _WORD:
+        raise InvalidInputError(f"draw_index needs 1 <= m <= 2**32, got {m!r}")
+    if m == 1:
+        return 0
+    bits = rng.bit_generator
+    raw = bits.random_raw()
+    product = (raw & _MASK32) * m
+    if (product & _MASK32) < m:
+        threshold = (_WORD - m) % m
+        high = True
+        while (product & _MASK32) < threshold:
+            if high:
+                word = raw >> 32
+            else:
+                raw = bits.random_raw()
+                word = raw & _MASK32
+            high = not high
+            product = word * m
+    return product >> 32

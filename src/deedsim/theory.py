@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .problems import FedConstants
-from .seeding import COIN, stream
+from .seeding import COIN, draw_index, stream
 from .trace import RunTrace
 
 __all__ = [
@@ -258,7 +258,7 @@ def tightness_construction(
         u = spec.c_seq[t] * w
         alpha = spec.alpha_seq[t]
         e = _orthogonal_vector(u)
-        coin = int(stream(seed, t, 0, COIN).integers(2))
+        coin = draw_index(stream(seed, t, 0, COIN), 2)
         w = u + (alpha if coin else -alpha) * e
         dist[t + 1] = np.linalg.norm(w)
         budget[t] = alpha

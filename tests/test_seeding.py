@@ -127,14 +127,14 @@ def test_round_blocks_keep_streams_exact():
                 assert state(got) == state(want)
                 assert np.array_equal(got.random(2), want.random(2))
         # The held window is this visit's (seed, block), with one block per
-        # run visited in it, and this run's holds one (64, 2) array per pair.
-        label, blocks = seeding._window
-        assert label == (seed, rnd // 64)
+        # run visited in it, and this run holds one (64, 2) array per pair.
+        held_seed, index, blocks, held = seeding._window
+        assert (held_seed, index) == (seed, rnd // 64)
         assert set(blocks) <= {(run_,) for run_ in range(3)}
-        block = blocks[(run,)]
-        assert block.label == (seed, (run,), rnd // 64)
-        assert sorted(block.keys) == [(node, seeding.UPLINK) for node in range(3)]
-        assert all(k.shape == (64, 2) and not k.flags.writeable for k in block.keys.values())
+        assert blocks[(run,)].label == (seed, (run,), rnd // 64)
+        assert sorted(k for k in held if k[1] == run) == [
+            (seed, run, node, seeding.UPLINK) for node in range(3)]
+        assert all(k.shape == (64, 2) and not k.flags.writeable for k in held.values())
     # The pool cache holds (seed, run) prefixes, not rounds.
     assert seeding._pool.cache_info().misses - before <= 2 * len(prefixes)
 
@@ -184,7 +184,7 @@ def test_prefix_pools_derived_once_per_window(monkeypatch):
         return real(seed, labels)
 
     monkeypatch.setattr(seeding, "_pool", spy)
-    monkeypatch.setattr(seeding, "_window", (None, {}))
+    monkeypatch.setattr(seeding, "_window", (None, None, {}, {}))
     seed, runs = 424243, range(100)
     pairs = [(0, seeding.UPLINK), (1, seeding.UPLINK), (0, seeding.DOWNLINK)]  # N = 2
     rounds = range(58, 72)  # across the edge of round blocks 0 and 1
@@ -240,12 +240,12 @@ def test_block_keys_at_block_edges(prefix, rnd):
 def test_labels_of_two_words_take_the_scalar_path(wide):
     assert_keys_match(11, (0,), [0, 1], 1, 0)
     held = seeding._window
-    contents = {prefix: (dict(b.keys), set(b.seen)) for prefix, b in held[1].items()}
+    contents = dict(held[2]), dict(held[3])
     for prefix in ((), (0,), (2, 3, 4)):
         labels = prefix + wide
         assert np.array_equal(seeding.philox_key(11, *labels), seed_sequence_key(11, *labels))
     assert seeding._window is held
-    assert {prefix: (dict(b.keys), set(b.seen)) for prefix, b in held[1].items()} == contents
+    assert (held[2], held[3]) == contents
 
 
 def test_theory_coin_labels_match_seed_sequence():

@@ -18,10 +18,16 @@ When the last three labels (round, node, purpose) each fit one uint32
 word, as in every engine stream and ``theory``'s coin stream, a
 (node, purpose) pair asked for at a second round of an aligned block of
 64 rounds gets the keys of the whole block from one numpy pass.  The
-keys of one (seed, round block) window are held, one block per label
-prefix (the run), so runs advanced round by round keep theirs.  The
-pair's first round in a block, and every other label shape, take the
-one scalar path, word by word in plain integer arithmetic.
+keys of one (seed, round block) window are held as ``(64, 2)`` arrays in
+one flat dict keyed on ``(seed, *prefix, node, purpose)``, so runs
+advanced round by round keep theirs, and ``stream`` finds an engine
+stream's held key (labels run, round, node, purpose) in one lookup.
+The pair's first round in a block, and every other label shape, take
+the one scalar path, word by word in plain integer arithmetic.
+
+``draw_index`` draws an index in ``range(m)`` from a stream with
+Lemire's method on the raw Philox words: the index numpy's
+``integers(m)`` gives on a fresh stream, without that call's overhead.
 """
 
 import functools

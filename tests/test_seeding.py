@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deedsim import seeding
+from deedsim.errors import InvalidInputError
 from deedsim.seeding import stream
 
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**128, 2**200)
@@ -317,3 +318,92 @@ def test_same_stream_past_the_first_hundred_counter_blocks():
     assert np.array_equal(got.random(500), want.random(500))
     assert got.bit_generator.state["state"]["counter"][0] > 100
     assert_same_stream(got, want)
+
+
+def test_engine_order_finds_held_keys_and_holds_one_window(monkeypatch):
+    # The engines' order: every lane's nodes and purposes, round by round,
+    # across two block edges, with a second seed asked for now and then.
+    # A held key found for the wrong round block or seed would give another
+    # stream; a window change must drop every entry of the last window.
+    monkeypatch.setattr(seeding, "_window", (None, None, {}, {}))
+    runs, nodes = range(4), range(3)
+    purposes = (seeding.UPLINK, seeding.DOWNLINK, seeding.ROW_SAMPLE)
+    for rnd in range(60, 134):
+        for seed in (7, 2**40 + 1) if rnd % 5 == 0 else (7,):
+            for run in runs:
+                for node in nodes:
+                    for purpose in purposes:
+                        labels = (run, rnd, node, purpose)
+                        got, want = stream(seed, *labels), oracle(seed, *labels)
+                        assert state(got) == state(want), (seed, labels)
+                        assert got.random() == want.random()
+            held_seed, index, blocks, held = seeding._window
+            assert (held_seed, index) == (seed, rnd // 64)
+            assert set(blocks) == {(run,) for run in runs}
+            assert set(held) == {(seed, run, node, purpose)
+                                 for run in runs for node in nodes for purpose in purposes}
+            for keys in held.values():
+                assert keys is None or (keys.shape == (64, 2) and not keys.flags.writeable)
+    # Seed 7 came back to a held window at round 132 and derived its keys
+    # at 133, so the last lookups found every key held.
+    assert all(keys is not None for keys in held.values())
+
+
+M_EDGES = (1, 2, 3, 12, 20, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32)
+
+
+def stream_position(g: np.random.Generator) -> tuple:
+    """Key, counter and raw words read: what ``draw_index`` and numpy's
+    ``integers`` share after a draw (numpy also buffers a spare half word)."""
+    st_ = g.bit_generator.state
+    return st_["state"]["key"].tolist(), st_["state"]["counter"].tolist(), st_["buffer_pos"]
+
+
+@given(seeds, st.lists(labels, max_size=5),
+       st.one_of(st.sampled_from(M_EDGES), st.integers(1, 2**32)))
+@settings(max_examples=400, deadline=None)
+def test_draw_index_is_numpys_first_integer(seed, label_list, m):
+    got, want = stream(seed, *label_list), stream(seed, *label_list)
+    assert seeding.draw_index(got, m) == int(want.integers(m))
+    assert stream_position(got) == stream_position(want)
+
+
+def test_draw_index_rejections_match_numpy():
+    # m = 2**31 + 1 rejects a 32-bit draw about half the time; a quarter
+    # of the draws reject both halves of the first raw word and read a
+    # second word.
+    m = 2**31 + 1
+    threshold = (2**32 - m) % m
+    rejected = second_word = 0
+    for run in range(300):
+        labels = (3, run, 70, 2, seeding.ROW_SAMPLE)
+        got, want = stream(*labels), stream(*labels)
+        first = oracle(*labels).bit_generator.random_raw()
+        rejected += (first & 0xFFFFFFFF) * m % 2**32 < threshold
+        assert seeding.draw_index(got, m) == int(want.integers(m))
+        assert stream_position(got) == stream_position(want)
+        second_word += got.bit_generator.state["buffer_pos"] > 1
+    assert 100 < rejected < 200 and 40 < second_word < 110
+
+
+@pytest.mark.parametrize("m", [2**32, 2**32 - 1, 2])
+def test_draw_index_at_the_word_edges(m):
+    for seed in (0, 2**32, 2**70):
+        for rnd in range(130):
+            labels = (seed, 1, rnd, 0, seeding.COIN)
+            assert seeding.draw_index(stream(*labels), m) == int(stream(*labels).integers(m))
+
+
+def test_draw_index_of_one_row_draws_nothing():
+    for labels in ((5, 0, 3, 1, seeding.ROW_SAMPLE), (2**40, 2**33), (9,)):
+        got, want = stream(*labels), stream(*labels)
+        assert seeding.draw_index(got, 1) == int(want.integers(1)) == 0
+        assert state(got) == state(want) == state(stream(*labels))
+
+
+@pytest.mark.parametrize("m", [0, -1, 2**32 + 1, 2**64])
+def test_draw_index_outside_its_domain_is_a_named_error(m):
+    g = stream(5, 0, 3, 1, seeding.ROW_SAMPLE)
+    with pytest.raises(InvalidInputError, match="draw_index"):
+        seeding.draw_index(g, m)
+    assert state(g) == state(stream(5, 0, 3, 1, seeding.ROW_SAMPLE))

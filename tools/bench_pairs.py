@@ -25,7 +25,8 @@ Each row names the two commits and the command it ran, and holds its
 pairs and a per-metric summary: the medians and quartiles of both sides,
 in how many pairs the change was better and worse (by the metric's
 direction in BENCHMARK.json), whether the medians differ by more than the
-parent's quartile distance, and a ``reading``:
+parent's quartile distance (``null`` below 10 pairs, where the parent's
+quartiles come from too few runs to mean anything), and a ``reading``:
 
 - ``gain``: at least 10 pairs, the change better in 9 of 10 of them, and
   the medians further apart than the parent's quartile distance;
@@ -56,6 +57,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+# Fewest pairs whose parent quartiles can support a gain.
+MIN_PAIRS = 10
 
 
 def extract(ref: str, dest: str) -> str:
@@ -149,7 +152,7 @@ def reading(parent: list[float], change: list[float], sign: float, bound: float 
     pq1, pmed, pq3 = quartiles(parent)
     gap = sign * (statistics.median(change) - pmed)
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
-    if len(parent) >= 10 and wins >= 0.9 * len(parent) and gap > pq3 - pq1:
+    if len(parent) >= MIN_PAIRS and wins >= 0.9 * len(parent) and gap > pq3 - pq1:
         return "gain"
     if bound is None:
         return "no bound"
@@ -178,7 +181,8 @@ def summarize(pairs: list[dict], rules: dict[str, tuple[str, float | None]]) -> 
             "change_median": cmed, "change_q1": cq1, "change_q3": cq3,
             "change_better_in": f"{sum(g > 0 for g in gains)}/{len(got)}",
             "change_worse_in": f"{sum(g < 0 for g in gains)}/{len(got)}",
-            "median_gap_exceeds_parent_iqr": abs(cmed - pmed) > pq3 - pq1,
+            "median_gap_exceeds_parent_iqr": (
+                abs(cmed - pmed) > pq3 - pq1 if len(got) >= MIN_PAIRS else None),
             "bound": bound,
             "reading": reading(parent, change, sign, bound),
         }

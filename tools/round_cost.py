@@ -9,7 +9,11 @@ Times the engine's own per-round work: ``quantize`` and ``stream`` are
 replaced, inside the timing processes only, by stubs that return the
 message unchanged (a fixed bit count) and a stream whose draws are all
 zero, so what is left is the loop's numpy and Python overhead and the
-gradient oracle.  Three cases, each on its perfbench workload's problem:
+gradient oracle.  In trees with ``seeding.draw_index`` the stub stream
+gives a raw word and the row draw's own arithmetic stays in the round,
+where older trees' stub ``integers`` skipped it, so across that change
+the ``sgd-mc`` round also counts the arithmetic of its 150 draws.  Three
+cases, each on its perfbench workload's problem:
 
 - ``gd-race``: ``_frequent_run`` as ``run_deed_gd`` calls it, N = 10,
   d = 100, one lane (R = 1);
@@ -23,13 +27,17 @@ gradient oracle.  Three cases, each on its perfbench workload's problem:
   Each lane's participants are drawn before the timing, from that
   lane's real participation stream, and looked up during it.
 
-Two more cases time what the stubs leave out, one message: the real
-``seeding.stream(seed, run, round, node, UPLINK)`` and
+Four more cases time what the stubs leave out.  Two are one message:
+the real ``seeding.stream(seed, run, round, node, UPLINK)`` and
 ``quantizer.quantize`` of a vector of that stream, at d = 20 (``sgd-mc``)
 and d = 100 (``gd-race``).  The vectors cycle through five ratios of
 ``|w|`` to the budget, from 0.44 to 42.4, across the range the runs send
 (``perfbench/workloads.py``'s ``WIRE_RATIOS``), and a sample's rounds
-are its messages.
+are its messages.  Two are one row draw: the real
+``seeding.stream(seed, run, round, node, ROW_SAMPLE)`` and its row index
+out of m = 12 (``fed-local``) and m = 20 (``sgd-mc``) rows, as the tree's
+``stochastic_grad`` draws it (``seeding.draw_index``, or ``integers`` in
+trees before it); a sample's rounds are its draws.
 
 Each tree (a git ref, extracted with ``git archive``, or ``.`` for the
 working tree) runs in its own worker process.  A sample times
@@ -57,6 +65,10 @@ import time
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CASES = (
+    "gd-race N=10 d=100 R=1", "sgd-mc N=5 d=20 R=30", "fed-sync N=8 d=10 K=4 R=30",
+    "message d=20", "message d=100", "row draw m=12", "row draw m=20",
+)
 
 
 class _Message:
@@ -69,10 +81,20 @@ class _Message:
 
 
 class _Draws:
-    """A stub stream: every row-sample draw is row 0."""
+    """A stub stream: every row-sample draw is row 0, whether the tree
+    draws it with ``integers`` or with ``seeding.draw_index`` from the
+    raw word.  That word is 1, which Lemire's method maps to row 0 at
+    once; a raw word of 0 would be rejected on every draw."""
 
     def integers(self, high):
         return 0
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def random_raw(self):
+        return 1
 
 
 _DRAWS = _Draws()
@@ -106,6 +128,8 @@ def cases(engine, make_linreg, rounds: int) -> dict:
     out = {"gd-race N=10 d=100 R=1": gd_race}
     for d in (20, 100):
         out[f"message d={d}"] = _messages(d, rounds)
+    for m in (12, 20):
+        out[f"row draw m={m}"] = _row_draws(m, rounds)
     if not hasattr(engine, "_lane_grads"):
         return out
 
@@ -191,6 +215,20 @@ def _messages(d: int, rounds: int):
     return send
 
 
+def _row_draws(m: int, rounds: int):
+    """A callable that draws ``rounds`` row indices out of ``m`` rows, one
+    real row-sample stream each, as ``stochastic_grad`` draws them."""
+    from deedsim import seeding
+
+    draw = getattr(seeding, "draw_index", lambda g, m: int(g.integers(m)))
+
+    def sample():
+        for k in range(rounds):
+            draw(seeding.stream(1, 0, k, 0, seeding.ROW_SAMPLE), m)
+
+    return sample
+
+
 def worker(src: str, rounds: int) -> None:
     """Serve samples: read a case name per line, answer with the us per
     round of one sample of it, or ``-`` for a case this tree lacks."""
@@ -254,13 +292,9 @@ def main(argv=None) -> None:
             for proc in workers:
                 if proc.stdout.readline().strip() != "ready":
                     raise SystemExit("a worker failed to start")
-            names = [
-                "gd-race N=10 d=100 R=1", "sgd-mc N=5 d=20 R=30", "fed-sync N=8 d=10 K=4 R=30",
-                "message d=20", "message d=100",
-            ]
             print(f"{'case':<26} {'tree':<10} {'median':>8} {'q1':>8} {'q3':>8} "
-                  f"{'ratio':>7}  (us per round or message)")
-            for name in names:
+                  f"{'ratio':>7}  (us per round, message or draw)")
+            for name in CASES:
                 samples = [[] for _ in workers]
                 for rep in range(args.reps):
                     order = range(len(workers)) if rep % 2 == 0 else reversed(range(len(workers)))

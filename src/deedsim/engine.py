@@ -13,10 +13,13 @@ broadcast are rows of ``(R, d)`` arrays (``(N, R, d)`` for local
 weights), and the nodes' accumulators and payloads are one
 ``(2, N, R, d)`` array.  The single-run engines are the case R = 1, on
 the same path.  Every engine sends its messages through one
-``_Exchange``: each lane's uplinks of the round's participants, the
-center's weighted aggregate, the downlink, and the aggregate error chain
-assert (the broadcast lies within the round's total budget of the exact
-aggregate).  A lane draws from its own run's streams, and the streams
+``_Exchange`` per run, in one call per round: each lane's uplinks of the
+round's participants, the center's weighted aggregate, the downlink, and
+the aggregate error chain assert (the broadcast lies within the round's
+total budget of the exact aggregate).  The exchange spans all N nodes of
+every lane; ``deed-fed``'s partial participation selects each lane's
+participants and masks the others out, so every scheme takes the one
+form.  A lane draws from its own run's streams, and the streams
 are pure functions of their labels, so advancing the runs together
 changes no draw.  ``_Lanes.book`` records each exchange's bits, budget,
 largest error fraction, largest message and aggregate error on its trace
@@ -89,45 +92,35 @@ _REL_SLACK = 1e-9
 _ABS_DUST = 1e-12
 
 
-def _weighted_sums(SP: np.ndarray, rows, coefs, terms=None, out=None) -> np.ndarray:
-    """``sum_j coefs[j] * SP[:, rows[j]]`` of a ``(2, N, R, d)`` array (the
-    nodes' accumulators, then their payloads, a row per lane) as one
-    ``(2, R, d)`` array, added node after node in the order of ``rows``
-    (ascending node ids); ``terms`` (``(K, 2, R, d)``) and ``out`` are
-    optional scratch and result arrays.  ``rows`` and ``coefs`` are node
-    ids and ``(K,)`` coefficients shared by every lane, or each lane's own
-    (see ``_index``) with ``(K, R)`` coefficients.
+def _weighted_sums(SP: np.ndarray, coefs, terms=None, out=None, where=True) -> np.ndarray:
+    """``sum_i coefs[i] * SP[:, i]`` over the member nodes of a
+    ``(2, N, R, d)`` array (the nodes' accumulators, then their payloads,
+    a row per lane) as one ``(2, R, d)`` array, added node after node in
+    ascending node order; ``terms`` (``(N, 2, R, d)``) and ``out`` are
+    optional scratch and result arrays.  ``coefs`` is ``(N,)``, shared by
+    every lane, or ``(N, R)``, each lane's own.  ``where`` is True (every
+    node a member) or an ``(N, 1, R, 1)`` mask of each lane's members.
 
-    The products are laid out node-major, ``(K, 2, R, d)``, and
-    ``add.reduce`` down that leading axis adds each node's whole
+    The products are laid out node-major, ``(N, 2, R, d)``, and
+    ``add.reduce`` down that leading axis adds each member's whole
     ``2 x R x d`` block to the running sum in turn, starting from ``-0.0``,
-    which leaves every float unchanged, signed zeros included.  (Blocks of
-    two or more floats keep numpy from summing pairwise, as it does along
-    a single axis; a BLAS product would round differently too.)
+    which leaves every float unchanged, signed zeros included; a
+    non-member is skipped, not added as zero.  (Blocks of two or more
+    floats keep numpy from summing pairwise, as it does along a single
+    axis; a BLAS product would round differently too.)
     """
-    held = SP[(slice(None),) + _index(rows)].swapaxes(0, 1)
+    held = SP.swapaxes(0, 1)
     if terms is None:
         terms = np.empty(held.shape)
     np.multiply(coefs.reshape(len(coefs), 1, -1, 1), held, out=terms)
-    return np.add.reduce(terms, axis=0, initial=-0.0, out=out)
+    return np.add.reduce(terms, axis=0, initial=-0.0, out=out, where=where)
 
 
 @functools.lru_cache(maxsize=1)
 def _quant_spec(stage: float, d: int) -> QuantSpec:
-    """The ``QuantSpec`` of one encoding stage: a run at a fixed budget, and
-    the lanes of one ``deed-fed`` sync, ask for the same one again."""
+    """The ``QuantSpec`` of one encoding stage: every round of a run at a
+    fixed budget, and every lane of one round, ask for the same one again."""
     return QuantSpec(max_error=stage, dim=d)
-
-
-def _index(rows) -> tuple:
-    """The index of ``rows`` into the node and lane axes of an
-    ``(N, R, ...)`` array.  Node ids shared by every lane: a ``range`` (a
-    slice, so a view, not a gather) or a list.  Each lane's own: a pair
-    ``(P, lanes)`` of ``(K, R)`` node ids, column ``l`` lane ``lanes[l]``'s,
-    and the ``(R,)`` lane ids, which gathers ``K x R`` rows."""
-    if isinstance(rows, range):
-        return (slice(rows.start, rows.stop, rows.step),)
-    return rows if isinstance(rows, tuple) else (rows,)
 
 
 def _norm(x: np.ndarray):
@@ -146,34 +139,35 @@ def _initial_point(problem, w0) -> np.ndarray:
 
 
 class _Exchange:
-    """The difference-encoded uplink/aggregate/downlink exchange of a set
-    of lanes, the one message path of every engine.  A call runs one
-    round's exchange in every lane and updates the accumulators ``SP[0]``
-    and ``v`` in place.
+    """The difference-encoded uplink/aggregate/downlink exchange of every
+    lane, the one message path of every engine.  A call runs one round's
+    exchange in every lane and updates the accumulators ``SP[0]`` and
+    ``v`` in place.
 
     Lane ``l`` is one Monte Carlo run.  ``SP`` is ``(2, N, R, d)``:
     ``SP[0, i, l]`` is node ``i``'s accumulator and ``SP[1, i, l]`` its
-    payload in lane ``l``; ``v`` is ``(R, d)``.  In each lane each
-    participant ``i`` encodes ``SP[1, i, l] - SP[0, i, l]`` at maximal
-    error ``stage``, and sender and center apply the decoded message to the
-    one accumulator row.  The center encodes the ``coefs``-weighted sum of
-    those rows against the broadcast ``v[l]`` at the same error, and every
-    node applies it to ``v[l]``.  Asserts that each lane's ``v`` lies
-    within ``budget`` (one float, or a list of one per lane) of the
+    payload in lane ``l``; ``v`` is ``(R, d)``.  In each lane each member
+    ``i`` encodes ``SP[1, i, l] - SP[0, i, l]`` at maximal error
+    ``stage``, and sender and center apply the decoded message to the one
+    accumulator row.  The center encodes the coefficient-weighted sum of
+    the members' rows against the broadcast ``v[l]`` at the same error,
+    and every node applies it to ``v[l]``.  Asserts that each lane's ``v``
+    lies within its ``budget`` (a list of one float per lane) of the
     weighted payloads.  ``labels`` is ``(seed, runs, round)``: lane ``l``
     draws its messages from run ``runs[l]``'s streams, one per message.
 
-    The participants take one of two forms.  A ``range`` of node ids, with
-    ``(K,)`` coefficients, is shared by every lane of ``SP``: the exchange
-    works on views of it and gathers nothing.  A pair ``(P, lanes)`` holds
-    each lane's own ascending node ids, column ``l`` of the ``(K, R)``
-    array ``P`` for lane ``lanes[l]`` of ``SP`` (a list or array of lane
-    ids), with ``(K, R)`` coefficients: the uplink differences, the
-    accumulator update and the weighted sums gather and scatter
-    ``SP[:, P, lanes]``, and the broadcasts ``v[lanes]``.
+    Every node of every lane starts as a member, with the ``(N,)``
+    coefficients ``coefs``; ``select`` narrows one lane to its own
+    participants and coefficients, which hold until it is selected again.
+    The exchange always works on views of all N nodes of every lane and
+    gathers nothing: a call forms every node's difference, quantizes only
+    the members', and skips the non-members in the accumulator update, the
+    weighted sums and the largest fraction (``where=``), so a
+    non-participant's accumulator keeps every bit.  Until a lane is
+    narrowed every ``where`` is True, which costs nothing.
 
     The uplink differences, downlink difference and aggregate error of
-    every lane are rows of one ``(K + 2, R, d)`` array, so one stacked call
+    every lane are rows of one ``(N + 2, R, d)`` array, so one stacked call
     takes all their norms, and one reduce gives both weighted sums.  The
     scratch arrays and their views are made once, so a run that calls the
     same ``_Exchange`` every round pays only for the arithmetic.
@@ -182,44 +176,54 @@ class _Exchange:
     down_payload_bits, max fraction, max message bits, aggregate error).
     """
 
-    def __init__(self, SP, v, participants, coefs) -> None:
-        d = v.shape[-1]
-        K = len(coefs)
-        self.SP, self.v, self.rows, self.coefs = SP, v, participants, coefs
+    def __init__(self, SP, v, coefs) -> None:
+        _, N, R, d = SP.shape
+        self.SP, self.v, self.coefs = SP, v, coefs
         self.S, self.payloads = SP
-        self.index = _index(participants)
-        if isinstance(participants, range):
-            self.lanes, R = None, len(v)
-            senders = [participants] * R
-        else:
-            nodes, self.lanes = participants
-            R = len(self.lanes)
-            senders = nodes.T.tolist()
-        self.diffs = np.empty((K + 2, R, d))  # K uplinks, the downlink, the error
-        self.up, self.down, self.error = self.diffs[:K], self.diffs[K], self.diffs[K + 1]
-        self.decoded = np.empty((K, R, d))  # the uplinks' messages, then the downlink's
+        self.diffs = np.empty((N + 2, R, d))  # N uplinks, the downlink, the error
+        self.up, self.down, self.error = self.diffs[:N], self.diffs[N], self.diffs[N + 1]
+        self.decoded = np.empty((N, R, d))  # the uplinks' messages, then the downlink's
         self.down_decoded = self.decoded[0]
-        self.terms = np.empty((K, 2, R, d))
+        self.terms = np.empty((N, 2, R, d))
         self.sums = np.empty((2, R, d))
         self.aggregate, self.gbar = self.sums
         # Each difference's norm as _norm takes it: one dot per vector.
         self.rows_of_diffs = self.diffs[..., None, :], self.diffs[..., None]
-        self.dots = np.empty((K + 2, R, 1, 1))
-        self.norms = np.empty((K + 2, R))
+        self.dots = np.empty((N + 2, R, 1, 1))
+        self.norms = np.empty((N + 2, R))
         self.squares, self.message_norms, self.error_norms = (
             self.dots[..., 0, 0], self.norms[:-1], self.norms[-1],
         )
-        self.uplinks = [
-            list(zip(nodes, self.up[:, lane], self.decoded[:, lane]))
-            for lane, nodes in enumerate(senders)
-        ]
+        # Each lane's messages, the downlink's always sent: the largest
+        # fraction's mask, whose first N rows are the member mask.
+        self.sending = np.ones((N + 1, R), dtype=bool)
+        self.member = self.sending[:N]
+        self.where = (True, True, True)  # the update's, the sums' and the fraction's
+        self.sends = [list(zip(range(N), self.up[:, lane], self.decoded[:, lane]))
+                      for lane in range(R)]
+        self.uplinks = list(self.sends)
         self.downlinks = list(zip(self.down, self.down_decoded))
+
+    def select(self, lane, nodes, coefs) -> None:
+        """Make ``nodes`` (ascending node ids) lane ``lane``'s members, with
+        coefficients ``coefs``, from the next call on."""
+        if self.coefs.ndim == 1:  # the first narrowing: each lane's own column and mask
+            self.coefs = np.repeat(self.coefs[:, None], len(self.v), axis=1)
+            member = self.member
+            self.where = (member[..., None], member[:, None, :, None], self.sending)
+        self.member[:, lane] = False
+        self.member[nodes, lane] = True
+        self.coefs[:, lane] = 0.0
+        self.coefs[nodes, lane] = coefs
+        sends = self.sends[lane]
+        self.uplinks[lane] = [sends[i] for i in nodes]
 
     def __call__(self, stage, budget, labels):
         seed, runs, round_index = labels
         spec = _quant_spec(stage, self.v.shape[-1])
-        S, index = self.S, self.index
-        np.subtract(self.payloads[index], S[index], out=self.up)
+        S, v = self.S, self.v
+        update, members, sending = self.where
+        np.subtract(self.payloads, S, out=self.up)
         bits = []  # each lane's uplink bits
         for sends, r in zip(self.uplinks, runs):
             lane_bits = []
@@ -228,11 +232,9 @@ class _Exchange:
                 decoded[...] = msg.decoded
                 lane_bits.append(msg.bits)
             bits.append(lane_bits)
-        S[index] += self.decoded
+        np.add(S, self.decoded, out=S, where=update)
 
-        _weighted_sums(self.SP, self.rows, self.coefs, self.terms, self.sums)
-        # The lanes' broadcasts: v itself, or a gathered copy scattered back.
-        v = self.v if self.lanes is None else self.v[self.lanes]
+        _weighted_sums(self.SP, self.coefs, self.terms, self.sums, members)
         np.subtract(self.aggregate, v, out=self.down)
         down_bits = []  # every uplink is applied, so down_decoded is free
         for (diff, decoded), r in zip(self.downlinks, runs):
@@ -240,15 +242,14 @@ class _Exchange:
             decoded[...] = umsg.decoded
             down_bits.append(umsg.bits)
         v += self.down_decoded
-        if self.lanes is not None:
-            self.v[self.lanes] = v
         np.subtract(v, self.gbar, out=self.error)
         np.matmul(*self.rows_of_diffs, out=self.dots)
         np.sqrt(self.squares, out=self.norms)
         err = _assert_budget(self.error_norms.tolist(), self.gbar, budget, labels)
         # stage > 0 divides monotonically, so the largest norm gives the largest fraction.
         max_fraction = (
-            np.maximum.reduce(self.message_norms) / stage if stage > 0.0 else np.zeros(len(runs))
+            np.maximum.reduce(self.message_norms, initial=0.0, where=sending) / stage
+            if stage > 0.0 else np.zeros(len(runs))
         )
         return (
             [sum(b) for b in bits], down_bits, max_fraction,
@@ -297,13 +298,12 @@ class _Lanes:
         self.bits = np.zeros((T + 1, 3, runs), dtype=np.int64)
         self._points = np.empty((min(_BLOCK, T + 1), runs, problem.d))
 
-    def book(self, row: int, total: float, exchange, lanes=slice(None)) -> None:
-        """Book an ``_Exchange`` result of the lanes ``lanes`` (every lane,
-        in order, by default) and its total budget on ``row``; the
-        broadcast is charged once per node."""
+    def book(self, row: int, total: float, exchange) -> None:
+        """Book an ``_Exchange`` result of every lane and its total budget
+        on ``row``; the broadcast is charged once per node."""
         up, down, frac, mbits, err = exchange
-        self.bits[row][:, lanes] = (up, [self.problem.N * b for b in down], mbits)
-        self.floats[row][2:, lanes] = ([total] * len(err), frac, err)
+        self.bits[row] = (up, [self.problem.N * b for b in down], mbits)
+        self.floats[row][2:] = ([total] * len(err), frac, err)
 
     def record(self, t: int, X: np.ndarray) -> None:
         """Hold row ``t``'s point of each lane, one row of ``X`` per lane,
@@ -344,19 +344,13 @@ class _Lanes:
 
 def _assert_budget(err, gbar, budget, labels) -> list:
     """Raise unless every lane's aggregate error ``err[l] = |v[l] -
-    gbar[l]|`` (floats) is at most its budget (up to float dust), naming
-    the round and the first offending lane's run of ``labels = (seed, runs,
-    round)``; ``budget`` is one float for every lane or a list of one per
-    lane.  Returns ``err``."""
+    gbar[l]|`` (floats) is at most its budget ``budget[l]`` (up to float
+    dust), naming the round and the first offending lane's run of
+    ``labels = (seed, runs, round)``.  Returns ``err``."""
     _, runs, round_index = labels
     # The dust term only adds slack, so gbar's norm is needed only past it.
     scale = 1.0 + _REL_SLACK
-    if isinstance(budget, list):
-        over = any(e > b * scale for e, b in zip(err, budget))
-    else:
-        limit = budget * scale
-        over = any(e > limit for e in err)
-    if over:
+    if any(e > b * scale for e, b in zip(err, budget)):
         allowed = np.multiply(budget, scale) + _ABS_DUST * (1.0 + _norm(gbar))
         for lane, (e, a) in enumerate(zip(err, allowed.tolist())):
             if e > a:
@@ -541,7 +535,7 @@ def _frequent_run(
     SP = np.zeros((2, n, runs, problem.d))
     accumulators, payloads = SP
     v = np.zeros((runs, problem.d))
-    exchange = _Exchange(SP, v, nodes, coefs)
+    exchange = _Exchange(SP, v, coefs)
     log = _Lanes(problem, runs, T)
 
     log.record(0, w)
@@ -551,7 +545,7 @@ def _frequent_run(
             v.fill(0.0)
         payloads[...] = grad_source(k, w if tau is None else y)
         total = budget_total(k)
-        log.book(k, total, exchange(total / 2.0, total, (seed, lanes, k)))
+        log.book(k, total, exchange(total / 2.0, [total] * runs, (seed, lanes, k)))
 
         if tau is None:
             w = w - eta * v
@@ -872,10 +866,10 @@ def run_deed_fed(
     that *produced* that row's iterate.  The ``mc_runs`` runs advance
     together, one lane each: a local step draws every lane's and node's
     row gradient in one oracle call, and a sync exchanges every lane in
-    one ``_Exchange`` call.  Under full participation the lanes share the
-    nodes; under partial participation each lane draws its own, and the
-    call gathers each lane's participants (``_partial_sync``: with
-    replacement, one call per number of distinct participants drawn).
+    one call of the run's one ``_Exchange``, after selecting each lane's
+    participants (every node under full participation, which draws
+    nothing) and its own budget ``stage (1 + sum_i c_i)``.  A budget
+    violation names the lowest run that breaks it at that sync.
 
     The across-run mean squared distance of the weighted average iterate
     is checked against ``v / (gamma + t)`` plus
@@ -901,10 +895,9 @@ def run_deed_fed(
     W[:] = w0
     v = np.zeros((mc_runs, problem.d))
     log = _Lanes(problem, mc_runs, T_total)
-    # Under full participation every lane syncs every node, on views.
-    full = _Exchange(SP, v, nodes, p) if participation == "full" else None
+    exchange = _Exchange(SP, v, p)
 
-    log.record(0, _weighted_sums(SP, nodes, p)[1])
+    log.record(0, _weighted_sums(SP, p)[1])
     for t in range(T_total):
         # Node i's gradient reads only its own row, so one update of all
         # rows after every gradient takes the same floats as one per node.
@@ -915,15 +908,14 @@ def run_deed_fed(
             # sum_i c_i W[i]; every node restarts from it.
             total = s * eta_at(k)
             stage = total / 2.0
-            if full is not None:
-                budget = stage * (1.0 + float(np.sum(p)))
-                log.book(k, total, full(stage, budget, (seed, lanes, k)))
-            else:
-                for group, result in _partial_sync(SP, v, participation, K, p, stage,
-                                                   (seed, lanes, k)):
-                    log.book(k, total, result, group)
+            budgets = []
+            for lane, r in enumerate(lanes):
+                participants, coefs = _participants(participation, K, p, (seed, r, k))
+                exchange.select(lane, participants, coefs)
+                budgets.append(stage * (1.0 + float(np.sum(coefs))))
+            log.book(k, total, exchange(stage, budgets, (seed, lanes, k)))
             W[:] = v
-        log.record(k, _weighted_sums(SP, nodes, p)[1])
+        log.record(k, _weighted_sums(SP, p)[1])
     traces = log.traces(
         "deed-fed",
         lambda r: {
@@ -972,45 +964,3 @@ def _participants(participation, K, p, labels):
         return participants, counts[participants] / K
     participants = sorted(rng.choice(n, size=K, replace=False).tolist())
     return participants, (n / K) * p[participants]
-
-
-def _lane_draws(participation, K, p, labels) -> list:
-    """Each lane's participants and coefficients of one partial-participation
-    sync (``labels``: seed, runs, round; lane ``l`` is run ``runs[l]``),
-    grouped by their number: a list of (lane ids, their ``(K, R)``
-    participants, their ``(K,)`` coefficient arrays), one entry per number
-    that some lane draws (one entry without replacement)."""
-    seed, runs, round_index = labels
-    groups = {}  # number of participants -> [(lane, participants, coefs)]
-    for lane, r in enumerate(runs):
-        participants, coefs = _participants(participation, K, p, (seed, r, round_index))
-        groups.setdefault(len(participants), []).append((lane, participants, coefs))
-    return [
-        (list(lanes), np.array(participants).T, coefs)
-        for lanes, participants, coefs in (zip(*members) for members in groups.values())
-    ]
-
-
-def _partial_sync(SP, v, participation, K, p, stage, labels):
-    """One partial-participation sync of every lane (``labels``: seed,
-    runs, round), as a list of (lane ids, ``_Exchange`` result).  Each lane
-    draws its own participants, and lanes with the same number of them
-    share one ``_Exchange`` call on their ``(K, R)`` participants
-    (``_lane_draws``): without replacement that is every lane.  Each
-    lane's budget is ``stage (1 + sum_i c_i)`` over its own coefficients.
-    A budget violation in several calls names the lowest run, as a lane
-    loop would."""
-    seed, runs, round_index = labels
-    synced, failures = [], []
-    for lanes, participants, coefs in _lane_draws(participation, K, p, labels):
-        budgets = [stage * (1.0 + float(np.sum(c))) for c in coefs]
-        exchange = _Exchange(SP, v, (participants, lanes), np.stack(coefs, axis=1))
-        try:
-            result = exchange(stage, budgets, (seed, [runs[l] for l in lanes], round_index))
-        except BoundViolationError as error:
-            failures.append(error)
-        else:
-            synced.append((lanes, result))
-    if failures:
-        raise min(failures, key=lambda error: error.run)
-    return synced

@@ -554,8 +554,8 @@ def test_check_envelope_is_tight_at_the_allowed_value(small_problem, squared):
 def test_assert_budget_is_tight_at_the_allowed_value():
     # Three lanes of runs 5, 6 and 7; only the lane under test is off zero.
     gbar = np.zeros((3, 3))
-    budget = 0.75
-    allowed = _allowed(budget)
+    budget = [0.75] * 3
+    allowed = _allowed(0.75)
     labels = (0, range(5, 8), 4)
     for lane in range(3):
         at = np.zeros(3)  # the lanes' errors |v - gbar|
@@ -769,35 +769,44 @@ def _held(S, payloads):
     return np.ascontiguousarray(np.stack([S, payloads]).swapaxes(1, 2))
 
 
+def _lane_draws(scheme, K, p, seed, runs):
+    """Each run's participants and coefficients of round 1 (every node, at
+    the weights ``p``, under full participation) as the member mask and
+    coefficients of an ``_Exchange``: ``(N, R)`` each."""
+    member, coefs = np.zeros((len(p), len(runs)), dtype=bool), np.zeros((len(p), len(runs)))
+    draws = [_participants(scheme, K, p, (seed, r, 1)) for r in runs]
+    for lane, (nodes, c) in enumerate(draws):
+        member[nodes, lane], coefs[nodes, lane] = True, c
+    return draws, member, coefs
+
+
 def assert_weighted_sums_match(n, d, scheme, seed, lanes):
     """``_weighted_sums`` of the engine's layout of two ``(lanes, n, d)`` arrays
-    equals the sequential loop in both and every lane, for ``range``
-    (uniform, full) and list rows."""
+    equals the sequential loop in both and every lane: every node at shared
+    ``(N,)`` coefficients (uniform, full), and each lane's own draw as an
+    ``(N, R)`` member mask and coefficients (full too: all True)."""
     rng = np.random.default_rng(seed)
     arrays = [_awkward_floats(rng, (lanes, n, d)) for _ in range(2)]
     p = rng.random(n) + 0.05
     p /= p.sum()
-    if scheme == "uniform":  # the frequent engines' coefficients
-        rows, coefs = range(n), np.full(n, 1.0 / n)
-    else:
-        K = int(rng.integers(1, n + 1)) if scheme != "full" else None
-        rows, coefs = _participants(scheme, K, p, (seed, 0, 1))
-    assert isinstance(rows, range) == (scheme in ("full", "uniform"))
-    got = _weighted_sums(_held(*arrays), rows, coefs)
+    if scheme in ("full", "uniform"):  # every node, as the frequent engines sum them
+        rows, coefs = range(n), np.full(n, 1.0 / n) if scheme == "uniform" else p
+        got = _weighted_sums(_held(*arrays), coefs)
+        assert got.shape == (2, lanes, d)
+        for x, sums in zip(arrays, got):
+            for lane, total in zip(x, sums):
+                assert total.tobytes() == _sequential_weighted_sum(lane, rows, coefs).tobytes()
+        if scheme == "uniform":
+            return
+    K = int(rng.integers(1, n + 1)) if scheme != "full" else None
+    draws, member, C = _lane_draws(scheme, K, p, seed, range(lanes))
+    assert all(isinstance(rows, range) == (scheme == "full") for rows, _ in draws)
+    got = _weighted_sums(_held(*arrays), C, where=member[:, None, :, None])
     assert got.shape == (2, lanes, d)
     for x, sums in zip(arrays, got):
-        for lane, total in zip(x, sums):
-            assert total.tobytes() == _sequential_weighted_sum(lane, rows, coefs).tobytes()
-    if isinstance(rows, range):
-        return
-    # Each lane's own rows, as a deed-fed sync gathers them.
-    for group, P, C in _lane_groups(scheme, K, p, seed, range(lanes)):
-        got = _weighted_sums(_held(*arrays), (P, group), C)
-        assert got.shape == (2, len(group), d)
-        for x, sums in zip(arrays, got):
-            for j, total in enumerate(sums):
-                want = _sequential_weighted_sum(x[group[j]], P[:, j], C[:, j].copy())
-                assert total.tobytes() == want.tobytes()
+        for lane, (total, (rows, coefs)) in enumerate(zip(sums, draws)):
+            want = _sequential_weighted_sum(x[lane], rows, coefs)
+            assert total.tobytes() == want.tobytes()
 
 
 @given(
@@ -878,21 +887,14 @@ def _exchange_per_node(S, v, payloads, participants, coefs, stage, budget, label
     return up_bits, umsg.bits, max_fraction, max_bits, math.sqrt(err.dot(err))
 
 
-def _lane_groups(scheme, K, p, seed, runs):
-    """Each run's participants and coefficients of round 1 as
-    ``_partial_sync`` groups the lanes: ``[(lane ids, (K, R) participants,
-    (K, R) coefficients)]``, one entry per number of participants drawn."""
-    return [(lanes, participants, np.stack(coefs, axis=1))
-            for lanes, participants, coefs in engine._lane_draws(scheme, K, p, (seed, runs, 1))]
-
-
 def assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes=2):
-    """``_Exchange`` over ``lanes`` runs leaves the same accumulators and
-    broadcasts, and books the same bits, fraction, largest message and
-    error in each lane, as the per-node loop run by run.  ``range``
-    participants (uniform, full) take one call for every lane; each lane's
-    own draw (the partial schemes) takes one call per number of
-    participants, on those lanes' ``(K, R)`` participants."""
+    """One ``_Exchange`` call over ``lanes`` runs leaves the same
+    accumulators and broadcasts, and books the same bits, fraction, largest
+    message and error in each lane, as the per-node loop run by run.  The
+    uniform scheme (the frequent engines) keeps every node a member; the
+    others select each lane's own draw into the one exchange first (full
+    participation selects every node).  A non-participant's accumulator
+    row keeps its exact bytes, signed zeros included."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** int(rng.integers(-5, 6))
     payloads = _awkward_floats(rng, (lanes, n, d), scale)
@@ -901,37 +903,31 @@ def assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes=2):
     runs = tuple(int(r) for r in rng.choice(50, size=lanes, replace=False))
     p = rng.random(n) + 0.05
     p /= p.sum()
-    if scheme == "uniform":  # the frequent engines
-        calls = [(list(range(lanes)), range(n), np.full(n, 1.0 / n))]
-    elif scheme == "full":
-        calls = [(list(range(lanes)), *_participants(scheme, None, p, (seed, 0, 1)))]
-    else:
-        calls = _lane_groups(scheme, int(rng.integers(1, n + 1)), p, seed, runs)
-        if scheme == "without-replacement":
-            assert len(calls) == 1
     stage *= scale * math.sqrt(d)
 
     SP, v = _held(S0, payloads), v0.copy()
-    out = [None] * lanes
-    for group, participants, coefs in calls:
-        if not isinstance(participants, range):
-            participants = (participants, group)
-        result = _Exchange(SP, v, participants, coefs)(stage, math.inf,
-                                                        (seed, [runs[l] for l in group], 3))
-        for j, lane in enumerate(group):
-            out[lane] = repr(tuple(np.asarray(x)[j].item() for x in result))
+    if scheme == "uniform":  # the frequent engines
+        draws = [(range(n), np.full(n, 1.0 / n))] * lanes
+        exchange = _Exchange(SP, v, draws[0][1])
+    else:
+        K = int(rng.integers(1, n + 1)) if scheme != "full" else None
+        draws = [_participants(scheme, K, p, (seed, r, 1)) for r in runs]
+        exchange = _Exchange(SP, v, p)
+        for lane, (nodes, coefs) in enumerate(draws):
+            exchange.select(lane, nodes, coefs)
+    result = exchange(stage, [math.inf] * lanes, (seed, runs, 3))
+    out = [repr(tuple(np.asarray(x)[lane].item() for x in result)) for lane in range(lanes)]
     assert SP[1].tobytes() == _held(S0, payloads)[1].tobytes()  # payloads untouched
+    for lane, (nodes, _) in enumerate(draws):
+        for i in sorted(set(range(n)) - set(nodes)):
+            assert SP[0, i, lane].tobytes() == S0[lane, i].tobytes()
     got = [(SP[0, :, lane].tobytes(), v[lane].tobytes(), out[lane]) for lane in range(lanes)]
-    want = [None] * lanes
-    for group, participants, coefs in calls:
-        for j, lane in enumerate(group):
-            nodes, lane_coefs = participants, coefs
-            if not isinstance(participants, range):
-                nodes, lane_coefs = participants[:, j].tolist(), coefs[:, j].copy()
-            S, w = S0[lane].copy(), v0[lane].copy()
-            one = _exchange_per_node(S, w, payloads[lane], nodes, lane_coefs, stage, math.inf,
-                                     (seed, runs[lane], 3))
-            want[lane] = (S.tobytes(), w.tobytes(), repr(one))
+    want = []
+    for lane, (nodes, coefs) in enumerate(draws):
+        S, w = S0[lane].copy(), v0[lane].copy()
+        one = _exchange_per_node(S, w, payloads[lane], nodes, coefs, stage, math.inf,
+                                 (seed, runs[lane], 3))
+        want.append((S.tobytes(), w.tobytes(), repr(one)))
     assert got == want
 
 
@@ -1011,13 +1007,47 @@ def assert_lanes_match_reference(mc_runs, participation, sgd_T=40, fed_rounds=10
 def test_lanes_equal_run_by_run_reference(participation, mc_runs):
     if mc_runs == 5:
         # The lanes of some sync draw different numbers of distinct
-        # participants, so that sync takes one _Exchange call per number.
-        fed = _lane_problems()[1]
-        syncs = range(4, 4 * 10 + 1, 4)  # E = 4, 10 rounds, seed 2, K = 4
-        counts = [{len(_participants(participation, 4, fed.weights, (2, r, k))[0])
-                   for r in range(mc_runs)} for k in syncs]
-        assert sum(len(c) > 1 for c in counts) >= 5
+        # participants, and that sync's one _Exchange call masks each
+        # lane's own non-participants.
+        assert sum(len(c) > 1 for c in _distinct_participant_counts(participation)) >= 5
     assert_lanes_match_reference(mc_runs, participation)
+
+
+def _distinct_participant_counts(participation, mc_runs=5):
+    """At each sync of the lane problem's ``deed-fed`` run (E = 4, 10
+    rounds, seed 2, K = 4), the set of its lanes' numbers of distinct
+    participants."""
+    fed = _lane_problems()[1]
+    syncs = range(4, 4 * 10 + 1, 4)
+    return [{len(_participants(participation, 4, fed.weights, (2, r, k))[0])
+             for r in range(mc_runs)} for k in syncs]
+
+
+def test_fed_run_makes_one_exchange_and_one_call_per_sync(monkeypatch):
+    # Every scheme, five lanes; with replacement the lanes of at least
+    # five syncs draw different numbers of distinct participants.
+    assert sum(len(c) > 1 for c in _distinct_participant_counts("with-replacement")) >= 5
+    made, calls = [], []
+
+    class Counted(_Exchange):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+        def __call__(self, *args):
+            calls.append(args)
+            return super().__call__(*args)
+
+    monkeypatch.setattr(engine, "_Exchange", Counted)
+    _, fed = _lane_problems()
+    beta, gamma = _fed_params(fed)
+    for participation in PARTICIPATION_SCHEMES:
+        made.clear()
+        calls.clear()
+        K = None if participation == "full" else 4
+        run_deed_fed(fed, 4, beta, gamma, 1.0, 10, participation, K, seed=2, mc_runs=5)
+        assert (len(made), len(calls)) == (1, 10), participation
+        assert [labels[2] for _, _, labels in calls] == list(range(4, 41, 4))
 
 
 def test_lanes_equal_run_by_run_reference_across_record_blocks():
@@ -1083,9 +1113,8 @@ def test_budget_violation_in_one_lane_names_its_run(monkeypatch, participation):
 @pytest.mark.parametrize("participation", PARTICIPATION_SCHEMES)
 def test_fed_downlink_fault_names_its_run_and_sync(monkeypatch, participation):
     # Five lanes; with replacement, sync 4's lanes draw 3, 4, 2, 3 and 2
-    # distinct participants, so runs 0 and 3 share the first call and run
-    # 1 has the second, and sync 20's draw 2, 4, 3, 4, 3 puts run 4 second
-    # in the last call.
+    # distinct participants and sync 20's 2, 4, 3, 4, 3, so the faults hit
+    # lanes with different numbers of participants in one call.
     _, fed = _lane_problems()
     beta, gamma = _fed_params(fed)
     K = None if participation == "full" else 4
@@ -1096,7 +1125,7 @@ def test_fed_downlink_fault_names_its_run_and_sync(monkeypatch, participation):
     for faults, (t, run) in [
         ({(4, 20)}, (20, 4)),  # one lane shifted: that run and that sync
         ({(4, 20), (0, 24)}, (20, 4)),  # the earliest sync
-        ({(3, 4), (1, 4)}, (4, 1)),  # a tie across calls: the lowest run
+        ({(3, 4), (1, 4)}, (4, 1)),  # two runs at one sync: the lowest run
     ]:
         with monkeypatch.context() as m:
             _faulty_downlinks(m, faults)

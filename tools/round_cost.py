@@ -21,11 +21,14 @@ cases, each on its perfbench workload's problem:
   d = 20, R = 30 lanes of single-row gradients;
 - ``fed-sync``: one whole ``deed-fed`` sync of R = 30 lanes without
   replacement, N = 8, d = 10, K = 4 participants per lane, as
-  ``run_deed_fed`` makes it: one ``_partial_sync`` call for every lane,
-  or, in trees before it, a loop over the lanes that makes a one-lane
-  ``_Exchange`` afresh for each (``_exchange`` in trees before that).
-  Each lane's participants are drawn before the timing, from that
-  lane's real participation stream, and looked up during it.
+  ``run_deed_fed`` makes it.  In trees whose ``_Exchange`` has
+  ``select``, the one exchange is built before the timing, and a sync is
+  30 ``select`` calls (one per lane) and one exchange call.  Older trees
+  make one ``_partial_sync`` call for every lane, or, before it, loop
+  over the lanes and make a one-lane ``_Exchange`` afresh for each
+  (``_exchange`` in trees before that).  Each lane's participants are
+  drawn before the timing, from that lane's real participation stream,
+  and looked up during it.
 
 Four more cases time what the stubs leave out.  Two are one message:
 the real ``seeding.stream(seed, run, round, node, UPLINK)`` and
@@ -148,16 +151,24 @@ def cases(engine, make_linreg, rounds: int) -> dict:
     _predraw_participants(engine, K, p, runs, rounds)
     W = np.random.default_rng(1).standard_normal((fed.N, len(runs), fed.d))
     v = np.zeros((len(runs), fed.d))
-    if hasattr(engine, "_partial_sync"):
-        # One (2, N, R, d) array, the accumulators then the payloads.
-        SP = np.zeros((2, fed.N, len(runs), fed.d))
-        SP[1] = W
+    # One (2, N, R, d) array, the accumulators then the payloads.
+    SP = np.zeros((2, fed.N, len(runs), fed.d))
+    SP[1] = W
+    if hasattr(getattr(engine, "_Exchange", None), "select"):
+        exchange = engine._Exchange(SP, v, p)
+
+        def sync(k):
+            budgets = []
+            for lane, r in enumerate(runs):
+                participants, coefs = engine._participants("without-replacement", K, p, (1, r, k))
+                exchange.select(lane, participants, coefs)
+                budgets.append(stage * (1.0 + float(np.sum(coefs))))
+            exchange(stage, budgets, (1, runs, k))
+    elif hasattr(engine, "_partial_sync"):
         sync = lambda k: engine._partial_sync(SP, v, "without-replacement", K, p, stage,
                                               (1, runs, k))
     else:
         if hasattr(engine, "_Exchange"):
-            SP = np.zeros((2, fed.N, len(runs), fed.d))
-            SP[1] = W
             one_lane = lambda r, participants, coefs, *args: engine._Exchange(
                 SP[:, :, r:r + 1], v[r:r + 1], participants, coefs)(*args)
         else:

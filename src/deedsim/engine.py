@@ -199,23 +199,26 @@ class _Exchange:
         self.sending = np.ones((N + 1, R), dtype=bool)
         self.member = self.sending[:N]
         self.where = (True, True, True)  # the update's, the sums' and the fraction's
-        self.sends = [list(zip(range(N), self.up[:, lane], self.decoded[:, lane]))
-                      for lane in range(R)]
-        self.uplinks = list(self.sends)
+        self.uplinks = [list(zip(range(N), self.up[:, lane], self.decoded[:, lane]))
+                        for lane in range(R)]
         self.downlinks = list(zip(self.down, self.down_decoded))
+        # Each lane's own coefficients, used from the first select on; per
+        # lane, views of its member and coefficient columns and all its uplinks.
+        self.lane_coefs = np.repeat(np.asarray(coefs)[:, None], R, axis=1)
+        self.lanes = list(zip(self.member.T, self.lane_coefs.T, self.uplinks))
 
     def select(self, lane, nodes, coefs) -> None:
         """Make ``nodes`` (ascending node ids) lane ``lane``'s members, with
         coefficients ``coefs``, from the next call on."""
-        if self.coefs.ndim == 1:  # the first narrowing: each lane's own column and mask
-            self.coefs = np.repeat(self.coefs[:, None], len(self.v), axis=1)
+        if self.coefs is not self.lane_coefs:  # the first narrowing
             member = self.member
+            self.coefs = self.lane_coefs
             self.where = (member[..., None], member[:, None, :, None], self.sending)
-        self.member[:, lane] = False
-        self.member[nodes, lane] = True
-        self.coefs[:, lane] = 0.0
-        self.coefs[nodes, lane] = coefs
-        sends = self.sends[lane]
+        member, column, sends = self.lanes[lane]
+        member[:] = False
+        member[nodes] = True
+        column[:] = 0.0
+        column[nodes] = coefs
         self.uplinks[lane] = [sends[i] for i in nodes]
 
     def __call__(self, stage, budget, labels):

@@ -769,7 +769,7 @@ def _held(S, payloads):
     return np.ascontiguousarray(np.stack([S, payloads]).swapaxes(1, 2))
 
 
-def _lane_draws(scheme, K, p, seed, runs):
+def _member_masks(scheme, K, p, seed, runs):
     """Each run's participants and coefficients of round 1 (every node, at
     the weights ``p``, under full participation) as the member mask and
     coefficients of an ``_Exchange``: ``(N, R)`` each."""
@@ -799,7 +799,7 @@ def assert_weighted_sums_match(n, d, scheme, seed, lanes):
         if scheme == "uniform":
             return
     K = int(rng.integers(1, n + 1)) if scheme != "full" else None
-    draws, member, C = _lane_draws(scheme, K, p, seed, range(lanes))
+    draws, member, C = _member_masks(scheme, K, p, seed, range(lanes))
     assert all(isinstance(rows, range) == (scheme == "full") for rows, _ in draws)
     got = _weighted_sums(_held(*arrays), C, where=member[:, None, :, None])
     assert got.shape == (2, lanes, d)

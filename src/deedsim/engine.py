@@ -6,24 +6,22 @@ payload (gradient, stochastic gradient or local weights) and a local
 accumulator; the center aggregates, encodes the difference to its own
 broadcast accumulator, and broadcasts.  Sender and receivers apply the
 same decoded message to the same accumulator, so the replicas are
-bit-identical by construction and each quantity is held once.  The Monte
-Carlo runs of an engine advance together, round by round, one *lane*
-per run: each lane's iterate (or row of local weights per node) and
-broadcast are rows of ``(R, d)`` arrays (``(N, R, d)`` for local
-weights), and the nodes' accumulators and payloads are one
-``(2, N, R, d)`` array.  The single-run engines are the case R = 1, on
-the same path.  Every engine sends its messages through one
-``_Exchange`` per run, in one call per round: each lane's uplinks of the
-round's participants, the center's weighted aggregate, the downlink, and
-the aggregate error chain assert (the broadcast lies within the round's
-total budget of the exact aggregate).  The exchange spans all N nodes of
-every lane; ``deed-fed``'s partial participation selects each lane's
-participants and masks the others out, so every scheme takes the one
-form.  A lane draws from its own run's streams, and the streams
-are pure functions of their labels, so advancing the runs together
-changes no draw.  ``_Lanes.book`` records each exchange's bits, budget,
-largest error fraction, largest message and aggregate error on its trace
-row, and ``_Lanes.record`` the distance and loss gap of each iterate.
+bit-identical by construction and each quantity is held once.  Every
+engine is a step and an update on one run loop, ``_run``, which advances
+the Monte Carlo runs together, one *lane* per run: each lane's iterate
+(or row of local weights per node) and broadcast are rows of ``(R, d)``
+arrays (``(N, R, d)`` for local weights), and the nodes' accumulators
+and payloads are one ``(2, N, R, d)`` array.  The single-run engines are
+the case R = 1.  Every iteration of a frequent engine, and every E-th of
+``deed-fed``, is a sync: one call of the run's one ``_Exchange`` for
+every lane (each lane's uplinks, the center's weighted aggregate, the
+downlink, and the assert that the broadcast lies within the sync's
+budget of the exact aggregate).  Partial participation selects each
+lane's participants and masks the others out.  A lane draws from its own
+run's streams, which are pure functions of their labels, so advancing
+the runs together changes no draw.  ``_Lanes`` books each sync's bits,
+budget and diagnostics on its trace row and records every row's
+distance and loss gap.
 
 Engines:
 
@@ -502,6 +500,51 @@ def _momentum(problem) -> float:
     return (math.sqrt(L) - math.sqrt(mu)) / (math.sqrt(L) + math.sqrt(mu))
 
 
+def _run(problem, algorithm, SP, v, coefs, step, update, point, budget_total, *, T, seed, extras,
+         E=1, participation="full", K=None, lane_budget=lambda total, c: total, bits_timing=None):
+    """The one run loop of every engine: ``T`` iterations of every lane
+    (``SP`` and ``v`` as ``_Exchange`` takes them).  Iteration ``t`` makes
+    the engine's ``step(t)``, which leaves the payloads in ``SP[1]``; every
+    ``E``-th is then a sync, one call of the run's one ``_Exchange`` for
+    every lane at stage error ``budget_total(k) / 2``, and the engine's
+    ``update()``.  Row ``t + 1`` records ``point()``, a row per lane.
+
+    Sync ``k`` is iteration ``t``, booked on row ``t`` whose iterate it
+    starts from; for ``bits_timing`` "arriving" (``deed-fed``) it is ``t +
+    1``, booked on the row whose iterate it produces.  ``k`` labels its
+    messages.  Each lane's aggregate budget is ``lane_budget(total, c)``
+    (by default ``total``) for the lane's coefficients ``c``: ``coefs``
+    under full participation, which draws and selects nothing, or the
+    lane's own ``_participants`` draw, which the exchange selects.  A
+    budget violation names the lowest run that breaks it at that sync.
+    Returns one trace per run; its extras are ``extras``, ``seed``,
+    ``run_index`` and any ``bits_timing``.
+    """
+    runs = range(v.shape[0])
+    exchange = _Exchange(SP, v, coefs)
+    log = _Lanes(problem, len(runs), T)
+    log.record(0, point())
+    for t in range(T):
+        step(t)
+        if (t + 1) % E == 0:
+            k = t + (bits_timing == "arriving")
+            total = budget_total(k)
+            stage = total / 2.0
+            if participation == "full":
+                budgets = [lane_budget(total, coefs)] * len(runs)
+            else:
+                budgets = []
+                for r in runs:
+                    nodes, c = _participants(participation, K, coefs, (seed, r, k))
+                    exchange.select(r, nodes, c)
+                    budgets.append(lane_budget(total, c))
+            log.book(k, total, exchange(stage, budgets, (seed, runs, k)))
+            update()
+        log.record(t + 1, point())
+    timing = {"bits_timing": bits_timing} if bits_timing else {}
+    return log.traces(algorithm, lambda r: {**extras, "seed": seed, "run_index": r, **timing})
+
+
 def _frequent_run(
     problem: QuadraticProblem,
     *,
@@ -516,48 +559,36 @@ def _frequent_run(
     grad_source=None,  # callable (round, (R, d) query points) -> (N, R, d) gradients
     differential: bool = True,
 ) -> list[RunTrace]:
-    """Shared loop for the frequent-communication engines, one lane per
-    Monte Carlo run, all advanced round by round; each of the two encoding
-    stages of a round gets half the round's total budget.
-
-    Every node applies the same decoded messages, so each lane's iterate,
-    momentum memory and broadcast are held once, as the rows of ``(R, d)``
-    arrays, and the per-node accumulators and payloads as one
-    ``(2, N, R, d)`` array ``SP``.  ``grad_source`` returns the round's
-    payloads as ``(N, R, d)``; full gradients (``grad_source`` None) serve
-    one lane.  ``differential=False`` clears the accumulators and ``v`` at
-    the start of every round, so raw payloads rather than differences are
-    encoded.  Returns one trace per run.
+    """The frequent engines on ``_run``: every round is a sync of the
+    gradients at each lane's iterate (with momentum ``tau``, its lookahead
+    point), returned by ``grad_source`` as ``(N, R, d)`` (by default the
+    full gradients of one lane), then ``w -= eta v`` or the momentum pair.
+    ``differential=False`` clears the accumulators and ``v`` at the start
+    of every round, so raw payloads rather than differences are encoded.
     """
     n = problem.N
-    nodes, lanes = range(n), range(runs)
     if grad_source is None:
-        grad_source = lambda k, Q: problem.full_grad(nodes, Q[0])[:, None]
-    coefs = np.full(n, 1.0 / n)
+        grad_source = lambda k, Q: problem.full_grad(range(n), Q[0])[:, None]
     w = y = np.tile(_initial_point(problem, w0), (runs, 1))  # y: lookahead points
     SP = np.zeros((2, n, runs, problem.d))
-    accumulators, payloads = SP
     v = np.zeros((runs, problem.d))
-    exchange = _Exchange(SP, v, coefs)
-    log = _Lanes(problem, runs, T)
 
-    log.record(0, w)
-    for k in range(T):
+    def step(k):
         if not differential:
-            accumulators.fill(0.0)
+            SP[0].fill(0.0)
             v.fill(0.0)
-        payloads[...] = grad_source(k, w if tau is None else y)
-        total = budget_total(k)
-        log.book(k, total, exchange(total / 2.0, [total] * runs, (seed, lanes, k)))
+        SP[1] = grad_source(k, w if tau is None else y)
 
+    def update():
+        nonlocal w, y
         if tau is None:
             w = w - eta * v
         else:
             x_prev, w = w, y - eta * v
             y = w + tau * (w - x_prev)
-        log.record(k + 1, w)
-    extras = {"eta": eta, "seed": seed}
-    return log.traces(algorithm, lambda r: {**extras, "run_index": r})
+
+    return _run(problem, algorithm, SP, v, np.full(n, 1.0 / n), step, update, lambda: w,
+                budget_total, T=T, seed=seed, extras={"eta": eta})
 
 
 def _contraction_run(algorithm, problem, eta, tau, c_prime, s, T, **run):
@@ -854,25 +885,20 @@ def run_deed_fed(
     trajectory_radius: float | None = None,
     w0: np.ndarray | None = None,
 ) -> list[RunTrace]:
-    """Infrequent communication: E local stochastic steps between syncs.
+    """Infrequent communication: E local stochastic steps between syncs,
+    on ``_run``.
 
-    Local steps use ``eta_t = beta / (t + gamma)``.  At sync iteration k
-    each participating worker encodes its *weights* against its
-    accumulator with per-stage error ``s eta_k / 2``; the center
-    aggregates per the participation scheme and double-encodes the
-    broadcast, after which every node restarts from the decoded average.
-    The broadcast's distance to the participants' weighted weights is
-    asserted every sync and recorded in ``extras["vg_err"]``, beside the
-    sync's largest error fraction and message (``fractions``,
-    ``max_msg_bits``).  Trace rows are per iteration; bits, budgets and
-    these diagnostics sit on the sync rows and record the communication
-    that *produced* that row's iterate.  The ``mc_runs`` runs advance
-    together, one lane each: a local step draws every lane's and node's
-    row gradient in one oracle call, and a sync exchanges every lane in
-    one call of the run's one ``_Exchange``, after selecting each lane's
-    participants (every node under full participation, which draws
-    nothing) and its own budget ``stage (1 + sum_i c_i)``.  A budget
-    violation names the lowest run that breaks it at that sync.
+    Local steps use ``eta_t = beta / (t + gamma)``, every lane's and
+    node's row gradients in one oracle call.  At sync iteration k each
+    participating worker encodes its *weights* against its accumulator
+    with per-stage error ``s eta_k / 2``; the center aggregates per the
+    participation scheme and double-encodes the broadcast, after which
+    every node restarts from the decoded average (``W[:] = v``).  The
+    broadcast lies within ``(s eta_k / 2)(1 + sum_i c_i)`` of the
+    participants' weighted weights ``sum_i c_i W[i]`` (asserted).  Trace
+    rows are per iteration and record the weighted average iterate; bits,
+    budgets and diagnostics sit on the sync rows (``bits_timing``
+    "arriving").
 
     The across-run mean squared distance of the weighted average iterate
     is checked against ``v / (gamma + t)`` plus
@@ -890,48 +916,22 @@ def run_deed_fed(
     T_total = T_rounds * E
     n, p = problem.N, problem.weights
     nodes, lanes = range(n), range(mc_runs)
-
     eta_at = lambda t: beta / (t + gamma)
     # The nodes' accumulators, then their local weights, a row per lane.
     SP = np.zeros((2, n, mc_runs, problem.d))
     W = SP[1]
     W[:] = w0
     v = np.zeros((mc_runs, problem.d))
-    log = _Lanes(problem, mc_runs, T_total)
-    exchange = _Exchange(SP, v, p)
-
-    log.record(0, _weighted_sums(SP, p)[1])
-    for t in range(T_total):
-        # Node i's gradient reads only its own row, so one update of all
-        # rows after every gradient takes the same floats as one per node.
-        W -= eta_at(t) * _lane_grads(problem, seed, lanes, t, nodes, W)
-        k = t + 1
-        if k % E == 0:
-            # The broadcast lies within (s eta_k / 2)(1 + sum_i c_i) of
-            # sum_i c_i W[i]; every node restarts from it.
-            total = s * eta_at(k)
-            stage = total / 2.0
-            budgets = []
-            for lane, r in enumerate(lanes):
-                participants, coefs = _participants(participation, K, p, (seed, r, k))
-                exchange.select(lane, participants, coefs)
-                budgets.append(stage * (1.0 + float(np.sum(coefs))))
-            log.book(k, total, exchange(stage, budgets, (seed, lanes, k)))
-            W[:] = v
-        log.record(k, _weighted_sums(SP, p)[1])
-    traces = log.traces(
-        "deed-fed",
-        lambda r: {
-            "E": E,
-            "beta": beta,
-            "gamma": gamma,
-            "s": s,
-            "participation": participation,
-            "K": K,
-            "seed": seed,
-            "run_index": r,
-            "bits_timing": "arriving",
-        },
+    # Node i's gradient reads only its own row, so one update of all rows
+    # after every gradient takes the same floats as one per node.
+    step = lambda t: np.subtract(W, eta_at(t) * _lane_grads(problem, seed, lanes, t, nodes, W),
+                                 out=W)
+    traces = _run(
+        problem, "deed-fed", SP, v, p, step, lambda: np.copyto(W, v),
+        lambda: _weighted_sums(SP, p)[1], lambda k: s * eta_at(k), T=T_total, seed=seed, E=E,
+        participation=participation, K=K, bits_timing="arriving",
+        lane_budget=lambda total, c: total / 2.0 * (1.0 + float(np.sum(c))),
+        extras=dict(E=E, beta=beta, gamma=gamma, s=s, participation=participation, K=K),
     )
 
     radius = fed_radius(problem, w0, trajectory_radius)

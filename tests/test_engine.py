@@ -994,9 +994,11 @@ def assert_lanes_match_reference(mc_runs, participation, sgd_T=40, fed_rounds=10
     assert_same_traces(run_deed_sgd(interp, **sgd), want)
     beta, gamma = _fed_params(fed)
     K = None if participation == "full" else 4
-    args = (fed, 4, beta, gamma, 1.0, fed_rounds, participation, K)
-    assert_same_traces(run_deed_fed(*args, seed=2, mc_runs=mc_runs),
-                       ref.run_deed_fed(*args, seed=2, mc_runs=mc_runs))
+    # E = 1 syncs every iteration; its bits still sit on the row after it.
+    for E in (4, 1):
+        args = (fed, E, beta, gamma, 1.0, fed_rounds, participation, K)
+        assert_same_traces(run_deed_fed(*args, seed=2, mc_runs=mc_runs),
+                           ref.run_deed_fed(*args, seed=2, mc_runs=mc_runs))
 
 
 @pytest.mark.parametrize(
@@ -1027,12 +1029,16 @@ def test_fed_run_makes_one_exchange_and_one_call_per_sync(monkeypatch):
     # Every scheme, five lanes; with replacement the lanes of at least
     # five syncs draw different numbers of distinct participants.
     assert sum(len(c) > 1 for c in _distinct_participant_counts("with-replacement")) >= 5
-    made, calls = [], []
+    made, calls, selects = [], [], []
 
     class Counted(_Exchange):
         def __init__(self, *args):
             made.append(args)
             super().__init__(*args)
+
+        def select(self, *args):
+            selects.append(args)
+            return super().select(*args)
 
         def __call__(self, *args):
             calls.append(args)
@@ -1044,10 +1050,14 @@ def test_fed_run_makes_one_exchange_and_one_call_per_sync(monkeypatch):
     for participation in PARTICIPATION_SCHEMES:
         made.clear()
         calls.clear()
+        selects.clear()
         K = None if participation == "full" else 4
         run_deed_fed(fed, 4, beta, gamma, 1.0, 10, participation, K, seed=2, mc_runs=5)
         assert (len(made), len(calls)) == (1, 10), participation
         assert [labels[2] for _, _, labels in calls] == list(range(4, 41, 4))
+        # Full participation selects nothing; a partial scheme selects
+        # every lane's draw at every sync.
+        assert len(selects) == (0 if participation == "full" else 5 * 10), participation
 
 
 def test_lanes_equal_run_by_run_reference_across_record_blocks():

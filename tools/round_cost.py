@@ -1,5 +1,5 @@
-"""Microseconds per round of the frequent run loop with messages stubbed,
-and per real message.
+"""Microseconds per round of the run loop with messages stubbed, and per
+real message.
 
     python3 tools/round_cost.py                    # the working tree's src/
     python3 tools/round_cost.py 6a44725 HEAD .     # two commits and the working tree
@@ -12,23 +12,29 @@ zero, so what is left is the loop's numpy and Python overhead and the
 gradient oracle.  In trees with ``seeding.draw_index`` the stub stream
 gives a raw word and the row draw's own arithmetic stays in the round,
 where older trees' stub ``integers`` skipped it, so across that change
-the ``sgd-mc`` round also counts the arithmetic of its 150 draws.  Three
+the ``sgd-mc`` round also counts the arithmetic of its 150 draws.  Four
 cases, each on its perfbench workload's problem:
 
-- ``gd-race``: ``_frequent_run`` as ``run_deed_gd`` calls it, N = 10,
-  d = 100, one lane (R = 1);
+- ``gd-race``: ``_frequent_run`` as ``run_deed_gd`` calls it (on the one
+  loop ``_run`` in trees that have it), N = 10, d = 100, one lane (R = 1);
 - ``sgd-mc``: ``_frequent_run`` as ``run_deed_sgd`` calls it, N = 5,
   d = 20, R = 30 lanes of single-row gradients;
 - ``fed-sync``: one whole ``deed-fed`` sync of R = 30 lanes without
-  replacement, N = 8, d = 10, K = 4 participants per lane, as
-  ``run_deed_fed`` makes it.  In trees whose ``_Exchange`` has
-  ``select``, the one exchange is built before the timing, and a sync is
-  30 ``select`` calls (one per lane) and one exchange call.  Older trees
-  make one ``_partial_sync`` call for every lane, or, before it, loop
-  over the lanes and make a one-lane ``_Exchange`` afresh for each
-  (``_exchange`` in trees before that).  Each lane's participants are
-  drawn before the timing, from that lane's real participation stream,
-  and looked up during it.
+  replacement, N = 8, d = 10, K = 4 participants per lane, as ``_run``
+  makes it (``run_deed_fed`` in trees before it).  In trees whose
+  ``_Exchange`` has ``select``, the one exchange is built before the
+  timing, and a sync is 30 ``select`` calls (one per lane) and one
+  exchange call.  Older trees make one ``_partial_sync`` call for every
+  lane, or, before it, loop over the lanes and make a one-lane
+  ``_Exchange`` afresh for each (``_exchange`` in trees before that).
+  Each lane's participants are drawn before the timing, from that lane's
+  real participation stream, and looked up during it;
+- ``fed-sync full``: one whole full-participation sync of the same
+  R = 30 lanes, N = 8, d = 10, on one exchange built before the timing.
+  With ``_run`` a sync is one exchange call and selects nothing; trees
+  with ``select`` but no ``_run`` select every node of every lane first,
+  and trees with ``_partial_sync`` make the call on a ``range`` of nodes.
+  Older trees lack the case.
 
 Four more cases time what the stubs leave out.  Two are one message:
 the real ``seeding.stream(seed, run, round, node, UPLINK)`` and
@@ -70,7 +76,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CASES = (
     "gd-race N=10 d=100 R=1", "sgd-mc N=5 d=20 R=30", "fed-sync N=8 d=10 K=4 R=30",
-    "message d=20", "message d=100", "row draw m=12", "row draw m=20",
+    "fed-sync full N=8 d=10 R=30", "message d=20", "message d=100", "row draw m=12", "row draw m=20",
 )
 
 
@@ -189,7 +195,36 @@ def cases(engine, make_linreg, rounds: int) -> dict:
 
     out["sgd-mc N=5 d=20 R=30"] = sgd_mc
     out["fed-sync N=8 d=10 K=4 R=30"] = fed_sync
+    full = _full_sync(engine, SP.copy(), np.zeros_like(v), p, stage, runs)
+    if full is not None:
+        out["fed-sync full N=8 d=10 R=30"] = lambda: [full(k) for k in range(rounds)]
     return out
+
+
+def _full_sync(engine, SP, v, p, stage, runs):
+    """A callable that makes full-participation sync ``k`` of every lane on
+    one exchange, as the tree's ``deed-fed`` makes it; None in trees
+    without one exchange for every lane."""
+    if hasattr(engine, "_run"):
+        exchange = engine._Exchange(SP, v, p)
+        return lambda k: exchange(stage, [stage * (1.0 + float(np.sum(p)))] * len(runs),
+                                  (1, runs, k))
+    nodes = range(len(p))
+    if hasattr(getattr(engine, "_Exchange", None), "select"):
+        exchange = engine._Exchange(SP, v, p)
+
+        def sync(k):
+            budgets = []
+            for lane in runs:
+                exchange.select(lane, nodes, p)
+                budgets.append(stage * (1.0 + float(np.sum(p))))
+            exchange(stage, budgets, (1, runs, k))
+
+        return sync
+    if hasattr(engine, "_partial_sync"):
+        exchange = engine._Exchange(SP, v, nodes, p)
+        return lambda k: exchange(stage, stage * (1.0 + float(np.sum(p))), (1, runs, k))
+    return None
 
 
 def _predraw_participants(engine, K, p, runs, rounds) -> None:
@@ -303,7 +338,7 @@ def main(argv=None) -> None:
             for proc in workers:
                 if proc.stdout.readline().strip() != "ready":
                     raise SystemExit("a worker failed to start")
-            print(f"{'case':<26} {'tree':<10} {'median':>8} {'q1':>8} {'q3':>8} "
+            print(f"{'case':<28} {'tree':<10} {'median':>8} {'q1':>8} {'q3':>8} "
                   f"{'ratio':>7}  (us per round, message or draw)")
             for name in CASES:
                 samples = [[] for _ in workers]
@@ -317,14 +352,14 @@ def main(argv=None) -> None:
                             samples[n].append(float(answer))
                 for ref, xs in zip(args.refs, samples):
                     if not xs:
-                        print(f"{name:<26} {ref:<10} {'-':>8}")
+                        print(f"{name:<28} {ref:<10} {'-':>8}")
                         continue
                     q1, med, q3 = statistics.quantiles(xs, n=4)
                     ratio = ""
                     base = next(b for b in samples if b)  # the first tree with this case
                     if xs is not base:
                         ratio = f"{statistics.median(x / y for x, y in zip(xs, base)):7.3f}"
-                    print(f"{name:<26} {ref:<10} {med:8.1f} {q1:8.1f} {q3:8.1f} {ratio:>7}")
+                    print(f"{name:<28} {ref:<10} {med:8.1f} {q1:8.1f} {q3:8.1f} {ratio:>7}")
         finally:
             for proc in workers:
                 proc.stdin.close()

@@ -503,7 +503,7 @@ def _momentum(problem) -> float:
 def _run(problem, algorithm, SP, v, coefs, step, update, point, budget_total, *, T, seed, extras,
          E=1, participation="full", K=None, lane_budget=lambda total, c: total, bits_timing=None):
     """The one run loop of every engine: ``T`` iterations of every lane
-    (``SP`` and ``v`` as ``_Exchange`` takes them).  Iteration ``t`` makes
+    (``SP`` and ``v`` as ``_Exchange`` takes them).  Iteration ``t`` calls
     the engine's ``step(t)``, which leaves the payloads in ``SP[1]``; every
     ``E``-th is then a sync, one call of the run's one ``_Exchange`` for
     every lane at stage error ``budget_total(k) / 2``, and the engine's
@@ -895,10 +895,10 @@ def run_deed_fed(
     participation scheme and double-encodes the broadcast, after which
     every node restarts from the decoded average (``W[:] = v``).  The
     broadcast lies within ``(s eta_k / 2)(1 + sum_i c_i)`` of the
-    participants' weighted weights ``sum_i c_i W[i]`` (asserted).  Trace
-    rows are per iteration and record the weighted average iterate; bits,
-    budgets and diagnostics sit on the sync rows (``bits_timing``
-    "arriving").
+    participants' weighted weights ``sum_i c_i W[i]`` (asserted).  Rows
+    are per iteration; bits, budgets and the diagnostics (``fractions``,
+    ``max_msg_bits``, ``vg_err``) sit on the row of the iterate that the
+    sync produced (``bits_timing`` "arriving").
 
     The across-run mean squared distance of the weighted average iterate
     is checked against ``v / (gamma + t)`` plus

@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import BoundViolationError, ConfigError, InvalidInputError
 from .problems import _MAX_RADIUS, QuadraticProblem, estimate_fed_constants, estimate_rho
-from .quantizer import QuantSpec, quantize
+from .quantizer import DEFAULT_FLOAT_BITS, QuantSpec, grid_payload_bits, quantize
 from .seeding import DOWNLINK, PARTICIPATION, ROW_SAMPLE, UPLINK, stream
 from .theory import (
     AcceleratedConstants,
@@ -157,18 +157,19 @@ class _Exchange:
     Every node of every lane starts as a member, with the ``(N,)``
     coefficients ``coefs``; ``select`` narrows one lane to its own
     participants and coefficients, which hold until it is selected again.
-    The exchange always works on views of all N nodes of every lane and
-    gathers nothing: a call forms every node's difference, quantizes only
-    the members', and skips the non-members in the accumulator update, the
-    weighted sums and the largest fraction (``where=``), so a
+    The exchange always works on views of all N nodes of every lane: a
+    call forms every node's difference, quantizes only the members', and
+    skips the non-members everywhere else (``where=``), so a
     non-participant's accumulator keeps every bit.  Until a lane is
     narrowed every ``where`` is True, which costs nothing.
 
-    The uplink differences, downlink difference and aggregate error of
-    every lane are rows of one ``(N + 2, R, d)`` array, so one stacked call
-    takes all their norms, and one reduce gives both weighted sums.  The
-    scratch arrays and their views are made once, so a run that calls the
-    same ``_Exchange`` every round pays only for the arithmetic.
+    Per message a call makes one stream, one ``quantize`` and one row copy
+    of the grid point; after each loop one multiply by the grid step
+    decodes every row and one ``grid_payload_bits`` call counts every
+    message's bits (``_decode``).  The differences and the aggregate error
+    of every lane are rows of one ``(N + 2, R, d)`` array, so one stacked
+    call takes all their norms, and one reduce gives both weighted sums.
+    The scratch arrays are made once, so a call pays only for arithmetic.
 
     A call returns one value per lane of each of (up_bits,
     down_payload_bits, max fraction, max message bits, aggregate error).
@@ -180,7 +181,7 @@ class _Exchange:
         self.S, self.payloads = SP
         self.diffs = np.empty((N + 2, R, d))  # N uplinks, the downlink, the error
         self.up, self.down, self.error = self.diffs[:N], self.diffs[N], self.diffs[N + 1]
-        self.decoded = np.empty((N, R, d))  # the uplinks' messages, then the downlink's
+        self.decoded = np.empty((N, R, d))  # the uplinks' grid points, then the downlinks'
         self.down_decoded = self.decoded[0]
         self.terms = np.empty((N, 2, R, d))
         self.sums = np.empty((2, R, d))
@@ -195,7 +196,7 @@ class _Exchange:
         # Each lane's messages, the downlink's always sent: the largest
         # fraction's mask, whose first N rows are the member mask.
         self.sending = np.ones((N + 1, R), dtype=bool)
-        self.member = self.sending[:N]
+        self.member, self.downlink = self.sending[:N], self.sending[N]
         self.where = (True, True, True)  # the update's, the sums' and the fraction's
         self.uplinks = [list(zip(range(N), self.up[:, lane], self.decoded[:, lane]))
                         for lane in range(R)]
@@ -222,26 +223,24 @@ class _Exchange:
     def __call__(self, stage, budget, labels):
         seed, runs, round_index = labels
         spec = _quant_spec(stage, self.v.shape[-1])
+        # A message's grid point, or a lossless message's verbatim vector.
+        point = "decoded" if spec.lossless else "_float_grid"
         S, v = self.S, self.v
         update, members, sending = self.where
         np.subtract(self.payloads, S, out=self.up)
-        bits = []  # each lane's uplink bits
         for sends, r in zip(self.uplinks, runs):
-            lane_bits = []
-            for i, diff, decoded in sends:
+            for i, diff, row in sends:
                 msg = quantize(diff, spec, stream(seed, r, round_index, i, UPLINK))
-                decoded[...] = msg.decoded
-                lane_bits.append(msg.bits)
-            bits.append(lane_bits)
+                row[...] = getattr(msg, point)
+        bits = self._decode(spec, self.decoded, self.member, update)
         np.add(S, self.decoded, out=S, where=update)
 
         _weighted_sums(self.SP, self.coefs, self.terms, self.sums, members)
         np.subtract(self.aggregate, v, out=self.down)
-        down_bits = []  # every uplink is applied, so down_decoded is free
-        for (diff, decoded), r in zip(self.downlinks, runs):
-            umsg = quantize(diff, spec, stream(seed, r, round_index, 0, DOWNLINK))
-            decoded[...] = umsg.decoded
-            down_bits.append(umsg.bits)
+        for (diff, row), r in zip(self.downlinks, runs):  # every uplink is applied
+            msg = quantize(diff, spec, stream(seed, r, round_index, 0, DOWNLINK))
+            row[...] = getattr(msg, point)
+        down_bits = self._decode(spec, self.down_decoded, self.downlink, True)
         v += self.down_decoded
         np.subtract(v, self.gbar, out=self.error)
         np.matmul(*self.rows_of_diffs, out=self.dots)
@@ -253,9 +252,22 @@ class _Exchange:
             if stage > 0.0 else np.zeros(len(runs))
         )
         return (
-            [sum(b) for b in bits], down_bits, max_fraction,
-            [max(max(b), down) for b, down in zip(bits, down_bits)], err,
+            np.add.reduce(bits), down_bits, max_fraction,
+            np.maximum(np.maximum.reduce(bits), down_bits), err,
         )
+
+    @staticmethod
+    def _decode(spec, points, sent, where):
+        """The payload bits of the ``sent`` rows of ``points`` (0 for the
+        rest; lossless, ``DEFAULT_FLOAT_BITS * d`` each), then the rows
+        ``where`` scaled in place from grid points to decoded vectors."""
+        bits = np.zeros(sent.shape, dtype=np.int64)
+        if spec.lossless:
+            bits[sent] = DEFAULT_FLOAT_BITS * spec.dim
+        else:
+            bits[sent] = grid_payload_bits(points[sent])
+            np.multiply(points, spec.grid_step, out=points, where=where)
+        return bits
 
 
 def _lane_grads(problem, seed, runs, round_index, nodes, Q):
@@ -303,7 +315,7 @@ class _Lanes:
         """Book an ``_Exchange`` result of every lane and its total budget
         on ``row``; the broadcast is charged once per node."""
         up, down, frac, mbits, err = exchange
-        self.bits[row] = (up, [self.problem.N * b for b in down], mbits)
+        self.bits[row] = (up, self.problem.N * down, mbits)
         self.floats[row][2:] = ([total] * len(err), frac, err)
 
     def record(self, t: int, X: np.ndarray) -> None:
@@ -563,8 +575,10 @@ def _frequent_run(
     gradients at each lane's iterate (with momentum ``tau``, its lookahead
     point), returned by ``grad_source`` as ``(N, R, d)`` (by default the
     full gradients of one lane), then ``w -= eta v`` or the momentum pair.
-    ``differential=False`` clears the accumulators and ``v`` at the start
-    of every round, so raw payloads rather than differences are encoded.
+    The center weights the nodes by ``problem.weights``, which define
+    ``w*``.  ``differential=False`` clears the accumulators and ``v`` at
+    the start of every round, so raw payloads rather than differences are
+    encoded.
     """
     n = problem.N
     if grad_source is None:
@@ -587,7 +601,7 @@ def _frequent_run(
             x_prev, w = w, y - eta * v
             y = w + tau * (w - x_prev)
 
-    return _run(problem, algorithm, SP, v, np.full(n, 1.0 / n), step, update, lambda: w,
+    return _run(problem, algorithm, SP, v, problem.weights, step, update, lambda: w,
                 budget_total, T=T, seed=seed, extras={"eta": eta})
 
 

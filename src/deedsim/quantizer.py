@@ -3,13 +3,13 @@
 A vector ``w`` in R^d is scaled onto an integer grid of step
 ``max_error / sqrt(d)``, each coordinate is rounded to floor or ceil
 unbiasedly (stochastic rounding), and the integer grid point is shipped
-as a sparse Elias-coded payload.  ``quantize`` counts the payload bits
-from the grid point held as integer-valued floats, and the message keeps
-that float grid; its ``grid``, a ``SparseIntVector``, is built from it on
-first read, and the float grid is then dropped.  A simulated run reads
-only a message's decoded vector and bits, so it builds no grid.  The
-decoded vector is always within Euclidean distance ``max_error`` of the
-input, and its expectation over the rounding dither equals the input.
+as a sparse Elias-coded payload.  ``quantize`` stops at the grid point,
+held as integer-valued floats; its message derives the decoded vector,
+payload bits and ``grid`` on first read.  ``grid_payload_bits`` counts
+a whole ``(..., d)`` stack of grid points, so a run decodes and counts a
+round's messages at once.  The decoded vector is always within
+Euclidean distance ``max_error`` of the input, and its expectation over
+the rounding dither equals the input.
 
 Setting ``max_error = 0`` selects lossless pass-through: the vector is
 transmitted verbatim and charged ``float_bits * dim`` bits, which gives
@@ -29,9 +29,8 @@ from .bitstream import (
     BitStream,
     SparseIntVector,
     elias_encode,
-    elias_length,
     encode_sparse,
-    sparse_payload_bits,  # noqa: F401 -- quantize's bit count, inlined; perfbench traces this name
+    sparse_payload_bits,  # noqa: F401 -- counted by grid_payload_bits; perfbench traces this name
 )
 from .errors import InvalidInputError
 
@@ -40,6 +39,7 @@ __all__ = [
     "QuantSpec",
     "QuantizedMessage",
     "quantize",
+    "grid_payload_bits",
     "dequantize",
     "bits_lower_bound",
     "bits_upper_bound",
@@ -54,16 +54,19 @@ _GRID_LIMIT = 2.0**63
 
 @dataclass(frozen=True)
 class QuantSpec:
-    """Quantization contract: dimension and maximal Euclidean error."""
+    """Quantization contract: dimension and maximal Euclidean error; the
+    grid spacing ``grid_step = max_error / sqrt(dim)`` is derived once."""
 
     max_error: float
     dim: int
+    grid_step: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise InvalidInputError("dim must be positive")
         if not (self.max_error >= 0.0) or not math.isfinite(self.max_error):
             raise InvalidInputError("max_error must be finite and >= 0")
+        object.__setattr__(self, "grid_step", self.max_error / math.sqrt(self.dim))
         if self.max_error > 0.0 and self.grid_step == 0.0:
             raise InvalidInputError(
                 f"max_error = {self.max_error!r} is too small: its grid step "
@@ -71,13 +74,11 @@ class QuantSpec:
             )
 
     @property
-    def grid_step(self) -> float:
-        """Per-coordinate grid spacing, ``max_error / sqrt(dim)``."""
-        return self.max_error / math.sqrt(self.dim)
-
-    @property
     def lossless(self) -> bool:
         return self.max_error == 0.0
+
+
+_DERIVED = ("grid", "decoded", "bits")  # a quantized message's, from its grid point
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,10 +88,11 @@ class QuantizedMessage:
     ``grid`` is ``None`` in pass-through mode, where ``decoded`` carries
     the verbatim vector and ``bits`` is ``float_bits * dim``.  Otherwise
     ``decoded == grid * grid_step`` coordinate-wise and ``bits`` equals
-    the Elias payload length.  A message from ``quantize`` builds its
-    ``grid`` on first read (see ``_unbuilt``).  Two messages are equal when
-    their spec, bits, grid and decoded values are; a message is unhashable,
-    as its decoded array is mutable.
+    the Elias payload length.  A message from ``quantize`` holds only its
+    grid point and derives each of ``grid``, ``decoded`` and ``bits`` on
+    first read (see ``_unbuilt``).  Two messages are equal when their
+    spec, bits, grid and decoded values are; a message is unhashable, as
+    its decoded array is mutable.
     """
 
     spec: QuantSpec
@@ -111,28 +113,32 @@ class QuantizedMessage:
     __hash__ = None
 
     @classmethod
-    def _unbuilt(
-        cls, spec: QuantSpec, float_grid: np.ndarray, idx: np.ndarray, decoded: np.ndarray,
-        bits: int,
-    ) -> "QuantizedMessage":
-        """A message that holds its grid point as the integer-valued float
-        array ``float_grid`` (the quantizer's own) and the indices ``idx``
-        of its nonzeros, in place of ``grid``."""
+    def _unbuilt(cls, spec: QuantSpec, float_grid: np.ndarray) -> "QuantizedMessage":
+        """A message that holds its grid point, the quantizer's own array
+        ``float_grid`` of integer-valued floats, in place of its fields."""
         self = object.__new__(cls)
-        self.__dict__.update(spec=spec, decoded=decoded, bits=bits, _float_grid=(float_grid, idx))
+        self.__dict__.update(spec=spec, _float_grid=float_grid)
         return self
 
     def __getattr__(self, name):
-        # Reached only for a name the instance does not hold: ``grid`` of
-        # an unbuilt message, before its first read.  Once the grid is
-        # stored, the float grid is dropped.
+        # Reached only for a name the instance does not hold: a derived
+        # field of an unbuilt message, before its first read.  Once all
+        # three are stored, the float grid is dropped.
         state = self.__dict__
-        if name != "grid" or "_float_grid" not in state:
+        if name not in _DERIVED or "_float_grid" not in state:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        lo, idx = state["_float_grid"]
-        state["grid"] = SparseIntVector._unchecked(self.spec.dim, idx + 1, lo[idx].astype(np.int64))
-        del state["_float_grid"]
-        return state["grid"]
+        point = state["_float_grid"]
+        if name == "grid":  # exact: every value is an integer below 2**63
+            (idx,) = point.nonzero()
+            value = SparseIntVector._unchecked(self.spec.dim, idx + 1, point[idx].astype(np.int64))
+        elif name == "decoded":
+            value = point * self.spec.grid_step
+        else:
+            value = int(grid_payload_bits(point))
+        state[name] = value
+        if all(key in state for key in _DERIVED):
+            del state["_float_grid"]
+        return value
 
     @property
     def payload(self) -> BitStream:
@@ -205,24 +211,28 @@ def quantize(
     if n:
         up[randomized] = rng.random(n) < frac[randomized]
 
-    # The grid point lo + up in place of lo.  Every grid value is an
-    # integer-valued float below 2**63, so the int64 grid built from it is
-    # exact and the decoded value lo * step equals grid * step.
+    # The grid point lo + up in place of lo: integer-valued floats below
+    # 2**63, whose decoded value is lo * step.
     np.add(lo, up, out=lo)
-    decoded = lo * step
-    (idx,) = lo.nonzero()
-    # Payload bits, as ``sparse_payload_bits`` counts them: per entry
-    # Elias(gap) + sign + Elias(|value|), where an Elias code of n takes
-    # 2 floor(log2 n) + 1 = 2 e - 1 bits for frexp's n = m 2**e with
-    # 0.5 <= |m| < 1, whatever the sign.  frexp gives 0 an exponent of 0,
-    # so the dense grid sums the values' exponents.  The gaps are
-    # idx[0] + 1, then the steps of idx.
-    nnz = len(idx)
-    exponents = np.add.reduce(np.frexp(lo)[1]) + np.add.reduce(np.frexp(idx[1:] - idx[:-1])[1])
-    if nnz:
-        exponents += (int(idx[0]) + 1).bit_length()
-    bits = elias_length(nnz + 1) - nnz + 2 * int(exponents)
-    return QuantizedMessage._unbuilt(spec, lo, idx, decoded, bits)
+    return QuantizedMessage._unbuilt(spec, lo)
+
+
+def grid_payload_bits(points: np.ndarray) -> np.ndarray:
+    """Payload bits of each row of a ``(..., d)`` stack of grid points
+    (integer-valued floats below 2**63), as ``sparse_payload_bits``
+    counts the row's nonzeros: Elias(nnz + 1), then per nonzero
+    Elias(gap) + sign + Elias(|value|).  An Elias code of n takes 2 e - 1
+    bits for frexp's n = m 2**e, whatever the sign, and frexp gives 0 an
+    exponent of 0, so the rows sum their values' exponents and their
+    gaps' (a 1-based position less the previous nonzero's, or less 0)."""
+    nonzero = points != 0.0
+    last = np.maximum.accumulate(nonzero * np.arange(1, points.shape[-1] + 1), axis=-1)
+    gaps = last.copy()  # at a nonzero, its position less the previous one's; 0 elsewhere
+    gaps[..., 1:] -= last[..., :-1]
+    nnz = np.add.reduce(nonzero, axis=-1)
+    exponents = np.add.reduce(np.frexp(points)[1], axis=-1)
+    exponents += np.add.reduce(np.frexp(gaps)[1], axis=-1)
+    return 2 * (exponents + np.frexp(nnz + 1)[1]) - 1 - nnz
 
 
 def dequantize(msg: QuantizedMessage) -> np.ndarray:

@@ -60,8 +60,9 @@ class RecursionSpec:
         object.__setattr__(self, "alpha_seq", a)
         if len(c) != len(a):
             raise InvalidInputError("c_seq and alpha_seq must have equal length")
-        if np.any(c <= 0.0) or np.any(c >= 1.0):
-            raise InvalidInputError("contraction factors must lie in (0, 1)")
+        # c = 0 (kappa = 1 at eta = 2/(L+mu)) contracts in one step.
+        if np.any(c < 0.0) or np.any(c >= 1.0):
+            raise InvalidInputError("contraction factors must lie in [0, 1)")
         if np.any(a < 0.0):
             raise InvalidInputError("noise bounds must be nonnegative")
         if self.D0 < 0.0:

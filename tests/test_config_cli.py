@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from deedsim.cli import main
 from deedsim.config import parse_config
 from deedsim.errors import ConfigError, InvalidInputError
-from deedsim.harness import cmd_compare, cmd_run
+from deedsim.harness import cmd_compare, cmd_run, execute
 
 MINIMAL = """
 algorithm: deed-gd
@@ -602,6 +602,46 @@ def test_cmd_run_deterministic_bytes(tmp_path):
     cmd_run(parse_config(SGD_CFG), out_dir=str(b))
     for name in sorted(os.listdir(a)):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_weighted_gd_reaches_its_own_optimum():
+    # The node weights define w*; an engine that averaged the nodes
+    # uniformly would stop 10.8 away from it on this problem.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "gd_baseline.yaml")
+    with open(path) as fh:
+        text = fh.read()
+    weights = [0.5] + [0.5 / 9] * 9
+    line = "  l_spread: 3.125\n"
+    cfg = parse_config(text.replace(line, f"{line}  weights: {weights}\n"))
+    assert cfg.problem.weights.tolist() == weights
+    (trace,) = execute(cfg).traces
+    assert trace.dist[-1] < 1e-9 * trace.dist[0]
+    assert trace.fgap[-1] < 1e-12
+
+
+KAPPA_ONE = """
+algorithm: ALGORITHM
+problem: {seed: 2, d: 1, n_nodes: 6, kappa: 1.0, rows_per_node: 4, interpolating: true}
+quant: {fixed_eps: 0.5}
+run: {iterations: 30}
+"""
+
+
+@pytest.mark.parametrize("algorithm", ["gd", "const-quant-gd"])
+def test_run_at_zero_contraction_writes_its_bound(tmp_path, algorithm):
+    # kappa = 1 at the default eta = 2/(L+mu) gives c = 1 - eta mu = 0
+    # exactly, a one-step contraction whose recursion bound is defined.
+    text = KAPPA_ONE.replace("ALGORITHM", algorithm)
+    if algorithm == "gd":
+        text = text.replace("quant: {fixed_eps: 0.5}\n", "")
+    cfg = parse_config(text)
+    assert 1.0 - cfg.eta * cfg.problem.mu == 0.0
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == ["bound.csv", "summary.json", "trace.csv"]
+    assert json.loads((out / "summary.json").read_text())["bounds_ok"] is True
 
 
 def test_summary_marks_unreached_thresholds(tmp_path):

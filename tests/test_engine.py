@@ -24,7 +24,7 @@ from deedsim.engine import (
 )
 from deedsim.errors import BoundViolationError, ConfigError, InvalidInputError
 from deedsim.problems import estimate_rho, from_node_data, make_linreg
-from deedsim.quantizer import QuantSpec, quantize
+from deedsim.quantizer import QuantizedMessage, QuantSpec, quantize
 from deedsim.seeding import DOWNLINK, UPLINK, stream
 from deedsim.theory import RecursionSpec, recursion_bound
 
@@ -397,7 +397,7 @@ def test_non_integer_fed_counts_named(fed_problem, value):
 
 
 def test_runs_build_no_grid(monkeypatch, small_problem, interp_problem, fed_problem):
-    # A run reads each message's decoded vector and bits only; a message's
+    # A run reads each message's grid point only; a message's
     # SparseIntVector is built only when its grid is read.
     from deedsim.bitstream import SparseIntVector
 
@@ -693,19 +693,21 @@ def test_fed_sync_rows_carry_message_diagnostics(monkeypatch, fed_problem, parti
     assert np.all(max_bits[others] == 0)
 
 
+def _shifted(msg):
+    """``msg`` with its grid point's first coordinate moved ceil(3 sqrt d)
+    grid steps, so its decoded vector lands at least 3 budgets off target."""
+    spec = msg.spec
+    point = msg._float_grid.copy()
+    point[0] += math.ceil(3.0 * math.sqrt(spec.dim))
+    return QuantizedMessage._unbuilt(spec, point)
+
+
 def _shifted_quantize(monkeypatch):
     # A faulty codec: every decoded message lands 3 budgets off target.
     from deedsim import engine
 
     real = engine.quantize
-
-    def shifted(w, spec, *args):
-        msg = real(w, spec, *args)
-        decoded = msg.decoded.copy()
-        decoded[0] += 3.0 * spec.max_error
-        return dataclasses.replace(msg, decoded=decoded)
-
-    monkeypatch.setattr(engine, "quantize", shifted)
+    monkeypatch.setattr(engine, "quantize", lambda *args: _shifted(real(*args)))
 
 
 def test_fed_faulty_codec_breaks_budget_chain(monkeypatch, fed_problem):
@@ -944,6 +946,49 @@ def test_exchange_equals_per_node_loop(n, d, scheme, stage, seed, lanes):
     assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scheme", ["with-replacement", "without-replacement"])
+def test_exchange_scales_and_counts_member_rows_only(monkeypatch, scheme):
+    # The grid points' rows of the non-members hold the largest float: at a
+    # grid step of 10, scaling one overflows, and the warning is an error.
+    # The one count of a lane loop sees exactly the member rows.
+    n, d, lanes, seed = 7, 4, 5, 9
+    rng = np.random.default_rng(seed)
+    payloads, S0 = rng.normal(size=(2, lanes, n, d))
+    v0 = rng.normal(size=(lanes, d))
+    runs = tuple(range(lanes))
+    p = np.full(n, 1.0 / n)
+    stage = 10.0 * math.sqrt(d)
+    assert QuantSpec(stage, d).grid_step == 10.0
+    SP, v = _held(S0, payloads), v0.copy()
+    exchange = _Exchange(SP, v, p)
+    draws = [_participants(scheme, 3, p, (seed, r, 1)) for r in runs]
+    for lane, (nodes, coefs) in enumerate(draws):
+        exchange.select(lane, nodes, coefs)
+    assert any(len(nodes) < n for nodes, _ in draws)
+    huge = np.finfo(np.float64).max
+    exchange.decoded.fill(huge)
+    counted = []
+    real = engine.grid_payload_bits
+    monkeypatch.setattr(engine, "grid_payload_bits",
+                        lambda points: counted.append(points) or real(points))
+
+    result = exchange(stage, [math.inf] * lanes, (seed, runs, 3))
+    up, down = counted
+    assert up.shape == (sum(len(nodes) for nodes, _ in draws), d) and down.shape == (lanes, d)
+    assert np.isfinite(up).all() and np.isfinite(down).all()
+    # Node 0's rows carry the downlinks; every other non-member row is untouched.
+    for lane, (nodes, _) in enumerate(draws):
+        for i in sorted(set(range(1, n)) - set(nodes)):
+            assert (exchange.decoded[i, lane] == huge).all()
+    for lane, (nodes, coefs) in enumerate(draws):
+        S, w = S0[lane].copy(), v0[lane].copy()
+        want = _exchange_per_node(S, w, payloads[lane], nodes, coefs, stage, math.inf,
+                                  (seed, runs[lane], 3))
+        assert tuple(np.asarray(x)[lane].item() for x in result) == want
+        assert SP[0, :, lane].tobytes() == S.tobytes() and v[lane].tobytes() == w.tobytes()
+
+
 # -- the Monte Carlo lanes against the run-by-run loops they replaced --
 
 
@@ -1067,8 +1112,8 @@ def test_lanes_equal_run_by_run_reference_across_record_blocks():
 
 
 def _faulty_downlinks(monkeypatch, faults):
-    """Shift the broadcast of each (run, round) in ``faults`` by three
-    stage budgets, so that run's aggregate-error assert trips at that
+    """Shift the broadcast of each (run, round) in ``faults`` by at least
+    three stage budgets (``_shifted``), so that run's aggregate-error assert trips at that
     round; every other message is untouched."""
     real_stream, real_quantize = engine.stream, engine.quantize
     last = []
@@ -1081,9 +1126,7 @@ def _faulty_downlinks(monkeypatch, faults):
         msg = real_quantize(w, spec, *args)
         run, rnd, _, purpose = last
         if (run, rnd) in faults and purpose == DOWNLINK:
-            decoded = msg.decoded.copy()
-            decoded[0] += 3.0 * spec.max_error
-            msg = dataclasses.replace(msg, decoded=decoded)
+            msg = _shifted(msg)
         return msg
 
     monkeypatch.setattr(engine, "stream", labelled)

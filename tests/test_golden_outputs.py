@@ -72,7 +72,8 @@ GOLDEN = {
 
 
 # Shipped configs with overridden keys, for engine paths that no shipped
-# file runs: the other participation schemes.  Built in memory, so
+# file runs: the other participation schemes and nonuniform node weights.
+# Built in memory, so
 # ``configs/`` keeps one file per shipped example.
 VARIANTS = {
     # Null drops the shipped k_participants, which full participation rejects.
@@ -83,6 +84,10 @@ VARIANTS = {
     "deed_fed.yaml+with-replacement": (
         "deed_fed.yaml",
         {"fed": {"participation": "with-replacement", "k_participants": 4}},
+    ),
+    "deed_gd.yaml+weighted": (
+        "deed_gd.yaml",
+        {"problem": {"weights": [0.5] + [0.5 / 9] * 9}},
     ),
 }
 
@@ -104,6 +109,11 @@ VARIANT_GOLDEN = {
         "trace_run001.csv": "f7ea597878e646489d3b6578488b31d918ff13031d357aef265c329dd14d18a9",
         "trace_run002.csv": "87e624ef4cd69e17df602bf6f0d9271b6be057f6e81b396d6a09d4770c4bcbef",
         "trace_run003.csv": "2e77a2991d113153b25ac9f0cd13f663f6052e5f80e73b3ba616e567c43f730a",
+    },
+    "deed_gd.yaml+weighted": {
+        "bound.csv": "ae22dd6b471404eb8fdaf154a555f01185bb4b6f386c7ca4d84915adb45497f8",
+        "summary.json": "cdf8b5e060658d3b2fe51e391dd6547b86b12f78ff9cb5e747093da10e440345",
+        "trace.csv": "b44668445c29b3f03d6b0ceac1add205dacfe4c2d9d728ae0f3b0e10216d3062",
     },
 }
 

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -9,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quantize_reference as ref
-from deedsim.bitstream import BitStream, SparseIntVector, decode_sparse, elias_decode, encode_sparse
+from deedsim.bitstream import (
+    BitStream,
+    SparseIntVector,
+    decode_sparse,
+    elias_decode,
+    encode_sparse,
+    sparse_payload_bits,
+)
 from deedsim.errors import InvalidInputError
 from deedsim.quantizer import (
     QuantizedMessage,
@@ -17,6 +25,7 @@ from deedsim.quantizer import (
     bits_lower_bound,
     bits_upper_bound,
     dequantize,
+    grid_payload_bits,
     quantize,
 )
 
@@ -419,8 +428,12 @@ def test_grid_built_on_first_read_equals_reference(d):
         assert msg.grid == want.grid
         assert msg.grid.positions == want.grid.positions
         assert msg.grid.values == want.grid.values
-        # Once built, the message holds its fields and nothing else: the
-        # float grid it was built from is dropped.
+        # Once its decoded vector and bits are read too, the message holds
+        # its fields and nothing else: the float grid it was built from is
+        # dropped.
+        assert "_float_grid" in vars(msg)
+        assert msg.decoded.tobytes() == want.decoded.tobytes()
+        assert msg.bits == want.bits
         assert set(vars(msg)) == FIELDS
         assert msg.grid is msg.grid
 
@@ -490,3 +503,66 @@ def test_messages_from_separate_calls_compare_by_value():
     for msg in (fresh(), built(), lossless()):
         with pytest.raises(TypeError, match="unhashable"):
             hash(msg)
+
+
+def test_derived_fields_equal_reference_in_any_read_order():
+    # Each of grid, decoded and bits is derived on its own first read; the
+    # float grid is dropped only once all three are stored.
+    spec = QuantSpec(0.05, 6)
+    w = np.array([0.3, -0.01, 0.0, 2.5, -7.25, 1e-9])
+    want = ref.quantize(w, spec, _philox(3))
+    for order in itertools.permutations(("grid", "decoded", "bits")):
+        msg = quantize(w, spec, _philox(3))
+        assert set(vars(msg)) == {"spec", "_float_grid"}
+        for read, name in enumerate(order, 1):
+            got = getattr(msg, name)
+            if name == "decoded":
+                assert got.tobytes() == want.decoded.tobytes()
+            else:
+                assert got == getattr(want, name) and type(got) is type(getattr(want, name))
+            assert ("_float_grid" in vars(msg)) == (read < 3), order
+        assert set(vars(msg)) == FIELDS
+
+
+# -- the stacked payload-bit counter against the per-row counts --
+
+_TOP = float(np.nextafter(2.0**63, 0.0))  # the largest grid magnitude
+_magnitudes = st.one_of(
+    st.integers(1, 40).map(float),
+    st.sampled_from([2.0**52 - 1, 2.0**52, 2.0**52 + 1, 2.0**53, 2.0**53 + 2, 2.0**62, _TOP]),
+    st.floats(1.0, _TOP).map(math.floor),
+)
+_signed = st.tuples(_magnitudes, st.booleans()).map(lambda m: -m[0] if m[1] else m[0])
+
+
+def _row(d):
+    """One grid point of dimension d: all zero, a lone last-coordinate
+    nonzero, dense, or sparse."""
+    return st.one_of(
+        st.just([0.0] * d),
+        _signed.map(lambda x: [0.0] * (d - 1) + [x]),
+        st.lists(_signed, min_size=d, max_size=d),
+        st.lists(st.one_of(st.just(0.0), _signed), min_size=d, max_size=d),
+    )
+
+
+_stacks = st.integers(1, 12).flatmap(
+    lambda d: st.lists(_row(d), min_size=0, max_size=6).map(
+        lambda rows: np.array(rows, dtype=np.float64).reshape(len(rows), d)
+    )
+)
+
+
+@given(_stacks)
+@settings(max_examples=300, deadline=None)
+def test_grid_payload_bits_equals_per_row_counts(stack):
+    got = grid_payload_bits(stack)
+    assert got.shape == stack.shape[:1] and got.dtype == np.int64
+    for row, bits in zip(stack, got.tolist()):
+        grid = SparseIntVector.from_dense(row.astype(np.int64))
+        assert bits == len(encode_sparse(grid))
+        assert bits == sparse_payload_bits(np.array(grid.positions), np.array(grid.values))
+        assert grid_payload_bits(row) == bits  # one row, as a message counts it
+    # Any leading shape: the rows of a (2, n, d) stack.
+    twice = np.stack([stack, stack[::-1]])
+    assert grid_payload_bits(twice).tolist() == [got.tolist(), got[::-1].tolist()]

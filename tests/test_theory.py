@@ -70,6 +70,15 @@ def test_recursion_spec_validation():
         RecursionSpec(np.array([0.5, 0.5]), np.array([0.0]), 1.0)
 
 
+def test_recursion_spec_accepts_zero_contraction():
+    # c = 0 contracts in one step: the bound is the noise alone from t = 1.
+    series = recursion_bound(RecursionSpec(np.zeros(3), np.full(3, 0.25), 2.0), 3)
+    assert series.bound.tolist() == [4.0, 0.0625, 0.0625, 0.0625]
+    for c in (-1e-300, -0.5):
+        with pytest.raises(InvalidInputError, match=r"must lie in \[0, 1\)"):
+            RecursionSpec(np.array([0.5, c]), np.zeros(2), 1.0)
+
+
 def test_deterministic_bound_zero_noise():
     series = deterministic_bound(0.3, 0.5, 1.0, 0.0, 2.0, 10)
     assert series.extras["xi"] == 2.0

@@ -9,7 +9,9 @@ Times the engine's own per-round work: ``quantize`` and ``stream`` are
 replaced, inside the timing processes only, by stubs that return the
 message unchanged (a fixed bit count) and a stream whose draws are all
 zero, so what is left is the loop's numpy and Python overhead and the
-gradient oracle.  In trees with ``seeding.draw_index`` the stub stream
+gradient oracle.  In trees whose exchange reads each message's grid
+point, the round's one scaling and one bit count of all its messages
+stay in the round.  In trees with ``seeding.draw_index`` the stub stream
 gives a raw word and the row draw's own arithmetic stays in the round,
 where older trees' stub ``integers`` skipped it, so across that change
 the ``sgd-mc`` round also counts the arithmetic of its 150 draws.  Four
@@ -81,12 +83,16 @@ CASES = (
 
 
 class _Message:
-    """A stub message: the input as its decoded value, a fixed bit count."""
+    """A stub message: the input as its decoded value, with a fixed bit
+    count, and the input over the grid step as its grid point, which
+    trees whose exchange scales and counts a round's grid points at once
+    read instead.  Every tree pays for the one division."""
 
-    __slots__ = ("decoded", "bits")
+    __slots__ = ("_float_grid", "decoded", "bits")
 
-    def __init__(self, decoded, bits) -> None:
+    def __init__(self, decoded, spec, bits) -> None:
         self.decoded, self.bits = decoded, bits
+        self._float_grid = decoded / spec.grid_step if spec.grid_step else decoded
 
 
 class _Draws:
@@ -111,7 +117,7 @@ _DRAWS = _Draws()
 
 def stub_messages(engine) -> None:
     """Replace ``engine``'s ``quantize`` and ``stream`` in this process."""
-    engine.quantize = lambda w, spec, rng, float_bits=32: _Message(w, 1000)
+    engine.quantize = lambda w, spec, rng, float_bits=32: _Message(w, spec, 1000)
     engine.stream = lambda *labels: _DRAWS
 
 

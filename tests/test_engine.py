@@ -1113,8 +1113,8 @@ def test_lanes_equal_run_by_run_reference_across_record_blocks():
 
 def _faulty_downlinks(monkeypatch, faults):
     """Shift the broadcast of each (run, round) in ``faults`` by at least
-    three stage budgets (``_shifted``), so that run's aggregate-error assert trips at that
-    round; every other message is untouched."""
+    three stage budgets (``_shifted``), so that run's aggregate-error
+    assert trips at that round; every other message is untouched."""
     real_stream, real_quantize = engine.stream, engine.quantize
     last = []
 

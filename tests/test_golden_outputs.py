@@ -73,8 +73,7 @@ GOLDEN = {
 
 # Shipped configs with overridden keys, for engine paths that no shipped
 # file runs: the other participation schemes and nonuniform node weights.
-# Built in memory, so
-# ``configs/`` keeps one file per shipped example.
+# Built in memory, so ``configs/`` keeps one file per shipped example.
 VARIANTS = {
     # Null drops the shipped k_participants, which full participation rejects.
     "deed_fed.yaml+full": (

@@ -49,13 +49,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
 from .errors import BoundViolationError, ConfigError, InvalidInputError
 from .problems import _MAX_RADIUS, QuadraticProblem, estimate_fed_constants, estimate_rho
-from .quantizer import DEFAULT_FLOAT_BITS, QuantSpec, grid_payload_bits, quantize
+from .quantizer import DEFAULT_FLOAT_BITS, QuantSpec, _is_integer, grid_payload_bits, quantize
 from .seeding import DOWNLINK, PARTICIPATION, ROW_SAMPLE, UPLINK, stream
 from .theory import (
     AcceleratedConstants,
@@ -164,11 +163,14 @@ class _Exchange:
     narrowed every ``where`` is True, which costs nothing.
 
     Per message a call makes one stream, one ``quantize`` and one row copy
-    of the grid point; after each loop one multiply by the grid step
-    decodes every row and one ``grid_payload_bits`` call counts every
-    message's bits (``_decode``).  The differences and the aggregate error
-    of every lane are rows of one ``(N + 2, R, d)`` array, so one stacked
-    call takes all their norms, and one reduce gives both weighted sums.
+    of the grid point into one ``(N + 1, R, d)`` stack, the downlinks in
+    the last row.  After each loop one multiply by the grid step decodes
+    the rows into an array of their own (``_decode``), so every grid
+    point lasts until the call ends, and then one ``grid_payload_bits``
+    call counts the bits of every message sent.  The differences and the
+    aggregate error of every lane are rows of one ``(N + 2, R, d)`` array,
+    so one stacked call takes all their norms, and one reduce gives both
+    weighted sums.
     The scratch arrays are made once, so a call pays only for arithmetic.
 
     A call returns one value per lane of each of (up_bits,
@@ -181,8 +183,9 @@ class _Exchange:
         self.S, self.payloads = SP
         self.diffs = np.empty((N + 2, R, d))  # N uplinks, the downlink, the error
         self.up, self.down, self.error = self.diffs[:N], self.diffs[N], self.diffs[N + 1]
-        self.decoded = np.empty((N, R, d))  # the uplinks' grid points, then the downlinks'
-        self.down_decoded = self.decoded[0]
+        # Every message's grid point, the downlinks in the last row, and
+        # its decoded vector.
+        self.points, self.decoded = np.empty((2, N + 1, R, d))
         self.terms = np.empty((N, 2, R, d))
         self.sums = np.empty((2, R, d))
         self.aggregate, self.gbar = self.sums
@@ -193,14 +196,15 @@ class _Exchange:
         self.squares, self.message_norms, self.error_norms = (
             self.dots[..., 0, 0], self.norms[:-1], self.norms[-1],
         )
-        # Each lane's messages, the downlink's always sent: the largest
-        # fraction's mask, whose first N rows are the member mask.
+        # Each lane's messages, the downlink's always sent: the mask of the
+        # largest fraction and of the bit count, whose first N rows are the
+        # member mask.
         self.sending = np.ones((N + 1, R), dtype=bool)
-        self.member, self.downlink = self.sending[:N], self.sending[N]
+        self.member = self.sending[:N]
         self.where = (True, True, True)  # the update's, the sums' and the fraction's
-        self.uplinks = [list(zip(range(N), self.up[:, lane], self.decoded[:, lane]))
+        self.uplinks = [list(zip(range(N), self.up[:, lane], self.points[:, lane]))
                         for lane in range(R)]
-        self.downlinks = list(zip(self.down, self.down_decoded))
+        self.downlinks = list(zip(self.down, self.points[N]))
         # Each lane's own coefficients, used from the first select on; per
         # lane, views of its member and coefficient columns and all its uplinks.
         self.lane_coefs = np.repeat(np.asarray(coefs)[:, None], R, axis=1)
@@ -225,23 +229,21 @@ class _Exchange:
         spec = _quant_spec(stage, self.v.shape[-1])
         # A message's grid point, or a lossless message's verbatim vector.
         point = "decoded" if spec.lossless else "_float_grid"
-        S, v = self.S, self.v
+        S, v, N = self.S, self.v, len(self.up)
         update, members, sending = self.where
         np.subtract(self.payloads, S, out=self.up)
         for sends, r in zip(self.uplinks, runs):
             for i, diff, row in sends:
                 msg = quantize(diff, spec, stream(seed, r, round_index, i, UPLINK))
                 row[...] = getattr(msg, point)
-        bits = self._decode(spec, self.decoded, self.member, update)
-        np.add(S, self.decoded, out=S, where=update)
+        np.add(S, self._decode(spec, slice(N), update), out=S, where=update)
 
         _weighted_sums(self.SP, self.coefs, self.terms, self.sums, members)
         np.subtract(self.aggregate, v, out=self.down)
         for (diff, row), r in zip(self.downlinks, runs):  # every uplink is applied
             msg = quantize(diff, spec, stream(seed, r, round_index, 0, DOWNLINK))
             row[...] = getattr(msg, point)
-        down_bits = self._decode(spec, self.down_decoded, self.downlink, True)
-        v += self.down_decoded
+        v += self._decode(spec, N, True)
         np.subtract(v, self.gbar, out=self.error)
         np.matmul(*self.rows_of_diffs, out=self.dots)
         np.sqrt(self.squares, out=self.norms)
@@ -251,23 +253,21 @@ class _Exchange:
             np.maximum.reduce(self.message_norms, initial=0.0, where=sending) / stage
             if stage > 0.0 else np.zeros(len(runs))
         )
+        sent = self.sending
+        bits = np.zeros(sent.shape, dtype=np.int64)
+        bits[sent] = (DEFAULT_FLOAT_BITS * spec.dim if spec.lossless
+                      else grid_payload_bits(self.points[sent]))
         return (
-            np.add.reduce(bits), down_bits, max_fraction,
-            np.maximum(np.maximum.reduce(bits), down_bits), err,
+            np.add.reduce(bits[:N]), bits[N], max_fraction, np.maximum.reduce(bits), err,
         )
 
-    @staticmethod
-    def _decode(spec, points, sent, where):
-        """The payload bits of the ``sent`` rows of ``points`` (0 for the
-        rest; lossless, ``DEFAULT_FLOAT_BITS * d`` each), then the rows
-        ``where`` scaled in place from grid points to decoded vectors."""
-        bits = np.zeros(sent.shape, dtype=np.int64)
+    def _decode(self, spec, rows, where):
+        """The decoded vectors of the message rows ``rows``: their grid
+        points scaled by the grid step on the rows ``where``, or, lossless,
+        the points themselves."""
         if spec.lossless:
-            bits[sent] = DEFAULT_FLOAT_BITS * spec.dim
-        else:
-            bits[sent] = grid_payload_bits(points[sent])
-            np.multiply(points, spec.grid_step, out=points, where=where)
-        return bits
+            return self.points[rows]
+        return np.multiply(self.points[rows], spec.grid_step, out=self.decoded[rows], where=where)
 
 
 def _lane_grads(problem, seed, runs, round_index, nodes, Q):
@@ -409,12 +409,6 @@ def param_violations(
     if seed is not None:
         violations += _count_violations("seed", seed, 0)
     return violations
-
-
-def _is_integer(value) -> bool:
-    """An integer that is not a bool.  A float seed would otherwise run
-    as its integer part, and a float count fail later in numpy or ``range``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _count_violations(name, value, low) -> list[str]:

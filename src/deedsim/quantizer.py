@@ -5,11 +5,13 @@ A vector ``w`` in R^d is scaled onto an integer grid of step
 unbiasedly (stochastic rounding), and the integer grid point is shipped
 as a sparse Elias-coded payload.  ``quantize`` stops at the grid point,
 held as integer-valued floats; its message derives the decoded vector,
-payload bits and ``grid`` on first read.  ``grid_payload_bits`` counts
-a whole ``(..., d)`` stack of grid points, so a run decodes and counts a
-round's messages at once.  The decoded vector is always within
-Euclidean distance ``max_error`` of the input, and its expectation over
-the rounding dither equals the input.
+payload bits and ``grid`` on first read.  A vector with no coordinate on
+the grid, nearly every vector a run sends, takes a short path of one
+draw per coordinate; ``quantize``'s docstring proves that both paths
+agree.  ``grid_payload_bits`` counts a whole ``(..., d)`` stack of grid
+points, so a run decodes and counts a round's messages at once.  The
+decoded vector is always within Euclidean distance ``max_error`` of the
+input, and its expectation over the rounding dither equals the input.
 
 Setting ``max_error = 0`` selects lossless pass-through: the vector is
 transmitted verbatim and charged ``float_bits * dim`` bits, which gives
@@ -21,6 +23,7 @@ counterparts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +55,13 @@ DEFAULT_FLOAT_BITS = 32
 _GRID_LIMIT = 2.0**63
 
 
+def _is_integer(value) -> bool:
+    """An integer that is not a bool.  A float seed would otherwise run
+    as its integer part, and a float count or dimension fail later in
+    numpy or ``range``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class QuantSpec:
     """Quantization contract: dimension and maximal Euclidean error; the
@@ -62,6 +72,8 @@ class QuantSpec:
     grid_step: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not _is_integer(self.dim):
+            raise InvalidInputError(f"dim must be an integer (dim = {self.dim!r})")
         if self.dim < 1:
             raise InvalidInputError("dim must be positive")
         if not (self.max_error >= 0.0) or not math.isfinite(self.max_error):
@@ -177,6 +189,29 @@ def quantize(
 
     Coordinates already equal to a representable grid point reproduce
     themselves deterministically (no draw consumed).
+
+    Most vectors have no such coordinate, and for them a short path skips
+    the on-grid tests: every coordinate takes one draw.  Which path runs
+    depends on ``w`` and ``spec`` alone, and both give the same grid point
+    and draws.  Let ``s = fl(w / step)``, ``lo = floor(s)``, ``frac = fl(s - lo)``
+    and ``u = 2**-53``.  Suppose a candidate ``c`` (``lo`` or ``lo + 1``)
+    decodes to ``w``: ``fl(c * step) == w``.  A product and a quotient
+    each err by at most a factor ``1 + u`` (an integer multiple of a grid
+    step is exact where it is subnormal), so ``s`` lies within
+    ``|c| (2u + u**2) <= (|s| + 1) (2u + u**2)`` of ``c``.  The difference
+    ``s - lo`` lies in [0, 1) and rounds by less than ``u``, so
+    ``frac <= (|s| + 1) 2**-51`` for ``c = lo``, and
+    ``frac >= 1 - (|s| + 1) 2**-51`` for ``c = lo + 1`` (Sterbenz's
+    lemma makes the subtraction exact for ``|s| >= 1``; Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2002, section 2).  Above
+    2**52 every float is an integer and ``frac`` is 0, so ``lo + 1`` is
+    exact wherever this matters.  A coordinate with ``frac == 0`` fails
+    any positive tolerance.  So with ``M`` the guard's ``max |s|`` and
+    ``tol = (M + 1) 2**-48``, eight times the worst case (which also
+    covers the rounding of ``tol`` and of ``1 - tol``), a vector whose
+    every ``frac`` lies strictly between ``tol`` and ``1 - tol`` has no
+    on-grid coordinate and none with ``frac == 0``: the full path would
+    randomize every coordinate, as the short one does.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1 or len(w) != spec.dim:
@@ -194,22 +229,28 @@ def quantize(
     step = spec.grid_step
     scaled = w / step
     # One guard for both faults: a NaN fails every comparison.
-    if not np.maximum.reduce(np.abs(scaled)) < _GRID_LIMIT:
+    largest = np.maximum.reduce(np.abs(scaled))
+    if not largest < _GRID_LIMIT:
         if not np.isfinite(w).all():
             raise InvalidInputError("input coordinates must be finite")
         raise InvalidInputError("scaled magnitude overflows the 64-bit grid")
 
     lo = np.floor(scaled)
     frac = np.subtract(scaled, lo, out=scaled)
-    # A coordinate is on-grid when some candidate decodes back to it
-    # exactly; the upper candidate wins when both do.  The rest with a
-    # fractional part take one draw each (on booleans, a > b is a & ~b).
-    up = (lo + 1.0) * step == w
-    randomized = np.logical_and(frac, lo * step != w)
-    np.greater(randomized, up, out=randomized)
-    n = np.count_nonzero(randomized)
-    if n:
-        up[randomized] = rng.random(n) < frac[randomized]
+    tol = (float(largest) + 1.0) * 2.0**-48
+    if tol < np.minimum.reduce(frac) and np.maximum.reduce(frac) < 1.0 - tol:
+        # No coordinate is on-grid or has frac == 0 (see above): one draw each.
+        up = rng.random(len(frac)) < frac
+    else:
+        # A coordinate is on-grid when some candidate decodes back to it
+        # exactly; the upper candidate wins when both do.  The rest with a
+        # fractional part take one draw each (on booleans, a > b is a & ~b).
+        up = (lo + 1.0) * step == w
+        randomized = np.logical_and(frac, lo * step != w)
+        np.greater(randomized, up, out=randomized)
+        n = np.count_nonzero(randomized)
+        if n:
+            up[randomized] = rng.random(n) < frac[randomized]
 
     # The grid point lo + up in place of lo: integer-valued floats below
     # 2**63, whose decoded value is lo * step.

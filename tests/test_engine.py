@@ -24,7 +24,7 @@ from deedsim.engine import (
 )
 from deedsim.errors import BoundViolationError, ConfigError, InvalidInputError
 from deedsim.problems import estimate_rho, from_node_data, make_linreg
-from deedsim.quantizer import QuantizedMessage, QuantSpec, quantize
+from deedsim.quantizer import DEFAULT_FLOAT_BITS, QuantizedMessage, QuantSpec, quantize
 from deedsim.seeding import DOWNLINK, UPLINK, stream
 from deedsim.theory import RecursionSpec, recursion_bound
 
@@ -949,9 +949,10 @@ def test_exchange_equals_per_node_loop(n, d, scheme, stage, seed, lanes):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scheme", ["with-replacement", "without-replacement"])
 def test_exchange_scales_and_counts_member_rows_only(monkeypatch, scheme):
-    # The grid points' rows of the non-members hold the largest float: at a
-    # grid step of 10, scaling one overflows, and the warning is an error.
-    # The one count of a lane loop sees exactly the member rows.
+    # The non-members' rows of the grid points and of the decoded vectors
+    # hold the largest float: at a grid step of 10, scaling one overflows,
+    # and the warning is an error.  The one count of a call sees exactly
+    # the member rows and one downlink per lane.
     n, d, lanes, seed = 7, 4, 5, 9
     rng = np.random.default_rng(seed)
     payloads, S0 = rng.normal(size=(2, lanes, n, d))
@@ -967,6 +968,7 @@ def test_exchange_scales_and_counts_member_rows_only(monkeypatch, scheme):
         exchange.select(lane, nodes, coefs)
     assert any(len(nodes) < n for nodes, _ in draws)
     huge = np.finfo(np.float64).max
+    exchange.points.fill(huge)
     exchange.decoded.fill(huge)
     counted = []
     real = engine.grid_payload_bits
@@ -974,12 +976,13 @@ def test_exchange_scales_and_counts_member_rows_only(monkeypatch, scheme):
                         lambda points: counted.append(points) or real(points))
 
     result = exchange(stage, [math.inf] * lanes, (seed, runs, 3))
-    up, down = counted
-    assert up.shape == (sum(len(nodes) for nodes, _ in draws), d) and down.shape == (lanes, d)
-    assert np.isfinite(up).all() and np.isfinite(down).all()
-    # Node 0's rows carry the downlinks; every other non-member row is untouched.
+    (rows,) = counted
+    assert rows.shape == (sum(len(nodes) for nodes, _ in draws) + lanes, d)
+    assert np.isfinite(rows).all()
+    # The downlinks have a row of their own; every non-member row is untouched.
     for lane, (nodes, _) in enumerate(draws):
-        for i in sorted(set(range(1, n)) - set(nodes)):
+        for i in sorted(set(range(n)) - set(nodes)):
+            assert (exchange.points[i, lane] == huge).all()
             assert (exchange.decoded[i, lane] == huge).all()
     for lane, (nodes, coefs) in enumerate(draws):
         S, w = S0[lane].copy(), v0[lane].copy()
@@ -987,6 +990,44 @@ def test_exchange_scales_and_counts_member_rows_only(monkeypatch, scheme):
                                   (seed, runs[lane], 3))
         assert tuple(np.asarray(x)[lane].item() for x in result) == want
         assert SP[0, :, lane].tobytes() == S.tobytes() and v[lane].tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("stage", [0.0, 0.05, 3.0])
+@pytest.mark.parametrize("scheme", ["uniform", "full", "with-replacement", "without-replacement"])
+def test_exchange_bits_equal_its_messages_bits(monkeypatch, scheme, stage):
+    # Each lane's uplink sum, downlink and largest message, from the one
+    # stacked count, equal the bits of the messages the call sent, each
+    # counted on its own.
+    n, d, lanes, seed = 6, 5, 4, 21
+    rng = np.random.default_rng(seed)
+    payloads, S0 = rng.normal(size=(2, lanes, n, d))
+    runs = (3, 8, 1, 5)
+    p = np.full(n, 1.0 / n)
+    exchange = _Exchange(_held(S0, payloads), rng.normal(size=(lanes, d)), p)
+    if scheme != "uniform":
+        K = None if scheme == "full" else 3
+        for lane, r in enumerate(runs):
+            exchange.select(lane, *_participants(scheme, K, p, (seed, r, 1)))
+    labels, sent = [], []  # each stream's labels; each message with its stream's
+    real_stream, real_quantize = engine.stream, engine.quantize
+
+    def send(*args):
+        sent.append((labels[-1], real_quantize(*args)))
+        return sent[-1][1]
+
+    monkeypatch.setattr(engine, "stream", lambda *at: labels.append(at) or real_stream(*at))
+    monkeypatch.setattr(engine, "quantize", send)
+
+    up, down, _, largest, _ = exchange(stage, [math.inf] * lanes, (seed, runs, 2))
+    assert len(sent) == int(exchange.member.sum()) + lanes
+    for lane, r in enumerate(runs):
+        ups = [msg.bits for (_, run, _, _, kind), msg in sent if run == r and kind == UPLINK]
+        (downlink,) = [msg.bits for (_, run, _, _, kind), msg in sent
+                       if run == r and kind == DOWNLINK]
+        assert len(ups) == int(exchange.member[:, lane].sum())
+        assert (up[lane], down[lane], largest[lane]) == (sum(ups), downlink, max(ups + [downlink]))
+        if stage == 0.0:
+            assert downlink == DEFAULT_FLOAT_BITS * d
 
 
 # -- the Monte Carlo lanes against the run-by-run loops they replaced --

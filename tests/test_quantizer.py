@@ -158,6 +158,16 @@ def test_invalid_inputs():
         quantize(np.array([1e19]), QuantSpec(1e-3, 1), rng)
 
 
+@pytest.mark.parametrize("dim", [3.0, True, 2.5, np.float64(4.0)])
+def test_spec_rejects_non_integer_dim(dim):
+    # A float or bool dimension would otherwise quantize as its integer
+    # value, or fail only later, inside quantize.
+    with pytest.raises(InvalidInputError) as err:
+        QuantSpec(0.5, dim)
+    assert str(err.value) == f"dim must be an integer (dim = {dim!r})"
+    assert QuantSpec(0.5, np.int64(3)).grid_step == 0.5 / math.sqrt(3)
+
+
 @pytest.mark.parametrize("max_error, dim", [(5e-324, 4), (1e-322, 10**6)])
 def test_spec_rejects_budget_whose_grid_step_underflows(max_error, dim):
     # A positive budget with a zero grid step has no grid to quantize on;
@@ -390,6 +400,70 @@ def test_quantize_shape_errors_match_reference():
     for w, spec in ((np.zeros(3), QuantSpec(0.5, 4)), (np.zeros((2, 2)), QuantSpec(0.5, 4)),
                     (np.array([np.nan, 1.0]), QuantSpec(0.5, 3))):
         assert_matches_reference(w, spec)
+
+
+def _ulps(x, n):
+    """``x`` moved ``|n|`` ulps toward +inf (n > 0) or -inf (n < 0)."""
+    for _ in range(abs(n)):
+        x = np.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+def _near_tolerance_cases(rng, d, step):
+    """Vectors on both sides of the short path's test: generic off-grid
+    ones; ones with one or every coordinate's ``frac`` 1 to 64 ulps from 0
+    or from 1 (the scaled magnitudes lie in [512, 1000), where the
+    tolerance is about 31 ulps); one coordinate on the grid or a signed
+    zero; and one scaled magnitude near 2**52, 2**62 or 2**63."""
+    k = rng.integers(512, 1000, size=d) * np.where(rng.random(d) < 0.5, -1.0, 1.0)
+    base = (k + rng.uniform(0.25, 0.75, size=d)) * step
+    yield base
+    j = rng.integers(d)
+    for n in (1, 2, 15, 16, 17, 31, 32, 33, 63, 64):
+        for scaled in (_ulps(k, n), _ulps(k, -n)):
+            yield scaled * step
+            one = base.copy()
+            one[j] = scaled[j] * step
+            yield one
+    for value in (k[j] * step, 0.0, -0.0):
+        one = base.copy()
+        one[j] = value
+        yield one
+    for mag in (2.0**52, 2.0**62, 2.0**63):
+        for n in (-3, -1, 1):
+            one = base.copy()
+            one[j] = _ulps(mag, n) * step
+            yield one
+
+
+@pytest.mark.parametrize("d", [1, 20, 10_000])
+def test_quantize_short_and_full_paths_match_reference(d):
+    # The short path runs when every coordinate's frac lies strictly
+    # between tol = (max|s| + 1) 2**-48 and 1 - tol; the full path
+    # otherwise.  Both must give the reference's grid and draws.
+    rng = np.random.default_rng(29 + d)
+    subnormal = [5 * 2.0**-1074 * math.sqrt(d), 2.0**-1030 * 1.5 * math.sqrt(d)]
+    for max_error in [math.sqrt(d), 0.1, 3e-7] + subnormal:
+        spec = QuantSpec(max_error, d)
+        if max_error in subnormal:
+            assert spec.grid_step < np.finfo(np.float64).tiny
+        for rep, w in enumerate(_near_tolerance_cases(rng, d, spec.grid_step)):
+            assert_matches_reference(w, spec, seed=rep)
+
+    # frac exactly at the tolerance, one ulp either side, and the same at
+    # 1 - tol, on a unit grid step where s is w itself.
+    spec = QuantSpec(math.sqrt(d), d)
+    assert spec.grid_step == 1.0
+    w = (rng.integers(512, 1000, size=d) + rng.uniform(0.25, 0.75, size=d)) * np.where(
+        rng.random(d) < 0.5, -1.0, 1.0)
+    j = int(np.argmin(np.abs(w)))
+    tol = (float(np.abs(w).max()) + 1.0) * 2.0**-48
+    for edge in (tol, 1.0 - tol):
+        for frac in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+            for sign in (1.0, -1.0):
+                one = w.copy()
+                one[j] = sign * frac
+                assert_matches_reference(one, spec, seed=j)
 
 
 any_float = st.floats(allow_nan=True, allow_infinity=True, width=64)

@@ -3,7 +3,9 @@
 import importlib.util
 import os
 
-from deedsim import engine
+import numpy as np
+
+from deedsim import engine, quantizer
 from deedsim.problems import make_linreg
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -28,6 +30,27 @@ def test_round_cost_cases_run_one_round_with_messages_stubbed(monkeypatch):
     assert sorted(runs) == sorted(round_cost.CASES)
     for run in runs.values():
         run()
+
+
+def test_round_cost_on_grid_message_has_every_other_coordinate_on_the_grid(monkeypatch):
+    # The on-grid case times quantize's full path: its even coordinates
+    # decode back to themselves and take no draw; the plain case has none.
+    round_cost = _tool("round_cost")
+    sent = []
+    monkeypatch.setattr(quantizer, "quantize", lambda w, spec, rng: sent.append((w, spec)))
+    for on_grid in (False, True):
+        round_cost._messages(20, 5, on_grid=on_grid)()
+    assert len(sent) == 10
+    for k, (w, spec) in enumerate(sent):
+        lo = np.floor(w / spec.grid_step)
+        on = (lo * spec.grid_step == w) | ((lo + 1.0) * spec.grid_step == w)
+        assert on.tolist() == [k >= 5 and j % 2 == 0 for j in range(20)]
+    monkeypatch.undo()
+    for k, (w, spec) in enumerate(sent):
+        rng, twin = (np.random.Generator(np.random.Philox(k)) for _ in range(2))
+        quantizer.quantize(w, spec, rng)
+        twin.random(10 if k >= 5 else 20)
+        assert rng.random() == twin.random()
 
 
 def _pairs(parent, change):

@@ -10,11 +10,13 @@ replaced, inside the timing processes only, by stubs that return the
 message unchanged (a fixed bit count) and a stream whose draws are all
 zero, so what is left is the loop's numpy and Python overhead and the
 gradient oracle.  In trees whose exchange reads each message's grid
-point, the round's one scaling and one bit count of all its messages
-stay in the round.  In trees with ``seeding.draw_index`` the stub stream
-gives a raw word and the row draw's own arithmetic stays in the round,
-where older trees' stub ``integers`` skipped it, so across that change
-the ``sgd-mc`` round also counts the arithmetic of its 150 draws.  Four
+point, the scaling of the round's messages and their bit count stay in
+the round: one count per exchange call, or two (uplinks, then
+downlinks) in trees from before the downlinks had a row of their own.
+In trees with ``seeding.draw_index`` the stub stream gives a raw word
+and the row draw's own arithmetic stays in the round, where older
+trees' stub ``integers`` skipped it, so across that change the
+``sgd-mc`` round also counts the arithmetic of its 150 draws.  Four
 cases, each on its perfbench workload's problem:
 
 - ``gd-race``: ``_frequent_run`` as ``run_deed_gd`` calls it (on the one
@@ -38,13 +40,17 @@ cases, each on its perfbench workload's problem:
   and trees with ``_partial_sync`` make the call on a ``range`` of nodes.
   Older trees lack the case.
 
-Four more cases time what the stubs leave out.  Two are one message:
+Five more cases time what the stubs leave out.  Three are one message:
 the real ``seeding.stream(seed, run, round, node, UPLINK)`` and
 ``quantizer.quantize`` of a vector of that stream, at d = 20 (``sgd-mc``)
 and d = 100 (``gd-race``).  The vectors cycle through five ratios of
 ``|w|`` to the budget, from 0.44 to 42.4, across the range the runs send
 (``perfbench/workloads.py``'s ``WIRE_RATIOS``), and a sample's rounds
-are its messages.  Two are one row draw: the real
+are its messages.  The third, ``message d=20 on-grid``, sends the d = 20
+vectors with every other coordinate moved onto the grid, which no run
+sends often: it times ``quantize``'s full path, which trees with a short
+path for off-grid vectors skip in the other two.  Two are one row draw:
+the real
 ``seeding.stream(seed, run, round, node, ROW_SAMPLE)`` and its row index
 out of m = 12 (``fed-local``) and m = 20 (``sgd-mc``) rows, as the tree's
 ``stochastic_grad`` draws it (``seeding.draw_index``, or ``integers`` in
@@ -78,7 +84,8 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CASES = (
     "gd-race N=10 d=100 R=1", "sgd-mc N=5 d=20 R=30", "fed-sync N=8 d=10 K=4 R=30",
-    "fed-sync full N=8 d=10 R=30", "message d=20", "message d=100", "row draw m=12", "row draw m=20",
+    "fed-sync full N=8 d=10 R=30", "message d=20", "message d=20 on-grid", "message d=100",
+    "row draw m=12", "row draw m=20",
 )
 
 
@@ -143,6 +150,7 @@ def cases(engine, make_linreg, rounds: int) -> dict:
     out = {"gd-race N=10 d=100 R=1": gd_race}
     for d in (20, 100):
         out[f"message d={d}"] = _messages(d, rounds)
+    out["message d=20 on-grid"] = _messages(20, rounds, on_grid=True)
     for m in (12, 20):
         out[f"row draw m={m}"] = _row_draws(m, rounds)
     if not hasattr(engine, "_lane_grads"):
@@ -247,9 +255,10 @@ def _predraw_participants(engine, K, p, runs, rounds) -> None:
     engine._participants = lambda participation, K, p, labels: draws[labels]
 
 
-def _messages(d: int, rounds: int):
+def _messages(d: int, rounds: int, on_grid: bool = False):
     """A callable that sends ``rounds`` real messages of dimension ``d``,
-    one stream and one ``quantize`` call each, as an engine's uplink."""
+    one stream and one ``quantize`` call each, as an engine's uplink;
+    ``on_grid`` puts every other coordinate on the grid."""
     from deedsim.quantizer import QuantSpec, quantize
     from deedsim.seeding import UPLINK, stream
 
@@ -258,7 +267,10 @@ def _messages(d: int, rounds: int):
     vectors = []
     for ratio in (0.44, 0.891, 5.23, 17.5, 42.4):
         w = rng.standard_normal(d)
-        vectors.append(w * (ratio * spec.max_error / np.linalg.norm(w)))
+        w *= ratio * spec.max_error / np.linalg.norm(w)
+        if on_grid:
+            w[::2] = np.round(w[::2] / spec.grid_step) * spec.grid_step
+        vectors.append(w)
 
     def send():
         for k in range(rounds):

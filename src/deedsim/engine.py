@@ -253,10 +253,13 @@ class _Exchange:
             np.maximum.reduce(self.message_norms, initial=0.0, where=sending) / stage
             if stage > 0.0 else np.zeros(len(runs))
         )
-        sent = self.sending
-        bits = np.zeros(sent.shape, dtype=np.int64)
-        bits[sent] = (DEFAULT_FLOAT_BITS * spec.dim if spec.lossless
-                      else grid_payload_bits(self.points[sent]))
+        if sending is True and not spec.lossless:  # no lane narrowed: every row is sent
+            bits = grid_payload_bits(self.points)
+        else:
+            sent = self.sending
+            bits = np.zeros(sent.shape, dtype=np.int64)
+            bits[sent] = (DEFAULT_FLOAT_BITS * spec.dim if spec.lossless
+                          else grid_payload_bits(self.points[sent]))
         return (
             np.add.reduce(bits[:N]), bits[N], max_fraction, np.maximum.reduce(bits), err,
         )

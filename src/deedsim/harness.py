@@ -146,6 +146,18 @@ def output_dir(cfg: RunConfig, out_dir: str | None = None) -> str:
     return out_dir
 
 
+def _mean_squared_csv(traces: list) -> str:
+    """``mean_squared.csv``: per row t of the Monte Carlo ``traces``, the
+    mean over runs of the squared distance and its standard error."""
+    sq = np.stack([t.dist**2 for t in traces])
+    # Each row of the transposed copy sums as the strided column sq[:, t]
+    # does; sq.mean(axis=0) adds the runs in another order.
+    means = np.ascontiguousarray(sq.T).mean(axis=1)
+    se = sq.std(axis=0, ddof=1) / math.sqrt(len(traces))
+    rows = enumerate(zip(means.tolist(), se.tolist()))
+    return "t,mean_sq_dist,se\n" + "".join(f"{t},{mean:.17g},{err:.17g}\n" for t, (mean, err) in rows)
+
+
 def cmd_run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
     """Execute and write trace CSVs, an aligned bound CSV and summary.json
     to ``output_dir(cfg, out_dir)``.  Outputs are deterministic
@@ -164,12 +176,8 @@ def cmd_run(cfg: RunConfig, out_dir: str | None = None) -> RunResult:
             tr.to_csv(path)
             result.files.append(path)
         path = os.path.join(out_dir, "mean_squared.csv")
-        sq = np.stack([t.dist**2 for t in result.traces])
         with open(path, "w", newline="\n") as fh:
-            fh.write("t,mean_sq_dist,se\n")
-            se = sq.std(axis=0, ddof=1) / math.sqrt(len(result.traces))
-            for t in range(sq.shape[1]):
-                fh.write(f"{t},{sq[:, t].mean():.17g},{se[t]:.17g}\n")
+            fh.write(_mean_squared_csv(result.traces))
         result.files.append(path)
 
     if result.bound is not None:

@@ -15,15 +15,16 @@ stream, which costs more than the draws of a small message;
 ``tests/test_seeding.py`` pins the keys to numpy's own.
 
 When the last three labels (round, node, purpose) each fit one uint32
-word, as in every engine stream and ``theory``'s coin stream, a
-(node, purpose) pair asked for at a second round of an aligned block of
-64 rounds gets the keys of the whole block from one numpy pass.  The
+word, as in every engine stream and ``theory``'s coin stream, the
+first request for a (node, purpose) pair in an aligned block of 64
+rounds derives the pair's keys for every round of the block and every
+label prefix (run) the window holds, in one stacked numpy pass.  The
 keys of one (seed, round block) window are held as ``(64, 2)`` arrays in
 one flat dict keyed on ``(seed, *prefix, node, purpose)``, so runs
 advanced round by round keep theirs, and ``stream`` finds an engine
 stream's held key (labels run, round, node, purpose) in one lookup.
-The pair's first round in a block, and every other label shape, take
-the one scalar path, word by word in plain integer arithmetic.
+Every other label shape takes the one scalar path, word by word in
+plain integer arithmetic.
 
 ``draw_index`` draws an index in ``range(m)`` from a stream with
 Lemire's method on the raw Philox words: the index numpy's
@@ -184,13 +185,7 @@ def philox_key(master_seed: int, *labels: int) -> np.ndarray:
 def _scalar_key(seed: int, prefix: tuple, labels: tuple) -> np.ndarray:
     """``philox_key(seed, *prefix, *labels)`` word by word from the cached
     pool of ``prefix``: every label shape outside the round blocks."""
-    return _absorbed_key(_pool(seed, prefix), labels)
-
-
-def _absorbed_key(pool_h: tuple, labels: tuple) -> np.ndarray:
-    """The key after absorbing ``labels``, word by word, into a prefix's
-    mixed pool and hash constant ``pool_h``."""
-    pool, h = pool_h
+    pool, h = _pool(seed, prefix)
     for label in labels:
         for word in _words(label):
             pool, h = _absorb(pool, h, word)
@@ -210,9 +205,10 @@ def _readout(x0: int, x1: int, x2: int, x3: int) -> np.ndarray:
 
 
 # A run asks for the streams of one (node, purpose) pair round after round,
-# so the keys of an aligned block of rounds are derived together: the four
-# pool words are uint32 rows with one column per round, and numpy's uint32
-# arithmetic wraps modulo 2**32 as SeedSequence's does.
+# and runs advanced together ask for every run's, so the keys of an aligned
+# block of rounds are derived for every held prefix at once: the four pool
+# words are uint32 arrays with one row per prefix and one column per round,
+# and numpy's uint32 arithmetic wraps modulo 2**32 as SeedSequence's does.
 _BLOCK_BITS = 6
 _BLOCK = 1 << _BLOCK_BITS
 _LAST = _BLOCK - 1
@@ -221,25 +217,23 @@ _READ_XOR = np.array([_C0, _C1, _C2, _C3], dtype=np.uint32)[:, None]
 _READ_MUL = np.array([_M0, _M1, _M2, _M3], dtype=np.uint32)[:, None]
 
 
-class _RoundBlock:
-    """What is held for one ``(seed, prefix, round block)``: the prefix's
-    mixed pool and hash constant, and the pool columns after each round of
-    the block.  The prefix's pool is derived once per block, however many
-    prefixes are in flight."""
+class _Group:
+    """The prefixes of one window whose words leave the same hash constant
+    ``h``, so that a round, node or purpose word hashes alike for all of
+    them, and their mixed pools, in the order they joined.  A label of
+    2**32 or more takes two words, so prefixes of one length can fall in
+    different groups."""
 
-    __slots__ = ("label", "pool", "rounds")
+    __slots__ = ("h", "prefixes", "pools")
 
-    def __init__(self, label: tuple) -> None:
-        seed, prefix, _ = label
-        self.label = label
-        self.pool = _pool(seed, prefix)
-        self.rounds = None
+    def __init__(self, h: int) -> None:
+        self.h, self.prefixes, self.pools = h, [], []
 
 
-# The held window: its seed and round block index, the round blocks of its
-# prefixes, and one flat dict from ``(seed, *prefix, node, purpose)`` to the
-# pair's ``(_BLOCK, 2)`` keys, or to None after the pair's first request.
-# The seed in the dict's keys lets ``stream`` find a key in one lookup.
+# The held window: its seed and round block index, its prefixes (each
+# mapped to its group), and one flat dict from ``(seed, *prefix, node,
+# purpose)`` to the pair's ``(_BLOCK, 2)`` keys.  The seed in the dict's
+# keys lets ``stream`` find a key in one lookup.
 _window = (None, None, {}, {})
 
 
@@ -247,31 +241,47 @@ def _block_key(seed: int, prefix: tuple, rnd: int, pair: tuple) -> np.ndarray:
     """``philox_key(seed, *prefix, rnd, *pair)`` for one-word round, node
     and purpose labels.
 
-    A pair's first request in a block takes the scalar path; its second
-    derives all the block's keys at once.  So a pair used in only one
-    round of a block (a one-round run, or a sync every 64 or more rounds)
-    costs no block, and one used every round costs one block per 64.
-    Runs advanced together ask for every run's prefix round by round, so
-    the blocks of all prefixes in one ``(seed, round block)`` window are
-    held; a request for another window drops them all.
+    A pair's first request in a ``(seed, round block)`` window derives its
+    keys for every round of the block, for the requested prefix and every
+    other prefix of its group that lacks them, in one stacked pass; later
+    requests find them held.  A new window of the same seed starts by
+    holding the last window's prefixes, so runs advanced together derive
+    each pair once per block for all runs.  A window of another seed
+    starts empty, and a prefix joins it on its first request, so a cold
+    run's first window derives prefix by prefix.
     """
     global _window
-    held_seed, index, blocks, held = _window
+    held_seed, index, prefixes, held = _window
     if held_seed != seed or index != rnd >> _BLOCK_BITS:
-        index = rnd >> _BLOCK_BITS
-        blocks, held = {}, {}
-        _window = seed, index, blocks, held
+        carried = prefixes if held_seed == seed else ()
+        index, prefixes, held = rnd >> _BLOCK_BITS, {}, {}
+        _window = seed, index, prefixes, held
+        _hold(seed, prefixes, carried)
     name = (seed, *prefix, *pair)
     keys = held.get(name)
     if keys is None:
-        block = blocks.get(prefix)
-        if block is None:
-            block = blocks[prefix] = _RoundBlock((seed, prefix, index))
-        if name not in held:
-            held[name] = None
-            return _absorbed_key(block.pool, (rnd, *pair))
-        keys = held[name] = _derive_block(block, pair)
+        group = prefixes.get(prefix)
+        if group is None:
+            group = _hold(seed, prefixes, (prefix,))
+        _derive(seed, index, group, pair, held)
+        keys = held[name]
     return keys[rnd & _LAST]
+
+
+def _hold(seed: int, prefixes: dict, new) -> _Group | None:
+    """Add each prefix of ``new`` to a window's ``prefixes``, in the group
+    of the hash constant its words leave; returns the last one's group."""
+    groups = {group.h: group for group in prefixes.values()}
+    group = None
+    for prefix in new:
+        pool, h = _pool(seed, prefix)
+        group = groups.get(h)
+        if group is None:
+            group = groups[h] = _Group(h)
+        group.prefixes.append(prefix)
+        group.pools.append(pool)
+        prefixes[prefix] = group
+    return group
 
 
 @functools.lru_cache(maxsize=256)
@@ -283,44 +293,49 @@ def _hashed_column(word: int, h: int) -> tuple[np.ndarray, int]:
 
 
 @functools.lru_cache(maxsize=16)
-def _hash_columns(h: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The xors and multipliers of ``hashmix`` for the four pool words
-    from hash constant ``h``, as uint32 ``(4, 1)`` columns, and the next
-    constant."""
+def _round_columns(index: int, h: int) -> tuple[np.ndarray, int]:
+    """``_MIX_R * hashmix(round)`` for the four pool words and each round
+    of block ``index``, from hash constant ``h``, as a read-only uint32
+    ``(4, _BLOCK)`` array, and the next hash constant."""
     xors, muls = [], []
     for _ in range(_POOL):
         xors.append(h)
         h = h * _MULT_A & _MASK32
         muls.append(h)
-    return np.array(xors, dtype=np.uint32)[:, None], np.array(muls, dtype=np.uint32)[:, None], h
+    xors = np.array(xors, dtype=np.uint32)[:, None]
+    v = ((index << _BLOCK_BITS) + _ROUNDS ^ xors) * np.array(muls, dtype=np.uint32)[:, None]
+    v ^= v >> 16
+    v *= _MIX_R
+    v.setflags(write=False)
+    return v, h
 
 
-def _derive_block(block: _RoundBlock, pair: tuple) -> np.ndarray:
-    """The read-only ``(_BLOCK, 2)`` keys of ``pair`` for every round of
-    ``block``: SeedSequence's absorb of the round, node and purpose words,
-    then its readout."""
-    if block.rounds is None:
-        index = block.label[2]
-        pool, h = block.pool
-        xors, muls, h = _hash_columns(h)
-        v = ((index << _BLOCK_BITS) + _ROUNDS ^ xors) * muls
-        v ^= v >> 16
-        x = _MIX_L * np.array(pool, dtype=np.uint32)[:, None] - _MIX_R * v
-        x ^= x >> 16
-        block.rounds = x, h
-    x, h = block.rounds
+def _derive(seed: int, index: int, group: _Group, pair: tuple, held: dict) -> None:
+    """Hold the read-only ``(_BLOCK, 2)`` keys of ``pair`` for every round
+    of block ``index`` and every prefix of ``group`` that lacks them, from
+    one pass on ``(P, 4, _BLOCK)`` uint32 words: SeedSequence's absorb of
+    the round, node and purpose words into the prefixes' pools, then its
+    readout."""
+    names = [(seed, *prefix, *pair) for prefix in group.prefixes]
+    rows = [j for j, name in enumerate(names) if name not in held]
+    pools = np.array([group.pools[j] for j in rows], dtype=np.uint32)[:, :, None]
+    mixed, h = _round_columns(index, group.h)
+    x = _MIX_L * pools - mixed
+    x ^= x >> 16
     for word in pair:
         mixed, h = _hashed_column(word, h)
-        x = _MIX_L * x - mixed
+        x *= _MIX_L
+        x -= mixed
         x ^= x >> 16
     x ^= _READ_XOR
     x *= _READ_MUL
     x ^= x >> 16
     # Round j's key is (x[0] | x[1] << 32, x[2] | x[3] << 32): the
     # little-endian uint32 words of column j read as two uint64.
-    words = np.ascontiguousarray(x.T, dtype="<u4")
+    words = np.ascontiguousarray(x.swapaxes(1, 2), dtype="<u4")
     words.setflags(write=False)
-    return words.view("<u8")
+    for j, keys in zip(rows, words.view("<u8")):
+        held[names[j]] = keys
 
 
 # Every stream starts at Philox counter 0.  ``Philox`` copies its counter

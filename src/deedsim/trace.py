@@ -78,14 +78,12 @@ class RunTrace:
         """
         own = isinstance(fh, str)
         out = open(fh, "w", newline="\n") if own else fh
-        out.write(_CSV_HEADER + "\n")
-        cum = self.cum_bits
-        for i in range(len(self.t)):
-            out.write(
-                f"{int(self.t[i])},{self.dist[i]:.17g},{self.fgap[i]:.17g},"
-                f"{int(self.bits_up[i])},{int(self.bits_down[i])},"
-                f"{int(cum[i])},{self.budget[i]:.17g}\n"
-            )
+        columns = (self.t, self.dist, self.fgap, self.bits_up, self.bits_down, self.cum_bits,
+                   self.budget)
+        out.write(_CSV_HEADER + "\n" + "".join(
+            f"{int(t)},{dist:.17g},{fgap:.17g},{int(up)},{int(down)},{int(cum)},{budget:.17g}\n"
+            for t, dist, fgap, up, down, cum, budget in zip(*(c.tolist() for c in columns))
+        ))
         if own:
             out.close()
 

@@ -972,3 +972,24 @@ def test_valid_sgd_run_certifies_once(monkeypatch, tmp_path):
     result = cmd_run(parse_config(SGD_CFG), str(tmp_path))
     assert len(calls) == 1
     assert len(result.traces) == 3 and result.violation is None
+
+
+@pytest.mark.parametrize("runs", [2, 3, 7, 8, 9, 16, 17, 30, 31, 100, 129])
+def test_mean_squared_csv_matches_a_per_column_reference(runs):
+    # mean_squared.csv's means and standard errors, against each row t
+    # reduced on its own column of the (runs, rows) stack of squares.
+    from deedsim.harness import _mean_squared_csv
+    from deedsim.trace import RunTrace
+
+    rng = np.random.default_rng(runs)
+    rows = 61
+    traces = []
+    for _ in range(runs):
+        dist = np.exp(rng.normal(scale=8.0, size=rows))
+        zeros = np.zeros(rows, dtype=np.int64)
+        traces.append(RunTrace("mc", np.arange(rows), dist, dist, zeros, zeros, dist))
+    sq = np.stack([tr.dist**2 for tr in traces])
+    se = sq.std(axis=0, ddof=1) / math.sqrt(runs)
+    want = "t,mean_sq_dist,se\n" + "".join(
+        f"{t},{sq[:, t].mean():.17g},{se[t]:.17g}\n" for t in range(rows))
+    assert _mean_squared_csv(traces) == want

@@ -579,6 +579,32 @@ def test_trace_csv_roundtrip(small_problem):
     assert np.array_equal(back.budget, tr.budget)
 
 
+def _reference_csv(tr) -> str:
+    """A trace's CSV written row by row from the numpy columns."""
+    cum = tr.cum_bits
+    return "t,dist,fgap,bits_up,bits_down,cum_bits,budget\n" + "".join(
+        f"{int(tr.t[i])},{tr.dist[i]:.17g},{tr.fgap[i]:.17g},"
+        f"{int(tr.bits_up[i])},{int(tr.bits_down[i])},{int(cum[i])},{tr.budget[i]:.17g}\n"
+        for i in range(len(tr.t))
+    )
+
+
+def test_trace_csv_matches_a_per_row_reference(small_problem):
+    from deedsim.trace import RunTrace
+
+    floats = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                       0.1, -2.5e-17, 1.0 / 3.0])
+    big = np.array([2**53, 2**53 + 1, 2**60 + 3, 0, 1, 2**62 - 1, 7, 2**53 - 1, 5, 9])
+    small = np.arange(10, dtype=np.int64) * 3
+    traces = [
+        RunTrace("edges", np.arange(10), floats, floats[::-1].copy(), big, small, -floats),
+        RunTrace("edges", np.arange(10) + 2**53, floats[::-1].copy(), floats, small, small, floats),
+        run_deed_gd(small_problem, None, 0.95, 0.5, 20, seed=5),
+    ]
+    for tr in traces:
+        assert tr.to_csv_bytes().decode() == _reference_csv(tr)
+
+
 TRACE_CSV = (
     "t,dist,fgap,bits_up,bits_down,cum_bits,budget\n"
     "0,1.5,2.25,10,5,15,0.5\n"

@@ -114,8 +114,8 @@ def test_round_blocks_keep_streams_exact():
     # Many (seed, run) prefixes and round blocks, interleaved so that every
     # change of seed or block drops the held window, then the first visits
     # again after their windows were dropped.  Each visit asks for a pair
-    # at two rounds of its block, so the second request derives the
-    # block's keys.
+    # at two rounds of its block: the first request derives the block's
+    # keys, the later ones find them held.
     prefixes = [(seed, run) for seed in (2, 2**40) for run in range(3)]
     starts = [b * 64 + off for b in (0, 1, 5, 2**26 - 1) for off in (0, 1, 63)]
     visits = [(seed, run, rnd) for rnd in starts for seed, run in prefixes]
@@ -127,12 +127,12 @@ def test_round_blocks_keep_streams_exact():
                 want = oracle(seed, run, r, node, seeding.UPLINK)
                 assert state(got) == state(want)
                 assert np.array_equal(got.random(2), want.random(2))
-        # The held window is this visit's (seed, block), with one block per
-        # run visited in it, and this run holds one (64, 2) array per pair.
-        held_seed, index, blocks, held = seeding._window
+        # The held window is this visit's (seed, block), it holds this
+        # run's prefix among the seed's runs, and this run holds one
+        # read-only (64, 2) array per pair.
+        held_seed, index, runs_held, held = seeding._window
         assert (held_seed, index) == (seed, rnd // 64)
-        assert set(blocks) <= {(run_,) for run_ in range(3)}
-        assert blocks[(run,)].label == (seed, (run,), rnd // 64)
+        assert (run,) in runs_held and set(runs_held) <= {(run_,) for run_ in range(3)}
         assert sorted(k for k in held if k[1] == run) == [
             (seed, run, node, seeding.UPLINK) for node in range(3)]
         assert all(k.shape == (64, 2) and not k.flags.writeable for k in held.values())
@@ -142,20 +142,24 @@ def test_round_blocks_keep_streams_exact():
 
 def test_runs_in_lane_order_keep_their_blocks(monkeypatch):
     # Runs advanced together ask for every run's streams round by round,
-    # so the (run,) prefix changes on every request.  Each (run, pair,
-    # block) must still derive its block once, on its second request:
-    # a cache that dropped a run's block when another run came would take
-    # the scalar path every time and give the same keys, so only this
+    # so the (run,) prefix changes on every request.  A pair's first
+    # request in a block derives its keys for every held run that lacks
+    # them, in one stacked pass.  The first block starts empty, so each
+    # run derives its own as it joins; a later block starts with every
+    # run of the last, so each (pair, block) is one derivation that
+    # covers all of them.  A cache that dropped a run's keys when another
+    # run came would derive again and give the same keys, so only this
     # count can see it.
-    derived = {}
-    real = seeding._derive_block
+    derived = []  # (block, pair, the runs one derivation gave keys to)
+    real = seeding._derive
 
-    def spy(block, pair):
-        seed, prefix, index = block.label
-        derived[prefix, pair, index] = derived.get((prefix, pair, index), 0) + 1
-        return real(block, pair)
+    def spy(seed, index, group, pair, held):
+        before = set(held)
+        real(seed, index, group, pair, held)
+        derived.append((index, pair, sorted(name[1] for name in set(held) - before)))
 
-    monkeypatch.setattr(seeding, "_derive_block", spy)
+    monkeypatch.setattr(seeding, "_derive", spy)
+    monkeypatch.setattr(seeding, "_window", (None, None, {}, {}))
     seed, runs = 123457, range(30)
     pairs = [(0, seeding.UPLINK), (2, seeding.UPLINK), (0, seeding.DOWNLINK),
              (1, seeding.ROW_SAMPLE), (4, seeding.ROW_SAMPLE)]
@@ -166,8 +170,10 @@ def test_runs_in_lane_order_keep_their_blocks(monkeypatch):
                 labels = (run, rnd, node, purpose)
                 got = seeding.philox_key(seed, *labels)
                 assert np.array_equal(got, seed_sequence_key(seed, *labels)), labels
-    assert derived == {((run,), pair, index): 1
-                       for run in runs for pair in pairs for index in (0, 1, 2)}
+    assert derived == (
+        [(0, pair, [run]) for run in runs for pair in pairs]
+        + [(index, pair, list(runs)) for index in (1, 2) for pair in pairs]
+    )
 
 
 def test_prefix_pools_derived_once_per_window(monkeypatch):
@@ -204,8 +210,8 @@ PREFIXES = ((), (0,), (5,), (1, 2**33, 7))
 
 
 def assert_keys_match(seed, prefix, rounds, node, purpose):
-    # Twice over: the first request of a pair in a block takes the scalar
-    # path, a later one the block's keys.
+    # Twice over: the first request of a pair in a block derives the
+    # block's keys, a later one finds them held.
     for _ in range(2):
         for rnd in rounds:
             labels = prefix + (rnd, node, purpose)
@@ -257,6 +263,39 @@ def test_theory_coin_labels_match_seed_sequence():
             assert_same_stream(got, oracle(seed, t, 0, seeding.COIN))
 
 
+# One-word run labels, two-word ones (a label of 2**32 or more, or two
+# labels) and a three-word one: (2**32,) and (3, 4) leave the same hash
+# constant, (0,) and (9,) another.  The seeds' words leave them apart too.
+MIXED_PREFIXES = ((0,), (9,), (2**32,), (2**40 + 1,), (3, 4), (3, 2**33))
+MIXED_SEEDS = (5, 2**130)
+
+
+@given(st.lists(
+    st.tuples(
+        st.sampled_from(MIXED_SEEDS),
+        st.sampled_from(MIXED_PREFIXES),
+        st.sampled_from((0, 62, 63, 64, 65, 127, 128, 2**32 - 1)),
+        st.sampled_from(((0, seeding.UPLINK), (1, seeding.ROW_SAMPLE), (7, seeding.DOWNLINK))),
+        st.booleans(),
+    ),
+    min_size=1, max_size=60,
+))
+@settings(max_examples=150, deadline=None)
+def test_interleaved_prefixes_seeds_and_block_edges_match_seed_sequence(requests):
+    # Requests in a drawn order: a window change of seed or block, a
+    # prefix joining a held window, and a stacked derivation over prefixes
+    # of one hash constant must each give SeedSequence's key, by
+    # ``philox_key`` or, for one-label prefixes, by ``stream``'s lookup.
+    for seed, prefix, rnd, pair, by_stream in requests:
+        labels = prefix + (rnd, *pair)
+        want = seed_sequence_key(seed, *labels)
+        if by_stream and len(prefix) == 1:
+            assert stream(seed, *labels).bit_generator.state["state"]["key"].tolist() == (
+                want.tolist()), (seed, labels)
+        got = seeding.philox_key(seed, *labels)
+        assert got.dtype == np.uint64 and np.array_equal(got, want), (seed, labels)
+
+
 def test_two_prefixes_used_alternately():
     for rnd in range(0, 140, 3):
         for prefix in ((0,), (1,), (0,), (2**40,)):
@@ -280,16 +319,14 @@ def test_negative_labels_raise_with_a_block_held(args):
 def test_writing_to_a_returned_key_cannot_change_a_later_stream():
     labels = (4, 2, 70, 1, seeding.UPLINK)
     want = seed_sequence_key(*labels)
-    # The first request returns a fresh key, later ones a row of the block.
+    # Every request returns a read-only row of the held block.
     for _ in range(3):
         key = seeding.philox_key(*labels)
-        if key.flags.writeable:
-            key[:] = 0
-        else:
-            with pytest.raises(ValueError):
-                key[0] = 0
-            with pytest.raises(ValueError):
-                key.setflags(write=True)
+        assert not key.flags.writeable
+        with pytest.raises(ValueError):
+            key[0] = 0
+        with pytest.raises(ValueError):
+            key.setflags(write=True)
     assert np.array_equal(seeding.philox_key(*labels), want)
     assert_same_stream(stream(*labels), oracle(*labels))
 
@@ -337,16 +374,13 @@ def test_engine_order_finds_held_keys_and_holds_one_window(monkeypatch):
                         got, want = stream(seed, *labels), oracle(seed, *labels)
                         assert state(got) == state(want), (seed, labels)
                         assert got.random() == want.random()
-            held_seed, index, blocks, held = seeding._window
+            held_seed, index, prefixes, held = seeding._window
             assert (held_seed, index) == (seed, rnd // 64)
-            assert set(blocks) == {(run,) for run in runs}
+            assert set(prefixes) == {(run,) for run in runs}
             assert set(held) == {(seed, run, node, purpose)
                                  for run in runs for node in nodes for purpose in purposes}
             for keys in held.values():
-                assert keys is None or (keys.shape == (64, 2) and not keys.flags.writeable)
-    # Seed 7 came back to a held window at round 132 and derived its keys
-    # at 133, so the last lookups found every key held.
-    assert all(keys is not None for keys in held.values())
+                assert keys.shape == (64, 2) and not keys.flags.writeable
 
 
 M_EDGES = (1, 2, 3, 12, 20, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32)

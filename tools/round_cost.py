@@ -40,7 +40,7 @@ cases, each on its perfbench workload's problem:
   and trees with ``_partial_sync`` make the call on a ``range`` of nodes.
   Older trees lack the case.
 
-Five more cases time what the stubs leave out.  Three are one message:
+Six more cases time what the stubs leave out.  Three are one message:
 the real ``seeding.stream(seed, run, round, node, UPLINK)`` and
 ``quantizer.quantize`` of a vector of that stream, at d = 20 (``sgd-mc``)
 and d = 100 (``gd-race``).  The vectors cycle through five ratios of
@@ -54,7 +54,13 @@ the real
 ``seeding.stream(seed, run, round, node, ROW_SAMPLE)`` and its row index
 out of m = 12 (``fed-local``) and m = 20 (``sgd-mc``) rows, as the tree's
 ``stochastic_grad`` draws it (``seeding.draw_index``, or ``integers`` in
-trees before it); a sample's rounds are its draws.
+trees before it); a sample's rounds are its draws.  The sixth, ``row
+keys``, builds the real row-sample streams of R = 30 runs and N = 8 nodes
+(``fed-local``'s lanes) round by round, across the edge of rounds 63 and
+64 of the 64-round blocks the stream keys are derived in: each sample
+starts in block 0 after the last one ended in block 1, so both of its
+windows change and the keys of both blocks are derived in the sample.  A
+sample's rounds are its rounds of 240 streams, with no draws.
 
 Each tree (a git ref, extracted with ``git archive``, or ``.`` for the
 working tree) runs in its own worker process.  A sample times
@@ -85,7 +91,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CASES = (
     "gd-race N=10 d=100 R=1", "sgd-mc N=5 d=20 R=30", "fed-sync N=8 d=10 K=4 R=30",
     "fed-sync full N=8 d=10 R=30", "message d=20", "message d=20 on-grid", "message d=100",
-    "row draw m=12", "row draw m=20",
+    "row draw m=12", "row draw m=20", "row keys R=30 N=8",
 )
 
 
@@ -153,6 +159,7 @@ def cases(engine, make_linreg, rounds: int) -> dict:
     out["message d=20 on-grid"] = _messages(20, rounds, on_grid=True)
     for m in (12, 20):
         out[f"row draw m={m}"] = _row_draws(m, rounds)
+    out["row keys R=30 N=8"] = _row_keys(30, 8, rounds)
     if not hasattr(engine, "_lane_grads"):
         return out
 
@@ -291,6 +298,23 @@ def _row_draws(m: int, rounds: int):
             draw(seeding.stream(1, 0, k, 0, seeding.ROW_SAMPLE), m)
 
     return sample
+
+
+def _row_keys(R: int, N: int, rounds: int):
+    """A callable that builds the row-sample streams of ``R`` runs and
+    ``N`` nodes for ``rounds`` rounds that cross the edge of rounds 63 and
+    64, run-major in each round as ``_lane_grads`` asks for them."""
+    from deedsim import seeding
+
+    first = max(0, 64 - rounds // 2)
+
+    def build():
+        for k in range(first, first + rounds):
+            for r in range(R):
+                for i in range(N):
+                    seeding.stream(1, r, k, i, seeding.ROW_SAMPLE)
+
+    return build
 
 
 def worker(src: str, rounds: int) -> None:

@@ -53,6 +53,20 @@ def test_round_cost_on_grid_message_has_every_other_coordinate_on_the_grid(monke
         assert rng.random() == twin.random()
 
 
+def test_round_cost_row_keys_build_every_lane_stream_across_a_block_edge(monkeypatch):
+    # The row keys case asks for a fed-local round's 30 x 8 row-sample
+    # streams, run-major as _lane_grads does, over rounds that cross the
+    # edge of key blocks 0 and 1.
+    from deedsim import seeding
+
+    round_cost = _tool("round_cost")
+    asked = []
+    monkeypatch.setattr(seeding, "stream", lambda *labels: asked.append(labels))
+    round_cost._row_keys(30, 8, 10)()
+    assert asked == [(1, r, k, i, seeding.ROW_SAMPLE)
+                     for k in range(59, 69) for r in range(30) for i in range(8)]
+
+
 def _pairs(parent, change):
     return [{"parent": {"run_s": p}, "change": {"run_s": c}} for p, c in zip(parent, change)]
 

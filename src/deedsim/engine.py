@@ -55,7 +55,10 @@ import numpy as np
 from .errors import BoundViolationError, ConfigError, InvalidInputError
 from .problems import _MAX_RADIUS, QuadraticProblem, estimate_fed_constants, estimate_rho
 from .quantizer import DEFAULT_FLOAT_BITS, QuantSpec, _is_integer, grid_payload_bits, quantize
-from .seeding import DOWNLINK, PARTICIPATION, ROW_SAMPLE, UPLINK, stream
+from .seeding import DOWNLINK, KEY_BLOCK, PARTICIPATION, ROW_SAMPLE, UPLINK, block_keys
+# perfbench/tracing.py wraps ``engine.stream`` and counts the generators it
+# returns, so every stream of a run is built by one call of this name.
+from .seeding import key_stream as stream
 from .theory import (
     AcceleratedConstants,
     accelerated_bound,
@@ -150,8 +153,11 @@ class _Exchange:
     the members' rows against the broadcast ``v[l]`` at the same error,
     and every node applies it to ``v[l]``.  Asserts that each lane's ``v``
     lies within its ``budget`` (a list of one float per lane) of the
-    weighted payloads.  ``labels`` is ``(seed, runs, round)``: lane ``l``
-    draws its messages from run ``runs[l]``'s streams, one per message.
+    weighted payloads.  ``keys`` holds the round's key rows, ``(R, J, 2)``
+    with ``J > N``: lane ``l`` draws node ``i``'s uplink from the stream
+    of ``keys[l, i]`` and its downlink from that of ``keys[l, N]``, one
+    stream per message.  Lane ``l`` is run ``l``, which a budget violation
+    names at round ``round_index``.
 
     Every node of every lane starts as a member, with the ``(N,)``
     coefficients ``coefs``; ``select`` narrows one lane to its own
@@ -224,34 +230,33 @@ class _Exchange:
         column[nodes] = coefs
         self.uplinks[lane] = [sends[i] for i in nodes]
 
-    def __call__(self, stage, budget, labels):
-        seed, runs, round_index = labels
+    def __call__(self, stage, budget, round_index, keys):
         spec = _quant_spec(stage, self.v.shape[-1])
         # A message's grid point, or a lossless message's verbatim vector.
         point = "decoded" if spec.lossless else "_float_grid"
         S, v, N = self.S, self.v, len(self.up)
         update, members, sending = self.where
         np.subtract(self.payloads, S, out=self.up)
-        for sends, r in zip(self.uplinks, runs):
+        for sends, lane_keys in zip(self.uplinks, keys):
             for i, diff, row in sends:
-                msg = quantize(diff, spec, stream(seed, r, round_index, i, UPLINK))
+                msg = quantize(diff, spec, stream(lane_keys[i]))
                 row[...] = getattr(msg, point)
         np.add(S, self._decode(spec, slice(N), update), out=S, where=update)
 
         _weighted_sums(self.SP, self.coefs, self.terms, self.sums, members)
         np.subtract(self.aggregate, v, out=self.down)
-        for (diff, row), r in zip(self.downlinks, runs):  # every uplink is applied
-            msg = quantize(diff, spec, stream(seed, r, round_index, 0, DOWNLINK))
+        for (diff, row), key in zip(self.downlinks, keys[:, N]):  # every uplink is applied
+            msg = quantize(diff, spec, stream(key))
             row[...] = getattr(msg, point)
         v += self._decode(spec, N, True)
         np.subtract(v, self.gbar, out=self.error)
         np.matmul(*self.rows_of_diffs, out=self.dots)
         np.sqrt(self.squares, out=self.norms)
-        err = _assert_budget(self.error_norms.tolist(), self.gbar, budget, labels)
+        err = _assert_budget(self.error_norms.tolist(), self.gbar, budget, round_index)
         # stage > 0 divides monotonically, so the largest norm gives the largest fraction.
         max_fraction = (
             np.maximum.reduce(self.message_norms, initial=0.0, where=sending) / stage
-            if stage > 0.0 else np.zeros(len(runs))
+            if stage > 0.0 else np.zeros(len(v))
         )
         if sending is True and not spec.lossless:  # no lane narrowed: every row is sent
             bits = grid_payload_bits(self.points)
@@ -273,18 +278,41 @@ class _Exchange:
         return np.multiply(self.points[rows], spec.grid_step, out=self.decoded[rows], where=where)
 
 
-def _lane_grads(problem, seed, runs, round_index, nodes, Q):
+def _lane_grads(problem, keys, Q):
     """Every node's and lane's single-row gradients of one round or local
     step as a node-major ``(N, R, d)`` view, in one ``stochastic_grad``
     call: node ``i`` of lane ``l`` queries ``Q[l]`` (an ``(R, d)`` ``Q``)
     or its own row ``Q[i, l]`` (a node-major ``(N, R, d)`` ``Q``), and draws
-    from its run's row-sample stream.  The streams are built as they are
+    from the stream of key row ``keys[l, i]`` (``keys``: the round's
+    ``(R, N, 2)`` row-sample keys).  The streams are built as they are
     drawn from, so a round's ``R x N`` streams are never held at once."""
-    R, n = len(runs), len(nodes)
+    R, n, _ = keys.shape
     points = np.repeat(Q, n, axis=0) if Q.ndim == 2 else Q.swapaxes(0, 1).reshape(R * n, -1)
-    streams = (stream(seed, r, round_index, i, ROW_SAMPLE) for r in runs for i in nodes)
-    grads = problem.stochastic_grad(np.tile(nodes, R), points, streams)
+    streams = map(stream, keys.reshape(R * n, 2))
+    grads = problem.stochastic_grad(np.tile(np.arange(n), R), points, streams)
     return grads.reshape(R, n, -1).swapaxes(0, 1)
+
+
+class _RoundKeys:
+    """The stream keys of the ``(node, purpose)`` labels ``pairs`` in every
+    run of ``runs`` under ``seed``, round by round: a call with round ``k``
+    returns its ``(R, len(pairs), 2)`` key rows, ``[l, j]`` the key of
+    labels ``(runs[l], k, *pairs[j])``.  The rounds of one block of
+    ``KEY_BLOCK`` are derived together, by one ``block_keys`` call when a
+    round of another block is asked for."""
+
+    __slots__ = ("seed", "prefixes", "pairs", "block", "keys")
+
+    def __init__(self, seed, runs, pairs) -> None:
+        self.seed, self.prefixes, self.pairs = seed, [(r,) for r in runs], pairs
+        self.block = self.keys = None
+
+    def __call__(self, k):
+        block, row = divmod(k, KEY_BLOCK)
+        if block != self.block:
+            self.block = block
+            self.keys = block_keys(self.seed, self.prefixes, block, self.pairs)
+        return self.keys[:, :, row]
 
 
 # Rows of iterates a trace holds before one stacked call takes all their
@@ -358,12 +386,11 @@ class _Lanes:
         ]
 
 
-def _assert_budget(err, gbar, budget, labels) -> list:
+def _assert_budget(err, gbar, budget, round_index) -> list:
     """Raise unless every lane's aggregate error ``err[l] = |v[l] -
     gbar[l]|`` (floats) is at most its budget ``budget[l]`` (up to float
-    dust), naming the round and the first offending lane's run of
-    ``labels = (seed, runs, round)``.  Returns ``err``."""
-    _, runs, round_index = labels
+    dust), naming round ``round_index`` and the first offending lane,
+    which is run ``l``.  Returns ``err``."""
     # The dust term only adds slack, so gbar's norm is needed only past it.
     scale = 1.0 + _REL_SLACK
     if any(e > b * scale for e, b in zip(err, budget)):
@@ -371,7 +398,7 @@ def _assert_budget(err, gbar, budget, labels) -> list:
         for lane, (e, a) in enumerate(zip(err, allowed.tolist())):
             if e > a:
                 raise BoundViolationError(
-                    "aggregate error budget", round_index, e, a, run=runs[lane]
+                    "aggregate error budget", round_index, e, a, run=lane
                 )
     return err
 
@@ -524,12 +551,18 @@ def _run(problem, algorithm, SP, v, coefs, step, update, point, budget_total, *,
     messages.  Each lane's aggregate budget is ``lane_budget(total, c)``
     (by default ``total``) for the lane's coefficients ``c``: ``coefs``
     under full participation, which draws and selects nothing, or the
-    lane's own ``_participants`` draw, which the exchange selects.  A
-    budget violation names the lowest run that breaks it at that sync.
+    lane's own ``_participants`` draw, which the exchange selects.  The
+    messages and participation draws of every lane take their keys from
+    one ``_RoundKeys``.  A budget violation names the lowest run that
+    breaks it at that sync.
     Returns one trace per run; its extras are ``extras``, ``seed``,
     ``run_index`` and any ``bits_timing``.
     """
     runs = range(v.shape[0])
+    pairs = [(i, UPLINK) for i in range(SP.shape[1])] + [(0, DOWNLINK)]
+    if participation != "full":
+        pairs.append((0, PARTICIPATION))
+    sync_keys = _RoundKeys(seed, runs, pairs)
     exchange = _Exchange(SP, v, coefs)
     log = _Lanes(problem, len(runs), T)
     log.record(0, point())
@@ -539,15 +572,16 @@ def _run(problem, algorithm, SP, v, coefs, step, update, point, budget_total, *,
             k = t + (bits_timing == "arriving")
             total = budget_total(k)
             stage = total / 2.0
+            keys = sync_keys(k)
             if participation == "full":
                 budgets = [lane_budget(total, coefs)] * len(runs)
             else:
                 budgets = []
-                for r in runs:
-                    nodes, c = _participants(participation, K, coefs, (seed, r, k))
+                for r, key in enumerate(keys[:, -1]):
+                    nodes, c = _participants(participation, K, coefs, key)
                     exchange.select(r, nodes, c)
                     budgets.append(lane_budget(total, c))
-            log.book(k, total, exchange(stage, budgets, (seed, runs, k)))
+            log.book(k, total, exchange(stage, budgets, k, keys))
             update()
         log.record(t + 1, point())
     timing = {"bits_timing": bits_timing} if bits_timing else {}
@@ -788,13 +822,13 @@ def run_deed_sgd(
     eta = 1.0 / (rho * problem.L)
     c = contraction_factor("deed-sgd", problem, rho=rho)
 
-    nodes, lanes = range(problem.N), range(mc_runs)
+    row_keys = _RoundKeys(seed, range(mc_runs), [(i, ROW_SAMPLE) for i in range(problem.N)])
     traces = _frequent_run(
         problem,
         algorithm="deed-sgd",
         eta=eta,
         tau=None,
-        grad_source=lambda k, Q: _lane_grads(problem, seed, lanes, k, nodes, Q),
+        grad_source=lambda k, Q: _lane_grads(problem, row_keys(k), Q),
         T=T,
         seed=seed,
         runs=mc_runs,
@@ -926,7 +960,7 @@ def run_deed_fed(
     )
     T_total = T_rounds * E
     n, p = problem.N, problem.weights
-    nodes, lanes = range(n), range(mc_runs)
+    row_keys = _RoundKeys(seed, range(mc_runs), [(i, ROW_SAMPLE) for i in range(n)])
     eta_at = lambda t: beta / (t + gamma)
     # The nodes' accumulators, then their local weights, a row per lane.
     SP = np.zeros((2, n, mc_runs, problem.d))
@@ -935,8 +969,7 @@ def run_deed_fed(
     v = np.zeros((mc_runs, problem.d))
     # Node i's gradient reads only its own row, so one update of all rows
     # after every gradient takes the same floats as one per node.
-    step = lambda t: np.subtract(W, eta_at(t) * _lane_grads(problem, seed, lanes, t, nodes, W),
-                                 out=W)
+    step = lambda t: np.subtract(W, eta_at(t) * _lane_grads(problem, row_keys(t), W), out=W)
     traces = _run(
         problem, "deed-fed", SP, v, p, step, lambda: np.copyto(W, v),
         lambda: _weighted_sums(SP, p)[1], lambda k: s * eta_at(k), T=T_total, seed=seed, E=E,
@@ -958,10 +991,10 @@ def run_deed_fed(
     return traces
 
 
-def _participants(participation, K, p, labels):
+def _participants(participation, K, p, key):
     """Node ids (ascending) and aggregation coefficients of one sync under
     ``participation`` with node weights ``p``; partial schemes draw from
-    the sync's participation stream (``labels``: seed, run, round).
+    the stream of ``key``, the key row of the sync's participation stream.
 
     The center aggregates the participants' accumulator rows with these
     coefficients.  For K = N without replacement they equal the
@@ -971,7 +1004,7 @@ def _participants(participation, K, p, labels):
     n = len(p)
     if participation == "full":
         return range(n), p
-    rng = stream(*labels, 0, PARTICIPATION)
+    rng = stream(key)
     if participation == "with-replacement":
         counts = np.bincount(rng.choice(n, size=K, replace=True, p=p), minlength=n)
         participants = np.flatnonzero(counts).tolist()

@@ -10,21 +10,22 @@ when the order of operations changes.
 A stream is numpy's ``Philox`` keyed by
 ``SeedSequence(entropy=seed, spawn_key=labels).generate_state(2, uint64)``,
 with its counter at 0 (one shared, read-only array of four uint64 zeros).
-The key is derived here rather than by building a ``SeedSequence`` per
-stream, which costs more than the draws of a small message;
-``tests/test_seeding.py`` pins the keys to numpy's own.
+The key is a pure function of the seed and the labels.  It is derived
+here rather than by building a ``SeedSequence`` per stream, which costs
+more than the draws of a small message; ``tests/test_seeding.py`` pins
+the keys to numpy's own.  Two functions derive keys, and neither keeps
+anything between calls but the caches of pure helpers:
 
-When the last three labels (round, node, purpose) each fit one uint32
-word, as in every engine stream and ``theory``'s coin stream, the
-first request for a (node, purpose) pair in an aligned block of 64
-rounds derives the pair's keys for every round of the block and every
-label prefix (run) the window holds, in one stacked numpy pass.  The
-keys of one (seed, round block) window are held as ``(64, 2)`` arrays in
-one flat dict keyed on ``(seed, *prefix, node, purpose)``, so runs
-advanced round by round keep theirs, and ``stream`` finds an engine
-stream's held key (labels run, round, node, purpose) in one lookup.
-Every other label shape takes the one scalar path, word by word in
-plain integer arithmetic.
+* ``philox_key(seed, *labels)``, behind ``stream``, takes any labels and
+  absorbs them word by word in plain integer arithmetic.
+* ``block_keys(seed, prefixes, block, pairs)`` takes labels ``(*prefix,
+  round, node, purpose)`` whose round, node and purpose each fit one
+  uint32 word, as every engine stream and ``theory``'s coin stream do.
+  It derives the keys of every prefix (run), every (node, purpose) pair
+  and every round of one aligned block of ``KEY_BLOCK`` rounds in one
+  stacked numpy pass.  A run loop knows the runs, nodes and purposes it
+  will draw for, so it asks for a block's keys at the block's first
+  round and builds each stream from a key row with ``key_stream``.
 
 ``draw_index`` draws an index in ``range(m)`` from a stream with
 Lemire's method on the raw Philox words: the index numpy's
@@ -169,24 +170,13 @@ class _Key(ISeedSequence):
 
 def philox_key(master_seed: int, *labels: int) -> np.ndarray:
     """``SeedSequence(entropy=master_seed, spawn_key=labels)
-    .generate_state(2, np.uint64)``: the Philox key of a stream.
-
-    The key is a fresh array, or a read-only row of a held round block.
-    """
+    .generate_state(2, np.uint64)``: the Philox key of a stream, as a fresh
+    array, word by word from the cached pool of all labels but the last
+    three."""
     seed = int(master_seed)
     labels = tuple(map(int, labels))
-    if len(labels) >= 3:
-        rnd, node, purpose = labels[-3:]
-        if 0 <= rnd <= _MASK32 and 0 <= node <= _MASK32 and 0 <= purpose <= _MASK32:
-            return _block_key(seed, labels[:-3], rnd, (node, purpose))
-    return _scalar_key(seed, labels[:-3], labels[-3:])
-
-
-def _scalar_key(seed: int, prefix: tuple, labels: tuple) -> np.ndarray:
-    """``philox_key(seed, *prefix, *labels)`` word by word from the cached
-    pool of ``prefix``: every label shape outside the round blocks."""
-    pool, h = _pool(seed, prefix)
-    for label in labels:
+    pool, h = _pool(seed, labels[:-3])
+    for label in labels[-3:]:
         for word in _words(label):
             pool, h = _absorb(pool, h, word)
     return _readout(*pool)
@@ -204,138 +194,96 @@ def _readout(x0: int, x1: int, x2: int, x3: int) -> np.ndarray:
     )
 
 
-# A run asks for the streams of one (node, purpose) pair round after round,
-# and runs advanced together ask for every run's, so the keys of an aligned
-# block of rounds are derived for every held prefix at once: the four pool
-# words are uint32 arrays with one row per prefix and one column per round,
-# and numpy's uint32 arithmetic wraps modulo 2**32 as SeedSequence's does.
-_BLOCK_BITS = 6
-_BLOCK = 1 << _BLOCK_BITS
-_LAST = _BLOCK - 1
-_ROUNDS = np.arange(_BLOCK, dtype=np.uint32)
+# The rounds of one block share every label before the round, so their
+# keys are derived together: the four pool words are uint32 arrays with
+# one column per round, and numpy's uint32 arithmetic wraps modulo 2**32
+# as SeedSequence's does.
+KEY_BLOCK = 64
+_ROUNDS = np.arange(KEY_BLOCK, dtype=np.uint32)
 _READ_XOR = np.array([_C0, _C1, _C2, _C3], dtype=np.uint32)[:, None]
 _READ_MUL = np.array([_M0, _M1, _M2, _M3], dtype=np.uint32)[:, None]
 
 
-class _Group:
-    """The prefixes of one window whose words leave the same hash constant
-    ``h``, so that a round, node or purpose word hashes alike for all of
-    them, and their mixed pools, in the order they joined.  A label of
-    2**32 or more takes two words, so prefixes of one length can fall in
-    different groups."""
+def block_keys(master_seed: int, prefixes, block: int, pairs) -> np.ndarray:
+    """The Philox keys of every label prefix of ``prefixes``, every
+    ``(node, purpose)`` of ``pairs`` and every round of block ``block`` as
+    one read-only ``(len(prefixes), len(pairs), KEY_BLOCK, 2)`` uint64
+    array: ``keys[p, j, i]`` is ``philox_key(master_seed, *prefixes[p],
+    KEY_BLOCK * block + i, *pairs[j])``.
 
-    __slots__ = ("h", "prefixes", "pools")
-
-    def __init__(self, h: int) -> None:
-        self.h, self.prefixes, self.pools = h, [], []
-
-
-# The held window: its seed and round block index, its prefixes (each
-# mapped to its group), and one flat dict from ``(seed, *prefix, node,
-# purpose)`` to the pair's ``(_BLOCK, 2)`` keys.  The seed in the dict's
-# keys lets ``stream`` find a key in one lookup.
-_window = (None, None, {}, {})
-
-
-def _block_key(seed: int, prefix: tuple, rnd: int, pair: tuple) -> np.ndarray:
-    """``philox_key(seed, *prefix, rnd, *pair)`` for one-word round, node
-    and purpose labels.
-
-    A pair's first request in a ``(seed, round block)`` window derives its
-    keys for every round of the block, for the requested prefix and every
-    other prefix of its group that lacks them, in one stacked pass; later
-    requests find them held.  A new window of the same seed starts by
-    holding the last window's prefixes, so runs advanced together derive
-    each pair once per block for all runs.  A window of another seed
-    starts empty, and a prefix joins it on its first request, so a cold
-    run's first window derives prefix by prefix.
+    Rounds, nodes and purposes must each fit one uint32 word.  A prefix's
+    words fix the hash constant that the next word is hashed with, and a
+    label of 2**32 or more takes two words, so the prefixes are grouped by
+    that constant and each group is derived in one ``_derive`` pass.
     """
-    global _window
-    held_seed, index, prefixes, held = _window
-    if held_seed != seed or index != rnd >> _BLOCK_BITS:
-        carried = prefixes if held_seed == seed else ()
-        index, prefixes, held = rnd >> _BLOCK_BITS, {}, {}
-        _window = seed, index, prefixes, held
-        _hold(seed, prefixes, carried)
-    name = (seed, *prefix, *pair)
-    keys = held.get(name)
-    if keys is None:
-        group = prefixes.get(prefix)
-        if group is None:
-            group = _hold(seed, prefixes, (prefix,))
-        _derive(seed, index, group, pair, held)
-        keys = held[name]
-    return keys[rnd & _LAST]
+    seed = int(master_seed)
+    nodes, purposes = (tuple(map(int, words)) for words in zip(*pairs))
+    if not (0 <= block < (_MASK32 + 1) // KEY_BLOCK
+            and all(0 <= word <= _MASK32 for word in nodes + purposes)):
+        raise ValueError("block_keys needs round, node and purpose labels of one uint32 word")
+    groups = {}  # hash constant -> the rows and pools of its prefixes
+    for row, prefix in enumerate(prefixes):
+        pool, h = _pool(seed, tuple(map(int, prefix)))
+        rows, pools = groups.setdefault(h, ([], []))
+        rows.append(row)
+        pools.append(pool)
+    # Round i's key is (x[0] | x[1] << 32, x[2] | x[3] << 32): the
+    # little-endian uint32 words of column i read as two uint64.
+    words = np.empty((len(prefixes), len(nodes), KEY_BLOCK, _POOL), dtype="<u4")
+    for h, (rows, pools) in groups.items():
+        words[rows] = _derive(pools, h, int(block), nodes, purposes).swapaxes(2, 3)
+    words.setflags(write=False)
+    return words.view("<u8")
 
 
-def _hold(seed: int, prefixes: dict, new) -> _Group | None:
-    """Add each prefix of ``new`` to a window's ``prefixes``, in the group
-    of the hash constant its words leave; returns the last one's group."""
-    groups = {group.h: group for group in prefixes.values()}
-    group = None
-    for prefix in new:
-        pool, h = _pool(seed, prefix)
-        group = groups.get(h)
-        if group is None:
-            group = groups[h] = _Group(h)
-        group.prefixes.append(prefix)
-        group.pools.append(pool)
-        prefixes[prefix] = group
-    return group
-
-
-@functools.lru_cache(maxsize=256)
-def _hashed_column(word: int, h: int) -> tuple[np.ndarray, int]:
-    """``_MIX_R * hashmix(word)`` for the four pool words as a uint32
-    ``(4, 1)`` column, and the next hash constant."""
-    values, h = _hashed(word, h)
-    return np.array([_MIX_R * v & _MASK32 for v in values], dtype=np.uint32)[:, None], h
+@functools.lru_cache(maxsize=16)
+def _hashed_columns(words: tuple, h: int) -> tuple[np.ndarray, int]:
+    """``_MIX_R * hashmix(word)`` for the four pool words of each of
+    ``words``, from hash constant ``h``, as a read-only uint32
+    ``(len(words), 4, 1)`` array, and the next hash constant."""
+    rows = []
+    for word in words:
+        values, after = _hashed(word, h)
+        rows.append([_MIX_R * v & _MASK32 for v in values])
+    columns = np.array(rows, dtype=np.uint32).reshape(len(words), _POOL, 1)
+    columns.setflags(write=False)
+    return columns, after
 
 
 @functools.lru_cache(maxsize=16)
 def _round_columns(index: int, h: int) -> tuple[np.ndarray, int]:
     """``_MIX_R * hashmix(round)`` for the four pool words and each round
     of block ``index``, from hash constant ``h``, as a read-only uint32
-    ``(4, _BLOCK)`` array, and the next hash constant."""
+    ``(4, KEY_BLOCK)`` array, and the next hash constant."""
     xors, muls = [], []
     for _ in range(_POOL):
         xors.append(h)
         h = h * _MULT_A & _MASK32
         muls.append(h)
     xors = np.array(xors, dtype=np.uint32)[:, None]
-    v = ((index << _BLOCK_BITS) + _ROUNDS ^ xors) * np.array(muls, dtype=np.uint32)[:, None]
+    v = (index * KEY_BLOCK + _ROUNDS ^ xors) * np.array(muls, dtype=np.uint32)[:, None]
     v ^= v >> 16
     v *= _MIX_R
     v.setflags(write=False)
     return v, h
 
 
-def _derive(seed: int, index: int, group: _Group, pair: tuple, held: dict) -> None:
-    """Hold the read-only ``(_BLOCK, 2)`` keys of ``pair`` for every round
-    of block ``index`` and every prefix of ``group`` that lacks them, from
-    one pass on ``(P, 4, _BLOCK)`` uint32 words: SeedSequence's absorb of
-    the round, node and purpose words into the prefixes' pools, then its
-    readout."""
-    names = [(seed, *prefix, *pair) for prefix in group.prefixes]
-    rows = [j for j, name in enumerate(names) if name not in held]
-    pools = np.array([group.pools[j] for j in rows], dtype=np.uint32)[:, :, None]
-    mixed, h = _round_columns(index, group.h)
-    x = _MIX_L * pools - mixed
+def _derive(pools: list, h: int, index: int, nodes: tuple, purposes: tuple) -> np.ndarray:
+    """The ``(P, J, 4, KEY_BLOCK)`` uint32 words of the keys of ``P`` mixed
+    ``pools`` of hash constant ``h``, ``J`` (node, purpose) pairs and every
+    round of block ``index``: SeedSequence's absorb of the round, node
+    and purpose words into the pools, then its readout."""
+    mixed, h = _round_columns(index, h)
+    x = _MIX_L * np.array(pools, dtype=np.uint32)[:, None, :, None] - mixed
     x ^= x >> 16
-    for word in pair:
-        mixed, h = _hashed_column(word, h)
-        x *= _MIX_L
-        x -= mixed
+    for words in (nodes, purposes):
+        mixed, h = _hashed_columns(words, h)
+        x = _MIX_L * x - mixed
         x ^= x >> 16
     x ^= _READ_XOR
     x *= _READ_MUL
     x ^= x >> 16
-    # Round j's key is (x[0] | x[1] << 32, x[2] | x[3] << 32): the
-    # little-endian uint32 words of column j read as two uint64.
-    words = np.ascontiguousarray(x.swapaxes(1, 2), dtype="<u4")
-    words.setflags(write=False)
-    for j, keys in zip(rows, words.view("<u8")):
-        held[names[j]] = keys
+    return x
 
 
 # Every stream starts at Philox counter 0.  ``Philox`` copies its counter
@@ -345,25 +293,19 @@ _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 _ZERO_COUNTER.setflags(write=False)
 
 
+def key_stream(key: np.ndarray) -> np.random.Generator:
+    """The Philox generator of ``key`` (a key of ``philox_key``, or a key
+    row of ``block_keys``) at counter 0."""
+    return np.random.Generator(np.random.Philox(_Key(key), counter=_ZERO_COUNTER))
+
+
 def stream(master_seed: int, *labels: int) -> np.random.Generator:
     """Return the Philox generator for ``(master_seed, *labels)``.
 
     Labels are nonnegative integers, typically (run, round, node,
-    purpose).  The same tuple always yields the same stream.  For that
-    shape, a pair whose round block is held finds its key in one lookup
-    of the held dict; every other request goes through ``philox_key``.
+    purpose).  The same tuple always yields the same stream.
     """
-    if len(labels) == 4:
-        run, rnd, node, purpose = labels
-        _, index, _, held = _window
-        keys = held.get((master_seed, run, node, purpose))
-        # Only a held window's one-word ints are in ``held``; a round of
-        # another block, or not one word, has another index.
-        if keys is not None and type(rnd) is int and rnd >> _BLOCK_BITS == index:
-            return np.random.Generator(
-                np.random.Philox(_Key(keys[rnd & _LAST]), counter=_ZERO_COUNTER))
-    key = _Key(philox_key(master_seed, *labels))
-    return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
+    return key_stream(philox_key(master_seed, *labels))
 
 
 _WORD = 1 << 32

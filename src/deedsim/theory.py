@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .problems import FedConstants
-from .seeding import COIN, draw_index, stream
+from .seeding import COIN, KEY_BLOCK, block_keys, draw_index, key_stream
 from .trace import RunTrace
 
 __all__ = [
@@ -241,7 +241,9 @@ def tightness_construction(
     ``e_t`` a fair-coin sign times a vector of length ``alpha_t``
     orthogonal to ``c_t w_t``, so each step adds exactly ``alpha_t^2`` in
     squared distance; the realized squared distance equals
-    ``D_T^2 |w_0|^2 + C_T^2`` for every coin sequence.
+    ``D_T^2 |w_0|^2 + C_T^2`` for every coin sequence.  Step ``t``'s coin
+    is ``draw_index`` of the stream of labels ``(t, 0, COIN)``, whose keys
+    come from one ``block_keys`` call per ``KEY_BLOCK`` steps.
     """
     w0 = np.asarray(w0, dtype=np.float64)
     if dim is None:
@@ -259,7 +261,10 @@ def tightness_construction(
         u = spec.c_seq[t] * w
         alpha = spec.alpha_seq[t]
         e = _orthogonal_vector(u)
-        coin = draw_index(stream(seed, t, 0, COIN), 2)
+        block, row = divmod(t, KEY_BLOCK)
+        if row == 0:  # the coin keys (t, 0, COIN) of rounds t .. t + 63
+            coins = block_keys(seed, [()], block, [(0, COIN)])[0, 0]
+        coin = draw_index(key_stream(coins[row]), 2)
         w = u + (alpha if coin else -alpha) * e
         dist[t + 1] = np.linalg.norm(w)
         budget[t] = alpha

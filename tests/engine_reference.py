@@ -28,7 +28,7 @@ from deedsim.engine import (
 from deedsim.errors import BoundViolationError, InvalidInputError
 from deedsim.problems import estimate_fed_constants, estimate_rho
 from deedsim.quantizer import DEFAULT_FLOAT_BITS, QuantSpec, quantize
-from deedsim.seeding import DOWNLINK, ROW_SAMPLE, UPLINK, stream
+from deedsim.seeding import DOWNLINK, PARTICIPATION, ROW_SAMPLE, UPLINK, philox_key, stream
 from deedsim.theory import fed_bound
 from deedsim.trace import RunTrace
 
@@ -202,7 +202,8 @@ def run_deed_fed(problem, E, beta, gamma, s, T_rounds, participation="full", K=N
             k = t + 1
             if k % E == 0:
                 labels = (seed, r, k)
-                participants, coefs = _participants(participation, K, p, labels)
+                key = philox_key(seed, r, k, 0, PARTICIPATION)
+                participants, coefs = _participants(participation, K, p, key)
                 total = s * eta_at(k)
                 stage = total / 2.0
                 budget = stage * (1.0 + float(np.sum(coefs)))

@@ -25,7 +25,7 @@ from deedsim.engine import (
 from deedsim.errors import BoundViolationError, ConfigError, InvalidInputError
 from deedsim.problems import estimate_rho, from_node_data, make_linreg
 from deedsim.quantizer import DEFAULT_FLOAT_BITS, QuantizedMessage, QuantSpec, quantize
-from deedsim.seeding import DOWNLINK, UPLINK, stream
+from deedsim.seeding import DOWNLINK, PARTICIPATION, UPLINK, philox_key, stream
 from deedsim.theory import RecursionSpec, recursion_bound
 
 
@@ -552,19 +552,18 @@ def test_check_envelope_is_tight_at_the_allowed_value(small_problem, squared):
 
 
 def test_assert_budget_is_tight_at_the_allowed_value():
-    # Three lanes of runs 5, 6 and 7; only the lane under test is off zero.
+    # Three lanes, each lane its run; only the lane under test is off zero.
     gbar = np.zeros((3, 3))
     budget = [0.75] * 3
     allowed = _allowed(0.75)
-    labels = (0, range(5, 8), 4)
     for lane in range(3):
         at = np.zeros(3)  # the lanes' errors |v - gbar|
         at[lane] = allowed
-        assert engine._assert_budget(at, gbar, budget, labels)[lane] == allowed
+        assert engine._assert_budget(at, gbar, budget, 4)[lane] == allowed
         with pytest.raises(BoundViolationError) as err:
-            engine._assert_budget(at * (1.0 + 1e-6), gbar, budget, labels)
+            engine._assert_budget(at * (1.0 + 1e-6), gbar, budget, 4)
         assert err.value.t == 4 and err.value.allowed == allowed
-        assert err.value.run == 5 + lane and f"at t=4 in run {5 + lane}:" in str(err.value)
+        assert err.value.run == lane and f"at t=4 in run {lane}:" in str(err.value)
 
 
 def test_trace_csv_roundtrip(small_problem):
@@ -797,12 +796,25 @@ def _held(S, payloads):
     return np.ascontiguousarray(np.stack([S, payloads]).swapaxes(1, 2))
 
 
+def _draw(scheme, K, p, seed, run, k):
+    """``_participants`` of sync ``k`` of run ``run`` under ``seed``, drawn
+    from the key of its participation stream."""
+    return _participants(scheme, K, p, philox_key(seed, run, k, 0, PARTICIPATION))
+
+
+def _exchange_keys(seed, runs, k, n):
+    """The ``(R, N + 1, 2)`` key rows of an ``_Exchange`` call at round
+    ``k``, from ``philox_key``: each run's uplink keys, then its downlink's."""
+    return np.array([[philox_key(seed, r, k, i, UPLINK) for i in range(n)]
+                     + [philox_key(seed, r, k, 0, DOWNLINK)] for r in runs])
+
+
 def _member_masks(scheme, K, p, seed, runs):
     """Each run's participants and coefficients of round 1 (every node, at
     the weights ``p``, under full participation) as the member mask and
     coefficients of an ``_Exchange``: ``(N, R)`` each."""
     member, coefs = np.zeros((len(p), len(runs)), dtype=bool), np.zeros((len(p), len(runs)))
-    draws = [_participants(scheme, K, p, (seed, r, 1)) for r in runs]
+    draws = [_draw(scheme, K, p, seed, r, 1) for r in runs]
     for lane, (nodes, c) in enumerate(draws):
         member[nodes, lane], coefs[nodes, lane] = True, c
     return draws, member, coefs
@@ -939,11 +951,11 @@ def assert_exchange_matches_per_node(n, d, scheme, stage, seed, lanes=2):
         exchange = _Exchange(SP, v, draws[0][1])
     else:
         K = int(rng.integers(1, n + 1)) if scheme != "full" else None
-        draws = [_participants(scheme, K, p, (seed, r, 1)) for r in runs]
+        draws = [_draw(scheme, K, p, seed, r, 1) for r in runs]
         exchange = _Exchange(SP, v, p)
         for lane, (nodes, coefs) in enumerate(draws):
             exchange.select(lane, nodes, coefs)
-    result = exchange(stage, [math.inf] * lanes, (seed, runs, 3))
+    result = exchange(stage, [math.inf] * lanes, 3, _exchange_keys(seed, runs, 3, n))
     out = [repr(tuple(np.asarray(x)[lane].item() for x in result)) for lane in range(lanes)]
     assert SP[1].tobytes() == _held(S0, payloads)[1].tobytes()  # payloads untouched
     for lane, (nodes, _) in enumerate(draws):
@@ -989,7 +1001,7 @@ def test_exchange_scales_and_counts_member_rows_only(monkeypatch, scheme):
     assert QuantSpec(stage, d).grid_step == 10.0
     SP, v = _held(S0, payloads), v0.copy()
     exchange = _Exchange(SP, v, p)
-    draws = [_participants(scheme, 3, p, (seed, r, 1)) for r in runs]
+    draws = [_draw(scheme, 3, p, seed, r, 1) for r in runs]
     for lane, (nodes, coefs) in enumerate(draws):
         exchange.select(lane, nodes, coefs)
     assert any(len(nodes) < n for nodes, _ in draws)
@@ -1001,7 +1013,7 @@ def test_exchange_scales_and_counts_member_rows_only(monkeypatch, scheme):
     monkeypatch.setattr(engine, "grid_payload_bits",
                         lambda points: counted.append(points) or real(points))
 
-    result = exchange(stage, [math.inf] * lanes, (seed, runs, 3))
+    result = exchange(stage, [math.inf] * lanes, 3, _exchange_keys(seed, runs, 3, n))
     (rows,) = counted
     assert rows.shape == (sum(len(nodes) for nodes, _ in draws) + lanes, d)
     assert np.isfinite(rows).all()
@@ -1033,23 +1045,28 @@ def test_exchange_bits_equal_its_messages_bits(monkeypatch, scheme, stage):
     if scheme != "uniform":
         K = None if scheme == "full" else 3
         for lane, r in enumerate(runs):
-            exchange.select(lane, *_participants(scheme, K, p, (seed, r, 1)))
-    labels, sent = [], []  # each stream's labels; each message with its stream's
+            exchange.select(lane, *_draw(scheme, K, p, seed, r, 1))
+    keys = _exchange_keys(seed, runs, 2, n)
+    # Each key row's run and purpose; each stream's key; each message with
+    # its stream's run and purpose.
+    names = {key.tobytes(): (r, UPLINK if i < n else DOWNLINK)
+             for r, run_keys in zip(runs, keys) for i, key in enumerate(run_keys)}
+    streamed, sent = [], []
     real_stream, real_quantize = engine.stream, engine.quantize
 
     def send(*args):
-        sent.append((labels[-1], real_quantize(*args)))
+        sent.append((names[streamed[-1]], real_quantize(*args)))
         return sent[-1][1]
 
-    monkeypatch.setattr(engine, "stream", lambda *at: labels.append(at) or real_stream(*at))
+    monkeypatch.setattr(engine, "stream",
+                        lambda key: streamed.append(key.tobytes()) or real_stream(key))
     monkeypatch.setattr(engine, "quantize", send)
 
-    up, down, _, largest, _ = exchange(stage, [math.inf] * lanes, (seed, runs, 2))
+    up, down, _, largest, _ = exchange(stage, [math.inf] * lanes, 2, keys)
     assert len(sent) == int(exchange.member.sum()) + lanes
     for lane, r in enumerate(runs):
-        ups = [msg.bits for (_, run, _, _, kind), msg in sent if run == r and kind == UPLINK]
-        (downlink,) = [msg.bits for (_, run, _, _, kind), msg in sent
-                       if run == r and kind == DOWNLINK]
+        ups = [msg.bits for (run, kind), msg in sent if run == r and kind == UPLINK]
+        (downlink,) = [msg.bits for (run, kind), msg in sent if run == r and kind == DOWNLINK]
         assert len(ups) == int(exchange.member[:, lane].sum())
         assert (up[lane], down[lane], largest[lane]) == (sum(ups), downlink, max(ups + [downlink]))
         if stage == 0.0:
@@ -1133,7 +1150,7 @@ def _distinct_participant_counts(participation, mc_runs=5):
     participants."""
     fed = _lane_problems()[1]
     syncs = range(4, 4 * 10 + 1, 4)
-    return [{len(_participants(participation, 4, fed.weights, (2, r, k))[0])
+    return [{len(_draw(participation, 4, fed.weights, 2, r, k)[0])
              for r in range(mc_runs)} for k in syncs]
 
 
@@ -1166,10 +1183,45 @@ def test_fed_run_makes_one_exchange_and_one_call_per_sync(monkeypatch):
         K = None if participation == "full" else 4
         run_deed_fed(fed, 4, beta, gamma, 1.0, 10, participation, K, seed=2, mc_runs=5)
         assert (len(made), len(calls)) == (1, 10), participation
-        assert [labels[2] for _, _, labels in calls] == list(range(4, 41, 4))
+        assert [k for _, _, k, _ in calls] == list(range(4, 41, 4))
         # Full participation selects nothing; a partial scheme selects
         # every lane's draw at every sync.
         assert len(selects) == (0 if participation == "full" else 5 * 10), participation
+
+
+def test_each_key_holder_derives_one_block_at_a_time_for_every_run(monkeypatch):
+    # 30 lanes across the edge of key blocks 0 and 1: deed-sgd's rounds 0
+    # to 69, and deed-fed's local steps 0 to 79 and syncs 4 to 80 without
+    # replacement.  The row samples have one holder, and the messages and
+    # participation draws another; each derives each of its blocks once,
+    # the first included, for all 30 runs at once.
+    from deedsim.seeding import ROW_SAMPLE
+
+    derived = []
+    real = engine.block_keys
+
+    def spy(seed, prefixes, block, pairs):
+        derived.append((seed, list(prefixes), block, list(pairs)))
+        return real(seed, prefixes, block, pairs)
+
+    monkeypatch.setattr(engine, "block_keys", spy)
+    interp, fed = _lane_problems()
+    rho = estimate_rho(interp)
+    c = 1.0 - interp.mu / (rho * interp.L)
+    runs = [(r,) for r in range(30)]
+    run_deed_sgd(interp, 1 - 0.5 * (1 - c), 1.0, 70, seed=4, mc_runs=30, rho=rho)
+    rows = [(i, ROW_SAMPLE) for i in range(interp.N)]
+    sync = [(i, UPLINK) for i in range(interp.N)] + [(0, DOWNLINK)]
+    assert derived == [(4, runs, block, pairs) for block in (0, 1) for pairs in (rows, sync)]
+
+    derived.clear()
+    beta, gamma = _fed_params(fed)
+    run_deed_fed(fed, 4, beta, gamma, 1.0, 20, "without-replacement", 4, seed=2, mc_runs=30)
+    rows = [(i, ROW_SAMPLE) for i in range(fed.N)]
+    sync = [(i, UPLINK) for i in range(fed.N)] + [(0, DOWNLINK), (0, PARTICIPATION)]
+    # Sync 64 follows local step 63, so its block comes before step 64's.
+    assert derived == [(2, runs, block, pairs) for block, pairs in
+                       [(0, rows), (0, sync), (1, sync), (1, rows)]]
 
 
 def test_lanes_equal_run_by_run_reference_across_record_blocks():
@@ -1181,22 +1233,25 @@ def test_lanes_equal_run_by_run_reference_across_record_blocks():
 def _faulty_downlinks(monkeypatch, faults):
     """Shift the broadcast of each (run, round) in ``faults`` by at least
     three stage budgets (``_shifted``), so that run's aggregate-error
-    assert trips at that round; every other message is untouched."""
+    assert trips at that round; every other message is untouched.  A
+    downlink is known by its stream's key, under either seed of the lane
+    runs (``deed-sgd``'s 4, ``deed-fed``'s 2)."""
     real_stream, real_quantize = engine.stream, engine.quantize
+    shifted = {philox_key(seed, run, rnd, 0, DOWNLINK).tobytes()
+               for seed in (4, 2) for run, rnd in faults}
     last = []
 
-    def labelled(seed, *labels):
-        last[:] = labels
-        return real_stream(seed, *labels)
+    def keyed(key):
+        last[:] = [key.tobytes()]
+        return real_stream(key)
 
     def faulty(w, spec, *args):
         msg = real_quantize(w, spec, *args)
-        run, rnd, _, purpose = last
-        if (run, rnd) in faults and purpose == DOWNLINK:
+        if last[0] in shifted:
             msg = _shifted(msg)
         return msg
 
-    monkeypatch.setattr(engine, "stream", labelled)
+    monkeypatch.setattr(engine, "stream", keyed)
     monkeypatch.setattr(engine, "quantize", faulty)
 
 
@@ -1239,7 +1294,7 @@ def test_fed_downlink_fault_names_its_run_and_sync(monkeypatch, participation):
     beta, gamma = _fed_params(fed)
     K = None if participation == "full" else 4
     if participation == "with-replacement":
-        draws = [len(_participants(participation, K, fed.weights, (2, r, 4))[0])
+        draws = [len(_draw(participation, K, fed.weights, 2, r, 4)[0])
                  for r in range(5)]
         assert draws == [3, 4, 2, 3, 2]
     for faults, (t, run) in [

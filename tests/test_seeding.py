@@ -110,99 +110,61 @@ def seed_sequence_key(seed, *labels) -> np.ndarray:
     return np.random.SeedSequence(entropy=seed, spawn_key=labels).generate_state(2, np.uint64)
 
 
+def assert_block_keys(seed, prefixes, block, pairs, rounds=range(64)) -> np.ndarray:
+    """One ``block_keys`` call against SeedSequence, for every prefix and
+    pair at ``rounds`` (offsets in the block); returns the keys."""
+    keys = seeding.block_keys(seed, prefixes, block, pairs)
+    assert keys.dtype == np.uint64 and keys.shape == (len(prefixes), len(pairs), 64, 2)
+    for p, prefix in enumerate(prefixes):
+        for j, pair in enumerate(pairs):
+            for i in rounds:
+                labels = (*prefix, 64 * block + i, *pair)
+                assert np.array_equal(keys[p, j, i], seed_sequence_key(seed, *labels)), (
+                    seed, labels)
+    return keys
+
+
 def test_round_blocks_keep_streams_exact():
-    # Many (seed, run) prefixes and round blocks, interleaved so that every
-    # change of seed or block drops the held window, then the first visits
-    # again after their windows were dropped.  Each visit asks for a pair
-    # at two rounds of its block: the first request derives the block's
-    # keys, the later ones find them held.
-    prefixes = [(seed, run) for seed in (2, 2**40) for run in range(3)]
-    starts = [b * 64 + off for b in (0, 1, 5, 2**26 - 1) for off in (0, 1, 63)]
-    visits = [(seed, run, rnd) for rnd in starts for seed, run in prefixes]
-    before = seeding._pool.cache_info().misses
-    for seed, run, rnd in visits + visits[:20]:
-        for r in (rnd, rnd ^ 1, rnd):
-            for node in range(3):
-                got = stream(seed, run, r, node, seeding.UPLINK)
-                want = oracle(seed, run, r, node, seeding.UPLINK)
-                assert state(got) == state(want)
-                assert np.array_equal(got.random(2), want.random(2))
-        # The held window is this visit's (seed, block), it holds this
-        # run's prefix among the seed's runs, and this run holds one
-        # read-only (64, 2) array per pair.
-        held_seed, index, runs_held, held = seeding._window
-        assert (held_seed, index) == (seed, rnd // 64)
-        assert (run,) in runs_held and set(runs_held) <= {(run_,) for run_ in range(3)}
-        assert sorted(k for k in held if k[1] == run) == [
-            (seed, run, node, seeding.UPLINK) for node in range(3)]
-        assert all(k.shape == (64, 2) and not k.flags.writeable for k in held.values())
-    # The pool cache holds (seed, run) prefixes, not rounds.
-    assert seeding._pool.cache_info().misses - before <= 2 * len(prefixes)
+    # Streams built from key rows of block_keys, for (seed, run) prefixes
+    # and round blocks asked for in turn, equal numpy's streams of the same
+    # labels: key, counter and draws.
+    prefixes = [(run,) for run in range(3)]
+    pairs = [(node, seeding.UPLINK) for node in range(3)]
+    for block in (0, 1, 5, 2**26 - 1):
+        for seed in (2, 2**40):
+            keys = seeding.block_keys(seed, prefixes, block, pairs)
+            for run in range(3):
+                for node in range(3):
+                    for i in (0, 1, 62, 63):
+                        got = seeding.key_stream(keys[run, node, i])
+                        want = oracle(seed, run, 64 * block + i, node, seeding.UPLINK)
+                        assert state(got) == state(want)
+                        assert np.array_equal(got.random(2), want.random(2))
 
 
-def test_runs_in_lane_order_keep_their_blocks(monkeypatch):
-    # Runs advanced together ask for every run's streams round by round,
-    # so the (run,) prefix changes on every request.  A pair's first
-    # request in a block derives its keys for every held run that lacks
-    # them, in one stacked pass.  The first block starts empty, so each
-    # run derives its own as it joins; a later block starts with every
-    # run of the last, so each (pair, block) is one derivation that
-    # covers all of them.  A cache that dropped a run's keys when another
-    # run came would derive again and give the same keys, so only this
-    # count can see it.
-    derived = []  # (block, pair, the runs one derivation gave keys to)
+def test_block_keys_depend_on_their_arguments_only(monkeypatch):
+    # A seed asked for with 30 runs and then with one, with calls of other
+    # seeds and blocks between: every call returns the bytes of a first
+    # call, and a call derives the pools of its own prefixes only, each
+    # once, in one pass for the 30 runs.
+    derived = []  # the number of pools each _derive pass took
     real = seeding._derive
-
-    def spy(seed, index, group, pair, held):
-        before = set(held)
-        real(seed, index, group, pair, held)
-        derived.append((index, pair, sorted(name[1] for name in set(held) - before)))
-
-    monkeypatch.setattr(seeding, "_derive", spy)
-    monkeypatch.setattr(seeding, "_window", (None, None, {}, {}))
-    seed, runs = 123457, range(30)
-    pairs = [(0, seeding.UPLINK), (2, seeding.UPLINK), (0, seeding.DOWNLINK),
-             (1, seeding.ROW_SAMPLE), (4, seeding.ROW_SAMPLE)]
-    rounds = range(62, 132)  # the tail of block 0, all of block 1, the head of block 2
-    for rnd in rounds:
-        for run in runs:
-            for node, purpose in pairs:
-                labels = (run, rnd, node, purpose)
-                got = seeding.philox_key(seed, *labels)
-                assert np.array_equal(got, seed_sequence_key(seed, *labels)), labels
-    assert derived == (
-        [(0, pair, [run]) for run in runs for pair in pairs]
-        + [(index, pair, list(runs)) for index in (1, 2) for pair in pairs]
-    )
-
-
-def test_prefix_pools_derived_once_per_window(monkeypatch):
-    # With 64 or more runs taking turns, a 64-entry cache of prefix pools
-    # would miss on every request.  Each run's round block holds its
-    # prefix's pool, so a (run, window) derives it once, whatever the
-    # number of runs; the keys stay SeedSequence's.
-    derived = {}
-    window = [None]
-    real = seeding._pool
-
-    def spy(seed, labels):
-        if len(labels) == 1:  # a run's prefix, not the seed's own pool
-            derived[labels, window[0]] = derived.get((labels, window[0]), 0) + 1
-        return real(seed, labels)
-
-    monkeypatch.setattr(seeding, "_pool", spy)
-    monkeypatch.setattr(seeding, "_window", (None, None, {}, {}))
-    seed, runs = 424243, range(100)
-    pairs = [(0, seeding.UPLINK), (1, seeding.UPLINK), (0, seeding.DOWNLINK)]  # N = 2
-    rounds = range(58, 72)  # across the edge of round blocks 0 and 1
-    for rnd in rounds:
-        window[0] = rnd // seeding._BLOCK
-        for run in runs:
-            for node, purpose in pairs:
-                labels = (run, rnd, node, purpose)
-                got = seeding.philox_key(seed, *labels)
-                assert np.array_equal(got, seed_sequence_key(seed, *labels)), labels
-    assert derived == {((run,), index): 1 for run in runs for index in (0, 1)}
+    monkeypatch.setattr(seeding, "_derive",
+                        lambda pools, *rest: derived.append(len(pools)) or real(pools, *rest))
+    pairs = [(i, seeding.UPLINK) for i in range(5)] + [(0, seeding.DOWNLINK)]
+    runs = [(r,) for r in range(30)]
+    all_runs = seeding.block_keys(7, runs, 1, pairs).tobytes()
+    one_run = seeding.block_keys(7, runs[:1], 1, pairs).tobytes()
+    assert derived == [30, 1]
+    for seed in (7, 8, 2**130, 7):
+        for block in (1, 0, 2**26 - 1, 1):
+            seeding.block_keys(seed, runs, block, pairs)
+            derived.clear()
+            assert seeding.block_keys(7, runs[:1], 1, pairs).tobytes() == one_run
+            assert derived == [1]
+            assert seeding.block_keys(7, runs, 1, pairs).tobytes() == all_runs
+    assert np.frombuffer(all_runs, dtype=np.uint64)[:len(one_run) // 8].tobytes() == one_run
+    assert_block_keys(7, [(0,), (29,)], 1, pairs[4:], rounds=(0, 63))
 
 
 BLOCK_EDGE_ROUNDS = (0, 63, 64, 65, 2**32 - 64, 2**32 - 1)
@@ -210,14 +172,20 @@ PREFIXES = ((), (0,), (5,), (1, 2**33, 7))
 
 
 def assert_keys_match(seed, prefix, rounds, node, purpose):
-    # Twice over: the first request of a pair in a block derives the
-    # block's keys, a later one finds them held.
-    for _ in range(2):
-        for rnd in rounds:
-            labels = prefix + (rnd, node, purpose)
-            got = seeding.philox_key(seed, *labels)
-            assert got.dtype == np.uint64 and np.array_equal(got, seed_sequence_key(seed, *labels)), (
-                seed, labels)
+    # ``philox_key``, and ``block_keys`` where the round, node and purpose
+    # each fit one uint32 word; ``block_keys`` refuses wider labels.
+    for rnd in rounds:
+        labels = prefix + (rnd, node, purpose)
+        want = seed_sequence_key(seed, *labels)
+        got = seeding.philox_key(seed, *labels)
+        assert got.dtype == np.uint64 and np.array_equal(got, want), (seed, labels)
+        block, i = divmod(rnd, 64)
+        if max(rnd, node, purpose) < 2**32:
+            keys = seeding.block_keys(seed, [prefix], block, [(node, purpose)])
+            assert np.array_equal(keys[0, 0, i], want), (seed, labels)
+        else:
+            with pytest.raises(ValueError):
+                seeding.block_keys(seed, [prefix], block, [(node, purpose)])
 
 
 @given(
@@ -245,22 +213,29 @@ def test_block_keys_at_block_edges(prefix, rnd):
 
 @pytest.mark.parametrize("wide", [(2**32, 0, 0), (0, 2**32, 0), (0, 0, 2**32), (2**40, 2**32, 2**33)])
 def test_labels_of_two_words_take_the_scalar_path(wide):
-    assert_keys_match(11, (0,), [0, 1], 1, 0)
-    held = seeding._window
-    contents = dict(held[2]), dict(held[3])
+    # A round, node or purpose of 2**32 or more takes two words:
+    # ``philox_key`` and ``stream`` give SeedSequence's key, and
+    # ``block_keys`` refuses it.
+    rnd, node, purpose = wide
     for prefix in ((), (0,), (2, 3, 4)):
         labels = prefix + wide
         assert np.array_equal(seeding.philox_key(11, *labels), seed_sequence_key(11, *labels))
-    assert seeding._window is held
-    assert (held[2], held[3]) == contents
+        assert_same_stream(stream(11, *labels), oracle(11, *labels))
+        with pytest.raises(ValueError):
+            seeding.block_keys(11, [prefix], rnd // 64, [(node, purpose)])
 
 
 def test_theory_coin_labels_match_seed_sequence():
     # theory's coin stream: (t, 0, COIN), a round block with an empty prefix.
     for seed in (0, 3):
-        for t in range(130):
-            got = stream(seed, t, 0, seeding.COIN)
-            assert_same_stream(got, oracle(seed, t, 0, seeding.COIN))
+        for block in range(3):
+            coins = seeding.block_keys(seed, [()], block, [(0, seeding.COIN)])[0, 0]
+            for i in range(64):
+                t = 64 * block + i
+                want = oracle(seed, t, 0, seeding.COIN)
+                assert_same_stream(seeding.key_stream(coins[i]), want)
+                assert_same_stream(stream(seed, t, 0, seeding.COIN),
+                                   oracle(seed, t, 0, seeding.COIN))
 
 
 # One-word run labels, two-word ones (a label of 2**32 or more, or two
@@ -268,32 +243,26 @@ def test_theory_coin_labels_match_seed_sequence():
 # constant, (0,) and (9,) another.  The seeds' words leave them apart too.
 MIXED_PREFIXES = ((0,), (9,), (2**32,), (2**40 + 1,), (3, 4), (3, 2**33))
 MIXED_SEEDS = (5, 2**130)
+ONE_WORD = st.one_of(st.sampled_from((0, 1, 2**32 - 1)), st.integers(0, 2**32 - 1))
 
 
 @given(st.lists(
     st.tuples(
-        st.sampled_from(MIXED_SEEDS),
-        st.sampled_from(MIXED_PREFIXES),
-        st.sampled_from((0, 62, 63, 64, 65, 127, 128, 2**32 - 1)),
-        st.sampled_from(((0, seeding.UPLINK), (1, seeding.ROW_SAMPLE), (7, seeding.DOWNLINK))),
-        st.booleans(),
+        st.one_of(st.sampled_from(MIXED_SEEDS), seeds),
+        st.permutations(MIXED_PREFIXES),
+        st.one_of(st.sampled_from((0, 1, 2, 2**26 - 1)), st.integers(0, 2**26 - 1)),
+        st.lists(st.tuples(ONE_WORD, ONE_WORD), min_size=1, max_size=3),
+        st.lists(st.integers(0, 63), min_size=1, max_size=3),
     ),
-    min_size=1, max_size=60,
+    min_size=1, max_size=4,
 ))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_interleaved_prefixes_seeds_and_block_edges_match_seed_sequence(requests):
-    # Requests in a drawn order: a window change of seed or block, a
-    # prefix joining a held window, and a stacked derivation over prefixes
-    # of one hash constant must each give SeedSequence's key, by
-    # ``philox_key`` or, for one-label prefixes, by ``stream``'s lookup.
-    for seed, prefix, rnd, pair, by_stream in requests:
-        labels = prefix + (rnd, *pair)
-        want = seed_sequence_key(seed, *labels)
-        if by_stream and len(prefix) == 1:
-            assert stream(seed, *labels).bit_generator.state["state"]["key"].tolist() == (
-                want.tolist()), (seed, labels)
-        got = seeding.philox_key(seed, *labels)
-        assert got.dtype == np.uint64 and np.array_equal(got, want), (seed, labels)
+    # Calls in a drawn order, each over every mixed prefix in a drawn
+    # order, so that one call spans three hash-constant groups: each key
+    # is SeedSequence's.
+    for seed, prefixes, block, pairs, rounds in requests:
+        assert_block_keys(seed, prefixes, block, pairs, rounds)
 
 
 def test_two_prefixes_used_alternately():
@@ -308,25 +277,35 @@ def test_two_prefixes_used_alternately():
     "args", [(3, 0, 5, -1, 0), (3, 0, 5, 1, -1), (3, 0, -5, 1, 0), (3, -1, 5, 1, 0), (-3, 0, 5, 1, 0)]
 )
 def test_negative_labels_raise_with_a_block_held(args):
-    assert_keys_match(3, (0,), [5, 6], 1, 0)
+    held = seeding.block_keys(3, [(0,)], 0, [(1, 0)])
+    copy = held.copy()
+    seed, run, rnd, node, purpose = args
     with pytest.raises(ValueError):
         seeding.philox_key(*args)
     with pytest.raises(ValueError):
         stream(*args)
+    with pytest.raises(ValueError):
+        seeding.block_keys(seed, [(run,)], rnd // 64, [(node, purpose)])
+    assert held.tobytes() == copy.tobytes()
     assert_keys_match(3, (0,), [5, 6], 1, 0)
 
 
 def test_writing_to_a_returned_key_cannot_change_a_later_stream():
     labels = (4, 2, 70, 1, seeding.UPLINK)
     want = seed_sequence_key(*labels)
-    # Every request returns a read-only row of the held block.
     for _ in range(3):
-        key = seeding.philox_key(*labels)
-        assert not key.flags.writeable
-        with pytest.raises(ValueError):
-            key[0] = 0
-        with pytest.raises(ValueError):
-            key.setflags(write=True)
+        # block_keys returns a read-only array that cannot be made
+        # writeable, and so are its key rows.
+        keys = seeding.block_keys(4, [(2,)], 1, [(1, seeding.UPLINK)])
+        for held in (keys, keys[0, 0, 6]):
+            assert not held.flags.writeable
+            with pytest.raises(ValueError):
+                held[...] = 0
+            with pytest.raises(ValueError):
+                held.setflags(write=True)
+        # philox_key returns a fresh array.
+        seeding.philox_key(*labels)[0] = 0
+    assert np.array_equal(seeding.block_keys(4, [(2,)], 1, [(1, seeding.UPLINK)])[0, 0, 6], want)
     assert np.array_equal(seeding.philox_key(*labels), want)
     assert_same_stream(stream(*labels), oracle(*labels))
 
@@ -334,7 +313,9 @@ def test_writing_to_a_returned_key_cannot_change_a_later_stream():
 def test_streams_share_a_zero_counter_they_cannot_advance():
     # Every stream starts from one read-only counter array; drawing from
     # a stream advances its own copy only.
-    streams = [stream(7, run, 3, node, seeding.UPLINK) for run in range(4) for node in range(50)]
+    keys = seeding.block_keys(7, [(run,) for run in range(4)], 0, [(node, seeding.UPLINK)
+                                                                   for node in range(50)])
+    streams = [seeding.key_stream(key) for key in keys[:, :, 3].reshape(-1, 2)]
     for g in streams:
         g.random(int(g.integers(1, 1000)))
     assert streams[0].bit_generator.state["state"]["counter"][0] > 0
@@ -345,6 +326,7 @@ def test_streams_share_a_zero_counter_they_cannot_advance():
         counter[0] = 1
     labels = (7, 2, 3, 9, seeding.UPLINK)
     assert state(stream(*labels)) == state(oracle(*labels))
+    assert state(seeding.key_stream(keys[2, 9, 3])) == state(oracle(*labels))
 
 
 def test_same_stream_past_the_first_hundred_counter_blocks():
@@ -355,32 +337,6 @@ def test_same_stream_past_the_first_hundred_counter_blocks():
     assert np.array_equal(got.random(500), want.random(500))
     assert got.bit_generator.state["state"]["counter"][0] > 100
     assert_same_stream(got, want)
-
-
-def test_engine_order_finds_held_keys_and_holds_one_window(monkeypatch):
-    # The engines' order: every lane's nodes and purposes, round by round,
-    # across two block edges, with a second seed asked for now and then.
-    # A held key found for the wrong round block or seed would give another
-    # stream; a window change must drop every entry of the last window.
-    monkeypatch.setattr(seeding, "_window", (None, None, {}, {}))
-    runs, nodes = range(4), range(3)
-    purposes = (seeding.UPLINK, seeding.DOWNLINK, seeding.ROW_SAMPLE)
-    for rnd in range(60, 134):
-        for seed in (7, 2**40 + 1) if rnd % 5 == 0 else (7,):
-            for run in runs:
-                for node in nodes:
-                    for purpose in purposes:
-                        labels = (run, rnd, node, purpose)
-                        got, want = stream(seed, *labels), oracle(seed, *labels)
-                        assert state(got) == state(want), (seed, labels)
-                        assert got.random() == want.random()
-            held_seed, index, prefixes, held = seeding._window
-            assert (held_seed, index) == (seed, rnd // 64)
-            assert set(prefixes) == {(run,) for run in runs}
-            assert set(held) == {(seed, run, node, purpose)
-                                 for run in runs for node in nodes for purpose in purposes}
-            for keys in held.values():
-                assert keys.shape == (64, 2) and not keys.flags.writeable
 
 
 M_EDGES = (1, 2, 3, 12, 20, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32)

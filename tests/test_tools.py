@@ -23,7 +23,7 @@ def test_round_cost_cases_run_one_round_with_messages_stubbed(monkeypatch):
     # A stub stream that lacks what the row draw reads fails here, not
     # only when someone times a round.
     round_cost = _tool("round_cost")
-    for name in ("quantize", "stream", "_participants"):
+    for name in ("quantize", "stream", "block_keys", "_participants"):
         monkeypatch.setattr(engine, name, getattr(engine, name))
     round_cost.stub_messages(engine)
     runs = round_cost.cases(engine, make_linreg, 1)
@@ -54,17 +54,23 @@ def test_round_cost_on_grid_message_has_every_other_coordinate_on_the_grid(monke
 
 
 def test_round_cost_row_keys_build_every_lane_stream_across_a_block_edge(monkeypatch):
-    # The row keys case asks for a fed-local round's 30 x 8 row-sample
+    # The row keys case builds a fed-local round's 30 x 8 row-sample
     # streams, run-major as _lane_grads does, over rounds that cross the
-    # edge of key blocks 0 and 1.
+    # edge of key blocks 0 and 1, from one key derivation per block for
+    # all 30 runs.
     from deedsim import seeding
 
     round_cost = _tool("round_cost")
-    asked = []
-    monkeypatch.setattr(seeding, "stream", lambda *labels: asked.append(labels))
+    derived, keys = [], []
+    real = seeding.block_keys
+    monkeypatch.setattr(seeding, "block_keys",
+                        lambda seed, prefixes, block, pairs: derived.append(
+                            (seed, list(prefixes), block)) or real(seed, prefixes, block, pairs))
+    monkeypatch.setattr(seeding, "key_stream", lambda key: keys.append(key.tolist()))
     round_cost._row_keys(30, 8, 10)()
-    assert asked == [(1, r, k, i, seeding.ROW_SAMPLE)
-                     for k in range(59, 69) for r in range(30) for i in range(8)]
+    assert derived == [(1, [(r,) for r in range(30)], block) for block in (0, 1)]
+    assert keys == [seeding.philox_key(1, r, k, i, seeding.ROW_SAMPLE).tolist()
+                    for k in range(59, 69) for r in range(30) for i in range(8)]
 
 
 def _pairs(parent, change):

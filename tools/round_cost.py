@@ -9,7 +9,10 @@ Times the engine's own per-round work: ``quantize`` and ``stream`` are
 replaced, inside the timing processes only, by stubs that return the
 message unchanged (a fixed bit count) and a stream whose draws are all
 zero, so what is left is the loop's numpy and Python overhead and the
-gradient oracle.  In trees whose exchange reads each message's grid
+gradient oracle.  In trees whose run loop derives each 64-round block's
+stream keys (``engine.block_keys``), that derivation is stubbed too: it
+returns a filled array and derives nothing, as the stub stream did
+before.  In trees whose exchange reads each message's grid
 point, the scaling of the round's messages and their bit count stay in
 the round: one count per exchange call, or two (uplinks, then
 downlinks) in trees from before the downlinks had a row of their own.
@@ -41,26 +44,29 @@ cases, each on its perfbench workload's problem:
   Older trees lack the case.
 
 Six more cases time what the stubs leave out.  Three are one message:
-the real ``seeding.stream(seed, run, round, node, UPLINK)`` and
+the real stream of labels ``(run, round, node, UPLINK)`` and
 ``quantizer.quantize`` of a vector of that stream, at d = 20 (``sgd-mc``)
-and d = 100 (``gd-race``).  The vectors cycle through five ratios of
-``|w|`` to the budget, from 0.44 to 42.4, across the range the runs send
-(``perfbench/workloads.py``'s ``WIRE_RATIOS``), and a sample's rounds
-are its messages.  The third, ``message d=20 on-grid``, sends the d = 20
+and d = 100 (``gd-race``).  The stream is made as the tree's run loop
+makes it: from a key row of ``seeding.block_keys`` derived before the
+timing, or, in trees before it, by ``seeding.stream`` from the labels.
+The vectors cycle through five ratios of ``|w|`` to the budget, from
+0.44 to 42.4, across the range the runs send (``perfbench/workloads.py``'s
+``WIRE_RATIOS``), and a sample's rounds are its messages.  The third, ``message d=20 on-grid``, sends the d = 20
 vectors with every other coordinate moved onto the grid, which no run
 sends often: it times ``quantize``'s full path, which trees with a short
 path for off-grid vectors skip in the other two.  Two are one row draw:
-the real
-``seeding.stream(seed, run, round, node, ROW_SAMPLE)`` and its row index
-out of m = 12 (``fed-local``) and m = 20 (``sgd-mc``) rows, as the tree's
-``stochastic_grad`` draws it (``seeding.draw_index``, or ``integers`` in
+the real stream of labels ``(run, round, node, ROW_SAMPLE)``, made in the
+same way, and its row index out of m = 12 (``fed-local``) and m = 20
+(``sgd-mc``) rows, as the tree's ``stochastic_grad`` draws it (``seeding.draw_index``, or ``integers`` in
 trees before it); a sample's rounds are its draws.  The sixth, ``row
 keys``, builds the real row-sample streams of R = 30 runs and N = 8 nodes
 (``fed-local``'s lanes) round by round, across the edge of rounds 63 and
-64 of the 64-round blocks the stream keys are derived in: each sample
-starts in block 0 after the last one ended in block 1, so both of its
-windows change and the keys of both blocks are derived in the sample.  A
-sample's rounds are its rounds of 240 streams, with no draws.
+64 of the 64-round blocks the stream keys are derived in, so the keys of
+both blocks are derived in each sample.  In trees with
+``seeding.block_keys`` that is one derivation per block for all runs, at
+the block's first round, and one stream per key row; trees before it
+ask ``seeding.stream`` for each stream by its labels.  A sample's rounds
+are its rounds of 240 streams, with no draws.
 
 Each tree (a git ref, extracted with ``git archive``, or ``.`` for the
 working tree) runs in its own worker process.  A sample times
@@ -128,10 +134,23 @@ class _Draws:
 _DRAWS = _Draws()
 
 
+def _stub_keys(seed, prefixes, block, pairs):
+    """A stub ``block_keys``: no derivation, and each key row of run ``r``
+    at round ``k`` reads ``[r, k]``, which the stubbed participation draws
+    look up."""
+    keys = np.empty((len(prefixes), len(pairs), 64, 2), dtype=np.uint64)
+    keys[..., 0] = np.array([prefix[0] for prefix in prefixes])[:, None, None]
+    keys[..., 1] = 64 * block + np.arange(64)
+    return keys
+
+
 def stub_messages(engine) -> None:
-    """Replace ``engine``'s ``quantize`` and ``stream`` in this process."""
+    """Replace ``engine``'s ``quantize``, ``stream`` and (in trees that
+    derive a block's keys in the run loop) ``block_keys`` in this process."""
     engine.quantize = lambda w, spec, rng, float_bits=32: _Message(w, spec, 1000)
     engine.stream = lambda *labels: _DRAWS
+    if hasattr(engine, "block_keys"):
+        engine.block_keys = _stub_keys
 
 
 def _problem(make_linreg, d, N, kappa, rows, interpolating, **extra):
@@ -165,12 +184,18 @@ def cases(engine, make_linreg, rounds: int) -> dict:
 
     sgd = _problem(make_linreg, 20, 5, 8.0, 20, True, w_star_scale=5.0)
     runs, nodes = range(30), range(sgd.N)
+    keyed = hasattr(engine, "_RoundKeys")  # the loop holds each block's keys
+    if keyed:
+        row_keys = engine._RoundKeys(1, runs, [(i, engine.ROW_SAMPLE) for i in nodes])
+        grads = lambda k, Q: engine._lane_grads(sgd, row_keys(k), Q)
+    else:
+        grads = lambda k, Q: engine._lane_grads(sgd, 1, runs, k, nodes, Q)
 
     def sgd_mc():
         engine._frequent_run(
             sgd, algorithm="deed-sgd", eta=1.0 / sgd.L, tau=None, T=rounds, seed=1,
             w0=None, budget_total=lambda k: (2.0 * 0.9955 ** (k + 1)) ** 0.5, runs=len(runs),
-            grad_source=lambda k, Q: engine._lane_grads(sgd, 1, runs, k, nodes, Q), **width,
+            grad_source=grads, **width,
         )
 
     fed = _problem(make_linreg, 10, 8, 4.0, 12, False, noise_scale=2.0, w_star_scale=5.0)
@@ -181,7 +206,21 @@ def cases(engine, make_linreg, rounds: int) -> dict:
     # One (2, N, R, d) array, the accumulators then the payloads.
     SP = np.zeros((2, fed.N, len(runs), fed.d))
     SP[1] = W
-    if hasattr(getattr(engine, "_Exchange", None), "select"):
+    if keyed:
+        exchange = engine._Exchange(SP, v, p)
+        pairs = [(i, engine.UPLINK) for i in range(fed.N)]
+        sync_keys = engine._RoundKeys(1, runs, pairs + [(0, engine.DOWNLINK),
+                                                        (0, engine.PARTICIPATION)])
+
+        def sync(k):
+            keys = sync_keys(k)
+            budgets = []
+            for lane, key in enumerate(keys[:, -1]):
+                participants, coefs = engine._participants("without-replacement", K, p, key)
+                exchange.select(lane, participants, coefs)
+                budgets.append(stage * (1.0 + float(np.sum(coefs))))
+            exchange(stage, budgets, k, keys)
+    elif hasattr(getattr(engine, "_Exchange", None), "select"):
         exchange = engine._Exchange(SP, v, p)
 
         def sync(k):
@@ -226,6 +265,12 @@ def _full_sync(engine, SP, v, p, stage, runs):
     """A callable that makes full-participation sync ``k`` of every lane on
     one exchange, as the tree's ``deed-fed`` makes it; None in trees
     without one exchange for every lane."""
+    if hasattr(engine, "_RoundKeys"):
+        exchange = engine._Exchange(SP, v, p)
+        pairs = [(i, engine.UPLINK) for i in range(len(p))] + [(0, engine.DOWNLINK)]
+        sync_keys = engine._RoundKeys(1, runs, pairs)
+        return lambda k: exchange(stage, [stage * (1.0 + float(np.sum(p)))] * len(runs), k,
+                                  sync_keys(k))
     if hasattr(engine, "_run"):
         exchange = engine._Exchange(SP, v, p)
         return lambda k: exchange(stage, [stage * (1.0 + float(np.sum(p)))] * len(runs),
@@ -251,15 +296,25 @@ def _full_sync(engine, SP, v, p, stage, runs):
 def _predraw_participants(engine, K, p, runs, rounds) -> None:
     """Draw every lane's participants of syncs 0 .. ``rounds - 1`` without
     replacement, from the real participation streams (``engine.stream``
-    may be stubbed), and make ``engine._participants`` look them up."""
-    from deedsim.seeding import stream
+    may be stubbed), and make ``engine._participants`` look them up: by
+    labels, or in trees that hold each block's keys, by the ``[run,
+    round]`` of ``_stub_keys``' key row."""
+    from deedsim import seeding
 
-    stubbed, engine.stream = engine.stream, stream
     draw = engine._participants
-    draws = {(1, r, k): draw("without-replacement", K, p, (1, r, k))
-             for r in runs for k in range(rounds)}
+    stubbed = engine.stream
+    if hasattr(engine, "_RoundKeys"):
+        engine.stream = seeding.key_stream
+        draws = {(r, k): draw("without-replacement", K, p,
+                              seeding.philox_key(1, r, k, 0, seeding.PARTICIPATION))
+                 for r in runs for k in range(rounds)}
+        engine._participants = lambda participation, K, p, key: draws[tuple(key.tolist())]
+    else:
+        engine.stream = seeding.stream
+        draws = {(1, r, k): draw("without-replacement", K, p, (1, r, k))
+                 for r in runs for k in range(rounds)}
+        engine._participants = lambda participation, K, p, labels: draws[labels]
     engine.stream = stubbed
-    engine._participants = lambda participation, K, p, labels: draws[labels]
 
 
 def _messages(d: int, rounds: int, on_grid: bool = False):
@@ -267,8 +322,8 @@ def _messages(d: int, rounds: int, on_grid: bool = False):
     one stream and one ``quantize`` call each, as an engine's uplink;
     ``on_grid`` puts every other coordinate on the grid."""
     from deedsim.quantizer import QuantSpec, quantize
-    from deedsim.seeding import UPLINK, stream
 
+    stream = _held_stream(0, 0, rounds)  # run 0, node 0's uplink
     rng = np.random.default_rng(d)
     spec = QuantSpec(0.5, d)
     vectors = []
@@ -281,7 +336,7 @@ def _messages(d: int, rounds: int, on_grid: bool = False):
 
     def send():
         for k in range(rounds):
-            quantize(vectors[k % len(vectors)], spec, stream(1, 0, k, 0, UPLINK))
+            quantize(vectors[k % len(vectors)], spec, stream(k))
 
     return send
 
@@ -292,21 +347,52 @@ def _row_draws(m: int, rounds: int):
     from deedsim import seeding
 
     draw = getattr(seeding, "draw_index", lambda g, m: int(g.integers(m)))
+    stream = _held_stream(0, seeding.ROW_SAMPLE, rounds)
 
     def sample():
         for k in range(rounds):
-            draw(seeding.stream(1, 0, k, 0, seeding.ROW_SAMPLE), m)
+            draw(stream(k), m)
 
     return sample
+
+
+def _held_stream(node: int, purpose: int, rounds: int):
+    """A callable that makes run 0's stream of ``(node, purpose)`` at round
+    ``k < rounds`` as the tree's run loop makes it: from a key row derived
+    before the timing (``block_keys``), or, in trees before it, by
+    ``seeding.stream`` from the labels."""
+    from deedsim import seeding
+
+    if not hasattr(seeding, "block_keys"):
+        return lambda k: seeding.stream(1, 0, k, node, purpose)
+    keys = np.concatenate([seeding.block_keys(1, [(0,)], b, [(node, purpose)])[0, 0]
+                           for b in range(-(-rounds // 64))])
+    return lambda k: seeding.key_stream(keys[k])
 
 
 def _row_keys(R: int, N: int, rounds: int):
     """A callable that builds the row-sample streams of ``R`` runs and
     ``N`` nodes for ``rounds`` rounds that cross the edge of rounds 63 and
-    64, run-major in each round as ``_lane_grads`` asks for them."""
+    64, run-major in each round as ``_lane_grads`` asks for them: by
+    labels, or in trees with ``block_keys``, from the key rows of one
+    derivation per block, made at the block's first round asked for."""
     from deedsim import seeding
 
     first = max(0, 64 - rounds // 2)
+    if hasattr(seeding, "block_keys"):
+        prefixes = [(r,) for r in range(R)]
+        pairs = [(i, seeding.ROW_SAMPLE) for i in range(N)]
+
+        def build():
+            held = None
+            for k in range(first, first + rounds):
+                block, row = divmod(k, 64)
+                if held is None or row == 0:
+                    held = seeding.block_keys(1, prefixes, block, pairs)
+                for key in held[:, :, row].reshape(R * N, 2):
+                    seeding.key_stream(key)
+
+        return build
 
     def build():
         for k in range(first, first + rounds):

@@ -276,9 +276,12 @@ def _derive(pools: list, h: int, index: int, nodes: tuple, purposes: tuple) -> n
     mixed, h = _round_columns(index, h)
     x = _MIX_L * np.array(pools, dtype=np.uint32)[:, None, :, None] - mixed
     x ^= x >> 16
+    # One row per pair from here on, worked on in place.
+    x = np.repeat(x, len(nodes), axis=1)
     for words in (nodes, purposes):
         mixed, h = _hashed_columns(words, h)
-        x = _MIX_L * x - mixed
+        x *= _MIX_L
+        x -= mixed
         x ^= x >> 16
     x ^= _READ_XOR
     x *= _READ_MUL

@@ -1,4 +1,5 @@
-"""``seeding.stream`` against numpy's own SeedSequence -> Philox streams."""
+"""``seeding.stream`` and ``seeding.block_keys`` against numpy's own
+SeedSequence -> Philox streams."""
 
 import numpy as np
 import pytest

@@ -202,6 +202,8 @@ KEY_BLOCK = 64
 _ROUNDS = np.arange(KEY_BLOCK, dtype=np.uint32)
 _READ_XOR = np.array([_C0, _C1, _C2, _C3], dtype=np.uint32)[:, None]
 _READ_MUL = np.array([_M0, _M1, _M2, _M3], dtype=np.uint32)[:, None]
+for _table in (_ROUNDS, _READ_XOR, _READ_MUL):
+    _table.setflags(write=False)
 
 
 def block_keys(master_seed: int, prefixes, block: int, pairs) -> np.ndarray:

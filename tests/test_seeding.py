@@ -330,6 +330,17 @@ def test_streams_share_a_zero_counter_they_cannot_advance():
     assert state(seeding.key_stream(keys[2, 9, 3])) == state(oracle(*labels))
 
 
+def test_module_holds_no_mutable_state():
+    # A key is a pure function of the seed and the labels: the module keeps
+    # no container that a call could fill, alone or in a tuple, and its
+    # arrays are read-only.
+    for name, value in vars(seeding).items():
+        for item in value if isinstance(value, tuple) else (value,):
+            if not name.startswith("__"):
+                assert not isinstance(item, (dict, list, set, bytearray)), name
+                assert not isinstance(item, np.ndarray) or not item.flags.writeable, name
+
+
 def test_same_stream_past_the_first_hundred_counter_blocks():
     # A Philox block is four uint64 words, four doubles: 500 doubles span
     # 125 blocks before assert_same_stream's own draws.

@@ -396,6 +396,39 @@ def test_quantize_nonfinite_messages_match_reference(d, bad):
     assert_matches_reference(big, QuantSpec(0.5, d))
 
 
+def _bad_positions(d, rng):
+    """Index 0, an interior index drawn at random, and the last index
+    (fewer where d is too small to have them all)."""
+    interior = [int(rng.integers(1, d - 1))] if d > 2 else []
+    return sorted({0, *interior, d - 1})
+
+
+@pytest.mark.parametrize("d", [1, 2, 20, 100, 10_000])
+@pytest.mark.parametrize("max_error", [0.5, 0.0])
+def test_quantize_guard_finds_a_bad_coordinate_anywhere(d, max_error):
+    # The guards read the least and the greatest coordinate by index, and
+    # argmin and argmax both land on the first NaN: a NaN, +inf or -inf
+    # must be found at the front, inside or at the end, alone or beside
+    # another of them or a coordinate that overflows the grid, in either
+    # order, with the reference's message or error text.
+    rng = np.random.default_rng(d)
+    spec = QuantSpec(max_error, d)
+    bad = [np.nan, np.inf, -np.inf]
+    positions = _bad_positions(d, rng)
+    base = rng.normal(size=d)
+    for value in bad:
+        for i in positions:
+            w = base.copy()
+            w[i] = value
+            assert_matches_reference(w, spec)
+            for other in bad + [2.0**70]:
+                for j in positions:
+                    if j != i:
+                        w = base.copy()
+                        w[i], w[j] = value, other
+                        assert_matches_reference(w, spec)
+
+
 def test_quantize_shape_errors_match_reference():
     for w, spec in ((np.zeros(3), QuantSpec(0.5, 4)), (np.zeros((2, 2)), QuantSpec(0.5, 4)),
                     (np.array([np.nan, 1.0]), QuantSpec(0.5, 3))):
@@ -481,6 +514,42 @@ def test_quantize_matches_reference_on_any_floats(coords, max_error, seed):
     assert_matches_reference(w, QuantSpec(max_error, len(w)), seed=seed)
 
 
+def _planted(step):
+    """Coordinates planted into a normal vector: non-finite values, scaled
+    magnitudes either side of 2**63, signed zeros and on-grid values."""
+    top = float(np.nextafter(2.0**63, 0.0))
+    above = float(np.nextafter(2.0**63, np.inf))
+    return st.one_of(
+        st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0]),
+        st.sampled_from([top, -top, above, -above]).map(lambda s: s * step),
+        st.integers(-(2**40), 2**40).map(lambda k: k * step),
+    )
+
+
+@st.composite
+def _long_vectors(draw):
+    """A vector of 21 to 300 coordinates, past the lengths where numpy's
+    argmin and argmax switch to vectorized loops, with coordinates of
+    ``_planted`` at drawn positions, and its spec."""
+    d = draw(st.integers(min_value=21, max_value=300))
+    max_error = draw(st.sampled_from([0.0, 1e-9, 0.3, 7.5, 1e12]))
+    spec = QuantSpec(max_error, d)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    w = rng.normal(size=d) * draw(st.sampled_from([0.4, 27.0, 1e6])) * (max_error or 1.0)
+    step = spec.grid_step or 1.0
+    for _ in range(draw(st.integers(0, 4))):
+        w[draw(st.integers(0, d - 1))] = draw(_planted(step))
+    return w, spec
+
+
+@given(_long_vectors(), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=150, deadline=None)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_quantize_matches_reference_on_long_vectors(case, seed):
+    w, spec = case
+    assert_matches_reference(w, spec, seed=seed)
+
+
 # -- the grid, built on first read --
 
 FIELDS = {"spec", "grid", "decoded", "bits"}
@@ -522,11 +591,12 @@ def test_unbuilt_message_keeps_dataclass_behaviour():
     want = ref.quantize(w, spec, _philox(3))
     assert not hasattr(fresh(), "no_such_field")
 
-    # replace with a grid takes that grid and builds none.
+    # replace with a grid takes that grid; the bits it copies are counted
+    # from the message's own grid, which their first read builds.
     msg = fresh()
     other = dataclasses.replace(msg, grid=want.grid)
     assert other.grid is want.grid and other.decoded is msg.decoded and other.bits == msg.bits
-    assert "grid" not in vars(msg)
+    assert vars(msg)["grid"] == want.grid and vars(msg)["grid"] is not want.grid
     # replace of another field reads the grid.
     assert dataclasses.replace(fresh(), bits=0).grid == want.grid
 
@@ -580,7 +650,8 @@ def test_messages_from_separate_calls_compare_by_value():
 
 
 def test_derived_fields_equal_reference_in_any_read_order():
-    # Each of grid, decoded and bits is derived on its own first read; the
+    # Each of grid, decoded and bits is derived on its own first read, and
+    # bits are counted from the grid, built first if it was not read; the
     # float grid is dropped only once all three are stored.
     spec = QuantSpec(0.05, 6)
     w = np.array([0.3, -0.01, 0.0, 2.5, -7.25, 1e-9])
@@ -594,7 +665,9 @@ def test_derived_fields_equal_reference_in_any_read_order():
                 assert got.tobytes() == want.decoded.tobytes()
             else:
                 assert got == getattr(want, name) and type(got) is type(getattr(want, name))
-            assert ("_float_grid" in vars(msg)) == (read < 3), order
+            stored = set(order[:read]) | ({"grid"} if "bits" in order[:read] else set())
+            assert set(vars(msg)) == {"spec"} | stored | (
+                set() if stored == FIELDS - {"spec"} else {"_float_grid"}), order
         assert set(vars(msg)) == FIELDS
 
 

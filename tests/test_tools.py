@@ -26,10 +26,24 @@ def test_round_cost_cases_run_one_round_with_messages_stubbed(monkeypatch):
     for name in ("quantize", "stream", "block_keys", "_participants"):
         monkeypatch.setattr(engine, name, getattr(engine, name))
     round_cost.stub_messages(engine)
+    # Each message case sends one real message a round, of its dimension,
+    # under a zero budget in the lossless case only.
+    sent = []
+    real = quantizer.quantize
+    monkeypatch.setattr(quantizer, "quantize",
+                        lambda w, spec, rng: sent.append((spec, real(w, spec, rng))))
     runs = round_cost.cases(engine, make_linreg, 1)
     assert sorted(runs) == sorted(round_cost.CASES)
-    for run in runs.values():
+    for name, run in runs.items():
+        sent.clear()
         run()
+        if not name.startswith("message"):
+            assert sent == []
+            continue
+        ((spec, msg),) = sent
+        assert spec.dim == int(name.split("d=")[1].split()[0])
+        assert spec.lossless == ("lossless" in name)
+        assert (msg.grid is None) == spec.lossless and msg.decoded.any()
 
 
 def test_round_cost_on_grid_message_has_every_other_coordinate_on_the_grid(monkeypatch):

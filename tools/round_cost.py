@@ -43,7 +43,7 @@ cases, each on its perfbench workload's problem:
   and trees with ``_partial_sync`` make the call on a ``range`` of nodes.
   Older trees lack the case.
 
-Six more cases time what the stubs leave out.  Three are one message:
+Seven more cases time what the stubs leave out.  Four are one message:
 the real stream of labels ``(run, round, node, UPLINK)`` and
 ``quantizer.quantize`` of a vector of that stream, at d = 20 (``sgd-mc``)
 and d = 100 (``gd-race``).  The stream is made as the tree's run loop
@@ -54,11 +54,15 @@ The vectors cycle through five ratios of ``|w|`` to the budget, from
 ``WIRE_RATIOS``), and a sample's rounds are its messages.  The third, ``message d=20 on-grid``, sends the d = 20
 vectors with every other coordinate moved onto the grid, which no run
 sends often: it times ``quantize``'s full path, which trees with a short
-path for off-grid vectors skip in the other two.  Two are one row draw:
+path for off-grid vectors skip in the other two.  The fourth, ``message
+lossless d=100``, sends the d = 100 vectors under a zero budget, as
+``gd_baseline``'s 8,800 messages of a ``gd-race`` pass are sent: its
+stream takes no draw and ``quantize`` takes its pass-through branch.
+Two are one row draw:
 the real stream of labels ``(run, round, node, ROW_SAMPLE)``, made in the
 same way, and its row index out of m = 12 (``fed-local``) and m = 20
 (``sgd-mc``) rows, as the tree's ``stochastic_grad`` draws it (``seeding.draw_index``, or ``integers`` in
-trees before it); a sample's rounds are its draws.  The sixth, ``row
+trees before it); a sample's rounds are its draws.  The seventh, ``row
 keys``, builds the real row-sample streams of R = 30 runs and N = 8 nodes
 (``fed-local``'s lanes) round by round, across the edge of rounds 63 and
 64 of the 64-round blocks the stream keys are derived in, so the keys of
@@ -97,7 +101,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CASES = (
     "gd-race N=10 d=100 R=1", "sgd-mc N=5 d=20 R=30", "fed-sync N=8 d=10 K=4 R=30",
     "fed-sync full N=8 d=10 R=30", "message d=20", "message d=20 on-grid", "message d=100",
-    "row draw m=12", "row draw m=20", "row keys R=30 N=8",
+    "message lossless d=100", "row draw m=12", "row draw m=20", "row keys R=30 N=8",
 )
 
 
@@ -176,6 +180,7 @@ def cases(engine, make_linreg, rounds: int) -> dict:
     for d in (20, 100):
         out[f"message d={d}"] = _messages(d, rounds)
     out["message d=20 on-grid"] = _messages(20, rounds, on_grid=True)
+    out["message lossless d=100"] = _messages(100, rounds, lossless=True)
     for m in (12, 20):
         out[f"row draw m={m}"] = _row_draws(m, rounds)
     out["row keys R=30 N=8"] = _row_keys(30, 8, rounds)
@@ -317,19 +322,21 @@ def _predraw_participants(engine, K, p, runs, rounds) -> None:
     engine.stream = stubbed
 
 
-def _messages(d: int, rounds: int, on_grid: bool = False):
+def _messages(d: int, rounds: int, on_grid: bool = False, lossless: bool = False):
     """A callable that sends ``rounds`` real messages of dimension ``d``,
     one stream and one ``quantize`` call each, as an engine's uplink;
-    ``on_grid`` puts every other coordinate on the grid."""
+    ``on_grid`` puts every other coordinate on the grid, and ``lossless``
+    sends the same vectors under a zero budget, as ``gd_baseline`` does."""
     from deedsim.quantizer import QuantSpec, quantize
 
     stream = _held_stream(0, 0, rounds)  # run 0, node 0's uplink
     rng = np.random.default_rng(d)
-    spec = QuantSpec(0.5, d)
+    budget = 0.5
+    spec = QuantSpec(0.0 if lossless else budget, d)
     vectors = []
     for ratio in (0.44, 0.891, 5.23, 17.5, 42.4):
         w = rng.standard_normal(d)
-        w *= ratio * spec.max_error / np.linalg.norm(w)
+        w *= ratio * budget / np.linalg.norm(w)
         if on_grid:
             w[::2] = np.round(w[::2] / spec.grid_step) * spec.grid_step
         vectors.append(w)

@@ -18,12 +18,12 @@ rounding dither equals the input.
 ``quantize`` makes no ``ufunc`` reduction (``np.maximum.reduce``,
 ``.min()``, ``.all()``) on a vector it accepts: each check reads the
 least and greatest value by index through ``argmin`` and ``argmax``.  On
-numpy 2.4 a reduction of a 20- to 100-float vector costs about 1 us
-(1.5 us for ``np.isfinite(w).all()``) against 0.3-0.5 us for ``argmin``
-or ``argmax`` and the read, and ``quantize`` costs about 12 us at d = 20
-and 13.5 us at d = 100 against 16 and 17 us with the three reductions it
-made before, 5 us against 6.3 us for a lossless message (2-core x86
-box, the same vectors timed in turn in one process).
+numpy 2.4 one reduction of a 20- to 100-float vector costs 0.7-1.2 us
+(``np.isfinite(w).all()`` 1.1-1.2 us), and both reads by index together
+0.5-0.75 us.  ``quantize`` takes 5.8 us at d = 20 and 6.9 us at d = 100
+against 7.5 and 8.3 us with the three reductions it made before, and
+2.2 us against 2.9 us for a lossless message (2-core x86 box, the same
+vectors timed in turn in one process; minima of 9 for the reductions).
 
 Setting ``max_error = 0`` selects lossless pass-through: the vector is
 transmitted verbatim and charged ``float_bits * dim`` bits, which gives
@@ -220,9 +220,9 @@ def quantize(
     2**52 every float is an integer and ``frac`` is 0, so ``lo + 1`` is
     exact wherever this matters.  A coordinate with ``frac == 0`` fails
     any positive tolerance.  So with ``M`` the guard's ``max |s|`` (read
-    by index, see below) and
-    ``tol = (M + 1) 2**-48``, eight times the worst case (which also
-    covers the rounding of ``tol`` and of ``1 - tol``), a vector whose
+    by index, see below) and ``tol = (M + 1) 2**-48``, eight times the
+    worst case (which also covers the rounding of ``tol`` and of
+    ``1 - tol``), a vector whose
     every ``frac`` lies strictly between ``tol`` and ``1 - tol`` has no
     on-grid coordinate and none with ``frac == 0``: the full path would
     randomize every coordinate, as the short one does.

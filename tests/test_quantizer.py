@@ -396,13 +396,6 @@ def test_quantize_nonfinite_messages_match_reference(d, bad):
     assert_matches_reference(big, QuantSpec(0.5, d))
 
 
-def _bad_positions(d, rng):
-    """Index 0, an interior index drawn at random, and the last index
-    (fewer where d is too small to have them all)."""
-    interior = [int(rng.integers(1, d - 1))] if d > 2 else []
-    return sorted({0, *interior, d - 1})
-
-
 @pytest.mark.parametrize("d", [1, 2, 20, 100, 10_000])
 @pytest.mark.parametrize("max_error", [0.5, 0.0])
 def test_quantize_guard_finds_a_bad_coordinate_anywhere(d, max_error):
@@ -414,7 +407,8 @@ def test_quantize_guard_finds_a_bad_coordinate_anywhere(d, max_error):
     rng = np.random.default_rng(d)
     spec = QuantSpec(max_error, d)
     bad = [np.nan, np.inf, -np.inf]
-    positions = _bad_positions(d, rng)
+    interior = [int(rng.integers(1, d - 1))] if d > 2 else []
+    positions = sorted({0, *interior, d - 1})  # the front, inside, the end
     base = rng.normal(size=d)
     for value in bad:
         for i in positions:
@@ -528,9 +522,9 @@ def _planted(step):
 
 @st.composite
 def _long_vectors(draw):
-    """A vector of 21 to 300 coordinates, past the lengths where numpy's
-    argmin and argmax switch to vectorized loops, with coordinates of
-    ``_planted`` at drawn positions, and its spec."""
+    """A vector of 21 to 300 coordinates, long enough that numpy's SIMD
+    argmin and argmax run whole vector blocks as well as a scalar tail,
+    with coordinates of ``_planted`` at drawn positions, and its spec."""
     d = draw(st.integers(min_value=21, max_value=300))
     max_error = draw(st.sampled_from([0.0, 1e-9, 0.3, 7.5, 1e12]))
     spec = QuantSpec(max_error, d)

@@ -26,7 +26,7 @@ against 7.5 and 8.3 us with the three reductions it made before, and
 vectors timed in turn in one process; minima of 9 for the reductions).
 
 Setting ``max_error = 0`` selects lossless pass-through: the vector is
-transmitted verbatim and charged ``float_bits * dim`` bits, which gives
+transmitted verbatim and charged ``DEFAULT_FLOAT_BITS * dim`` bits, which gives
 exact baselines a communication cost and makes the zero-budget mode of
 the quantized algorithms coincide bit-for-bit with their exact
 counterparts.
@@ -110,7 +110,7 @@ class QuantizedMessage:
     """A quantized vector: integer grid point, payload size, decoded value.
 
     ``grid`` is ``None`` in pass-through mode, where ``decoded`` carries
-    the verbatim vector and ``bits`` is ``float_bits * dim``.  Otherwise
+    the verbatim vector and ``bits`` is ``DEFAULT_FLOAT_BITS * dim``.  Otherwise
     ``decoded == grid * grid_step`` coordinate-wise and ``bits`` equals
     the Elias payload length.  A message from ``quantize`` holds only its
     grid point and derives each of ``grid``, ``decoded`` and ``bits`` on
@@ -195,7 +195,6 @@ def quantize(
     w: np.ndarray,
     spec: QuantSpec,
     rng: np.random.Generator,
-    float_bits: int = DEFAULT_FLOAT_BITS,
 ) -> QuantizedMessage:
     """Quantize ``w`` under ``spec``, consuming one dither draw per
     randomized coordinate in coordinate order.
@@ -245,10 +244,8 @@ def quantize(
         # The least and greatest coordinates, or the first NaN.
         if not (math.isfinite(w[w.argmin()]) and math.isfinite(w[w.argmax()])):
             raise InvalidInputError("input coordinates must be finite")
-        if float_bits < 1:
-            raise InvalidInputError(f"float_bits must be >= 1 (float_bits = {float_bits!r})")
         return QuantizedMessage(
-            spec=spec, grid=None, decoded=w.copy(), bits=float_bits * spec.dim
+            spec=spec, grid=None, decoded=w.copy(), bits=DEFAULT_FLOAT_BITS * spec.dim
         )
 
     step = spec.grid_step

@@ -10,22 +10,27 @@ when the order of operations changes.
 A stream is numpy's ``Philox`` keyed by
 ``SeedSequence(entropy=seed, spawn_key=labels).generate_state(2, uint64)``,
 with its counter at 0 (one shared, read-only array of four uint64 zeros).
-The key is a pure function of the seed and the labels.  It is derived
-here rather than by building a ``SeedSequence`` per stream, which costs
-more than the draws of a small message; ``tests/test_seeding.py`` pins
-the keys to numpy's own.  Two functions derive keys, and neither keeps
-anything between calls but the caches of pure helpers:
+The key is a pure function of the seed and the labels, and the module
+keeps nothing between calls but the caches of pure helpers:
 
-* ``philox_key(seed, *labels)``, behind ``stream``, takes any labels and
-  absorbs them word by word in plain integer arithmetic.
+* ``philox_key(seed, *labels)``, behind ``stream``, is that
+  ``SeedSequence`` call itself, for any labels.
 * ``block_keys(seed, prefixes, block, pairs)`` takes labels ``(*prefix,
   round, node, purpose)`` whose round, node and purpose each fit one
   uint32 word, as every engine stream and ``theory``'s coin stream do.
-  It derives the keys of every prefix (run), every (node, purpose) pair
-  and every round of one aligned block of ``KEY_BLOCK`` rounds in one
-  stacked numpy pass.  A run loop knows the runs, nodes and purposes it
+  It takes each prefix's mixed pool from numpy's ``SeedSequence`` and
+  absorbs the round, node and purpose words of every prefix (run), every
+  (node, purpose) pair and every round of one aligned block of
+  ``KEY_BLOCK`` rounds in one stacked numpy pass: the one port of
+  ``SeedSequence``'s hashing here, which ``tests/test_seeding.py`` pins
+  to numpy's keys.  A run loop knows the runs, nodes and purposes it
   will draw for, so it asks for a block's keys at the block's first
   round and builds each stream from a key row with ``key_stream``.
+
+Seeds and labels are nonnegative integers: Python or numpy integers,
+bools included, as ``SeedSequence`` takes them.  Any other value, a
+float say, is an ``InvalidInputError`` rather than truncated, and a
+negative one a ``ValueError``.
 
 ``draw_index`` draws an index in ``range(m)`` from a stream with
 Lemire's method on the raw Philox words: the index numpy's
@@ -33,6 +38,7 @@ Lemire's method on the raw Philox words: the index numpy's
 """
 
 import functools
+import operator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -59,100 +65,14 @@ _MIX_R = 0x4973F715
 _POOL = 4
 
 
-def _words(n: int) -> list[int]:
-    """Little-endian uint32 words of a nonnegative integer (``[0]`` for 0)."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-def _hashmix(value: int, h: int) -> tuple[int, int]:
-    """SeedSequence's ``hashmix``: the hashed value and the next hash constant."""
-    value ^= h
-    h = h * _MULT_A & _MASK32
-    value = value * h & _MASK32
-    return value ^ value >> 16, h
-
-
-def _mix(x: int, y: int) -> int:
-    """SeedSequence's ``mix`` of two uint32 words."""
-    x = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return x ^ x >> 16
-
-
-@functools.lru_cache(maxsize=256)
-def _hashed(word: int, h: int) -> tuple[tuple, int]:
-    """``hashmix(word)`` for each of the four pool words, from the running
-    hash constant ``h``; returns the four values and the next constant.
-
-    The constant depends only on how many words came before, so a run's
-    node and purpose labels hit this cache on every round.
-    """
-    out = []
-    for _ in range(_POOL):
-        v, h = _hashmix(word, h)
-        out.append(v)
-    return tuple(out), h
-
-
-def _absorb(pool: tuple, h: int, word: int) -> tuple[tuple, int]:
-    """Mix one entropy word into every pool word: ``pool[i] =
-    mix(pool[i], hashmix(word))``.  Returns the pool and the running hash
-    constant.  ``_mix`` is written out: the scalar path runs this for
-    every label word."""
-    (v0, v1, v2, v3), h = _hashed(word, h)
-    x0, x1, x2, x3 = pool
-    x0 = (_MIX_L * x0 - _MIX_R * v0) & _MASK32
-    x1 = (_MIX_L * x1 - _MIX_R * v1) & _MASK32
-    x2 = (_MIX_L * x2 - _MIX_R * v2) & _MASK32
-    x3 = (_MIX_L * x3 - _MIX_R * v3) & _MASK32
-    return (x0 ^ x0 >> 16, x1 ^ x1 >> 16, x2 ^ x2 >> 16, x3 ^ x3 >> 16), h
-
-
-@functools.lru_cache(maxsize=64)
-def _pool(seed: int, labels: tuple) -> tuple[tuple, int]:
-    """SeedSequence's mixed pool (and running hash constant) for the
-    entropy ``seed`` padded to four words, followed by ``labels``."""
-    if labels:
-        pool, h = _pool(seed, labels[:-1])
-        for word in _words(labels[-1]):
-            pool, h = _absorb(pool, h, word)
-        return pool, h
-    words = _words(seed)
-    words += [0] * (_POOL - len(words))
-    h = _INIT_A
-    pool = []
-    for word in words[:_POOL]:
-        v, h = _hashmix(word, h)
-        pool.append(v)
-    # Mix all pool words together so late words reach early ones.
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                v, h = _hashmix(pool[src], h)
-                pool[dst] = _mix(pool[dst], v)
-    pool = tuple(pool)
-    for word in words[_POOL:]:
-        pool, h = _absorb(pool, h, word)
-    return pool, h
-
-
-def _readout_constants() -> tuple:
-    """(xor, multiplier) that ``generate_state`` applies to each of the
-    four pool words it reads for two uint64 words."""
-    out, h = [], _INIT_B
-    for _ in range(_POOL):
-        out.append((h, h * _MULT_B & _MASK32))
-        h = out[-1][1]
-    return tuple(out)
-
-
-(_C0, _M0), (_C1, _M1), (_C2, _M2), (_C3, _M3) = _readout_constants()
+def _integer(value) -> int:
+    """A seed or label as a Python int.  numpy integers and bools pass, as
+    ``SeedSequence`` takes them; a float or any other value is an
+    ``InvalidInputError`` where ``int()`` would truncate it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"seeds and labels must be integers, got {value!r}") from None
 
 
 class _Key(ISeedSequence):
@@ -171,38 +91,51 @@ class _Key(ISeedSequence):
 def philox_key(master_seed: int, *labels: int) -> np.ndarray:
     """``SeedSequence(entropy=master_seed, spawn_key=labels)
     .generate_state(2, np.uint64)``: the Philox key of a stream, as a fresh
-    array, word by word from the cached pool of all labels but the last
-    three."""
-    seed = int(master_seed)
-    labels = tuple(map(int, labels))
-    pool, h = _pool(seed, labels[:-3])
-    for label in labels[-3:]:
-        for word in _words(label):
-            pool, h = _absorb(pool, h, word)
-    return _readout(*pool)
+    array."""
+    seq = np.random.SeedSequence(_integer(master_seed), spawn_key=tuple(map(_integer, labels)))
+    return seq.generate_state(2, np.uint64)
 
 
-def _readout(x0: int, x1: int, x2: int, x3: int) -> np.ndarray:
-    """``generate_state(2, np.uint64)`` of the mixed pool ``x0..x3``."""
-    s0 = (x0 ^ _C0) * _M0 & _MASK32
-    s1 = (x1 ^ _C1) * _M1 & _MASK32
-    s2 = (x2 ^ _C2) * _M2 & _MASK32
-    s3 = (x3 ^ _C3) * _M3 & _MASK32
-    return np.array(
-        [s0 ^ s0 >> 16 | (s1 ^ s1 >> 16) << 32, s2 ^ s2 >> 16 | (s3 ^ s3 >> 16) << 32],
-        dtype=np.uint64,
-    )
+def _word_count(n: int) -> int:
+    """How many uint32 words ``SeedSequence`` makes of the nonnegative
+    integer ``n`` (one for 0)."""
+    return max(1, -(-n.bit_length() // 32))
+
+
+@functools.lru_cache(maxsize=64)
+def _prefix_pool(seed: int, prefix: tuple) -> tuple[tuple, int]:
+    """``SeedSequence(seed, spawn_key=prefix)``'s mixed pool, and the hash
+    constant that its next entropy word is hashed with.
+
+    Each hashmix multiplies the constant by ``MULT_A``.  Mixing takes 4
+    hashmixes of the seed's words padded to four, 12 that mix the pool
+    words together, and 4 for every word past the fourth, so the constant
+    is ``INIT_A * MULT_A ** (4 * words)`` modulo 2**32.
+    """
+    pool = np.random.SeedSequence(seed, spawn_key=prefix).pool
+    words = max(_word_count(seed), _POOL) + sum(map(_word_count, prefix))
+    return tuple(pool.tolist()), _INIT_A * pow(_MULT_A, _POOL * words, _MASK32 + 1) & _MASK32
+
+
+def _hash_constants(h: int, mult: int) -> np.ndarray:
+    """``h`` and the four hash constants after it, as a uint32 ``(5, 1)``
+    array: the k-th hashmix of a word xors it with entry k and multiplies
+    it by entry k + 1."""
+    out = [h]
+    for _ in range(_POOL):
+        out.append(out[-1] * mult & _MASK32)
+    return np.array(out, dtype=np.uint32)[:, None]
 
 
 # The rounds of one block share every label before the round, so their
 # keys are derived together: the four pool words are uint32 arrays with
 # one column per round, and numpy's uint32 arithmetic wraps modulo 2**32
-# as SeedSequence's does.
+# as SeedSequence's does.  ``generate_state`` reads the four pool words
+# out with the constants of ``_READ``.
 KEY_BLOCK = 64
 _ROUNDS = np.arange(KEY_BLOCK, dtype=np.uint32)
-_READ_XOR = np.array([_C0, _C1, _C2, _C3], dtype=np.uint32)[:, None]
-_READ_MUL = np.array([_M0, _M1, _M2, _M3], dtype=np.uint32)[:, None]
-for _table in (_ROUNDS, _READ_XOR, _READ_MUL):
+_READ = _hash_constants(_INIT_B, _MULT_B)
+for _table in (_ROUNDS, _READ):
     _table.setflags(write=False)
 
 
@@ -218,14 +151,14 @@ def block_keys(master_seed: int, prefixes, block: int, pairs) -> np.ndarray:
     label of 2**32 or more takes two words, so the prefixes are grouped by
     that constant and each group is derived in one ``_derive`` pass.
     """
-    seed = int(master_seed)
-    nodes, purposes = (tuple(map(int, words)) for words in zip(*pairs))
+    seed, block = _integer(master_seed), _integer(block)
+    nodes, purposes = (tuple(map(_integer, words)) for words in zip(*pairs))
     if not (0 <= block < (_MASK32 + 1) // KEY_BLOCK
             and all(0 <= word <= _MASK32 for word in nodes + purposes)):
         raise ValueError("block_keys needs round, node and purpose labels of one uint32 word")
     groups = {}  # hash constant -> the rows and pools of its prefixes
     for row, prefix in enumerate(prefixes):
-        pool, h = _pool(seed, tuple(map(int, prefix)))
+        pool, h = _prefix_pool(seed, tuple(map(_integer, prefix)))
         rows, pools = groups.setdefault(h, ([], []))
         rows.append(row)
         pools.append(pool)
@@ -233,41 +166,37 @@ def block_keys(master_seed: int, prefixes, block: int, pairs) -> np.ndarray:
     # little-endian uint32 words of column i read as two uint64.
     words = np.empty((len(prefixes), len(nodes), KEY_BLOCK, _POOL), dtype="<u4")
     for h, (rows, pools) in groups.items():
-        words[rows] = _derive(pools, h, int(block), nodes, purposes).swapaxes(2, 3)
+        words[rows] = _derive(pools, h, block, nodes, purposes).swapaxes(2, 3)
     words.setflags(write=False)
     return words.view("<u8")
 
 
+def _hashmix(words: np.ndarray, h: int) -> tuple[np.ndarray, int]:
+    """``_MIX_R * hashmix(word)`` into each of the four pool words (rows)
+    for each of the uint32 ``words`` (columns), all at the one position
+    whose hash constant is ``h``, as a read-only ``(4, len(words))``
+    array, and the next position's hash constant."""
+    consts = _hash_constants(h, _MULT_A)
+    v = (words ^ consts[:-1]) * consts[1:]
+    v ^= v >> 16
+    v *= _MIX_R
+    v.setflags(write=False)
+    return v, int(consts[-1, 0])
+
+
 @functools.lru_cache(maxsize=16)
 def _hashed_columns(words: tuple, h: int) -> tuple[np.ndarray, int]:
-    """``_MIX_R * hashmix(word)`` for the four pool words of each of
-    ``words``, from hash constant ``h``, as a read-only uint32
-    ``(len(words), 4, 1)`` array, and the next hash constant."""
-    rows = []
-    for word in words:
-        values, after = _hashed(word, h)
-        rows.append([_MIX_R * v & _MASK32 for v in values])
-    columns = np.array(rows, dtype=np.uint32).reshape(len(words), _POOL, 1)
-    columns.setflags(write=False)
-    return columns, after
+    """``_hashmix`` of each of ``words`` as a ``(len(words), 4, 1)`` array,
+    one row per (node, purpose) pair, and the next hash constant."""
+    v, h = _hashmix(np.array(words, dtype=np.uint32), h)
+    return v.T[:, :, None], h
 
 
 @functools.lru_cache(maxsize=16)
 def _round_columns(index: int, h: int) -> tuple[np.ndarray, int]:
-    """``_MIX_R * hashmix(round)`` for the four pool words and each round
-    of block ``index``, from hash constant ``h``, as a read-only uint32
-    ``(4, KEY_BLOCK)`` array, and the next hash constant."""
-    xors, muls = [], []
-    for _ in range(_POOL):
-        xors.append(h)
-        h = h * _MULT_A & _MASK32
-        muls.append(h)
-    xors = np.array(xors, dtype=np.uint32)[:, None]
-    v = (index * KEY_BLOCK + _ROUNDS ^ xors) * np.array(muls, dtype=np.uint32)[:, None]
-    v ^= v >> 16
-    v *= _MIX_R
-    v.setflags(write=False)
-    return v, h
+    """``_hashmix`` of every round of block ``index`` as a ``(4,
+    KEY_BLOCK)`` array, and the next hash constant."""
+    return _hashmix(index * KEY_BLOCK + _ROUNDS, h)
 
 
 def _derive(pools: list, h: int, index: int, nodes: tuple, purposes: tuple) -> np.ndarray:
@@ -285,8 +214,8 @@ def _derive(pools: list, h: int, index: int, nodes: tuple, purposes: tuple) -> n
         x *= _MIX_L
         x -= mixed
         x ^= x >> 16
-    x ^= _READ_XOR
-    x *= _READ_MUL
+    x ^= _READ[:-1]
+    x *= _READ[1:]
     x ^= x >> 16
     return x
 

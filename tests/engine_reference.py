@@ -27,7 +27,7 @@ from deedsim.engine import (
 )
 from deedsim.errors import BoundViolationError, InvalidInputError
 from deedsim.problems import estimate_fed_constants, estimate_rho
-from deedsim.quantizer import DEFAULT_FLOAT_BITS, QuantSpec, quantize
+from deedsim.quantizer import QuantSpec, quantize
 from deedsim.seeding import DOWNLINK, PARTICIPATION, ROW_SAMPLE, UPLINK, philox_key, stream
 from deedsim.theory import fed_bound
 from deedsim.trace import RunTrace
@@ -58,7 +58,7 @@ def _assert_budget(v_k, gbar, budget, round_index):
     return err
 
 
-def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_bits):
+def _exchange(S, v, payloads, participants, coefs, stage, budget, labels):
     seed, run_index, round_index = labels
     spec = QuantSpec(max_error=stage, dim=len(v))
     rows = _rows(participants)
@@ -68,14 +68,14 @@ def _exchange(S, v, payloads, participants, coefs, stage, budget, labels, float_
         max_fraction = float((np.sqrt((D[:, None, :] @ D[..., None])[:, 0, 0]) / stage).max())
     bits = []
     for j, i in enumerate(participants):
-        msg = quantize(D[j], spec, stream(seed, run_index, round_index, i, UPLINK), float_bits)
+        msg = quantize(D[j], spec, stream(seed, run_index, round_index, i, UPLINK))
         D[j] = msg.decoded
         bits.append(msg.bits)
     S[rows] += D
     up_bits, max_bits = sum(bits), max(bits)
 
     down_diff = _weighted_sum(S, participants, coefs) - v
-    umsg = quantize(down_diff, spec, stream(seed, run_index, round_index, 0, DOWNLINK), float_bits)
+    umsg = quantize(down_diff, spec, stream(seed, run_index, round_index, 0, DOWNLINK))
     v += umsg.decoded
     if stage > 0.0:
         max_fraction = max(max_fraction, _norm(down_diff) / stage)
@@ -121,8 +121,7 @@ def _record(trace, t, problem, x):
     trace.fgap[t] = 0.5 * float((x - problem.w_star) @ problem.hess @ (x - problem.w_star))
 
 
-def run_deed_sgd(problem, c_prime, s, T, *, seed=0, mc_runs=1, rho=None,
-                 float_bits=DEFAULT_FLOAT_BITS, w0=None):
+def run_deed_sgd(problem, c_prime, s, T, *, seed=0, mc_runs=1, rho=None, w0=None):
     if not problem.interpolating:
         raise InvalidInputError("the stochastic engine requires an interpolating problem")
     if rho is None:
@@ -141,15 +140,12 @@ def run_deed_sgd(problem, c_prime, s, T, *, seed=0, mc_runs=1, rho=None,
         w = _initial_point(problem, w0)
         S = np.zeros((n, problem.d))
         v = np.zeros(problem.d)
-        trace = _new_trace(
-            "deed-sgd", T, {"float_bits": float_bits, "eta": eta, "seed": seed, "run_index": r}
-        )
+        trace = _new_trace("deed-sgd", T, {"eta": eta, "seed": seed, "run_index": r})
         _record(trace, 0, problem, w)
         for k in range(T):
             grads = problem.stochastic_grad(nodes, w, _row_streams(seed, r, k, nodes))
             total = math.sqrt(s * c_prime ** (k + 1))
-            exchange = _exchange(S, v, grads, nodes, coefs, total / 2.0, total, (seed, r, k),
-                                 float_bits)
+            exchange = _exchange(S, v, grads, nodes, coefs, total / 2.0, total, (seed, r, k))
             _book(trace, k, total, n, exchange)
             w = w - eta * v
             _record(trace, k + 1, problem, w)
@@ -162,8 +158,7 @@ def run_deed_sgd(problem, c_prime, s, T, *, seed=0, mc_runs=1, rho=None,
 
 
 def run_deed_fed(problem, E, beta, gamma, s, T_rounds, participation="full", K=None, *,
-                 seed=0, mc_runs=1, trajectory_radius=None, float_bits=DEFAULT_FLOAT_BITS,
-                 w0=None):
+                 seed=0, mc_runs=1, trajectory_radius=None, w0=None):
     w0 = _initial_point(problem, w0)
     _require(
         fed_violations(
@@ -207,9 +202,7 @@ def run_deed_fed(problem, E, beta, gamma, s, T_rounds, participation="full", K=N
                 total = s * eta_at(k)
                 stage = total / 2.0
                 budget = stage * (1.0 + float(np.sum(coefs)))
-                exchange = _exchange(
-                    S, v, W, participants, coefs, stage, budget, labels, float_bits
-                )
+                exchange = _exchange(S, v, W, participants, coefs, stage, budget, labels)
                 _book(trace, k, total, n, exchange)
                 W[:] = v
             _record(trace, k, problem, _weighted_sum(W, nodes, p))

@@ -1101,15 +1101,6 @@ def _lane_problems():
     return interp, fed
 
 
-def _priced_at_32_bits(traces):
-    """The reference's traces without the ``float_bits`` extra, which the
-    engines no longer take or record: the reference ran at the default
-    32 bits per coordinate, the only width the engines charge."""
-    for trace in traces:
-        assert trace.extras.pop("float_bits") == 32
-    return traces
-
-
 def assert_lanes_match_reference(mc_runs, participation, sgd_T=40, fed_rounds=10):
     """``run_deed_sgd`` and ``run_deed_fed`` against the run-by-run loops
     of ``tests/engine_reference.py``."""
@@ -1119,7 +1110,7 @@ def assert_lanes_match_reference(mc_runs, participation, sgd_T=40, fed_rounds=10
     rho = estimate_rho(interp)
     c = 1.0 - interp.mu / (rho * interp.L)
     sgd = dict(c_prime=1 - 0.5 * (1 - c), s=1.0, T=sgd_T, seed=4, mc_runs=mc_runs, rho=rho)
-    want = _priced_at_32_bits(ref.run_deed_sgd(interp, **sgd))
+    want = ref.run_deed_sgd(interp, **sgd)
     assert_same_traces(run_deed_sgd(interp, **sgd), want)
     beta, gamma = _fed_params(fed)
     K = None if participation == "full" else 4

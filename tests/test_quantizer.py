@@ -130,19 +130,10 @@ def test_payload_matches_bits_and_roundtrips():
 
 def test_passthrough_mode():
     w = np.random.default_rng(2).standard_normal(12)
-    msg = quantize(w, QuantSpec(0.0, 12), np.random.default_rng(0), float_bits=32)
+    msg = quantize(w, QuantSpec(0.0, 12), np.random.default_rng(0))
     assert np.array_equal(msg.decoded, w)
     assert msg.bits == 32 * 12
     assert msg.grid is None and len(msg.payload) == 0
-    msg64 = quantize(w, QuantSpec(0.0, 12), np.random.default_rng(0), float_bits=64)
-    assert msg64.bits == 64 * 12
-
-
-@pytest.mark.parametrize("float_bits", [0, -5])
-def test_passthrough_rejects_nonpositive_float_bits(float_bits):
-    # A non-positive width would charge a zero or negative bit count.
-    with pytest.raises(InvalidInputError, match="float_bits must be >= 1"):
-        quantize(np.ones(3), QuantSpec(0.0, 3), np.random.default_rng(0), float_bits)
 
 
 def test_invalid_inputs():
@@ -279,19 +270,20 @@ def test_encoded_size_within_engineering_envelope():
 # -- the fast path against the frozen reference (tests/quantize_reference.py) --
 
 
-def _outcome(fn, w, spec, seed, float_bits):
+def _outcome(fn, w, spec, seed):
     """(message or error text, the generator's next draw afterwards)."""
     rng = np.random.Generator(np.random.Philox(seed))
     try:
-        out = fn(w, spec, rng, float_bits)
+        out = fn(w, spec, rng)
     except InvalidInputError as err:
         out = str(err)
     return out, rng.random()
 
 
-def assert_matches_reference(w, spec, seed=0, float_bits=32):
-    got, got_next = _outcome(quantize, w, spec, seed, float_bits)
-    want, want_next = _outcome(ref.quantize, w, spec, seed, float_bits)
+def assert_matches_reference(w, spec, seed=0):
+    got, got_next = _outcome(quantize, w, spec, seed)
+    # The reference still takes the float width that quantize fixes at 32.
+    want, want_next = _outcome(lambda *args: ref.quantize(*args, 32), w, spec, seed)
     # The next draw agrees only if both consumed the same number of draws.
     assert got_next == want_next
     if isinstance(want, str):
@@ -339,7 +331,7 @@ def test_quantize_matches_reference(d):
             assert_matches_reference(w, spec, seed=rep)
         assert_matches_reference(np.zeros(d), spec, seed=rep)
         assert_matches_reference(-np.zeros(d), spec, seed=rep)
-        assert_matches_reference(rng.normal(size=d), QuantSpec(0.0, d), seed=rep, float_bits=rep % 40)
+        assert_matches_reference(rng.normal(size=d), QuantSpec(0.0, d), seed=rep)
 
 
 @pytest.mark.parametrize("d", [1, 2, 20, 100, 10_000])
@@ -381,13 +373,12 @@ def test_quantize_nonfinite_messages_match_reference(d, bad):
     rng = np.random.default_rng(3)
     for max_error in (0.5, 0.0):
         spec = QuantSpec(max_error, d)
-        for float_bits in (32, 0):
-            w = rng.normal(size=d)
-            w[-1] = bad
-            assert_matches_reference(w, spec, float_bits=float_bits)
-            # A coordinate that overflows the grid does not change the message.
-            w[0] = 2.0**70
-            assert_matches_reference(w, spec, float_bits=float_bits)
+        w = rng.normal(size=d)
+        w[-1] = bad
+        assert_matches_reference(w, spec)
+        # A coordinate that overflows the grid does not change the message.
+        w[0] = 2.0**70
+        assert_matches_reference(w, spec)
     with pytest.raises(InvalidInputError, match="^input coordinates must be finite$"):
         quantize(np.full(d, bad), QuantSpec(0.5, d), np.random.default_rng(0))
     big = np.full(d, 2.0**70)

@@ -1,6 +1,8 @@
 """``seeding.stream`` and ``seeding.block_keys`` against numpy's own
 SeedSequence -> Philox streams."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,25 +82,6 @@ def test_philox_key_is_seed_sequence_state():
         assert got.dtype == np.uint64 and np.array_equal(got, want)
 
 
-FAST_PATH_EDGES = (0, 1, 2**32 - 1, 2**32, 2**40)
-
-
-@pytest.mark.parametrize("prefix", [(), (0,), (2, 499), (1, 2**32, 7)])
-def test_philox_key_on_both_sides_of_one_word_labels(prefix):
-    # Three or more labels whose last three (round, node, purpose) each fit
-    # one uint32 word take the round-block path; fewer labels, or a wider
-    # one, take the word-by-word path.
-    for node in FAST_PATH_EDGES:
-        for purpose in FAST_PATH_EDGES:
-            labels = prefix + (node, purpose)
-            for seed in (0, 11, 2**64 + 3):
-                want = np.random.SeedSequence(entropy=seed, spawn_key=labels).generate_state(
-                    2, np.uint64
-                )
-                got = seeding.philox_key(seed, *labels)
-                assert got.dtype == np.uint64 and np.array_equal(got, want), (seed, labels)
-
-
 @pytest.mark.parametrize("args", [(-1,), (-1, 0, 0), (3, -1), (3, 0, 0, -5, 1), (3, 0, 0, 1, -2)])
 def test_negative_seed_or_label_raises(args):
     with pytest.raises(ValueError):
@@ -173,13 +156,11 @@ PREFIXES = ((), (0,), (5,), (1, 2**33, 7))
 
 
 def assert_keys_match(seed, prefix, rounds, node, purpose):
-    # ``philox_key``, and ``block_keys`` where the round, node and purpose
-    # each fit one uint32 word; ``block_keys`` refuses wider labels.
+    # ``block_keys`` gives SeedSequence's key where the round, node and
+    # purpose each fit one uint32 word, and refuses wider labels.
     for rnd in rounds:
         labels = prefix + (rnd, node, purpose)
         want = seed_sequence_key(seed, *labels)
-        got = seeding.philox_key(seed, *labels)
-        assert got.dtype == np.uint64 and np.array_equal(got, want), (seed, labels)
         block, i = divmod(rnd, 64)
         if max(rnd, node, purpose) < 2**32:
             keys = seeding.block_keys(seed, [prefix], block, [(node, purpose)])
@@ -212,15 +193,26 @@ def test_block_keys_at_block_edges(prefix, rnd):
             assert_keys_match(seed, prefix, [rnd, *neighbours], 3, purpose)
 
 
+ONE_WORD_EDGES = (0, 1, 2**32 - 1, 2**32, 2**40)
+
+
+@pytest.mark.parametrize("prefix", [(), (0,), (2, 499), (1, 2**32, 7)])
+def test_philox_key_on_both_sides_of_one_word_labels(prefix):
+    # block_keys derives SeedSequence's Philox key for a node and a purpose
+    # that each fit one uint32 word, and refuses one of 2**32 or more.
+    for node in ONE_WORD_EDGES:
+        for purpose in ONE_WORD_EDGES:
+            for seed in (0, 11, 2**64 + 3):
+                assert_keys_match(seed, prefix, [70], node, purpose)
+
+
 @pytest.mark.parametrize("wide", [(2**32, 0, 0), (0, 2**32, 0), (0, 0, 2**32), (2**40, 2**32, 2**33)])
 def test_labels_of_two_words_take_the_scalar_path(wide):
-    # A round, node or purpose of 2**32 or more takes two words:
-    # ``philox_key`` and ``stream`` give SeedSequence's key, and
-    # ``block_keys`` refuses it.
+    # A round, node or purpose of 2**32 or more takes two words: ``stream``
+    # gives numpy's stream, and ``block_keys`` refuses it.
     rnd, node, purpose = wide
     for prefix in ((), (0,), (2, 3, 4)):
         labels = prefix + wide
-        assert np.array_equal(seeding.philox_key(11, *labels), seed_sequence_key(11, *labels))
         assert_same_stream(stream(11, *labels), oracle(11, *labels))
         with pytest.raises(ValueError):
             seeding.block_keys(11, [prefix], rnd // 64, [(node, purpose)])
@@ -267,11 +259,11 @@ def test_interleaved_prefixes_seeds_and_block_edges_match_seed_sequence(requests
 
 
 def test_two_prefixes_used_alternately():
+    # block_keys caches each prefix's pool: prefixes asked for in turn,
+    # one of them of two words, each keep their own keys.
     for rnd in range(0, 140, 3):
         for prefix in ((0,), (1,), (0,), (2**40,)):
-            for node in range(2):
-                labels = prefix + (rnd, node, seeding.ROW_SAMPLE)
-                assert np.array_equal(seeding.philox_key(9, *labels), seed_sequence_key(9, *labels))
+            assert_keys_match(9, prefix, [rnd], rnd % 2, seeding.ROW_SAMPLE)
 
 
 @pytest.mark.parametrize(
@@ -282,13 +274,33 @@ def test_negative_labels_raise_with_a_block_held(args):
     copy = held.copy()
     seed, run, rnd, node, purpose = args
     with pytest.raises(ValueError):
-        seeding.philox_key(*args)
-    with pytest.raises(ValueError):
         stream(*args)
     with pytest.raises(ValueError):
         seeding.block_keys(seed, [(run,)], rnd // 64, [(node, purpose)])
     assert held.tobytes() == copy.tobytes()
     assert_keys_match(3, (0,), [5, 6], 1, 0)
+
+
+@pytest.mark.parametrize("seed, run, node, purpose, bad", [
+    (5.5, 1, 0, seeding.UPLINK, 5.5),
+    (5, 1.7, 0, seeding.UPLINK, 1.7),
+    (5, 1, 2.0, seeding.UPLINK, 2.0),
+    (5, 1, 0, np.float64(1.0), np.float64(1.0)),
+])
+def test_non_integer_seed_or_label_is_a_named_error(seed, run, node, purpose, bad):
+    # A float is refused, not truncated to the integer below it, whichever
+    # label it is; numpy's SeedSequence refuses it too.
+    with pytest.raises(TypeError):
+        oracle(seed, run, 70, node, purpose)
+    for call in (lambda: seeding.philox_key(seed, run, 70, node, purpose),
+                 lambda: stream(seed, run, 70, node, purpose),
+                 lambda: seeding.block_keys(seed, [(run,)], 1, [(node, purpose)])):
+        with pytest.raises(InvalidInputError, match=re.escape(repr(bad))):
+            call()
+    # numpy integers and bools are integers, as numpy's SeedSequence takes them.
+    keys = seeding.block_keys(np.uint64(5), [(np.int64(1), True)], np.int32(1),
+                              [(np.uint32(2), True)])
+    assert np.array_equal(keys[0, 0, 6], seed_sequence_key(5, 1, 1, 70, 2, 1))
 
 
 def test_writing_to_a_returned_key_cannot_change_a_later_stream():

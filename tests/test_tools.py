@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 
-from deedsim import engine, quantizer
+from deedsim import engine, quantizer, seeding
 from deedsim.problems import make_linreg
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -27,16 +27,22 @@ def test_round_cost_cases_run_one_round_with_messages_stubbed(monkeypatch):
         monkeypatch.setattr(engine, name, getattr(engine, name))
     round_cost.stub_messages(engine)
     # Each message case sends one real message a round, of its dimension,
-    # under a zero budget in the lossless case only.
-    sent = []
+    # under a zero budget in the lossless case only.  Only the stream case
+    # builds a stream from its labels: run 0's uplink of node 0 at round 0.
+    sent, built = [], []
     real = quantizer.quantize
     monkeypatch.setattr(quantizer, "quantize",
                         lambda w, spec, rng: sent.append((spec, real(w, spec, rng))))
+    real_stream = seeding.stream
+    monkeypatch.setattr(seeding, "stream",
+                        lambda *labels: built.append(labels) or real_stream(*labels))
     runs = round_cost.cases(engine, make_linreg, 1)
     assert sorted(runs) == sorted(round_cost.CASES)
     for name, run in runs.items():
         sent.clear()
+        built.clear()
         run()
+        assert built == ([(1, 0, 0, 0, seeding.UPLINK)] if name == "stream by labels" else [])
         if not name.startswith("message"):
             assert sent == []
             continue
@@ -72,8 +78,6 @@ def test_round_cost_row_keys_build_every_lane_stream_across_a_block_edge(monkeyp
     # streams, run-major as _lane_grads does, over rounds that cross the
     # edge of key blocks 0 and 1, from one key derivation per block for
     # all 30 runs.
-    from deedsim import seeding
-
     round_cost = _tool("round_cost")
     derived, keys = [], []
     real = seeding.block_keys

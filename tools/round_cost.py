@@ -43,7 +43,7 @@ cases, each on its perfbench workload's problem:
   and trees with ``_partial_sync`` make the call on a ``range`` of nodes.
   Older trees lack the case.
 
-Seven more cases time what the stubs leave out.  Four are one message:
+Eight more cases time what the stubs leave out.  Four are one message:
 the real stream of labels ``(run, round, node, UPLINK)`` and
 ``quantizer.quantize`` of a vector of that stream, at d = 20 (``sgd-mc``)
 and d = 100 (``gd-race``).  The stream is made as the tree's run loop
@@ -70,7 +70,10 @@ both blocks are derived in each sample.  In trees with
 ``seeding.block_keys`` that is one derivation per block for all runs, at
 the block's first round, and one stream per key row; trees before it
 ask ``seeding.stream`` for each stream by its labels.  A sample's rounds
-are its rounds of 240 streams, with no draws.
+are its rounds of 240 streams, with no draws.  The eighth, ``stream by
+labels``, builds the real stream ``seeding.stream(1, 0, k, 0, UPLINK)``
+from its labels, as perfbench's ``wire-codec`` builds each of its 48
+streams a pass; a sample's rounds are its streams, with no draws.
 
 Each tree (a git ref, extracted with ``git archive``, or ``.`` for the
 working tree) runs in its own worker process.  A sample times
@@ -102,6 +105,7 @@ CASES = (
     "gd-race N=10 d=100 R=1", "sgd-mc N=5 d=20 R=30", "fed-sync N=8 d=10 K=4 R=30",
     "fed-sync full N=8 d=10 R=30", "message d=20", "message d=20 on-grid", "message d=100",
     "message lossless d=100", "row draw m=12", "row draw m=20", "row keys R=30 N=8",
+    "stream by labels",
 )
 
 
@@ -184,6 +188,7 @@ def cases(engine, make_linreg, rounds: int) -> dict:
     for m in (12, 20):
         out[f"row draw m={m}"] = _row_draws(m, rounds)
     out["row keys R=30 N=8"] = _row_keys(30, 8, rounds)
+    out["stream by labels"] = _label_streams(rounds)
     if not hasattr(engine, "_lane_grads"):
         return out
 
@@ -406,6 +411,18 @@ def _row_keys(R: int, N: int, rounds: int):
             for r in range(R):
                 for i in range(N):
                     seeding.stream(1, r, k, i, seeding.ROW_SAMPLE)
+
+    return build
+
+
+def _label_streams(rounds: int):
+    """A callable that builds run 0's uplink stream of node 0 at each of
+    ``rounds`` rounds from its labels, with ``seeding.stream``."""
+    from deedsim import seeding
+
+    def build():
+        for k in range(rounds):
+            seeding.stream(1, 0, k, 0, seeding.UPLINK)
 
     return build
 

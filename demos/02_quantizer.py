@@ -9,6 +9,7 @@ expectation), and its mean over the dither equals the input exactly.
 import numpy as np
 
 from deedsim import QuantSpec, bits_lower_bound, bits_upper_bound, quantize
+from deedsim.quantizer import grid_point
 
 rng = np.random.default_rng(42)
 d = 64
@@ -30,15 +31,15 @@ spec = QuantSpec(0.8, 4)
 acc = np.zeros(4)
 M = 200_000
 for _ in range(M):
-    acc += quantize(w, spec, rng).decoded
+    acc += grid_point(w, spec, rng) * spec.grid_step  # the decoded vector
 print(f"  input : {w}")
 print(f"  mean  : {np.round(acc / M, 5)}")
 print(f"  |dev| : {np.abs(acc / M - w).max():.2e} "
       f"(dither std/sqrt(M) ~ {spec.grid_step / 2 / np.sqrt(M):.2e})")
 
 print("\non-grid inputs reproduce exactly, with zero randomness:")
-grid_point = np.array([3, -5, 0, 12]) * spec.grid_step
-outs = {quantize(grid_point, spec, np.random.default_rng(s)).decoded.tobytes()
+on_grid = np.array([3, -5, 0, 12]) * spec.grid_step
+outs = {quantize(on_grid, spec, np.random.default_rng(s)).decoded.tobytes()
         for s in range(10)}
 print(f"  10 seeds -> {len(outs)} distinct output(s); "
-      f"exact: {np.array_equal(quantize(grid_point, spec, rng).decoded, grid_point)}")
+      f"exact: {np.array_equal(quantize(on_grid, spec, rng).decoded, on_grid)}")

@@ -54,7 +54,10 @@ import numpy as np
 
 from .errors import BoundViolationError, ConfigError, InvalidInputError
 from .problems import _MAX_RADIUS, QuadraticProblem, estimate_fed_constants, estimate_rho
-from .quantizer import DEFAULT_FLOAT_BITS, QuantSpec, _is_integer, grid_payload_bits, quantize
+from .quantizer import DEFAULT_FLOAT_BITS, QuantSpec, _is_integer, grid_payload_bits
+# perfbench/tracing.py wraps ``engine.quantize`` and counts its calls, so
+# every message of a run is one call of this name: its grid point.
+from .quantizer import grid_point as quantize
 from .seeding import DOWNLINK, KEY_BLOCK, PARTICIPATION, ROW_SAMPLE, UPLINK, block_keys
 # perfbench/tracing.py wraps ``engine.stream`` and counts the generators it
 # returns, so every stream of a run is built by one call of this name.
@@ -168,12 +171,13 @@ class _Exchange:
     non-participant's accumulator keeps every bit.  Until a lane is
     narrowed every ``where`` is True, which costs nothing.
 
-    Per message a call makes one stream, one ``quantize`` and one row copy
-    of the grid point into one ``(N + 1, R, d)`` stack, the downlinks in
-    the last row.  After each loop one multiply by the grid step decodes
-    the rows into an array of their own (``_decode``), so every grid
-    point lasts until the call ends, and then one ``grid_payload_bits``
-    call counts the bits of every message sent.  The differences and the
+    Per message a call makes one stream, one ``quantize`` (the quantizer's
+    ``grid_point``) and one row copy of the grid point, or a lossless
+    message's verbatim vector, into one ``(N + 1, R, d)`` stack, the
+    downlinks in the last row.  After each loop one multiply by the grid
+    step decodes the rows into an array of their own (``_decode``), so
+    every grid point lasts until the call ends, and then one
+    ``grid_payload_bits`` call counts the bits of every message sent.  The differences and the
     aggregate error of every lane are rows of one ``(N + 2, R, d)`` array,
     so one stacked call takes all their norms, and one reduce gives both
     weighted sums.
@@ -232,22 +236,18 @@ class _Exchange:
 
     def __call__(self, stage, budget, round_index, keys):
         spec = _quant_spec(stage, self.v.shape[-1])
-        # A message's grid point, or a lossless message's verbatim vector.
-        point = "decoded" if spec.lossless else "_float_grid"
         S, v, N = self.S, self.v, len(self.up)
         update, members, sending = self.where
         np.subtract(self.payloads, S, out=self.up)
         for sends, lane_keys in zip(self.uplinks, keys):
             for i, diff, row in sends:
-                msg = quantize(diff, spec, stream(lane_keys[i]))
-                row[...] = getattr(msg, point)
+                row[...] = quantize(diff, spec, stream(lane_keys[i]))
         np.add(S, self._decode(spec, slice(N), update), out=S, where=update)
 
         _weighted_sums(self.SP, self.coefs, self.terms, self.sums, members)
         np.subtract(self.aggregate, v, out=self.down)
         for (diff, row), key in zip(self.downlinks, keys[:, N]):  # every uplink is applied
-            msg = quantize(diff, spec, stream(key))
-            row[...] = getattr(msg, point)
+            row[...] = quantize(diff, spec, stream(key))
         v += self._decode(spec, N, True)
         np.subtract(v, self.gbar, out=self.error)
         np.matmul(*self.rows_of_diffs, out=self.dots)
@@ -993,8 +993,9 @@ def run_deed_fed(
 
 def _participants(participation, K, p, key):
     """Node ids (ascending) and aggregation coefficients of one sync under
-    ``participation`` with node weights ``p``; partial schemes draw from
-    the stream of ``key``, the key row of the sync's participation stream.
+    the partial scheme ``participation`` with node weights ``p``, drawn
+    from the stream of ``key``, the key row of the sync's participation
+    stream.
 
     The center aggregates the participants' accumulator rows with these
     coefficients.  For K = N without replacement they equal the
@@ -1002,8 +1003,6 @@ def _participants(participation, K, p, key):
     bitwise.
     """
     n = len(p)
-    if participation == "full":
-        return range(n), p
     rng = stream(key)
     if participation == "with-replacement":
         counts = np.bincount(rng.choice(n, size=K, replace=True, p=p), minlength=n)

@@ -3,27 +3,27 @@
 A vector ``w`` in R^d is scaled onto an integer grid of step
 ``max_error / sqrt(d)``, each coordinate is rounded to floor or ceil
 unbiasedly (stochastic rounding), and the integer grid point is shipped
-as a sparse Elias-coded payload.  ``quantize`` stops at the grid point,
-held as integer-valued floats; its message derives the decoded vector,
-payload bits and ``grid`` on first read.  A vector with no coordinate on
+as a sparse Elias-coded payload.  ``grid_point`` stops at the grid
+point, held as integer-valued floats, which is all a run reads;
+``quantize`` builds the whole message from it: the sparse ``grid``, the
+decoded vector and the payload bits.  A vector with no coordinate on
 the grid, nearly every vector a run sends, takes a short path of one
-draw per coordinate; ``quantize``'s docstring proves that both paths
+draw per coordinate; ``grid_point``'s docstring proves that both paths
 agree.  ``grid_payload_bits`` counts a whole ``(..., d)`` stack of grid
 points, so a run decodes and counts a round's messages at once; a
-message read on its own counts its bits from its sparse ``grid`` with
+message counts its bits from its sparse ``grid`` with
 ``sparse_payload_bits``.  The decoded vector is always within Euclidean
 distance ``max_error`` of the input, and its expectation over the
 rounding dither equals the input.
 
-``quantize`` makes no ``ufunc`` reduction (``np.maximum.reduce``,
+``grid_point`` makes no ``ufunc`` reduction (``np.maximum.reduce``,
 ``.min()``, ``.all()``) on a vector it accepts: each check reads the
 least and greatest value by index through ``argmin`` and ``argmax``.  On
-numpy 2.4 one reduction of a 20- to 100-float vector costs 0.7-1.2 us
-(``np.isfinite(w).all()`` 1.1-1.2 us), and both reads by index together
-0.5-0.75 us.  ``quantize`` takes 5.8 us at d = 20 and 6.9 us at d = 100
-against 7.5 and 8.3 us with the three reductions it made before, and
-2.2 us against 2.9 us for a lossless message (2-core x86 box, the same
-vectors timed in turn in one process; minima of 9 for the reductions).
+numpy 2.4 one reduction of a 20- to 100-float vector costs 0.7-1.2 us,
+and both reads by index together 0.5-0.75 us.  ``grid_point`` takes
+6.1 us at d = 20, 6.4-6.7 us at d = 100 and 1.35 us lossless; a whole
+message from ``quantize`` takes 20-21 us, and 2.3-2.7 us lossless
+(2-core x86 box, minima of 9 x 5,000 calls).
 
 Setting ``max_error = 0`` selects lossless pass-through: the vector is
 transmitted verbatim and charged ``DEFAULT_FLOAT_BITS * dim`` bits, which gives
@@ -53,6 +53,7 @@ __all__ = [
     "DEFAULT_FLOAT_BITS",
     "QuantSpec",
     "QuantizedMessage",
+    "grid_point",
     "quantize",
     "grid_payload_bits",
     "dequantize",
@@ -102,9 +103,6 @@ class QuantSpec:
         return self.max_error == 0.0
 
 
-_DERIVED = ("grid", "decoded", "bits")  # a quantized message's, from its grid point
-
-
 @dataclass(frozen=True, eq=False)
 class QuantizedMessage:
     """A quantized vector: integer grid point, payload size, decoded value.
@@ -112,11 +110,10 @@ class QuantizedMessage:
     ``grid`` is ``None`` in pass-through mode, where ``decoded`` carries
     the verbatim vector and ``bits`` is ``DEFAULT_FLOAT_BITS * dim``.  Otherwise
     ``decoded == grid * grid_step`` coordinate-wise and ``bits`` equals
-    the Elias payload length.  A message from ``quantize`` holds only its
-    grid point and derives each of ``grid``, ``decoded`` and ``bits`` on
-    first read (see ``_unbuilt``).  Two messages are equal when their
-    spec, bits, grid and decoded values are; a message is unhashable, as
-    its decoded array is mutable.
+    the Elias payload length.  ``quantize`` sets all four fields from
+    ``grid_point``'s grid point.  Two messages are equal when their spec,
+    bits, grid and decoded values are; a message is unhashable, as its
+    decoded array is mutable.
     """
 
     spec: QuantSpec
@@ -135,35 +132,6 @@ class QuantizedMessage:
         )
 
     __hash__ = None
-
-    @classmethod
-    def _unbuilt(cls, spec: QuantSpec, float_grid: np.ndarray) -> "QuantizedMessage":
-        """A message that holds its grid point, the quantizer's own array
-        ``float_grid`` of integer-valued floats, in place of its fields."""
-        self = object.__new__(cls)
-        self.__dict__.update(spec=spec, _float_grid=float_grid)
-        return self
-
-    def __getattr__(self, name):
-        # Reached only for a name the instance does not hold: a derived
-        # field of an unbuilt message, before its first read.  Once all
-        # three are stored, the float grid is dropped.
-        state = self.__dict__
-        if name not in _DERIVED or "_float_grid" not in state:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        point = state["_float_grid"]
-        if name == "grid":  # exact: every value is an integer below 2**63
-            (idx,) = point.nonzero()
-            value = SparseIntVector._unchecked(self.spec.dim, idx + 1, point[idx].astype(np.int64))
-        elif name == "decoded":
-            value = point * self.spec.grid_step
-        else:  # from the sparse grid, built first if it has not been read
-            grid = self.grid
-            value = sparse_payload_bits(grid.position_array, grid.value_array)
-        state[name] = value
-        if all(key in state for key in _DERIVED):
-            del state["_float_grid"]
-        return value
 
     @property
     def payload(self) -> BitStream:
@@ -191,13 +159,10 @@ class QuantizedMessage:
         return stream.to_bytes(), len(stream)
 
 
-def quantize(
-    w: np.ndarray,
-    spec: QuantSpec,
-    rng: np.random.Generator,
-) -> QuantizedMessage:
-    """Quantize ``w`` under ``spec``, consuming one dither draw per
-    randomized coordinate in coordinate order.
+def grid_point(w: np.ndarray, spec: QuantSpec, rng: np.random.Generator) -> np.ndarray:
+    """The grid point of ``w`` under ``spec``, a new array of integer-valued
+    floats below 2**63 (a copy of ``w`` when lossless), consuming one
+    dither draw per randomized coordinate in coordinate order.
 
     Coordinates already equal to a representable grid point reproduce
     themselves deterministically (no draw consumed).
@@ -244,9 +209,7 @@ def quantize(
         # The least and greatest coordinates, or the first NaN.
         if not (math.isfinite(w[w.argmin()]) and math.isfinite(w[w.argmax()])):
             raise InvalidInputError("input coordinates must be finite")
-        return QuantizedMessage(
-            spec=spec, grid=None, decoded=w.copy(), bits=DEFAULT_FLOAT_BITS * spec.dim
-        )
+        return w.copy()
 
     step = spec.grid_step
     scaled = w / step
@@ -276,10 +239,21 @@ def quantize(
         if n:
             up[randomized] = rng.random(n) < frac[randomized]
 
-    # The grid point lo + up in place of lo: integer-valued floats below
-    # 2**63, whose decoded value is lo * step.
-    np.add(lo, up, out=lo)
-    return QuantizedMessage._unbuilt(spec, lo)
+    # The grid point lo + up in place of lo.
+    return np.add(lo, up, out=lo)
+
+
+def quantize(w: np.ndarray, spec: QuantSpec, rng: np.random.Generator) -> QuantizedMessage:
+    """The message of ``w`` under ``spec``: ``grid_point``'s grid point, from
+    the same draws, as its sparse grid, decoded vector and payload bits."""
+    point = grid_point(w, spec, rng)
+    if spec.lossless:
+        return QuantizedMessage(spec, None, point, DEFAULT_FLOAT_BITS * spec.dim)
+    (idx,) = point.nonzero()  # exact: every value is an integer below 2**63
+    grid = SparseIntVector._unchecked(spec.dim, idx + 1, point[idx].astype(np.int64))
+    bits = sparse_payload_bits(grid.position_array, grid.value_array)
+    point *= spec.grid_step  # the decoded vector, in the grid point's place
+    return QuantizedMessage(spec, grid, point, bits)
 
 
 def grid_payload_bits(points: np.ndarray) -> np.ndarray:
@@ -307,21 +281,28 @@ def dequantize(msg: QuantizedMessage) -> np.ndarray:
     return msg.grid.to_dense(dtype=np.float64) * msg.spec.grid_step
 
 
-def bits_lower_bound(dim: int, rel_err: float) -> int:
-    """Information-theoretic floor ``ceil(dim * log2(1 / rel_err))``,
-    clamped at zero, for coding a ball to relative accuracy ``rel_err``."""
+def _check_bound_args(dim, rel_err) -> None:
+    if not _is_integer(dim):
+        raise InvalidInputError(f"dim must be an integer (dim = {dim!r})")
     if dim < 1:
         raise InvalidInputError("dim must be positive")
     if not rel_err > 0:
         raise InvalidInputError("rel_err must be positive")
+    if not (math.isfinite(rel_err) and math.isfinite(1.0 / rel_err)):
+        raise InvalidInputError(f"rel_err and 1 / rel_err must be finite (rel_err = {rel_err!r})")
+
+
+def bits_lower_bound(dim: int, rel_err: float) -> int:
+    """Information-theoretic floor ``ceil(dim * log2(1 / rel_err))``,
+    clamped at zero, for coding a ball to relative accuracy ``rel_err``."""
+    _check_bound_args(dim, rel_err)
     return max(0, math.ceil(dim * math.log2(1.0 / rel_err)))
 
 
 def bits_upper_bound(dim: int, rel_err: float) -> int:
     """Achievable cost ``ceil(1.05 d + d log2((1 + 2 rel_err)/rel_err))``
     of an unbiased grid code at relative accuracy ``rel_err``."""
-    if dim < 1:
-        raise InvalidInputError("dim must be positive")
-    if not rel_err > 0:
-        raise InvalidInputError("rel_err must be positive")
-    return math.ceil(1.05 * dim + dim * math.log2((1.0 + 2.0 * rel_err) / rel_err))
+    _check_bound_args(dim, rel_err)
+    # From 2**54 on 1 + 2 rel_err rounds to 2 rel_err (or overflows): the ratio is 2.
+    ratio = 2.0 if rel_err >= 2.0**54 else (1.0 + 2.0 * rel_err) / rel_err
+    return math.ceil(1.05 * dim + dim * math.log2(ratio))

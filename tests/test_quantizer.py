@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import itertools
 import math
 import pickle
 
@@ -26,6 +25,7 @@ from deedsim.quantizer import (
     bits_upper_bound,
     dequantize,
     grid_payload_bits,
+    grid_point,
     quantize,
 )
 
@@ -239,6 +239,8 @@ def test_bits_lower_bound_worked_values():
 def test_bits_upper_bound_worked_values():
     assert bits_upper_bound(2, 0.25) == 8
     assert bits_upper_bound(1, 1.0) == 3
+    # Where 2 rel_err overflows, the ratio (1 + 2 rel_err) / rel_err is 2.
+    assert bits_upper_bound(3, 1e308) == math.ceil(1.05 * 3 + 3)
 
 
 def test_bits_upper_bound_monotone():
@@ -252,6 +254,21 @@ def test_bit_bound_argument_validation():
         bits_lower_bound(0, 0.5)
     with pytest.raises(InvalidInputError):
         bits_upper_bound(4, 0.0)
+
+
+@pytest.mark.parametrize("bound", [bits_lower_bound, bits_upper_bound])
+@pytest.mark.parametrize("dim, rel_err, named", [
+    (2.5, 0.25, r"dim must be an integer \(dim = 2\.5\)"),
+    (True, 0.25, r"dim must be an integer \(dim = True\)"),
+    (math.nan, 0.25, r"dim must be an integer \(dim = nan\)"),
+    (3, math.inf, r"must be finite \(rel_err = inf\)"),
+    (3, 1e-320, r"must be finite \(rel_err = 1e-320\)"),  # 1 / rel_err overflows
+])
+def test_bit_bounds_reject_malformed_input(bound, dim, rel_err, named):
+    # A float or bool dimension once ran as its integer part, and a
+    # non-finite rel_err or 1 / rel_err raised a bare math error.
+    with pytest.raises(InvalidInputError, match=named):
+        bound(dim, rel_err)
 
 
 def test_encoded_size_within_engineering_envelope():
@@ -282,20 +299,29 @@ def _outcome(fn, w, spec, seed):
 
 def assert_matches_reference(w, spec, seed=0):
     got, got_next = _outcome(quantize, w, spec, seed)
+    point, point_next = _outcome(grid_point, w, spec, seed)
     # The reference still takes the float width that quantize fixes at 32.
     want, want_next = _outcome(lambda *args: ref.quantize(*args, 32), w, spec, seed)
-    # The next draw agrees only if both consumed the same number of draws.
+    # The next draw agrees only if all three consumed the same number of draws.
     assert got_next == want_next
+    assert point_next == want_next
     if isinstance(want, str):
         assert got == want
+        assert point == want
         return
     assert not isinstance(got, str), got
-    assert got.bits == want.bits
+    assert not isinstance(point, str), point
+    assert got.bits == want.bits and type(got.bits) is type(want.bits)
     assert got.decoded.dtype == want.decoded.dtype
     assert got.decoded.tobytes() == want.decoded.tobytes()
+    # The grid point is a new float array: the grid, or a lossless w.
+    assert point.dtype == np.float64 and not np.shares_memory(point, w)
     if want.grid is None:
         assert got.grid is None
+        assert point.tobytes() == got.decoded.tobytes() == np.asarray(w).tobytes()
         return
+    assert np.array_equal(point, want.grid.to_dense(dtype=np.float64))
+    assert got.decoded.tobytes() == (point * spec.grid_step).tobytes()
     assert got.grid == want.grid
     # The unchecked grid is one the checked constructor accepts.
     assert SparseIntVector(got.grid.dim, got.grid.positions, got.grid.values) == want.grid
@@ -535,38 +561,14 @@ def test_quantize_matches_reference_on_long_vectors(case, seed):
     assert_matches_reference(w, spec, seed=seed)
 
 
-# -- the grid, built on first read --
-
-FIELDS = {"spec", "grid", "decoded", "bits"}
+# -- a message as a dataclass --
 
 
 def _philox(seed):
     return np.random.Generator(np.random.Philox(seed))
 
 
-@pytest.mark.parametrize("d", [1, 20, 100])
-def test_grid_built_on_first_read_equals_reference(d):
-    rng = np.random.default_rng(100 + d)
-    for rep in range(10):
-        spec = QuantSpec(float(rng.choice([1e-6, 0.05, 3.0])), d)
-        w = rng.normal(size=d) * float(rng.choice([0.0, 1e-3, 1.0, 1e4]))
-        msg = quantize(w, spec, _philox(rep))
-        want = ref.quantize(w, spec, _philox(rep))
-        assert "grid" not in vars(msg)
-        assert msg.grid == want.grid
-        assert msg.grid.positions == want.grid.positions
-        assert msg.grid.values == want.grid.values
-        # Once its decoded vector and bits are read too, the message holds
-        # its fields and nothing else: the float grid it was built from is
-        # dropped.
-        assert "_float_grid" in vars(msg)
-        assert msg.decoded.tobytes() == want.decoded.tobytes()
-        assert msg.bits == want.bits
-        assert set(vars(msg)) == FIELDS
-        assert msg.grid is msg.grid
-
-
-def test_unbuilt_message_keeps_dataclass_behaviour():
+def test_message_keeps_dataclass_behaviour():
     spec = QuantSpec(0.05, 6)
     w = np.array([0.3, -0.01, 0.0, 2.5, -7.25, 1e-9])
 
@@ -575,33 +577,28 @@ def test_unbuilt_message_keeps_dataclass_behaviour():
 
     want = ref.quantize(w, spec, _philox(3))
     assert not hasattr(fresh(), "no_such_field")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fresh().bits = 0
 
-    # replace with a grid takes that grid; the bits it copies are counted
-    # from the message's own grid, which their first read builds.
+    # replace with a grid takes that grid and copies the other fields.
     msg = fresh()
     other = dataclasses.replace(msg, grid=want.grid)
     assert other.grid is want.grid and other.decoded is msg.decoded and other.bits == msg.bits
-    assert vars(msg)["grid"] == want.grid and vars(msg)["grid"] is not want.grid
-    # replace of another field reads the grid.
+    assert msg.grid == want.grid and msg.grid is not want.grid
     assert dataclasses.replace(fresh(), bits=0).grid == want.grid
 
-    # == and repr read the grid, field by field as a built message's do.
+    # == and repr compare and show the fields.
     msg = fresh()
     assert msg == QuantizedMessage(spec, want.grid, msg.decoded, msg.bits)
-    msg = fresh()
     assert msg != QuantizedMessage(spec, want.grid, msg.decoded, msg.bits + 1)
     assert repr(fresh()) == repr(want)
 
-    # A pickle or copy round trip, before or after the first read.
-    built = fresh()
-    built.grid
-    for m in (fresh(), built):
-        for back in (pickle.loads(pickle.dumps(m)), copy.copy(m), copy.deepcopy(m)):
-            assert back.grid == want.grid
-            assert back.bits == want.bits
-            assert back.decoded.tobytes() == want.decoded.tobytes()
-            assert back.to_bytes() == want.to_bytes()
-            assert set(vars(back)) == FIELDS
+    # A pickle or copy round trip.
+    for back in (pickle.loads(pickle.dumps(msg)), copy.copy(msg), copy.deepcopy(msg)):
+        assert back.grid == want.grid
+        assert back.bits == want.bits
+        assert back.decoded.tobytes() == want.decoded.tobytes()
+        assert back.to_bytes() == want.to_bytes()
 
 
 def test_messages_from_separate_calls_compare_by_value():
@@ -610,50 +607,21 @@ def test_messages_from_separate_calls_compare_by_value():
     def fresh(w=(1.0, 1.0, 1.0), rep=1):
         return quantize(np.array(w), spec, _philox(rep))
 
-    def built(*args):
-        msg = fresh(*args)
-        msg.grid
-        return msg
-
     def lossless(w=(1.0, 1.0, 1.0)):
         return quantize(np.array(w), QuantSpec(0.0, 3), _philox(0))
 
-    # Unbuilt, built, and one of each: equal from separate calls, and
-    # unequal for another input.
-    for make, other in [(fresh, fresh), (built, built), (fresh, built), (built, fresh)]:
-        assert make() == other() and not make() != other()
-        assert make() != other((2.0, -1.0, 0.5)) and not make() == other((2.0, -1.0, 0.5))
+    # Equal from separate calls, and unequal for another input.
+    assert fresh() == fresh() and not fresh() != fresh()
+    assert fresh() != fresh((2.0, -1.0, 0.5)) and not fresh() == fresh((2.0, -1.0, 0.5))
     assert fresh() != dataclasses.replace(fresh(), bits=fresh().bits + 1)
     assert lossless() == lossless() and not lossless() != lossless()
     # Lossless messages differ only in their decoded values here.
     assert lossless() != lossless((1.0, 1.0, 2.0))
     assert lossless() != fresh() and fresh() != lossless()
     assert fresh() != "a message" and not fresh() == "a message"
-    for msg in (fresh(), built(), lossless()):
+    for msg in (fresh(), lossless()):
         with pytest.raises(TypeError, match="unhashable"):
             hash(msg)
-
-
-def test_derived_fields_equal_reference_in_any_read_order():
-    # Each of grid, decoded and bits is derived on its own first read, and
-    # bits are counted from the grid, built first if it was not read; the
-    # float grid is dropped only once all three are stored.
-    spec = QuantSpec(0.05, 6)
-    w = np.array([0.3, -0.01, 0.0, 2.5, -7.25, 1e-9])
-    want = ref.quantize(w, spec, _philox(3))
-    for order in itertools.permutations(("grid", "decoded", "bits")):
-        msg = quantize(w, spec, _philox(3))
-        assert set(vars(msg)) == {"spec", "_float_grid"}
-        for read, name in enumerate(order, 1):
-            got = getattr(msg, name)
-            if name == "decoded":
-                assert got.tobytes() == want.decoded.tobytes()
-            else:
-                assert got == getattr(want, name) and type(got) is type(getattr(want, name))
-            stored = set(order[:read]) | ({"grid"} if "bits" in order[:read] else set())
-            assert set(vars(msg)) == {"spec"} | stored | (
-                set() if stored == FIELDS - {"spec"} else {"_float_grid"}), order
-        assert set(vars(msg)) == FIELDS
 
 
 # -- the stacked payload-bit counter against the per-row counts --

@@ -7,9 +7,9 @@ real message.
 
 Times the engine's own per-round work: ``quantize`` and ``stream`` are
 replaced, inside the timing processes only, by stubs that return the
-message unchanged (a fixed bit count) and a stream whose draws are all
-zero, so what is left is the loop's numpy and Python overhead and the
-gradient oracle.  In trees whose run loop derives each 64-round block's
+input over the grid step as the message (``_Message``, with a fixed bit
+count) and a stream whose draws are all zero, so what is left is the
+loop's numpy and Python overhead and the gradient oracle.  In trees whose run loop derives each 64-round block's
 stream keys (``engine.block_keys``), that derivation is stubbed too: it
 returns a filled array and derives nothing, as the stub stream did
 before.  In trees whose exchange reads each message's grid
@@ -109,17 +109,22 @@ CASES = (
 )
 
 
-class _Message:
-    """A stub message: the input as its decoded value, with a fixed bit
-    count, and the input over the grid step as its grid point, which
-    trees whose exchange scales and counts a round's grid points at once
-    read instead.  Every tree pays for the one division."""
+class _Message(np.ndarray):
+    """A stub message: the input over the grid step (the input itself
+    under a zero budget) as its grid point, which trees whose ``quantize``
+    returns the grid point copy into a row.  It carries the input as its
+    decoded value and a fixed bit count, which older trees read, and
+    itself as ``_float_grid``, which trees whose exchange read a message's
+    private grid point read.  Every tree pays for the one division."""
 
-    __slots__ = ("_float_grid", "decoded", "bits")
-
-    def __init__(self, decoded, spec, bits) -> None:
+    def __new__(cls, decoded, spec, bits):
+        self = (decoded / spec.grid_step if spec.grid_step else decoded).view(cls)
         self.decoded, self.bits = decoded, bits
-        self._float_grid = decoded / spec.grid_step if spec.grid_step else decoded
+        return self
+
+    @property
+    def _float_grid(self):
+        return self
 
 
 class _Draws:

@@ -71,10 +71,7 @@ class Algorithm:
     the rule the engine fixes, which rejects ``run.eta``.  ``mc_runs``
     says whether the engine runs Monte Carlo runs (``run.mc_runs``); a
     ``quant`` key that is neither required nor in ``unread`` is rejected.
-    Required fed
-    keys give the federated envelope, a ``c_prime`` the contraction
-    envelope, and otherwise ``harness.compute_bound`` uses the recursion
-    of the unquantized method.  ``run(cfg, **common)`` calls the engine.
+    ``run(cfg, **common)`` calls the engine.
     """
 
     horizon: str  # run key holding T

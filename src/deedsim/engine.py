@@ -64,9 +64,11 @@ from .seeding import DOWNLINK, KEY_BLOCK, PARTICIPATION, ROW_SAMPLE, UPLINK, blo
 from .seeding import key_stream as stream
 from .theory import (
     AcceleratedConstants,
+    RecursionSpec,
     accelerated_bound,
     deterministic_bound,
     fed_bound,
+    recursion_bound,
     sgd_squared_bound,
 )
 from .trace import RunTrace
@@ -80,10 +82,11 @@ __all__ = [
     "run_exact_agd",
     "run_const_error_gd",
     "check_envelope",
-    "contraction_envelope",
+    "envelope",
     "contraction_factor",
     "fed_violations",
     "margin_violations",
+    "mean_squared",
     "param_violations",
     "PARTICIPATION_SCHEMES",
 ]
@@ -481,13 +484,25 @@ def margin_violations(algorithm, problem, c_prime, *, eta=None, rho=None) -> lis
     ]
 
 
-def contraction_envelope(algorithm, problem, c_prime, s, T, w0=None, *, eta=None, rho=None):
-    """Envelope of a ``deed-gd`` or ``a-deed-gd`` run's distance, or of a
-    ``deed-sgd`` run's mean squared distance, for a met margin.  The
-    momentum envelope's constants are in ``extras["accel_constants"]``."""
-    c = contraction_factor(algorithm, problem, eta=eta, rho=rho)
+def envelope(algorithm, problem, T, w0=None, *, eta=None, rho=None, c_prime=None, s=None,
+             fixed_eps=None, fed=None, beta=None, gamma=None):
+    """The envelope of an ``algorithm`` run of ``T`` rows from ``w0``, which
+    the engines check and ``bound.csv`` holds: on the distance (``deed-gd``,
+    ``a-deed-gd``), on the mean squared distance (``deed-sgd``, and
+    ``deed-fed`` from its certified constants ``fed``), or, for the
+    baselines, the squared-distance recursion of the unquantized method
+    with noise ``eta * fixed_eps`` (0 lossless); None for ``agd`` at c = 0."""
     w0 = _initial_point(problem, w0)
     D0 = float(np.linalg.norm(w0 - problem.w_star))
+    if algorithm == "deed-fed":
+        return fed_bound(fed, beta, gamma, problem.mu, s, D0, T)
+    if algorithm in ("gd", "agd", "const-quant-gd"):
+        c = contraction_factor("a-deed-gd" if algorithm == "agd" else "deed-gd", problem, eta=eta)
+        if algorithm == "agd" and c == 0.0:
+            return None
+        alpha = 0.0 if fixed_eps is None else eta * fixed_eps
+        return recursion_bound(RecursionSpec(np.full(T, c), np.full(T, alpha), D0), T)
+    c = contraction_factor(algorithm, problem, eta=eta, rho=rho)
     if algorithm == "deed-gd":
         return deterministic_bound(c, c_prime, eta, s, D0, T)
     if algorithm == "deed-sgd":
@@ -501,22 +516,33 @@ def contraction_envelope(algorithm, problem, c_prime, s, T, w0=None, *, eta=None
     return series
 
 
+def mean_squared(traces):
+    """The across-run mean of the squared distance on every row of the
+    Monte Carlo ``traces`` and its standard error (0 for one trace), as
+    ``mean_squared.csv`` writes them and the envelope check reads them.
+    A row's runs are summed down its own column; ``sq.mean(axis=0)`` would
+    add them in another order."""
+    sq = np.stack([tr.dist**2 for tr in traces])
+    mean = np.ascontiguousarray(sq.T).mean(axis=1)
+    if len(traces) == 1:
+        return mean, np.zeros_like(mean)
+    return mean, sq.std(axis=0, ddof=1) / math.sqrt(len(traces))
+
+
 def check_envelope(traces, series, kind, squared, rows=None) -> float:
     """Verify finished traces against an envelope; return the smallest
     slack.
 
     ``squared=False`` checks the one trace's distance row by row;
     ``squared=True`` checks the across-run mean squared distance plus
-    three standard errors (none for a single run).  ``rows`` restricts
+    three standard errors (``mean_squared``).  ``rows`` restricts
     the check (deed-fed: sync rows only).  Raises ``BoundViolationError``
     at the first offending row, carrying ``traces``; a NaN observed or
     allowed value offends.  Otherwise returns the smallest slack (allowed
     minus observed) over the checked rows, ``inf`` when none is checked.
     """
     if squared:
-        sq = np.stack([tr.dist**2 for tr in traces])
-        observed = sq.mean(axis=0)
-        se = sq.std(axis=0, ddof=1) / math.sqrt(len(traces)) if len(traces) > 1 else 0.0
+        observed, se = mean_squared(traces)
     else:
         (trace,) = traces
         observed, se = trace.dist, 0.0
@@ -647,20 +673,13 @@ def _contraction_run(algorithm, problem, eta, tau, c_prime, s, T, **run):
         problem, algorithm=algorithm, eta=eta, tau=tau, T=T,
         budget_total=lambda k: s * c_prime ** (k + 1), **run,
     )
-    series = None
-    if check:
-        series = contraction_envelope(algorithm, problem, c_prime, s, T, run["w0"], eta=eta)
     trace.extras.update(
-        {
-            "c": contraction_factor(algorithm, problem, eta=eta),
-            "c_prime": c_prime,
-            "s": s,
-            "tau": tau,
-            "envelope_checked": check,
-            "accel_constants": series.extras.get("accel_constants") if check else None,
-        }
+        c=contraction_factor(algorithm, problem, eta=eta), c_prime=c_prime, s=s, tau=tau,
+        envelope_checked=check, accel_constants=None,
     )
     if check:
+        series = envelope(algorithm, problem, T, run["w0"], eta=eta, c_prime=c_prime, s=s)
+        trace.extras["accel_constants"] = series.extras.get("accel_constants")
         check_envelope([trace], series, f"{algorithm} envelope", squared=False)
     return trace
 
@@ -785,7 +804,7 @@ def run_const_error_gd(
         differential=False,
     )
     trace.budget[-1] = fixed_eps
-    trace.extras.update({"fixed_eps": fixed_eps, "c": 1.0 - eta * problem.mu})
+    trace.extras.update(fixed_eps=fixed_eps, c=contraction_factor("deed-gd", problem, eta=eta))
     return trace
 
 
@@ -838,7 +857,7 @@ def run_deed_sgd(
     for trace in traces:
         trace.extras.update({"c": c, "c_prime": c_prime, "s": s, "rho": rho})
 
-    series = contraction_envelope("deed-sgd", problem, c_prime, s, T, w0, rho=rho)
+    series = envelope("deed-sgd", problem, T, w0, rho=rho, c_prime=c_prime, s=s)
     check_envelope(traces, series, "stochastic envelope", squared=True)
     return traces
 
@@ -980,11 +999,9 @@ def run_deed_fed(
 
     radius = fed_radius(problem, w0, trajectory_radius)
     fed = estimate_fed_constants(problem, E, K if K is not None else n, participation, radius)
-    D0 = float(np.linalg.norm(w0 - problem.w_star))
-    series = fed_bound(fed, beta, gamma, problem.mu, s, D0, T_total)
+    series = envelope("deed-fed", problem, T_total, w0, s=s, fed=fed, beta=beta, gamma=gamma)
     for tr in traces:
-        tr.extras["fed_constants"] = fed
-        tr.extras["v"] = series.extras["v"]
+        tr.extras.update(fed_constants=fed, v=series.extras["v"])
     check_envelope(
         traces, series, "federated envelope", squared=True, rows=np.arange(E, T_total + 1, E)
     )

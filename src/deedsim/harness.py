@@ -14,7 +14,7 @@ from . import engine
 from .config import RunConfig
 from .errors import BoundViolationError, ConfigError
 from .problems import estimate_fed_constants
-from .theory import BoundSeries, RecursionSpec, fed_bound, recursion_bound
+from .theory import BoundSeries
 from .trace import RunTrace
 
 __all__ = [
@@ -75,8 +75,7 @@ class RunResult:
             "warnings": [],  # kept so summary.json keeps its bytes
         }
         if len(self.traces) > 1:
-            sq = np.stack([t.dist**2 for t in self.traces])
-            out["final_mean_sq_dist"] = float(sq[:, -1].mean())
+            out["final_mean_sq_dist"] = float(engine.mean_squared(self.traces)[0][-1])
         if not self.ok:
             out["violation"] = {
                 "kind": self.violation.kind,
@@ -107,34 +106,23 @@ def execute(cfg: RunConfig) -> RunResult:
 
 
 def compute_bound(cfg: RunConfig) -> BoundSeries | None:
-    """The theoretical envelope matching a config (see ``config.Algorithm``),
-    or None for ``agd`` at kappa = 1, where the momentum envelope
-    degenerates.  A parsed config meets its contraction margin."""
-    problem, qt, spec, T = cfg.problem, cfg.quant, cfg.spec, cfg.T
-    w0 = engine._initial_point(problem, cfg.run["w0"])
-    D0 = float(np.linalg.norm(w0 - problem.w_star))
-    if spec.fed:
-        fd = cfg.fed
+    """The envelope of a config's run (``engine.envelope``), or None for
+    ``agd`` at kappa = 1, where the momentum envelope degenerates.  A
+    parsed config meets its contraction margin.  ``deed-fed`` certifies
+    its constants here, as its engine does, and counts local steps."""
+    problem, fd, T = cfg.problem, cfg.fed, cfg.T
+    fed = None
+    if cfg.spec.fed:
         K = fd["k_participants"]
-        radius = engine.fed_radius(problem, w0, fd["trajectory_radius"])
+        radius = engine.fed_radius(problem, cfg.run["w0"], fd["trajectory_radius"])
         fed = estimate_fed_constants(
             problem, fd["local_steps"], problem.N if K is None else K, fd["participation"], radius
         )
-        return fed_bound(
-            fed, fd["beta"], fd["gamma"], problem.mu, qt["s"], D0, T * fd["local_steps"]
-        )
-    if "c_prime" in spec.quant:
-        return engine.contraction_envelope(
-            cfg.algorithm, problem, qt["c_prime"], qt["s"], T, w0, eta=cfg.eta, rho=cfg.rho
-        )
-    # Contraction envelope on the squared distance of the exact baselines
-    # (noiseless) and of the fixed-budget run (noise eta * fixed_eps).
-    momentum = spec.stepsize == "1/L"
-    c = engine.contraction_factor("a-deed-gd" if momentum else "deed-gd", problem, eta=cfg.eta)
-    if momentum and c == 0.0:
-        return None
-    alpha = cfg.eta * qt["fixed_eps"] if "fixed_eps" in spec.quant else 0.0
-    return recursion_bound(RecursionSpec(np.full(T, c), np.full(T, alpha), D0), T)
+        T *= fd["local_steps"]
+    return engine.envelope(  # the quant keys s, c_prime and fixed_eps, each None if unset
+        cfg.algorithm, problem, T, cfg.run["w0"], eta=cfg.eta, rho=cfg.rho, fed=fed,
+        beta=fd["beta"], gamma=fd["gamma"], **cfg.quant,
+    )
 
 
 def output_dir(cfg: RunConfig, out_dir: str | None = None) -> str:
@@ -149,12 +137,8 @@ def output_dir(cfg: RunConfig, out_dir: str | None = None) -> str:
 def _mean_squared_csv(traces: list) -> str:
     """``mean_squared.csv``: per row t of the Monte Carlo ``traces``, the
     mean over runs of the squared distance and its standard error."""
-    sq = np.stack([t.dist**2 for t in traces])
-    # Each row of the transposed copy sums as the strided column sq[:, t]
-    # does; sq.mean(axis=0) adds the runs in another order.
-    means = np.ascontiguousarray(sq.T).mean(axis=1)
-    se = sq.std(axis=0, ddof=1) / math.sqrt(len(traces))
-    rows = enumerate(zip(means.tolist(), se.tolist()))
+    mean, se = engine.mean_squared(traces)
+    rows = enumerate(zip(mean.tolist(), se.tolist()))
     return "t,mean_sq_dist,se\n" + "".join(f"{t},{mean:.17g},{err:.17g}\n" for t, (mean, err) in rows)
 
 

@@ -281,7 +281,10 @@ def dequantize(msg: QuantizedMessage) -> np.ndarray:
     return msg.grid.to_dense(dtype=np.float64) * msg.spec.grid_step
 
 
-def _check_bound_args(dim, rel_err) -> None:
+def _bound_bits(dim, rel_err, bound) -> int:
+    """``ceil(bound())``, clamped at zero, once ``dim`` is a positive
+    integer and ``rel_err`` and ``1 / rel_err`` are positive and finite;
+    ``InvalidInputError`` names them where the bound is not a finite float."""
     if not _is_integer(dim):
         raise InvalidInputError(f"dim must be an integer (dim = {dim!r})")
     if dim < 1:
@@ -290,19 +293,24 @@ def _check_bound_args(dim, rel_err) -> None:
         raise InvalidInputError("rel_err must be positive")
     if not (math.isfinite(rel_err) and math.isfinite(1.0 / rel_err)):
         raise InvalidInputError(f"rel_err and 1 / rel_err must be finite (rel_err = {rel_err!r})")
+    try:
+        return math.ceil(max(0.0, bound()))
+    except OverflowError:  # an integer dim or a bound beyond the float range
+        raise InvalidInputError(
+            f"the bound is not a finite float (dim = {dim!r}, rel_err = {rel_err!r})"
+        ) from None
 
 
 def bits_lower_bound(dim: int, rel_err: float) -> int:
     """Information-theoretic floor ``ceil(dim * log2(1 / rel_err))``,
     clamped at zero, for coding a ball to relative accuracy ``rel_err``."""
-    _check_bound_args(dim, rel_err)
-    return max(0, math.ceil(dim * math.log2(1.0 / rel_err)))
+    return _bound_bits(dim, rel_err, lambda: dim * math.log2(1.0 / rel_err))
 
 
 def bits_upper_bound(dim: int, rel_err: float) -> int:
     """Achievable cost ``ceil(1.05 d + d log2((1 + 2 rel_err)/rel_err))``
     of an unbiased grid code at relative accuracy ``rel_err``."""
-    _check_bound_args(dim, rel_err)
-    # From 2**54 on 1 + 2 rel_err rounds to 2 rel_err (or overflows): the ratio is 2.
-    ratio = 2.0 if rel_err >= 2.0**54 else (1.0 + 2.0 * rel_err) / rel_err
-    return math.ceil(1.05 * dim + dim * math.log2(ratio))
+    # Taken after the checks, as rel_err may be 0.  From 2**54 on 1 + 2 rel_err
+    # rounds to 2 rel_err (or overflows): the ratio is 2.
+    ratio = lambda: 2.0 if rel_err >= 2.0**54 else (1.0 + 2.0 * rel_err) / rel_err
+    return _bound_bits(dim, rel_err, lambda: 1.05 * dim + dim * math.log2(ratio()))

@@ -232,9 +232,7 @@ def fed_bound(
     return BoundSeries(t=t, bound=v / (gamma + t), extras={"v": v})
 
 
-def tightness_construction(
-    spec: RecursionSpec, w0: np.ndarray, T: int, seed: int, dim: int | None = None
-) -> RunTrace:
+def tightness_construction(spec: RecursionSpec, w0: np.ndarray, T: int, seed: int) -> RunTrace:
     """Adversarial run achieving the recursion envelope with equality.
 
     Iterates ``w_{t+1} = c_t w_t + e_t`` (fixed point at the origin) with
@@ -246,9 +244,7 @@ def tightness_construction(
     come from one ``block_keys`` call per ``KEY_BLOCK`` steps.
     """
     w0 = np.asarray(w0, dtype=np.float64)
-    if dim is None:
-        dim = len(w0)
-    if dim < 2 or len(w0) != dim:
+    if len(w0) < 2:
         raise InvalidInputError("orthogonal noise requires dim >= 2")
     if T > len(spec):
         raise InvalidInputError("T exceeds the supplied sequences")

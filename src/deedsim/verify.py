@@ -18,7 +18,7 @@ import numpy as np
 from . import engine
 from .bitstream import decode_sparse, encode_sparse
 from .errors import BoundViolationError
-from .problems import estimate_fed_constants, estimate_rho, make_linreg, from_node_data
+from .problems import estimate_rho, make_linreg, from_node_data
 from .quantizer import QuantSpec, bits_lower_bound, bits_upper_bound, grid_point, quantize
 from .theory import (
     RecursionSpec,
@@ -375,7 +375,7 @@ def _c9_sgd(cache: _Cache) -> tuple[bool, str]:
         slack = engine.check_envelope(traces, series, "stochastic envelope", squared=True)
     except BoundViolationError as exc:
         return False, f"mean squared distance broke the envelope at t={exc.t}"
-    slope, r2 = _loglinear_fit(np.stack([t.dist**2 for t in traces]).mean(axis=0))
+    slope, r2 = _loglinear_fit(engine.mean_squared(traces)[0])
     if not (slope <= -1e-3 and r2 >= 0.9):
         return False, f"mean decay not linear: slope {slope:.5f}, R^2 {r2:.4f}"
     return True, (
@@ -408,11 +408,8 @@ def _c10_fed(cache: _Cache) -> tuple[bool, str]:
         traces = engine.run_deed_fed(prob, participation=participation, K=K, **common)
         fed = traces[0].extras["fed_constants"]
         v = traces[0].extras["v"]
-        sq = np.stack([t.dist**2 for t in traces])
-        mean = sq.mean(axis=0)
-        se = sq.std(axis=0, ddof=1) / math.sqrt(len(traces))
-        T_total = sq.shape[1] - 1
-        syncs = np.arange(5, T_total + 1, 5)
+        mean, se = engine.mean_squared(traces)
+        syncs = np.arange(5, len(mean), 5)
         bound = v / (gamma + syncs)
         gapmin = float(np.min(bound + 3 * se[syncs] - mean[syncs]))
         if gapmin < 0:

@@ -18,8 +18,8 @@ from deedsim.engine import (
     _participants,
     _require,
     check_envelope,
-    contraction_envelope,
     contraction_factor,
+    envelope,
     fed_radius,
     fed_violations,
     margin_violations,
@@ -152,7 +152,7 @@ def run_deed_sgd(problem, c_prime, s, T, *, seed=0, mc_runs=1, rho=None, w0=None
         trace.extras.update({"c": c, "c_prime": c_prime, "s": s, "rho": rho})
         traces.append(trace)
 
-    series = contraction_envelope("deed-sgd", problem, c_prime, s, T, w0, rho=rho)
+    series = envelope("deed-sgd", problem, T, w0, rho=rho, c_prime=c_prime, s=s)
     check_envelope(traces, series, "stochastic envelope", squared=True)
     return traces
 

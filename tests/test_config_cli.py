@@ -178,8 +178,13 @@ def test_fed_k_participants_rejected_under_full_participation():
                      participation="full", K=7)
     assert ran.value.violations == ["full participation uses every node; K is not accepted (K = 7)"]
     assert parse_config(full).fed["k_participants"] is None
+    # Partial participation draws K nodes, so it needs K.
     for scheme in ("with-replacement", "without-replacement"):
-        partial = FED_VALID.replace("fed: {", f"fed: {{participation: {scheme}, k_participants: 2, ")
+        partial = FED_VALID.replace("fed: {", f"fed: {{participation: {scheme}, ")
+        with pytest.raises(ConfigError) as err:
+            parse_config(partial)
+        assert err.value.violations == ["K is required for partial participation"]
+        partial = partial.replace("fed: {", "fed: {k_participants: 2, ")
         assert parse_config(partial).fed["k_participants"] == 2
 
 
@@ -993,3 +998,30 @@ def test_mean_squared_csv_matches_a_per_column_reference(runs):
     want = "t,mean_sq_dist,se\n" + "".join(
         f"{t},{sq[:, t].mean():.17g},{se[t]:.17g}\n" for t in range(rows))
     assert _mean_squared_csv(traces) == want
+
+
+def test_envelope_check_reads_the_means_of_mean_squared_csv(tmp_path):
+    # On every row the Monte Carlo check compares the mean that
+    # mean_squared.csv holds, to the last bit.  From 8 runs on numpy sums
+    # the runs of a row in another order along the run axis of the stack
+    # than down its own column, so the two once differed on 44 of these
+    # 101 rows.
+    import yaml
+
+    from deedsim.engine import check_envelope
+    from deedsim.errors import BoundViolationError
+    from deedsim.theory import BoundSeries
+
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "deed_sgd.yaml")
+    with open(path) as fh:
+        data = yaml.safe_load(fh)
+    data["run"].update(iterations=100, mc_runs=8)
+    traces = cmd_run(parse_config(yaml.safe_dump(data)), str(tmp_path)).traces
+    with open(tmp_path / "mean_squared.csv") as fh:
+        means = [float(line.split(",")[1]) for line in fh.read().splitlines()[1:]]
+    assert len(means) == 101
+    nowhere = BoundSeries(t=np.arange(101), bound=np.full(101, -math.inf))
+    for t, mean in enumerate(means):
+        with pytest.raises(BoundViolationError) as err:
+            check_envelope(traces, nowhere, "probe", squared=True, rows=np.array([t]))
+        assert err.value.t == t and err.value.observed == mean

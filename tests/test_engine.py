@@ -338,6 +338,13 @@ def test_nonpositive_mc_runs_named(interp_problem, fed_problem, mc_runs):
         run_deed_fed(fed_problem, 4, beta, gamma, 1.0, 2, "full", mc_runs=mc_runs)
 
 
+@pytest.mark.parametrize("fixed_eps", [0.0, -0.5, math.nan])
+def test_nonpositive_fixed_eps_named(small_problem, fixed_eps):
+    with pytest.raises(ConfigError) as err:
+        run_const_error_gd(small_problem, None, 5, fixed_eps)
+    assert err.value.violations == [f"requires fixed_eps > 0 (fixed_eps = {fixed_eps!r})"]
+
+
 @pytest.mark.parametrize("value", [1.5, 2.0, True, "2"])
 def test_non_integer_seed_named(small_problem, interp_problem, fed_problem, value):
     # A float seed used to run as its integer part and be recorded as given.
@@ -484,7 +491,7 @@ def test_fed_zero_rounds_runs_one_row(fed_problem):
 def test_check_envelope_counts_nan_as_a_violation(small_problem):
     eta = 2.0 / (small_problem.L + small_problem.mu)
     tr = run_deed_gd(small_problem, eta, 0.9, 0.1, 20, seed=1)
-    series = engine.contraction_envelope("deed-gd", small_problem, 0.9, 0.1, 20, eta=eta)
+    series = engine.envelope("deed-gd", small_problem, 20, eta=eta, c_prime=0.9, s=0.1)
     assert engine.check_envelope([tr], series, "envelope", squared=False) > 0.0
     assert engine.check_envelope([tr], series, "envelope", False, np.arange(0)) == math.inf
 
@@ -535,7 +542,7 @@ def test_check_envelope_is_tight_at_the_allowed_value(small_problem, squared):
     # it raises: the check admits float dust, not a factor of the envelope.
     eta = 2.0 / (small_problem.L + small_problem.mu)
     tr = run_deed_gd(small_problem, eta, 0.9, 0.1, 20, seed=1)
-    series = engine.contraction_envelope("deed-gd", small_problem, 0.9, 0.1, 20, eta=eta)
+    series = engine.envelope("deed-gd", small_problem, 20, eta=eta, c_prime=0.9, s=0.1)
     rows = np.array([5])
     allowed = _allowed(series.bound[5])
     for factor, passes in ((1.0, True), (1.0 + 1e-6, False)):

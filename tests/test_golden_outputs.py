@@ -160,8 +160,9 @@ def test_golden_variant_hashes(name, tmp_path):
 
 def test_deed_fed_bound_matches_engine_certificate(monkeypatch):
     # deed-fed certifies its constants twice, in the engine and in
-    # compute_bound; the bound.csv is only the engine's envelope while the
-    # two certificates agree exactly.
+    # compute_bound, and both feed them through one recipe,
+    # engine.envelope; the bound.csv is the engine's envelope only while
+    # the two certificates agree exactly.
     certified = []
     real = harness.estimate_fed_constants
 

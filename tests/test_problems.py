@@ -339,6 +339,20 @@ def test_fed_certificate_rejects_unbounded_radius():
         _max_quadratic_on_ball(M, np.array([0.3, -0.2]), 1.0, math.inf)
 
 
+@pytest.mark.parametrize("E, K, participation, message", [
+    (0, 3, "full", r"^E must be >= 1$"),
+    (2, 0, "with-replacement", r"^K must be >= 1$"),
+    (2, 4, "without-replacement", r"^K must be in \[1, N\] without replacement$"),
+    (2, 3, "round-robin", r"^unknown participation scheme 'round-robin'$"),
+])
+def test_fed_certificate_rejects_bad_counts_and_schemes(E, K, participation, message):
+    # A direct call, which no fed_violations check precedes, is refused (N = 3).
+    p = make_linreg(seed=2, d=4, N=3, target_kappa=3.0, rows_per_node=6,
+                    interpolating=False, noise_scale=1.0)
+    with pytest.raises(InvalidInputError, match=message):
+        estimate_fed_constants(p, E, K, participation, 1.0)
+
+
 def test_fed_certificate_rejects_radius_with_overflowing_square():
     p = make_linreg(seed=2, d=4, N=3, target_kappa=3.0, rows_per_node=6,
                     interpolating=False, noise_scale=1.0)

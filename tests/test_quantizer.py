@@ -263,10 +263,13 @@ def test_bit_bound_argument_validation():
     (math.nan, 0.25, r"dim must be an integer \(dim = nan\)"),
     (3, math.inf, r"must be finite \(rel_err = inf\)"),
     (3, 1e-320, r"must be finite \(rel_err = 1e-320\)"),  # 1 / rel_err overflows
+    (10**400, 0.5, r"not a finite float \(dim = 10{400}, rel_err = 0\.5\)"),  # no float dim
+    (10**308, 1e-300, r"not a finite float \(dim = 10{308}, rel_err = 1e-300\)"),  # overflows
 ])
 def test_bit_bounds_reject_malformed_input(bound, dim, rel_err, named):
     # A float or bool dimension once ran as its integer part, and a
-    # non-finite rel_err or 1 / rel_err raised a bare math error.
+    # non-finite rel_err or 1 / rel_err, or a bound beyond the float
+    # range, raised a bare math error.
     with pytest.raises(InvalidInputError, match=named):
         bound(dim, rel_err)
 

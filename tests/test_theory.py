@@ -175,6 +175,15 @@ def test_accelerated_noiseless_reduction():
     assert np.allclose(series.bound, math.sqrt(2 * 3.0 / 0.5) * 0.7**t)
 
 
+@pytest.mark.parametrize("c, c_prime", [(0.0, 0.5), (0.9, 0.9), (0.5, 1.0)])
+def test_accelerated_constants_reject_a_missed_margin(c, c_prime):
+    # A direct call, which no margin_violations check precedes, is refused.
+    with pytest.raises(InvalidInputError, match=r"^requires 0 < c < c' < 1$"):
+        AcceleratedConstants.from_run_params(
+            L=1.0, mu=0.1, c=c, c_prime=c_prime, s=0.5, Delta=2.0
+        )
+
+
 def test_fed_bound_cases():
     zero = FedConstants(sigma_sq=np.zeros(2), G_sq=0.0, Gamma=0.0, B=0.0, C=0.0,
                         E=1, radius=1.0)

@@ -30,9 +30,9 @@ def test_round_cost_cases_run_one_round_with_messages_stubbed(monkeypatch):
     # under a zero budget in the lossless case only.  Only the stream case
     # builds a stream from its labels: run 0's uplink of node 0 at round 0.
     sent, built = [], []
-    real = quantizer.quantize
-    monkeypatch.setattr(quantizer, "quantize",
-                        lambda w, spec, rng: sent.append((spec, real(w, spec, rng))))
+    real = quantizer.grid_point
+    monkeypatch.setattr(quantizer, "grid_point",
+                        lambda w, spec, rng: sent.append((w, spec, real(w, spec, rng))))
     real_stream = seeding.stream
     monkeypatch.setattr(seeding, "stream",
                         lambda *labels: built.append(labels) or real_stream(*labels))
@@ -46,18 +46,18 @@ def test_round_cost_cases_run_one_round_with_messages_stubbed(monkeypatch):
         if not name.startswith("message"):
             assert sent == []
             continue
-        ((spec, msg),) = sent
+        ((w, spec, point),) = sent
         assert spec.dim == int(name.split("d=")[1].split()[0])
         assert spec.lossless == ("lossless" in name)
-        assert (msg.grid is None) == spec.lossless and msg.decoded.any()
+        assert point.any() and (point == w).all() == spec.lossless
 
 
 def test_round_cost_on_grid_message_has_every_other_coordinate_on_the_grid(monkeypatch):
-    # The on-grid case times quantize's full path: its even coordinates
+    # The on-grid case times grid_point's full path: its even coordinates
     # decode back to themselves and take no draw; the plain case has none.
     round_cost = _tool("round_cost")
     sent = []
-    monkeypatch.setattr(quantizer, "quantize", lambda w, spec, rng: sent.append((w, spec)))
+    monkeypatch.setattr(quantizer, "grid_point", lambda w, spec, rng: sent.append((w, spec)))
     for on_grid in (False, True):
         round_cost._messages(20, 5, on_grid=on_grid)()
     assert len(sent) == 10
@@ -68,7 +68,7 @@ def test_round_cost_on_grid_message_has_every_other_coordinate_on_the_grid(monke
     monkeypatch.undo()
     for k, (w, spec) in enumerate(sent):
         rng, twin = (np.random.Generator(np.random.Philox(k)) for _ in range(2))
-        quantizer.quantize(w, spec, rng)
+        quantizer.grid_point(w, spec, rng)
         twin.random(10 if k >= 5 else 20)
         assert rng.random() == twin.random()
 

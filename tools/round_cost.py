@@ -44,20 +44,24 @@ cases, each on its perfbench workload's problem:
   Older trees lack the case.
 
 Eight more cases time what the stubs leave out.  Four are one message:
-the real stream of labels ``(run, round, node, UPLINK)`` and
-``quantizer.quantize`` of a vector of that stream, at d = 20 (``sgd-mc``)
-and d = 100 (``gd-race``).  The stream is made as the tree's run loop
-makes it: from a key row of ``seeding.block_keys`` derived before the
-timing, or, in trees before it, by ``seeding.stream`` from the labels.
-The vectors cycle through five ratios of ``|w|`` to the budget, from
-0.44 to 42.4, across the range the runs send (``perfbench/workloads.py``'s
-``WIRE_RATIOS``), and a sample's rounds are its messages.  The third, ``message d=20 on-grid``, sends the d = 20
+the real stream of labels ``(run, round, node, UPLINK)`` and the
+message of a vector of that stream, at d = 20 (``sgd-mc``) and d = 100
+(``gd-race``), as the tree's run loop sends it: ``quantizer.grid_point``
+in trees that have it, which perfbench counts as ``engine.quantize``,
+and ``quantizer.quantize`` in trees before it.  The stream is made as
+the tree's run loop makes it: from a key row of ``seeding.block_keys``
+derived before the timing, or, in trees before it, by ``seeding.stream``
+from the labels.  The vectors cycle through five ratios of ``|w|`` to
+the budget, from 0.44 to 42.4, across the range the runs send
+(``perfbench/workloads.py``'s ``WIRE_RATIOS``), and a sample's rounds
+are its messages.  The third, ``message d=20 on-grid``, sends the d = 20
 vectors with every other coordinate moved onto the grid, which no run
-sends often: it times ``quantize``'s full path, which trees with a short
-path for off-grid vectors skip in the other two.  The fourth, ``message
-lossless d=100``, sends the d = 100 vectors under a zero budget, as
-``gd_baseline``'s 8,800 messages of a ``gd-race`` pass are sent: its
-stream takes no draw and ``quantize`` takes its pass-through branch.
+sends often: it times the quantizer's full path, which trees with a
+short path for off-grid vectors skip in the other two.  The fourth,
+``message lossless d=100``, sends the d = 100 vectors under a zero
+budget, as ``gd_baseline``'s 8,800 messages of a ``gd-race`` pass are
+sent: its stream takes no draw and the quantizer takes its pass-through
+branch.
 Two are one row draw:
 the real stream of labels ``(run, round, node, ROW_SAMPLE)``, made in the
 same way, and its row index out of m = 12 (``fed-local``) and m = 20
@@ -334,10 +338,14 @@ def _predraw_participants(engine, K, p, runs, rounds) -> None:
 
 def _messages(d: int, rounds: int, on_grid: bool = False, lossless: bool = False):
     """A callable that sends ``rounds`` real messages of dimension ``d``,
-    one stream and one ``quantize`` call each, as an engine's uplink;
+    one stream and one call of the run loop's quantizer each (``grid_point``,
+    or ``quantize`` in trees without it), as an engine's uplink;
     ``on_grid`` puts every other coordinate on the grid, and ``lossless``
     sends the same vectors under a zero budget, as ``gd_baseline`` does."""
-    from deedsim.quantizer import QuantSpec, quantize
+    from deedsim import quantizer
+    from deedsim.quantizer import QuantSpec
+
+    quantize = getattr(quantizer, "grid_point", quantizer.quantize)
 
     stream = _held_stream(0, 0, rounds)  # run 0, node 0's uplink
     rng = np.random.default_rng(d)

@@ -282,9 +282,9 @@ def dequantize(msg: QuantizedMessage) -> np.ndarray:
 
 
 def _bound_bits(dim, rel_err, bound) -> int:
-    """``ceil(bound())``, clamped at zero, once ``dim`` is a positive
-    integer and ``rel_err`` and ``1 / rel_err`` are positive and finite;
-    ``InvalidInputError`` names them where the bound is not a finite float."""
+    """``ceil(bound())`` once ``dim`` is a positive integer and ``rel_err``
+    and ``1 / rel_err`` are positive and finite; ``InvalidInputError``
+    names them where the bound is not a finite float."""
     if not _is_integer(dim):
         raise InvalidInputError(f"dim must be an integer (dim = {dim!r})")
     if dim < 1:
@@ -294,7 +294,7 @@ def _bound_bits(dim, rel_err, bound) -> int:
     if not (math.isfinite(rel_err) and math.isfinite(1.0 / rel_err)):
         raise InvalidInputError(f"rel_err and 1 / rel_err must be finite (rel_err = {rel_err!r})")
     try:
-        return math.ceil(max(0.0, bound()))
+        return math.ceil(bound())
     except OverflowError:  # an integer dim or a bound beyond the float range
         raise InvalidInputError(
             f"the bound is not a finite float (dim = {dim!r}, rel_err = {rel_err!r})"
@@ -302,9 +302,9 @@ def _bound_bits(dim, rel_err, bound) -> int:
 
 
 def bits_lower_bound(dim: int, rel_err: float) -> int:
-    """Information-theoretic floor ``ceil(dim * log2(1 / rel_err))``,
-    clamped at zero, for coding a ball to relative accuracy ``rel_err``."""
-    return _bound_bits(dim, rel_err, lambda: dim * math.log2(1.0 / rel_err))
+    """Information-theoretic floor ``ceil(dim * log2(1 / rel_err))`` for coding
+    a ball to relative accuracy ``rel_err``; 0 from rel_err = 1 on, for any dim."""
+    return _bound_bits(dim, rel_err, lambda: dim * math.log2(1.0 / rel_err) if rel_err < 1 else 0.0)
 
 
 def bits_upper_bound(dim: int, rel_err: float) -> int:

@@ -234,6 +234,8 @@ def test_bits_lower_bound_worked_values():
     assert bits_lower_bound(1, 1.0) == 0
     assert bits_lower_bound(3, 1.5) == 0  # clamped for coarse precision
     assert bits_lower_bound(100, 0.5) == 100
+    # Coarse precision needs no bits at a dimension beyond the float range too.
+    assert bits_lower_bound(10**400, 1.0) == bits_lower_bound(10**400, 1.5) == 0
 
 
 def test_bits_upper_bound_worked_values():
@@ -263,8 +265,10 @@ def test_bit_bound_argument_validation():
     (math.nan, 0.25, r"dim must be an integer \(dim = nan\)"),
     (3, math.inf, r"must be finite \(rel_err = inf\)"),
     (3, 1e-320, r"must be finite \(rel_err = 1e-320\)"),  # 1 / rel_err overflows
-    (10**400, 0.5, r"not a finite float \(dim = 10{400}, rel_err = 0\.5\)"),  # no float dim
-    (10**308, 1e-300, r"not a finite float \(dim = 10{308}, rel_err = 1e-300\)"),  # overflows
+    pytest.param(10**400, 0.5, r"not a finite float \(dim = 10{400}, rel_err = 0\.5\)",
+                 id="dim-10**400"),  # no float holds dim
+    pytest.param(10**308, 1e-300, r"not a finite float \(dim = 10{308}, rel_err = 1e-300\)",
+                 id="dim-10**308-overflows"),
 ])
 def test_bit_bounds_reject_malformed_input(bound, dim, rel_err, named):
     # A float or bool dimension once ran as its integer part, and a

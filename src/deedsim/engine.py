@@ -15,8 +15,9 @@ and payloads are one ``(2, N, R, d)`` array.  The single-run engines are
 the case R = 1.  Every iteration of a frequent engine, and every E-th of
 ``deed-fed``, is a sync: one call of the run's one ``_Exchange`` for
 every lane (each lane's uplinks, the center's weighted aggregate, the
-downlink, and the assert that the broadcast lies within the sync's
-budget of the exact aggregate).  Partial participation selects each
+downlink, the assert that the broadcast lies within the sync's budget of
+the exact aggregate, and the assert that every message lies within its
+stage of its difference).  Partial participation selects each
 lane's participants and masks the others out.  A lane draws from its own
 run's streams, which are pure functions of their labels, so advancing
 the runs together changes no draw.  ``_Lanes`` books each sync's bits,
@@ -54,9 +55,16 @@ import numpy as np
 
 from .errors import BoundViolationError, ConfigError, InvalidInputError
 from .problems import _MAX_RADIUS, QuadraticProblem, estimate_fed_constants, estimate_rho
-from .quantizer import DEFAULT_FLOAT_BITS, QuantSpec, _is_integer, grid_payload_bits
+from .quantizer import (
+    DEFAULT_FLOAT_BITS,
+    QuantSpec,
+    _is_integer,
+    grid_payload_bits,
+    scale_rows,
+)
 # perfbench/tracing.py wraps ``engine.quantize`` and counts its calls, so
-# every message of a run is one call of this name: its grid point.
+# every message of a run is one call of this name: stage two of its grid
+# point, after one ``scale_rows`` call has scaled all its exchange stage's rows.
 from .quantizer import grid_point as quantize
 from .seeding import DOWNLINK, KEY_BLOCK, PARTICIPATION, ROW_SAMPLE, UPLINK, block_keys
 # perfbench/tracing.py wraps ``engine.stream`` and counts the generators it
@@ -111,14 +119,15 @@ def _weighted_sums(SP: np.ndarray, coefs, terms=None, out=None, where=True) -> n
     ``add.reduce`` down that leading axis adds each member's whole
     ``2 x R x d`` block to the running sum in turn, starting from ``-0.0``,
     which leaves every float unchanged, signed zeros included; a
-    non-member is skipped, not added as zero.  (Blocks of two or more
+    non-member is skipped, not multiplied or added as zero, so its rows
+    may hold any value, an infinity included.  (Blocks of two or more
     floats keep numpy from summing pairwise, as it does along a single
     axis; a BLAS product would round differently too.)
     """
     held = SP.swapaxes(0, 1)
     if terms is None:
         terms = np.empty(held.shape)
-    np.multiply(coefs.reshape(len(coefs), 1, -1, 1), held, out=terms)
+    np.multiply(coefs.reshape(len(coefs), 1, -1, 1), held, out=terms, where=where)
     return np.add.reduce(terms, axis=0, initial=-0.0, out=out, where=where)
 
 
@@ -159,7 +168,8 @@ class _Exchange:
     the members' rows against the broadcast ``v[l]`` at the same error,
     and every node applies it to ``v[l]``.  Asserts that each lane's ``v``
     lies within its ``budget`` (a list of one float per lane) of the
-    weighted payloads.  ``keys`` holds the round's key rows, ``(R, J, 2)``
+    weighted payloads, and that every message decodes within ``stage`` of
+    its difference.  ``keys`` holds the round's key rows, ``(R, J, 2)``
     with ``J > N``: lane ``l`` draws node ``i``'s uplink from the stream
     of ``keys[l, i]`` and its downlink from that of ``keys[l, N]``, one
     stream per message.  Lane ``l`` is run ``l``, which a budget violation
@@ -174,16 +184,24 @@ class _Exchange:
     non-participant's accumulator keeps every bit.  Until a lane is
     narrowed every ``where`` is True, which costs nothing.
 
-    Per message a call makes one stream, one ``quantize`` (the quantizer's
-    ``grid_point``) and one row copy of the grid point, or a lossless
-    message's verbatim vector, into one ``(N + 1, R, d)`` stack, the
-    downlinks in the last row.  After each loop one multiply by the grid
-    step decodes the rows into an array of their own (``_decode``), so
+    Before each loop, one ``scale_rows`` call runs the quantizer's stage
+    one on all the rows that loop sends: the member uplinks, lane after
+    lane in node order, then the downlinks.  A row that is not finite or
+    overflows the grid raises ``grid_point``'s message there, the first
+    such row in send order; a non-member's row is never scaled.  Per
+    message a call then makes one stream, one ``quantize`` (the
+    quantizer's ``grid_point``, given that row's stage-one results: it
+    draws the dither and rounds) and one row copy of the grid point, or a
+    lossless message's verbatim vector, into one ``(N + 1, R, d)`` stack,
+    the downlinks in the last row.  After each loop one multiply by the
+    grid step decodes the rows into an array of their own (``_decode``), so
     every grid point lasts until the call ends, and then one
     ``grid_payload_bits`` call counts the bits of every message sent.  The differences and the
     aggregate error of every lane are rows of one ``(N + 2, R, d)`` array,
     so one stacked call takes all their norms, and one reduce gives both
-    weighted sums.
+    weighted sums.  After the aggregate assert, one stacked norm of the
+    decoded rows less their differences asserts every sent lossy
+    message's hard bound (``_assert_messages``).
     The scratch arrays are made once, so a call pays only for arithmetic.
 
     A call returns one value per lane of each of (up_bits,
@@ -199,6 +217,10 @@ class _Exchange:
         # Every message's grid point, the downlinks in the last row, and
         # its decoded vector.
         self.points, self.decoded = np.empty((2, N + 1, R, d))
+        # Each message's decoded vector less its difference, and its norm.
+        self.misses = np.zeros((N + 1, R, d))
+        self.rows_of_misses = self.misses[..., None, :], self.misses[..., None]
+        self.miss_dots = np.empty((N + 1, R, 1, 1))
         self.terms = np.empty((N, 2, R, d))
         self.sums = np.empty((2, R, d))
         self.aggregate, self.gbar = self.sums
@@ -242,20 +264,26 @@ class _Exchange:
         S, v, N = self.S, self.v, len(self.up)
         update, members, sending = self.where
         np.subtract(self.payloads, S, out=self.up)
+        # The member rows, lane after lane, in the order the loop sends them.
+        ups = self.up.swapaxes(0, 1)
+        scaled = scale_rows(ups if sending is True else ups[self.member.T], spec)
         for sends, lane_keys in zip(self.uplinks, keys):
-            for i, diff, row in sends:
-                row[...] = quantize(diff, spec, stream(lane_keys[i]))
+            for (i, diff, row), rows in zip(sends, scaled):
+                row[...] = quantize(diff, spec, stream(lane_keys[i]), rows)
         np.add(S, self._decode(spec, slice(N), update), out=S, where=update)
 
         _weighted_sums(self.SP, self.coefs, self.terms, self.sums, members)
         np.subtract(self.aggregate, v, out=self.down)
-        for (diff, row), key in zip(self.downlinks, keys[:, N]):  # every uplink is applied
-            row[...] = quantize(diff, spec, stream(key))
+        scaled = scale_rows(self.down, spec)  # every uplink is applied
+        for (diff, row), key, rows in zip(self.downlinks, keys[:, N], scaled):
+            row[...] = quantize(diff, spec, stream(key), rows)
         v += self._decode(spec, N, True)
         np.subtract(v, self.gbar, out=self.error)
         np.matmul(*self.rows_of_diffs, out=self.dots)
         np.sqrt(self.squares, out=self.norms)
         err = _assert_budget(self.error_norms.tolist(), self.gbar, budget, round_index)
+        if not spec.lossless:
+            self._assert_messages(stage, round_index)
         # stage > 0 divides monotonically, so the largest norm gives the largest fraction.
         max_fraction = (
             np.maximum.reduce(self.message_norms, initial=0.0, where=sending) / stage
@@ -271,6 +299,27 @@ class _Exchange:
         return (
             np.add.reduce(bits[:N]), bits[N], max_fraction, np.maximum.reduce(bits), err,
         )
+
+    def _assert_messages(self, stage, round_index) -> None:
+        """Raise unless every sent message decodes within ``stage`` of its
+        difference (up to ``_assert_budget``'s float dust, its absolute term
+        scaled by the difference's norm), naming round ``round_index`` and
+        the lane of the first offending message in send order: the uplinks
+        lane after lane, then the downlinks.  A NaN miss is over too."""
+        sending = self.where[2]
+        np.subtract(self.decoded, self.diffs[:-1], out=self.misses,
+                    where=True if sending is True else sending[..., None])
+        misses = np.sqrt(np.matmul(*self.rows_of_misses, out=self.miss_dots)[..., 0, 0])
+        allowed = stage * (1.0 + _REL_SLACK) + _ABS_DUST * (1.0 + self.message_norms)
+        over = ~(misses <= allowed)
+        if sending is not True:
+            over &= sending
+        if np.count_nonzero(over):
+            N = len(self.up)
+            ups = np.argwhere(over[:N].T).tolist()  # (lane, node), lane after lane
+            lane, node = (ups + [[lane, N] for lane in np.flatnonzero(over[N])])[0]
+            raise BoundViolationError("message error", round_index, float(misses[node, lane]),
+                                      float(allowed[node, lane]), run=int(lane))
 
     def _decode(self, spec, rows, where):
         """The decoded vectors of the message rows ``rows``: their grid

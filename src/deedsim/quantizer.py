@@ -16,14 +16,31 @@ message counts its bits from its sparse ``grid`` with
 distance ``max_error`` of the input, and its expectation over the
 rounding dither equals the input.
 
-``grid_point`` makes no ``ufunc`` reduction (``np.maximum.reduce``,
-``.min()``, ``.all()``) on a vector it accepts: each check reads the
-least and greatest value by index through ``argmin`` and ``argmax``.  On
-numpy 2.4 one reduction of a 20- to 100-float vector costs 0.7-1.2 us,
-and both reads by index together 0.5-0.75 us.  ``grid_point`` takes
-6.1 us at d = 20, 6.4-6.7 us at d = 100 and 1.35 us lossless; a whole
-message from ``quantize`` takes 20-21 us, and 2.3-2.7 us lossless
-(2-core x86 box, minima of 9 x 5,000 calls).
+A grid point is made in two stages.  Stage one, ``scale_stack``, takes
+a whole ``(..., d)`` stack of vectors: it scales them onto the grid,
+refuses a row that is not finite or overflows the grid, and takes each
+row's floor, fractional part and short-path test; ``scale_rows`` hands
+its results out row by row.  Stage two, ``grid_point`` given one row's
+stage-one results, draws that row's dither from its own stream and
+rounds.  A run's exchange makes one stage-one call for its uplinks and
+one for its downlinks, and one stage-two call per message.
+``grid_point`` without stage-one results runs its one vector through
+both stages, so there is one quantizer.
+
+Stage one reads each row's extremes with a ``ufunc`` reduction of the
+whole stack along its last axis (``max |s|``, then the least and the
+greatest ``frac``).  That costs about 15 us per reduction at a
+150 x 20 stack, so stage one and the row-by-row split take 0.57 us a
+row there (the ``sgd-mc`` uplinks) and at 120 x 10, and 2.3 us a row at
+10 x 100 (the ``gd-race`` uplinks).  Stage two makes no reduction on the
+short path, nearly every message's, which keeps the rule that a message
+pays no reduction of its own vector (on numpy 2.4 one reduction of a
+20- to 100-float vector costs 0.7-1.2 us); the full path makes one
+``count_nonzero``.  Stage two takes 2.7 us at d = 20 and 3.8 us at
+d = 100.  A lone ``grid_point`` call pays stage one's three reductions
+for one row: 11.5 us at d = 20, 11.9 us at d = 100 and 3.1 us lossless;
+a whole message from ``quantize`` takes 25-27 us (2-core x86 box,
+minima of 9 x 2,000 calls).
 
 Setting ``max_error = 0`` selects lossless pass-through: the vector is
 transmitted verbatim and charged ``DEFAULT_FLOAT_BITS * dim`` bits, which gives
@@ -34,6 +51,7 @@ counterparts.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -54,6 +72,8 @@ __all__ = [
     "QuantSpec",
     "QuantizedMessage",
     "grid_point",
+    "scale_rows",
+    "scale_stack",
     "quantize",
     "grid_payload_bits",
     "dequantize",
@@ -159,10 +179,71 @@ class QuantizedMessage:
         return stream.to_bytes(), len(stream)
 
 
-def grid_point(w: np.ndarray, spec: QuantSpec, rng: np.random.Generator) -> np.ndarray:
-    """The grid point of ``w`` under ``spec``, a new array of integer-valued
-    floats below 2**63 (a copy of ``w`` when lossless), consuming one
-    dither draw per randomized coordinate in coordinate order.
+def scale_stack(W: np.ndarray, spec: QuantSpec) -> tuple:
+    """Stage one of ``grid_point`` on a ``(..., d)`` stack ``W``: each row
+    scaled onto the grid, its guard, ``lo``, ``frac`` and whether it takes
+    the short path.  Returns ``(lo, frac, short)``: ``lo`` and ``frac``
+    new C-order arrays of the stack's shape, and ``short`` a boolean array
+    of its leading shape.  Lossless, ``lo`` is a C-order copy of ``W`` and
+    ``frac`` and ``short`` are None.  A row that is not finite, or whose
+    scaled magnitude reaches 2**63, raises ``grid_point``'s message; of
+    several such rows, the first in C order of the leading axes does.
+
+    Each row's least and greatest value come from one ``ufunc`` reduction
+    of the whole stack along its last axis.  A minimum and a maximum are
+    exact, do not depend on the order of the coordinates, and are NaN if
+    any coordinate is, so ``largest``, ``tol`` and the short path's test
+    are those of ``grid_point``'s docstring row by row, to the bit."""
+    if spec.lossless:
+        lo = np.array(W, dtype=np.float64, order="C")
+        if not np.isfinite(lo).all():
+            raise InvalidInputError("input coordinates must be finite")
+        return lo, None, None
+    scaled = np.divide(W, spec.grid_step, order="C")
+    # One guard for both faults: max |s| of each row, NaN if any of its
+    # coordinates is, and a NaN fails every comparison.
+    largest = np.maximum.reduce(np.abs(scaled), axis=-1)
+    fits = largest < _GRID_LIMIT
+    if not fits.all():
+        # argmin of the booleans: the first row in C order that does not fit.
+        first = np.reshape(W, (-1, scaled.shape[-1]))[np.argmin(fits)]
+        if not np.isfinite(first).all():
+            raise InvalidInputError("input coordinates must be finite")
+        raise InvalidInputError("scaled magnitude overflows the 64-bit grid")
+    lo = np.floor(scaled)
+    frac = np.subtract(scaled, lo, out=scaled)
+    tol = (largest + 1.0) * 2.0**-48
+    short = tol < np.minimum.reduce(frac, axis=-1)
+    short &= np.maximum.reduce(frac, axis=-1) < 1.0 - tol
+    return lo, frac, short
+
+
+def scale_rows(W: np.ndarray, spec: QuantSpec):
+    """``scale_stack`` of the ``(..., d)`` stack ``W``, row by row in C
+    order of the leading axes: an iterator of each row's trailing argument
+    to ``grid_point``."""
+    lo, frac, short = scale_stack(W, spec)
+    lo = lo.reshape(-1, spec.dim)
+    if spec.lossless:
+        return zip(lo, itertools.repeat(None), itertools.repeat(None))
+    return zip(lo, frac.reshape(-1, spec.dim), short.ravel().tolist())
+
+
+def grid_point(w: np.ndarray, spec: QuantSpec, rng: np.random.Generator,
+               scaled: tuple | None = None) -> np.ndarray:
+    """The grid point of ``w`` under ``spec``, integer-valued floats below
+    2**63 (a copy of ``w`` when lossless), consuming one dither draw per
+    randomized coordinate in coordinate order.
+
+    Without ``scaled``, ``w`` is one vector of dimension ``spec.dim``,
+    which runs through stage one, ``scale_stack``, as a stack of one row;
+    the grid point is a new array.  With it, the call is stage two alone:
+    ``scaled`` is ``w``'s ``(lo, frac, short)`` from ``scale_stack`` (one
+    row of it, from ``scale_rows``), and the grid point is written into
+    ``lo`` and returned.  ``w`` may then be a whole stack, drawn from one
+    generator in row-major order, with ``short`` true only if every row
+    takes the short path: the full path gives a short row the draws the
+    short path would.
 
     Coordinates already equal to a representable grid point reproduce
     themselves deterministically (no draw consumed).
@@ -183,55 +264,36 @@ def grid_point(w: np.ndarray, spec: QuantSpec, rng: np.random.Generator) -> np.n
     and Stability of Numerical Algorithms*, 2002, section 2).  Above
     2**52 every float is an integer and ``frac`` is 0, so ``lo + 1`` is
     exact wherever this matters.  A coordinate with ``frac == 0`` fails
-    any positive tolerance.  So with ``M`` the guard's ``max |s|`` (read
-    by index, see below) and ``tol = (M + 1) 2**-48``, eight times the
-    worst case (which also covers the rounding of ``tol`` and of
-    ``1 - tol``), a vector whose
+    any positive tolerance.  So with ``M`` the guard's ``max |s|`` and
+    ``tol = (M + 1) 2**-48``, eight times the worst case (which also
+    covers the rounding of ``tol`` and of ``1 - tol``), a vector whose
     every ``frac`` lies strictly between ``tol`` and ``1 - tol`` has no
     on-grid coordinate and none with ``frac == 0``: the full path would
     randomize every coordinate, as the short one does.
 
-    The guard reads ``M`` by index, as ``max(-s[argmin s], s[argmax s])``,
-    and the short path's test reads the least and the greatest ``frac``
-    the same way, so a message makes no ``ufunc`` reduction.  A minimum
-    and a maximum are exact and do not depend on the order of the
-    coordinates, so ``M`` is ``max |s|`` to the bit.  ``argmin`` and
-    ``argmax`` both land on the first NaN, so a NaN anywhere makes ``M``
-    NaN, which fails the guard's comparison, and an infinity of either
-    sign makes it infinite.  The lossless branch tests its least and
-    greatest coordinate with ``math.isfinite`` for the same reasons.
+    Stage one reads ``M`` as ``max(-min s, max s)`` and the short path's
+    test the least and the greatest ``frac``, by one reduction of the
+    stack each, so a NaN anywhere in a row makes its ``M`` NaN, which
+    fails the guard's comparison, and an infinity of either sign makes it
+    infinite.  Stage two makes no ``ufunc`` reduction on the short path,
+    and one ``count_nonzero`` on the full one.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or len(w) != spec.dim:
-        raise InvalidInputError(f"expected a vector of dim {spec.dim}")
-
+    if scaled is None:
+        w = np.asarray(w, dtype=np.float64)
+        if w.ndim != 1 or len(w) != spec.dim:
+            raise InvalidInputError(f"expected a vector of dim {spec.dim}")
+        scaled = scale_stack(w, spec)
+    lo, frac, short = scaled
     if spec.lossless:
-        # The least and greatest coordinates, or the first NaN.
-        if not (math.isfinite(w[w.argmin()]) and math.isfinite(w[w.argmax()])):
-            raise InvalidInputError("input coordinates must be finite")
-        return w.copy()
-
-    step = spec.grid_step
-    scaled = w / step
-    # One guard for both faults: max |s| read by index, or NaN if any
-    # coordinate is (argmin and argmax both land on the first NaN), and a
-    # NaN fails every comparison.
-    largest = max(-scaled[scaled.argmin()], scaled[scaled.argmax()])
-    if not largest < _GRID_LIMIT:
-        if not np.isfinite(w).all():
-            raise InvalidInputError("input coordinates must be finite")
-        raise InvalidInputError("scaled magnitude overflows the 64-bit grid")
-
-    lo = np.floor(scaled)
-    frac = np.subtract(scaled, lo, out=scaled)
-    tol = (float(largest) + 1.0) * 2.0**-48
-    if tol < frac[frac.argmin()] and frac[frac.argmax()] < 1.0 - tol:
+        return lo
+    if short:
         # No coordinate is on-grid or has frac == 0 (see above): one draw each.
-        up = rng.random(len(frac)) < frac
+        up = rng.random(frac.shape) < frac
     else:
         # A coordinate is on-grid when some candidate decodes back to it
         # exactly; the upper candidate wins when both do.  The rest with a
         # fractional part take one draw each (on booleans, a > b is a & ~b).
+        step = spec.grid_step
         up = (lo + 1.0) * step == w
         randomized = np.logical_and(frac, lo * step != w)
         np.greater(randomized, up, out=randomized)

@@ -19,7 +19,14 @@ from . import engine
 from .bitstream import decode_sparse, encode_sparse
 from .errors import BoundViolationError
 from .problems import estimate_rho, make_linreg, from_node_data
-from .quantizer import QuantSpec, bits_lower_bound, bits_upper_bound, grid_point, quantize
+from .quantizer import (
+    QuantSpec,
+    bits_lower_bound,
+    bits_upper_bound,
+    grid_point,
+    quantize,
+    scale_stack,
+)
 from .theory import (
     RecursionSpec,
     accelerated_xi,
@@ -134,6 +141,18 @@ def _bench_gd_theory(cache: _Cache):
 # Criteria
 
 
+def _decoded_sum(w, spec, M: int, rng) -> np.ndarray:
+    """The sum of the decoded vectors of ``M`` ``grid_point`` calls on
+    ``w`` that share the generator ``rng``, added in call order from 0.0,
+    as ``acc += grid_point(w, spec, rng) * spec.grid_step`` would: stage
+    one on the ``(M, d)`` stack, then every row's draws in row-major order,
+    the calls' order; reducing down the rows adds them one after another."""
+    stack = np.broadcast_to(w, (M, len(w)))
+    lo, frac, short = scale_stack(stack, spec)
+    points = grid_point(stack, spec, rng, (lo, frac, short.all()))
+    return np.add.reduce(points * spec.grid_step, axis=0, initial=0.0)
+
+
 def _c1_codec(cache: _Cache) -> tuple[bool, str]:
     rng = np.random.default_rng(101)
     trials = 10_000
@@ -159,10 +178,7 @@ def _c1_codec(cache: _Cache) -> tuple[bool, str]:
     d, M = 10, 100_000
     w = np.random.default_rng(7).standard_normal(d)
     spec = QuantSpec(0.5, d)
-    rng = np.random.default_rng(8)
-    acc = np.zeros(d)
-    for _ in range(M):
-        acc += grid_point(w, spec, rng) * spec.grid_step
+    acc = _decoded_sum(w, spec, M, np.random.default_rng(8))
     dev = np.abs(acc / M - w)
     tol = 5.0 * (spec.grid_step / 2.0) / math.sqrt(M)
     if np.any(dev > tol):

@@ -25,7 +25,7 @@ from deedsim.engine import (
 )
 from deedsim.errors import BoundViolationError, ConfigError, InvalidInputError
 from deedsim.problems import estimate_rho, from_node_data, make_linreg
-from deedsim.quantizer import DEFAULT_FLOAT_BITS, QuantSpec, quantize
+from deedsim.quantizer import DEFAULT_FLOAT_BITS, QuantSpec, grid_point, quantize
 from deedsim.seeding import DOWNLINK, PARTICIPATION, UPLINK, philox_key, stream
 from deedsim.theory import RecursionSpec, recursion_bound
 
@@ -1071,8 +1071,8 @@ def test_exchange_bits_equal_its_messages_bits(monkeypatch, scheme, stage):
     streamed, sent = [], []
     real_stream, real_quantize = engine.stream, engine.quantize
 
-    def send(w, spec, rng):
-        point = real_quantize(w, spec, rng)
+    def send(w, spec, rng, *args):
+        point = real_quantize(w, spec, rng, *args)
         sent.append((names[streamed[-1]], _point_bits(spec, point)))
         return point
 
@@ -1089,6 +1089,124 @@ def test_exchange_bits_equal_its_messages_bits(monkeypatch, scheme, stage):
         assert (up[lane], down[lane], largest[lane]) == (sum(ups), downlink, max(ups + [downlink]))
         if stage == 0.0:
             assert downlink == DEFAULT_FLOAT_BITS * d
+
+
+# -- bad differences and each message's hard bound --
+
+
+def _first_refusal(diffs, spec):
+    """``grid_point``'s message for the first of ``diffs`` it refuses, or
+    None: the error a loop that sends them in this order raises."""
+    for diff in diffs:
+        try:
+            grid_point(diff, spec, stream(0))
+        except InvalidInputError as err:
+            return str(err)
+    return None
+
+
+@pytest.mark.parametrize("stage", [0.0, 20.0])
+@pytest.mark.parametrize("first, second", [(np.nan, 1e20), (1e20, np.inf), (-np.inf, np.nan),
+                                           (1e20, 1e20)])
+def test_exchange_raises_for_the_first_bad_member_row_in_send_order(first, second, stage):
+    # Lane 0's node 3 is sent before lane 1's node 0, which a node-major
+    # order would put first.  At a grid step of 10, 1e20 overflows the grid;
+    # lossless it is a finite value and sends.
+    n, d, lanes, seed = 5, 4, 2, 3
+    rng = np.random.default_rng(seed)
+    payloads, S0 = rng.normal(size=(2, lanes, n, d))
+    payloads[0, 3, 1], payloads[1, 0, 2] = first, second
+    spec = QuantSpec(stage, d)
+    diffs = [payloads[lane, i] - S0[lane, i] for lane in range(lanes) for i in range(n)]
+    want = _first_refusal(diffs, spec)
+    exchange = _Exchange(_held(S0, payloads), rng.normal(size=(lanes, d)), np.full(n, 1.0 / n))
+    keys = _exchange_keys(seed, range(lanes), 1, n)
+    if want is None:
+        exchange(stage, [math.inf] * lanes, 1, keys)
+        return
+    with pytest.raises(InvalidInputError) as err:
+        exchange(stage, [math.inf] * lanes, 1, keys)
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e20])
+def test_exchange_raises_for_a_bad_downlink(bad):
+    n, d, lanes, seed = 3, 4, 3, 4
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=(lanes, d))
+    v[1, 2] = -bad
+    spec = QuantSpec(20.0, d)
+    exchange = _Exchange(_held(*rng.normal(size=(2, lanes, n, d))), v, np.full(n, 1.0 / n))
+    with pytest.raises(InvalidInputError) as err:
+        exchange(20.0, [math.inf] * lanes, 1, _exchange_keys(seed, range(lanes), 1, n))
+    assert str(err.value) == _first_refusal([-v[1]], spec)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e20])
+@pytest.mark.parametrize("scheme", ["with-replacement", "without-replacement"])
+def test_exchange_ignores_bad_values_in_non_member_rows(scheme, bad):
+    # A non-member's difference is neither scaled nor sent: a value that
+    # would raise in a member's row raises nothing there, and warns
+    # nothing, and every lane's result is the per-node loop's.
+    n, d, lanes, seed = 7, 4, 5, 9
+    rng = np.random.default_rng(seed)
+    payloads, S0 = rng.normal(size=(2, lanes, n, d))
+    v0 = rng.normal(size=(lanes, d))
+    p = np.full(n, 1.0 / n)
+    stage = 20.0
+    draws = [_draw(scheme, 3, p, seed, r, 1) for r in range(lanes)]
+    for lane, (nodes, _) in enumerate(draws):
+        for i in sorted(set(range(n)) - set(nodes)):
+            payloads[lane, i, i % d] = bad
+    SP, v = _held(S0, payloads), v0.copy()
+    exchange = _Exchange(SP, v, p)
+    for lane, (nodes, coefs) in enumerate(draws):
+        exchange.select(lane, nodes, coefs)
+    result = exchange(stage, [math.inf] * lanes, 3, _exchange_keys(seed, range(lanes), 3, n))
+    for lane, (nodes, coefs) in enumerate(draws):
+        S, w = S0[lane].copy(), v0[lane].copy()
+        want = _exchange_per_node(S, w, payloads[lane], nodes, coefs, stage, math.inf,
+                                  (seed, lane, 3))
+        assert tuple(np.asarray(x)[lane].item() for x in result) == want
+        assert SP[0, :, lane].tobytes() == S.tobytes() and v[lane].tobytes() == w.tobytes()
+
+
+def _faulty_uplink(monkeypatch, key, times):
+    """Move the grid point of the uplink drawn from the stream of ``key``
+    by ``times`` stage budgets along its first coordinate, so that message
+    decodes about ``times`` budgets from its difference; every other
+    message is untouched."""
+    real_stream, real_quantize = engine.stream, engine.quantize
+    last = []
+
+    def keyed(key):
+        last[:] = [key.tobytes()]
+        return real_stream(key)
+
+    def faulty(w, spec, *args):
+        point = real_quantize(w, spec, *args)
+        if last[0] == key.tobytes():
+            point[0] += round(times * math.sqrt(spec.dim))
+        return point
+
+    monkeypatch.setattr(engine, "stream", keyed)
+    monkeypatch.setattr(engine, "quantize", faulty)
+
+
+def test_one_uplink_far_outside_its_stage_raises():
+    # Ten nodes at coefficient 1/10 carry one uplink's 10x miss into the
+    # aggregate at about one stage, within the aggregate budget of two: only
+    # the per-message check sees it.
+    problem = make_linreg(seed=3, d=20, N=10, target_kappa=8.0, rows_per_node=20,
+                          interpolating=False, noise_scale=1.0, w_star_scale=5.0)
+    with pytest.MonkeyPatch.context() as m:
+        _faulty_uplink(m, philox_key(5, 0, 12, 4, UPLINK), times=10.0)
+        with pytest.raises(BoundViolationError) as err:
+            run_deed_gd(problem, None, 0.95, 0.5, 30, seed=5)
+    assert err.value.kind == "message error"
+    assert (err.value.t, err.value.run) == (12, 0)
+    assert 9.0 < err.value.observed / err.value.allowed < 11.0
 
 
 # -- the Monte Carlo lanes against the run-by-run loops they replaced --

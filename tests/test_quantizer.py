@@ -27,6 +27,8 @@ from deedsim.quantizer import (
     grid_payload_bits,
     grid_point,
     quantize,
+    scale_rows,
+    scale_stack,
 )
 
 
@@ -673,3 +675,133 @@ def test_grid_payload_bits_equals_per_row_counts(stack):
     # Any leading shape: the rows of a (2, n, d) stack.
     twice = np.stack([stack, stack[::-1]])
     assert grid_payload_bits(twice).tolist() == [got.tolist(), got[::-1].tolist()]
+
+
+# -- the two stages: scale_stack / scale_rows, then one grid_point call a row --
+
+
+_SCALED_KINDS = ("off-grid", "on-grid", "integers", "beyond 2**53", "near tolerance", "zeros")
+
+
+def _scaled_row(rng, kind, d):
+    """One row in grid steps (``w / step``) of ``kind``: off the grid, some
+    coordinates on it, every one an integer (``frac == 0``), one beyond
+    2**53, one ``frac`` a few ulps from 0 or 1, or signed zeros."""
+    s = rng.normal(size=d) * 10.0 ** rng.integers(-2, 7)
+    j = rng.integers(d)
+    if kind == "on-grid":
+        s[::2] = np.round(s[::2])
+    elif kind == "integers":
+        s = np.round(s)
+    elif kind == "beyond 2**53":
+        s[j] = rng.choice([2.0**53 + 2, 2.0**60, -(2.0**62)])
+    elif kind == "near tolerance":
+        k = float(rng.integers(512, 1000))
+        s[j] = _ulps(k, int(rng.choice([1, 16, 40, -1, -16, -40])))
+    elif kind == "zeros":
+        s = np.where(rng.random(d) < 0.5, 0.0, -0.0)
+    return s
+
+
+@st.composite
+def _stage_stacks(draw):
+    """A ``(M, d)`` stack whose rows mix both paths, its spec (grid steps
+    from 1 down to subnormal, or lossless) and a seed."""
+    d = draw(st.integers(1, 12))
+    max_error = draw(st.sampled_from(
+        [math.sqrt(d), 0.1, 3e-7, 5 * 2.0**-1074 * math.sqrt(d), 1.5 * 2.0**-1030 * math.sqrt(d), 0.0]))
+    spec = QuantSpec(max_error, d)
+    kinds = draw(st.lists(st.sampled_from(_SCALED_KINDS), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    step = spec.grid_step or 1.0
+    stack = np.array([_scaled_row(rng, kind, d) * step for kind in kinds])
+    return stack, spec, draw(st.integers(0, 2**32))
+
+
+def _draws_after(seed, fn):
+    """``fn(rng)`` on a fresh generator of ``seed``, and that generator's next draw."""
+    rng = _philox(seed)
+    return fn(rng), rng.random()
+
+
+@given(_stage_stacks())
+@settings(max_examples=300, deadline=None)
+def test_stages_equal_grid_point_and_reference_row_by_row(case):
+    stack, spec, seed = case
+    rows = list(scale_rows(stack, spec))
+    assert len(rows) == len(stack)
+    for j, (w, scaled) in enumerate(zip(stack, rows)):
+        got, got_next = _draws_after(seed + j, lambda rng: grid_point(w, spec, rng, scaled))
+        one, one_next = _draws_after(seed + j, lambda rng: grid_point(w, spec, rng))
+        want, want_next = _draws_after(seed + j, lambda rng: ref.quantize(w, spec, rng, 32))
+        assert got.tobytes() == one.tobytes()
+        assert got_next == one_next == want_next
+        if spec.lossless:
+            assert got.tobytes() == w.tobytes()
+        else:
+            assert np.array_equal(got, want.grid.to_dense(dtype=np.float64))
+    # A stack of any leading shape, in any memory order, gives its rows in C order.
+    if len(stack) % 2 == 0:
+        cube = np.ascontiguousarray(stack.reshape(2, -1, spec.dim).swapaxes(0, 1)).swapaxes(0, 1)
+        assert not cube.flags.c_contiguous or len(stack) == 2
+        # (Stage two wrote each grid point into its row's lo: scale afresh.)
+        for (lo, frac, short), (lo3, frac3, short3) in zip(scale_rows(stack, spec),
+                                                           scale_rows(cube, spec)):
+            assert lo.tobytes() == lo3.tobytes() and short == short3
+            assert frac is frac3 is None or frac.tobytes() == frac3.tobytes()
+
+
+@given(_stage_stacks())
+@settings(max_examples=200, deadline=None)
+def test_stage_two_on_a_stack_equals_calls_that_share_one_generator(case):
+    # Stage two of a whole stack draws its rows' dither from one generator
+    # in row-major order, as one grid_point call a row on that generator.
+    stack, spec, seed = case
+    lo, frac, short = scale_stack(stack, spec)
+    got, got_next = _draws_after(
+        seed, lambda rng: grid_point(stack, spec, rng, (lo, frac, None if short is None else short.all())))
+    want, want_next = _draws_after(seed, lambda rng: np.array([grid_point(w, spec, rng) for w in stack]))
+    assert got.tobytes() == want.tobytes() and got_next == want_next
+
+
+@pytest.mark.parametrize("max_error", [0.5, 0.0])
+def test_scale_stack_refuses_the_first_bad_row_in_c_order(max_error):
+    # Rows (0, 2) and (1, 0) of a (2, 3, d) stack are bad: (0, 2) comes
+    # first in C order, though (1, 0) does in the memory of this
+    # node-major view.  Lossless, an overflowing value is a finite one.
+    d = 5
+    spec = QuantSpec(max_error, d)
+    for first, second in [(np.nan, 2.0**70), (2.0**70, np.inf), (2.0**70, 2.0**70)]:
+        rows = np.random.default_rng(1).normal(size=(3, 2, d))
+        rows[2, 0, 1], rows[0, 1, 3] = first, second
+        stack = rows.swapaxes(0, 1)
+        bad = [w for w in stack.reshape(-1, d) if not (np.isfinite(w).all() and (
+            spec.lossless or np.abs(w / spec.grid_step).max() < 2.0**63))]
+        if not bad:
+            scale_stack(stack, spec)
+            continue
+        want, _ = _outcome(grid_point, bad[0], spec, 0)
+        with pytest.raises(InvalidInputError, match=f"^{want}$"):
+            scale_stack(stack, spec)
+
+
+@pytest.mark.parametrize("on_grid", [False, True])
+def test_verify_unbiasedness_sum_equals_the_row_loop(on_grid):
+    # Criterion 1 sums the decoded vectors of one stack; a loop of
+    # grid_point calls on one generator gives the same sum bit for bit,
+    # on the short path and, with every other coordinate on the grid, on
+    # the full one.
+    from deedsim.verify import _decoded_sum
+
+    d, M = 10, 20_000
+    w = np.random.default_rng(7).standard_normal(d)
+    spec = QuantSpec(0.5, d)
+    if on_grid:
+        w[::2] = np.round(w[::2] / spec.grid_step) * spec.grid_step
+    assert scale_stack(w, spec)[2] == (not on_grid)
+    acc, rng = np.zeros(d), np.random.default_rng(8)
+    for _ in range(M):
+        acc += grid_point(w, spec, rng) * spec.grid_step
+    twin = np.random.default_rng(8)
+    assert _decoded_sum(w, spec, M, twin).tobytes() == acc.tobytes()
+    assert twin.random() == rng.random()

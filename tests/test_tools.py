@@ -27,12 +27,16 @@ def test_round_cost_cases_run_one_round_with_messages_stubbed(monkeypatch):
         monkeypatch.setattr(engine, name, getattr(engine, name))
     round_cost.stub_messages(engine)
     # Each message case sends one real message a round, of its dimension,
-    # under a zero budget in the lossless case only.  Only the stream case
+    # under a zero budget in the lossless case only, as stage two of the
+    # one scale_rows call over the sample's stack.  Only the stream case
     # builds a stream from its labels: run 0's uplink of node 0 at round 0.
-    sent, built = [], []
+    sent, built, scaled = [], [], []
     real = quantizer.grid_point
-    monkeypatch.setattr(quantizer, "grid_point",
-                        lambda w, spec, rng: sent.append((w, spec, real(w, spec, rng))))
+    monkeypatch.setattr(quantizer, "grid_point", lambda w, spec, rng, *rows: sent.append(
+        (w, spec, len(rows), real(w, spec, rng, *rows))))
+    real_rows = quantizer.scale_rows
+    monkeypatch.setattr(quantizer, "scale_rows",
+                        lambda W, spec: scaled.append(W.shape) or real_rows(W, spec))
     real_stream = seeding.stream
     monkeypatch.setattr(seeding, "stream",
                         lambda *labels: built.append(labels) or real_stream(*labels))
@@ -41,12 +45,14 @@ def test_round_cost_cases_run_one_round_with_messages_stubbed(monkeypatch):
     for name, run in runs.items():
         sent.clear()
         built.clear()
+        scaled.clear()
         run()
         assert built == ([(1, 0, 0, 0, seeding.UPLINK)] if name == "stream by labels" else [])
         if not name.startswith("message"):
-            assert sent == []
+            assert sent == [] and scaled == []
             continue
-        ((w, spec, point),) = sent
+        ((w, spec, trailing, point),) = sent
+        assert trailing == 1 and scaled == [(1, spec.dim)]
         assert spec.dim == int(name.split("d=")[1].split()[0])
         assert spec.lossless == ("lossless" in name)
         assert point.any() and (point == w).all() == spec.lossless
@@ -57,7 +63,7 @@ def test_round_cost_on_grid_message_has_every_other_coordinate_on_the_grid(monke
     # decode back to themselves and take no draw; the plain case has none.
     round_cost = _tool("round_cost")
     sent = []
-    monkeypatch.setattr(quantizer, "grid_point", lambda w, spec, rng: sent.append((w, spec)))
+    monkeypatch.setattr(quantizer, "grid_point", lambda w, spec, rng, *rows: sent.append((w, spec)))
     for on_grid in (False, True):
         round_cost._messages(20, 5, on_grid=on_grid)()
     assert len(sent) == 10

@@ -16,6 +16,10 @@ before.  In trees whose exchange reads each message's grid
 point, the scaling of the round's messages and their bit count stay in
 the round: one count per exchange call, or two (uplinks, then
 downlinks) in trees from before the downlinks had a row of their own.
+In trees whose ``quantize`` takes a trailing stage-one argument
+(``quantizer.scale_rows``), the stub accepts and ignores it, and the
+exchange's two ``scale_rows`` calls (uplinks, then downlinks) stay in the
+round as the bit count does; so does its check of each message's error.
 In trees with ``seeding.draw_index`` the stub stream gives a raw word
 and the row draw's own arithmetic stays in the round, where older
 trees' stub ``integers`` skipped it, so across that change the
@@ -48,7 +52,11 @@ the real stream of labels ``(run, round, node, UPLINK)`` and the
 message of a vector of that stream, at d = 20 (``sgd-mc``) and d = 100
 (``gd-race``), as the tree's run loop sends it: ``quantizer.grid_point``
 in trees that have it, which perfbench counts as ``engine.quantize``,
-and ``quantizer.quantize`` in trees before it.  The stream is made as
+and ``quantizer.quantize`` in trees before it.  In trees whose exchange
+scales a stage's rows at once (``quantizer.scale_rows``), a sample's
+messages are one stack: a message costs its stage-two ``grid_point``
+call and its share of one ``scale_rows`` call over the stack, as a run
+pays.  The stream is made as
 the tree's run loop makes it: from a key row of ``seeding.block_keys``
 derived before the timing, or, in trees before it, by ``seeding.stream``
 from the labels.  The vectors cycle through five ratios of ``|w|`` to
@@ -164,7 +172,7 @@ def _stub_keys(seed, prefixes, block, pairs):
 def stub_messages(engine) -> None:
     """Replace ``engine``'s ``quantize``, ``stream`` and (in trees that
     derive a block's keys in the run loop) ``block_keys`` in this process."""
-    engine.quantize = lambda w, spec, rng, float_bits=32: _Message(w, spec, 1000)
+    engine.quantize = lambda w, spec, rng, *scaled, float_bits=32: _Message(w, spec, 1000)
     engine.stream = lambda *labels: _DRAWS
     if hasattr(engine, "block_keys"):
         engine.block_keys = _stub_keys
@@ -341,7 +349,10 @@ def _messages(d: int, rounds: int, on_grid: bool = False, lossless: bool = False
     one stream and one call of the run loop's quantizer each (``grid_point``,
     or ``quantize`` in trees without it), as an engine's uplink;
     ``on_grid`` puts every other coordinate on the grid, and ``lossless``
-    sends the same vectors under a zero budget, as ``gd_baseline`` does."""
+    sends the same vectors under a zero budget, as ``gd_baseline`` does.
+    In trees with ``quantizer.scale_rows`` the ``rounds`` vectors are one
+    stack: one ``scale_rows`` call scales them all, and each message's
+    call is stage two, given its row."""
     from deedsim import quantizer
     from deedsim.quantizer import QuantSpec
 
@@ -358,6 +369,15 @@ def _messages(d: int, rounds: int, on_grid: bool = False, lossless: bool = False
         if on_grid:
             w[::2] = np.round(w[::2] / spec.grid_step) * spec.grid_step
         vectors.append(w)
+
+    if hasattr(quantizer, "scale_rows"):
+        stack = np.array([vectors[k % len(vectors)] for k in range(rounds)])
+
+        def send():
+            for k, (w, scaled) in enumerate(zip(stack, quantizer.scale_rows(stack, spec))):
+                quantize(w, spec, stream(k), scaled)
+
+        return send
 
     def send():
         for k in range(rounds):

@@ -196,12 +196,13 @@ class _Exchange:
     the downlinks in the last row.  After each loop one multiply by the
     grid step decodes the rows into an array of their own (``_decode``), so
     every grid point lasts until the call ends, and then one
-    ``grid_payload_bits`` call counts the bits of every message sent.  The differences and the
-    aggregate error of every lane are rows of one ``(N + 2, R, d)`` array,
-    so one stacked call takes all their norms, and one reduce gives both
-    weighted sums.  After the aggregate assert, one stacked norm of the
-    decoded rows less their differences asserts every sent lossy
-    message's hard bound (``_assert_messages``).
+    ``grid_payload_bits`` call counts the bits of every message sent.  The
+    differences, the aggregate error of every lane and, on a lossy call,
+    each message's decoded vector less its difference are rows of one
+    ``(2 N + 3, R, d)`` array, so one stacked call takes all their norms,
+    and one reduce gives both weighted sums.  After the aggregate assert,
+    those norms assert every sent lossy message's hard bound
+    (``_assert_messages``).
     The scratch arrays are made once, so a call pays only for arithmetic.
 
     A call returns one value per lane of each of (up_bits,
@@ -212,24 +213,24 @@ class _Exchange:
         _, N, R, d = SP.shape
         self.SP, self.v, self.coefs = SP, v, coefs
         self.S, self.payloads = SP
-        self.diffs = np.empty((N + 2, R, d))  # N uplinks, the downlink, the error
+        # N uplinks, the downlink, the error, then each message's decoded
+        # vector less its difference (its miss), the downlinks' last.
+        self.diffs = np.zeros((2 * N + 3, R, d))
         self.up, self.down, self.error = self.diffs[:N], self.diffs[N], self.diffs[N + 1]
+        self.misses = self.diffs[N + 2:]
         # Every message's grid point, the downlinks in the last row, and
         # its decoded vector.
         self.points, self.decoded = np.empty((2, N + 1, R, d))
-        # Each message's decoded vector less its difference, and its norm.
-        self.misses = np.zeros((N + 1, R, d))
-        self.rows_of_misses = self.misses[..., None, :], self.misses[..., None]
-        self.miss_dots = np.empty((N + 1, R, 1, 1))
         self.terms = np.empty((N, 2, R, d))
         self.sums = np.empty((2, R, d))
         self.aggregate, self.gbar = self.sums
         # Each difference's norm as _norm takes it: one dot per vector.
         self.rows_of_diffs = self.diffs[..., None, :], self.diffs[..., None]
-        self.dots = np.empty((N + 2, R, 1, 1))
-        self.norms = np.empty((N + 2, R))
-        self.squares, self.message_norms, self.error_norms = (
-            self.dots[..., 0, 0], self.norms[:-1], self.norms[-1],
+        self.dots = np.empty((2 * N + 3, R, 1, 1))
+        self.norms = np.empty((2 * N + 3, R))
+        self.squares = self.dots[..., 0, 0]
+        self.message_norms, self.error_norms, self.miss_norms = (
+            self.norms[:N + 1], self.norms[N + 1], self.norms[N + 2:],
         )
         # Each lane's messages, the downlink's always sent: the mask of the
         # largest fraction and of the bit count, whose first N rows are the
@@ -279,6 +280,9 @@ class _Exchange:
             row[...] = quantize(diff, spec, stream(key), rows)
         v += self._decode(spec, N, True)
         np.subtract(v, self.gbar, out=self.error)
+        if not spec.lossless:
+            np.subtract(self.decoded, self.diffs[:N + 1], out=self.misses,
+                        where=True if sending is True else sending[..., None])
         np.matmul(*self.rows_of_diffs, out=self.dots)
         np.sqrt(self.squares, out=self.norms)
         err = _assert_budget(self.error_norms.tolist(), self.gbar, budget, round_index)
@@ -306,10 +310,7 @@ class _Exchange:
         scaled by the difference's norm), naming round ``round_index`` and
         the lane of the first offending message in send order: the uplinks
         lane after lane, then the downlinks.  A NaN miss is over too."""
-        sending = self.where[2]
-        np.subtract(self.decoded, self.diffs[:-1], out=self.misses,
-                    where=True if sending is True else sending[..., None])
-        misses = np.sqrt(np.matmul(*self.rows_of_misses, out=self.miss_dots)[..., 0, 0])
+        sending, misses = self.where[2], self.miss_norms
         allowed = stage * (1.0 + _REL_SLACK) + _ABS_DUST * (1.0 + self.message_norms)
         over = ~(misses <= allowed)
         if sending is not True:

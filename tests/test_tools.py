@@ -58,6 +58,17 @@ def test_round_cost_cases_run_one_round_with_messages_stubbed(monkeypatch):
         assert point.any() and (point == w).all() == spec.lossless
 
 
+def test_round_cost_sgd_mc_round_stays_on_the_grid(monkeypatch):
+    # The stubbed sgd-mc round draws row 0 every time; at run_deed_sgd's
+    # stepsize its payloads stay bounded over a default sample of 100
+    # rounds, so the exchange's real scaling never overflows the grid.
+    round_cost = _tool("round_cost")
+    for name in ("quantize", "stream", "block_keys", "_participants"):
+        monkeypatch.setattr(engine, name, getattr(engine, name))
+    round_cost.stub_messages(engine)
+    round_cost.cases(engine, make_linreg, 100)["sgd-mc N=5 d=20 R=30"]()
+
+
 def test_round_cost_on_grid_message_has_every_other_coordinate_on_the_grid(monkeypatch):
     # The on-grid case times grid_point's full path: its even coordinates
     # decode back to themselves and take no draw; the plain case has none.

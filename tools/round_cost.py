@@ -29,7 +29,8 @@ cases, each on its perfbench workload's problem:
 - ``gd-race``: ``_frequent_run`` as ``run_deed_gd`` calls it (on the one
   loop ``_run`` in trees that have it), N = 10, d = 100, one lane (R = 1);
 - ``sgd-mc``: ``_frequent_run`` as ``run_deed_sgd`` calls it, N = 5,
-  d = 20, R = 30 lanes of single-row gradients;
+  d = 20, R = 30 lanes of single-row gradients, at its stepsize
+  ``1 / (rho L)``;
 - ``fed-sync``: one whole ``deed-fed`` sync of R = 30 lanes without
   replacement, N = 8, d = 10, K = 4 participants per lane, as ``_run``
   makes it (``run_deed_fed`` in trees before it).  In trees whose
@@ -218,9 +219,14 @@ def cases(engine, make_linreg, rounds: int) -> dict:
     else:
         grads = lambda k, Q: engine._lane_grads(sgd, 1, runs, k, nodes, Q)
 
+    # run_deed_sgd's stepsize: with the stub's row 0 in every draw, 1 / L
+    # diverges (payloads near 1e41 by round 100) and scaling such a round's
+    # messages onto the grid overflows it.
+    sgd_eta = 1.0 / (engine.estimate_rho(sgd) * sgd.L)
+
     def sgd_mc():
         engine._frequent_run(
-            sgd, algorithm="deed-sgd", eta=1.0 / sgd.L, tau=None, T=rounds, seed=1,
+            sgd, algorithm="deed-sgd", eta=sgd_eta, tau=None, T=rounds, seed=1,
             w0=None, budget_total=lambda k: (2.0 * 0.9955 ** (k + 1)) ** 0.5, runs=len(runs),
             grad_source=grads, **width,
         )

@@ -189,11 +189,12 @@ def scale_stack(W: np.ndarray, spec: QuantSpec) -> tuple:
     scaled magnitude reaches 2**63, raises ``grid_point``'s message; of
     several such rows, the first in C order of the leading axes does.
 
-    Each row's least and greatest value come from one ``ufunc`` reduction
-    of the whole stack along its last axis.  A minimum and a maximum are
-    exact, do not depend on the order of the coordinates, and are NaN if
-    any coordinate is, so ``largest``, ``tol`` and the short path's test
-    are those of ``grid_point``'s docstring row by row, to the bit."""
+    Each row's greatest ``|s|`` and its least and greatest ``frac`` come
+    from one ``ufunc`` reduction of the whole stack along its last axis
+    each.  A minimum and a maximum are exact, do not depend on the order of
+    the coordinates, and are NaN if any coordinate is, so ``largest``,
+    ``tol`` and the short path's test are those of ``grid_point``'s
+    docstring row by row, to the bit."""
     if spec.lossless:
         lo = np.array(W, dtype=np.float64, order="C")
         if not np.isfinite(lo).all():
@@ -271,7 +272,7 @@ def grid_point(w: np.ndarray, spec: QuantSpec, rng: np.random.Generator,
     on-grid coordinate and none with ``frac == 0``: the full path would
     randomize every coordinate, as the short one does.
 
-    Stage one reads ``M`` as ``max(-min s, max s)`` and the short path's
+    Stage one reads ``M`` as the greatest ``|s|`` and the short path's
     test the least and the greatest ``frac``, by one reduction of the
     stack each, so a NaN anywhere in a row makes its ``M`` NaN, which
     fails the guard's comparison, and an infinity of either sign makes it

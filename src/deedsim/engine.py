@@ -269,15 +269,15 @@ class _Exchange:
         ups = self.up.swapaxes(0, 1)
         scaled = scale_rows(ups if sending is True else ups[self.member.T], spec)
         for sends, lane_keys in zip(self.uplinks, keys):
-            for (i, diff, row), rows in zip(sends, scaled):
-                row[...] = quantize(diff, spec, stream(lane_keys[i]), rows)
+            for (i, diff, row), own in zip(sends, scaled):
+                row[...] = quantize(diff, spec, stream(lane_keys[i]), own)
         np.add(S, self._decode(spec, slice(N), update), out=S, where=update)
 
         _weighted_sums(self.SP, self.coefs, self.terms, self.sums, members)
         np.subtract(self.aggregate, v, out=self.down)
         scaled = scale_rows(self.down, spec)  # every uplink is applied
-        for (diff, row), key, rows in zip(self.downlinks, keys[:, N], scaled):
-            row[...] = quantize(diff, spec, stream(key), rows)
+        for (diff, row), key, own in zip(self.downlinks, keys[:, N], scaled):
+            row[...] = quantize(diff, spec, stream(key), own)
         v += self._decode(spec, N, True)
         np.subtract(v, self.gbar, out=self.error)
         if not spec.lossless:
